@@ -1,13 +1,14 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: tier1 vet dgsvet analyze analyze-fix build test race bench fuzz examples docs smoke-tcp partition-smoke bench-partition gw-smoke obs-smoke bench-serving bench-transport failover-smoke bench-failover bench-planner clean help
+.PHONY: tier1 vet dgsvet analyze analyze-fix build test race bench bench-check fuzz examples docs smoke-tcp partition-smoke bench-partition gw-smoke obs-smoke bench-serving failover-smoke bench-failover bench-planner clean help
 
 # tier1 is the gate every change must pass: static checks (go vet plus
 # the project-specific dgsvet analyzers), full build, and the test suite
 # under the race detector (the Deployment API serves concurrent
-# queries; races are correctness bugs here).
-tier1: vet dgsvet build race
+# queries; races are correctness bugs here), and bench-check, because
+# benchmark/ is its own module that go build ./... does not see.
+tier1: vet dgsvet build race bench-check
 
 vet:
 	$(GO) vet ./...
@@ -45,6 +46,15 @@ race:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
+# bench-check keeps the benchmark module honest against this one: it
+# imports the root packages through a replace directive, so a root API
+# change can break its build without any root-module check noticing.
+bench-check:
+	$(GO) build -C benchmark -o /dev/null ./...
+	$(GO) vet -C benchmark ./...
+	$(GO) test -C benchmark ./...
+	$(GO) run ./cmd/dgsvet -dir benchmark
+
 # fuzz runs each native fuzz target for FUZZTIME (go test -fuzz accepts
 # one target per invocation). CI uses this as a smoke pass; let it run
 # longer locally with FUZZTIME=5m.
@@ -54,6 +64,8 @@ fuzz:
 	$(GO) test ./internal/wire -run=^$$ -fuzz=^FuzzFrameRoundTrip$$ -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire -run=^$$ -fuzz=^FuzzBatchRoundTrip$$ -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/pattern -run=^$$ -fuzz=^FuzzParsePattern$$ -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/transport/tcpnet -run=^$$ -fuzz=^FuzzDecodeOpen$$ -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/transport/tcpnet -run=^$$ -fuzz=^FuzzDecodeDeploy$$ -fuzztime=$(FUZZTIME)
 
 # docs fails when any package lacks a package comment or an
 # operator-facing document (README, wire spec) is missing/stale.
@@ -108,15 +120,6 @@ bench-failover:
 bench-serving:
 	$(GO) run ./cmd/benchfig -group serving -queries 4 -json BENCH_SERVING.json
 
-# bench-transport regenerates BENCH_TRANSPORT.json: in-process vs
-# loopback TCP at wire protocol 1 (per-message frames) vs the current
-# coalescing protocol (untraced and with per-query distributed tracing
-# on), with per-query frame and allocation columns and a pure
-# message-storm row at 64 sites. The pre-coalescing recording is
-# preserved in BENCH_TRANSPORT_PRE_COALESCE.json.
-bench-transport:
-	$(GO) run ./cmd/benchfig -group transport -scale 0.3 -json BENCH_TRANSPORT.json
-
 # bench-planner regenerates BENCH_PLANNER.json: planned vs
 # declaration-order evaluation over an |Eq| sweep at 64 sites (both
 # arms interleaved on resident deployments, DS asserted identical by
@@ -138,13 +141,14 @@ clean:
 # help lists the targets an operator actually reaches for.
 help:
 	@echo "dgs make targets:"
-	@echo "  tier1            vet + dgsvet + build + race tests (the merge gate)"
+	@echo "  tier1            vet + dgsvet + build + race tests + bench-check (the merge gate)"
 	@echo "  analyze          dgsvet + staticcheck + govulncheck (ANALYZE_STRICT=1 in CI)"
 	@echo "  analyze-fix      reprint dgsvet findings with fixing guidance"
 	@echo "  test / race      test suite (plain / under the race detector)"
 	@echo "  fuzz             fuzz targets for FUZZTIME each (default $(FUZZTIME))"
 	@echo "  docs             documentation lint (package comments, specs, ANALYSIS.md)"
 	@echo "  bench            root-package benchmarks, one iteration"
+	@echo "  bench-check      build + vet + test + dgsvet the benchmark/ module against this tree"
 	@echo "  smoke-tcp        two dgsd processes on loopback, all algorithms"
 	@echo "  partition-smoke  partitioner quality smoke (LDG beats Random)"
 	@echo "  gw-smoke         2 dgsd + 1 dgsgw over HTTP (cache + invalidation)"
@@ -154,5 +158,4 @@ help:
 	@echo "  bench-partition  regenerate BENCH_PARTITION.json (long)"
 	@echo "  bench-serving    regenerate BENCH_SERVING.json (long)"
 	@echo "  bench-planner    regenerate BENCH_PLANNER.json (plan on/off + watch sharing)"
-	@echo "  bench-transport  regenerate BENCH_TRANSPORT.json (v1 vs coalescing)"
 	@echo "  examples         run every example program"

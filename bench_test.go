@@ -376,13 +376,13 @@ func BenchmarkIncrementalVsRecompute(b *testing.B) {
 }
 
 // BenchmarkDeployAmortization — the point of the persistent Deployment
-// API: per-call deploy (the legacy Run path: substrate up, one query,
-// substrate down) versus serving queries from resident fragments. Both
+// API: per-call deploy (substrate up, one query, substrate down)
+// versus serving queries from resident fragments. Both
 // arms run the identical dGPM protocol on a free network, so the delta
 // is exactly the per-query deployment overhead that residency
 // amortizes. Two regimes: an 8-site synthetic world where protocol work
 // dominates, and a 256-site chain world (the Fig-2 gadget's shape)
-// where substrate startup is a third of the legacy per-call cost.
+// where substrate startup is a third of the per-call cost.
 func BenchmarkDeployAmortization(b *testing.B) {
 	type world struct {
 		name string
@@ -413,7 +413,7 @@ func BenchmarkDeployAmortization(b *testing.B) {
 	for _, w := range worlds {
 		b.Run(w.name+"/RunDeployPerQuery", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Run(AlgoDGPM, w.q, w.part); err != nil {
+				if _, err := queryOnce(w.part, w.q); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -11,9 +11,9 @@
 //	benchfig -all -scale 0.2    # smaller datasets (faster)
 //	benchfig -all -queries 5    # average over more random queries
 //
-// Beyond the paper's figures, the updates/transport/partition/serving
-// groups measure the repo's extensions (incremental maintenance, TCP
-// wire cost, partitioner quality, gateway QPS+p99+cache hit rate);
+// Beyond the paper's figures, the updates/partition/serving groups
+// measure the repo's extensions (incremental maintenance, partitioner
+// quality, gateway QPS+p99+cache hit rate);
 // -json records any run as a BENCH_*.json artifact:
 //
 //	benchfig -group serving -json BENCH_SERVING.json

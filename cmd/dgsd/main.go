@@ -20,10 +20,10 @@
 //
 // The daemon can serve every algorithm compiled into it (this binary
 // imports all of them; the startup line lists the registry). It answers
-// the driver's PING heartbeats (wire protocol 3) and accepts REDEPLOY
-// frames, so a deployment that loses a sibling daemon can re-host the
-// lost fragments here without restarting anything — a daemon listed as
-// a spare (dgs.WithSpareSites) idles until that moment. Protocol
+// the driver's PING heartbeats and accepts REDEPLOY frames, so a
+// deployment that loses a sibling daemon can re-host the lost fragments
+// here without restarting anything — a daemon listed as a spare
+// (dgs.WithSpareSites) idles until that moment. Protocol
 // details — handshake, fragment shipping, framing, versioning,
 // heartbeats, failover and tracing — are in docs/WIRE.md.
 //

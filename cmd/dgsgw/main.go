@@ -99,6 +99,7 @@ func main() {
 			fail(err)
 		}
 		g = gg
+		dict = g.Dict()
 	case *gen == "web":
 		g = dgs.GenWeb(dict, *nodes, *edges, *seed)
 	case *gen == "citation":

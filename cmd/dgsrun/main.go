@@ -81,9 +81,7 @@ func main() {
 			fail(err)
 		}
 		g = gg
-		// NOTE: a loaded graph carries its own dictionary; parse queries
-		// against it by reusing labels textually (the DSL interns by
-		// name, so sharing the dict matters only for generated queries).
+		dict = g.Dict()
 	case *gen == "web":
 		g = dgs.GenWeb(dict, *nodes, *edges, *seed)
 	case *gen == "citation":

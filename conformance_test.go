@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
 )
 
 type confWorkload struct {
@@ -122,9 +123,12 @@ var confAlgos = []Algorithm{
 
 // confModes are the transport backends the matrix runs over: the
 // in-process channel network, a deployment spanning two dgsd site
-// servers over loopback TCP (negotiating the current protocol, i.e.
-// the coalescing path), and the same deployment pinned to wire
-// protocol 1 so the per-message fallback answers the whole matrix too.
+// servers over loopback TCP, and the same TCP deployment with
+// heartbeats on, so PING/PONG frames interleave with every algorithm's
+// sessions (the miss threshold is far out of reach: the mode exercises
+// the interleaving, not loss detection). That third mode keeps the
+// subtest name "tcp-v1" the test ledger has tracked since it pinned
+// wire protocol 1; there is one protocol version now.
 // extra returns per-deployment DeployOptions (each TCP mode starts its
 // daemons once per test run and reuses them — a daemon serves one
 // deployment at a time and resets in between).
@@ -133,7 +137,7 @@ func confModes(t *testing.T) []struct {
 	extra func(t *testing.T) []DeployOption
 } {
 	t.Helper()
-	var tcpAddrs, tcpV1Addrs []string
+	var tcpAddrs, tcpBeatAddrs []string
 	return []struct {
 		name  string
 		extra func(t *testing.T) []DeployOption
@@ -152,10 +156,10 @@ func confModes(t *testing.T) []struct {
 			if testing.Short() {
 				t.Skip("loopback-TCP matrix skipped in -short mode")
 			}
-			if tcpV1Addrs == nil {
-				tcpV1Addrs = startSiteServers(t, 2)
+			if tcpBeatAddrs == nil {
+				tcpBeatAddrs = startSiteServers(t, 2)
 			}
-			return []DeployOption{WithRemoteSites(tcpV1Addrs...), WithWireProtocolMax(1)}
+			return []DeployOption{WithRemoteSites(tcpBeatAddrs...), WithHeartbeat(25*time.Millisecond, 400)}
 		}},
 	}
 }

@@ -69,7 +69,7 @@ type queryConfig struct {
 
 // dgpmConfig translates the query configuration into the dGPM engine
 // config. An explicitly set θ is honored even when it is 0 (always
-// push) — the sentinel footgun of the legacy Options struct.
+// push).
 func (qc queryConfig) dgpmConfig() dgpm.Config {
 	cfg := dgpm.DefaultConfig()
 	if qc.thetaSet {
@@ -91,8 +91,8 @@ func WithAlgorithm(a Algorithm) QueryOption {
 }
 
 // WithPushTheta sets the push benefit threshold θ of §4.2 (default 0.2).
-// Unlike the legacy Options.PushTheta, an explicit 0 is honored: θ=0
-// makes every beneficial-or-not push fire. Only meaningful for AlgoDGPM.
+// An explicit 0 is honored: θ=0 makes every beneficial-or-not push
+// fire. Only meaningful for AlgoDGPM.
 func WithPushTheta(theta float64) QueryOption {
 	return func(qc *queryConfig) { qc.theta = theta; qc.thetaSet = true }
 }
@@ -127,7 +127,6 @@ type deployConfig struct {
 	transport   cluster.Transport
 	remoteAddrs []string
 	dialTimeout time.Duration
-	protoMax    uint16
 	spares      []string
 	hbInterval  time.Duration
 	hbMisses    int
@@ -162,16 +161,6 @@ func WithDialTimeout(d time.Duration) DeployOption {
 	return func(dc *deployConfig) { dc.dialTimeout = d }
 }
 
-// WithWireProtocolMax caps the wire protocol version a WithRemoteSites
-// deployment offers its daemons; 0 (the default) means the newest this
-// build speaks. Pinning 1 forces per-message frames instead of
-// coalesced batches — the transport bench uses it to measure the
-// uncoalesced baseline, and it interoperates with daemons that predate
-// version negotiation.
-func WithWireProtocolMax(v uint16) DeployOption {
-	return func(dc *deployConfig) { dc.protoMax = v }
-}
-
 // WithTransport installs a caller-built Transport (expert use: tests,
 // custom backends). The transport must host exactly the partition's
 // fragments. Unless it declares cluster.FragmentSharer (sites operate
@@ -183,11 +172,13 @@ func WithTransport(tr Transport) DeployOption {
 }
 
 // WithPlannerDisabled turns query planning off for the deployment:
-// queries evaluate in declaration order, absent-label patterns run the
-// full protocol instead of short-circuiting, and standing queries each
-// hold their own maintenance session instead of sharing one. Results
-// are identical either way — the dGPM fixpoint is confluent — so this
-// is the ablation/baseline arm, not a semantic switch.
+// queries evaluate in declaration order (the identity plan over the
+// same engine construction), absent-label patterns run the full
+// protocol instead of short-circuiting, and standing queries each hold
+// their own maintenance session instead of sharing one. Results are
+// identical either way — the dGPM fixpoint is confluent — so this is
+// the reference arm the conformance suite compares planned evaluation
+// against, not a semantic switch.
 func WithPlannerDisabled() DeployOption {
 	return func(dc *deployConfig) { dc.plannerOff = true }
 }
@@ -307,7 +298,6 @@ func Deploy(part *Partition, opts ...DeployOption) (*Deployment, error) {
 		ctx := context.Background()
 		tr, err := tcpnet.Dial(ctx, dc.remoteAddrs, part.fr, tcpnet.Options{
 			DialTimeout:       dc.dialTimeout,
-			MaxProtocol:       dc.protoMax,
 			Spares:            dc.spares,
 			HeartbeatInterval: dc.hbInterval,
 			HeartbeatMisses:   dc.hbMisses,
@@ -387,8 +377,8 @@ func (d *Deployment) NumSites() int { return d.c.NumSites() }
 // WireFrames reports the post-deployment frames the driver has written
 // to and read from its daemon sockets so far, when the transport
 // measures them (the TCP backend does); in-process deployments report
-// zeros. Coalescing makes this grow far slower than the message count
-// — the transport bench records the deltas per query.
+// zeros. Coalescing makes this grow slower than the message count
+// (benchmark/ reports tcpnet.frames_per_query and msgs_per_frame).
 func (d *Deployment) WireFrames() (sent, received int64) {
 	if fc, ok := d.c.Transport().(interface{ Frames() (int64, int64) }); ok {
 		return fc.Frames()

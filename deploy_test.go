@@ -198,8 +198,8 @@ func TestQueryContextCancellation(t *testing.T) {
 	}
 }
 
-// WithPushTheta must honor an explicit θ=0 — the legacy Options sentinel
-// silently replaced it with the 0.2 default.
+// WithPushTheta must honor an explicit θ=0 (always push) rather than
+// reading it as "unset" and falling back to the 0.2 default.
 func TestWithPushThetaHonorsZero(t *testing.T) {
 	resolve := func(opts ...QueryOption) queryConfig {
 		var qc queryConfig
@@ -226,28 +226,6 @@ func TestWithPushThetaHonorsZero(t *testing.T) {
 	}
 	if !res.Match.Equal(Simulate(q, g)) {
 		t.Fatal("θ=0 result differs from centralized simulation")
-	}
-}
-
-// Regression for the compat path: the legacy struct's documented
-// sentinel (0 = unset → default 0.2) is preserved, and a non-zero value
-// still overrides.
-func TestRunOptionsPushThetaSentinel(t *testing.T) {
-	resolve := func(o Options) queryConfig {
-		var qc queryConfig
-		for _, opt := range o.queryOptions(AlgoDGPM) {
-			opt(&qc)
-		}
-		return qc
-	}
-	if cfg := resolve(Options{PushTheta: 0}).dgpmConfig(); cfg.Theta != 0.2 {
-		t.Fatalf("legacy PushTheta=0 resolved θ=%v, want the 0.2 default", cfg.Theta)
-	}
-	if cfg := resolve(Options{PushTheta: 0.05}).dgpmConfig(); cfg.Theta != 0.05 {
-		t.Fatalf("legacy PushTheta=0.05 resolved θ=%v", cfg.Theta)
-	}
-	if cfg := resolve(Options{DisablePush: true}).dgpmConfig(); cfg.Push {
-		t.Fatal("legacy DisablePush not honored")
 	}
 }
 

@@ -114,6 +114,11 @@ func ReadGraph(r io.Reader) (*Graph, error) {
 	return &Graph{g: g}, nil
 }
 
+// Dict returns the graph's label dictionary. Patterns queried against a
+// graph loaded with ReadGraph must be parsed against it, so that label
+// ids agree.
+func (g *Graph) Dict() *Dict { return g.g.Dict() }
+
 // String summarizes the graph.
 func (g *Graph) String() string { return g.g.String() }
 

@@ -2,6 +2,7 @@ package dgs
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -31,11 +32,21 @@ func testWorld(t testing.TB, algoFriendly bool) (*Dict, *Graph, *Pattern, *Parti
 	return dict, g, q, part
 }
 
+// queryOnce answers q on a throwaway in-process deployment of part.
+func queryOnce(part *Partition, q *Pattern, opts ...QueryOption) (*Result, error) {
+	dep, err := Deploy(part)
+	if err != nil {
+		return nil, err
+	}
+	defer dep.Close()
+	return dep.Query(context.Background(), q, opts...)
+}
+
 func TestAllAlgorithmsAgreeOnGeneral(t *testing.T) {
 	_, g, q, part := testWorld(t, true)
 	want := Simulate(q, g)
 	for _, algo := range []Algorithm{AlgoDGPM, AlgoDGPMNoOpt, AlgoMatch, AlgoDisHHK, AlgoDMes} {
-		res, err := Run(algo, q, part)
+		res, err := queryOnce(part, q, WithAlgorithm(algo))
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
@@ -60,7 +71,7 @@ func TestDGPMdOnCitation(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Simulate(q, g)
-	res, err := Run(AlgoDGPMd, q, part, Options{GraphIsDAG: true})
+	res, err := queryOnce(part, q, WithAlgorithm(AlgoDGPMd), WithGraphIsDAG())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +92,7 @@ func TestDGPMtOnTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Simulate(q, g)
-	res, err := Run(AlgoDGPMt, q, part)
+	res, err := queryOnce(part, q, WithAlgorithm(AlgoDGPMt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,16 +117,16 @@ func TestRunBooleanChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	okC, _, err := RunBoolean(AlgoDGPM, q, pc)
-	if err != nil || !okC {
+	resC, err := queryOnce(pc, q)
+	if err != nil || !resC.Match.Ok() {
 		t.Fatalf("closed chain must match (err=%v)", err)
 	}
-	okB, stB, err := RunBoolean(AlgoDGPM, q, pb)
-	if err != nil || okB {
+	resB, err := queryOnce(pb, q)
+	if err != nil || resB.Match.Ok() {
 		t.Fatalf("broken chain must not match (err=%v)", err)
 	}
-	if stB.DataMsgs < 11 {
-		t.Fatalf("falsification must travel the chain: %d msgs", stB.DataMsgs)
+	if resB.Stats.DataMsgs < 11 {
+		t.Fatalf("falsification must travel the chain: %d msgs", resB.Stats.DataMsgs)
 	}
 }
 
@@ -151,6 +162,59 @@ func TestGraphBuilderAndIO(t *testing.T) {
 	}
 	if !strings.Contains(g.String(), "|V|=2") {
 		t.Fatalf("String = %q", g.String())
+	}
+}
+
+// A graph loaded from a DGSG1 file hands back the dictionary its label
+// ids live in: every node's label name resolves, through
+// ReadGraph(...).Dict(), to the id the deployed fragments carry, so a
+// pattern parsed against it — labels deliberately not in the graph's
+// first-use order — answers exactly like the original world. Parsing
+// against a fresh dictionary (the dgsrun/dgsgw -graph bug) would intern
+// l9 as id 0 and match the wrong nodes.
+func TestReadGraphDictMatchesFragments(t *testing.T) {
+	dict := NewDict()
+	g := GenWeb(dict, 1500, 7000, 1)
+	var buf bytes.Buffer
+	if err := g.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	g2, err := ReadGraph(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := PartitionBlocks(g2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range part.fr.Frags {
+		for v, l := range f.Labels {
+			id, ok := g2.Dict().Lookup(g2.LabelName(v))
+			if !ok || id != l {
+				t.Fatalf("fragment %d node %d carries label id %d, the loaded dictionary resolves %q to %d (found=%v)",
+					f.ID, v, l, g2.LabelName(v), id, ok)
+			}
+		}
+	}
+	const src = "node a l9\nnode b l0\nnode c l4\nedge a b\nedge b c\nedge c b"
+	q, err := ParsePattern(dict, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q2, err := ParsePattern(g2.Dict(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Simulate(q, g)
+	if !want.Ok() {
+		t.Fatal("fixture pattern must match the generated graph")
+	}
+	res, err := queryOnce(part, q2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Match.Equal(want) {
+		t.Fatalf("loaded-graph answer has %d pairs, the original world %d", res.Match.NumPairs(), want.NumPairs())
 	}
 }
 
@@ -245,7 +309,7 @@ func TestAlgorithmString(t *testing.T) {
 
 func TestRunRejectsUnknownAlgorithm(t *testing.T) {
 	_, _, q, part := testWorld(t, true)
-	if _, err := Run(Algorithm(99), q, part); err == nil {
+	if _, err := queryOnce(part, q, WithAlgorithm(Algorithm(99))); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 }
@@ -253,14 +317,14 @@ func TestRunRejectsUnknownAlgorithm(t *testing.T) {
 func TestOptionsAblation(t *testing.T) {
 	_, g, q, part := testWorld(t, true)
 	want := Simulate(q, g)
-	res, err := Run(AlgoDGPM, q, part, Options{DisablePush: true})
+	res, err := queryOnce(part, q, WithPushDisabled())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Match.Equal(want) {
 		t.Fatal("no-push ablation differs")
 	}
-	res2, err := Run(AlgoDGPM, q, part, Options{PushTheta: 0.01})
+	res2, err := queryOnce(part, q, WithPushTheta(0.01))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,7 +84,7 @@ func TestDGPMdAutoDAGCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(AlgoDGPMd, q, part) // no GraphIsDAG assertion
+	res, err := queryOnce(part, q, WithAlgorithm(AlgoDGPMd)) // no WithGraphIsDAG assertion
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,11 +113,6 @@ type Point struct {
 	QPS     float64 `json:"QPS,omitempty"`
 	P99ms   float64 `json:"P99ms,omitempty"`
 	HitRate float64 `json:"HitRate,omitempty"`
-	// Frames and AllocKB are the transport group's columns: wire frames
-	// crossing the driver's sockets and driver-process bytes allocated,
-	// both per query (the -benchmem view of the wire path).
-	Frames  int64   `json:"Frames,omitempty"`
-	AllocKB float64 `json:"AllocKB,omitempty"`
 	// DetectMs, RestoreMs and QueriesLost are the failover group's axes:
 	// client-observed loss-detection latency, time until service is
 	// restored (manual redeploy or automatic spare takeover), and
@@ -198,7 +193,6 @@ var groups = map[string]struct {
 	"exp3-F":    {[]string{"6m", "6n"}, exp3VaryF},
 	"exp3-G":    {[]string{"6o", "6p"}, exp3VaryG},
 	"updates":   {[]string{"upd-pt", "upd-ds"}, updatesExp},
-	"transport": {[]string{"net-pt", "net-ds"}, transportExp},
 	"partition": {[]string{"part-pt", "part-ds"}, partitionExp},
 	"serving":   {[]string{"srv-qps", "srv-p99"}, servingExp},
 	"failover":  {[]string{"fo-detect", "fo-restore"}, failoverExp},
@@ -206,12 +200,12 @@ var groups = map[string]struct {
 }
 
 // Figures lists every reproducible figure ID in order: the paper's 16
-// panels plus the updates, transport and partition experiments' PT/DS
-// pairs, the serving experiment's QPS/p99 pair, the failover
-// experiment's detection/restoration pair and the planner experiment's
+// panels plus the updates and partition experiments' PT/DS pairs, the
+// serving experiment's QPS/p99 pair, the failover experiment's
+// detection/restoration pair and the planner experiment's
 // evaluation/maintenance pairs.
 func Figures() []string {
-	return []string{"6a", "6b", "6c", "6d", "6e", "6f", "6g", "6h", "6i", "6j", "6k", "6l", "6m", "6n", "6o", "6p", "upd-pt", "upd-ds", "net-pt", "net-ds", "part-pt", "part-ds", "srv-qps", "srv-p99", "fo-detect", "fo-restore", "plan-pt", "plan-ds", "plan-wpt", "plan-wds"}
+	return []string{"6a", "6b", "6c", "6d", "6e", "6f", "6g", "6h", "6i", "6j", "6k", "6l", "6m", "6n", "6o", "6p", "upd-pt", "upd-ds", "part-pt", "part-ds", "srv-qps", "srv-p99", "fo-detect", "fo-restore", "plan-pt", "plan-ds", "plan-wpt", "plan-wds"}
 }
 
 // Groups lists the experiment groups.

@@ -10,8 +10,8 @@ func tiny() Config { return Config{Scale: 0.05, Queries: 1, Seed: 3, NoNetwork: 
 
 func TestFiguresComplete(t *testing.T) {
 	ids := Figures()
-	if len(ids) != 30 { // the paper's 16 panels + upd/net/part PT+DS pairs + serving QPS/p99 + failover detect/restore + planner eval/maintenance pairs
-		t.Fatalf("want 30 panels, got %d", len(ids))
+	if len(ids) != 28 { // the paper's 16 panels + upd/part PT+DS pairs + serving QPS/p99 + failover detect/restore + planner eval/maintenance pairs
+		t.Fatalf("want 28 panels, got %d", len(ids))
 	}
 	covered := map[string]bool{}
 	for _, g := range groups {
@@ -24,8 +24,8 @@ func TestFiguresComplete(t *testing.T) {
 			t.Fatalf("figure %s has no experiment group", id)
 		}
 	}
-	if len(Groups()) != 15 { // 8 figure groups + ablation + updates + transport + partition + serving + failover + planner
-		t.Fatalf("want 15 groups, got %d", len(Groups()))
+	if len(Groups()) != 14 { // 8 figure groups + ablation + updates + partition + serving + failover + planner
+		t.Fatalf("want 14 groups, got %d", len(Groups()))
 	}
 }
 
@@ -200,60 +200,6 @@ func TestUpdatesGroupShape(t *testing.T) {
 	// re-answering it from scratch, summed over the whole stream.
 	if inc >= rec {
 		t.Fatalf("incremental DS %.2fKB not below recompute DS %.2fKB", inc, rec)
-	}
-}
-
-func TestTransportGroupShape(t *testing.T) {
-	figs, err := RunGroup("transport", tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(figs) != 2 || figs[0].ID != "net-pt" || figs[1].ID != "net-ds" {
-		t.Fatalf("transport figures: %v", figs)
-	}
-	ds := figs[1]
-	if len(ds.Series) != 7 {
-		t.Fatalf("want inproc/tcp-v1/tcp/tcp-traced payload + three wire series, got %d", len(ds.Series))
-	}
-	byName := map[string]Series{}
-	for _, s := range ds.Series {
-		byName[s.Name] = s
-	}
-	for _, arm := range []string{"tcp-v1", "tcp", "tcp-traced"} {
-		for i := range byName["wire/"+arm].Points {
-			wire := byName["wire/"+arm].Points[i].DSkb
-			payload := byName["dGPM/"+arm].Points[i].DSkb
-			// Framing, acks and control traffic ride on top of the payload —
-			// the measured wire bytes must strictly dominate the exact DS.
-			if wire <= payload {
-				t.Fatalf("%s point %d: wire %.2fKB not above payload %.2fKB", arm, i, wire, payload)
-			}
-			if byName["dGPM/inproc"].Points[i].DSkb == 0 {
-				t.Fatalf("point %d: in-process arm shipped nothing", i)
-			}
-			if byName["dGPM/"+arm].Points[i].Frames == 0 {
-				t.Fatalf("%s point %d: TCP arm recorded no frames", arm, i)
-			}
-		}
-	}
-	for i := range byName["wire/tcp"].Points {
-		// Coalescing must never move the same payload in more wire bytes
-		// than per-message framing (strict drops are asserted at real
-		// scale by TestCoalescingReducesFrames; at toy scale runs may not
-		// form, so no-increase is the invariant here).
-		if v2, v1 := byName["wire/tcp"].Points[i].DSkb, byName["wire/tcp-v1"].Points[i].DSkb; v2 > v1 {
-			t.Fatalf("point %d: coalescing wire %.2fKB above per-message wire %.2fKB", i, v2, v1)
-		}
-	}
-	// The PT panel carries the message-storm rows beside the dGPM arms.
-	names := map[string]bool{}
-	for _, s := range figs[0].Series {
-		names[s.Name] = true
-	}
-	for _, need := range []string{"dGPM/inproc", "dGPM/tcp-v1", "dGPM/tcp", "dGPM/tcp-traced", "storm/tcp-v1", "storm/tcp"} {
-		if !names[need] {
-			t.Fatalf("net-pt missing series %q (have %v)", need, names)
-		}
 	}
 }
 

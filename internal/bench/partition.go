@@ -14,9 +14,34 @@ package bench
 import (
 	"context"
 	"fmt"
+	"net"
 
 	"dgs"
+	"dgs/internal/transport/tcpnet"
 )
+
+// startLoopbackServers starts n tcpnet site servers on loopback and
+// returns their addresses plus a shutdown func.
+func startLoopbackServers(n int) (addrs []string, stop func(), err error) {
+	listeners := make([]net.Listener, 0, n)
+	stop = func() {
+		for _, lis := range listeners {
+			lis.Close()
+		}
+	}
+	for i := 0; i < n; i++ {
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			stop()
+			return nil, nil, err
+		}
+		srv := &tcpnet.Server{}
+		go srv.Serve(lis)
+		listeners = append(listeners, lis)
+		addrs = append(addrs, lis.Addr().String())
+	}
+	return addrs, stop, nil
+}
 
 // partitionFrags is the reference fragment count; tiny test scales
 // shrink it so the smoke run stays fast.
@@ -44,12 +69,11 @@ func (c Config) partitionStrategies() []string {
 // partitionExp produces the "part-pt"/"part-ds" panels: per strategy,
 // dGPM and dMes PT/DS on the in-process and loopback-TCP backends, plus
 // the TCP arm's measured wire bytes. Every point carries the partition
-// metadata (strategy, |Vf|, |Ef|, balance, build ms). Like the
-// transport group — and unlike the Fig. 6 sweeps — deployments run
-// without the emulated EC2 link model: the TCP arm pays real socket
-// latency, and strategy-vs-strategy comparisons stay within one arm,
-// so an emulated cost on the in-process arm would only blur the
-// backend contrast.
+// metadata (strategy, |Vf|, |Ef|, balance, build ms). Unlike the
+// Fig. 6 sweeps, deployments run without the emulated EC2 link model:
+// the TCP arm pays real socket latency, and strategy-vs-strategy
+// comparisons stay within one arm, so an emulated cost on the
+// in-process arm would only blur the backend contrast.
 func partitionExp(cfg Config) ([]*Figure, error) {
 	ctx := context.Background()
 	dict := dgs.NewDict()

@@ -756,8 +756,8 @@ func (s *Session) AddRounds(n int64) {
 // host recorded plus the driver's own coordinator spans. Call after
 // Close — remote hosts ship their spans when they process the close.
 // Returns nil for untraced sessions. Complete is false when a host's
-// spans could not be collected (pre-trace protocol connection, or a
-// connection lost before its spans arrived).
+// spans could not be collected (a connection lost before its spans
+// arrived).
 func (s *Session) Trace(ctx context.Context) (*obs.QueryTrace, error) {
 	if s.traceRec == nil {
 		return nil, nil

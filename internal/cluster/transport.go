@@ -41,17 +41,13 @@ type SessionSpec struct {
 	Config []byte
 	// Planner and Plan carry an optional evaluation plan (internal/plan
 	// wire encoding) built by the named registered planner. Plans are
-	// advisory — they reorder work without changing results — so
-	// transports that negotiated a pre-plan protocol version may drop
-	// them silently; the site then evaluates in declaration order.
+	// advisory — they reorder work without changing results. Empty
+	// means unplanned: the site evaluates in declaration order.
 	Planner string
 	Plan    []byte
 	// TraceID, when nonzero, asks every site to record per-round spans
 	// for this session (internal/obs) and ship them back on close. Like
-	// the plan, tracing is advisory: transports that negotiated a
-	// pre-trace protocol version drop the field silently and the trace
-	// comes back partial. Zero means tracing off — and, on the wire,
-	// an OPEN body byte-identical to the pre-trace encoding.
+	// the plan, tracing is advisory. Zero means tracing off.
 	TraceID uint64
 }
 
@@ -123,8 +119,8 @@ type Recoverer interface {
 // tracing: collecting the per-site spans the hosts of a traced session
 // recorded. Call after the session was closed — remote hosts ship
 // their spans when they process the close. complete is false when some
-// host's spans are missing (a pre-trace protocol version on its
-// connection, or a connection lost before its spans arrived); the
+// host's spans are missing (a connection lost before its spans
+// arrived); the
 // returned spans are still valid for the hosts that reported.
 type Tracer interface {
 	Trace(ctx context.Context, qid uint64) (spans []obs.SiteTrace, complete bool, err error)

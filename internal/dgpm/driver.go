@@ -63,9 +63,8 @@ func Eval(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr *parti
 }
 
 // EvalPlanned is Eval with an advisory evaluation plan for q (nil runs
-// unplanned). The plan ships in the session spec; sites that never see
-// it — pre-plan daemons — fall back to declaration order, with results
-// identical by the fixpoint's confluence.
+// in declaration order, with results identical by the fixpoint's
+// confluence). The plan ships in the session spec.
 func EvalPlanned(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr *partition.Fragmentation, cfg Config, pl *plan.Plan) (*simulation.Match, cluster.Stats, error) {
 	m, st, _, err := EvalPlannedTraced(ctx, c, q, fr, cfg, pl, 0)
 	return m, st, err

@@ -89,8 +89,8 @@ type Engine struct {
 	// pred[vi] lists local indices with an edge to vis node vi.
 	pred [][]int32
 	// topoShared marks succ/pred as borrowed read-only from the
-	// fragment's cached topology index (planned engines); the first
-	// edge deletion deep-copies them into private rows.
+	// fragment's cached topology index; the first edge deletion
+	// deep-copies them into private rows.
 	topoShared bool
 
 	// alive[u][vi] — dense variable state for visible nodes.
@@ -139,7 +139,7 @@ type eqWatcher struct {
 // evaluation (procedure lEval of Fig. 4, lines 1–9): label-consistent
 // variables are created, counters initialized, and locally-refutable
 // variables falsified under the optimistic virtual-node assumption.
-// Evaluation runs in declaration order (the unplanned fallback).
+// It is NewEnginePlanned without a plan: declaration order.
 func NewEngine(q *pattern.Pattern, frag *partition.Fragment) *Engine {
 	return NewEnginePlanned(q, frag, nil)
 }
@@ -147,24 +147,24 @@ func NewEngine(q *pattern.Pattern, frag *partition.Fragment) *Engine {
 // NewEnginePlanned is NewEngine under an evaluation plan. The plan is
 // advisory — the counter fixpoint is confluent, so the relation, the
 // shipped falsification set, and the termination certificate are
-// independent of evaluation order — but it changes the work profile:
+// independent of evaluation order — and decides only two orders:
 //
-//   - the fragment's dense topology (vis numbering, adjacency rows,
-//     label buckets) comes from the fragment's cached Index, built once
-//     per fragment version and shared by every planned engine — instead
-//     of being rebuilt from the Succ/Labels maps on each query;
-//   - construction is label-bucketed: the alive rows, successor
-//     counters, benefit tallies and seed scan are all driven off the
-//     index's per-label candidate buckets — touching only
-//     label-consistent candidates instead of scanning all |Vq|·|vis|
-//     cells and all |Eq| edges per adjacency entry. Exact, because
-//     initial alive state is label consistency;
 //   - per-node edge lists follow the plan's ascending-selectivity
 //     order, so exhaustion checks hit the emptiest counters first;
 //   - the seed scan visits query nodes rarest label first, so the
 //     cheapest falsifications propagate — and ship — earliest.
 //
-// A nil (or ill-fitting) plan falls back to declaration order.
+// A nil (or ill-fitting) plan is the identity order: nodes 0..|Vq|−1,
+// edges in declaration index order.
+//
+// Construction is the same either way. The fragment's dense topology
+// (vis numbering, adjacency rows, label buckets) comes from the
+// fragment's cached Index, built once per fragment version and shared
+// by every engine, and the alive rows, successor counters, benefit
+// tallies and seed scan are all driven off the index's per-label
+// candidate buckets — touching only label-consistent candidates instead
+// of scanning all |Vq|·|vis| cells and all |Eq| edges per adjacency
+// entry. Exact, because initial alive state is label consistency.
 func NewEnginePlanned(q *pattern.Pattern, frag *partition.Fragment, pl *plan.Plan) *Engine {
 	nq := q.NumNodes()
 	nl := len(frag.Local)
@@ -176,224 +176,124 @@ func NewEnginePlanned(q *pattern.Pattern, frag *partition.Fragment, pl *plan.Pla
 		eqWatch: make(map[varKey][]eqWatcher),
 		nl:      int32(nl),
 	}
-	e.eOut = make([][]int32, nq)
-	e.eIn = make([][]int32, nq)
 	e.constTrue = make([]bool, nq)
 	for u := 0; u < nq; u++ {
 		for _, uc := range q.Succ(pattern.QNode(u)) {
-			idx := int32(len(e.qedges))
 			e.qedges = append(e.qedges, qEdge{pattern.QNode(u), uc})
-			e.eOut[u] = append(e.eOut[u], idx)
-			e.eIn[uc] = append(e.eIn[uc], idx)
 		}
 		e.constTrue[u] = len(q.Succ(pattern.QNode(u))) == 0
 	}
-	if pl != nil && pl.Fits(q) != nil {
-		pl = nil // ill-fitting plan: declaration-order fallback
+	if pl == nil || pl.Fits(q) != nil {
+		pl = &plan.Plan{Nodes: identityOrder(nq), Edges: identityOrder(len(e.qedges))}
 	}
-	if pl != nil {
-		// Re-thread the per-node edge lists in plan order. Edge indices —
-		// and therefore counter rows and wire encodings — are untouched;
-		// only the iteration order over a node's edges changes.
-		for u := range e.eOut {
-			e.eOut[u] = e.eOut[u][:0]
-			e.eIn[u] = e.eIn[u][:0]
-		}
-		for _, ei := range pl.Edges {
-			qe := e.qedges[ei]
-			e.eOut[qe.parent] = append(e.eOut[qe.parent], int32(ei))
-			e.eIn[qe.child] = append(e.eIn[qe.child], int32(ei))
-		}
+	// Thread the per-node edge lists in plan order. Edge indices — and
+	// therefore counter rows and wire encodings — are declaration order
+	// regardless; only the iteration order over a node's edges follows
+	// the plan.
+	e.eOut = make([][]int32, nq)
+	e.eIn = make([][]int32, nq)
+	for _, ei := range pl.Edges {
+		qe := e.qedges[ei]
+		e.eOut[qe.parent] = append(e.eOut[qe.parent], int32(ei))
+		e.eIn[qe.child] = append(e.eIn[qe.child], int32(ei))
 	}
 
-	// Candidate buckets for the planned construction path (nil when
-	// unplanned). Ascending, and locals precede virtuals in vis, so a
-	// bucket's local prefix ends at the first index ≥ nl.
-	var byLabel map[graph.Label][]int32
+	// Borrow the fragment's cached topology index (read-only — the first
+	// edge deletion copies succ/pred) and drive every scan off its
+	// per-label candidate buckets. Buckets are ascending, and locals
+	// precede virtuals in vis, so a bucket's local prefix ends at the
+	// first index ≥ nl.
+	ix := frag.Index()
+	e.vis = ix.Vis
+	e.visIdx = ix.VisIdx
+	e.isIn = ix.IsIn
+	e.succ = ix.Succ
+	e.pred = ix.Pred
+	e.topoShared = true
+	byLabel := ix.ByLabel
 
+	// Alive state is label consistency; the benefit function's tallies
+	// (alive, non-constant variables on in-nodes and virtual nodes) are
+	// the index's per-label counts.
 	e.alive = make([][]bool, nq)
+	for u := 0; u < nq; u++ {
+		row := make([]bool, nvis)
+		ql := q.Label(pattern.QNode(u))
+		for _, i := range byLabel[ql] {
+			row[i] = true
+		}
+		e.alive[u] = row
+		if !e.constTrue[u] {
+			e.unevalIn += ix.InOf[ql]
+			e.unevalVirt += ix.VirtOf[ql]
+		}
+	}
+
+	// Counters: cnt[e=(u,u')][li] = #alive successors matching u'. An
+	// adjacency entry (li, wi) contributes to precisely the edges whose
+	// child label is labels[wi]. The dispatch is a linear match over the
+	// pattern's few distinct child labels — integer compares, no
+	// alive-row loads.
 	e.cnt = make([][]int32, len(e.qedges))
 	for i := range e.cnt {
 		e.cnt[i] = make([]int32, nl)
 	}
-
-	if pl == nil {
-		// Declaration-order construction: the dense topology and scans
-		// of Fig. 4, rebuilt from the fragment maps per query.
-		e.visIdx = make(map[graph.NodeID]int32, nvis)
-		e.vis = make([]graph.NodeID, 0, nvis)
-		e.vis = append(e.vis, frag.Local...)
-		e.vis = append(e.vis, frag.Virtual...)
-		for i, v := range e.vis {
-			e.visIdx[v] = int32(i)
-		}
-		e.isIn = make([]bool, nl)
-		for _, v := range frag.InNodes {
-			e.isIn[e.visIdx[v]] = true
-		}
-		e.succ = make([][]int32, nl)
-		e.pred = make([][]int32, nvis)
-		for li := 0; li < nl; li++ {
-			ws := frag.Succ[frag.Local[li]]
-			if len(ws) == 0 {
-				continue
-			}
-			row := make([]int32, len(ws))
-			for i, w := range ws {
-				wi := e.visIdx[w]
-				row[i] = wi
-				e.pred[wi] = append(e.pred[wi], int32(li))
-			}
-			e.succ[li] = row
-		}
-		// Alive state: label consistency, locals and virtuals uniformly.
-		labels := make([]graph.Label, nvis)
-		for i, v := range e.vis {
-			labels[i] = frag.Labels[v]
-		}
-		for u := 0; u < nq; u++ {
-			row := make([]bool, nvis)
-			ql := q.Label(pattern.QNode(u))
-			for i := range row {
-				row[i] = ql == labels[i]
-			}
-			e.alive[u] = row
-		}
-		// Counters: cnt[e=(u,u')][li] = #alive successors matching u'.
-		for li := 0; li < nl; li++ {
-			for _, wi := range e.succ[li] {
-				for ei := range e.qedges {
-					if e.alive[e.qedges[ei].child][wi] {
-						e.cnt[ei][li]++
-					}
-				}
+	type childGroup struct {
+		label graph.Label
+		edges []int32
+	}
+	var groups []childGroup
+	for ei, qe := range e.qedges {
+		l := q.Label(qe.child)
+		found := false
+		for gi := range groups {
+			if groups[gi].label == l {
+				groups[gi].edges = append(groups[gi].edges, int32(ei))
+				found = true
+				break
 			}
 		}
-		// Unevaluated-variable tallies for the benefit function: alive,
-		// non-constant variables on in-nodes and virtual nodes.
-		for u := 0; u < nq; u++ {
-			if e.constTrue[u] {
-				continue
-			}
-			row := e.alive[u]
-			for li := 0; li < nl; li++ {
-				if row[li] && e.isIn[li] {
-					e.unevalIn++
-				}
-			}
-			for vi := int32(nl); vi < int32(nvis); vi++ {
-				if row[vi] {
-					e.unevalVirt++
-				}
-			}
+		if !found {
+			groups = append(groups, childGroup{l, []int32{int32(ei)}})
 		}
-	} else {
-		// Planned construction: borrow the fragment's cached topology
-		// index (read-only — the first edge deletion copies succ/pred)
-		// and drive every scan off its per-label candidate buckets.
-		// Initial alive state is exactly label consistency, so walking a
-		// node label's bucket replaces each dense scan.
-		ix := frag.Index()
-		e.vis = ix.Vis
-		e.visIdx = ix.VisIdx
-		e.isIn = ix.IsIn
-		e.succ = ix.Succ
-		e.pred = ix.Pred
-		e.topoShared = true
-		byLabel = ix.ByLabel
-		for u := 0; u < nq; u++ {
-			row := make([]bool, nvis)
-			ql := q.Label(pattern.QNode(u))
-			for _, i := range byLabel[ql] {
-				row[i] = true
-			}
-			e.alive[u] = row
-			if !e.constTrue[u] {
-				e.unevalIn += ix.InOf[ql]
-				e.unevalVirt += ix.VirtOf[ql]
-			}
-		}
-		// Counters: an adjacency entry (li, wi) contributes to precisely
-		// the edges whose child label is labels[wi]. The dispatch is a
-		// linear match over the pattern's few distinct child labels —
-		// integer compares, no alive-row loads.
-		type childGroup struct {
-			label graph.Label
-			edges []int32
-		}
-		var groups []childGroup
-		for ei, qe := range e.qedges {
-			l := q.Label(qe.child)
-			found := false
+	}
+	labels := ix.Labels
+	for li := 0; li < nl; li++ {
+		for _, wi := range e.succ[li] {
+			l := labels[wi]
 			for gi := range groups {
 				if groups[gi].label == l {
-					groups[gi].edges = append(groups[gi].edges, int32(ei))
-					found = true
-					break
-				}
-			}
-			if !found {
-				groups = append(groups, childGroup{l, []int32{int32(ei)}})
-			}
-		}
-		labels := ix.Labels
-		for li := 0; li < nl; li++ {
-			for _, wi := range e.succ[li] {
-				l := labels[wi]
-				for gi := range groups {
-					if groups[gi].label == l {
-						for _, ei := range groups[gi].edges {
-							e.cnt[ei][li]++
-						}
-						break
+					for _, ei := range groups[gi].edges {
+						e.cnt[ei][li]++
 					}
+					break
 				}
 			}
 		}
 	}
 
-	// Seed: alive local vars with an exhausted out-edge counter die.
-	// Under a plan the scan runs rarest label first over each label's
-	// candidate bucket only (and each node's edges in ascending
-	// selectivity), so the cheapest falsifications enter the queue —
-	// and the first Drain — earliest.
-	if pl == nil {
-		for u := 0; u < nq; u++ {
-			if e.constTrue[u] {
-				continue
-			}
-			row := e.alive[u]
-			for li := 0; li < nl; li++ {
-				if !row[li] {
-					continue
-				}
-				for _, ei := range e.eOut[u] {
-					if e.cnt[ei][li] == 0 {
-						e.killVis(pattern.QNode(u), int32(li))
-						break
-					}
-				}
-			}
+	// Seed: alive local vars with an exhausted out-edge counter die. The
+	// scan runs in plan node order over each label's candidate bucket
+	// only (and each node's edges in plan edge order), so under a greedy
+	// plan the cheapest falsifications enter the queue — and the first
+	// Drain — earliest.
+	for _, pu := range pl.Nodes {
+		u := pattern.QNode(pu)
+		if e.constTrue[u] {
+			continue
 		}
-	} else {
-		for _, pu := range pl.Nodes {
-			u := pattern.QNode(pu)
-			if e.constTrue[u] {
+		row := e.alive[u]
+		for _, li := range byLabel[q.Label(u)] {
+			if li >= int32(nl) {
+				break // virtual suffix of the bucket
+			}
+			if !row[li] { // killed by an earlier seed's direct hit
 				continue
 			}
-			row := e.alive[u]
-			for _, li := range byLabel[q.Label(u)] {
-				if li >= int32(nl) {
-					break // virtual suffix of the bucket
-				}
-				if !row[li] { // killed by an earlier seed's direct hit
-					continue
-				}
-				for _, ei := range e.eOut[u] {
-					if e.cnt[ei][li] == 0 {
-						e.killVis(u, li)
-						break
-					}
+			for _, ei := range e.eOut[u] {
+				if e.cnt[ei][li] == 0 {
+					e.killVis(u, li)
+					break
 				}
 			}
 		}
@@ -401,6 +301,15 @@ func NewEnginePlanned(q *pattern.Pattern, frag *partition.Fragment, pl *plan.Pla
 	e.propagate()
 	e.Evals++
 	return e
+}
+
+// identityOrder lists 0..n−1: the plan-less node and edge order.
+func identityOrder(n int) []uint16 {
+	xs := make([]uint16, n)
+	for i := range xs {
+		xs[i] = uint16(i)
+	}
+	return xs
 }
 
 // isAlive reports the current status of any variable the engine can see.

@@ -50,7 +50,7 @@ func DecodeConfig(b []byte) (Config, error) {
 	if len(b) != 9 {
 		return Config{}, fmt.Errorf("dgpm: config must be 9 bytes, got %d", len(b))
 	}
-	if b[0] &^ (cfgIncremental | cfgPush) != 0 {
+	if b[0]&^(cfgIncremental|cfgPush) != 0 {
 		return Config{}, fmt.Errorf("dgpm: unknown config flags %#x", b[0])
 	}
 	return Config{
@@ -85,7 +85,7 @@ func init() {
 // a session spec: the planner name must be registered (a daemon should
 // reject a plan it cannot attribute, same as an unknown algorithm) and
 // the orders must fit the decoded pattern. Specs without a plan — from
-// planner-off drivers or pre-plan transports — yield nil.
+// planner-off drivers — yield nil.
 func decodeSpecPlan(spec cluster.SessionSpec, q *pattern.Pattern) (*plan.Plan, error) {
 	if spec.Planner == "" && len(spec.Plan) == 0 {
 		return nil, nil

@@ -10,10 +10,10 @@
 //
 // Plans are advisory: dGPM's counter fixpoint is confluent, so any
 // evaluation order reaches the same unique maximum simulation and the
-// same termination certificate. A site without a plan (an old daemon, a
-// planner-off deployment) evaluates in declaration order with identical
-// results; a plan only reorders work so cheap falsifications happen —
-// and ship — first.
+// same termination certificate. A site without a plan (a planner-off
+// deployment) evaluates in declaration order with identical results; a
+// plan only reorders work so cheap falsifications happen — and ship —
+// first.
 //
 // The package also defines the canonical form of a pattern (canon.go):
 // a deterministic renaming under which equivalent-modulo-renaming

@@ -1,9 +1,9 @@
 package tcpnet
 
 // Codec-level tests for the frame bodies and the chunk writer: buffer
-// ownership of decoded values that outlive their frame, the v2 DEPLOY
+// ownership of decoded values that outlive their frame, the DEPLOY
 // label table, ACKN aggregation, and the exact coalescing behavior of
-// writeChunk at both protocol versions.
+// writeChunk.
 
 import (
 	"bufio"
@@ -24,8 +24,8 @@ func TestDecodeOpenCopiesSpec(t *testing.T) {
 		qid:  7,
 		kind: cluster.SessionQuery,
 		spec: cluster.SessionSpec{Algo: "a", Query: []byte{1, 2, 3}, Config: []byte{9, 8}, Planner: "greedy", Plan: []byte{4, 5}}, //lint:allow regconsistent — codec round-trip probe, the spec never reaches a site
-	}, ProtocolVersion)
-	o, err := decodeOpen(body, ProtocolVersion)
+	})
+	o, err := decodeOpen(body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,33 +40,6 @@ func TestDecodeOpenCopiesSpec(t *testing.T) {
 	}
 }
 
-// Pre-4 connections must get — and strict-decode — the plan-less OPEN
-// body: the plan fields are dropped, not smuggled past an old decoder.
-func TestEncodeOpenDropsPlanBelowV4(t *testing.T) {
-	o := openBody{
-		qid:  7,
-		kind: cluster.SessionQuery,
-		spec: cluster.SessionSpec{Algo: "a", Query: []byte{1}, Config: []byte{2}, Planner: "greedy", Plan: []byte{3, 3}}, //lint:allow regconsistent — codec round-trip probe, the spec never reaches a site
-	}
-	for _, v := range []uint16{1, 2, 3} {
-		got, err := decodeOpen(encodeOpen(o, v), v)
-		if err != nil {
-			t.Fatalf("v%d: %v", v, err)
-		}
-		if got.spec.Planner != "" || got.spec.Plan != nil {
-			t.Fatalf("v%d carried plan fields: %+v", v, got.spec)
-		}
-		if got.spec.Algo != "a" || !bytes.Equal(got.spec.Query, []byte{1}) {
-			t.Fatalf("v%d mangled the base spec: %+v", v, got.spec)
-		}
-	}
-	// A v4 body handed to a strict pre-4 decoder must be rejected, not
-	// silently truncated — this is what forces the per-connection encode.
-	if _, err := decodeOpen(encodeOpen(o, 4), 3); err == nil {
-		t.Fatal("v3 decoder accepted a v4 body with trailing plan fields")
-	}
-}
-
 func TestDeployLabelTable(t *testing.T) {
 	d := deployBody{
 		total:  4,
@@ -75,30 +48,15 @@ func TestDeployLabelTable(t *testing.T) {
 		labels: []string{"", "person", "movie"},
 		frags:  []byte{0xAA, 0xBB},
 	}
-	got, err := decodeDeploy(encodeDeploy(d, 2), 2)
+	got, err := decodeDeploy(encodeDeploy(d))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got.labels, d.labels) {
-		t.Fatalf("v2 labels = %q, want %q", got.labels, d.labels)
+		t.Fatalf("labels = %q, want %q", got.labels, d.labels)
 	}
 	if !bytes.Equal(got.frags, d.frags) || got.total != d.total {
-		t.Fatalf("v2 round trip mangled the body: %+v", got)
-	}
-
-	// A v1 encoding has no label table and must decode to labels == nil,
-	// which is what disables the daemon-side dictionary validation.
-	d1 := d
-	d1.labels = nil
-	got1, err := decodeDeploy(encodeDeploy(d1, 1), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got1.labels != nil {
-		t.Fatalf("v1 decode produced a label table: %q", got1.labels)
-	}
-	if !bytes.Equal(got1.frags, d.frags) {
-		t.Fatalf("v1 round trip mangled fragments: %x", got1.frags)
+		t.Fatalf("round trip mangled the body: %+v", got)
 	}
 }
 
@@ -118,14 +76,14 @@ func TestAckNRoundTrip(t *testing.T) {
 	}
 }
 
-// readChunkFrames writes entries through writeChunk at the given
-// version and parses the produced byte stream back into frames.
-func readChunkFrames(t *testing.T, entries []outEntry, version uint16) (types []byte, bodies [][]byte, metered int) {
+// readChunkFrames writes entries through writeChunk and parses the
+// produced byte stream back into frames.
+func readChunkFrames(t *testing.T, entries []outEntry) (types []byte, bodies [][]byte, metered int) {
 	t.Helper()
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
 	meter := func(qid uint64, n int) { metered += n }
-	if err := writeChunk(bw, entries, version, meter); err != nil {
+	if err := writeChunk(bw, entries, meter); err != nil {
 		t.Fatal(err)
 	}
 	if metered != buf.Len() {
@@ -144,8 +102,8 @@ func readChunkFrames(t *testing.T, entries []outEntry, version uint16) (types []
 
 // The coalescer merges only consecutive same-key runs and never
 // reorders: message runs split at qid changes and at interleaved acks,
-// ack runs split at (qid, site) changes, and the v1 path emits one
-// frame per entry.
+// ack runs split at (qid, site) changes, and a run of one stays a
+// plain MSG or ACK.
 func TestWriteChunkCoalescing(t *testing.T) {
 	msg := func(qid uint64, to int, b byte) outEntry {
 		return outEntry{kind: entryMsg, qid: qid, from: -1, to: to, data: []byte{byte(wire.KindControl), b}}
@@ -162,10 +120,10 @@ func TestWriteChunkCoalescing(t *testing.T) {
 		{kind: entryFrame, qid: 0, frame: wire.AppendFrame(nil, frameBye, nil)},
 	}
 
-	types, bodies, _ := readChunkFrames(t, entries, 2)
+	types, bodies, _ := readChunkFrames(t, entries)
 	want := []byte{frameMsgB, frameMsg, frameAckN, frameAck, frameMsg, frameBye}
 	if !bytes.Equal(types, want) {
-		t.Fatalf("v2 frame sequence = %v, want %v", types, want)
+		t.Fatalf("frame sequence = %v, want %v", types, want)
 	}
 	qid, batch, err := decodeMsgB(bodies[0])
 	if err != nil {
@@ -186,13 +144,6 @@ func TestWriteChunkCoalescing(t *testing.T) {
 	if an.count != 2 || an.busyNs != 12 || an.rounds != 3 || an.site != 0 {
 		t.Fatalf("ACKN did not aggregate the run: %+v", an)
 	}
-
-	// Version 1: strictly one frame per entry, in order.
-	types1, _, _ := readChunkFrames(t, entries, 1)
-	want1 := []byte{frameMsg, frameMsg, frameMsg, frameMsg, frameAck, frameAck, frameAck, frameMsg, frameBye}
-	if !bytes.Equal(types1, want1) {
-		t.Fatalf("v1 frame sequence = %v, want %v", types1, want1)
-	}
 }
 
 // A run bigger than batchByteCap splits rather than producing one
@@ -205,7 +156,7 @@ func TestWriteChunkRespectsByteCap(t *testing.T) {
 		{kind: entryMsg, qid: 1, to: 1, data: big},
 		{kind: entryMsg, qid: 1, to: 2, data: big},
 	}
-	types, _, _ := readChunkFrames(t, entries, 2)
+	types, _, _ := readChunkFrames(t, entries)
 	if len(types) < 2 {
 		t.Fatalf("an over-cap run coalesced into %d frame(s)", len(types))
 	}
@@ -216,37 +167,20 @@ func TestWriteChunkRespectsByteCap(t *testing.T) {
 	}
 }
 
-// Tracing off must leave the v5 OPEN body byte-identical to the v4 one
-// — for a planned and for a planless spec — so an untraced deployment's
-// wire traffic is indistinguishable from a pre-trace build's. This is
-// the regression test behind the BENCH_TRANSPORT trace-off arm.
-func TestEncodeOpenTraceOffByteIdenticalToV4(t *testing.T) {
-	specs := map[string]cluster.SessionSpec{
-		"planless": {Algo: "a", Query: []byte{1, 2}, Config: []byte{3}},                                           //lint:allow regconsistent — codec byte-identity probe, the spec never reaches a site
-		"planned":  {Algo: "a", Query: []byte{1, 2}, Config: []byte{3}, Planner: "greedy", Plan: []byte{4, 5, 6}}, //lint:allow regconsistent — codec byte-identity probe, the spec never reaches a site
-	}
-	for name, spec := range specs {
-		o := openBody{qid: 9, kind: cluster.SessionQuery, spec: spec}
-		v4 := encodeOpen(o, 4)
-		v5 := encodeOpen(o, 5)
-		if !bytes.Equal(v4, v5) {
-			t.Errorf("%s: untraced v5 OPEN differs from v4:\nv4 %x\nv5 %x", name, v4, v5)
-		}
-	}
-}
-
-// A traced planless OPEN emits the plan pair as two empty blobs ahead
-// of the trace ID (the decoder tells the two trailing-optional
-// extensions apart by remaining length), and round-trips at v5. The
-// same body must be rejected — not silently truncated — by a strict v4
-// decoder, which is what forces the per-connection encode.
+// The OPEN layout is fixed: planner, plan and trace ID are always on
+// the wire, empty/zero meaning absent, and every combination
+// round-trips. A body cut short anywhere, or with bytes after the trace
+// ID, is rejected rather than read as a shorter layout.
 func TestEncodeOpenTracedRoundTrip(t *testing.T) {
 	for name, spec := range map[string]cluster.SessionSpec{
-		"planless": {Algo: "a", Query: []byte{1}, Config: []byte{2}, TraceID: 0xBEEF},                                 //lint:allow regconsistent — codec round-trip probe, the spec never reaches a site
-		"planned":  {Algo: "a", Query: []byte{1}, Config: []byte{2}, Planner: "greedy", Plan: []byte{7}, TraceID: 11}, //lint:allow regconsistent — codec round-trip probe, the spec never reaches a site
+		"bare":           {Algo: "a", Query: []byte{1}, Config: []byte{2}},                                                  //lint:allow regconsistent — codec round-trip probe, the spec never reaches a site
+		"planned":        {Algo: "a", Query: []byte{1}, Config: []byte{2}, Planner: "greedy", Plan: []byte{7}},              //lint:allow regconsistent — codec round-trip probe, the spec never reaches a site
+		"traced":         {Algo: "a", Query: []byte{1}, Config: []byte{2}, TraceID: 0xBEEF},                                 //lint:allow regconsistent — codec round-trip probe, the spec never reaches a site
+		"planned-traced": {Algo: "a", Query: []byte{1}, Config: []byte{2}, Planner: "greedy", Plan: []byte{7}, TraceID: 11}, //lint:allow regconsistent — codec round-trip probe, the spec never reaches a site
 	} {
 		o := openBody{qid: 3, kind: cluster.SessionQuery, spec: spec}
-		got, err := decodeOpen(encodeOpen(o, 5), 5)
+		body := encodeOpen(o)
+		got, err := decodeOpen(body)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -256,17 +190,13 @@ func TestEncodeOpenTracedRoundTrip(t *testing.T) {
 		if got.spec.Planner != spec.Planner || !bytes.Equal(got.spec.Plan, spec.Plan) {
 			t.Fatalf("%s: plan fields mangled: %+v", name, got.spec)
 		}
-		if _, err := decodeOpen(encodeOpen(o, 5), 4); err == nil {
-			t.Fatalf("%s: v4 decoder accepted a traced v5 body", name)
+		for cut := 0; cut < len(body); cut++ {
+			if _, err := decodeOpen(body[:cut]); err == nil {
+				t.Fatalf("%s: body truncated to %d of %d bytes decoded", name, cut, len(body))
+			}
 		}
-		// A pre-5 encode drops the trace ID entirely: the daemon can
-		// never learn a trace ID it would not know how to report.
-		got4, err := decodeOpen(encodeOpen(o, 4), 4)
-		if err != nil {
-			t.Fatalf("%s: v4 round trip: %v", name, err)
-		}
-		if got4.spec.TraceID != 0 {
-			t.Fatalf("%s: v4 body smuggled trace ID %#x", name, got4.spec.TraceID)
+		if _, err := decodeOpen(append(body, 0)); err == nil {
+			t.Fatalf("%s: trailing byte after the trace ID decoded", name)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 package tcpnet
 
 // The driver side: Dial connects to the dgsd daemons, performs the
-// version handshake, ships each daemon its block of fragments, and
+// version check, ships each daemon its block of fragments, and
 // returns a cluster.Transport over which the ordinary Cluster/Session
 // machinery runs unchanged.
 //
@@ -40,20 +40,14 @@ type Options struct {
 	// WriteTimeout bounds each frame write after deployment; a stalled
 	// daemon fails the deployment instead of wedging it. Default 30s.
 	WriteTimeout time.Duration
-	// MaxProtocol caps the protocol version the driver offers in its
-	// HELLO; 0 means the newest this build speaks (ProtocolVersion).
-	// Pinning 1 forces the per-message frame set — benchmarks use it to
-	// measure coalescing against the uncoalesced baseline, and it is
-	// the interop escape hatch for daemons that predate negotiation.
-	MaxProtocol uint16
 	// Spares lists standby daemon addresses that are not part of the
 	// initial deployment. Recover dials them, in order, to re-host the
 	// sites of a lost daemon; each spare is used at most once.
 	Spares []string
-	// HeartbeatInterval enables the driver→daemon liveness probe on
-	// v3+ connections: a PING every interval, with any inbound frame
-	// counting as proof of life. 0 disables heartbeats — loss is then
-	// detected only through socket errors.
+	// HeartbeatInterval enables the driver→daemon liveness probe: a
+	// PING every interval, with any inbound frame counting as proof of
+	// life. 0 disables heartbeats — loss is then detected only through
+	// socket errors.
 	HeartbeatInterval time.Duration
 	// HeartbeatMisses is the missed-beat threshold: a connection silent
 	// for HeartbeatMisses consecutive intervals is declared lost (after
@@ -71,12 +65,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.WriteTimeout == 0 {
 		o.WriteTimeout = 30 * time.Second
-	}
-	if o.MaxProtocol == 0 || o.MaxProtocol > ProtocolVersion {
-		o.MaxProtocol = ProtocolVersion
-	}
-	if o.MaxProtocol < MinProtocolVersion {
-		o.MaxProtocol = MinProtocolVersion
 	}
 	if o.HeartbeatMisses <= 0 {
 		o.HeartbeatMisses = 3
@@ -135,7 +123,7 @@ var _ cluster.LossNotifier = (*Net)(nil)
 var _ cluster.Tracer = (*Net)(nil)
 
 // traceWait accumulates the TRACE frames of one traced session: one per
-// v5+ connection the OPEN went to. done closes when every expected
+// live connection the OPEN went to. done closes when every expected
 // frame arrived or the wait was abandoned (connection loss, shutdown) —
 // whichever first; partial then records that spans are missing.
 type traceWait struct {
@@ -178,12 +166,11 @@ func (w *traceWait) abandon() {
 }
 
 type conn struct {
-	t       *Net
-	addr    string
-	c       net.Conn
-	br      *bufio.Reader
-	out     *outbox
-	version uint16 // negotiated protocol version for this connection
+	t    *Net
+	addr string
+	c    net.Conn
+	br   *bufio.Reader
+	out  *outbox
 
 	dead     atomic.Bool  // set once by loseConn
 	lastIn   atomic.Int64 // unix nanos of the last inbound frame
@@ -222,11 +209,12 @@ func (cn *conn) deliverDeployed(err error) bool {
 	return true
 }
 
-// Dial connects to one dgsd daemon per address, verifies protocol
-// versions, and makes the fragmentation resident across them: daemon j
-// receives the fragments of sites HostedRange(n, k, j). It returns an
-// unbound Transport — pass it to cluster.NewWithTransport (or
-// dgs.Deploy does both). ctx cancels in-flight connects and handshakes.
+// Dial connects to one dgsd daemon per address, verifies each speaks
+// this build's protocol version, and makes the fragmentation resident
+// across them: daemon j receives the fragments of sites
+// HostedRange(n, k, j). It returns an unbound Transport — pass it to
+// cluster.NewWithTransport (or dgs.Deploy does both). ctx cancels
+// in-flight connects and handshakes.
 func Dial(ctx context.Context, addrs []string, fr *partition.Fragmentation, opts Options) (*Net, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("tcpnet: no daemon addresses")
@@ -294,10 +282,9 @@ func (t *Net) handshake(ctx context.Context, cn *conn, fr *partition.Fragmentati
 	if err := cn.c.SetDeadline(deadline); err != nil {
 		return err
 	}
-	// HELLO advertises the driver's protocol ceiling; the daemon
-	// replies with the version the connection will speak —
-	// min(driver max, daemon max) — or refuses below the floor.
-	hello := appendU16([]byte(helloMagic), t.opts.MaxProtocol)
+	// HELLO carries the build's one protocol version; the daemon echoes
+	// it in HELLO-OK or refuses with an ERR.
+	hello := appendU16([]byte(helloMagic), ProtocolVersion)
 	if err := t.writeDirect(cn, frameHello, hello); err != nil {
 		return fmt.Errorf("hello: %w", err)
 	}
@@ -318,12 +305,10 @@ func (t *Net) handshake(ctx context.Context, cn *conn, fr *partition.Fragmentati
 		return fmt.Errorf("expected HELLO-OK, got %s", frameName(typ))
 	}
 	v, err := wire.NewByteReader(body).U16()
-	if err != nil || v < MinProtocolVersion || v > t.opts.MaxProtocol {
-		return fmt.Errorf("protocol version mismatch: daemon chose %d, driver speaks %d-%d",
-			v, MinProtocolVersion, t.opts.MaxProtocol)
+	if err != nil || v != ProtocolVersion {
+		return fmt.Errorf("protocol version mismatch: daemon speaks %d, driver speaks %d", v, ProtocolVersion)
 	}
-	cn.version = v
-	if err := t.writeDirect(cn, frameDeploy, deployBodyFor(fr, t.n, hosted, cn.version)); err != nil {
+	if err := t.writeDirect(cn, frameDeploy, deployBodyFor(fr, t.n, hosted)); err != nil {
 		return fmt.Errorf("deploy: %w", err)
 	}
 	typ, body, err = wire.ReadFrame(cn.br)
@@ -342,18 +327,18 @@ func (t *Net) handshake(ctx context.Context, cn *conn, fr *partition.Fragmentati
 
 // deployBodyFor encodes a DEPLOY/REDEPLOY body shipping the fragments
 // of the given site IDs (sorted) out of the driver's fragmentation.
-func deployBodyFor(fr *partition.Fragmentation, total int, hosted []int, version uint16) []byte {
+func deployBodyFor(fr *partition.Fragmentation, total int, hosted []int) []byte {
 	ids := append([]int(nil), hosted...)
 	sort.Ints(ids)
 	var frags []byte
 	for _, id := range ids {
 		frags = partition.AppendFragment(frags, fr.Frags[id])
 	}
-	// v2+ ships the driver-owned label dictionary: names indexed by the
+	// The driver-owned label dictionary rides along: names indexed by the
 	// dense label ids the fragments carry, so daemons can validate and
 	// render labels without strings ever appearing on the message path.
 	var labels []string
-	if version >= 2 && fr.G != nil {
+	if fr.G != nil {
 		labels = fr.G.Dict().Names()
 	}
 	return encodeDeploy(deployBody{
@@ -362,7 +347,7 @@ func deployBodyFor(fr *partition.Fragmentation, total int, hosted []int, version
 		assign: fr.Assign,
 		labels: labels,
 		frags:  frags,
-	}, version)
+	})
 }
 
 // writeDirect writes one frame synchronously (handshake only; after
@@ -400,8 +385,8 @@ func (t *Net) DeployBytes() int64 {
 }
 
 // Bind implements cluster.Transport: it installs the event sink and
-// starts the per-connection reader, writer and (v3+, when enabled)
-// heartbeat goroutines.
+// starts the per-connection reader, writer and (when enabled) heartbeat
+// goroutines.
 func (t *Net) Bind(ev cluster.Events) {
 	t.ev = ev
 	for _, cn := range t.rt.Load().conns {
@@ -418,7 +403,7 @@ func (t *Net) startConn(cn *conn) bool {
 		t.mu.Unlock()
 		return false
 	}
-	hb := t.opts.HeartbeatInterval > 0 && cn.version >= 3
+	hb := t.opts.HeartbeatInterval > 0
 	t.wg.Add(2)
 	if hb {
 		t.wg.Add(1)
@@ -463,20 +448,14 @@ func (t *Net) Open(qid uint64, kind cluster.SessionKind, spec cluster.SessionSpe
 	t.mu.Lock()
 	t.perQID[qid] = 0 // arm the session's wire meter
 	t.mu.Unlock()
-	// Connections can sit at different negotiated versions (e.g. a spare
-	// daemon older than the rest), so the body is encoded per version:
-	// pre-4 peers get the plan-less body they can strict-decode.
-	o := openBody{qid: qid, kind: kind, spec: spec}
-	bodies := make(map[uint16][]byte, 2)
 	conns := t.rt.Load().conns
 	if spec.TraceID != 0 {
 		// Arm the trace wait before any OPEN can be answered: one TRACE
-		// frame is owed per trace-capable connection. Pre-v5 peers never
-		// learn the trace ID, so their spans are missing by construction
-		// — the wait starts out partial.
+		// frame is owed per live connection. A dead connection's spans are
+		// missing by construction — the wait starts out partial.
 		w := &traceWait{done: make(chan struct{})}
 		for _, cn := range conns {
-			if cn.version >= 5 && !cn.dead.Load() {
+			if !cn.dead.Load() {
 				w.want++
 			} else {
 				w.partial = true
@@ -489,12 +468,8 @@ func (t *Net) Open(qid uint64, kind cluster.SessionKind, spec cluster.SessionSpe
 		t.traces[qid] = w
 		t.traceMu.Unlock()
 	}
+	body := encodeOpen(openBody{qid: qid, kind: kind, spec: spec})
 	for _, cn := range conns {
-		body, ok := bodies[cn.version]
-		if !ok {
-			body = encodeOpen(o, cn.version)
-			bodies[cn.version] = body
-		}
 		t.enqueue(cn, qid, frameOpen, body)
 	}
 	return nil
@@ -530,9 +505,8 @@ func (t *Net) Send(qid uint64, from, to int, data []byte) {
 }
 
 // Frames reports post-deployment frames written to and read from the
-// driver's sockets, over all connections. The transport bench uses the
-// deltas to show coalescing shrinking the frame count for identical
-// payload traffic.
+// driver's sockets, over all connections: the denominator of frames per
+// query and messages per frame.
 func (t *Net) Frames() (sent, received int64) {
 	return t.framesOut.Load(), t.framesIn.Load()
 }
@@ -596,12 +570,12 @@ func (t *Net) abandonTraces() {
 	}
 }
 
-// Trace implements cluster.Tracer: it blocks until every v5+ daemon
+// Trace implements cluster.Tracer: it blocks until every daemon
 // shipped its TRACE frame for the closed session qid (their frames
 // chase the CLOSE on the same connections, so the wait is one network
 // round-trip) and returns the collected spans. complete is false when
-// any daemon spoke a pre-trace protocol or died before reporting. A
-// qid that was never traced returns (nil, false, nil) immediately.
+// any daemon died before reporting. A qid that was never traced returns
+// (nil, false, nil) immediately.
 func (t *Net) Trace(ctx context.Context, qid uint64) ([]obs.SiteTrace, bool, error) {
 	t.traceMu.Lock()
 	w, ok := t.traces[qid]
@@ -767,7 +741,7 @@ func (t *Net) takeSpare() (string, bool) {
 // Recover implements cluster.Recoverer: re-host every lost site from
 // the driver's fragmentation. Preference order: dial a spare daemon (a
 // full HELLO/DEPLOY handshake shipping only the lost sites' fragments),
-// else REDEPLOY onto the live v3+ connection hosting the fewest sites.
+// else REDEPLOY onto the live connection hosting the fewest sites.
 // With full set, every surviving connection additionally gets its own
 // sites' fragments re-shipped with replace semantics — the mode for a
 // loss that interrupted an update batch, where survivors may hold a
@@ -800,7 +774,7 @@ func (t *Net) Recover(ctx context.Context, fr *partition.Fragmentation, full boo
 	}
 
 	// Place the lost sites: a fresh spare connection if one dials, else
-	// the least-loaded redeploy-capable survivor.
+	// the least-loaded survivor.
 	var spareConn *conn
 	var target *conn
 	if len(lost) > 0 {
@@ -823,15 +797,12 @@ func (t *Net) Recover(ctx context.Context, fr *partition.Fragmentation, full boo
 		}
 		if spareConn == nil {
 			for _, cn := range live {
-				if cn.version < 3 {
-					continue
-				}
 				if target == nil || len(liveSites[cn]) < len(liveSites[target]) {
 					target = cn
 				}
 			}
 			if target == nil {
-				return fmt.Errorf("tcpnet: sites %v lost with no spare daemon and no redeploy-capable survivor: %w", lost, cluster.ErrSiteLost)
+				return fmt.Errorf("tcpnet: sites %v lost with no spare daemon and no surviving daemon: %w", lost, cluster.ErrSiteLost)
 			}
 		}
 	}
@@ -856,11 +827,8 @@ func (t *Net) Recover(ctx context.Context, fr *partition.Fragmentation, full boo
 		if len(ship) == 0 {
 			continue
 		}
-		if cn.version < 3 {
-			return fmt.Errorf("tcpnet: full re-deployment needs protocol 3, daemon %s speaks %d", cn.addr, cn.version)
-		}
 		ch := cn.armDeployed()
-		t.enqueue(cn, 0, frameRedeploy, deployBodyFor(fr, t.n, ship, cn.version))
+		t.enqueue(cn, 0, frameRedeploy, deployBodyFor(fr, t.n, ship))
 		if cn.dead.Load() {
 			cn.deliverDeployed(fmt.Errorf("tcpnet: daemon %s died during recovery: %w", cn.addr, cluster.ErrSiteLost))
 		}
@@ -918,16 +886,16 @@ func (cn *conn) writeLoop() {
 			return
 		}
 		cn.c.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
-		if err := writeChunk(bw, entries, cn.version, meter); err != nil {
+		if err := writeChunk(bw, entries, meter); err != nil {
 			t.loseConn(cn, fmt.Errorf("write: %w", err))
 			return
 		}
 	}
 }
 
-// heartbeatLoop is the per-connection failure detector (v3+): a PING
-// every HeartbeatInterval, with the age of the last inbound frame as
-// the liveness signal (any frame proves life; PONGs merely guarantee
+// heartbeatLoop is the per-connection failure detector: a PING every
+// HeartbeatInterval, with the age of the last inbound frame as the
+// liveness signal (any frame proves life; PONGs merely guarantee
 // one exists on an otherwise idle connection). When the silence exceeds
 // HeartbeatMisses intervals it performs a dial-back probe for the
 // diagnostic and declares the daemon lost. Silence wins regardless of
@@ -1017,10 +985,6 @@ func (cn *conn) readLoop() {
 			t.addWire(m.qid, wire.FrameOverhead+len(body))
 			t.ev.SiteSent(m.qid, m.from, m.to, m.data)
 		case frameMsgB:
-			if cn.version < 2 {
-				t.fail(fmt.Errorf("tcpnet: %s sent MSGB on a v%d connection", cn.addr, cn.version))
-				return
-			}
 			qid, batch, err := decodeMsgB(body)
 			if err != nil {
 				t.fail(fmt.Errorf("tcpnet: %s sent bad MSGB: %w", cn.addr, err))
@@ -1047,10 +1011,6 @@ func (cn *conn) readLoop() {
 			t.addWire(a.qid, wire.FrameOverhead+len(body))
 			t.ev.Retired(a.qid, a.site, time.Duration(a.busyNs), a.rounds, 1)
 		case frameAckN:
-			if cn.version < 2 {
-				t.fail(fmt.Errorf("tcpnet: %s sent ACKN on a v%d connection", cn.addr, cn.version))
-				return
-			}
 			a, err := decodeAckN(body)
 			if err != nil {
 				t.fail(fmt.Errorf("tcpnet: %s sent bad ACKN: %w", cn.addr, err))
@@ -1059,10 +1019,6 @@ func (cn *conn) readLoop() {
 			t.addWire(a.qid, wire.FrameOverhead+len(body))
 			t.ev.Retired(a.qid, a.site, time.Duration(a.busyNs), a.rounds, int(a.count))
 		case framePong:
-			if cn.version < 3 {
-				t.fail(fmt.Errorf("tcpnet: %s sent PONG on a v%d connection", cn.addr, cn.version))
-				return
-			}
 			if _, err := decodePingPong(body); err != nil {
 				t.fail(fmt.Errorf("tcpnet: %s sent bad PONG: %w", cn.addr, err))
 				return
@@ -1073,10 +1029,6 @@ func (cn *conn) readLoop() {
 				t.hbRTT.Observe(time.Since(time.Unix(0, at)).Seconds())
 			}
 		case frameTrace:
-			if cn.version < 5 {
-				t.fail(fmt.Errorf("tcpnet: %s sent TRACE on a v%d connection", cn.addr, cn.version))
-				return
-			}
 			qid, spans, err := decodeTrace(body)
 			if err != nil {
 				t.fail(fmt.Errorf("tcpnet: %s sent bad TRACE: %w", cn.addr, err))

@@ -20,6 +20,7 @@ import (
 
 	"dgs/internal/cluster"
 	"dgs/internal/graph"
+	"dgs/internal/obs"
 	"dgs/internal/partition"
 	"dgs/internal/transport/tcpnet"
 	"dgs/internal/wire"
@@ -127,11 +128,14 @@ func tcpBackend(daemons int) backend {
 	return tcpBackendOpts(fmt.Sprintf("tcp-%dd", daemons), daemons, tcpnet.Server{}, tcpnet.Options{})
 }
 
-// backends covers both sides of version negotiation alongside the
-// default (coalescing) paths: a driver pinned to protocol 1 and a
-// daemon that tops out at protocol 1 must both fall back to per-message
-// frames with behavior — including exact Stats — identical to the
-// coalesced runs.
+// backends lists the transports every matrix test runs over. The last
+// two keep the subtest names the test ledger has tracked since they
+// pinned one side to wire protocol 1; with one protocol version left
+// they vary what still can vary on a connection instead: the "v1driver"
+// arm runs with heartbeats on, so PING/PONG frames interleave with
+// every session (the miss threshold is far out of reach — the arm
+// exercises the interleaving, not loss detection), and the "v1daemon"
+// arm runs with the driver-side metric instruments attached.
 func backends() []backend {
 	return []backend{
 		{"inproc", func(t *testing.T, n int) *cluster.Cluster {
@@ -139,8 +143,8 @@ func backends() []backend {
 		}},
 		tcpBackend(1),
 		tcpBackend(2),
-		tcpBackendOpts("tcp-2d-v1driver", 2, tcpnet.Server{}, tcpnet.Options{MaxProtocol: 1}),
-		tcpBackendOpts("tcp-2d-v1daemon", 2, tcpnet.Server{MaxVersion: 1}, tcpnet.Options{}),
+		tcpBackendOpts("tcp-2d-v1driver", 2, tcpnet.Server{}, tcpnet.Options{HeartbeatInterval: 10 * time.Millisecond, HeartbeatMisses: 1000}),
+		tcpBackendOpts("tcp-2d-v1daemon", 2, tcpnet.Server{}, tcpnet.Options{Metrics: obs.NewRegistry()}),
 	}
 }
 
@@ -387,14 +391,19 @@ func TestMatrixUnknownAlgorithm(t *testing.T) {
 	})
 }
 
-// broadcastWorkload drives `phases` broadcast/quiesce rounds of the
-// reply algorithm over tr and reports the transport's frame counters
-// and the session's metered wire bytes. Each phase moves sites×2 data
-// messages (the broadcast out, one reply per site back) plus one ACK
-// per processed message — a bursty, hub-routed load with plenty of
-// consecutive same-destination traffic for the coalescer.
-func broadcastWorkload(t *testing.T, tr *tcpnet.Net, phases int) (sent, received, wireBytes int64) {
-	t.Helper()
+// On a 2-daemon loopback run the driver's Broadcast loop enqueues each
+// phase's 64 messages far faster than the writer can flush them, so the
+// bulk of every burst must coalesce: strictly fewer frames leave the
+// driver than messages were handed to it (OPEN and CLOSE frames count
+// against the transport). The daemon side interleaves each site's reply
+// with its ACK, so consecutive same-key runs (the only thing the
+// FIFO-preserving coalescer may merge) form only when the writer falls
+// behind; there only no-increase over one frame per reply and per ACK is
+// guaranteed.
+func TestCoalescingReducesFrames(t *testing.T) {
+	registerTestAlgos()
+	const sites, phases = 64, 40
+	tr := dialNet(t, 2, sites, tcpnet.Server{}, tcpnet.Options{})
 	c := cluster.NewWithTransport(tr)
 	defer c.Shutdown()
 	s := open(t, c, cluster.SessionQuery, cluster.SessionSpec{Algo: algoReply}, nil)
@@ -405,45 +414,14 @@ func broadcastWorkload(t *testing.T, tr *tcpnet.Net, phases int) (sent, received
 			t.Fatal(err)
 		}
 	}
-	wireBytes = s.Stats().WireBytes
-	sent, received = tr.Frames()
-	return sent, received, wireBytes
-}
-
-// The tentpole smoke check: on a 2-daemon loopback run, negotiating the
-// coalescing protocol must move the same workload in strictly fewer
-// frames and fewer metered wire bytes than the per-message fallback.
-func TestCoalescingReducesFrames(t *testing.T) {
-	registerTestAlgos()
-	const sites, phases = 64, 40
-
-	v1Sent, v1Recv, v1Bytes := broadcastWorkload(t,
-		dialNet(t, 2, sites, tcpnet.Server{}, tcpnet.Options{MaxProtocol: 1}), phases)
-	v2Sent, v2Recv, v2Bytes := broadcastWorkload(t,
-		dialNet(t, 2, sites, tcpnet.Server{}, tcpnet.Options{}), phases)
-
-	t.Logf("v1: sent=%d recv=%d wireBytes=%d", v1Sent, v1Recv, v1Bytes)
-	t.Logf("v2: sent=%d recv=%d wireBytes=%d", v2Sent, v2Recv, v2Bytes)
-
-	// The driver's Broadcast loop enqueues each phase's 64 messages far
-	// faster than the writer can flush them, so under v2 the bulk of
-	// every burst coalesces — that side must drop unambiguously. The
-	// daemon side interleaves each site's reply with its ACK, so
-	// consecutive same-key runs (the only thing the FIFO-preserving
-	// coalescer may merge) form only when the writer falls behind; on an
-	// unloaded loopback that can round to zero, so only no-increase is
-	// guaranteed there.
-	if v2Sent >= v1Sent {
-		t.Errorf("driver→daemon frames did not drop: v1=%d v2=%d", v1Sent, v2Sent)
+	const msgsOut = sites * phases
+	sent, received := tr.Frames()
+	t.Logf("msgs out=%d frames out=%d frames in=%d", msgsOut, sent, received)
+	if sent >= msgsOut {
+		t.Errorf("driver→daemon frames did not drop below messages: frames=%d msgs=%d", sent, msgsOut)
 	}
-	if v2Recv > v1Recv {
-		t.Errorf("daemon→driver frames increased: v1=%d v2=%d", v1Recv, v2Recv)
-	}
-	if v2Sent+v2Recv >= v1Sent+v1Recv {
-		t.Errorf("total frames did not drop: v1=%d v2=%d", v1Sent+v1Recv, v2Sent+v2Recv)
-	}
-	if v2Bytes >= v1Bytes {
-		t.Errorf("metered wire bytes did not drop: v1=%d v2=%d", v1Bytes, v2Bytes)
+	if received > 2*msgsOut {
+		t.Errorf("daemon→driver frames exceed one per reply and per ACK: frames=%d, bound %d", received, 2*msgsOut)
 	}
 }
 

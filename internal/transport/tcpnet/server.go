@@ -30,11 +30,6 @@ type Server struct {
 	Logf func(format string, args ...any)
 	// WriteTimeout bounds each outbound frame write (default 30s).
 	WriteTimeout time.Duration
-	// MaxVersion caps the protocol version this daemon will negotiate;
-	// 0 means the newest this build speaks (ProtocolVersion). Tests pin
-	// it to 1 to emulate a pre-coalescing daemon and exercise the
-	// driver's per-message fallback.
-	MaxVersion uint16
 
 	// counters are the daemon's running totals, maintained always and
 	// exported when RegisterMetrics was called. Plain int64s driven by
@@ -131,9 +126,9 @@ func (k *daemonSink) Fatal(err error) {
 
 // decodeFragSet decodes and validates a DEPLOY/REDEPLOY body's hosted
 // fragments; a non-empty second return is the refusal reason. The label
-// check catches a skewed shipment (v2+): every label id a fragment
-// carries must resolve in the driver's shipped dictionary, turning a
-// would-be silent mismatch into an explicit refusal.
+// check catches a skewed shipment: every label id a fragment carries
+// must resolve in the driver's shipped dictionary, turning a would-be
+// silent mismatch into an explicit refusal.
 func decodeFragSet(dep deployBody) (map[int]*partition.Fragment, string) {
 	frags := make(map[int]*partition.Fragment, len(dep.hosted))
 	rest := dep.frags
@@ -152,12 +147,10 @@ func decodeFragSet(dep deployBody) (map[int]*partition.Fragment, string) {
 	if len(rest) != 0 {
 		return nil, fmt.Sprintf("%d trailing bytes after fragments", len(rest))
 	}
-	if dep.labels != nil {
-		for id, f := range frags {
-			for _, l := range f.Labels {
-				if int(l) >= len(dep.labels) {
-					return nil, fmt.Sprintf("fragment %d carries label id %d outside the %d-entry dictionary", id, l, len(dep.labels))
-				}
+	for id, f := range frags {
+		for _, l := range f.Labels {
+			if int(l) >= len(dep.labels) {
+				return nil, fmt.Sprintf("fragment %d carries label id %d outside the %d-entry dictionary", id, l, len(dep.labels))
 			}
 		}
 	}
@@ -182,9 +175,9 @@ func (s *Server) handle(c net.Conn) {
 		s.logf("dgsd: refused driver %s: %s", c.RemoteAddr(), why)
 	}
 
-	// HELLO: magic + the driver's protocol ceiling, before anything
-	// else. The connection speaks min(driver max, daemon max); only a
-	// driver below the floor is refused.
+	// HELLO: magic + the driver's protocol version, before anything
+	// else. Any version but this build's is refused here, before DEPLOY
+	// is read.
 	c.SetReadDeadline(time.Now().Add(writeTimeout))
 	typ, body, err := wire.ReadFrame(br)
 	if err != nil || typ != frameHello {
@@ -195,23 +188,14 @@ func (s *Server) handle(c net.Conn) {
 		refuse("bad HELLO magic — is this a dgs driver?")
 		return
 	}
-	maxVersion := s.MaxVersion
-	if maxVersion == 0 || maxVersion > ProtocolVersion {
-		maxVersion = ProtocolVersion
-	}
 	v, _ := wire.NewByteReader(body[len(helloMagic):]).U16()
-	if v < MinProtocolVersion {
-		refuse(fmt.Sprintf("protocol version %d not supported (daemon speaks %d-%d)", v, MinProtocolVersion, maxVersion))
+	if v != ProtocolVersion {
+		refuse(fmt.Sprintf("protocol version mismatch: driver speaks %d, daemon speaks %d", v, ProtocolVersion))
 		return
 	}
-	version := v
-	if version > maxVersion {
-		version = maxVersion
-	}
-	// Confirm the chosen version immediately: the driver withholds the
-	// (large) DEPLOY until it has seen HELLO-OK, so a refusal never
-	// costs a fragment shipment.
-	if _, err := writeFrame(c, writeTimeout, frameHelloOK, appendU16(nil, version)); err != nil {
+	// Confirm immediately: the driver withholds the (large) DEPLOY until
+	// it has seen HELLO-OK, so a refusal never costs a fragment shipment.
+	if _, err := writeFrame(c, writeTimeout, frameHelloOK, appendU16(nil, ProtocolVersion)); err != nil {
 		s.logf("dgsd: HELLO-OK to %s failed: %v", c.RemoteAddr(), err)
 		return
 	}
@@ -222,7 +206,7 @@ func (s *Server) handle(c net.Conn) {
 		refuse("expected DEPLOY after HELLO")
 		return
 	}
-	dep, err := decodeDeploy(body, version)
+	dep, err := decodeDeploy(body)
 	if err != nil {
 		refuse("bad DEPLOY: " + err.Error())
 		return
@@ -245,7 +229,7 @@ func (s *Server) handle(c net.Conn) {
 			}
 			c.SetWriteDeadline(time.Now().Add(writeTimeout))
 			meter := func(qid uint64, n int) { atomic.AddInt64(&s.counters.framesOut, 1) }
-			if err := writeChunk(bw, entries, version, meter); err != nil {
+			if err := writeChunk(bw, entries, meter); err != nil {
 				// Sever the connection: a driver waiting on our ACKs would
 				// otherwise never learn its frames stopped flowing (it has
 				// no reason to close first), and its sessions would hang.
@@ -266,7 +250,7 @@ func (s *Server) handle(c net.Conn) {
 
 	out.put(outEntry{kind: entryFrame, frame: wire.AppendFrame(nil, frameDeployed, nil)})
 	s.logf("dgsd: v%d, hosting %d/%d sites, %d-node assign directory, %d-label dict",
-		version, len(dep.hosted), dep.total, len(dep.assign), len(dep.labels))
+		ProtocolVersion, len(dep.hosted), dep.total, len(dep.assign), len(dep.labels))
 
 	// Serve frames until BYE or disconnect. No read deadline: a deployed
 	// daemon waits indefinitely for its driver's next query.
@@ -284,7 +268,7 @@ func (s *Server) handle(c net.Conn) {
 		}
 		switch typ {
 		case frameOpen:
-			o, err := decodeOpen(body, version)
+			o, err := decodeOpen(body)
 			if err != nil {
 				errOut(0, "bad OPEN: "+err.Error())
 				continue
@@ -305,10 +289,6 @@ func (s *Server) handle(c net.Conn) {
 			// so handing it straight to the host is safe.
 			host.Enqueue(m.qid, m.from, m.to, m.data)
 		case frameMsgB:
-			if version < 2 {
-				errOut(0, "MSGB on a v1 connection")
-				goto done
-			}
 			qid, batch, err := decodeMsgB(body)
 			if err != nil {
 				errOut(0, "bad MSGB: "+err.Error())
@@ -327,18 +307,12 @@ func (s *Server) handle(c net.Conn) {
 				// A traced session owes the driver its spans, chasing the
 				// close on the same connection. Even an empty snapshot is
 				// shipped: the driver counts one TRACE per connection.
-				// Pre-v5 drivers never set a trace ID, so traced is false
-				// there by construction and no unknown frame is sent.
-				if spans, traced := host.TakeTrace(qid); traced && version >= 5 {
+				if spans, traced := host.TakeTrace(qid); traced {
 					out.put(outEntry{kind: entryFrame, frame: wire.AppendFrame(nil, frameTrace, encodeTrace(qid, spans))})
 					atomic.AddInt64(&s.counters.traces, 1)
 				}
 			}
 		case framePing:
-			if version < 3 {
-				errOut(0, "PING on a v"+fmt.Sprint(version)+" connection")
-				goto done
-			}
 			seq, err := decodePingPong(body)
 			if err != nil {
 				errOut(0, "bad PING: "+err.Error())
@@ -346,11 +320,7 @@ func (s *Server) handle(c net.Conn) {
 			}
 			out.put(outEntry{kind: entryFrame, frame: wire.AppendFrame(nil, framePong, encodePingPong(seq))})
 		case frameRedeploy:
-			if version < 3 {
-				errOut(0, "REDEPLOY on a v"+fmt.Sprint(version)+" connection")
-				goto done
-			}
-			red, err := decodeDeploy(body, version)
+			red, err := decodeDeploy(body)
 			if err != nil {
 				errOut(0, "bad REDEPLOY: "+err.Error())
 				goto done

@@ -21,7 +21,7 @@
 // termination protocol.
 //
 // Connection lifecycle: dial (context-aware) → HELLO/HELLO-OK version
-// handshake → DEPLOY fragment shipping → DEPLOYED → any number of
+// check → DEPLOY fragment shipping → DEPLOYED → any number of
 // sessions (OPEN/MSG/ACK/CLOSE) → BYE → TCP close. A daemon serves one
 // deployment at a time and resets when the driver disconnects. Errors
 // travel as ERR frames: qid-scoped ones kill a session, qid-0 ones kill
@@ -44,29 +44,12 @@ import (
 	"dgs/internal/wire"
 )
 
-// ProtocolVersion is the newest protocol this build speaks; the HELLO
-// handshake negotiates down to min(driver max, daemon max), and either
-// side refuses below MinProtocolVersion. Version 2 adds message
-// coalescing (MSGB/ACKN frames) and the DEPLOY label-name table;
-// version 3 adds liveness and failover (PING/PONG heartbeats and the
-// REDEPLOY frame that re-hosts a lost peer's sites on a survivor). A
-// deployment negotiated below 3 simply runs without heartbeats — loss
-// is then only detected through socket errors — so a new driver
-// interoperates with older daemons unchanged. Version 4 extends the
-// OPEN body with the evaluation plan (planner name + internal/plan
-// blob); plans are advisory, so on connections negotiated below 4 the
-// driver encodes the pre-plan OPEN body and the daemon evaluates in
-// declaration order with identical results. Version 5 adds distributed
-// query tracing: a trailing-optional trace ID on OPEN and the TRACE
-// frame shipping per-round spans back on session close. Tracing is
-// advisory like the plan — a connection below 5 never sees the trace
-// ID and ships no spans (the trace comes back partial, results
-// identical), and with tracing off the v5 OPEN body is byte-identical
-// to v4.
-const ProtocolVersion uint16 = 5
-
-// MinProtocolVersion is the oldest protocol this build still speaks.
-const MinProtocolVersion uint16 = 1
+// ProtocolVersion is the one protocol this build speaks. Driver and
+// daemons are built from the same tree, so HELLO is a strict equality
+// check: the driver offers this value, the daemon refuses any other
+// with an ERR naming both numbers, and the driver refuses a HELLO-OK
+// that echoes anything else. Bump it on any frame-layout change.
+const ProtocolVersion uint16 = 6
 
 // helloMagic opens every HELLO body so that a stray connection to the
 // wrong port fails fast and explicitly.
@@ -84,12 +67,12 @@ const (
 	frameAck      = 0x08 // daemon→driver: one message processed
 	frameErr      = 0x09 // daemon→driver: session (qid) or deployment (0) error
 	frameBye      = 0x0A // driver→daemon: graceful goodbye
-	frameMsgB     = 0x0B // both ways, v2+: several payloads of one session in one frame
-	frameAckN     = 0x0C // daemon→driver, v2+: count messages processed, aggregated busy/rounds
-	framePing     = 0x0D // driver→daemon, v3+: liveness probe (u64 seq)
-	framePong     = 0x0E // daemon→driver, v3+: echo of a PING's seq
-	frameRedeploy = 0x0F // driver→daemon, v3+: host additional sites (deployBody); daemon replies DEPLOYED
-	frameTrace    = 0x10 // daemon→driver, v5+: a closed traced session's per-round spans
+	frameMsgB     = 0x0B // both ways: several payloads of one session in one frame
+	frameAckN     = 0x0C // daemon→driver: count messages processed, aggregated busy/rounds
+	framePing     = 0x0D // driver→daemon: liveness probe (u64 seq)
+	framePong     = 0x0E // daemon→driver: echo of a PING's seq
+	frameRedeploy = 0x0F // driver→daemon: host additional sites (deployBody); daemon replies DEPLOYED
+	frameTrace    = 0x10 // daemon→driver: a closed traced session's per-round spans
 )
 
 func frameName(t byte) string {
@@ -178,36 +161,20 @@ type openBody struct {
 	spec cluster.SessionSpec
 }
 
-// encodeOpen renders the OPEN body for a connection that negotiated
-// version. Pre-4 peers decode the body strictly, so the plan fields are
-// emitted only at ≥4; dropping them is safe because plans are advisory
-// (the unplanned site evaluates in declaration order, same results).
-// At ≥4 the pair is trailing-optional — a planless session's OPEN is
-// byte-identical to the pre-plan body, so disabling the planner keeps
-// the wire identical across protocol versions. At ≥5 the trace ID is a
-// second trailing-optional extension: emitted only when nonzero, and
-// then the plan pair is emitted too (even when empty) so the decoder
-// can tell the two extensions apart by remaining length. Tracing off
-// therefore leaves the OPEN body byte-identical to v4 — the property
-// the BENCH_TRANSPORT arms (and a regression test) rely on.
-func encodeOpen(o openBody, version uint16) []byte {
+// encodeOpen renders the OPEN body: one fixed layout, every field
+// always present, an empty blob or a zero trace ID meaning absent.
+func encodeOpen(o openBody) []byte {
 	dst := appendU64(nil, o.qid)
 	dst = append(dst, byte(o.kind))
 	dst = appendBlob(dst, []byte(o.spec.Algo))
 	dst = appendBlob(dst, o.spec.Query)
 	dst = appendBlob(dst, o.spec.Config)
-	traced := version >= 5 && o.spec.TraceID != 0
-	if traced || (version >= 4 && (o.spec.Planner != "" || len(o.spec.Plan) > 0)) {
-		dst = appendBlob(dst, []byte(o.spec.Planner))
-		dst = appendBlob(dst, o.spec.Plan)
-	}
-	if traced {
-		dst = appendU64(dst, o.spec.TraceID)
-	}
-	return dst
+	dst = appendBlob(dst, []byte(o.spec.Planner))
+	dst = appendBlob(dst, o.spec.Plan)
+	return appendU64(dst, o.spec.TraceID)
 }
 
-func decodeOpen(b []byte, version uint16) (openBody, error) {
+func decodeOpen(b []byte) (openBody, error) {
 	r := wire.NewByteReader(b)
 	var o openBody
 	var err error
@@ -225,8 +192,8 @@ func decodeOpen(b []byte, version uint16) (openBody, error) {
 	}
 	o.spec.Algo = string(algo)
 	// The spec escapes the frame: the host retains it for the session's
-	// lifetime, long after this frame buffer is gone, so Query and
-	// Config must be copies, not aliases (see the ownership convention
+	// lifetime, long after this frame buffer is gone, so Query, Config
+	// and Plan must be copies, not aliases (see the ownership convention
 	// in wire.ByteReader).
 	if o.spec.Query, err = readBlobCopy(r); err != nil {
 		return o, err
@@ -234,20 +201,16 @@ func decodeOpen(b []byte, version uint16) (openBody, error) {
 	if o.spec.Config, err = readBlobCopy(r); err != nil {
 		return o, err
 	}
-	if version >= 4 && r.Remaining() > 0 {
-		planner, err := readBlob(r)
-		if err != nil {
-			return o, err
-		}
-		o.spec.Planner = string(planner)
-		if o.spec.Plan, err = readBlobCopy(r); err != nil {
-			return o, err
-		}
+	planner, err := readBlob(r)
+	if err != nil {
+		return o, err
 	}
-	if version >= 5 && r.Remaining() > 0 {
-		if o.spec.TraceID, err = r.U64(); err != nil {
-			return o, err
-		}
+	o.spec.Planner = string(planner)
+	if o.spec.Plan, err = readBlobCopy(r); err != nil {
+		return o, err
+	}
+	if o.spec.TraceID, err = r.U64(); err != nil {
+		return o, err
 	}
 	return o, r.Done()
 }
@@ -329,7 +292,7 @@ func decodeAck(b []byte) (ackBody, error) {
 	return a, r.Done()
 }
 
-// ackNBody is the ACKN frame payload (v2+): count messages of one
+// ackNBody is the ACKN frame payload: count messages of one
 // session processed at `site`, with busy time and rounds summed over
 // them. Retiring it is equivalent to count single ACKs — the driver
 // drops its in-flight counter by exactly count — so the quiescence
@@ -380,7 +343,7 @@ func decodeAckN(b []byte) (ackNBody, error) {
 	return a, r.Done()
 }
 
-// MSGB frame body (v2+): u64 qid, then one wire.Batch payload carrying
+// MSGB frame body: u64 qid, then one wire.Batch payload carrying
 // the coalesced sub-messages. appendMsgBatch encodes straight from an
 // outbox run; decodeMsgB goes through wire.Decode so the batch codec
 // (and its fuzz coverage) is the single source of truth.
@@ -413,7 +376,7 @@ func decodeMsgB(b []byte) (uint64, *wire.Batch, error) {
 	return qid, batch, nil
 }
 
-// PING and PONG bodies (v3+) are a bare u64 sequence number; the daemon
+// PING and PONG bodies are a bare u64 sequence number; the daemon
 // echoes a PING's seq back in its PONG. Any inbound frame proves
 // liveness to the driver's failure detector, so the seq is diagnostic
 // rather than load-bearing.
@@ -428,7 +391,7 @@ func decodePingPong(b []byte) (uint64, error) {
 	return seq, r.Done()
 }
 
-// TRACE frame body (v5+): u64 qid, then the internal/obs span codec —
+// TRACE frame body: u64 qid, then the internal/obs span codec —
 // the per-round spans this daemon's sites recorded for a traced
 // session, shipped once when the daemon processes the session's CLOSE.
 func encodeTrace(qid uint64, spans []obs.SiteTrace) []byte {
@@ -473,20 +436,20 @@ func decodeErr(b []byte) (errBody, error) {
 }
 
 // deployBody is the DEPLOY frame payload: the deployment's shape, the
-// global owner directory, in protocol v2+ the driver-owned label
-// dictionary (names indexed by the dense u16 label ids the fragments
-// and payloads carry — only here do label strings ever cross the
-// wire), and the wire encodings of exactly the fragments this daemon
-// hosts (in hosted-ID order).
+// global owner directory, the driver-owned label dictionary (names
+// indexed by the dense u16 label ids the fragments and payloads carry —
+// only here do label strings ever cross the wire), and the wire
+// encodings of exactly the fragments this daemon hosts (in hosted-ID
+// order).
 type deployBody struct {
 	total  int   // sites in the whole deployment
 	hosted []int // site IDs this daemon hosts
 	assign []int32
-	labels []string // dict names by Label id; v2+ only
+	labels []string // dict names by Label id
 	frags  []byte   // partition.AppendFragment encodings, concatenated
 }
 
-func encodeDeploy(d deployBody, version uint16) []byte {
+func encodeDeploy(d deployBody) []byte {
 	dst := make([]byte, 0, 16+4*len(d.hosted)+4*len(d.assign)+len(d.frags))
 	dst = appendU32(dst, uint32(d.total))
 	dst = appendU32(dst, uint32(len(d.hosted)))
@@ -497,16 +460,14 @@ func encodeDeploy(d deployBody, version uint16) []byte {
 	for _, a := range d.assign {
 		dst = appendU32(dst, uint32(a))
 	}
-	if version >= 2 {
-		dst = appendU32(dst, uint32(len(d.labels)))
-		for _, name := range d.labels {
-			dst = appendBlob(dst, []byte(name))
-		}
+	dst = appendU32(dst, uint32(len(d.labels)))
+	for _, name := range d.labels {
+		dst = appendBlob(dst, []byte(name))
 	}
 	return append(dst, d.frags...)
 }
 
-func decodeDeploy(b []byte, version uint16) (deployBody, error) {
+func decodeDeploy(b []byte) (deployBody, error) {
 	r := wire.NewByteReader(b)
 	var d deployBody
 	total, err := r.U32()
@@ -544,23 +505,21 @@ func decodeDeploy(b []byte, version uint16) (deployBody, error) {
 		}
 		d.assign[i] = int32(x)
 	}
-	if version >= 2 {
-		nl, err := r.U32()
+	nl, err := r.U32()
+	if err != nil {
+		return d, err
+	}
+	if uint64(nl) > 1<<16 || uint64(nl)*4 > uint64(r.Remaining()) {
+		return d, fmt.Errorf("tcpnet: label table length %d exceeds frame", nl)
+	}
+	d.labels = make([]string, nl)
+	for i := range d.labels {
+		// string() copies: the names outlive the frame.
+		name, err := readBlob(r)
 		if err != nil {
 			return d, err
 		}
-		if uint64(nl) > 1<<16 || uint64(nl)*4 > uint64(r.Remaining()) {
-			return d, fmt.Errorf("tcpnet: label table length %d exceeds frame", nl)
-		}
-		d.labels = make([]string, nl)
-		for i := range d.labels {
-			// string() copies: the names outlive the frame.
-			name, err := readBlob(r)
-			if err != nil {
-				return d, err
-			}
-			d.labels[i] = string(name)
-		}
+		d.labels[i] = string(name)
 	}
 	d.frags = r.Rest()
 	return d, nil
@@ -678,18 +637,18 @@ func (o *outbox) len() int {
 const batchByteCap = 1 << 24
 
 // writeChunk encodes one drained outbox chunk onto bw and flushes once,
-// so an entire chunk shares syscalls. At version ≥ 2, consecutive
-// entryMsg runs with one qid become a single MSGB frame and consecutive
-// entryAck runs with one (qid, site) become a single ACKN frame; runs
-// never extend across a differing entry, so per-connection FIFO order —
-// a daemon's handler-output MSGs stay ahead of the triggering message's
-// ACK — is exactly preserved. At version 1 every entry is its own
-// frame: the per-message fallback.
+// so an entire chunk shares syscalls. Consecutive entryMsg runs with
+// one qid become a single MSGB frame and consecutive entryAck runs with
+// one (qid, site) become a single ACKN frame (a run of one stays a
+// plain MSG or ACK, which is shorter); runs never extend across a
+// differing entry, so per-connection FIFO order — a daemon's
+// handler-output MSGs stay ahead of the triggering message's ACK — is
+// exactly preserved.
 //
 // meter (nil ok) observes each frame's (qid, length) only after the
 // flush succeeds: metered bytes never drift ahead of what actually hit
 // the socket.
-func writeChunk(bw *bufio.Writer, entries []outEntry, version uint16, meter func(qid uint64, n int)) error {
+func writeChunk(bw *bufio.Writer, entries []outEntry, meter func(qid uint64, n int)) error {
 	type frameMeter struct {
 		qid uint64
 		n   int
@@ -713,16 +672,14 @@ func writeChunk(bw *bufio.Writer, entries []outEntry, version uint16, meter func
 				return err
 			}
 		case entryMsg:
-			if version >= 2 {
-				sz := 12 + len(e.data)
-				for j < len(entries) && entries[j].kind == entryMsg && entries[j].qid == e.qid {
-					nsz := sz + 12 + len(entries[j].data)
-					if nsz > batchByteCap {
-						break
-					}
-					sz = nsz
-					j++
+			sz := 12 + len(e.data)
+			for j < len(entries) && entries[j].kind == entryMsg && entries[j].qid == e.qid {
+				nsz := sz + 12 + len(entries[j].data)
+				if nsz > batchByteCap {
+					break
 				}
+				sz = nsz
+				j++
 			}
 			var frame []byte
 			if j == i+1 {
@@ -734,10 +691,8 @@ func writeChunk(bw *bufio.Writer, entries []outEntry, version uint16, meter func
 				return err
 			}
 		case entryAck:
-			if version >= 2 {
-				for j < len(entries) && entries[j].kind == entryAck && entries[j].qid == e.qid && entries[j].site == e.site {
-					j++
-				}
+			for j < len(entries) && entries[j].kind == entryAck && entries[j].qid == e.qid && entries[j].site == e.site {
+				j++
 			}
 			var frame []byte
 			if j == i+1 {

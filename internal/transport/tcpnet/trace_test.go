@@ -4,11 +4,12 @@ package tcpnet_test
 // backend must share — a complete span tree whose totals reproduce the
 // session's Stats, an empty-but-present trace for an idle session (the
 // daemons owe one TRACE per traced session even when no message
-// flowed), graceful degradation to a partial trace below protocol v5,
-// and nil for untraced sessions.
+// flowed), graceful degradation to a partial trace when a daemon is
+// lost before reporting, and nil for untraced sessions.
 
 import (
 	"context"
+	"net"
 	"testing"
 	"time"
 
@@ -28,11 +29,9 @@ func traceCtx(t *testing.T) context.Context {
 	return ctx
 }
 
-// forEachV5Backend runs body on the backends that negotiate the full
-// current protocol — the ones where a trace must come back complete.
-// The version-pinned fallback rows are covered by
-// TestTraceV4FallbackPartial instead.
-func forEachV5Backend(t *testing.T, n int, body func(t *testing.T, c *cluster.Cluster)) {
+// forEachTraceBackend runs body on the plain backends: in-process and
+// one- and two-daemon TCP.
+func forEachTraceBackend(t *testing.T, n int, body func(t *testing.T, c *cluster.Cluster)) {
 	registerTestAlgos()
 	for _, be := range []backend{
 		{"inproc", func(t *testing.T, n int) *cluster.Cluster {
@@ -55,7 +54,7 @@ func forEachV5Backend(t *testing.T, n int, body func(t *testing.T, c *cluster.Cl
 // session's own accounting (each message counted once at its receiver).
 func TestMatrixTraceRoundTrip(t *testing.T) {
 	const n = 4
-	forEachV5Backend(t, n, func(t *testing.T, c *cluster.Cluster) {
+	forEachTraceBackend(t, n, func(t *testing.T, c *cluster.Cluster) {
 		var replies int
 		coord := cluster.HandlerFunc(func(*cluster.Ctx, int, wire.Payload) { replies++ })
 		s := open(t, c, cluster.SessionQuery, cluster.SessionSpec{Algo: algoReply, TraceID: 77}, coord)
@@ -73,7 +72,7 @@ func TestMatrixTraceRoundTrip(t *testing.T) {
 			t.Fatalf("traced session returned trace %+v", tr)
 		}
 		if !tr.Complete {
-			t.Fatalf("trace incomplete on an all-v%d deployment", tcpnet.ProtocolVersion)
+			t.Fatal("trace incomplete with every daemon alive")
 		}
 		seen := map[int]bool{}
 		for _, site := range tr.Sites {
@@ -104,7 +103,7 @@ func TestMatrixTraceRoundTrip(t *testing.T) {
 // driver's wait must find them. This is the regression test for the
 // driver dropping its trace wait before the frames arrive.
 func TestMatrixTraceIdleSessionResolves(t *testing.T) {
-	forEachV5Backend(t, 3, func(t *testing.T, c *cluster.Cluster) {
+	forEachTraceBackend(t, 3, func(t *testing.T, c *cluster.Cluster) {
 		s := open(t, c, cluster.SessionQuery, cluster.SessionSpec{Algo: algoNop, TraceID: 5}, nil)
 		s.Close()
 		tr, err := s.Trace(traceCtx(t))
@@ -136,48 +135,49 @@ func TestMatrixUntracedTraceNil(t *testing.T) {
 	})
 }
 
-// Below protocol v5 the daemons never learn the trace ID: the session
-// still runs (identical traffic), and the driver degrades to a partial
-// trace carrying only its own coordinator spans.
-func TestTraceV4FallbackPartial(t *testing.T) {
+// A daemon lost before it shipped its TRACE frame must not block the
+// collector: the wait resolves with the surviving daemon's spans and the
+// trace is marked incomplete. The second daemon sits behind a proxy
+// that goes silent after the session quiesced, so its CLOSE never
+// arrives and the heartbeat declares it lost.
+func TestTraceLostConnectionPartial(t *testing.T) {
 	registerTestAlgos()
-	for name, mk := range map[string]func(t *testing.T) *tcpnet.Net{
-		"v4driver": func(t *testing.T) *tcpnet.Net {
-			return dialNet(t, 2, 3, tcpnet.Server{}, tcpnet.Options{MaxProtocol: 4})
-		},
-		"v4daemon": func(t *testing.T) *tcpnet.Net {
-			return dialNet(t, 2, 3, tcpnet.Server{MaxVersion: 4}, tcpnet.Options{})
-		},
-	} {
-		t.Run(name, func(t *testing.T) {
-			c := cluster.NewWithTransport(mk(t))
-			defer c.Shutdown()
-			var replies int
-			coord := cluster.HandlerFunc(func(*cluster.Ctx, int, wire.Payload) { replies++ })
-			s := open(t, c, cluster.SessionQuery, cluster.SessionSpec{Algo: algoReply, TraceID: 9}, coord)
-			s.Broadcast(&wire.Control{Op: 1})
-			if err := s.WaitQuiesce(bg); err != nil {
-				t.Fatal(err)
-			}
-			s.Close()
-			if replies != 3 {
-				t.Fatalf("v4 traced session lost traffic: %d replies", replies)
-			}
-			tr, err := s.Trace(traceCtx(t))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tr == nil {
-				t.Fatal("traced session returned no trace")
-			}
-			if tr.Complete {
-				t.Fatal("trace claims completeness on a v4 deployment")
-			}
-			for _, site := range tr.Sites {
-				if site.Site != obs.CoordinatorSite {
-					t.Fatalf("v4 deployment produced worker spans for site %d", site.Site)
-				}
-			}
-		})
+	addrs := make([]string, 2)
+	for i := range addrs {
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { lis.Close() })
+		go (&tcpnet.Server{}).Serve(lis)
+		addrs[i] = lis.Addr().String()
+	}
+	doomed := newMutableProxy(t, addrs[1])
+	addrs[1] = doomed.addr()
+	tr, err := tcpnet.Dial(context.Background(), addrs, trivialFragmentation(t, 4),
+		tcpnet.Options{HeartbeatInterval: 20 * time.Millisecond, HeartbeatMisses: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cluster.NewWithTransport(tr)
+	defer c.Shutdown()
+	s := open(t, c, cluster.SessionQuery, cluster.SessionSpec{Algo: algoReply, TraceID: 9}, nil)
+	s.Broadcast(&wire.Control{Op: 1})
+	if err := s.WaitQuiesce(bg); err != nil {
+		t.Fatal(err)
+	}
+	doomed.muted.Store(true)
+	s.Close()
+	qt, err := s.Trace(traceCtx(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if qt == nil || qt.Complete {
+		t.Fatalf("trace with a daemon lost before its TRACE frame = %+v, want a partial trace", qt)
+	}
+	for _, site := range qt.Sites {
+		if site.Site >= 2 {
+			t.Fatalf("lost daemon's site %d produced spans", site.Site)
+		}
 	}
 }

@@ -18,8 +18,8 @@ import (
 
 // TestPlannerParityMatrix runs every algorithm over a default
 // (planner-on) and a WithPlannerDisabled deployment of the same
-// partition, across all three transports (in-process, coalescing TCP,
-// v1-pinned TCP): the match relations must be identical — both equal
+// partition, across all three transport modes (in-process, TCP, TCP
+// with heartbeats): the match relations must be identical — both equal
 // the centralized oracle — and so must the result accounting
 // (ResultBytes serializes the final relation, which order cannot
 // change).
@@ -63,7 +63,7 @@ func TestPlannerParityMatrix(t *testing.T) {
 			}
 			out = append(out, world{
 				name: "tree", g: g, part: part, tree: true,
-				qs:   []confQuery{{"treeQ", GenTreePattern(dict, 4, 95)}},
+				qs: []confQuery{{"treeQ", GenTreePattern(dict, 4, 95)}},
 			})
 		}
 		return out

@@ -145,7 +145,7 @@ func runPropCase(t *testing.T, pc *propCase) {
 			if err != nil {
 				t.Fatalf("seed %d: refragment: %v", pc.seed, err)
 			}
-			res2, err := Run(AlgoDGPM, pc.q, part2)
+			res2, err := queryOnce(part2, pc.q)
 			if err != nil {
 				t.Fatalf("seed %d: fresh deployment: %v", pc.seed, err)
 			}

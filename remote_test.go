@@ -173,15 +173,15 @@ func TestRemoteApplyWatch(t *testing.T) {
 	}
 }
 
-// TestCoalescingStatsParity: the wire protocol must be invisible to
+// TestCoalescingStatsParity: frame coalescing must be invisible to
 // results and accounting. Every algorithm answers identically to the
-// oracle over a v1-pinned (per-message) and a default (coalescing)
-// deployment of the same partition; and wherever an algorithm's stats
-// are deterministic — established by running the coalesced path twice
-// and checking it agrees with itself — the per-message path must
-// report exactly the same DataMsgs/DataBytes/Rounds. (Algorithms whose
-// message counts depend on arrival-order batching are exempt from the
-// exact-stats clause, never from result parity.)
+// oracle over an in-process deployment (no frames at all) and a TCP
+// deployment (MSGB/ACKN coalescing) of the same partition; and wherever
+// an algorithm's stats are deterministic — established by running each
+// transport twice and checking it agrees with itself — the TCP path
+// must report exactly the in-process DataMsgs/DataBytes/Rounds.
+// (Algorithms whose message counts depend on arrival-order batching are
+// exempt from the exact-stats clause, never from result parity.)
 func TestCoalescingStatsParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loopback-TCP parity skipped in -short mode")
@@ -205,7 +205,7 @@ func TestCoalescingStatsParity(t *testing.T) {
 		msgs, bytes, rounds int64
 	}
 	runAll := func(opts ...DeployOption) map[Algorithm]record {
-		dep, err := Deploy(part, append([]DeployOption{WithRemoteSites(addrs...)}, opts...)...)
+		dep, err := Deploy(part, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,29 +217,27 @@ func TestCoalescingStatsParity(t *testing.T) {
 				t.Fatalf("%s: %v", algo, err)
 			}
 			if !res.Match.Equal(oracle) {
-				t.Fatalf("%s diverges from Simulate on this wire protocol", algo)
+				t.Fatalf("%s diverges from Simulate (remote=%v)", algo, dep.Remote())
 			}
 			out[algo] = record{res.Stats.DataMsgs, res.Stats.DataBytes, res.Stats.Rounds}
 		}
-		sent, received := dep.WireFrames()
-		if sent == 0 || received == 0 {
+		if sent, received := dep.WireFrames(); dep.Remote() && (sent == 0 || received == 0) {
 			t.Fatalf("deployment reported no wire frames (sent=%d received=%d)", sent, received)
 		}
 		return out
 	}
 
-	v1 := runAll(WithWireProtocolMax(1))
-	v2a := runAll()
-	v2b := runAll()
+	locA, locB := runAll(), runAll()
+	tcpA, tcpB := runAll(WithRemoteSites(addrs...)), runAll(WithRemoteSites(addrs...))
 	for _, algo := range algos {
-		if v2a[algo] != v2b[algo] {
-			t.Logf("%s: stats vary across identical coalesced runs (%+v vs %+v); exact-stats clause skipped",
-				algo, v2a[algo], v2b[algo])
+		if locA[algo] != locB[algo] || tcpA[algo] != tcpB[algo] {
+			t.Logf("%s: stats vary across identical runs (in-process %+v vs %+v, tcp %+v vs %+v); exact-stats clause skipped",
+				algo, locA[algo], locB[algo], tcpA[algo], tcpB[algo])
 			continue
 		}
-		if v1[algo] != v2a[algo] {
-			t.Errorf("%s: deterministic stats differ across wire protocols: v1=%+v v2=%+v",
-				algo, v1[algo], v2a[algo])
+		if locA[algo] != tcpA[algo] {
+			t.Errorf("%s: deterministic stats differ across transports: in-process=%+v tcp=%+v",
+				algo, locA[algo], tcpA[algo])
 		}
 	}
 }
@@ -360,10 +358,7 @@ func TestRemoteDaemonLoss(t *testing.T) {
 // TestRemoteTrace: a WithTrace query over a real TCP deployment comes
 // back with a complete span tree — coordinator plus every fragment's
 // site — whose totals reproduce the query's own Stats aggregates, and
-// with the answer unchanged from an untraced run. With the wire
-// protocol capped below v5 the daemons never learn the trace ID: the
-// result is still oracle-correct and the trace degrades to a partial,
-// coordinator-only tree.
+// with the answer unchanged from an untraced run.
 func TestRemoteTrace(t *testing.T) {
 	dict := NewDict()
 	g := GenSynthetic(dict, 400, 1200, 7)
@@ -425,25 +420,4 @@ func TestRemoteTrace(t *testing.T) {
 		t.Fatalf("untraced query returned a trace: %+v", plain.Trace)
 	}
 
-	// v4-capped deployment: identical answer, partial trace.
-	dep4, err := Deploy(part, WithRemoteSites(startSiteServers(t, 2)...), WithWireProtocolMax(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dep4.Close()
-	res4, err := dep4.Query(context.Background(), q, WithTrace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res4.Match.Equal(oracle) {
-		t.Fatalf("traced v4 query diverges from Simulate")
-	}
-	if res4.Trace == nil || res4.Trace.Complete {
-		t.Fatalf("v4 deployment trace = %+v, want a partial trace", res4.Trace)
-	}
-	for _, site := range res4.Trace.Sites {
-		if site.Site != -1 {
-			t.Fatalf("v4 deployment produced worker spans for site %d", site.Site)
-		}
-	}
 }

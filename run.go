@@ -1,7 +1,6 @@
 package dgs
 
 import (
-	"context"
 	"time"
 
 	"dgs/internal/cluster"
@@ -121,73 +120,8 @@ type Result struct {
 	Version uint64
 	// Trace is the query's span tree when it ran with WithTrace, nil
 	// otherwise (and nil for planner short-circuits, which open no
-	// session). On a TCP deployment with pre-trace daemons the trace
-	// comes back with Complete=false: the driver-side spans are present,
-	// the unreachable sites' missing.
+	// session). On a TCP deployment that lost a daemon before it
+	// reported, the trace comes back with Complete=false: the
+	// driver-side spans are present, the unreachable sites' missing.
 	Trace *QueryTrace
-}
-
-// Options is the legacy positional configuration of Run. New code should
-// use Deploy/Query with functional options instead.
-type Options struct {
-	// PushTheta overrides the push benefit threshold θ (default 0.2).
-	// The zero value means "unset" — this struct cannot express an
-	// explicit θ=0; use WithPushTheta(0) on Deployment.Query for that.
-	// Only meaningful for AlgoDGPM.
-	PushTheta float64
-	// DisablePush turns the push operation off while keeping incremental
-	// evaluation (an ablation point between dGPM and dGPMNOpt).
-	DisablePush bool
-	// GraphIsDAG asserts the data graph is acyclic, allowing AlgoDGPMd
-	// to answer cyclic patterns with ∅ immediately (§5.1 "DAG G").
-	GraphIsDAG bool
-}
-
-// queryOptions translates the legacy struct into functional options,
-// preserving its documented sentinel: PushTheta==0 means unset.
-func (o Options) queryOptions(algo Algorithm) []QueryOption {
-	qopts := []QueryOption{WithAlgorithm(algo)}
-	if o.PushTheta != 0 {
-		qopts = append(qopts, WithPushTheta(o.PushTheta))
-	}
-	if o.DisablePush {
-		qopts = append(qopts, WithPushDisabled())
-	}
-	if o.GraphIsDAG {
-		qopts = append(qopts, WithGraphIsDAG())
-	}
-	return qopts
-}
-
-// Run evaluates the data-selecting pattern query q over the fragmentation
-// with the chosen algorithm. It is a compatibility wrapper that deploys a
-// throwaway substrate (free network), answers the one query, and tears
-// the substrate down; a query stream should Deploy once and use
-// Deployment.Query.
-func Run(algo Algorithm, q *Pattern, part *Partition, opts ...Options) (*Result, error) {
-	var o Options
-	if len(opts) > 0 {
-		o = opts[0]
-	}
-	if q == nil {
-		return nil, errorf("run: nil pattern")
-	}
-	if part == nil {
-		return nil, errorf("run: nil partition")
-	}
-	dep, err := Deploy(part)
-	if err != nil {
-		return nil, err
-	}
-	defer dep.Close()
-	return dep.Query(context.Background(), q, o.queryOptions(algo)...)
-}
-
-// RunBoolean evaluates q as a Boolean pattern query: true iff G matches Q.
-func RunBoolean(algo Algorithm, q *Pattern, part *Partition, opts ...Options) (bool, Stats, error) {
-	res, err := Run(algo, q, part, opts...)
-	if err != nil {
-		return false, Stats{}, err
-	}
-	return res.Match.Ok(), res.Stats, nil
 }

@@ -5,7 +5,11 @@
 #   1. /healthz is live and reports the build;
 #   2. an identical second query is a cache hit;
 #   3. /apply bumps the graph version and invalidates the cache;
-#   4. the post-update query recomputes (and re-caches).
+#   4. the post-update query recomputes (and re-caches);
+#   5. a graph loaded from a DGSG1 file (-graph) answers a pattern with
+#      the same number of pairs as the generated graph it was saved
+#      from, through both dgsrun and dgsgw — patterns must be parsed
+#      against the loaded graph's own label dictionary.
 # This is the CI-enforced form of the README's dgsd × dgsgw quickstart.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -13,18 +17,23 @@ cd "$(dirname "$0")/.."
 PORT1=${DGS_GW_SMOKE_PORT1:-17441}
 PORT2=${DGS_GW_SMOKE_PORT2:-17442}
 GWPORT=${DGS_GW_SMOKE_GWPORT:-17443}
+GWPORT2=${DGS_GW_SMOKE_GWPORT2:-17444}
 BIN=bin
 
 mkdir -p "$BIN"
 go build -o "$BIN/dgsd" ./cmd/dgsd
 go build -o "$BIN/dgsgw" ./cmd/dgsgw
+go build -o "$BIN/dgsrun" ./cmd/dgsrun
+go build -o "$BIN/gengraph" ./cmd/gengraph
 
 "$BIN/dgsd" -listen "127.0.0.1:$PORT1" -quiet &
 D1=$!
 "$BIN/dgsd" -listen "127.0.0.1:$PORT2" -quiet &
 D2=$!
 GW=
-trap 'kill $D1 $D2 ${GW:-} 2>/dev/null || true' EXIT
+GW2=
+TMP=$(mktemp -d)
+trap 'kill $D1 $D2 ${GW:-} ${GW2:-} 2>/dev/null || true; rm -rf "$TMP"' EXIT
 
 for i in $(seq 1 50); do
   if (exec 3<>"/dev/tcp/127.0.0.1/$PORT1") 2>/dev/null && (exec 3<>"/dev/tcp/127.0.0.1/$PORT2") 2>/dev/null; then
@@ -83,4 +92,29 @@ echo "$STATS"
 echo "$STATS" | grep -q '"hits": 1'    || { echo "stats should report exactly one hit" >&2; exit 1; }
 echo "$STATS" | grep -q '"applies": 1' || { echo "stats should report one apply" >&2; exit 1; }
 
-echo "gw smoke: cache hit, update-driven invalidation and recompute all verified over 2 dgsd + 1 dgsgw"
+echo "== -graph: a loaded DGSG1 file answers like the graph it was saved from"
+# The pattern names labels out of the graph's first-use order, so a
+# dictionary that is not the loaded graph's own assigns them other ids.
+GEN="-gen web -nodes 3000 -edges 15000 -seed 1"
+"$BIN/gengraph" $GEN -o "$TMP/g.dgsg" >/dev/null
+printf 'node a l9\nnode b l0\nnode c l4\nedge a b\nedge b c\nedge c b\n' > "$TMP/q.pat"
+pairs() { grep -o 'pairs=[0-9]*' | head -1 | cut -d= -f2; }
+WANT=$("$BIN/dgsrun" $GEN -frags 4 -query "$TMP/q.pat" | pairs)
+GOT=$("$BIN/dgsrun" -graph "$TMP/g.dgsg" -frags 4 -query "$TMP/q.pat" | pairs)
+echo "generated: $WANT pairs; dgsrun -graph: $GOT pairs"
+[ -n "$WANT" ] && [ "$WANT" -gt 0 ] || { echo "-graph smoke: reference run matched nothing" >&2; exit 1; }
+[ "$GOT" = "$WANT" ] || { echo "dgsrun -graph returned $GOT pairs, generated graph has $WANT" >&2; exit 1; }
+
+"$BIN/dgsgw" -listen "127.0.0.1:$GWPORT2" -graph "$TMP/g.dgsg" -frags 4 -quiet &
+GW2=$!
+BASE2="http://127.0.0.1:$GWPORT2"
+for i in $(seq 1 100); do
+  if curl -fsS "$BASE2/healthz" >/dev/null 2>&1; then break; fi
+  sleep 0.1
+done
+RG=$(curl -fsS "$BASE2/query" -d '{"pattern":"node a l9\nnode b l0\nnode c l4\nedge a b\nedge b c\nedge c b"}')
+GWPAIRS=$(echo "$RG" | grep -o '"pairs": *[0-9]*' | grep -o '[0-9]*$')
+echo "dgsgw -graph: $GWPAIRS pairs"
+[ "$GWPAIRS" = "$WANT" ] || { echo "dgsgw -graph returned $GWPAIRS pairs, generated graph has $WANT" >&2; exit 1; }
+
+echo "gw smoke: cache hit, update-driven invalidation, recompute and -graph dictionary all verified over 2 dgsd + dgsgw"

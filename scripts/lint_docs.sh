@@ -29,7 +29,7 @@ for kind in falsify rankbatch push reroute subgraph vectors eqsystem values matc
   fi
 done
 
-# The wire spec must cover every transport frame, including the v3
+# The wire spec must cover every transport frame, including the
 # liveness/failover frames, and the heartbeat failure semantics.
 for need in HELLO DEPLOY OPEN CLOSE MSGB ACKN PING PONG REDEPLOY heartbeat "site-scoped" Recovery; do
   if ! grep -qi -- "$need" docs/WIRE.md; then
@@ -64,18 +64,18 @@ for need in "## 10. Planning" selectivity advisory confluen canonical WithPlanne
   fi
 done
 
-# The wire spec must document how plans ride OPEN and degrade across
-# protocol versions.
-for need in planner "trailing-optional" "version negotiation"; do
+# The wire spec must document how plans ride OPEN and the one-version
+# handshake.
+for need in planner Versioning ProtocolVersion; do
   if ! grep -qi -- "$need" docs/WIRE.md; then
     echo "docs/WIRE.md does not mention '$need'"
     fail=1
   fi
 done
 
-# The wire spec must document the v5 tracing extension: the TRACE
-# frame, the trailing-optional trace ID, and the byte-identity promise.
-for need in TRACE traceID "byte-identical" "Distributed tracing"; do
+# The wire spec must document tracing: the TRACE frame and OPEN's
+# trace ID.
+for need in TRACE traceID "Distributed tracing"; do
   if ! grep -q -- "$need" docs/WIRE.md; then
     echo "docs/WIRE.md does not mention '$need'"
     fail=1

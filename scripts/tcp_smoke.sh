@@ -45,9 +45,8 @@ run -algo match    -gen web      -nodes 3000 -edges  9000 -frags 4
 run -algo dishhk   -gen web      -nodes 3000 -edges  9000 -frags 4
 run -algo dmes     -gen web      -nodes 3000 -edges  9000 -frags 4
 
-# Coalescing smoke: on a 2-daemon loopback run, the negotiated protocol
-# must move the same workload in strictly fewer frames (and fewer wire
-# bytes) than a deployment pinned to the per-message protocol 1.
+# Coalescing smoke: on a 2-daemon loopback run, strictly fewer frames
+# must leave the driver than messages were handed to the transport.
 echo "== coalescing reduces frames (2-daemon loopback)"
 go test ./internal/transport/tcpnet -run '^TestCoalescingReducesFrames$' -count=1 -v
 
