@@ -54,7 +54,7 @@ func main() {
 		partName  = flag.String("part", "", "partitioner strategy: "+strings.Join(dgs.Partitioners(), "|")+" (default targetratio)")
 		vf        = flag.Float64("vf", 0.25, "target |Vf|/|V| ratio for targetratio")
 		seed      = flag.Int64("seed", 1, "random seed")
-		algoName  = flag.String("algo", "dgpm", "default algorithm for requests that don't name one: "+strings.Join(serve.AlgorithmNames(), "|"))
+		algoName  = flag.String("algo", "dgpm", "default algorithm for requests that don't name one: "+strings.Join(dgs.AlgorithmNames(), "|"))
 		inflight  = flag.Int("max-inflight", 4, "admission: concurrently executing evaluations")
 		queue     = flag.Int("max-queue", 64, "admission: queries waiting for a slot before shedding")
 		timeout   = flag.Duration("timeout", 30*time.Second, "default per-query deadline")
@@ -80,7 +80,7 @@ func main() {
 		logger.Info(fmt.Sprintf(format, args...))
 	}
 
-	algo, ok := serve.AlgorithmByName(*algoName)
+	algo, ok := dgs.ParseAlgorithm(*algoName)
 	if !ok {
 		fail(fmt.Errorf("unknown algorithm %q", *algoName))
 	}

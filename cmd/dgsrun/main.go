@@ -27,12 +27,11 @@ import (
 
 	"dgs"
 	"dgs/internal/buildinfo"
-	"dgs/internal/serve"
 )
 
 func main() {
 	var (
-		algoName  = flag.String("algo", "dgpm", strings.Join(serve.AlgorithmNames(), "|"))
+		algoName  = flag.String("algo", "dgpm", strings.Join(dgs.AlgorithmNames(), "|"))
 		gen       = flag.String("gen", "web", "generator: web|citation|synthetic|tree|chain")
 		graphFile = flag.String("graph", "", "load a DGSG1 graph instead of generating")
 		nodes     = flag.Int("nodes", 60000, "generated |V|")
@@ -62,7 +61,7 @@ func main() {
 		return
 	}
 
-	algo, ok := serve.AlgorithmByName(*algoName)
+	algo, ok := dgs.ParseAlgorithm(*algoName)
 	if !ok {
 		fail(fmt.Errorf("unknown algorithm %q", *algoName))
 	}

@@ -471,19 +471,19 @@ func (d *Deployment) Query(ctx context.Context, q *Pattern, opts ...QueryOption)
 	var err error
 	switch cfg.algo {
 	case AlgoDGPM:
-		m, st, qt, err = dgpm.EvalPlannedTraced(ctx, d.c, q.p, d.part.fr, cfg.dgpmConfig(), pl, traceID)
+		m, st, qt, err = dgpm.Eval(ctx, d.c, q.p, d.part.fr, cfg.dgpmConfig(), pl, traceID)
 	case AlgoDGPMNoOpt:
-		m, st, qt, err = dgpm.EvalPlannedTraced(ctx, d.c, q.p, d.part.fr, dgpm.NOptConfig(), pl, traceID)
+		m, st, qt, err = dgpm.Eval(ctx, d.c, q.p, d.part.fr, dgpm.NOptConfig(), pl, traceID)
 	case AlgoDGPMd:
-		m, st, qt, err = dagsim.EvalTraced(ctx, d.c, q.p, d.part.fr, cfg.graphIsDAG, traceID)
+		m, st, qt, err = dagsim.Eval(ctx, d.c, q.p, d.part.fr, cfg.graphIsDAG, traceID)
 	case AlgoDGPMt:
-		m, st, qt, err = treesim.EvalTraced(ctx, d.c, q.p, d.part.fr, traceID)
+		m, st, qt, err = treesim.Eval(ctx, d.c, q.p, d.part.fr, traceID)
 	case AlgoMatch:
-		m, st, qt, err = baseline.EvalMatchTraced(ctx, d.c, q.p, d.part.fr, traceID)
+		m, st, qt, err = baseline.EvalMatch(ctx, d.c, q.p, traceID)
 	case AlgoDisHHK:
-		m, st, qt, err = baseline.EvalDisHHKTraced(ctx, d.c, q.p, d.part.fr, traceID)
+		m, st, qt, err = baseline.EvalDisHHK(ctx, d.c, q.p, traceID)
 	case AlgoDMes:
-		m, st, qt, err = baseline.EvalDMesTraced(ctx, d.c, q.p, d.part.fr, traceID)
+		m, st, qt, err = baseline.EvalDMes(ctx, d.c, q.p, d.part.fr, traceID)
 	default:
 		return nil, errorf("unknown algorithm %d", cfg.algo)
 	}

@@ -307,6 +307,35 @@ func TestAlgorithmString(t *testing.T) {
 	}
 }
 
+// ParseAlgorithm inverts String — for the figure name and for the
+// lowercase name the CLIs and the gateway accept — on every constant,
+// and AlgorithmNames lists exactly those lowercase names.
+func TestParseAlgorithmRoundTrip(t *testing.T) {
+	listed := map[string]bool{}
+	for _, n := range AlgorithmNames() {
+		listed[n] = true
+	}
+	if len(listed) != len(confAlgos) {
+		t.Fatalf("AlgorithmNames() = %v, want %d distinct names", AlgorithmNames(), len(confAlgos))
+	}
+	for _, a := range confAlgos {
+		lower := strings.ToLower(a.String())
+		for _, name := range []string{a.String(), lower} {
+			if got, ok := ParseAlgorithm(name); !ok || got != a {
+				t.Fatalf("ParseAlgorithm(%q) = %v, %v; want %v", name, got, ok, a)
+			}
+		}
+		if !listed[lower] {
+			t.Fatalf("AlgorithmNames() = %v lacks %q", AlgorithmNames(), lower)
+		}
+	}
+	for _, name := range []string{"", "unknown", "dgpmx"} {
+		if a, ok := ParseAlgorithm(name); ok {
+			t.Fatalf("ParseAlgorithm(%q) accepted as %v", name, a)
+		}
+	}
+}
+
 func TestRunRejectsUnknownAlgorithm(t *testing.T) {
 	_, _, q, part := testWorld(t, true)
 	if _, err := queryOnce(part, q, WithAlgorithm(Algorithm(99))); err == nil {

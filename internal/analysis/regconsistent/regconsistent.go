@@ -6,7 +6,8 @@
 // constants): every switch over the type in non-test files, every
 // package-level map[string]Algorithm literal, and every composite
 // literal whose declaration carries //dgsvet:exhaustive (the
-// conformance matrix) must mention every constant — adding AlgoX and
+// conformance matrix, as values; the name table indexed by the
+// constants, as keys) must mention every constant — adding AlgoX and
 // forgetting one site otherwise surfaces as "unknown algorithm" at
 // query time, or worse, as a conformance matrix that silently stops
 // covering the new algorithm.
@@ -249,13 +250,20 @@ func checkEnum(pass *analysis.ModulePass, mod *load.Module, e enum) {
 								if isTest || !types.Identical(t.Elem(), e.typ) {
 									continue
 								}
-								checkLitValues(pass, info, cl, e, "map")
+								checkLit(pass, info, cl, e, "map", false)
 							case *types.Slice:
 								// Only literals the author marked exhaustive.
 								if !marked || !types.Identical(t.Elem(), e.typ) {
 									continue
 								}
-								checkLitValues(pass, info, cl, e, ExhaustiveMarker+" literal")
+								checkLit(pass, info, cl, e, ExhaustiveMarker+" literal", false)
+							case *types.Array:
+								// A marked table indexed by the enum
+								// ([...]T{AlgoX: ...}): the keys must cover it.
+								if !marked || !keyedBy(info, cl, e.typ) {
+									continue
+								}
+								checkLit(pass, info, cl, e, ExhaustiveMarker+" table", true)
 							}
 						}
 					}
@@ -265,14 +273,18 @@ func checkEnum(pass *analysis.ModulePass, mod *load.Module, e enum) {
 	}
 }
 
-// checkLitValues reports enum constants absent from the literal's
-// values (map literals) or elements (slice literals).
-func checkLitValues(pass *analysis.ModulePass, info *types.Info, cl *ast.CompositeLit, e enum, what string) {
+// checkLit reports enum constants absent from the literal's keys
+// (keys=true, indexed tables), or from its values (map literals) or
+// elements (slice literals).
+func checkLit(pass *analysis.ModulePass, info *types.Info, cl *ast.CompositeLit, e enum, what string, keys bool) {
 	got := map[types.Object]bool{}
 	for _, el := range cl.Elts {
 		v := el
 		if kv, ok := el.(*ast.KeyValueExpr); ok {
 			v = kv.Value
+			if keys {
+				v = kv.Key
+			}
 		}
 		if id, ok := v.(*ast.Ident); ok {
 			got[info.Uses[id]] = true
@@ -283,6 +295,19 @@ func checkLitValues(pass *analysis.ModulePass, info *types.Info, cl *ast.Composi
 	if missing := missingNames(e.consts, got); missing != "" {
 		pass.Reportf(cl.Pos(), "%s over %s misses %s", what, e.typ.Obj().Name(), missing)
 	}
+}
+
+// keyedBy reports whether some element of the literal is indexed by a
+// constant of the enum type.
+func keyedBy(info *types.Info, cl *ast.CompositeLit, enum *types.Named) bool {
+	for _, el := range cl.Elts {
+		if kv, ok := el.(*ast.KeyValueExpr); ok {
+			if tv, ok := info.Types[kv.Key]; ok && types.Identical(tv.Type, enum) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func missingNames(consts []*types.Const, got map[types.Object]bool) string {

@@ -1,6 +1,6 @@
 // Package regbad violates every regconsistent surface: a non-exhaustive
 // Algorithm switch, an incomplete name map, an incomplete marked
-// matrix, a duplicate registration, an unknown session algorithm, and
+// matrix, an incomplete marked name table, a duplicate registration, an unknown session algorithm, and
 // an unknown partition strategy.
 package regbad
 
@@ -29,6 +29,9 @@ var byName = map[string]Algorithm{ // want "map over Algorithm misses AlgoB, Alg
 
 //dgsvet:exhaustive
 var matrix = []Algorithm{AlgoA, AlgoB} // want "exhaustive literal over Algorithm misses AlgoC"
+
+//dgsvet:exhaustive
+var names = [...]string{AlgoA: "a", AlgoC: "c"} // want "exhaustive table over Algorithm misses AlgoB"
 
 type SessionSpec struct{ Algo, Planner string }
 

@@ -30,6 +30,12 @@ var matrix = []Algorithm{AlgoX, AlgoY}
 // partial is fine: only marked literals must be exhaustive.
 var partial = []Algorithm{AlgoX}
 
+//dgsvet:exhaustive
+var names = [...]string{AlgoX: "x", AlgoY: "y"}
+
+// partialNames is fine for the same reason.
+var partialNames = [...]string{AlgoX: "x"}
+
 type SessionSpec struct{ Algo, Planner string }
 
 func RegisterAlgorithm(name string, f func()) {}

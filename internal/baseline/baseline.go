@@ -19,7 +19,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"dgs/internal/cluster"
 	"dgs/internal/graph"
@@ -45,8 +44,6 @@ type merger struct {
 	labels map[uint32]uint16
 	edges  [][2]uint32
 }
-
-func newMerger() *merger { return &merger{labels: make(map[uint32]uint16)} }
 
 func (m *merger) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
 	sg, ok := p.(*wire.Subgraph)
@@ -153,51 +150,33 @@ func init() {
 }
 
 // EvalMatch evaluates Q with the naive ship-everything algorithm (§3.1)
-// as one session on a live cluster.
-func EvalMatch(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr *partition.Fragmentation) (*simulation.Match, cluster.Stats, error) {
-	m, st, _, err := EvalMatchTraced(ctx, c, q, fr, 0)
-	return m, st, err
+// as one session on a live cluster. A nonzero traceID returns the
+// session's QueryTrace (nil otherwise).
+func EvalMatch(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, traceID uint64) (*simulation.Match, cluster.Stats, *obs.QueryTrace, error) {
+	return evalMerged(ctx, c, q, cluster.SessionSpec{Algo: AlgoMatch, TraceID: traceID}, opShip)
 }
 
-// EvalMatchTraced is EvalMatch with distributed tracing (traceID 0
-// disables it; the trace return is then nil).
-func EvalMatchTraced(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr *partition.Fragmentation, traceID uint64) (*simulation.Match, cluster.Stats, *obs.QueryTrace, error) {
-	coord := newMerger()
-	sess, err := c.OpenSession(cluster.SessionQuery, cluster.SessionSpec{Algo: AlgoMatch, TraceID: traceID}, coord)
-	if err != nil {
-		return nil, cluster.Stats{}, nil, err
-	}
-	defer sess.Close()
-	start := time.Now()
-	sess.Broadcast(&wire.Control{Op: opShip})
-	if err := sess.WaitQuiesce(ctx); err != nil {
-		return nil, cluster.Stats{}, nil, err
-	}
-	// Centralized evaluation at the coordinator site.
-	g, ids, err := coord.assemble(q.Dict())
-	if err != nil {
-		panic(fmt.Sprintf("baseline: Match assembly: %v", err))
-	}
-	m := simulation.HHK(q, g)
-	res := toGlobal(m, ids)
-	stats := sess.Stats()
-	stats.Wall = time.Since(start)
-	stats.Rounds = 1
-	sess.Close()
-	trace, err := sess.Trace(ctx)
+// evalMerged is the shared driver of Match and disHHK: one round in
+// which every site answers op with a subgraph, then centralized
+// simulation over the merged graph at the coordinator site — on the PT
+// clock, since that evaluation is the algorithm's response time.
+func evalMerged(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, spec cluster.SessionSpec, op uint8) (*simulation.Match, cluster.Stats, *obs.QueryTrace, error) {
+	coord := &merger{labels: make(map[uint32]uint16)}
+	var res *simulation.Match
+	stats, trace, err := c.Evaluate(ctx, spec, coord, func(sess *cluster.Session) error {
+		if err := sess.Phase(ctx, &wire.Control{Op: op}); err != nil {
+			return err
+		}
+		sess.AddRounds(1)
+		g, ids, err := coord.assemble(q.Dict())
+		if err != nil {
+			return fmt.Errorf("baseline: %s assembly: %w", spec.Algo, err)
+		}
+		res = toGlobal(simulation.HHK(q, g), ids)
+		return nil
+	})
 	if err != nil {
 		return nil, cluster.Stats{}, nil, err
 	}
 	return res.Canonical(), stats, trace, nil
-}
-
-// RunMatch evaluates one query on a throwaway single-query cluster.
-func RunMatch(q *pattern.Pattern, fr *partition.Fragmentation) (*simulation.Match, cluster.Stats) {
-	c := cluster.NewLocal(fr, cluster.Network{})
-	defer c.Shutdown()
-	m, st, err := EvalMatch(context.Background(), c, q, fr)
-	if err != nil {
-		panic(err) // background context, private cluster: unreachable
-	}
-	return m, st
 }

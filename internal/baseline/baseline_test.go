@@ -50,19 +50,15 @@ func TestQuickBaselinesEqualCentralized(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		q, g, fr := randomCase(r)
 		want := simulation.HHK(q, g)
-		for name, run := range map[string]func(*pattern.Pattern, *partition.Fragmentation) (*simulation.Match, interface{ TotalMsgs() int64 }){} {
-			_ = name
-			_ = run
-		}
-		if got, _ := RunMatch(q, fr); !want.Equal(got) {
+		if got, _ := run(AlgoMatch, q, fr); !want.Equal(got) {
 			t.Logf("seed %d: Match got %v want %v", seed, got, want)
 			return false
 		}
-		if got, _ := RunDisHHK(q, fr); !want.Equal(got) {
+		if got, _ := run(AlgoDisHHK, q, fr); !want.Equal(got) {
 			t.Logf("seed %d: disHHK got %v want %v", seed, got, want)
 			return false
 		}
-		if got, _ := RunDMes(q, fr); !want.Equal(got) {
+		if got, _ := run(AlgoDMes, q, fr); !want.Equal(got) {
 			t.Logf("seed %d: dMes got %v want %v", seed, got, want)
 			return false
 		}
@@ -111,10 +107,10 @@ edge c a
 	}
 	want := simulation.HHK(q, g)
 
-	gotG, stG := dgpm.Run(q, fr, dgpm.Config{Incremental: true})
-	gotM, stM := RunMatch(q, fr)
-	gotH, stH := RunDisHHK(q, fr)
-	gotV, stV := RunDMes(q, fr)
+	gotG, stG := run(dgpm.Algo, q, fr)
+	gotM, stM := run(AlgoMatch, q, fr)
+	gotH, stH := run(AlgoDisHHK, q, fr)
+	gotV, stV := run(AlgoDMes, q, fr)
 	for name, got := range map[string]*simulation.Match{"dGPM": gotG, "Match": gotM, "disHHK": gotH, "dMes": gotV} {
 		if !want.Equal(got) {
 			t.Fatalf("%s: wrong result", name)
@@ -156,8 +152,8 @@ func TestDisHHKPrunesNonCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stH := RunDisHHK(q, fr)
-	_, stM := RunMatch(q, fr)
+	_, stH := run(AlgoDisHHK, q, fr)
+	_, stM := run(AlgoMatch, q, fr)
 	if stH.DataBytes >= stM.DataBytes {
 		t.Fatalf("disHHK (%dB) should ship less than Match (%dB) when most nodes are non-candidates",
 			stH.DataBytes, stM.DataBytes)
@@ -190,7 +186,7 @@ func TestDMesSuperstepsBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, st := RunDMes(q, fr)
+		got, st := run(AlgoDMes, q, fr)
 		if got.NumPairs() != 0 {
 			t.Fatalf("n=%d: broken chain must not match", n)
 		}
@@ -210,7 +206,7 @@ func TestMatchSingleFragment(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := simulation.HHK(q, g)
-	got, _ := RunMatch(q, fr)
+	got, _ := run(AlgoMatch, q, fr)
 	if !want.Equal(got) {
 		t.Fatal("single-fragment Match wrong")
 	}

@@ -13,8 +13,6 @@ package baseline
 
 import (
 	"context"
-	"fmt"
-	"time"
 
 	"dgs/internal/cluster"
 	"dgs/internal/graph"
@@ -71,51 +69,9 @@ func (s *candSite) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
 }
 
 // EvalDisHHK evaluates Q with the candidate-shipping algorithm of [25]
-// as one session on a live cluster.
-func EvalDisHHK(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr *partition.Fragmentation) (*simulation.Match, cluster.Stats, error) {
-	m, st, _, err := EvalDisHHKTraced(ctx, c, q, fr, 0)
-	return m, st, err
-}
-
-// EvalDisHHKTraced is EvalDisHHK with distributed tracing (traceID 0
-// disables it; the trace return is then nil).
-func EvalDisHHKTraced(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr *partition.Fragmentation, traceID uint64) (*simulation.Match, cluster.Stats, *obs.QueryTrace, error) {
-	coord := newMerger()
+// as one session on a live cluster. A nonzero traceID returns the
+// session's QueryTrace (nil otherwise).
+func EvalDisHHK(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, traceID uint64) (*simulation.Match, cluster.Stats, *obs.QueryTrace, error) {
 	spec := cluster.SessionSpec{Algo: AlgoDisHHK, Query: pattern.EncodeBinary(q), TraceID: traceID}
-	sess, err := c.OpenSession(cluster.SessionQuery, spec, coord)
-	if err != nil {
-		return nil, cluster.Stats{}, nil, err
-	}
-	defer sess.Close()
-	start := time.Now()
-	sess.Broadcast(&wire.Control{Op: opCands})
-	if err := sess.WaitQuiesce(ctx); err != nil {
-		return nil, cluster.Stats{}, nil, err
-	}
-	g, ids, err := coord.assemble(q.Dict())
-	if err != nil {
-		panic(fmt.Sprintf("baseline: disHHK assembly: %v", err))
-	}
-	m := simulation.HHK(q, g)
-	res := toGlobal(m, ids)
-	stats := sess.Stats()
-	stats.Wall = time.Since(start)
-	stats.Rounds = 1
-	sess.Close()
-	trace, err := sess.Trace(ctx)
-	if err != nil {
-		return nil, cluster.Stats{}, nil, err
-	}
-	return res.Canonical(), stats, trace, nil
-}
-
-// RunDisHHK evaluates one query on a throwaway single-query cluster.
-func RunDisHHK(q *pattern.Pattern, fr *partition.Fragmentation) (*simulation.Match, cluster.Stats) {
-	c := cluster.NewLocal(fr, cluster.Network{})
-	defer c.Shutdown()
-	m, st, err := EvalDisHHK(context.Background(), c, q, fr)
-	if err != nil {
-		panic(err) // background context, private cluster: unreachable
-	}
-	return m, st
+	return evalMerged(ctx, c, q, spec, opCands)
 }

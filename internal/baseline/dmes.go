@@ -16,7 +16,6 @@ package baseline
 
 import (
 	"context"
-	"time"
 
 	"dgs/internal/cluster"
 	"dgs/internal/graph"
@@ -180,11 +179,10 @@ func (s *dmesSite) superstep(ctx *cluster.Ctx, step uint32) {
 
 // dmesCoord runs the superstep barrier and collects final matches.
 type dmesCoord struct {
+	cluster.Collector
 	n       int
-	nq      int
 	votes   int
 	changed bool
-	pairs   []wire.VarRef
 }
 
 func (c *dmesCoord) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
@@ -206,61 +204,28 @@ func (c *dmesCoord) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
 			}
 		}
 	case *wire.Matches:
-		c.pairs = append(c.pairs, m.Pairs...)
+		c.Collector.Recv(ctx, from, m)
 	}
 }
 
 // EvalDMes evaluates Q with the superstep vertex-centric algorithm as
-// one session on a live cluster.
-func EvalDMes(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr *partition.Fragmentation) (*simulation.Match, cluster.Stats, error) {
-	m, st, _, err := EvalDMesTraced(ctx, c, q, fr, 0)
-	return m, st, err
-}
-
-// EvalDMesTraced is EvalDMes with distributed tracing (traceID 0
-// disables it; the trace return is then nil).
-func EvalDMesTraced(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr *partition.Fragmentation, traceID uint64) (*simulation.Match, cluster.Stats, *obs.QueryTrace, error) {
-	coord := &dmesCoord{n: c.NumSites(), nq: q.NumNodes()}
+// one session on a live cluster. A nonzero traceID returns the session's
+// QueryTrace (nil otherwise).
+func EvalDMes(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr *partition.Fragmentation, traceID uint64) (*simulation.Match, cluster.Stats, *obs.QueryTrace, error) {
+	coord := &dmesCoord{n: c.NumSites()}
 	spec := cluster.SessionSpec{Algo: AlgoDMes, Query: pattern.EncodeBinary(q), TraceID: traceID}
-	sess, err := c.OpenSession(cluster.SessionQuery, spec, coord)
+	stats, trace, err := c.Evaluate(ctx, spec, coord, func(sess *cluster.Session) error {
+		if err := sess.Phase(ctx, &wire.Control{Op: opSuper, Arg: 0}); err != nil {
+			return err
+		}
+		return sess.Phase(ctx, &wire.Control{Op: opReport})
+	})
 	if err != nil {
 		return nil, cluster.Stats{}, nil, err
 	}
-	defer sess.Close()
-	start := time.Now()
-	sess.Broadcast(&wire.Control{Op: opSuper, Arg: 0})
-	if err := sess.WaitQuiesce(ctx); err != nil {
-		return nil, cluster.Stats{}, nil, err
-	}
-	sess.Broadcast(&wire.Control{Op: opReport})
-	if err := sess.WaitQuiesce(ctx); err != nil {
-		return nil, cluster.Stats{}, nil, err
-	}
-	wall := time.Since(start)
-
-	m := simulation.NewMatch(q.NumNodes())
-	for _, r := range coord.pairs {
-		m.Sets[r.U] = append(m.Sets[r.U], graph.NodeID(r.V))
-	}
-	m.Sort()
-	stats := sess.Stats()
-	stats.Wall = wall
-	match := m.Canonical()
-	sess.Close()
-	trace, err := sess.Trace(ctx)
+	m, err := cluster.MatchFromPairs(q.NumNodes(), len(fr.Assign), coord.Pairs)
 	if err != nil {
 		return nil, cluster.Stats{}, nil, err
 	}
-	return match, stats, trace, nil
-}
-
-// RunDMes evaluates one query on a throwaway single-query cluster.
-func RunDMes(q *pattern.Pattern, fr *partition.Fragmentation) (*simulation.Match, cluster.Stats) {
-	c := cluster.NewLocal(fr, cluster.Network{})
-	defer c.Shutdown()
-	m, st, err := EvalDMes(context.Background(), c, q, fr)
-	if err != nil {
-		panic(err) // background context, private cluster: unreachable
-	}
-	return m, st
+	return m.Canonical(), stats, trace, nil
 }

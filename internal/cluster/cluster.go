@@ -836,8 +836,8 @@ func (s *Session) Close() {
 	delete(s.c.sessions, s.qid)
 	s.c.mu.Unlock()
 	// Only the call that actually unregistered the session closes it on
-	// the transport: a traced Eval closes explicitly (span shipment rides
-	// the CLOSE) and again via defer, and the duplicate must not cost a
+	// the transport: Evaluate closes explicitly (span shipment rides the
+	// CLOSE) and again via defer, and the duplicate must not cost a
 	// second round of CLOSE frames.
 	if live {
 		s.c.tr.Close(s.qid)

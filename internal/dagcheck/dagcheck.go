@@ -21,7 +21,6 @@ package dagcheck
 
 import (
 	"context"
-	"time"
 
 	"dgs/internal/cluster"
 	"dgs/internal/graph"
@@ -173,23 +172,15 @@ func init() {
 // cluster whose sites hold the fragmentation.
 func Eval(ctx context.Context, c *cluster.Cluster, fr *partition.Fragmentation) (bool, cluster.Stats, error) {
 	coord := &checkCoord{}
-	sess, err := c.OpenSession(cluster.SessionQuery, cluster.SessionSpec{Algo: Algo}, coord)
+	stats, _, err := c.Evaluate(ctx, cluster.SessionSpec{Algo: Algo}, coord, func(sess *cluster.Session) error {
+		err := sess.Phase(ctx, &wire.Control{Op: opCheck})
+		sess.AddRounds(1)
+		return err
+	})
 	if err != nil {
 		return false, cluster.Stats{}, err
 	}
-	defer sess.Close()
-	start := time.Now()
-	sess.Broadcast(&wire.Control{Op: opCheck})
-	if err := sess.WaitQuiesce(ctx); err != nil {
-		return false, cluster.Stats{}, err
-	}
-	stats := sess.Stats()
-	stats.Wall = time.Since(start)
-	stats.Rounds = 1
-	if coord.cyclic {
-		return false, stats, nil
-	}
-	return boundaryAcyclic(coord.pairs), stats, nil
+	return !coord.cyclic && boundaryAcyclic(coord.pairs), stats, nil
 }
 
 // IsDAG runs the protocol on a throwaway single-query cluster.

@@ -20,7 +20,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"dgs/internal/cluster"
 	"dgs/internal/dagcheck"
@@ -223,17 +222,12 @@ func (s *dagSite) advance(ctx *cluster.Ctx) {
 // cyclic, G does not match Q"). When Q is cyclic and gIsDAG is not
 // asserted, the partition-bounded distributed acyclicity protocol
 // (internal/dagcheck) decides G's case on the same cluster.
-func Eval(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr *partition.Fragmentation, gIsDAG bool) (*simulation.Match, cluster.Stats, error) {
-	m, st, _, err := EvalTraced(ctx, c, q, fr, gIsDAG, 0)
-	return m, st, err
-}
-
-// EvalTraced is Eval with distributed tracing: a nonzero traceID makes
-// every site record per-round spans, collected after the session
-// closes. The acyclicity precheck runs untraced — it is its own
-// sub-session with separate stats. traceID 0 disables tracing (nil
-// trace) with wire traffic byte-identical to Eval.
-func EvalTraced(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr *partition.Fragmentation, gIsDAG bool, traceID uint64) (*simulation.Match, cluster.Stats, *obs.QueryTrace, error) {
+//
+// A nonzero traceID makes every site record per-round spans, returned as
+// a QueryTrace; traceID 0 disables tracing (nil trace) with wire traffic
+// byte-identical to an untraced run. The acyclicity precheck runs
+// untraced — it is its own sub-session with separate stats.
+func Eval(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr *partition.Fragmentation, gIsDAG bool, traceID uint64) (*simulation.Match, cluster.Stats, *obs.QueryTrace, error) {
 	_, qIsDAG := newRankInfo(q)
 	if !qIsDAG {
 		var checkStats cluster.Stats
@@ -252,38 +246,22 @@ func EvalTraced(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr 
 		return simulation.NewMatch(q.NumNodes()), checkStats, nil, nil
 	}
 
-	coord := &collector{nq: q.NumNodes()}
+	coord := &cluster.Collector{}
 	spec := cluster.SessionSpec{Algo: Algo, Query: pattern.EncodeBinary(q), TraceID: traceID}
-	sess, err := c.OpenSession(cluster.SessionQuery, spec, coord)
+	stats, trace, err := c.Evaluate(ctx, spec, coord, func(sess *cluster.Session) error {
+		if err := sess.Phase(ctx, &wire.Control{Op: dgpm.OpStart}); err != nil {
+			return err
+		}
+		return sess.Phase(ctx, &wire.Control{Op: dgpm.OpReport})
+	})
 	if err != nil {
 		return nil, cluster.Stats{}, nil, err
 	}
-	defer sess.Close()
-	start := time.Now()
-	sess.Broadcast(&wire.Control{Op: dgpm.OpStart})
-	if err := sess.WaitQuiesce(ctx); err != nil {
-		return nil, cluster.Stats{}, nil, err
-	}
-	sess.Broadcast(&wire.Control{Op: dgpm.OpReport})
-	if err := sess.WaitQuiesce(ctx); err != nil {
-		return nil, cluster.Stats{}, nil, err
-	}
-	stats := sess.Stats()
-	stats.Wall = time.Since(start)
-	match := coord.assemble()
-	sess.Close()
-	trace, err := sess.Trace(ctx)
+	m, err := cluster.MatchFromPairs(q.NumNodes(), len(fr.Assign), coord.Pairs)
 	if err != nil {
 		return nil, cluster.Stats{}, nil, err
 	}
-	return match, stats, trace, nil
-}
-
-// Run evaluates one query on a throwaway single-query cluster.
-func Run(q *pattern.Pattern, fr *partition.Fragmentation, gIsDAG bool) (*simulation.Match, cluster.Stats, error) {
-	c := cluster.NewLocal(fr, cluster.Network{})
-	defer c.Shutdown()
-	return Eval(context.Background(), c, q, fr, gIsDAG)
+	return m.Canonical(), stats, trace, nil
 }
 
 // Algo is the registered name of the dGPMd site. The spec carries only
@@ -302,24 +280,4 @@ func init() {
 		}
 		return newDagSite(q, frag, ri), nil
 	})
-}
-
-type collector struct {
-	nq    int
-	pairs []wire.VarRef
-}
-
-func (c *collector) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
-	if m, ok := p.(*wire.Matches); ok {
-		c.pairs = append(c.pairs, m.Pairs...)
-	}
-}
-
-func (c *collector) assemble() *simulation.Match {
-	m := simulation.NewMatch(c.nq)
-	for _, r := range c.pairs {
-		m.Sets[r.U] = append(m.Sets[r.U], graph.NodeID(r.V))
-	}
-	m.Sort()
-	return m.Canonical()
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"dgs/internal/dgpm"
 	"dgs/internal/graph"
 	"dgs/internal/partition"
 	"dgs/internal/pattern"
@@ -85,7 +84,7 @@ func TestFig5NoMatchAndBatchedShipping(t *testing.T) {
 	if want.Ok() {
 		t.Fatal("fixture error: G'' must not match Q''")
 	}
-	got, stats, err := Run(q, fr, true)
+	got, stats, err := run(q, fr, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +112,7 @@ func TestCyclicQOnDAGGIsEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := Run(q, fr, true)
+	got, stats, err := run(q, fr, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +136,7 @@ func TestCyclicQCyclicGRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Run(q, fr, false); err == nil {
+	if _, _, err := run(q, fr, false); err == nil {
 		t.Fatal("cyclic Q and cyclic G must be rejected")
 	}
 }
@@ -190,7 +189,7 @@ func TestQuickDGPMdEqualsCentralized(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		q, g, fr := randomDAGCase(r)
 		want := simulation.HHK(q, g)
-		got, _, err := Run(q, fr, false)
+		got, _, err := run(q, fr, false)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -199,8 +198,8 @@ func TestQuickDGPMdEqualsCentralized(t *testing.T) {
 			t.Logf("seed %d: got %v want %v", seed, got, want)
 			return false
 		}
-		got2, _ := dgpm.Run(q, fr, dgpm.DefaultConfig())
-		return want.Equal(got2)
+		got2, err := runDGPM(q, fr)
+		return err == nil && want.Equal(got2)
 	}
 	n := 60
 	if testing.Short() {
@@ -237,7 +236,7 @@ func TestQuickMessagePlanBound(t *testing.T) {
 				}
 			}
 		}
-		_, stats, err := Run(q, fr, false)
+		_, stats, err := run(q, fr, false)
 		if err != nil {
 			return false
 		}
@@ -289,7 +288,7 @@ func TestSingleNodePattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := Run(q, fr, false)
+	got, stats, err := run(q, fr, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -173,7 +173,7 @@ func runVariants(t *testing.T, q *pattern.Pattern, g *graph.Graph, fr *partition
 		"push-only":   {Push: true, Theta: 0.2},
 		"eager-push":  {Incremental: true, Push: true, Theta: 0},
 	} {
-		got, _ := Run(q, fr, cfg)
+		got, _ := run(q, fr, cfg)
 		if !want.Equal(got) {
 			t.Fatalf("%s: got %v, want %v", name, got, want)
 		}
@@ -184,7 +184,7 @@ func TestDGPMFig1AllVariants(t *testing.T) {
 	q, g, ids, assign := fig1()
 	fr := mustPartition(t, g, assign)
 	runVariants(t, q, g, fr)
-	got, stats := Run(q, fr, DefaultConfig())
+	got, stats := run(q, fr, DefaultConfig())
 	if !got.Ok() {
 		t.Fatal("Fig-1 graph must match")
 	}
@@ -215,7 +215,7 @@ func TestDGPMFig1EdgeRemoved(t *testing.T) {
 	g := b.MustBuild()
 	fr := mustPartition(t, g, assign)
 	want := simulation.HHK(q, g)
-	got, stats := Run(q, fr, DefaultConfig())
+	got, stats := run(q, fr, DefaultConfig())
 	if !want.Equal(got) {
 		t.Fatalf("got %v, want %v", got, want)
 	}
@@ -245,7 +245,7 @@ func TestDGPMFig2CycleAcrossAllSites(t *testing.T) {
 		g := b.MustBuild()
 		fr := mustPartition(t, g, assign)
 		want := simulation.HHK(q, g)
-		got, _ := Run(q, fr, DefaultConfig())
+		got, _ := run(q, fr, DefaultConfig())
 		if !want.Equal(got) {
 			t.Fatalf("n=%d: got %v, want %v", n, got, want)
 		}
@@ -276,7 +276,7 @@ func TestDGPMFig2BrokenChain(t *testing.T) {
 	}
 	g := b.MustBuild()
 	fr := mustPartition(t, g, assign)
-	got, stats := Run(q, fr, DefaultConfig())
+	got, stats := run(q, fr, DefaultConfig())
 	if got.NumPairs() != 0 {
 		t.Fatalf("broken chain must be empty, got %v", got)
 	}
@@ -329,7 +329,7 @@ func TestQuickDGPMEqualsCentralized(t *testing.T) {
 		q, g, fr := randomCase(r)
 		want := simulation.HHK(q, g)
 		for ci, cfg := range cfgs {
-			got, _ := Run(q, fr, cfg)
+			got, _ := run(q, fr, cfg)
 			if !want.Equal(got) {
 				t.Logf("seed %d cfg %d: got %v want %v", seed, ci, got, want)
 				return false
@@ -353,7 +353,7 @@ func TestQuickDataShipmentBound(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		q, _, fr := randomCase(r)
-		_, stats := Run(q, fr, Config{Incremental: true}) // pure dGPM protocol, no push
+		_, stats := run(q, fr, Config{Incremental: true}) // pure dGPM protocol, no push
 		boundEntries := int64(fr.Ef()*q.NumNodes() + 1)
 		// 6 bytes per entry + ≤5 bytes header per message; messages ≤ entries.
 		boundBytes := boundEntries*6 + stats.DataMsgs*5

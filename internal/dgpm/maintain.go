@@ -10,7 +10,7 @@ package dgpm
 //     the fragment starts/stops holding the target as virtual — the
 //     distributed upkeep of the §2.2 boundary structure.
 //
-//   - Maintainer holds a standing query: per-site engines stay alive
+//   - Standing holds the standing queries: per-site engines stay alive
 //     after the initial fixpoint, and each deletion batch is absorbed
 //     incrementally — deletion deltas at the owning sites trigger
 //     counter decrements whose falsifications travel the ordinary lMsg
@@ -196,19 +196,17 @@ func ApplyUpdates(c *cluster.Cluster, fr *partition.Fragmentation, dels, ins [][
 // overlapping Watches cost one session, not K.
 //
 // Per-site engines survive between batches, refined incrementally under
-// deletions and rebuilt under insertions, exactly as a single-query
-// Maintainer.
+// deletions and rebuilt under insertions.
 type Standing struct {
 	c  *cluster.Cluster
 	fr *partition.Fragmentation
-	qs []*pattern.Pattern
 
 	union *pattern.Pattern
-	offs  []int
+	offs  []int      // block k owns union nodes [offs[k], offs[k+1])
 	pl    *plan.Plan // advisory plan for the union; may be nil
 
 	sess  *cluster.Session
-	coord *collector
+	coord *cluster.Collector
 
 	cur  []*simulation.Match // per block
 	last cluster.Stats       // the last window's isolated stats
@@ -223,7 +221,7 @@ func NewStanding(ctx context.Context, c *cluster.Cluster, fr *partition.Fragment
 	if err != nil {
 		return nil, err
 	}
-	s := &Standing{c: c, fr: fr, qs: qs, union: union, offs: offs}
+	s := &Standing{c: c, fr: fr, union: union, offs: offs}
 	if planFor != nil {
 		s.pl = planFor(union)
 	}
@@ -232,12 +230,6 @@ func NewStanding(ctx context.Context, c *cluster.Cluster, fr *partition.Fragment
 	}
 	return s, nil
 }
-
-// NumBlocks reports the number of member patterns.
-func (s *Standing) NumBlocks() int { return len(s.qs) }
-
-// Pattern returns member k's pattern.
-func (s *Standing) Pattern(k int) *pattern.Pattern { return s.qs[k] }
 
 // Current returns member k's maintained match relation as of the last
 // successfully applied window.
@@ -254,7 +246,7 @@ func (s *Standing) LastStats() cluster.Stats { return s.last }
 // because restart-in-place would race the old session's in-flight
 // falsifications against the new engines.
 func (s *Standing) Reevaluate(ctx context.Context) error {
-	coord := &collector{nq: s.union.NumNodes()}
+	coord := &cluster.Collector{}
 	spec := cluster.SessionSpec{Algo: Algo, Query: pattern.EncodeBinary(s.union), Config: EncodeConfig(MaintConfig())}
 	if s.pl != nil {
 		spec.Planner, spec.Plan = s.pl.Planner, s.pl.Encode()
@@ -264,8 +256,7 @@ func (s *Standing) Reevaluate(ctx context.Context) error {
 		return err
 	}
 	start := time.Now()
-	sess.Broadcast(&wire.Control{Op: OpStart})
-	if err := sess.WaitQuiesce(ctx); err != nil {
+	if err := sess.Phase(ctx, &wire.Control{Op: OpStart}); err != nil {
 		sess.Close()
 		return err
 	}
@@ -322,25 +313,19 @@ func (s *Standing) ApplyDeletions(ctx context.Context, dels [][2]graph.NodeID) e
 // into per-block relations. Canonicalization (the ∅-if-any-node-empty
 // rule of §4.1 phase 3) is applied PER BLOCK: one unmatched member must
 // empty its own relation only, not its session-mates'.
-func (s *Standing) collect(ctx context.Context, sess *cluster.Session, coord *collector) ([]*simulation.Match, error) {
-	coord.pairs = coord.pairs[:0]
-	sess.Broadcast(&wire.Control{Op: OpReport})
-	if err := sess.WaitQuiesce(ctx); err != nil {
+func (s *Standing) collect(ctx context.Context, sess *cluster.Session, coord *cluster.Collector) ([]*simulation.Match, error) {
+	coord.Pairs = coord.Pairs[:0]
+	if err := sess.Phase(ctx, &wire.Control{Op: OpReport}); err != nil {
 		return nil, err
 	}
-	per := make([]*simulation.Match, len(s.qs))
-	for k, q := range s.qs {
-		per[k] = simulation.NewMatch(q.NumNodes())
+	union, err := cluster.MatchFromPairs(s.union.NumNodes(), len(s.fr.Assign), coord.Pairs)
+	if err != nil {
+		return nil, err
 	}
-	for _, r := range coord.pairs {
-		u := int(r.U)
-		// Block k owns [offs[k], offs[k+1]).
-		k := sort.SearchInts(s.offs, u+1) - 1
-		per[k].Sets[u-s.offs[k]] = append(per[k].Sets[u-s.offs[k]], graph.NodeID(r.V))
-	}
+	per := make([]*simulation.Match, len(s.offs)-1)
 	for k := range per {
-		per[k].Sort()
-		per[k] = per[k].Canonical()
+		block := &simulation.Match{Sets: union.Sets[s.offs[k]:s.offs[k+1]]}
+		per[k] = block.Canonical()
 	}
 	return per, nil
 }
@@ -352,41 +337,3 @@ func (s *Standing) Close() {
 		s.sess.Close()
 	}
 }
-
-// Maintainer is a single standing query: a one-block Standing, kept as
-// the simple facade for callers without sharing.
-type Maintainer struct {
-	s *Standing
-}
-
-// NewMaintainer evaluates q as a standing query on the cluster and
-// returns the maintenance handle. The session stays registered until
-// Close (or cluster shutdown).
-func NewMaintainer(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr *partition.Fragmentation) (*Maintainer, error) {
-	s, err := NewStanding(ctx, c, fr, []*pattern.Pattern{q}, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &Maintainer{s: s}, nil
-}
-
-// Current returns the maintained match relation as of the last
-// successfully applied window.
-func (m *Maintainer) Current() *simulation.Match { return m.s.Current(0) }
-
-// LastStats reports the isolated traffic/time of the last window.
-func (m *Maintainer) LastStats() cluster.Stats { return m.s.LastStats() }
-
-// Reevaluate rebuilds the session from the (mutated) fragments; see
-// Standing.Reevaluate.
-func (m *Maintainer) Reevaluate(ctx context.Context) error { return m.s.Reevaluate(ctx) }
-
-// ApplyDeletions refines the standing relation under the batch's edge
-// deletions; see Standing.ApplyDeletions.
-func (m *Maintainer) ApplyDeletions(ctx context.Context, dels [][2]graph.NodeID) error {
-	return m.s.ApplyDeletions(ctx, dels)
-}
-
-// Close unregisters the standing session. The last relation remains
-// readable via Current.
-func (m *Maintainer) Close() { m.s.Close() }

@@ -49,7 +49,7 @@ func TestQuickDuplicateDeliveryHarmless(t *testing.T) {
 		}
 
 		// System-level: the full protocol still agrees with centralized.
-		got, _ := Run(q, fr, DefaultConfig())
+		got, _ := run(q, fr, DefaultConfig())
 		return want.Equal(got)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -115,7 +115,7 @@ func TestRoundsAccounting(t *testing.T) {
 	q, g, _, assign := fig1()
 	_ = g
 	fr := mustPartition(t, g, assign)
-	_, stats := Run(q, fr, DefaultConfig())
+	_, stats := run(q, fr, DefaultConfig())
 	if stats.Rounds < 0 {
 		t.Fatal("negative rounds")
 	}
@@ -133,8 +133,8 @@ func TestQuickBooleanAgreesWithSelecting(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		q, g, fr := randomCase(r)
 		want := simulation.HHK(q, g)
-		ok, _ := RunBoolean(q, fr, DefaultConfig())
-		return ok == want.Ok()
+		got, _ := run(q, fr, DefaultConfig())
+		return got.Ok() == want.Ok()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestAbsentLabelShipsAlmostNothing(t *testing.T) {
 		assign[i] = int32(i % 4)
 	}
 	fr := mustPartition(t, g, assign)
-	got, stats := Run(q, fr, DefaultConfig())
+	got, stats := run(q, fr, DefaultConfig())
 	if got.NumPairs() != 0 {
 		t.Fatal("must be empty")
 	}

@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -76,35 +75,6 @@ func (o Options) norm() Options {
 		o.CacheSize = 1024
 	}
 	return o
-}
-
-// algoByName maps the CLI/HTTP algorithm names (as in dgsrun -algo) to
-// the library's selectors.
-var algoByName = map[string]dgs.Algorithm{
-	"dgpm":     dgs.AlgoDGPM,
-	"dgpmnopt": dgs.AlgoDGPMNoOpt,
-	"dgpmd":    dgs.AlgoDGPMd,
-	"dgpmt":    dgs.AlgoDGPMt,
-	"match":    dgs.AlgoMatch,
-	"dishhk":   dgs.AlgoDisHHK,
-	"dmes":     dgs.AlgoDMes,
-}
-
-// AlgorithmByName resolves a lowercase algorithm name ("dgpm", "dmes",
-// ...) to its selector.
-func AlgorithmByName(name string) (dgs.Algorithm, bool) {
-	a, ok := algoByName[strings.ToLower(name)]
-	return a, ok
-}
-
-// AlgorithmNames lists the accepted algorithm names, sorted.
-func AlgorithmNames() []string {
-	out := make([]string, 0, len(algoByName))
-	for n := range algoByName {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // RequestError marks a malformed request (unparseable pattern, unknown
@@ -371,9 +341,9 @@ func (s *Server) compile(req QueryRequest) (*compiled, error) {
 	q, canon, perm := reqQ.Canonical()
 	algo := s.opts.Algorithm
 	if req.Algo != "" {
-		a, ok := AlgorithmByName(req.Algo)
+		a, ok := dgs.ParseAlgorithm(req.Algo)
 		if !ok {
-			return nil, badRequest("unknown algorithm %q (have %s)", req.Algo, strings.Join(AlgorithmNames(), "|"))
+			return nil, badRequest("unknown algorithm %q (have %s)", req.Algo, strings.Join(dgs.AlgorithmNames(), "|"))
 		}
 		algo = a
 	}

@@ -25,7 +25,6 @@ package treesim
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"dgs/internal/cluster"
 	"dgs/internal/dgpm"
@@ -190,10 +189,8 @@ func (s *solver) falseFor(nodes []graph.NodeID, nq int) []wire.VarRef {
 
 // treeCoord collects round-1 equation systems and final matches.
 type treeCoord struct {
-	n       int
-	nq      int
+	cluster.Collector
 	systems []*wire.EqSystem
-	pairs   []wire.VarRef
 }
 
 func (c *treeCoord) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
@@ -201,7 +198,7 @@ func (c *treeCoord) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
 	case *wire.EqSystem:
 		c.systems = append(c.systems, m)
 	case *wire.Matches:
-		c.pairs = append(c.pairs, m.Pairs...)
+		c.Collector.Recv(ctx, from, m)
 	}
 }
 
@@ -209,16 +206,11 @@ func (c *treeCoord) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
 // dGPMt, as one session. Preconditions (Corollary 4): G is a tree (or
 // forest) and every fragment is connected, i.e. has at most one in-node.
 // Violations are reported as errors before any distributed work.
-func Eval(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr *partition.Fragmentation) (*simulation.Match, cluster.Stats, error) {
-	m, st, _, err := EvalTraced(ctx, c, q, fr, 0)
-	return m, st, err
-}
-
-// EvalTraced is Eval with distributed tracing: a nonzero traceID makes
-// every site record per-round spans, collected after the session
-// closes. traceID 0 disables tracing (nil trace) with wire traffic
-// byte-identical to Eval.
-func EvalTraced(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr *partition.Fragmentation, traceID uint64) (*simulation.Match, cluster.Stats, *obs.QueryTrace, error) {
+//
+// A nonzero traceID makes every site record per-round spans, returned as
+// a QueryTrace; traceID 0 disables tracing (nil trace) with wire traffic
+// byte-identical to an untraced run.
+func Eval(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr *partition.Fragmentation, traceID uint64) (*simulation.Match, cluster.Stats, *obs.QueryTrace, error) {
 	if _, ok := graph.IsTree(fr.CurrentGraph()); !ok {
 		return nil, cluster.Stats{}, nil, fmt.Errorf("treesim: dGPMt requires a tree (or forest) data graph")
 	}
@@ -228,70 +220,44 @@ func EvalTraced(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr 
 		}
 	}
 
-	n := fr.NumFragments()
-	coord := &treeCoord{n: n, nq: q.NumNodes()}
+	coord := &treeCoord{}
 	spec := cluster.SessionSpec{Algo: Algo, Query: pattern.EncodeBinary(q), TraceID: traceID}
-	sess, err := c.OpenSession(cluster.SessionQuery, spec, coord)
+	stats, trace, err := c.Evaluate(ctx, spec, coord, func(sess *cluster.Session) error {
+		// Round 1: partial evaluation, equations to the coordinator.
+		if err := sess.Phase(ctx, &wire.Control{Op: dgpm.OpStart}); err != nil {
+			return err
+		}
+		sess.AddRounds(1)
+
+		// Solve the unified system at Sc.
+		sv := newSolver()
+		for _, m := range coord.systems {
+			sv.addSystem(m)
+		}
+		sv.solve()
+
+		// Round 2: per-site values of its virtual variables. The coordinator
+		// organized the fragmentation, so it knows each site's virtual nodes;
+		// only falsified values need shipping.
+		for i, f := range fr.Frags {
+			sess.Inject(i, &wire.Values{False: sv.falseFor(f.Virtual, q.NumNodes())})
+		}
+		if err := sess.WaitQuiesce(ctx); err != nil {
+			return err
+		}
+		sess.AddRounds(1)
+
+		// Assembly.
+		return sess.Phase(ctx, &wire.Control{Op: dgpm.OpReport})
+	})
 	if err != nil {
 		return nil, cluster.Stats{}, nil, err
 	}
-	defer sess.Close()
-
-	start := time.Now()
-	// Round 1: partial evaluation, equations to the coordinator.
-	sess.Broadcast(&wire.Control{Op: dgpm.OpStart})
-	if err := sess.WaitQuiesce(ctx); err != nil {
-		return nil, cluster.Stats{}, nil, err
-	}
-	sess.AddRounds(1)
-
-	// Solve the unified system at Sc.
-	sv := newSolver()
-	for _, m := range coord.systems {
-		sv.addSystem(m)
-	}
-	sv.solve()
-
-	// Round 2: per-site values of its virtual variables. The coordinator
-	// organized the fragmentation, so it knows each site's virtual nodes;
-	// only falsified values need shipping.
-	for i := 0; i < n; i++ {
-		falsev := sv.falseFor(fr.Frags[i].Virtual, q.NumNodes())
-		sess.Inject(i, &wire.Values{False: falsev})
-	}
-	if err := sess.WaitQuiesce(ctx); err != nil {
-		return nil, cluster.Stats{}, nil, err
-	}
-	sess.AddRounds(1)
-
-	// Assembly.
-	sess.Broadcast(&wire.Control{Op: dgpm.OpReport})
-	if err := sess.WaitQuiesce(ctx); err != nil {
-		return nil, cluster.Stats{}, nil, err
-	}
-	wall := time.Since(start)
-
-	m := simulation.NewMatch(q.NumNodes())
-	for _, r := range coord.pairs {
-		m.Sets[r.U] = append(m.Sets[r.U], graph.NodeID(r.V))
-	}
-	m.Sort()
-	stats := sess.Stats()
-	stats.Wall = wall
-	match := m.Canonical()
-	sess.Close()
-	trace, err := sess.Trace(ctx)
+	m, err := cluster.MatchFromPairs(q.NumNodes(), len(fr.Assign), coord.Pairs)
 	if err != nil {
 		return nil, cluster.Stats{}, nil, err
 	}
-	return match, stats, trace, nil
-}
-
-// Run evaluates one query on a throwaway single-query cluster.
-func Run(q *pattern.Pattern, fr *partition.Fragmentation) (*simulation.Match, cluster.Stats, error) {
-	c := cluster.NewLocal(fr, cluster.Network{})
-	defer c.Shutdown()
-	return Eval(context.Background(), c, q, fr)
+	return m.Canonical(), stats, trace, nil
 }
 
 // Algo is the registered name of the dGPMt site.

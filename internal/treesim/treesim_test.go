@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"dgs/internal/dgpm"
 	"dgs/internal/graph"
 	"dgs/internal/partition"
 	"dgs/internal/pattern"
@@ -88,7 +87,7 @@ edge c dd
 		t.Fatal(err)
 	}
 	want := simulation.HHK(q, g)
-	got, stats, err := Run(q, fr)
+	got, stats, err := run(q, fr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +117,7 @@ func TestTreeNoMatchPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := Run(q, fr)
+	got, _, err := run(q, fr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +139,7 @@ func TestRejectsNonTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Run(q, fr); err == nil {
+	if _, _, err := run(q, fr); err == nil {
 		t.Fatal("cycle accepted")
 	}
 }
@@ -160,7 +159,7 @@ func TestRejectsDisconnectedFragment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Run(q, fr); err == nil {
+	if _, _, err := run(q, fr); err == nil {
 		t.Fatal("disconnected fragment accepted")
 	}
 }
@@ -172,7 +171,7 @@ func TestQuickTreeEqualsCentralized(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		q, g, fr := randomTreeCase(r)
 		want := simulation.HHK(q, g)
-		got, _, err := Run(q, fr)
+		got, _, err := run(q, fr)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -181,8 +180,8 @@ func TestQuickTreeEqualsCentralized(t *testing.T) {
 			t.Logf("seed %d: got %v want %v (frags=%d)", seed, got, want, fr.NumFragments())
 			return false
 		}
-		got2, _ := dgpm.Run(q, fr, dgpm.DefaultConfig())
-		return want.Equal(got2)
+		got2, err := runDGPM(q, fr)
+		return err == nil && want.Equal(got2)
 	}
 	n := 60
 	if testing.Short() {
@@ -202,7 +201,7 @@ func TestQuickTreeShipmentBound(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		q, _, fr := randomTreeCase(r)
-		_, stats, err := Run(q, fr)
+		_, stats, err := run(q, fr)
 		if err != nil {
 			return false
 		}
@@ -232,7 +231,7 @@ func TestTreeShipmentIndependentOfGraphSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, stats, err := Run(q, fr)
+		_, stats, err := run(q, fr)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,8 @@
 package dgs
 
 import (
+	"sort"
+	"strings"
 	"time"
 
 	"dgs/internal/cluster"
@@ -33,26 +35,48 @@ const (
 	AlgoDMes
 )
 
+// algorithmNames is the one name table: per constant, the name used in
+// the paper's figures. Its lowercase form is the name the CLIs and the
+// gateway accept.
+//
+//dgsvet:exhaustive
+var algorithmNames = [...]string{
+	AlgoDGPM:      "dGPM",
+	AlgoDGPMNoOpt: "dGPMNOpt",
+	AlgoDGPMd:     "dGPMd",
+	AlgoDGPMt:     "dGPMt",
+	AlgoMatch:     "Match",
+	AlgoDisHHK:    "disHHK",
+	AlgoDMes:      "dMes",
+}
+
 // String names the algorithm as in the paper's figures.
 func (a Algorithm) String() string {
-	switch a {
-	case AlgoDGPM:
-		return "dGPM"
-	case AlgoDGPMNoOpt:
-		return "dGPMNOpt"
-	case AlgoDGPMd:
-		return "dGPMd"
-	case AlgoDGPMt:
-		return "dGPMt"
-	case AlgoMatch:
-		return "Match"
-	case AlgoDisHHK:
-		return "disHHK"
-	case AlgoDMes:
-		return "dMes"
-	default:
+	if a < 0 || int(a) >= len(algorithmNames) {
 		return "unknown"
 	}
+	return algorithmNames[a]
+}
+
+// ParseAlgorithm is the inverse of String, case-insensitive: it accepts
+// the figure name and the lowercase CLI/HTTP name ("dgpm", "dmes", ...).
+func ParseAlgorithm(name string) (Algorithm, bool) {
+	for a, n := range algorithmNames {
+		if strings.EqualFold(name, n) {
+			return Algorithm(a), true
+		}
+	}
+	return 0, false
+}
+
+// AlgorithmNames lists the lowercase algorithm names, sorted.
+func AlgorithmNames() []string {
+	out := make([]string, len(algorithmNames))
+	for a, n := range algorithmNames {
+		out[a] = strings.ToLower(n)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // Stats reports one query's cost metrics: PT (wall-clock response time)

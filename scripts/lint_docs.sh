@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Documentation lint, enforced by `make docs` and CI:
 #   1. every package (root, internal/*, cmd/*) has a package comment;
-#   2. the operator-facing documents exist and are non-trivial.
+#   2. the operator-facing documents exist and are non-trivial;
+#   3. the documents track the code they describe (payload kinds, frames,
+#      endpoints, algorithm names, driver entry points, analyzers).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -98,6 +100,34 @@ for need in explain canonical_key planner; do
     echo "docs/HTTP.md does not mention '$need'"
     fail=1
   fi
+done
+
+# README and the HTTP spec must name every algorithm the CLIs accept;
+# the list is dgs.AlgorithmNames(), read off dgsrun's -algo usage line.
+algos=$(go run ./cmd/dgsrun -h 2>&1 | sed -n '/^  -algo /{n;s/ *(default.*//;p;}' | tr -d '[:space:]' | tr '|' ' ' || true)
+if [ -z "$algos" ]; then
+  echo "could not read the algorithm names from dgsrun -h"
+  fail=1
+fi
+for name in $algos; do
+  for doc in README.md docs/HTTP.md; do
+    if ! grep -qw -- "$name" "$doc"; then
+      echo "$doc does not mention algorithm '$name'"
+      fail=1
+    fi
+  done
+done
+
+# One driver entry point per algorithm: every exported Eval…/Run…
+# function of the algorithm packages must be listed in DESIGN.md §4, so
+# a wrapper cannot reappear without the document changing.
+for pkg in dgpm dagsim treesim baseline; do
+  for fn in $(grep -hoE '^func (Eval|Run)[A-Za-z0-9_]*' $(ls internal/$pkg/*.go | grep -v _test.go) | awk '{print $2}'); do
+    if ! grep -q -- "\`$pkg\.$fn\`" DESIGN.md; then
+      echo "internal/$pkg exports driver function $fn, which DESIGN.md §4 does not list"
+      fail=1
+    fi
+  done
 done
 
 # Every dgsvet analyzer must have its own section in docs/ANALYSIS.md.
