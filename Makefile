@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: tier1 vet dgsvet analyze analyze-fix build test race bench bench-check fuzz examples docs smoke-tcp partition-smoke bench-partition gw-smoke obs-smoke bench-serving failover-smoke bench-failover bench-planner clean help
+.PHONY: tier1 vet dgsvet analyze analyze-fix build test race bench bench-check bench-smoke fuzz examples docs smoke-tcp partition-smoke bench-partition gw-smoke obs-smoke bench-serving failover-smoke bench-failover bench-planner clean help
 
 # tier1 is the gate every change must pass: static checks (go vet plus
 # the project-specific dgsvet analyzers), full build, and the test suite
@@ -54,6 +54,14 @@ bench-check:
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./...
 	$(GO) run ./cmd/dgsvet -dir benchmark
+
+# bench-smoke runs the layered benchmark's five workloads at 1/20 scale
+# over real dgsd/dgsgw processes, 2 s each: it measures nothing, but
+# every answer is checked against the benchmark's external oracle and the
+# command exits 1 on a wrong result or a failed op — the end-to-end check
+# bench-check (build and unit tests only) does not make.
+bench-smoke:
+	$(GO) run -C benchmark . -smoke -seconds 2
 
 # fuzz runs each native fuzz target for FUZZTIME (go test -fuzz accepts
 # one target per invocation). CI uses this as a smoke pass; let it run
@@ -149,6 +157,7 @@ help:
 	@echo "  docs             documentation lint (package comments, specs, ANALYSIS.md)"
 	@echo "  bench            root-package benchmarks, one iteration"
 	@echo "  bench-check      build + vet + test + dgsvet the benchmark/ module against this tree"
+	@echo "  bench-smoke      the benchmark's five workloads at 1/20 scale, answers checked against the oracle"
 	@echo "  smoke-tcp        two dgsd processes on loopback, all algorithms"
 	@echo "  partition-smoke  partitioner quality smoke (LDG beats Random)"
 	@echo "  gw-smoke         2 dgsd + 1 dgsgw over HTTP (cache + invalidation)"

@@ -198,8 +198,8 @@ func main() {
 	}
 	st := res.Stats
 	fmt.Printf("PT:        %v (busiest site %v)\n", st.Wall.Round(0), st.MaxSiteBusy.Round(0))
-	fmt.Printf("DS:        %.2f KB in %d messages (+%d control B, +%d result B)\n",
-		float64(st.DataBytes)/1024, st.DataMsgs, st.ControlBytes, st.ResultBytes)
+	fmt.Printf("DS:        %.2f KB in %d messages, %d B in %d pushes (+%d control B, +%d result B)\n",
+		float64(st.DataBytes)/1024, st.DataMsgs, st.PushBytes, st.PushMsgs, st.ControlBytes, st.ResultBytes)
 	if dep.Remote() {
 		sent, received := dep.WireFrames()
 		fmt.Printf("wire:      %.2f KB measured on the TCP path (frames + acks)\n", float64(st.WireBytes)/1024)

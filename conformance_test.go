@@ -121,6 +121,32 @@ var confAlgos = []Algorithm{
 	AlgoDGPM, AlgoDGPMNoOpt, AlgoDGPMd, AlgoDGPMt, AlgoMatch, AlgoDisHHK, AlgoDMes,
 }
 
+// confArm is one column of the matrix: an algorithm under a set of query
+// options. Every algorithm runs under its defaults (the arm is then named
+// after the algorithm alone); dGPM additionally runs with the §4.2 push
+// operation off and with θ = 0 (every site with something to push does).
+type confArm struct {
+	name string
+	algo Algorithm
+	opts []QueryOption
+}
+
+func confArms() []confArm {
+	var arms []confArm
+	for _, algo := range confAlgos {
+		arms = append(arms, confArm{name: algo.String(), algo: algo})
+	}
+	return append(arms,
+		confArm{"dGPM-nopush", AlgoDGPM, []QueryOption{WithPushDisabled()}},
+		confArm{"dGPM-theta0", AlgoDGPM, []QueryOption{WithPushTheta(0)}},
+	)
+}
+
+// confPush is what an arm pushed on one cell of the matrix. The push
+// decision is taken on a site's initial partial evaluation, before any
+// message is processed, so it is the same on every run and transport.
+type confPush struct{ msgs, bytes int64 }
+
 // confModes are the transport backends the matrix runs over: the
 // in-process channel network, a deployment spanning two dgsd site
 // servers over loopback TCP, and the same TCP deployment with
@@ -164,10 +190,11 @@ func confModes(t *testing.T) []struct {
 	}
 }
 
-// TestConformanceMatrix — all seven algorithms × {cyclic, DAG, tree}
-// workloads × {Random, Blocks, TargetRatio, LDG, Fennel} partitions ×
-// {in-process, loopback-TCP} transports agree with centralized
-// Simulate.
+// TestConformanceMatrix — all seven algorithms, plus dGPM with push off
+// and with θ = 0, × {cyclic, DAG, tree} workloads × {Random, Blocks,
+// TargetRatio, LDG, Fennel} partitions × {in-process, loopback-TCP}
+// transports agree with centralized Simulate, and each arm pushes the
+// same messages and bytes on every transport.
 // Combinations outside an algorithm's preconditions (dGPMd needs a DAG
 // pattern or DAG graph; dGPMt needs a tree graph) are skipped
 // explicitly. On the TCP backend every deployment spans two dgsd
@@ -175,10 +202,13 @@ func confModes(t *testing.T) []struct {
 // measured wire bytes.
 func TestConformanceMatrix(t *testing.T) {
 	ctx := context.Background()
+	arms := confArms()
+	pushed := make(map[string]confPush) // by cell name, from the first transport that ran it
 	for _, mode := range confModes(t) {
 		mode := mode
 		t.Run(mode.name, func(t *testing.T) {
 			covered := make(map[Algorithm]bool)
+			defaultPushBytes := int64(0)
 			for _, wl := range confWorkloads(t) {
 				for pname, part := range confPartitions(t, wl) {
 					dep, err := Deploy(part, mode.extra(t)...)
@@ -187,10 +217,11 @@ func TestConformanceMatrix(t *testing.T) {
 					}
 					for _, cq := range wl.queries {
 						oracle := Simulate(cq.q, wl.g)
-						for _, algo := range confAlgos {
-							name := fmt.Sprintf("%s/%s/%s/%s", wl.name, pname, cq.name, algo)
+						for _, arm := range arms {
+							algo := arm.algo
+							name := fmt.Sprintf("%s/%s/%s/%s", wl.name, pname, cq.name, arm.name)
 							t.Run(name, func(t *testing.T) {
-								var opts []QueryOption
+								opts := arm.opts
 								switch algo {
 								case AlgoDGPMd:
 									if !cq.q.IsDAG() && !wl.gIsDAG {
@@ -221,6 +252,23 @@ func TestConformanceMatrix(t *testing.T) {
 								if !dep.Remote() && res.Stats.WireBytes != 0 {
 									t.Fatalf("%s: in-process query reported wire bytes", name)
 								}
+								got := confPush{res.Stats.PushMsgs, res.Stats.PushBytes}
+								if want, seen := pushed[name]; seen && got != want {
+									t.Fatalf("%s: pushed %+v, but %+v on an earlier transport", name, got, want)
+								}
+								pushed[name] = got
+								switch arm.name {
+								case "dGPM":
+									defaultPushBytes += got.bytes
+								case "dGPM-nopush":
+									if got != (confPush{}) {
+										t.Fatalf("%s: push disabled, yet pushed %+v", name, got)
+									}
+								case "dGPM-theta0":
+									if def := pushed[fmt.Sprintf("%s/%s/%s/dGPM", wl.name, pname, cq.name)]; got.bytes < def.bytes {
+										t.Fatalf("%s: θ=0 pushed %+v, less than the default θ's %+v", name, got, def)
+									}
+								}
 								covered[algo] = true
 							})
 						}
@@ -232,6 +280,9 @@ func TestConformanceMatrix(t *testing.T) {
 				if !covered[algo] {
 					t.Fatalf("algorithm %s was never exercised by the matrix", algo)
 				}
+			}
+			if defaultPushBytes == 0 {
+				t.Fatal("no cell of the matrix pushed at the default θ: the push-on arm guards nothing")
 			}
 		})
 	}

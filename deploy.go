@@ -323,6 +323,8 @@ type driverMetrics struct {
 	querySeconds *obs.Histogram
 	queryRounds  *obs.Histogram
 	dataBytes    *obs.Counter
+	pushMsgs     *obs.Counter
+	pushBytes    *obs.Counter
 	controlBytes *obs.Counter
 	resultBytes  *obs.Counter
 	wireBytes    *obs.Counter
@@ -344,6 +346,10 @@ func (d *Deployment) registerMetrics() {
 		"Communication rounds per query.", obs.DefCountBuckets)
 	d.om.dataBytes = r.Counter("dgs_data_bytes_total",
 		"Data shipment bytes across all queries (the paper's DS).")
+	d.om.pushMsgs = r.Counter("dgs_push_msgs_total",
+		"Push messages shipped across all queries (dGPM's §4.2 benefit test cleared θ).")
+	d.om.pushBytes = r.Counter("dgs_push_bytes_total",
+		"Pushed-equation bytes across all queries (a share of dgs_data_bytes_total).")
 	d.om.controlBytes = r.Counter("dgs_control_bytes_total",
 		"Coordination traffic bytes across all queries.")
 	d.om.resultBytes = r.Counter("dgs_result_bytes_total",
@@ -512,6 +518,8 @@ func (d *Deployment) observeQuery(st cluster.Stats) {
 	d.om.querySeconds.Observe(st.Wall.Seconds())
 	d.om.queryRounds.Observe(float64(st.Rounds))
 	d.om.dataBytes.Add(st.DataBytes)
+	d.om.pushMsgs.Add(st.PushMsgs)
+	d.om.pushBytes.Add(st.PushBytes)
 	d.om.controlBytes.Add(st.ControlBytes)
 	d.om.resultBytes.Add(st.ResultBytes)
 	d.om.wireBytes.Add(st.WireBytes)

@@ -114,6 +114,8 @@ type Stats struct {
 	DataMsgs     int64
 	ControlMsgs  int64
 	ResultMsgs   int64
+	PushBytes    int64         // KindPush share of DataBytes (dGPM §4.2 push)
+	PushMsgs     int64         // KindPush share of DataMsgs
 	Wall         time.Duration // set by the driver
 	MaxSiteBusy  time.Duration // longest per-site cumulative Recv time
 	Rounds       int64         // algorithm-defined (communication rounds)
@@ -139,6 +141,8 @@ func (s Stats) Minus(o Stats) Stats {
 		DataMsgs:     s.DataMsgs - o.DataMsgs,
 		ControlMsgs:  s.ControlMsgs - o.ControlMsgs,
 		ResultMsgs:   s.ResultMsgs - o.ResultMsgs,
+		PushBytes:    s.PushBytes - o.PushBytes,
+		PushMsgs:     s.PushMsgs - o.PushMsgs,
 		Rounds:       s.Rounds - o.Rounds,
 		WireBytes:    s.WireBytes - o.WireBytes,
 		Wall:         s.Wall,
@@ -147,8 +151,8 @@ func (s Stats) Minus(o Stats) Stats {
 }
 
 func (s *Stats) String() string {
-	return fmt.Sprintf("Stats(data=%dB/%dmsg, ctrl=%dB, result=%dB, rounds=%d, wall=%v)",
-		s.DataBytes, s.DataMsgs, s.ControlBytes, s.ResultBytes, s.Rounds, s.Wall)
+	return fmt.Sprintf("Stats(data=%dB/%dmsg, push=%dB/%dmsg, ctrl=%dB, result=%dB, rounds=%d, wall=%v)",
+		s.DataBytes, s.DataMsgs, s.PushBytes, s.PushMsgs, s.ControlBytes, s.ResultBytes, s.Rounds, s.Wall)
 }
 
 type envelope struct {
@@ -653,6 +657,10 @@ func (s *Session) route(from, to int, data []byte) {
 	case k.IsData():
 		s.stats.DataBytes += int64(len(data))
 		s.stats.DataMsgs++
+		if k == wire.KindPush {
+			s.stats.PushBytes += int64(len(data))
+			s.stats.PushMsgs++
+		}
 	default:
 		s.stats.ControlBytes += int64(len(data))
 		s.stats.ControlMsgs++

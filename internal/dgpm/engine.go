@@ -123,6 +123,12 @@ type Engine struct {
 	// Evals counts evaluation passes (initial + per incoming batch),
 	// the "rounds of (incremental) partial evaluation" of §5.1.
 	Evals int
+
+	// mut counts the state changes the dependence analysis reads (kills,
+	// installed equations, unlinked edges); dep is assumptionDependent's
+	// result as of depMut, shared by every extraction until mut moves.
+	mut, depMut uint64
+	dep         *depSet
 }
 
 type visVar struct {
@@ -344,6 +350,7 @@ func (e *Engine) killVis(u pattern.QNode, vi int32) {
 		return
 	}
 	e.alive[u][vi] = false
+	e.mut++
 	if vi < e.nl {
 		if e.isIn[vi] {
 			e.out = append(e.out, wire.VarRef{U: uint16(u), V: uint32(e.vis[vi])})
@@ -367,6 +374,7 @@ func (e *Engine) killExt(k varKey) {
 		return
 	}
 	x.alive = false
+	e.mut++
 	x.groups, x.groupCnt = nil, nil
 	e.extQueue = append(e.extQueue, k)
 }
@@ -473,6 +481,7 @@ func (e *Engine) ApplyEdgeDeletions(dels [][2]graph.NodeID) {
 			continue // edge not present (already deleted)
 		}
 		unlink(&e.pred[wi], li)
+		e.mut++
 		// v loses witness w for every query edge whose child w matches.
 		// Snapshot w's liveness first: a kill fired mid-loop (w can be v
 		// itself via a self-loop) would otherwise lose this edge's

@@ -7,7 +7,9 @@ package dgpm
 // and bypass the extra message hop.
 
 import (
-	"sort"
+	"cmp"
+	"math"
+	"slices"
 
 	"dgs/internal/graph"
 	"dgs/internal/pattern"
@@ -45,7 +47,14 @@ func (d *depSet) has(k varKey) bool {
 // The set is computed by reverse reachability from the assumptions —
 // through the fragment adjacency for local variables and through equation
 // watch lists for installed equations.
+//
+// The analysis is fragment-sized and reads nothing a caller passes in, so
+// its result is memoised until the engine's state next changes (mut): the
+// per-parent extractions of one push decision share a single closure.
 func (e *Engine) assumptionDependent() *depSet {
+	if e.dep != nil && e.depMut == e.mut {
+		return e.dep
+	}
 	nq := e.q.NumNodes()
 	d := &depSet{e: e, ext: make(map[varKey]bool)}
 	d.vis = make([][]bool, nq)
@@ -118,7 +127,104 @@ func (e *Engine) assumptionDependent() *depSet {
 			}
 		}
 	}
+	e.dep, e.depMut = d, e.mut
 	return d
+}
+
+// minEquationBytes is the wire footprint of an equation with no groups:
+// no shipped equation is smaller.
+var minEquationBytes = (&wire.Equation{}).EncodedSize()
+
+// pushPlan is one parent's share of a push: the subsystem defining the
+// in-node variables dest watches, and the leaves whose owners must
+// reroute to dest.
+type pushPlan struct {
+	dest   int
+	eqs    []wire.Equation
+	leaves []graph.NodeID
+}
+
+// planPush returns the push of this engine's subsystem to every parent
+// site — ExtractSubsystem of the in-nodes each watches, parents ascending,
+// parents with nothing to learn omitted — or nil when the equations total
+// more than budget bytes. The answer is exact and costs what it decides:
+// three lower bounds on the total, of rising cost, are held against the
+// budget and the first to exceed it ends the matter — one minimal
+// equation (O(1)); the equations certain to ship, counted off the in-node
+// adjacency with no dependence analysis (certainPushBytes); and the real
+// extraction, parent by parent under the remaining budget, abandoned
+// mid-parent before any sort.
+func (e *Engine) planPush(budget int) []pushPlan {
+	if minEquationBytes > budget || e.certainPushBytes(budget) > budget {
+		return nil
+	}
+	parents := make(map[int][]graph.NodeID)
+	for _, v := range e.frag.InNodes {
+		for _, w := range e.frag.InWatchers[v] {
+			parents[w] = append(parents[w], v)
+		}
+	}
+	dests := make([]int, 0, len(parents))
+	for d := range parents {
+		dests = append(dests, d)
+	}
+	slices.Sort(dests)
+	var plans []pushPlan
+	for _, d := range dests {
+		eqs, leaves, size := e.extractWithin(parents[d], budget)
+		if size > budget {
+			return nil
+		}
+		budget -= size
+		if len(eqs) > 0 {
+			plans = append(plans, pushPlan{dest: d, eqs: eqs, leaves: leaves})
+		}
+	}
+	return plans
+}
+
+// certainPushBytes is a lower bound, computed without the dependence
+// analysis, on the bytes planPush would ship. An alive, non-constant
+// in-node variable X(u,v) with an alive, non-constant, equation-less
+// virtual successor one query edge away is one step from an assumption,
+// hence certainly assumption-dependent: every site watching v is sent its
+// equation, at minEquationBytes or more each. The walk stops as soon as
+// the bound exceeds budget.
+func (e *Engine) certainPushBytes(budget int) int {
+	floor := 0
+	for _, v := range e.frag.InNodes {
+		li := e.visIdx[v]
+		perVar := minEquationBytes * len(e.frag.InWatchers[v])
+		for u := range e.alive {
+			if e.alive[u][li] && e.seesAssumption(pattern.QNode(u), li) {
+				if floor += perVar; floor > budget {
+					return floor
+				}
+			}
+		}
+	}
+	return floor
+}
+
+// seesAssumption reports whether local variable X(u, vis[li]) references
+// an alive, non-constant assumption on a virtual node directly.
+func (e *Engine) seesAssumption(u pattern.QNode, li int32) bool {
+	for _, ei := range e.eOut[u] {
+		uc := e.qedges[ei].child
+		if e.constTrue[uc] {
+			continue
+		}
+		arow := e.alive[uc]
+		for _, wi := range e.succ[li] {
+			if wi < e.nl || !arow[wi] {
+				continue
+			}
+			if x, ok := e.ext[key(uc, e.vis[wi])]; !ok || !x.hasEq {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // ExtractSubsystem computes the equations defining every alive,
@@ -133,11 +239,23 @@ func (e *Engine) assumptionDependent() *depSet {
 // truth is global truth); they satisfy their OR groups like constants and
 // are never shipped. On trees this prunes extraction down to the
 // root→virtual paths, giving Corollary 4's O(|Q||F|) shipment.
+//
+// The engine is not changed. The dependence analysis behind the pruning
+// is memoised in the engine, so extracting for many parents in a row pays
+// for it once.
 func (e *Engine) ExtractSubsystem(requested []graph.NodeID) ([]wire.Equation, []graph.NodeID) {
+	eqs, leaves, _ := e.extractWithin(requested, math.MaxInt)
+	return eqs, leaves
+}
+
+// extractWithin is ExtractSubsystem under a byte budget. size is the
+// summed EncodedSize of the equations; the moment it exceeds budget the
+// extraction is abandoned — nothing sorted, no leaves gathered — and only
+// size (> budget) is returned.
+func (e *Engine) extractWithin(requested []graph.NodeID, budget int) (eqs []wire.Equation, leaves []graph.NodeID, size int) {
 	dep := e.assumptionDependent()
 	visited := make(map[varKey]bool)
 	leafNodes := make(map[graph.NodeID]bool)
-	var eqs []wire.Equation
 	var stack []varKey
 
 	push := func(k varKey) {
@@ -185,22 +303,27 @@ func (e *Engine) ExtractSubsystem(requested []graph.NodeID) ([]wire.Equation, []
 			}
 			eq.Groups = append(eq.Groups, refs)
 		}
+		if size += eq.EncodedSize(); size > budget {
+			return nil, nil, size
+		}
 		eqs = append(eqs, eq)
 	}
-	leaves := make([]graph.NodeID, 0, len(leafNodes))
+	leaves = make([]graph.NodeID, 0, len(leafNodes))
 	for v := range leafNodes {
 		leaves = append(leaves, v)
 	}
-	sort.Slice(leaves, func(i, j int) bool { return leaves[i] < leaves[j] })
+	slices.Sort(leaves)
 	// Deterministic order helps tests and keeps message bytes stable.
-	sort.Slice(eqs, func(i, j int) bool {
-		a, b := eqs[i].Target, eqs[j].Target
-		if a.V != b.V {
-			return a.V < b.V
-		}
-		return a.U < b.U
-	})
-	return eqs, leaves
+	slices.SortFunc(eqs, func(a, b wire.Equation) int { return compareRefs(a.Target, b.Target) })
+	return eqs, leaves, size
+}
+
+// compareRefs orders variables by data node, then query node.
+func compareRefs(a, b wire.VarRef) int {
+	if a.V != b.V {
+		return cmp.Compare(a.V, b.V)
+	}
+	return cmp.Compare(a.U, b.U)
 }
 
 // groupsOf returns the current unsatisfied OR groups of an alive
@@ -255,6 +378,7 @@ func (e *Engine) groupsOf(k varKey) (groups [][]varKey, isLeaf bool) {
 // then wire references) so mutually recursive equations — cross-fragment
 // cycles — install correctly.
 func (e *Engine) InstallEquations(eqs []wire.Equation) {
+	e.mut++
 	// Phase 1: admit targets.
 	installed := make(map[varKey]bool, len(eqs))
 	for _, eq := range eqs {

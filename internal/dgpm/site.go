@@ -7,6 +7,8 @@ package dgpm
 // the coordinator.
 
 import (
+	"math"
+	"slices"
 	"sort"
 
 	"dgs/internal/cluster"
@@ -56,11 +58,11 @@ type site struct {
 	// extraWatch extends InWatchers with reroute destinations (§4.2
 	// dependency-graph rewiring after a push).
 	extraWatch map[graph.NodeID][]int
-	// pushedTo records parents already sent a push.
-	pushedTo map[int]bool
-	// pushDecided is set once the benefit test has been evaluated with a
-	// real extraction; a site outsources its equations at most once.
+	// pushDecided is set once the benefit test has been evaluated; a site
+	// outsources its equations at most once per session.
 	pushDecided bool
+	// perDest is flush's per-destination scratch, indexed by site ID.
+	perDest [][]wire.VarRef
 
 	// dGPMNOpt state: everything external learned so far, and the in-node
 	// falsifications already reported, so rebuilds do not resend.
@@ -70,7 +72,12 @@ type site struct {
 	// pending buffers messages that raced ahead of the start signal: a
 	// fast neighbor may evaluate and ship falsifications before the
 	// coordinator's broadcast reaches this site.
-	pending []wire.Payload
+	pending []pendingMsg
+}
+
+type pendingMsg struct {
+	from int
+	p    wire.Payload
 }
 
 func newSite(q *pattern.Pattern, frag *partition.Fragment, assign []int32, cfg Config, pl *plan.Plan) *site {
@@ -81,7 +88,6 @@ func newSite(q *pattern.Pattern, frag *partition.Fragment, assign []int32, cfg C
 		cfg:        cfg,
 		pl:         pl,
 		extraWatch: make(map[graph.NodeID][]int),
-		pushedTo:   make(map[int]bool),
 		reported:   make(map[wire.VarRef]bool),
 	}
 }
@@ -90,7 +96,7 @@ func (s *site) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
 	if s.eng == nil {
 		// Not started yet: only OpStart may be processed now.
 		if c, ok := p.(*wire.Control); !ok || c.Op != OpStart {
-			s.pending = append(s.pending, p)
+			s.pending = append(s.pending, pendingMsg{from, p})
 			return
 		}
 	}
@@ -107,10 +113,11 @@ func (s *site) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
 				s.flush(ctx, s.eng.Drain())
 			}
 			s.maybePush(ctx)
-			for _, buf := range s.pending {
-				s.Recv(ctx, from, buf)
-			}
+			pending := s.pending
 			s.pending = nil
+			for _, m := range pending {
+				s.Recv(ctx, m.from, m.p)
+			}
 		case OpReport:
 			ctx.Send(cluster.Coordinator, &wire.Matches{
 				Frag:  uint16(s.frag.ID),
@@ -147,6 +154,9 @@ func (s *site) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
 		s.flush(ctx, s.eng.Drain())
 	case *wire.Reroute:
 		dest := int(m.Dest)
+		if dest >= ctx.NumSites() {
+			return // no such site: flush indexes its scratch by destination
+		}
 		var backfill []wire.VarRef
 		for _, nv := range m.Nodes {
 			v := graph.NodeID(nv)
@@ -165,28 +175,31 @@ func (s *site) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
 
 // flush routes freshly falsified in-node variables to every site that
 // watches them (procedure lMsg, Fig. 4): the sites holding the in-node as
-// a virtual node, plus any rerouted push parents.
+// a virtual node, plus any rerouted push parents. One message per
+// destination, destinations ascending.
 func (s *site) flush(ctx *cluster.Ctx, pairs []wire.VarRef) {
 	if len(pairs) == 0 {
 		return
 	}
-	perDest := make(map[int][]wire.VarRef)
+	if s.perDest == nil {
+		s.perDest = make([][]wire.VarRef, ctx.NumSites())
+	}
 	for _, r := range pairs {
 		v := graph.NodeID(r.V)
 		for _, w := range s.frag.InWatchers[v] {
-			perDest[w] = append(perDest[w], r)
+			s.perDest[w] = append(s.perDest[w], r)
 		}
 		for _, w := range s.extraWatch[v] {
-			perDest[w] = append(perDest[w], r)
+			s.perDest[w] = append(s.perDest[w], r)
 		}
 	}
-	dests := make([]int, 0, len(perDest))
-	for d := range perDest {
-		dests = append(dests, d)
-	}
-	sort.Ints(dests)
-	for _, d := range dests {
-		ctx.Send(d, &wire.Falsify{Pairs: dedupe(perDest[d])})
+	for d, refs := range s.perDest {
+		if len(refs) == 0 {
+			continue
+		}
+		// Send encodes before it returns, so the row is free for reuse.
+		ctx.Send(d, &wire.Falsify{Pairs: dedupe(refs)})
+		s.perDest[d] = refs[:0]
 	}
 }
 
@@ -205,27 +218,33 @@ func (s *site) flushTracked(ctx *cluster.Ctx, pairs []wire.VarRef) {
 }
 
 func dedupe(pairs []wire.VarRef) []wire.VarRef {
-	if len(pairs) < 2 {
-		return pairs
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].V != pairs[j].V {
-			return pairs[i].V < pairs[j].V
-		}
-		return pairs[i].U < pairs[j].U
-	})
-	out := pairs[:1]
-	for _, r := range pairs[1:] {
-		if r != out[len(out)-1] {
-			out = append(out, r)
-		}
-	}
-	return out
+	slices.SortFunc(pairs, compareRefs)
+	return slices.Compact(pairs)
 }
 
-// maybePush evaluates the benefit function B(Si) = |Fi.O'| / (m·|Fi.I'|)
-// (§4.2) and, when it clears θ, ships the equation subsystem to each
-// not-yet-pushed parent site, with reroute requests to the leaf owners.
+// pushBudget is the benefit test B(Si) = |O'|/(m·|I'|) ≥ θ (§4.2) solved
+// for m: the largest byte count the test still accepts. B only falls as m
+// grows, so the budget is found by bisection on the test's own float
+// expression — "m ≤ budget" and "B(m) ≥ θ" agree for every integer m,
+// rounding included. θ ≤ 0 accepts any m: the budget is math.MaxInt.
+func pushBudget(virtV, inV int, theta float64) int {
+	return sort.Search(math.MaxInt, func(m int) bool {
+		return float64(virtV)/(float64(m+1)*float64(inV)) < theta
+	})
+}
+
+// maybePush decides the push operation of §4.2, once per site per
+// session, at the site's first opportunity with unevaluated variables on
+// both sides: when the benefit B(Si) = |Fi.O'| / (m·|Fi.I'|) clears θ —
+// m the encoded bytes of the equations to ship, summed over parents — it
+// sends each parent site its equation subsystem, with reroute requests to
+// the leaf owners. The paper uses m "to suppress the overhead of
+// shipment": with θ=0.2 only small, high-leverage subsystems clear the
+// bar, and shipping large systems wholesale would inflate DS well past
+// the no-push protocol, defeating Theorem 2's bound in practice.
+//
+// The test is Engine.planPush under pushBudget: exact, and abandoned at
+// the first bound on m that exceeds the budget.
 func (s *site) maybePush(ctx *cluster.Ctx) {
 	if !s.cfg.Push || s.eng == nil || s.pushDecided {
 		return
@@ -234,70 +253,8 @@ func (s *site) maybePush(ctx *cluster.Ctx) {
 	if inV == 0 || virtV == 0 {
 		return
 	}
-	// Cheap upper bound on B(Si): every shipped equation costs at least 8
-	// bytes, so m ≥ 8 and B ≤ virtV/(8·inV). Below θ no extraction can
-	// clear the bar — skip the fragment-sized extraction work outright.
-	if float64(virtV)/(8*float64(inV)) < s.cfg.Theta {
-		s.pushDecided = true
-		return
-	}
-	// Extraction below is fragment-sized work; a site evaluates the
-	// benefit test once, at its first opportunity with unevaluated
-	// variables on both sides, and either pushes or never does.
 	s.pushDecided = true
-	// Parents and the in-nodes each watches.
-	parents := make(map[int][]graph.NodeID)
-	for _, v := range s.frag.InNodes {
-		for _, w := range s.frag.InWatchers[v] {
-			if !s.pushedTo[w] {
-				parents[w] = append(parents[w], v)
-			}
-		}
-	}
-	if len(parents) == 0 {
-		return
-	}
-	// m: total size of the equations to be sent, in bytes — the paper
-	// uses m "to suppress the overhead of shipment" (§4.2), so with
-	// θ=0.2 a push happens only when the unevaluated-variable ratio
-	// dwarfs the bytes it costs (small, high-leverage subsystems).
-	// Shipping large systems wholesale would inflate DS well past the
-	// no-push protocol, defeating Theorem 2's bound in practice.
-	type planned struct {
-		dest   int
-		eqs    []wire.Equation
-		leaves []graph.NodeID
-	}
-	var plans []planned
-	totalBytes := 0
-	dests := make([]int, 0, len(parents))
-	for d := range parents {
-		dests = append(dests, d)
-	}
-	sort.Ints(dests)
-	for _, d := range dests {
-		eqs, leaves := s.eng.ExtractSubsystem(parents[d])
-		if len(eqs) == 0 {
-			continue
-		}
-		for i := range eqs {
-			totalBytes += eqs[i].EncodedSize()
-		}
-		plans = append(plans, planned{dest: d, eqs: eqs, leaves: leaves})
-	}
-	if len(plans) == 0 {
-		return
-	}
-	m := float64(totalBytes)
-	if m == 0 {
-		m = 1
-	}
-	benefit := float64(virtV) / (m * float64(inV))
-	if benefit < s.cfg.Theta {
-		return
-	}
-	for _, pl := range plans {
-		s.pushedTo[pl.dest] = true
+	for _, pl := range s.eng.planPush(pushBudget(virtV, inV, s.cfg.Theta)) {
 		ctx.Send(pl.dest, &wire.Push{Origin: uint16(s.frag.ID), Eqs: pl.eqs})
 		// Ask each leaf owner to also feed the parent.
 		perOwner := make(map[int][]uint32)

@@ -61,6 +61,8 @@ func addStats(a *Stats, b Stats) {
 	a.Wall += b.Wall
 	a.DataBytes += b.DataBytes
 	a.DataMsgs += b.DataMsgs
+	a.PushBytes += b.PushBytes
+	a.PushMsgs += b.PushMsgs
 	a.ControlBytes += b.ControlBytes
 	a.ResultBytes += b.ResultBytes
 	a.Rounds += b.Rounds

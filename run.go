@@ -91,6 +91,11 @@ type Stats struct {
 	DataBytes int64
 	// DataMsgs counts data messages.
 	DataMsgs int64
+	// PushBytes and PushMsgs are the share of DataBytes and DataMsgs that
+	// travelled as pushed equations (dGPM's §4.2 push operation): zero
+	// when every site's benefit test declined.
+	PushBytes int64
+	PushMsgs  int64
 	// ControlBytes counts coordination traffic (query posting, votes,
 	// changed flags), reported separately as in the paper.
 	ControlBytes int64
@@ -113,6 +118,8 @@ func fromCluster(s cluster.Stats) Stats {
 		Wall:         s.Wall,
 		DataBytes:    s.DataBytes,
 		DataMsgs:     s.DataMsgs,
+		PushBytes:    s.PushBytes,
+		PushMsgs:     s.PushMsgs,
 		ControlBytes: s.ControlBytes,
 		ResultBytes:  s.ResultBytes,
 		Rounds:       s.Rounds,
