@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: tier1 vet dgsvet analyze analyze-fix build test race bench bench-check bench-smoke fuzz examples docs smoke-tcp partition-smoke bench-partition gw-smoke obs-smoke bench-serving failover-smoke bench-failover bench-planner clean help
+.PHONY: tier1 vet dgsvet analyze analyze-fix build test race bench bench-check bench-smoke fuzz examples docs smoke-tcp partition-smoke bench-partition gw-smoke obs-smoke bench-serving failover-smoke bench-failover api clean help
 
 # tier1 is the gate every change must pass: static checks (go vet plus
 # the project-specific dgsvet analyzers), full build, and the test suite
@@ -75,10 +75,17 @@ fuzz:
 	$(GO) test ./internal/transport/tcpnet -run=^$$ -fuzz=^FuzzDecodeOpen$$ -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/transport/tcpnet -run=^$$ -fuzz=^FuzzDecodeDeploy$$ -fuzztime=$(FUZZTIME)
 
-# docs fails when any package lacks a package comment or an
-# operator-facing document (README, wire spec) is missing/stale.
+# docs fails when any package lacks a package comment, an
+# operator-facing document (README, wire spec) is missing/stale, or the
+# public surface differs from its golden docs/API.txt.
 docs:
 	./scripts/lint_docs.sh
+
+# api regenerates docs/API.txt, the golden of the public surface: the
+# root package's exported API and the dgsrun/dgsd/dgsgw flag lists. An
+# option or flag can then only appear or vanish in a diff someone reads.
+api:
+	./scripts/api_surface.sh > docs/API.txt
 
 # smoke-tcp runs the two-terminal quickstart non-interactively: two real
 # dgsd processes on loopback, one dgsrun -connect query per algorithm.
@@ -128,14 +135,6 @@ bench-failover:
 bench-serving:
 	$(GO) run ./cmd/benchfig -group serving -queries 4 -json BENCH_SERVING.json
 
-# bench-planner regenerates BENCH_PLANNER.json: planned vs
-# declaration-order evaluation over an |Eq| sweep at 64 sites (both
-# arms interleaved on resident deployments, DS asserted identical by
-# confluence), plus shared vs independent standing-query maintenance
-# at k overlapping Watches.
-bench-planner:
-	$(GO) run ./cmd/benchfig -group planner -json BENCH_PLANNER.json
-
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/impossibility
@@ -154,8 +153,9 @@ help:
 	@echo "  analyze-fix      reprint dgsvet findings with fixing guidance"
 	@echo "  test / race      test suite (plain / under the race detector)"
 	@echo "  fuzz             fuzz targets for FUZZTIME each (default $(FUZZTIME))"
-	@echo "  docs             documentation lint (package comments, specs, ANALYSIS.md)"
-	@echo "  bench            root-package benchmarks, one iteration"
+	@echo "  docs             documentation lint (package comments, specs, ANALYSIS.md, docs/API.txt golden)"
+	@echo "  api              regenerate docs/API.txt (exported API + dgsrun/dgsd/dgsgw flags)"
+	@echo "  bench            root-package benchmarks without a recorded twin (HHK, dGPMt, chain gadget, deploy amortization), one iteration"
 	@echo "  bench-check      build + vet + test + dgsvet the benchmark/ module against this tree"
 	@echo "  bench-smoke      the benchmark's five workloads at 1/20 scale, answers checked against the oracle"
 	@echo "  smoke-tcp        two dgsd processes on loopback, all algorithms"
@@ -166,5 +166,4 @@ help:
 	@echo "  bench-failover   regenerate BENCH_FAILOVER.json (detection/redeploy/loss)"
 	@echo "  bench-partition  regenerate BENCH_PARTITION.json (long)"
 	@echo "  bench-serving    regenerate BENCH_SERVING.json (long)"
-	@echo "  bench-planner    regenerate BENCH_PLANNER.json (plan on/off + watch sharing)"
 	@echo "  examples         run every example program"

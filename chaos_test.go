@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -46,13 +47,7 @@ func TestPropertyChaosFailover(t *testing.T) {
 // distinct state, exactly like a daemon deployment.
 func chaosDeploy(t *testing.T, seed int64, part *Partition) (*Deployment, *faultnet.Net) {
 	t.Helper()
-	src := part.fr
-	clones := make([]*partition.Fragment, len(src.Frags))
-	for i, f := range src.Frags {
-		clones[i] = partition.CloneFragment(f)
-	}
-	innerFr := partition.FragmentationFromParts(src.Assign, clones)
-	fn := faultnet.Wrap(cluster.NewInProc(part.NumFragments(), innerFr, cluster.Network{}), faultnet.Options{Seed: seed})
+	fn := chaosNet(seed, part)
 	dep, err := Deploy(part, WithTransport(fn))
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
@@ -61,6 +56,100 @@ func chaosDeploy(t *testing.T, seed int64, part *Partition) (*Deployment, *fault
 		t.Fatalf("seed %d: a faultnet deployment must count as remote (driver-side replay)", seed)
 	}
 	return dep, fn
+}
+
+// chaosNet hosts codec clones of part's fragments behind faultnet.
+func chaosNet(seed int64, part *Partition) *faultnet.Net {
+	src := part.fr
+	clones := make([]*partition.Fragment, len(src.Frags))
+	for i, f := range src.Frags {
+		clones[i] = partition.CloneFragment(f)
+	}
+	innerFr := partition.FragmentationFromParts(src.Assign, clones)
+	return faultnet.Wrap(cluster.NewInProc(part.NumFragments(), innerFr, cluster.Network{}), faultnet.Options{Seed: seed})
+}
+
+// maintOpenCounter counts the maintenance sessions opened on a faultnet
+// transport.
+type maintOpenCounter struct {
+	*faultnet.Net
+	opened atomic.Int64
+}
+
+func (c *maintOpenCounter) Open(qid uint64, kind cluster.SessionKind, spec cluster.SessionSpec) error {
+	if kind == cluster.SessionMaintenance {
+		c.opened.Add(1)
+	}
+	return c.Net.Open(qid, kind, spec)
+}
+
+// TestRecoverReevaluatesSharedWatchOnce: the standing queries share one
+// maintenance session, so a recovery re-evaluates it once — one new
+// maintenance session however many handles read it — and every handle
+// then serves the oracle's relation for the current graph.
+func TestRecoverReevaluatesSharedWatchOnce(t *testing.T) {
+	ctx := context.Background()
+	dict := NewDict()
+	g := GenSynthetic(dict, 300, 900, 77)
+	part, err := PartitionRandom(g, 4, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &maintOpenCounter{Net: chaosNet(77, part)}
+	dep, err := Deploy(part, WithTransport(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.Close()
+	var qs []*Pattern
+	var ws []*Maintained
+	for _, src := range []string{
+		"node a l0\nnode b l1\nedge a b\nedge b a",
+		"node a l0\nnode b l1\nedge a b",
+		"node a l1\nnode b l2\nnode c l0\nedge a b\nedge b c",
+		"node p l1\nnode q l0\nedge p q\nedge q p", // the first, renamed
+	} {
+		q, err := ParsePattern(dict, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := dep.Watch(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		qs, ws = append(qs, q), append(ws, w)
+	}
+	if ws[3].block != ws[0].block || ws[1].block == ws[0].block || ws[2].block == ws[1].block {
+		t.Fatal("want three distinct blocks, the renamed pattern joining the first")
+	}
+	// Move the graph off its deploy-time state, so the recovery has to
+	// re-evaluate against what the driver retained.
+	if _, err := dep.Apply(ctx, GenUpdateStream(part.CurrentGraph(), 30, 10, 78)); err != nil {
+		t.Fatal(err)
+	}
+
+	before := tr.opened.Load()
+	tr.Kill(2)
+	if _, err := dep.Query(ctx, qs[0]); !errors.Is(err, ErrSiteLost) {
+		t.Fatalf("query after kill = %v, want ErrSiteLost", err)
+	}
+	tr.Revive(2)
+	if err := dep.Recover(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := tr.opened.Load() - before; n != 1 {
+		t.Fatalf("Recover opened %d maintenance sessions for %d handles on one shard, want 1", n, len(ws))
+	}
+	cur := part.CurrentGraph()
+	for i, w := range ws {
+		if w.Stale() {
+			t.Fatalf("watch %d is stale after Recover", i)
+		}
+		if !w.Current().Equal(Simulate(qs[i], cur)) {
+			t.Fatalf("watch %d diverges from Simulate on the current graph after Recover", i)
+		}
+	}
 }
 
 func runChaosCase(t *testing.T, seed int64) {

@@ -126,11 +126,9 @@ type deployConfig struct {
 	net         cluster.Network
 	transport   cluster.Transport
 	remoteAddrs []string
-	dialTimeout time.Duration
 	spares      []string
 	hbInterval  time.Duration
 	hbMisses    int
-	plannerOff  bool
 	defaults    queryConfig
 }
 
@@ -155,12 +153,6 @@ func WithRemoteSites(addrs ...string) DeployOption {
 	return func(dc *deployConfig) { dc.remoteAddrs = append([]string(nil), addrs...) }
 }
 
-// WithDialTimeout bounds each daemon connect + fragment shipment of a
-// WithRemoteSites deployment (default 30s).
-func WithDialTimeout(d time.Duration) DeployOption {
-	return func(dc *deployConfig) { dc.dialTimeout = d }
-}
-
 // WithTransport installs a caller-built Transport (expert use: tests,
 // custom backends). The transport must host exactly the partition's
 // fragments. Unless it declares cluster.FragmentSharer (sites operate
@@ -169,18 +161,6 @@ func WithDialTimeout(d time.Duration) DeployOption {
 // its metadata in sync with the sites' copies.
 func WithTransport(tr Transport) DeployOption {
 	return func(dc *deployConfig) { dc.transport = tr }
-}
-
-// WithPlannerDisabled turns query planning off for the deployment:
-// queries evaluate in declaration order (the identity plan over the
-// same engine construction), absent-label patterns run the full
-// protocol instead of short-circuiting, and standing queries each hold
-// their own maintenance session instead of sharing one. Results are
-// identical either way — the dGPM fixpoint is confluent — so this is
-// the reference arm the conformance suite compares planned evaluation
-// against, not a semantic switch.
-func WithPlannerDisabled() DeployOption {
-	return func(dc *deployConfig) { dc.plannerOff = true }
 }
 
 // WithQueryDefaults sets deployment-level defaults applied to every
@@ -202,9 +182,6 @@ type Deployment struct {
 	part     *Partition
 	c        *cluster.Cluster
 	defaults queryConfig
-	// planner names the registered planner queries are planned with
-	// ("" with WithPlannerDisabled). Fixed at Deploy time.
-	planner string
 	// planStats are the label statistics plans are built from, collected
 	// once at Deploy: Apply mutates edges only, so label populations —
 	// and with them the Empty short-circuit — stay exact forever, and
@@ -247,12 +224,10 @@ type Deployment struct {
 
 	watchMu  sync.Mutex
 	watchers map[*Maintained]struct{}
-	// shard is the deployment's shared standing-query shard (planner-on
-	// deployments only): every non-empty Watch pattern lives as one block
-	// of its single maintenance session. Guarded by shardMu; created
-	// lazily by the first Watch.
-	shardMu sync.Mutex
-	shard   *watchShard
+	// shard is the deployment's standing-query shard: every non-empty
+	// Watch pattern lives as one block of its single maintenance
+	// session, opened by the first Watch.
+	shard watchShard
 
 	mu     sync.Mutex
 	closed bool
@@ -282,9 +257,6 @@ func Deploy(part *Partition, opts ...DeployOption) (*Deployment, error) {
 		metrics:   obs.NewRegistry(),
 	}
 	d.registerMetrics()
-	if !dc.plannerOff {
-		d.planner = plan.Greedy
-	}
 	switch {
 	case dc.transport != nil:
 		if dc.transport.NumSites() != part.NumFragments() {
@@ -297,7 +269,6 @@ func Deploy(part *Partition, opts ...DeployOption) (*Deployment, error) {
 	case len(dc.remoteAddrs) > 0:
 		ctx := context.Background()
 		tr, err := tcpnet.Dial(ctx, dc.remoteAddrs, part.fr, tcpnet.Options{
-			DialTimeout:       dc.dialTimeout,
 			Spares:            dc.spares,
 			HeartbeatInterval: dc.hbInterval,
 			HeartbeatMisses:   dc.hbMisses,
@@ -395,22 +366,10 @@ func (d *Deployment) WireFrames() (sent, received int64) {
 // Partition returns the resident fragmentation.
 func (d *Deployment) Partition() *Partition { return d.part }
 
-// Planner reports the registered name of the deployment's query
-// planner, or "" when planning is disabled (WithPlannerDisabled).
-func (d *Deployment) Planner() string { return d.planner }
-
-// planFor builds the deployment's evaluation plan for p, or nil when
-// planning is disabled (or the configured planner is unregistered —
-// impossible for the built-in default, and advisory anyway).
+// planFor builds the deployment's evaluation plan for p: a pure
+// function of the pattern and the Deploy-time label statistics.
 func (d *Deployment) planFor(p *pattern.Pattern) *plan.Plan {
-	if d.planner == "" {
-		return nil
-	}
-	f, ok := plan.PlannerByName(d.planner)
-	if !ok {
-		return nil
-	}
-	return f(p, d.planStats)
+	return plan.GreedyPlan(p, d.planStats)
 }
 
 // Version reports the graph version: a monotone counter starting at 0
@@ -460,7 +419,7 @@ func (d *Deployment) Query(ctx context.Context, q *Pattern, opts ...QueryOption)
 	// label-consistent nodes): answer here, with no session opened and
 	// no wire traffic at all.
 	pl := d.planFor(q.p)
-	if pl != nil && pl.Empty {
+	if pl.Empty {
 		d.om.queries.Inc()
 		m := simulation.NewMatch(q.p.NumNodes()).Canonical()
 		return &Result{Match: &Match{m: m}, Version: d.version.Load()}, nil

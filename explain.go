@@ -18,10 +18,6 @@ import (
 // PlanInfo describes the evaluation plan of one pattern against a
 // deployment, as produced by Deployment.Explain.
 type PlanInfo struct {
-	// Planner is the registered planner name, or "" when the deployment
-	// plans nothing (WithPlannerDisabled); the orders below are then the
-	// pattern's declaration orders.
-	Planner string
 	// CanonicalKey is the renaming-invariant canonical rendering of the
 	// pattern: equivalent-modulo-renaming patterns share it, so caches
 	// and standing-query sharing key on it.
@@ -55,8 +51,7 @@ type PlanEdge struct {
 }
 
 // Explain reports how the deployment would evaluate q, without
-// executing anything. With planning disabled it still reports the
-// canonical key and per-node estimates, over declaration order.
+// executing anything.
 func (d *Deployment) Explain(q *Pattern) (*PlanInfo, error) {
 	if q == nil {
 		return nil, errorf("explain: nil pattern")
@@ -69,60 +64,33 @@ func (d *Deployment) Explain(q *Pattern) (*PlanInfo, error) {
 	}
 
 	p := q.p
-	nq := p.NumNodes()
+	pl := d.planFor(p)
 	info := &PlanInfo{
-		Planner:      d.planner,
 		CanonicalKey: plan.Canonicalize(p).Key,
+		Empty:        pl.Empty,
 	}
-
-	// Node and edge orders: the plan's when planning is on, declaration
-	// order otherwise. Estimates come from the deployment stats either
-	// way — they cost nothing and Explain exists to surface them.
-	est := make([]uint32, nq)
-	for u := 0; u < nq; u++ {
-		est[u] = d.planStats.Candidates(p.Label(pattern.QNode(u)))
-		if est[u] == 0 {
-			info.Empty = true
-		}
+	for _, u := range pl.Nodes {
+		info.Nodes = append(info.Nodes, PlanNode{
+			Name:  p.NodeName(pattern.QNode(u)),
+			Label: p.LabelName(pattern.QNode(u)),
+			Est:   pl.NodeEst[u],
+		})
 	}
-	nodeOrder := make([]uint16, nq)
-	for u := range nodeOrder {
-		nodeOrder[u] = uint16(u)
-	}
-	// Edge enumeration in the engines' convention: u ascending,
+	// pl.Edges indexes the engines' edge enumeration: u ascending,
 	// succ-slice order.
 	type edge struct{ from, to pattern.QNode }
 	var edges []edge
-	for u := 0; u < nq; u++ {
+	for u := 0; u < p.NumNodes(); u++ {
 		for _, w := range p.Succ(pattern.QNode(u)) {
 			edges = append(edges, edge{pattern.QNode(u), w})
 		}
 	}
-	edgeOrder := make([]uint16, len(edges))
-	for i := range edgeOrder {
-		edgeOrder[i] = uint16(i)
-	}
-	if pl := d.planFor(p); pl != nil {
-		nodeOrder, edgeOrder = pl.Nodes, pl.Edges
-	}
-
-	for _, u := range nodeOrder {
-		info.Nodes = append(info.Nodes, PlanNode{
-			Name:  p.NodeName(pattern.QNode(u)),
-			Label: p.LabelName(pattern.QNode(u)),
-			Est:   est[u],
-		})
-	}
-	for _, ei := range edgeOrder {
+	for _, ei := range pl.Edges {
 		e := edges[ei]
-		sel := est[e.from]
-		if est[e.to] < sel {
-			sel = est[e.to]
-		}
 		info.Edges = append(info.Edges, PlanEdge{
 			From: p.NodeName(e.from),
 			To:   p.NodeName(e.to),
-			Est:  sel,
+			Est:  min(pl.NodeEst[e.from], pl.NodeEst[e.to]),
 		})
 	}
 	return info, nil
@@ -131,11 +99,6 @@ func (d *Deployment) Explain(q *Pattern) (*PlanInfo, error) {
 // String renders the plan for terminals (dgsrun -explain).
 func (pi *PlanInfo) String() string {
 	var b strings.Builder
-	planner := pi.Planner
-	if planner == "" {
-		planner = "(disabled; declaration order)"
-	}
-	fmt.Fprintf(&b, "planner: %s\n", planner)
 	if pi.Empty {
 		b.WriteString("verdict: empty — a query label has no occurrence in the graph; Query short-circuits\n")
 	}

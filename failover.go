@@ -150,22 +150,17 @@ func (d *Deployment) Recover(ctx context.Context) error {
 	d.failovers.Add(1)
 	d.state.Unlock()
 
-	// Standing queries lost their maintenance sessions with the site;
-	// re-register each by re-evaluating against the recovered graph.
-	d.watchMu.Lock()
-	watchers := make([]*Maintained, 0, len(d.watchers))
-	for w := range d.watchers {
-		watchers = append(watchers, w)
+	// The standing queries lost their maintenance session with the site:
+	// re-evaluate it once against the recovered graph, then every handle
+	// re-reads its block.
+	d.state.RLock()
+	defer d.state.RUnlock()
+	err := d.shard.reevaluate(ctx, d.version.Load())
+	for _, w := range d.openWatchers() {
+		w.resync(err)
 	}
-	d.watchMu.Unlock()
-	var firstErr error
-	for _, w := range watchers {
-		if err := w.Refresh(ctx); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		return errorf("recover: standing query re-registration: %w", publicErr(firstErr))
+	if err != nil {
+		return errorf("recover: standing query re-registration: %w", publicErr(err))
 	}
 	return nil
 }

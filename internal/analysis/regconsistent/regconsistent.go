@@ -12,13 +12,11 @@
 // query time, or worse, as a conformance matrix that silently stops
 // covering the new algorithm.
 //
-// String surfaces: names passed to RegisterAlgorithm and
-// RegisterPlanner must be unique; every constant SessionSpec{Algo: ...}
-// value must match a registered algorithm name (a typo opens a session
-// no site can build) and every non-empty constant
-// SessionSpec{Planner: ...} a registered planner name (sites reject
-// plans they cannot attribute); every constant strategy name passed to
-// PartitionBy/PartitionWith must match a registered partitioner.
+// String surfaces: names passed to RegisterAlgorithm must be unique;
+// every constant SessionSpec{Algo: ...} value must match a registered
+// algorithm name (a typo opens a session no site can build); every
+// constant strategy name passed to PartitionBy/PartitionWith must match
+// a registered partitioner.
 // Deliberate negatives (tests probing the unknown-name error path)
 // carry //lint:allow regconsistent.
 package regconsistent
@@ -42,7 +40,7 @@ const ExhaustiveMarker = "//dgsvet:exhaustive"
 // Analyzer implements the regconsistent check.
 var Analyzer = &analysis.Analyzer{
 	Name:      "regconsistent",
-	Doc:       "Algorithm switches/maps/marked literals must be exhaustive; RegisterAlgorithm/RegisterPlanner names unique; SessionSpec.Algo, SessionSpec.Planner and partition strategy strings must be registered",
+	Doc:       "Algorithm switches/maps/marked literals must be exhaustive; RegisterAlgorithm names unique; SessionSpec.Algo and partition strategy strings must be registered",
 	RunModule: runModule,
 }
 
@@ -55,10 +53,9 @@ func runModule(pass *analysis.ModulePass) error {
 	}
 
 	// String surfaces.
-	algos := map[string]token.Pos{}    // registered algorithm name -> first site
-	planners := map[string]token.Pos{} // registered planner name -> first site
-	parts := map[string]bool{}         // registered partitioner names
-	var specUses, planUses, stratUses []strUse // to vet after collection
+	algos := map[string]token.Pos{}  // registered algorithm name -> first site
+	parts := map[string]bool{}       // registered partitioner names
+	var specUses, stratUses []strUse // to vet after collection
 	for _, pkg := range mod.Pkgs {
 		info := pkg.Info
 		for _, file := range pkg.Files {
@@ -74,17 +71,6 @@ func runModule(pass *analysis.ModulePass) error {
 										name, mod.Fset.Position(first))
 								} else {
 									algos[name] = n.Args[0].Pos()
-								}
-							}
-						}
-					case "RegisterPlanner":
-						if len(n.Args) >= 1 {
-							if name, ok := constString(info, n.Args[0]); ok {
-								if first, dup := planners[name]; dup {
-									pass.Reportf(n.Args[0].Pos(), "planner %q registered more than once (first at %s)",
-										name, mod.Fset.Position(first))
-								} else {
-									planners[name] = n.Args[0].Pos()
 								}
 							}
 						}
@@ -110,22 +96,11 @@ func runModule(pass *analysis.ModulePass) error {
 						if !ok {
 							continue
 						}
-						id, ok := kv.Key.(*ast.Ident)
-						if !ok {
+						if id, ok := kv.Key.(*ast.Ident); !ok || id.Name != "Algo" {
 							continue
 						}
-						switch id.Name {
-						case "Algo":
-							if name, ok := constString(info, kv.Value); ok {
-								specUses = append(specUses, strUse{name, kv.Value.Pos()})
-							}
-						case "Planner":
-							// "" is the legitimate no-plan spec; only
-							// non-empty constants must round-trip against
-							// the planner registry.
-							if name, ok := constString(info, kv.Value); ok && name != "" {
-								planUses = append(planUses, strUse{name, kv.Value.Pos()})
-							}
+						if name, ok := constString(info, kv.Value); ok {
+							specUses = append(specUses, strUse{name, kv.Value.Pos()})
 						}
 					}
 				}
@@ -136,11 +111,6 @@ func runModule(pass *analysis.ModulePass) error {
 	for _, u := range specUses {
 		if _, ok := algos[u.name]; !ok {
 			pass.Reportf(u.pos, "SessionSpec.Algo %q matches no RegisterAlgorithm call; no site can build this session", u.name)
-		}
-	}
-	for _, u := range planUses {
-		if _, ok := planners[u.name]; !ok {
-			pass.Reportf(u.pos, "SessionSpec.Planner %q matches no RegisterPlanner call; sites reject plans they cannot attribute", u.name)
 		}
 	}
 	for _, u := range stratUses {

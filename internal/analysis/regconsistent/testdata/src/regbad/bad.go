@@ -33,25 +33,20 @@ var matrix = []Algorithm{AlgoA, AlgoB} // want "exhaustive literal over Algorith
 //dgsvet:exhaustive
 var names = [...]string{AlgoA: "a", AlgoC: "c"} // want "exhaustive table over Algorithm misses AlgoB"
 
-type SessionSpec struct{ Algo, Planner string }
+type SessionSpec struct {
+	Algo string
+	Plan []byte
+}
 
 func RegisterAlgorithm(name string, f func()) {}
-
-func RegisterPlanner(name string, f func()) {}
 
 func init() {
 	RegisterAlgorithm("alpha", nil)
 	RegisterAlgorithm("alpha", nil) // want "algorithm \"alpha\" registered more than once"
-	RegisterPlanner("eagerish", nil)
-	RegisterPlanner("eagerish", nil) // want "planner \"eagerish\" registered more than once"
 }
 
 func open() SessionSpec {
 	return SessionSpec{Algo: "beta"} // want "SessionSpec.Algo \"beta\" matches no RegisterAlgorithm call"
-}
-
-func openPlanned() SessionSpec {
-	return SessionSpec{Algo: "alpha", Planner: "eager"} // want "SessionSpec.Planner \"eager\" matches no RegisterPlanner call"
 }
 
 type part struct {

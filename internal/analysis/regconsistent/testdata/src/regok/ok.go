@@ -36,11 +36,12 @@ var names = [...]string{AlgoX: "x", AlgoY: "y"}
 // partialNames is fine for the same reason.
 var partialNames = [...]string{AlgoX: "x"}
 
-type SessionSpec struct{ Algo, Planner string }
+type SessionSpec struct {
+	Algo string
+	Plan []byte
+}
 
 func RegisterAlgorithm(name string, f func()) {}
-
-func RegisterPlanner(name string, f func()) {}
 
 type part struct {
 	name string
@@ -53,15 +54,12 @@ func PartitionWith(g any, name string, n int) {}
 
 func init() {
 	RegisterAlgorithm("gamma", nil)
-	RegisterPlanner("greedy", nil)
 	RegisterPartitioner(part{"ldg", func() {}})
 }
 
 func use() {
 	_ = SessionSpec{Algo: "gamma"}
-	_ = SessionSpec{Algo: "gamma", Planner: "greedy"}
-	// An empty planner is the legitimate no-plan spec.
-	_ = SessionSpec{Algo: "gamma", Planner: ""}
+	_ = SessionSpec{Algo: "gamma", Plan: []byte{1}}
 	PartitionWith(nil, "ldg", 4)
 	//lint:allow regconsistent — probing the unknown-name error path
 	_ = SessionSpec{Algo: "deliberately-unknown"}

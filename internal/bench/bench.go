@@ -196,16 +196,14 @@ var groups = map[string]struct {
 	"partition": {[]string{"part-pt", "part-ds"}, partitionExp},
 	"serving":   {[]string{"srv-qps", "srv-p99"}, servingExp},
 	"failover":  {[]string{"fo-detect", "fo-restore"}, failoverExp},
-	"planner":   {[]string{"plan-pt", "plan-ds", "plan-wpt", "plan-wds"}, plannerExp},
 }
 
 // Figures lists every reproducible figure ID in order: the paper's 16
 // panels plus the updates and partition experiments' PT/DS pairs, the
-// serving experiment's QPS/p99 pair, the failover experiment's
-// detection/restoration pair and the planner experiment's
-// evaluation/maintenance pairs.
+// serving experiment's QPS/p99 pair and the failover experiment's
+// detection/restoration pair.
 func Figures() []string {
-	return []string{"6a", "6b", "6c", "6d", "6e", "6f", "6g", "6h", "6i", "6j", "6k", "6l", "6m", "6n", "6o", "6p", "upd-pt", "upd-ds", "part-pt", "part-ds", "srv-qps", "srv-p99", "fo-detect", "fo-restore", "plan-pt", "plan-ds", "plan-wpt", "plan-wds"}
+	return []string{"6a", "6b", "6c", "6d", "6e", "6f", "6g", "6h", "6i", "6j", "6k", "6l", "6m", "6n", "6o", "6p", "upd-pt", "upd-ds", "part-pt", "part-ds", "srv-qps", "srv-p99", "fo-detect", "fo-restore"}
 }
 
 // Groups lists the experiment groups.

@@ -10,8 +10,8 @@ func tiny() Config { return Config{Scale: 0.05, Queries: 1, Seed: 3, NoNetwork: 
 
 func TestFiguresComplete(t *testing.T) {
 	ids := Figures()
-	if len(ids) != 28 { // the paper's 16 panels + upd/part PT+DS pairs + serving QPS/p99 + failover detect/restore + planner eval/maintenance pairs
-		t.Fatalf("want 28 panels, got %d", len(ids))
+	if len(ids) != 24 { // the paper's 16 panels + upd/part PT+DS pairs + serving QPS/p99 + failover detect/restore
+		t.Fatalf("want 24 panels, got %d", len(ids))
 	}
 	covered := map[string]bool{}
 	for _, g := range groups {
@@ -24,8 +24,8 @@ func TestFiguresComplete(t *testing.T) {
 			t.Fatalf("figure %s has no experiment group", id)
 		}
 	}
-	if len(Groups()) != 14 { // 8 figure groups + ablation + updates + partition + serving + failover + planner
-		t.Fatalf("want 14 groups, got %d", len(Groups()))
+	if len(Groups()) != 13 { // 8 figure groups + ablation + updates + partition + serving + failover
+		t.Fatalf("want 13 groups, got %d", len(Groups()))
 	}
 }
 

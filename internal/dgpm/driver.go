@@ -35,11 +35,7 @@ import (
 // byte-identical to an untraced run.
 func Eval(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr *partition.Fragmentation, cfg Config, pl *plan.Plan, traceID uint64) (*simulation.Match, cluster.Stats, *obs.QueryTrace, error) {
 	coord := &cluster.Collector{}
-	spec := cluster.SessionSpec{Algo: Algo, Query: pattern.EncodeBinary(q), Config: EncodeConfig(cfg), TraceID: traceID}
-	if pl != nil {
-		spec.Planner, spec.Plan = pl.Planner, pl.Encode()
-	}
-	stats, trace, err := c.Evaluate(ctx, spec, coord, func(sess *cluster.Session) error {
+	stats, trace, err := c.Evaluate(ctx, sessionSpec(q, cfg, pl, traceID), coord, func(sess *cluster.Session) error {
 		// Phase 1+2: partial evaluation and message passing to the fixpoint.
 		if err := sess.Phase(ctx, &wire.Control{Op: OpStart}); err != nil {
 			return err

@@ -247,11 +247,7 @@ func (s *Standing) LastStats() cluster.Stats { return s.last }
 // falsifications against the new engines.
 func (s *Standing) Reevaluate(ctx context.Context) error {
 	coord := &cluster.Collector{}
-	spec := cluster.SessionSpec{Algo: Algo, Query: pattern.EncodeBinary(s.union), Config: EncodeConfig(MaintConfig())}
-	if s.pl != nil {
-		spec.Planner, spec.Plan = s.pl.Planner, s.pl.Encode()
-	}
-	sess, err := s.c.OpenSession(cluster.SessionMaintenance, spec, coord)
+	sess, err := s.c.OpenSession(cluster.SessionMaintenance, sessionSpec(s.union, MaintConfig(), s.pl, 0), coord)
 	if err != nil {
 		return err
 	}

@@ -81,17 +81,23 @@ func init() {
 	})
 }
 
-// decodeSpecPlan extracts and validates the optional evaluation plan of
-// a session spec: the planner name must be registered (a daemon should
-// reject a plan it cannot attribute, same as an unknown algorithm) and
-// the orders must fit the decoded pattern. Specs without a plan — from
-// planner-off drivers — yield nil.
-func decodeSpecPlan(spec cluster.SessionSpec, q *pattern.Pattern) (*plan.Plan, error) {
-	if spec.Planner == "" && len(spec.Plan) == 0 {
-		return nil, nil
+// sessionSpec is the one place a dGPM session spec is built: the query
+// and config blobs, and pl's orders when there is a plan (nil leaves the
+// plan blob empty — the identity order).
+func sessionSpec(q *pattern.Pattern, cfg Config, pl *plan.Plan, traceID uint64) cluster.SessionSpec {
+	spec := cluster.SessionSpec{Algo: Algo, Query: pattern.EncodeBinary(q), Config: EncodeConfig(cfg), TraceID: traceID}
+	if pl != nil {
+		spec.Plan = pl.Encode()
 	}
-	if _, ok := plan.PlannerByName(spec.Planner); !ok {
-		return nil, fmt.Errorf("dgpm: unknown planner %q", spec.Planner)
+	return spec
+}
+
+// decodeSpecPlan extracts and validates the optional evaluation plan of
+// a session spec: the orders must fit the decoded pattern. A spec with
+// an empty plan blob yields nil, the identity order.
+func decodeSpecPlan(spec cluster.SessionSpec, q *pattern.Pattern) (*plan.Plan, error) {
+	if len(spec.Plan) == 0 {
+		return nil, nil
 	}
 	pl, err := plan.Decode(spec.Plan)
 	if err != nil {
@@ -100,6 +106,5 @@ func decodeSpecPlan(spec cluster.SessionSpec, q *pattern.Pattern) (*plan.Plan, e
 	if err := pl.Fits(q); err != nil {
 		return nil, err
 	}
-	pl.Planner = spec.Planner
 	return pl, nil
 }

@@ -3,8 +3,7 @@ package plan
 // Binary plan codec for SessionSpec.Plan. The blob carries only what a
 // remote site needs to honor the plan — the node and edge orders — not
 // the estimates they were derived from (those stay driver-side, for
-// explain output). The planner's registered name travels separately in
-// SessionSpec.Planner so daemons can validate it against the registry.
+// explain output).
 
 import (
 	"encoding/binary"
@@ -39,8 +38,7 @@ func (p *Plan) Encode() []byte {
 	return out
 }
 
-// Decode parses an Encode blob. The decoded plan has no Planner name
-// (the caller takes it from SessionSpec.Planner) and no estimates.
+// Decode parses an Encode blob. The decoded plan has no estimates.
 func Decode(b []byte) (*Plan, error) {
 	if len(b) < 2 {
 		return nil, fmt.Errorf("plan: blob too short (%d bytes)", len(b))

@@ -10,10 +10,10 @@
 //
 // Plans are advisory: dGPM's counter fixpoint is confluent, so any
 // evaluation order reaches the same unique maximum simulation and the
-// same termination certificate. A site without a plan (a planner-off
-// deployment) evaluates in declaration order with identical results; a
-// plan only reorders work so cheap falsifications happen — and ship —
-// first.
+// same termination certificate. A site without a plan evaluates in
+// declaration order with identical results; a plan only reorders work
+// so cheap falsifications happen — and ship — first. There is one
+// planner, GreedyPlan, a pure function of the pattern and the stats.
 //
 // The package also defines the canonical form of a pattern (canon.go):
 // a deterministic renaming under which equivalent-modulo-renaming
@@ -24,7 +24,6 @@ package plan
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"dgs/internal/graph"
 	"dgs/internal/pattern"
@@ -91,8 +90,6 @@ func (st *Stats) OutSum(l graph.Label) uint64 {
 // one every Engine uses: for u ascending, the edges (u, q.Succ(u)[j])
 // in succ-slice order.
 type Plan struct {
-	// Planner is the registered name of the planner that built the plan.
-	Planner string
 	// Empty reports that some query node's label has zero occurrences
 	// in the deployed graph: the simulation is empty, no evaluation —
 	// and no wire traffic — is needed.
@@ -133,56 +130,6 @@ func checkPerm(xs []uint16, n int, what string) error {
 	return nil
 }
 
-// A Func builds a plan for q from deployment statistics. Implementations
-// must be deterministic: the same pattern and stats yield the same plan.
-type Func func(q *pattern.Pattern, st *Stats) *Plan
-
-// Greedy is the registered name of the default selectivity-greedy
-// planner.
-const Greedy = "greedy"
-
-var (
-	plannerMu  sync.Mutex
-	plannerReg = make(map[string]Func)
-)
-
-// RegisterPlanner installs a planner under name. Planner packages
-// register in init, mirroring cluster.RegisterAlgorithm; daemons
-// validate SessionSpec.Planner against this registry. Duplicate names
-// panic.
-func RegisterPlanner(name string, f Func) {
-	plannerMu.Lock()
-	defer plannerMu.Unlock()
-	if _, dup := plannerReg[name]; dup {
-		panic(fmt.Sprintf("plan: planner %q registered twice", name))
-	}
-	plannerReg[name] = f
-}
-
-// PlannerByName looks a registered planner up by name.
-func PlannerByName(name string) (Func, bool) {
-	plannerMu.Lock()
-	defer plannerMu.Unlock()
-	f, ok := plannerReg[name]
-	return f, ok
-}
-
-// RegisteredPlanners lists the registered planner names, sorted.
-func RegisteredPlanners() []string {
-	plannerMu.Lock()
-	defer plannerMu.Unlock()
-	names := make([]string, 0, len(plannerReg))
-	for n := range plannerReg {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func init() {
-	RegisterPlanner(Greedy, GreedyPlan)
-}
-
 // GreedyPlan is the stats-free-infrastructure greedy planner: node
 // selectivity is the label's candidate population, edge selectivity the
 // smaller endpoint population (the counter that can exhaust first),
@@ -191,7 +138,7 @@ func init() {
 // histograms, no sampling.
 func GreedyPlan(q *pattern.Pattern, st *Stats) *Plan {
 	nq := q.NumNodes()
-	p := &Plan{Planner: Greedy, NodeEst: make([]uint32, nq)}
+	p := &Plan{NodeEst: make([]uint32, nq)}
 	for u := 0; u < nq; u++ {
 		est := st.Candidates(q.Label(pattern.QNode(u)))
 		p.NodeEst[u] = est

@@ -153,25 +153,6 @@ func TestFitsRejectsWrongShape(t *testing.T) {
 	}
 }
 
-func TestPlannerRegistry(t *testing.T) {
-	f, ok := PlannerByName(Greedy)
-	if !ok || f == nil {
-		t.Fatal("greedy planner not registered")
-	}
-	if _, ok := PlannerByName("nope"); ok {
-		t.Fatal("unknown planner resolved")
-	}
-	found := false
-	for _, n := range RegisteredPlanners() {
-		if n == Greedy {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("RegisteredPlanners() = %v, missing %q", RegisteredPlanners(), Greedy)
-	}
-}
-
 // renamed returns q with node identities permuted by a random
 // permutation: same pattern modulo renaming/declaration order.
 func renamed(q *pattern.Pattern, rng *rand.Rand) *pattern.Pattern {

@@ -262,8 +262,6 @@ type QueryResponse struct {
 
 // PlanBody is the JSON rendering of a query's evaluation plan.
 type PlanBody struct {
-	// Planner is the deployment's planner name ("" when disabled).
-	Planner string `json:"planner"`
 	// CanonicalKey is the renaming-invariant cache key.
 	CanonicalKey string `json:"canonical_key"`
 	// Empty reports the absent-label short-circuit verdict.
@@ -290,7 +288,6 @@ type PlanEdgeBody struct {
 
 func toPlanBody(pi *dgs.PlanInfo) *PlanBody {
 	b := &PlanBody{
-		Planner:      pi.Planner,
 		CanonicalKey: pi.CanonicalKey,
 		Empty:        pi.Empty,
 		Nodes:        make([]PlanNodeBody, len(pi.Nodes)),

@@ -270,9 +270,6 @@ func TestExplainRequest(t *testing.T) {
 	if resp.Plan == nil {
 		t.Fatal("explain response carries no plan")
 	}
-	if resp.Plan.Planner != w.dep.Planner() || resp.Plan.Planner == "" {
-		t.Fatalf("plan names planner %q, deployment uses %q", resp.Plan.Planner, w.dep.Planner())
-	}
 	if resp.Plan.CanonicalKey == "" || len(resp.Plan.Nodes) != 2 || len(resp.Plan.Edges) != 2 {
 		t.Fatalf("plan malformed: %+v", resp.Plan)
 	}

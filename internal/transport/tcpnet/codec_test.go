@@ -23,7 +23,7 @@ func TestDecodeOpenCopiesSpec(t *testing.T) {
 	body := encodeOpen(openBody{
 		qid:  7,
 		kind: cluster.SessionQuery,
-		spec: cluster.SessionSpec{Algo: "a", Query: []byte{1, 2, 3}, Config: []byte{9, 8}, Planner: "greedy", Plan: []byte{4, 5}}, //lint:allow regconsistent — codec round-trip probe, the spec never reaches a site
+		spec: cluster.SessionSpec{Algo: "a", Query: []byte{1, 2, 3}, Config: []byte{9, 8}, Plan: []byte{4, 5}}, //lint:allow regconsistent — codec round-trip probe, the spec never reaches a site
 	})
 	o, err := decodeOpen(body)
 	if err != nil {
@@ -35,8 +35,8 @@ func TestDecodeOpenCopiesSpec(t *testing.T) {
 	if !bytes.Equal(o.spec.Query, []byte{1, 2, 3}) || !bytes.Equal(o.spec.Config, []byte{9, 8}) {
 		t.Fatalf("decoded spec aliases the frame buffer: query=%v config=%v", o.spec.Query, o.spec.Config)
 	}
-	if o.spec.Planner != "greedy" || !bytes.Equal(o.spec.Plan, []byte{4, 5}) {
-		t.Fatalf("decoded plan fields mangled: planner=%q plan=%v", o.spec.Planner, o.spec.Plan)
+	if !bytes.Equal(o.spec.Plan, []byte{4, 5}) {
+		t.Fatalf("decoded plan aliases the frame buffer: plan=%v", o.spec.Plan)
 	}
 }
 
@@ -167,16 +167,16 @@ func TestWriteChunkRespectsByteCap(t *testing.T) {
 	}
 }
 
-// The OPEN layout is fixed: planner, plan and trace ID are always on
+// The OPEN layout is fixed: plan and trace ID are always on
 // the wire, empty/zero meaning absent, and every combination
 // round-trips. A body cut short anywhere, or with bytes after the trace
 // ID, is rejected rather than read as a shorter layout.
 func TestEncodeOpenTracedRoundTrip(t *testing.T) {
 	for name, spec := range map[string]cluster.SessionSpec{
-		"bare":           {Algo: "a", Query: []byte{1}, Config: []byte{2}},                                                  //lint:allow regconsistent — codec round-trip probe, the spec never reaches a site
-		"planned":        {Algo: "a", Query: []byte{1}, Config: []byte{2}, Planner: "greedy", Plan: []byte{7}},              //lint:allow regconsistent — codec round-trip probe, the spec never reaches a site
-		"traced":         {Algo: "a", Query: []byte{1}, Config: []byte{2}, TraceID: 0xBEEF},                                 //lint:allow regconsistent — codec round-trip probe, the spec never reaches a site
-		"planned-traced": {Algo: "a", Query: []byte{1}, Config: []byte{2}, Planner: "greedy", Plan: []byte{7}, TraceID: 11}, //lint:allow regconsistent — codec round-trip probe, the spec never reaches a site
+		"bare":           {Algo: "a", Query: []byte{1}, Config: []byte{2}},                               //lint:allow regconsistent — codec round-trip probe, the spec never reaches a site
+		"planned":        {Algo: "a", Query: []byte{1}, Config: []byte{2}, Plan: []byte{7}},              //lint:allow regconsistent — codec round-trip probe, the spec never reaches a site
+		"traced":         {Algo: "a", Query: []byte{1}, Config: []byte{2}, TraceID: 0xBEEF},              //lint:allow regconsistent — codec round-trip probe, the spec never reaches a site
+		"planned-traced": {Algo: "a", Query: []byte{1}, Config: []byte{2}, Plan: []byte{7}, TraceID: 11}, //lint:allow regconsistent — codec round-trip probe, the spec never reaches a site
 	} {
 		o := openBody{qid: 3, kind: cluster.SessionQuery, spec: spec}
 		body := encodeOpen(o)
@@ -187,8 +187,8 @@ func TestEncodeOpenTracedRoundTrip(t *testing.T) {
 		if got.spec.TraceID != spec.TraceID {
 			t.Fatalf("%s: trace ID = %#x, want %#x", name, got.spec.TraceID, spec.TraceID)
 		}
-		if got.spec.Planner != spec.Planner || !bytes.Equal(got.spec.Plan, spec.Plan) {
-			t.Fatalf("%s: plan fields mangled: %+v", name, got.spec)
+		if !bytes.Equal(got.spec.Plan, spec.Plan) {
+			t.Fatalf("%s: plan mangled: %+v", name, got.spec)
 		}
 		for cut := 0; cut < len(body); cut++ {
 			if _, err := decodeOpen(body[:cut]); err == nil {

@@ -37,9 +37,6 @@ type Options struct {
 	// shipment when the Dial context carries no earlier deadline.
 	// Default 30s.
 	DialTimeout time.Duration
-	// WriteTimeout bounds each frame write after deployment; a stalled
-	// daemon fails the deployment instead of wedging it. Default 30s.
-	WriteTimeout time.Duration
 	// Spares lists standby daemon addresses that are not part of the
 	// initial deployment. Recover dials them, in order, to re-host the
 	// sites of a lost daemon; each spare is used at most once.
@@ -62,9 +59,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.DialTimeout == 0 {
 		o.DialTimeout = 30 * time.Second
-	}
-	if o.WriteTimeout == 0 {
-		o.WriteTimeout = 30 * time.Second
 	}
 	if o.HeartbeatMisses <= 0 {
 		o.HeartbeatMisses = 3
@@ -885,7 +879,7 @@ func (cn *conn) writeLoop() {
 			cn.c.Close()
 			return
 		}
-		cn.c.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
+		cn.c.SetWriteDeadline(time.Now().Add(writeTimeout))
 		if err := writeChunk(bw, entries, meter); err != nil {
 			t.loseConn(cn, fmt.Errorf("write: %w", err))
 			return

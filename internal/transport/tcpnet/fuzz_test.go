@@ -16,20 +16,20 @@ import (
 
 func FuzzDecodeOpen(f *testing.F) {
 	for _, s := range []struct {
-		algo, planner       string
+		algo                string
 		query, config, plan []byte
 		traceID             uint64
 	}{
 		{algo: "a", query: []byte{1, 2, 3}, config: []byte{9, 8}},
-		{algo: "a", query: []byte{1}, config: []byte{2}, planner: "greedy", plan: []byte{4, 5}},
+		{algo: "a", query: []byte{1}, config: []byte{2}, plan: []byte{4, 5}},
 		{algo: "a", query: []byte{1}, config: []byte{2}, traceID: 0xBEEF},
-		{algo: "a", query: []byte{1}, config: []byte{2}, planner: "greedy", plan: []byte{7}, traceID: 11},
+		{algo: "a", query: []byte{1}, config: []byte{2}, plan: []byte{7}, traceID: 11},
 		{},
 		{algo: "long-algorithm-name", query: bytes.Repeat([]byte{7}, 300), config: bytes.Repeat([]byte{1}, 40)},
 	} {
 		o := openBody{qid: 7, kind: cluster.SessionQuery}
 		o.spec.Algo, o.spec.Query, o.spec.Config = s.algo, s.query, s.config
-		o.spec.Planner, o.spec.Plan, o.spec.TraceID = s.planner, s.plan, s.traceID
+		o.spec.Plan, o.spec.TraceID = s.plan, s.traceID
 		body := encodeOpen(o)
 		f.Add(body)
 		f.Add(body[:len(body)-1])
@@ -43,7 +43,7 @@ func FuzzDecodeOpen(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if n := len(o.spec.Algo) + len(o.spec.Query) + len(o.spec.Config) + len(o.spec.Planner) + len(o.spec.Plan); n > len(data) {
+		if n := len(o.spec.Algo) + len(o.spec.Query) + len(o.spec.Config) + len(o.spec.Plan); n > len(data) {
 			t.Fatalf("decoded %d field bytes from a %d-byte body", n, len(data))
 		}
 		if re := encodeOpen(o); !bytes.Equal(re, data) {

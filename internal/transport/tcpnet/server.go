@@ -28,8 +28,6 @@ import (
 type Server struct {
 	// Logf receives connection lifecycle lines; nil silences them.
 	Logf func(format string, args ...any)
-	// WriteTimeout bounds each outbound frame write (default 30s).
-	WriteTimeout time.Duration
 
 	// counters are the daemon's running totals, maintained always and
 	// exported when RegisterMetrics was called. Plain int64s driven by
@@ -160,10 +158,6 @@ func decodeFragSet(dep deployBody) (map[int]*partition.Fragment, string) {
 func (s *Server) handle(c net.Conn) {
 	defer c.Close()
 	br := bufio.NewReaderSize(c, 1<<16)
-	writeTimeout := s.WriteTimeout
-	if writeTimeout == 0 {
-		writeTimeout = 30 * time.Second
-	}
 
 	refuse := func(why string) {
 		if _, err := writeFrame(c, writeTimeout, frameErr, encodeErr(errBody{qid: 0, msg: why})); err != nil {

@@ -49,7 +49,11 @@ import (
 // check: the driver offers this value, the daemon refuses any other
 // with an ERR naming both numbers, and the driver refuses a HELLO-OK
 // that echoes anything else. Bump it on any frame-layout change.
-const ProtocolVersion uint16 = 6
+const ProtocolVersion uint16 = 7
+
+// writeTimeout bounds each frame write after the handshake, on both
+// ends: a stalled peer fails the deployment instead of wedging it.
+const writeTimeout = 30 * time.Second
 
 // helloMagic opens every HELLO body so that a stray connection to the
 // wrong port fails fast and explicitly.
@@ -169,7 +173,6 @@ func encodeOpen(o openBody) []byte {
 	dst = appendBlob(dst, []byte(o.spec.Algo))
 	dst = appendBlob(dst, o.spec.Query)
 	dst = appendBlob(dst, o.spec.Config)
-	dst = appendBlob(dst, []byte(o.spec.Planner))
 	dst = appendBlob(dst, o.spec.Plan)
 	return appendU64(dst, o.spec.TraceID)
 }
@@ -201,11 +204,6 @@ func decodeOpen(b []byte) (openBody, error) {
 	if o.spec.Config, err = readBlobCopy(r); err != nil {
 		return o, err
 	}
-	planner, err := readBlob(r)
-	if err != nil {
-		return o, err
-	}
-	o.spec.Planner = string(planner)
 	if o.spec.Plan, err = readBlobCopy(r); err != nil {
 		return o, err
 	}

@@ -47,9 +47,9 @@ type ApplyStats struct {
 	Delta Stats
 	// Maintenance aggregates the standing queries' refinement traffic —
 	// incremental falsification propagation for a deletion-only batch,
-	// full re-evaluation when the batch inserts edges. Standing queries
-	// sharing one maintenance session (planner-on deployments) pay their
-	// session's cost once here, not once per handle.
+	// full re-evaluation when the batch inserts edges. The standing
+	// queries share one maintenance session, whose cost is paid once
+	// here, not once per handle.
 	Maintenance Stats
 	// Reevaluated counts standing queries that fell back to full
 	// re-evaluation (insertions in the batch, or a previously failed
@@ -164,14 +164,8 @@ func (d *Deployment) Apply(ctx context.Context, ops []EdgeOp) (ApplyStats, error
 	// stale either way, and the recovery that clears the loss
 	// re-registers every standing query against the committed graph
 	// (failover.go); any other error still surfaces.
-	d.watchMu.Lock()
-	watchers := make([]*Maintained, 0, len(d.watchers))
-	for w := range d.watchers {
-		watchers = append(watchers, w)
-	}
-	d.watchMu.Unlock()
 	var firstErr error
-	for _, w := range watchers {
+	for _, w := range d.openWatchers() {
 		if firstErr != nil {
 			w.markStale()
 			continue
@@ -192,21 +186,30 @@ func (d *Deployment) Apply(ctx context.Context, ops []EdgeOp) (ApplyStats, error
 	return st, nil
 }
 
+// openWatchers snapshots the registered standing-query handles.
+func (d *Deployment) openWatchers() []*Maintained {
+	d.watchMu.Lock()
+	defer d.watchMu.Unlock()
+	watchers := make([]*Maintained, 0, len(d.watchers))
+	for w := range d.watchers {
+		watchers = append(watchers, w)
+	}
+	return watchers
+}
+
 // Watch registers q as a standing query: it is evaluated now (with the
 // maintenance engine — dGPM with incremental evaluation, push disabled)
 // and its match relation is kept current by every subsequent Apply. The
 // returned handle serves the relation without further distributed work;
 // Close it when the standing query is no longer needed.
 //
-// On a planner-on deployment, standing queries share ONE maintenance
-// session: each distinct pattern (modulo node renaming — canonical-form
-// equality) is one block of a disjoint pattern union, and a Watch whose
-// pattern is equivalent to a live one joins its block without any
-// distributed work at all. A pattern whose label is absent from the
-// graph never opens a session: its handle serves ∅ statically, since
-// the node set and labels of a deployed graph are fixed. With
-// WithPlannerDisabled, every Watch holds its own session (the unshared
-// baseline).
+// A deployment's standing queries share ONE maintenance session: each
+// distinct pattern (modulo node renaming — canonical-form equality) is
+// one block of a disjoint pattern union, and a Watch whose pattern is
+// equivalent to a live one joins its block without any distributed work
+// at all. A pattern whose label is absent from the graph never opens a
+// session: its handle serves ∅ statically, since the node set and
+// labels of a deployed graph are fixed.
 func (d *Deployment) Watch(ctx context.Context, q *Pattern) (*Maintained, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -228,16 +231,11 @@ func (d *Deployment) Watch(ctx context.Context, q *Pattern) (*Maintained, error)
 	defer d.state.RUnlock()
 
 	var w *Maintained
-	if pl := d.planFor(q.p); pl != nil && pl.Empty {
+	if d.planFor(q.p).Empty {
 		// Absent label: Q(G) = ∅ now and after every future batch (edge
 		// updates cannot mint label occurrences), so the handle is
 		// static — no session, no refresh work, never stale.
 		w = &Maintained{d: d, q: q, cur: &Match{m: emptyRelation(q.p.NumNodes())}}
-	} else if d.planner == "" {
-		var err error
-		if w, err = d.watchUnshared(ctx, q); err != nil {
-			return nil, errorf("watch: %w", err)
-		}
 	} else {
 		var err error
 		if w, err = d.watchShared(ctx, q); err != nil {
@@ -250,39 +248,14 @@ func (d *Deployment) Watch(ctx context.Context, q *Pattern) (*Maintained, error)
 	return w, nil
 }
 
-// watchUnshared gives the standing query a private one-block shard —
-// its own maintenance session, the planner-off baseline.
-func (d *Deployment) watchUnshared(ctx context.Context, q *Pattern) (*Maintained, error) {
-	st, err := dgpm.NewStanding(ctx, d.c, d.part.fr, []*pattern.Pattern{q.p}, nil)
-	if err != nil {
-		return nil, err
-	}
-	sh := &watchShard{
-		d:         d,
-		st:        st,
-		refreshed: d.version.Load(),
-		last:      fromCluster(st.LastStats()),
-	}
-	b := &watchBlock{q: q.p, perm: identityPerm(q.p.NumNodes()), refs: 1}
-	sh.blocks = []*watchBlock{b}
-	return newHandle(d, q, sh, b, identityPerm(q.p.NumNodes())), nil
-}
-
-// watchShared adds the standing query to the deployment's single shared
-// shard: equivalent patterns join a live block for free; a new distinct
+// watchShared adds the standing query to the deployment's shard:
+// equivalent patterns join a live block for free; a new distinct
 // pattern rebuilds the union session over the live blocks plus itself
 // (one full evaluation — the same price Watch always paid — after which
 // every batch is absorbed once for all members).
 func (d *Deployment) watchShared(ctx context.Context, q *Pattern) (*Maintained, error) {
 	c := plan.Canonicalize(q.p)
-	d.shardMu.Lock()
-	sh := d.shard
-	if sh == nil {
-		sh = &watchShard{d: d}
-		d.shard = sh
-	}
-	d.shardMu.Unlock()
-
+	sh := &d.shard
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	// Equivalent to a live block? Join it: compose the two canonical
@@ -291,8 +264,7 @@ func (d *Deployment) watchShared(ctx context.Context, q *Pattern) (*Maintained, 
 		if b.refs > 0 && b.key == c.Key {
 			b.refs++
 			remap := composeRemap(b.perm, c.Perm)
-			w := newHandle(d, q, sh, b, remap)
-			return w, nil
+			return newHandle(d, q, sh, b, remap), nil
 		}
 	}
 	// Distinct pattern: rebuild the union session from the live blocks
@@ -327,9 +299,8 @@ func (d *Deployment) watchShared(ctx context.Context, q *Pattern) (*Maintained, 
 }
 
 // newHandle builds a Maintained over its shard block, snapshotting the
-// current relation. Callers must hold d.state (read) — and, for shared
-// shards, arrange that no concurrent rebuild races the snapshot (the
-// shared path holds sh.mu).
+// current relation. Callers must hold d.state (read) and sh.mu, so no
+// concurrent rebuild races the snapshot.
 func newHandle(d *Deployment, q *Pattern, sh *watchShard, b *watchBlock, remap []int) *Maintained {
 	w := &Maintained{d: d, q: q, shard: sh, block: b, remap: remap}
 	if m := sh.snapshotLocked(b, remap); m != nil {
@@ -371,14 +342,10 @@ func emptyRelation(n int) *simulation.Match {
 	return simulation.NewMatch(n).Canonical()
 }
 
-// watchShard is a set of standing queries fed by one dgpm.Standing
-// session: its blocks, one per distinct pattern, are read by one or
-// more Maintained handles each. Planner-on deployments keep a single
-// shared shard; planner-off handles get private one-block shards. All
-// fields after d are guarded by mu.
+// watchShard is a deployment's standing queries, fed by one
+// dgpm.Standing session: its blocks, one per distinct pattern, are read
+// by one or more Maintained handles each. All fields are guarded by mu.
 type watchShard struct {
-	d *Deployment
-
 	mu     sync.Mutex
 	st     *dgpm.Standing // nil once every block's handles closed
 	blocks []*watchBlock  // aligned with st's member patterns
@@ -432,7 +399,9 @@ func (sh *watchShard) refresh(ctx context.Context, ver uint64, dels [][2]NodeID,
 
 // reevaluate unconditionally re-runs the standing fixpoint (user
 // Refresh, failover recovery — the version guard must not skip it: the
-// graph may be unchanged while the per-site engines are gone).
+// graph may be unchanged while the per-site engines are gone). Callers
+// with several handles to bring up to date call it once and resync each
+// handle.
 func (sh *watchShard) reevaluate(ctx context.Context, ver uint64) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -508,7 +477,7 @@ func (sh *watchShard) release(b *watchBlock) {
 // session evaluates, its canonical form, and how many open handles read
 // it. Guarded by the owning shard's mu.
 type watchBlock struct {
-	key  string           // canonical key ("" for private planner-off shards)
+	key  string           // canonical key
 	q    *pattern.Pattern // leader pattern, as evaluated by the session
 	perm []int            // leader node -> canonical position
 	refs int
@@ -587,16 +556,33 @@ func (w *Maintained) refresh(ctx context.Context, dels [][2]NodeID, hasIns bool)
 		return false, Stats{}, nil
 	}
 	reeval, st, err = w.shard.refresh(ctx, w.d.version.Load(), dels, hasIns)
+	w.resyncLocked(err)
+	return reeval, st, err
+}
+
+// resync is resyncLocked for a window the handle did not drive itself
+// (recovery re-evaluates the shard once for all handles).
+func (w *Maintained) resync(err error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if !w.closed && w.shard != nil {
+		w.resyncLocked(err)
+	}
+}
+
+// resyncLocked brings the handle in line with its shard after a refresh
+// window that ended with err: stale on failure, else the block's current
+// relation and the window's cost. Callers hold w.mu.
+func (w *Maintained) resyncLocked(err error) {
 	if err != nil {
 		w.stale = true
-		return reeval, Stats{}, err
+		return
 	}
 	w.stale = false
 	if m := w.shard.snapshot(w.block, w.remap); m != nil {
 		w.cur = &Match{m: m}
 	}
 	w.last = w.shard.lastStats()
-	return reeval, st, nil
 }
 
 // Refresh re-evaluates the standing query against the current graph now
@@ -616,15 +602,11 @@ func (w *Maintained) Refresh(ctx context.Context) error {
 	if w.shard == nil {
 		return nil
 	}
-	if err := w.shard.reevaluate(ctx, w.d.version.Load()); err != nil {
-		w.stale = true
+	err := w.shard.reevaluate(ctx, w.d.version.Load())
+	w.resyncLocked(err)
+	if err != nil {
 		return errorf("refresh: %w", err)
 	}
-	w.stale = false
-	if m := w.shard.snapshot(w.block, w.remap); m != nil {
-		w.cur = &Match{m: m}
-	}
-	w.last = w.shard.lastStats()
 	return nil
 }
 

@@ -1,6 +1,6 @@
 package dgs
 
-// Planner-layer tests: the planner-on/planner-off parity matrix (plans
+// Planner-layer tests: the planned/identity-order parity matrix (plans
 // are advisory — the counter fixpoint is confluent, so both arms must
 // produce identical results with identical result accounting), the
 // absent-label short-circuit (zero distributed work, zero wire frames),
@@ -14,15 +14,33 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dgs/internal/cluster"
+	"dgs/internal/dgpm"
+	"dgs/internal/pattern"
+	"dgs/internal/plan"
+	"dgs/internal/wire"
 )
 
-// TestPlannerParityMatrix runs every algorithm over a default
-// (planner-on) and a WithPlannerDisabled deployment of the same
-// partition, across all three transport modes (in-process, TCP, TCP
-// with heartbeats): the match relations must be identical — both equal
-// the centralized oracle — and so must the result accounting
-// (ResultBytes serializes the final relation, which order cannot
-// change).
+// referenceEval is the reference arm planned evaluation is compared
+// against: the same dGPM session on the same deployment with a nil plan
+// — declaration order, no short-circuit.
+func referenceEval(t *testing.T, dep *Deployment, q *Pattern, cfg dgpm.Config) (*Match, Stats) {
+	t.Helper()
+	m, st, _, err := dgpm.Eval(context.Background(), dep.c, q.p, dep.part.fr, cfg, nil, 0)
+	if err != nil {
+		t.Fatalf("reference evaluation: %v", err)
+	}
+	return &Match{m: m}, fromCluster(st)
+}
+
+// TestPlannerParityMatrix runs every algorithm through Deployment.Query
+// (planned) across all three transport modes (in-process, TCP, TCP with
+// heartbeats), and the two that accept a plan — dGPM and dGPMNOpt —
+// again through the nil-plan reference on the same deployment: the
+// match relations must be identical — both equal the centralized oracle
+// — and so must the result accounting (ResultBytes serializes the final
+// relation, which order cannot change).
 func TestPlannerParityMatrix(t *testing.T) {
 	ctx := context.Background()
 	type world struct {
@@ -71,83 +89,76 @@ func TestPlannerParityMatrix(t *testing.T) {
 	for _, mode := range confModes(t) {
 		mode := mode
 		t.Run(mode.name, func(t *testing.T) {
-			worlds := mkWorlds(t)
-			type rec struct {
-				m           *Match
-				resultBytes int64
+			refConfigs := map[Algorithm]dgpm.Config{
+				AlgoDGPM:      dgpm.DefaultConfig(),
+				AlgoDGPMNoOpt: dgpm.NOptConfig(),
 			}
-			var arms [2]map[string]rec
-			for arm := 0; arm < 2; arm++ {
-				off := arm == 1
-				recs := make(map[string]rec)
-				covered := make(map[Algorithm]bool)
-				for _, wl := range worlds {
-					opts := mode.extra(t)
-					if off {
-						opts = append(opts, WithPlannerDisabled())
-					}
-					dep, err := Deploy(wl.part, opts...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if (dep.Planner() == "") != off {
-						dep.Close()
-						t.Fatalf("planner %q on deployment with plannerOff=%v", dep.Planner(), off)
-					}
-					for _, cq := range wl.qs {
-						oracle := Simulate(cq.q, wl.g)
-						for _, algo := range confAlgos {
-							var qopts []QueryOption
-							switch algo {
-							case AlgoDGPMd:
-								if !cq.q.IsDAG() && !wl.tree {
-									continue
-								}
-								if wl.tree {
-									qopts = append(qopts, WithGraphIsDAG())
-								}
-							case AlgoDGPMt:
-								if !wl.tree {
-									continue
-								}
+			covered := make(map[Algorithm]bool)
+			referenced := make(map[Algorithm]bool)
+			// A daemon serves one deployment at a time: each world's is
+			// closed before the next world deploys.
+			runWorld := func(wl world) {
+				dep, err := Deploy(wl.part, mode.extra(t)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer dep.Close()
+				for _, cq := range wl.qs {
+					oracle := Simulate(cq.q, wl.g)
+					for _, algo := range confAlgos {
+						var qopts []QueryOption
+						switch algo {
+						case AlgoDGPMd:
+							if !cq.q.IsDAG() && !wl.tree {
+								continue
 							}
-							name := fmt.Sprintf("%s/%s/%s", wl.name, cq.name, algo)
-							res, err := dep.Query(ctx, cq.q, append(qopts, WithAlgorithm(algo))...)
-							if err != nil {
-								dep.Close()
-								t.Fatalf("%s (off=%v): %v", name, off, err)
+							if wl.tree {
+								qopts = append(qopts, WithGraphIsDAG())
 							}
-							if !res.Match.Equal(oracle) {
-								dep.Close()
-								t.Fatalf("%s (off=%v): diverges from Simulate", name, off)
+						case AlgoDGPMt:
+							if !wl.tree {
+								continue
 							}
-							recs[name] = rec{res.Match, res.Stats.ResultBytes}
-							covered[algo] = true
 						}
+						name := fmt.Sprintf("%s/%s/%s", wl.name, cq.name, algo)
+						res, err := dep.Query(ctx, cq.q, append(qopts, WithAlgorithm(algo))...)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if !res.Match.Equal(oracle) {
+							t.Fatalf("%s: diverges from Simulate", name)
+						}
+						covered[algo] = true
+						cfg, planned := refConfigs[algo]
+						if !planned {
+							continue
+						}
+						ref, refStats := referenceEval(t, dep, cq.q, cfg)
+						if !ref.Equal(oracle) {
+							t.Fatalf("%s: identity-order reference diverges from Simulate", name)
+						}
+						if !res.Match.Equal(ref) {
+							t.Fatalf("%s: planned and identity-order relations diverge", name)
+						}
+						if res.Stats.ResultBytes != refStats.ResultBytes {
+							t.Fatalf("%s: ResultBytes differ across arms: planned=%d reference=%d",
+								name, res.Stats.ResultBytes, refStats.ResultBytes)
+						}
+						referenced[algo] = true
 					}
-					dep.Close()
 				}
-				for _, algo := range confAlgos {
-					if !covered[algo] {
-						t.Fatalf("algorithm %s was never exercised by the parity matrix", algo)
-					}
-				}
-				arms[arm] = recs
 			}
-			if len(arms[0]) != len(arms[1]) {
-				t.Fatalf("arms ran different combinations: %d vs %d", len(arms[0]), len(arms[1]))
+			for _, wl := range mkWorlds(t) {
+				runWorld(wl)
 			}
-			for name, on := range arms[0] {
-				off, ok := arms[1][name]
-				if !ok {
-					t.Fatalf("%s ran only in the planner-on arm", name)
+			for _, algo := range confAlgos {
+				if !covered[algo] {
+					t.Fatalf("algorithm %s was never exercised by the parity matrix", algo)
 				}
-				if !on.m.Equal(off.m) {
-					t.Fatalf("%s: planner-on and planner-off relations diverge", name)
-				}
-				if on.resultBytes != off.resultBytes {
-					t.Fatalf("%s: ResultBytes differ across arms: on=%d off=%d",
-						name, on.resultBytes, off.resultBytes)
+			}
+			for algo := range refConfigs {
+				if !referenced[algo] {
+					t.Fatalf("algorithm %s never ran against the identity-order reference", algo)
 				}
 			}
 		})
@@ -197,22 +208,13 @@ func TestQueryAbsentLabelShortCircuit(t *testing.T) {
 				t.Fatalf("%s: absent-label query did distributed work: %+v", algo, res.Stats)
 			}
 		}
-		// The planner-off arm computes the same ∅ the long way.
-		part2, err := PartitionRandom(g, 4, 61)
-		if err != nil {
-			t.Fatal(err)
+		// The reference arm computes the same ∅ the long way.
+		ref, refStats := referenceEval(t, dep, q, dgpm.DefaultConfig())
+		if !ref.Equal(oracle) {
+			t.Fatal("reference absent-label evaluation diverges from oracle")
 		}
-		depOff, err := Deploy(part2, WithPlannerDisabled())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer depOff.Close()
-		res, err := depOff.Query(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Match.Equal(oracle) {
-			t.Fatal("planner-off absent-label query diverges from oracle")
+		if refStats == (Stats{}) {
+			t.Fatal("reference arm metered nothing: it must run the full protocol")
 		}
 	})
 
@@ -253,11 +255,73 @@ func TestQueryAbsentLabelShortCircuit(t *testing.T) {
 			t.Fatalf("absent-label query moved wire frames: sent %d->%d received %d->%d",
 				sent0, sent1, recv0, recv1)
 		}
+		// The reference arm reaches the same ∅ through the sockets.
+		ref, refStats := referenceEval(t, dep, q, dgpm.DefaultConfig())
+		if !ref.Equal(oracle) {
+			t.Fatal("remote reference absent-label evaluation diverges from oracle")
+		}
+		if refStats.WireBytes == 0 {
+			t.Fatal("remote reference arm metered no wire bytes: the frame meters guard nothing")
+		}
 	})
 }
 
-// TestWatchSharedAcrossRenamedPatterns: on a planner-on deployment,
-// Watches whose patterns are equal modulo node renaming share one
+// TestOpenRejectsIllFittingPlan: a site trusts a received plan only
+// after Plan.Fits — a plan blob that is not a permutation of the
+// pattern's nodes and edges fails the session at the site factory
+// (synchronously in-process, through the session's failure on TCP), and
+// the deployment keeps serving.
+func TestOpenRejectsIllFittingPlan(t *testing.T) {
+	ctx := context.Background()
+	dict := NewDict()
+	g := GenSynthetic(dict, 300, 900, 67)
+	q, err := ParsePattern(dict, "node a l0\nnode b l1\nedge a b\nedge b a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := map[string]*plan.Plan{
+		"duplicate-node": {Nodes: []uint16{0, 0}, Edges: []uint16{0, 1}},
+		"short-edges":    {Nodes: []uint16{0, 1}, Edges: []uint16{0}},
+		"edge-range":     {Nodes: []uint16{0, 1}, Edges: []uint16{0, 2}},
+	}
+	for _, mode := range confModes(t)[:2] { // inproc, tcp
+		mode := mode
+		t.Run(mode.name, func(t *testing.T) {
+			part, err := PartitionRandom(g, 4, 67)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dep, err := Deploy(part, mode.extra(t)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dep.Close()
+			for name, pl := range bad {
+				spec := cluster.SessionSpec{
+					Algo:   dgpm.Algo,
+					Query:  pattern.EncodeBinary(q.p),
+					Config: dgpm.EncodeConfig(dgpm.DefaultConfig()),
+					Plan:   pl.Encode(),
+				}
+				_, _, err := dep.c.Evaluate(ctx, spec, &cluster.Collector{}, func(s *cluster.Session) error {
+					return s.Phase(ctx, &wire.Control{Op: dgpm.OpStart})
+				})
+				if err == nil || !strings.Contains(err.Error(), "plan:") {
+					t.Fatalf("%s: ill-fitting plan: err = %v, want the site's plan refusal", name, err)
+				}
+			}
+			res, err := dep.Query(ctx, q)
+			if err != nil {
+				t.Fatalf("query after the refusals: %v", err)
+			}
+			if !res.Match.Equal(Simulate(q, g)) {
+				t.Fatal("query after the refusals diverges from Simulate")
+			}
+		})
+	}
+}
+
+// TestWatchSharedAcrossRenamedPatterns: Watches whose patterns are equal modulo node renaming share one
 // union-session block (the joiner pays nothing), distinct patterns
 // coexist as separate blocks of the same session, every handle reads
 // its relation through its own node names, and the session is torn down
@@ -454,35 +518,27 @@ func TestWatchAbsentLabelStatic(t *testing.T) {
 	if err := w.Refresh(ctx); err != nil {
 		t.Fatal(err)
 	}
-	// The planner-off baseline evaluates the same pattern with a real
+	// The reference evaluates the same pattern with a real maintenance
 	// session and reaches the same ∅.
-	part2, err := PartitionRandom(g, 4, 75)
+	ref, err := dgpm.NewStanding(ctx, dep.c, part.fr, []*pattern.Pattern{q.p}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	depOff, err := Deploy(part2, WithPlannerDisabled())
-	if err != nil {
-		t.Fatal(err)
+	defer ref.Close()
+	if ref.LastStats().ControlBytes == 0 {
+		t.Fatal("reference standing query opened no session")
 	}
-	defer depOff.Close()
-	wOff, err := depOff.Watch(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wOff.Close()
-	if wOff.shard == nil {
-		t.Fatal("planner-off watch must hold its own session")
-	}
-	if wOff.Current().Ok() {
-		t.Fatal("planner-off absent-label watch must still serve ∅")
+	if ref.Current(0).Ok() {
+		t.Fatal("reference absent-label standing query must still serve ∅")
 	}
 }
 
 // TestSharedMaintenanceCheaperThanIndependent: 4 equivalent standing
-// queries on a planner-on deployment share one session, so an
-// insertion batch (full re-evaluation) bills roughly a quarter of what
-// 4 independent planner-off sessions pay. The acceptance bar is ≥1.5×;
-// the structural expectation is ~4×, so assert ≥2×.
+// queries share one session, so an insertion batch (full re-evaluation)
+// bills roughly a quarter of what 4 independent sessions — one
+// dgpm.NewStanding per pattern, the reference — pay to evaluate the
+// same post-batch graph. The acceptance bar is ≥1.5×; the structural
+// expectation is ~4×, so assert ≥2×.
 func TestSharedMaintenanceCheaperThanIndependent(t *testing.T) {
 	ctx := context.Background()
 	dict := NewDict()
@@ -504,60 +560,51 @@ func TestSharedMaintenanceCheaperThanIndependent(t *testing.T) {
 			t.Fatalf("renaming %d does not share the canonical key", i)
 		}
 	}
-	deployArm := func(off bool) (*Deployment, *Partition, []*Maintained) {
-		t.Helper()
-		part, err := PartitionRandom(g, 4, 81)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var opts []DeployOption
-		if off {
-			opts = append(opts, WithPlannerDisabled())
-		}
-		dep, err := Deploy(part, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { dep.Close() })
-		ws := make([]*Maintained, len(qs))
-		for i, q := range qs {
-			if ws[i], err = dep.Watch(ctx, q); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return dep, part, ws
+	part, err := PartitionRandom(g, 4, 81)
+	if err != nil {
+		t.Fatal(err)
 	}
-	depShared, partShared, wsShared := deployArm(false)
-	depSolo, partSolo, wsSolo := deployArm(true)
-	for i := 1; i < len(wsShared); i++ {
-		if wsShared[i].shard != wsShared[0].shard || wsShared[i].block != wsShared[0].block {
-			t.Fatal("planner-on equivalent watches must share one block")
+	dep, err := Deploy(part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.Close()
+	ws := make([]*Maintained, len(qs))
+	for i, q := range qs {
+		if ws[i], err = dep.Watch(ctx, q); err != nil {
+			t.Fatal(err)
 		}
-		if wsSolo[i].shard == wsSolo[0].shard {
-			t.Fatal("planner-off watches must hold independent sessions")
+		if ws[i].shard != ws[0].shard || ws[i].block != ws[0].block {
+			t.Fatal("equivalent watches must share one block")
 		}
 	}
 
-	// The same batch (valid against both arms' identical graphs), with
-	// insertions so every session re-evaluates.
-	ops := GenUpdateStream(partShared.CurrentGraph(), 10, 30, 82)
-	stShared, err := depShared.Apply(ctx, ops)
+	// A batch with insertions, so the shared session re-evaluates.
+	ops := GenUpdateStream(part.CurrentGraph(), 10, 30, 82)
+	st, err := dep.Apply(ctx, ops)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stSolo, err := depSolo.Apply(ctx, ops)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The independent arm: one private session per pattern, each running
+	// the same full evaluation of the post-batch graph (Reevaluate is
+	// NewStanding's evaluation).
+	var solo int64
 	for i, q := range qs {
-		if !wsShared[i].Current().Equal(Simulate(q, partShared.CurrentGraph())) {
+		want := Simulate(q, part.CurrentGraph())
+		if !ws[i].Current().Equal(want) {
 			t.Fatalf("shared watch %d diverges from oracle", i)
 		}
-		if !wsSolo[i].Current().Equal(Simulate(q, partSolo.CurrentGraph())) {
+		ref, err := dgpm.NewStanding(ctx, dep.c, part.fr, []*pattern.Pattern{q.p}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ref.Close()
+		if !(&Match{m: ref.Current(0)}).Equal(want) {
 			t.Fatalf("independent watch %d diverges from oracle", i)
 		}
+		solo += ref.LastStats().DataBytes
 	}
-	shared, solo := stShared.Maintenance.DataBytes, stSolo.Maintenance.DataBytes
+	shared := st.Maintenance.DataBytes
 	if solo == 0 {
 		t.Fatal("independent maintenance metered no bytes; the workload is too small to compare")
 	}
@@ -577,8 +624,7 @@ func max64(a, b int64) int64 {
 
 // TestExplain covers the plan inspection surface: orders sorted by the
 // greedy selectivity estimates, the renaming-invariant canonical key,
-// the Empty verdict, and the declaration-order fallback with planning
-// disabled.
+// and the Empty verdict.
 func TestExplain(t *testing.T) {
 	dict := NewDict()
 	g := GenSynthetic(dict, 300, 900, 85)
@@ -598,9 +644,6 @@ func TestExplain(t *testing.T) {
 	pi, err := dep.Explain(q)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if pi.Planner == "" || pi.Planner != dep.Planner() {
-		t.Fatalf("planner %q, want the deployment's %q", pi.Planner, dep.Planner())
 	}
 	if pi.CanonicalKey != q.CanonicalKey() {
 		t.Fatal("Explain's canonical key differs from the pattern's")
@@ -628,7 +671,7 @@ func TestExplain(t *testing.T) {
 		}
 	}
 	s := pi.String()
-	for _, want := range []string{"planner:", "seed order", "edge order", "canonical key:"} {
+	for _, want := range []string{"seed order", "edge order", "canonical key:"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("rendered plan misses %q:\n%s", want, s)
 		}
@@ -650,39 +693,12 @@ func TestExplain(t *testing.T) {
 		t.Fatal("rendered plan misses the empty verdict")
 	}
 
-	// Planning disabled: declaration orders, planner named as such.
-	part2, err := PartitionRandom(g, 4, 85)
-	if err != nil {
-		t.Fatal(err)
-	}
-	depOff, err := Deploy(part2, WithPlannerDisabled())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer depOff.Close()
-	piOff, err := depOff.Explain(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if piOff.Planner != "" {
-		t.Fatalf("disabled deployment reports planner %q", piOff.Planner)
-	}
-	if piOff.Nodes[0].Name != "a" || piOff.Nodes[1].Name != "b" {
-		t.Fatalf("disabled deployment must report declaration order, got %+v", piOff.Nodes)
-	}
-	if !strings.Contains(piOff.String(), "disabled") {
-		t.Fatal("rendered disabled plan must say so")
-	}
-	if piOff.CanonicalKey != pi.CanonicalKey {
-		t.Fatal("canonical key must not depend on the planner")
-	}
-
 	// Errors: nil pattern, closed deployment.
 	if _, err := dep.Explain(nil); err == nil {
 		t.Fatal("Explain(nil) must fail")
 	}
-	depOff.Close()
-	if _, err := depOff.Explain(q); err == nil {
+	dep.Close()
+	if _, err := dep.Explain(q); err == nil {
 		t.Fatal("Explain on a closed deployment must fail")
 	}
 }

@@ -3,7 +3,9 @@
 #   1. every package (root, internal/*, cmd/*) has a package comment;
 #   2. the operator-facing documents exist and are non-trivial;
 #   3. the documents track the code they describe (payload kinds, frames,
-#      endpoints, algorithm names, driver entry points, analyzers).
+#      endpoints, algorithm names, driver entry points, analyzers);
+#   4. the public surface (root package API, dgsrun/dgsd/dgsgw flags)
+#      equals its golden docs/API.txt.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -58,22 +60,31 @@ for need in "Fault tolerance" ErrSiteLost faultnet "failover_smoke"; do
 done
 
 # The design document must describe the planning layer: the advisory
-# plan, the confluence argument, the canonical key and the off switch.
-for need in "## 10. Planning" selectivity advisory confluen canonical WithPlannerDisabled; do
+# plan, the confluence argument, the canonical key, and that planning is
+# one pure function with no off switch and a Fits check at the sites.
+for need in "## 10. Planning" selectivity advisory confluen canonical "no off switch" GreedyPlan Plan.Fits "identity plan"; do
   if ! grep -qi -- "$need" DESIGN.md; then
     echo "DESIGN.md does not mention '$need'"
     fail=1
   fi
 done
 
-# The wire spec must document how plans ride OPEN and the one-version
-# handshake.
-for need in planner Versioning ProtocolVersion; do
-  if ! grep -qi -- "$need" docs/WIRE.md; then
+# The wire spec must document how plans ride OPEN — one blob, no planner
+# name, empty = identity order, Fits-checked — and the one-version
+# handshake at the version the code speaks.
+version=$(sed -n 's/^const ProtocolVersion uint16 = \([0-9]*\)$/\1/p' internal/transport/tcpnet/tcpnet.go)
+for need in "### Plans" "identity order" Plan.Fits Versioning "ProtocolVersion\`, currently $version)"; do
+  if ! grep -q -- "$need" docs/WIRE.md; then
     echo "docs/WIRE.md does not mention '$need'"
     fail=1
   fi
 done
+# OPEN is exactly qid, kind, algo, query, config, plan, traceID.
+open_fields=$(grep '^| OPEN |' docs/WIRE.md | grep -oE '`u(8|64) [a-zA-Z]+`|blob `[a-z]+`' | sed -E 's/.* `?([a-zA-Z]+)`$/\1/' | tr '\n' ' ')
+if [ "$open_fields" != "qid kind algo query config plan traceID " ]; then
+  echo "docs/WIRE.md OPEN row lists fields '$open_fields', want 'qid kind algo query config plan traceID '"
+  fail=1
+fi
 
 # The wire spec must document tracing: the TRACE frame and OPEN's
 # trace ID.
@@ -94,13 +105,18 @@ for need in /metrics WithTrace QueryTrace pprof slow-query dgs_gw_ dgs_net_ dgsd
   fi
 done
 
-# The HTTP spec must document the plan-only explain request.
-for need in explain canonical_key planner; do
-  if ! grep -qi -- "$need" docs/HTTP.md; then
-    echo "docs/HTTP.md does not mention '$need'"
+# The HTTP spec must document the plan-only explain request, with the
+# plan body's fields as serve.PlanBody renders them.
+for need in explain $(sed -n '/^type PlanBody struct/,/^}/s/.*json:"\([a-z_]*\)".*/\1/p' internal/serve/serve.go); do
+  if ! grep -q -- "\"$need\"" docs/HTTP.md; then
+    echo "docs/HTTP.md does not mention '\"$need\"'"
     fail=1
   fi
 done
+if grep -q '"planner"' docs/HTTP.md; then
+  echo "docs/HTTP.md still shows a \"planner\" field; the explain body has none"
+  fail=1
+fi
 
 # README and the HTTP spec must name every algorithm the CLIs accept;
 # the list is dgs.AlgorithmNames(), read off dgsrun's -algo usage line.
@@ -138,6 +154,13 @@ while IFS=$'\t' read -r name _doc; do
     fail=1
   fi
 done < <(go run ./cmd/dgsvet -list)
+
+# The public surface must equal its golden: an option or flag appears or
+# vanishes only together with a docs/API.txt diff (make api).
+if ! ./scripts/api_surface.sh | diff -u docs/API.txt - >&2; then
+  echo "public surface differs from docs/API.txt; if deliberate, run 'make api' and commit the diff"
+  fail=1
+fi
 
 if [ "$fail" -ne 0 ]; then
   echo "docs lint failed"
