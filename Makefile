@@ -158,6 +158,7 @@ help:
 	@echo "  bench            root-package benchmarks without a recorded twin (HHK, dGPMt, chain gadget, deploy amortization), one iteration"
 	@echo "  bench-check      build + vet + test + dgsvet the benchmark/ module against this tree"
 	@echo "  bench-smoke      the benchmark's five workloads at 1/20 scale, answers checked against the oracle"
+	@echo "                   (executor inner loop, no daemons, seconds: go test -run '^$$' -bench SiteHostStorm ./internal/cluster)"
 	@echo "  smoke-tcp        two dgsd processes on loopback, all algorithms"
 	@echo "  partition-smoke  partitioner quality smoke (LDG beats Random)"
 	@echo "  gw-smoke         2 dgsd + 1 dgsgw over HTTP (cache + invalidation)"

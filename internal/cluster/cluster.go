@@ -94,10 +94,38 @@ func (n Network) xferTime(size int) time.Duration {
 	return d
 }
 
+// await sleeps out env's emulated link cost — the pipelined propagation
+// latency, then the serialized NIC drain — and reports the time spent, so
+// a run's busy time excludes it. Free when the model is off (env carries
+// no send stamp).
+func (n Network) await(env envelope) time.Duration {
+	if env.sent.IsZero() {
+		return 0
+	}
+	start := time.Now()
+	if wait := env.sent.Add(n.Latency).Sub(start); wait > 0 {
+		time.Sleep(wait)
+	}
+	if x := n.xferTime(len(env.data)); x > 0 {
+		time.Sleep(x)
+	}
+	return time.Since(start)
+}
+
 // Handler is the per-site (or coordinator) algorithm logic. Recv is
 // invoked serially per site; different sites run concurrently.
 type Handler interface {
 	Recv(ctx *Ctx, from int, p wire.Payload)
+}
+
+// RunEnder is the optional Handler extension for algorithms whose local
+// evaluation is defined over a set of received messages rather than one
+// (dGPM's lEval, §4.1). A site's executor calls EndRun once after it
+// delivered a drained run of the session's queued messages, before the
+// run is retired: what EndRun sends is in flight before the messages
+// that caused it stop being so.
+type RunEnder interface {
+	EndRun(ctx *Ctx)
 }
 
 // HandlerFunc adapts a function to Handler.
@@ -163,13 +191,21 @@ type envelope struct {
 }
 
 // mailbox is an unbounded FIFO queue; senders never block, which rules
-// out the send-deadlock of bounded channels under all-to-all bursts.
+// out the send-deadlock of bounded channels under all-to-all bursts. The
+// consumer takes the whole queue per wakeup (drain), so under load one
+// wakeup, one lock round-trip and one retirement cover a run of
+// envelopes, while an idle site still sees each message at once.
 type mailbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  []envelope
 	closed bool
 }
+
+// maxSpare caps the buffer a drained queue recycles, in entries: a
+// burst's backing array is dropped instead of staying pinned to an idle
+// site (or connection — tcpnet's outbox follows the same rule).
+const maxSpare = 4096
 
 func newMailbox() *mailbox {
 	m := &mailbox{}
@@ -188,19 +224,46 @@ func (m *mailbox) put(e envelope) bool {
 	return ok
 }
 
-// get blocks for the next envelope; ok=false after close and drain.
-func (m *mailbox) get() (envelope, bool) {
+// drain blocks for the next chunk and returns the entire queue in FIFO
+// order; ok=false after close and drain. spare is the caller's previous
+// chunk, fully consumed: it is cleared — releasing the payloads it
+// references — and becomes the next queue, so a steady flow allocates
+// nothing.
+func (m *mailbox) drain(spare []envelope) (chunk []envelope, ok bool) {
+	clear(spare)
+	if cap(spare) > maxSpare {
+		spare = nil
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for len(m.queue) == 0 && !m.closed {
 		m.cond.Wait()
 	}
-	if len(m.queue) == 0 {
-		return envelope{}, false
+	chunk, m.queue = m.queue, spare[:0]
+	return chunk, len(chunk) > 0
+}
+
+// serve is the actor loop of a mailbox's one consumer — a site or the
+// coordinator: take the whole queue per wakeup and hand run each run of
+// consecutive same-session envelopes, in arrival order, until the
+// mailbox is closed and empty. A run is the unit the consumer looks its
+// session up for, times, and retires with one count.
+func (m *mailbox) serve(run func([]envelope)) {
+	var chunk []envelope
+	for {
+		var ok bool
+		if chunk, ok = m.drain(chunk); !ok {
+			return
+		}
+		for i := 0; i < len(chunk); {
+			j := i + 1
+			for j < len(chunk) && chunk[j].qid == chunk[i].qid {
+				j++
+			}
+			run(chunk[i:j])
+			i = j
+		}
 	}
-	e := m.queue[0]
-	m.queue = m.queue[1:]
-	return e, true
 }
 
 func (m *mailbox) close() {
@@ -417,48 +480,45 @@ func (c *Cluster) NewSessionKind(kind SessionKind, sites []Handler, coord Handle
 
 // coordLoop is the coordinator actor: it serially processes every
 // session's coordinator-addressed messages, mirroring a worker site's
-// event loop (one machine, one event loop).
+// event loop (one machine, one event loop) — the mailbox drained whole,
+// each same-session run timed and retired once.
 func (c *Cluster) coordLoop() {
 	defer c.wg.Done()
-	for {
-		env, ok := c.coordBox.get()
-		if !ok {
-			return
-		}
-		c.mu.RLock()
-		s := c.sessions[env.qid]
-		c.mu.RUnlock()
-		if s == nil {
-			continue
-		}
-		if s.dropped.Load() {
-			s.done()
-			continue
-		}
-		if !env.sent.IsZero() {
-			if wait := time.Until(env.sent.Add(c.net.Latency)); wait > 0 {
-				time.Sleep(wait)
-			}
-			if x := c.net.xferTime(len(env.data)); x > 0 {
-				time.Sleep(x)
-			}
-		}
+	c.coordBox.serve(c.coordRun)
+}
+
+func (c *Cluster) coordRun(run []envelope) {
+	c.mu.RLock()
+	s := c.sessions[run[0].qid]
+	c.mu.RUnlock()
+	if s == nil {
+		return
+	}
+	if s.dropped.Load() {
+		s.doneN(len(run))
+		return
+	}
+	s.coordRounds = 0
+	var idle time.Duration
+	bytes := 0
+	start := time.Now()
+	for _, env := range run {
+		idle += c.net.await(env)
 		p, err := wire.Decode(env.data)
 		if err != nil {
 			panic(fmt.Sprintf("cluster: coordinator received undecodable message from %d: %v", env.from, err))
 		}
-		s.coordRounds = 0
-		start := time.Now()
 		s.coord.Recv(s.coordCtx, env.from, p)
-		el := time.Since(start)
-		s.statMu.Lock()
-		s.busy[c.n] += el
-		s.statMu.Unlock()
-		if s.traceRec != nil {
-			s.traceRec.RecordIn(obs.CoordinatorSite, len(env.data), el, s.coordRounds)
-		}
-		s.done()
+		bytes += len(env.data)
 	}
+	el := time.Since(start) - idle
+	s.statMu.Lock()
+	s.busy[c.n] += el
+	s.statMu.Unlock()
+	if s.traceRec != nil {
+		s.traceRec.RecordIn(obs.CoordinatorSite, len(run), bytes, el, s.coordRounds)
+	}
+	s.doneN(len(run))
 }
 
 // --- Events (transport upcalls) ---
@@ -682,10 +742,7 @@ func (s *Session) route(from, to int, data []byte) {
 	s.c.tr.Send(s.qid, from, to, data)
 }
 
-// done retires one in-flight message and signals quiescence at zero.
-func (s *Session) done() { s.doneN(1) }
-
-// doneN retires n in-flight messages at once (a coalesced ACK) and
+// doneN retires n in-flight messages at once (a drained run) and
 // signals quiescence at zero. A single Add(-n) reaches zero exactly
 // when n individual decrements would have, so the termination
 // certificate is unchanged.

@@ -4,11 +4,12 @@ package cluster
 // transport backends: the in-process network runs one host with all n
 // sites in the driver's process, a dgsd daemon runs one host with its
 // shard of sites. Each hosted site is a serial actor — an unbounded
-// mailbox drained by one goroutine — so a handler never races itself,
-// while different sites run concurrently. The host knows nothing about
-// sockets or statistics; it reports every outbound message and every
-// retired message to its SiteSink, and the backend decides whether that
-// means a function call (in-process) or a wire frame (TCP).
+// mailbox drained, a whole queue at a time, by one goroutine — so a
+// handler never races itself, while different sites run concurrently.
+// The host knows nothing about sockets or statistics; it reports every
+// outbound message and every retired run to its SiteSink, and the
+// backend decides whether that means a function call (in-process) or a
+// wire frame (TCP).
 
 import (
 	"context"
@@ -28,9 +29,11 @@ type SiteSink interface {
 	// may be Coordinator, a site on this host, or a site elsewhere —
 	// routing is the sink's problem.
 	ForwardSend(qid uint64, from, to int, data []byte)
-	// Retire reports that the site finished processing one delivered
-	// message, with the handler's busy time and recorded rounds.
-	Retire(qid uint64, site int, busy time.Duration, rounds int64)
+	// Retire reports that the site finished processing a run of n
+	// delivered messages of one session, with the handler's busy time and
+	// recorded rounds over the run. Every ForwardSend the run caused
+	// precedes it.
+	Retire(qid uint64, site int, busy time.Duration, rounds int64, n int)
 	// Fatal reports an unrecoverable protocol error (an undecodable
 	// message reached a site). The in-process sink panics — exactly the
 	// old behavior — while a daemon reports it to the driver and resets.
@@ -221,7 +224,7 @@ func (h *SiteHost) install(qid uint64, handlers map[int]Handler, traceID uint64)
 
 // siteCtx builds the per-(session, site) handler context. The rounds
 // accumulator lives in siteState and is read back by the site loop after
-// each Recv — safe because one goroutine owns the site. For traced
+// each run — safe because one goroutine owns the site. For traced
 // sessions the context also attributes each send to the site's current
 // round: sends happen inside Recv on the site's own goroutine, so the
 // round index is stable for the duration.
@@ -284,44 +287,54 @@ func (h *SiteHost) Enqueue(qid uint64, from, to int, data []byte) {
 	st.box.put(env)
 }
 
+// siteLoop is a hosted site's executor: the mailbox's whole queue per
+// wakeup, each same-session run handed to run in arrival order.
 func (h *SiteHost) siteLoop(st *siteState) {
 	defer h.wg.Done()
-	for {
-		env, ok := st.box.get()
-		if !ok {
-			return
-		}
-		h.mu.RLock()
-		hs := h.sessions[env.qid]
-		h.mu.RUnlock()
-		if hs == nil {
-			// Session closed (or never opened here): discard. The driver
-			// released the session's in-flight accounting when it closed.
-			continue
-		}
-		if !env.sent.IsZero() {
-			// Pipelined propagation latency, then serialized NIC drain.
-			if wait := time.Until(env.sent.Add(h.net.Latency)); wait > 0 {
-				time.Sleep(wait)
-			}
-			if x := h.net.xferTime(len(env.data)); x > 0 {
-				time.Sleep(x)
-			}
-		}
+	st.box.serve(func(run []envelope) { h.run(st, run) })
+}
+
+// run delivers one drained run of session envelopes to the site's
+// handler, in order, then retires the run as a whole: one session
+// lookup, one busy-time measurement (decoding included, emulated link
+// waits excluded), one Retire carrying the count. Everything the
+// handler emitted — during a Recv or from its RunEnder hook — reached
+// the sink before the retirement does.
+func (h *SiteHost) run(st *siteState, run []envelope) {
+	qid := run[0].qid
+	h.mu.RLock()
+	hs := h.sessions[qid]
+	h.mu.RUnlock()
+	if hs == nil {
+		// Session closed (or never opened here): discard. The driver
+		// released the session's in-flight accounting when it closed.
+		return
+	}
+	hd, ctx := hs.handlers[st.id], hs.ctxs[st.id]
+	st.rounds = 0
+	var idle time.Duration
+	bytes := 0
+	start := time.Now()
+	for _, env := range run {
+		idle += h.net.await(env)
 		p, err := wire.Decode(env.data)
 		if err != nil {
+			// Fatal ends the deployment (or panics in-process): the rest of
+			// the run is abandoned unretired.
 			h.sink.Fatal(fmt.Errorf("cluster: site %d received undecodable message from %d: %v", st.id, env.from, err))
-			continue
+			return
 		}
-		st.rounds = 0
-		start := time.Now()
-		hs.handlers[st.id].Recv(hs.ctxs[st.id], env.from, p)
-		busy := time.Since(start)
-		if hs.trace != nil {
-			hs.trace.RecordIn(st.id, len(env.data), busy, st.rounds)
-		}
-		h.sink.Retire(env.qid, st.id, busy, st.rounds)
+		hd.Recv(ctx, env.from, p)
+		bytes += len(env.data)
 	}
+	if re, ok := hd.(RunEnder); ok {
+		re.EndRun(ctx)
+	}
+	busy := time.Since(start) - idle
+	if hs.trace != nil {
+		hs.trace.RecordIn(st.id, len(run), bytes, busy, st.rounds)
+	}
+	h.sink.Retire(qid, st.id, busy, st.rounds, len(run))
 }
 
 // Shutdown stops every site goroutine and waits for them. Idempotent.
@@ -389,8 +402,8 @@ func (s *inprocSink) ForwardSend(qid uint64, from, to int, data []byte) {
 	s.ev.SiteSent(qid, from, to, data)
 }
 
-func (s *inprocSink) Retire(qid uint64, site int, busy time.Duration, rounds int64) {
-	s.ev.Retired(qid, site, busy, rounds, 1)
+func (s *inprocSink) Retire(qid uint64, site int, busy time.Duration, rounds int64, n int) {
+	s.ev.Retired(qid, site, busy, rounds, n)
 }
 
 func (s *inprocSink) Fatal(err error) { panic(err) }

@@ -63,6 +63,9 @@ type site struct {
 	pushDecided bool
 	// perDest is flush's per-destination scratch, indexed by site ID.
 	perDest [][]wire.VarRef
+	// dirty marks engine changes applied by Recv whose falsifications
+	// EndRun has not shipped yet.
+	dirty bool
 
 	// dGPMNOpt state: everything external learned so far, and the in-node
 	// falsifications already reported, so rebuilds do not resend.
@@ -119,39 +122,38 @@ func (s *site) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
 				s.Recv(ctx, m.from, m.p)
 			}
 		case OpReport:
+			s.EndRun(ctx) // nothing learned may stay unshipped behind the answer
 			ctx.Send(cluster.Coordinator, &wire.Matches{
 				Frag:  uint16(s.frag.ID),
 				Pairs: s.eng.LocalMatches(),
 			})
 		}
 	case *wire.Falsify:
-		ctx.AddRounds(1)
 		if s.cfg.Incremental {
 			s.eng.ApplyFalsifications(m.Pairs)
-			s.flush(ctx, s.eng.Drain())
-		} else {
-			// dGPMNOpt: full re-evaluation from scratch on every message.
-			s.extFalse = append(s.extFalse, m.Pairs...)
-			s.eng = NewEnginePlanned(s.q, s.frag, s.pl)
-			s.eng.ApplyFalsifications(s.extFalse)
-			s.flushTracked(ctx, s.eng.Drain())
+			s.applied(ctx)
+			return
 		}
+		// dGPMNOpt: full re-evaluation from scratch on every message.
+		ctx.AddRounds(1)
+		s.extFalse = append(s.extFalse, m.Pairs...)
+		s.eng = NewEnginePlanned(s.q, s.frag, s.pl)
+		s.eng.ApplyFalsifications(s.extFalse)
+		s.flushTracked(ctx, s.eng.Drain())
 		s.maybePush(ctx)
 	case *wire.Push:
-		ctx.AddRounds(1)
 		s.eng.InstallEquations(m.Eqs)
-		s.flush(ctx, s.eng.Drain())
+		s.applied(ctx)
 	case *wire.Delta:
 		// Maintenance sessions only (query sessions never receive deltas):
-		// refine the standing engine under the batch's edge deletions and
-		// ship the resulting falsifications along the usual lMsg paths.
-		ctx.AddRounds(1)
+		// refine the standing engine under the batch's edge deletions; the
+		// resulting falsifications ship along the usual lMsg paths.
 		dels := make([][2]graph.NodeID, len(m.Dels))
 		for i, d := range m.Dels {
 			dels[i] = [2]graph.NodeID{graph.NodeID(d[0]), graph.NodeID(d[1])}
 		}
 		s.eng.ApplyEdgeDeletions(dels)
-		s.flush(ctx, s.eng.Drain())
+		s.applied(ctx)
 	case *wire.Reroute:
 		dest := int(m.Dest)
 		if dest >= ctx.NumSites() {
@@ -171,6 +173,35 @@ func (s *site) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
 			ctx.Send(dest, &wire.Falsify{Pairs: backfill})
 		}
 	}
+}
+
+// applied notes that Recv changed the engine. An incremental site ships
+// the consequences at the end of the drained run (EndRun); the
+// rebuild-per-message ablation arm, whose next rebuild would discard
+// them, ships at once.
+func (s *site) applied(ctx *cluster.Ctx) {
+	s.dirty = true
+	if !s.cfg.Incremental {
+		s.EndRun(ctx)
+	}
+}
+
+// EndRun implements cluster.RunEnder: one round of incremental lEval
+// (§4.1/§4.2) over "the set of falsified variables received". Recv has
+// already applied every queued Falsify, Push and Delta of the run to the
+// engine; here their combined consequences ship once — one deduplicated
+// message per watching site — and count as one round, however many
+// messages the run held. Truth values only fall and kills commute, so
+// the variables shipped over a session are the same as under
+// message-at-a-time evaluation; only their packaging differs.
+func (s *site) EndRun(ctx *cluster.Ctx) {
+	if !s.dirty {
+		return
+	}
+	s.dirty = false
+	ctx.AddRounds(1)
+	s.flush(ctx, s.eng.Drain())
+	s.maybePush(ctx)
 }
 
 // flush routes freshly falsified in-node variables to every site that

@@ -154,13 +154,13 @@ func TestValidMetricName(t *testing.T) {
 func TestSpanRecorder(t *testing.T) {
 	r := NewSpanRecorder(42)
 	// Site 3: one Recv in round 0 recording 1 round, with one send,
-	// then a Recv in round 1.
+	// then a run of two Recvs in round 1.
 	r.RecordOut(3, 10)
-	r.RecordIn(3, 100, 5*time.Millisecond, 1)
-	r.RecordIn(3, 50, 2*time.Millisecond, 0)
+	r.RecordIn(3, 1, 100, 5*time.Millisecond, 1)
+	r.RecordIn(3, 2, 50, 2*time.Millisecond, 0)
 	// Coordinator: driver-level round then a Recv.
 	r.AddRounds(CoordinatorSite, 1)
-	r.RecordIn(CoordinatorSite, 7, time.Millisecond, 0)
+	r.RecordIn(CoordinatorSite, 1, 7, time.Millisecond, 0)
 
 	got := r.Snapshot()
 	want := []SiteTrace{
@@ -170,7 +170,7 @@ func TestSpanRecorder(t *testing.T) {
 		}},
 		{Site: 3, Spans: []RoundSpan{
 			{Round: 0, BusyNs: int64(5 * time.Millisecond), MsgsIn: 1, MsgsOut: 1, BytesIn: 100, BytesOut: 10, Rounds: 1},
-			{Round: 1, BusyNs: int64(2 * time.Millisecond), MsgsIn: 1, BytesIn: 50},
+			{Round: 1, BusyNs: int64(2 * time.Millisecond), MsgsIn: 2, BytesIn: 50},
 		}},
 	}
 	if !reflect.DeepEqual(got, want) {
@@ -179,7 +179,7 @@ func TestSpanRecorder(t *testing.T) {
 
 	qt := &QueryTrace{TraceID: r.ID(), Complete: true, Sites: got}
 	busy, msgsIn, msgsOut, bytesIn, bytesOut, rounds := qt.Totals()
-	if busy != 8*time.Millisecond || msgsIn != 3 || msgsOut != 1 || bytesIn != 157 || bytesOut != 10 || rounds != 2 {
+	if busy != 8*time.Millisecond || msgsIn != 4 || msgsOut != 1 || bytesIn != 157 || bytesOut != 10 || rounds != 2 {
 		t.Fatalf("totals = %v %d %d %d %d %d", busy, msgsIn, msgsOut, bytesIn, bytesOut, rounds)
 	}
 	if fl := qt.Flame(); !strings.Contains(fl, "coordinator") || !strings.Contains(fl, "site 3") {

@@ -150,14 +150,14 @@ func (r *SpanRecorder) span(site int) *RoundSpan {
 	return &acc.spans[len(acc.spans)-1]
 }
 
-// RecordIn attributes one delivered-and-processed message to the
-// site's current round — its payload bytes, the handler's busy time,
-// and the rounds the handler recorded, which then advance the site's
-// round index.
-func (r *SpanRecorder) RecordIn(site int, bytes int, busy time.Duration, rounds int64) {
+// RecordIn attributes a run of msgs delivered-and-processed messages to
+// the site's current round — their summed payload bytes, the handler's
+// busy time over the run, and the rounds the handler recorded, which
+// then advance the site's round index.
+func (r *SpanRecorder) RecordIn(site int, msgs, bytes int, busy time.Duration, rounds int64) {
 	r.mu.Lock()
 	sp := r.span(site)
-	sp.MsgsIn++
+	sp.MsgsIn += int64(msgs)
 	sp.BytesIn += int64(bytes)
 	sp.BusyNs += int64(busy)
 	sp.Rounds += rounds

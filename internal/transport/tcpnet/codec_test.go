@@ -102,26 +102,27 @@ func readChunkFrames(t *testing.T, entries []outEntry) (types []byte, bodies [][
 
 // The coalescer merges only consecutive same-key runs and never
 // reorders: message runs split at qid changes and at interleaved acks,
-// ack runs split at (qid, site) changes, and a run of one stays a
-// plain MSG or ACK.
+// ack runs split at (qid, site) changes and sum their counts, and a
+// single message or a count of one stays a plain MSG or ACK.
 func TestWriteChunkCoalescing(t *testing.T) {
-	msg := func(qid uint64, to int, b byte) outEntry {
+	msg := func(qid uint64, to int32, b byte) outEntry {
 		return outEntry{kind: entryMsg, qid: qid, from: -1, to: to, data: []byte{byte(wire.KindControl), b}}
 	}
-	ack := func(qid uint64, site int, busy, rounds int64) outEntry {
-		return outEntry{kind: entryAck, qid: qid, site: site, busyNs: busy, rounds: rounds}
+	ack := func(qid uint64, site, n int32, busy, rounds int64) outEntry {
+		return outEntry{kind: entryAck, qid: qid, from: site, to: n, busyNs: busy, rounds: rounds}
 	}
 	entries := []outEntry{
 		msg(1, 0, 10), msg(1, 1, 11), msg(1, 2, 12), // run → MSGB(3)
-		msg(2, 0, 20),                    // qid change → lone MSG
-		ack(1, 0, 5, 1), ack(1, 0, 7, 2), // run → ACKN(2)
-		ack(1, 1, 3, 0), // site change → lone ACK
-		msg(1, 3, 13),   // ack in between → new run, lone MSG
-		{kind: entryFrame, qid: 0, frame: wire.AppendFrame(nil, frameBye, nil)},
+		msg(2, 0, 20),                          // qid change → lone MSG
+		ack(1, 0, 3, 5, 1), ack(1, 0, 1, 7, 2), // run → ACKN(3+1)
+		ack(1, 1, 1, 3, 0), // site change, count 1 → plain ACK
+		msg(1, 3, 13),      // ack in between → new run, lone MSG
+		ack(1, 3, 5, 9, 1), // one retired run of 5 → ACKN(5) as is
+		{kind: entryFrame, qid: 0, data: wire.AppendFrame(nil, frameBye, nil)},
 	}
 
 	types, bodies, _ := readChunkFrames(t, entries)
-	want := []byte{frameMsgB, frameMsg, frameAckN, frameAck, frameMsg, frameBye}
+	want := []byte{frameMsgB, frameMsg, frameAckN, frameAck, frameMsg, frameAckN, frameBye}
 	if !bytes.Equal(types, want) {
 		t.Fatalf("frame sequence = %v, want %v", types, want)
 	}
@@ -141,8 +142,14 @@ func TestWriteChunkCoalescing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if an.count != 2 || an.busyNs != 12 || an.rounds != 3 || an.site != 0 {
+	if an.count != 4 || an.busyNs != 12 || an.rounds != 3 || an.site != 0 {
 		t.Fatalf("ACKN did not aggregate the run: %+v", an)
+	}
+	if a, err := decodeAck(bodies[3]); err != nil || a.site != 1 || a.busyNs != 3 {
+		t.Fatalf("count-1 retirement: %+v, %v", a, err)
+	}
+	if an, err = decodeAckN(bodies[5]); err != nil || an.count != 5 || an.site != 3 || an.busyNs != 9 || an.rounds != 1 {
+		t.Fatalf("counted retirement: %+v, %v", an, err)
 	}
 }
 

@@ -431,7 +431,7 @@ func (t *Net) addWire(qid uint64, n int) {
 // the writer at flush time (writeChunk), so measured bytes are exactly
 // what the socket saw.
 func (t *Net) enqueue(cn *conn, qid uint64, typ byte, body []byte) {
-	cn.out.put(outEntry{kind: entryFrame, qid: qid, frame: wire.AppendFrame(nil, typ, body)})
+	cn.out.put(outEntry{kind: entryFrame, qid: qid, data: wire.AppendFrame(nil, typ, body)})
 }
 
 // Open implements cluster.Transport: OPEN frames go to every daemon
@@ -492,7 +492,7 @@ func (t *Net) Close(qid uint64) {
 func (t *Net) Send(qid uint64, from, to int, data []byte) {
 	rt := t.rt.Load()
 	cn := rt.conns[rt.owner[to]]
-	cn.out.put(outEntry{kind: entryMsg, qid: qid, from: from, to: to, data: data})
+	cn.out.put(outEntry{kind: entryMsg, qid: qid, from: int32(from), to: int32(to), data: data})
 	if t.msgsOut != nil {
 		t.msgsOut.Inc()
 	}
@@ -619,7 +619,7 @@ func (t *Net) Shutdown() {
 	t.abandonTraces()
 	for _, cn := range t.rt.Load().conns {
 		cn.stop()
-		cn.out.put(outEntry{kind: entryFrame, frame: wire.AppendFrame(nil, frameBye, nil)})
+		cn.out.put(outEntry{kind: entryFrame, data: wire.AppendFrame(nil, frameBye, nil)})
 		cn.out.close()
 	}
 	// Writers drain (BYE last), then close the write side; readers
@@ -873,9 +873,10 @@ func (cn *conn) writeLoop() {
 		t.addWire(qid, n)
 		t.framesOut.Add(1)
 	}
+	var entries []outEntry
 	for {
-		entries, ok := cn.out.drain()
-		if !ok {
+		var ok bool
+		if entries, ok = cn.out.drain(entries); !ok {
 			cn.c.Close()
 			return
 		}

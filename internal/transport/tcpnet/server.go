@@ -103,22 +103,23 @@ func ListenAndServe(addr string, s *Server) error {
 }
 
 // daemonSink adapts SiteHost upcalls onto the connection: handler sends
-// become MSG frames to the driver (hub routing), processed messages
-// become ACK frames, and protocol corruption becomes a deployment ERR.
+// become MSG frames to the driver (hub routing), a retired run becomes
+// one ACK/ACKN carrying its count, and protocol corruption becomes a
+// deployment ERR.
 type daemonSink struct {
 	out *outbox
 }
 
 func (k *daemonSink) ForwardSend(qid uint64, from, to int, data []byte) {
-	k.out.put(outEntry{kind: entryMsg, qid: qid, from: from, to: to, data: data})
+	k.out.put(outEntry{kind: entryMsg, qid: qid, from: int32(from), to: int32(to), data: data})
 }
 
-func (k *daemonSink) Retire(qid uint64, site int, busy time.Duration, rounds int64) {
-	k.out.put(outEntry{kind: entryAck, qid: qid, site: site, busyNs: int64(busy), rounds: rounds})
+func (k *daemonSink) Retire(qid uint64, site int, busy time.Duration, rounds int64, n int) {
+	k.out.put(outEntry{kind: entryAck, qid: qid, from: int32(site), to: int32(n), busyNs: int64(busy), rounds: rounds})
 }
 
 func (k *daemonSink) Fatal(err error) {
-	k.out.put(outEntry{kind: entryFrame, frame: wire.AppendFrame(nil, frameErr, encodeErr(errBody{qid: 0, msg: err.Error()}))})
+	k.out.put(outEntry{kind: entryFrame, data: wire.AppendFrame(nil, frameErr, encodeErr(errBody{qid: 0, msg: err.Error()}))})
 	k.out.close()
 }
 
@@ -216,9 +217,10 @@ func (s *Server) handle(c net.Conn) {
 	go func() {
 		defer close(writerDone)
 		bw := bufio.NewWriterSize(c, 1<<16)
+		var entries []outEntry
 		for {
-			entries, ok := out.drain()
-			if !ok {
+			var ok bool
+			if entries, ok = out.drain(entries); !ok {
 				return
 			}
 			c.SetWriteDeadline(time.Now().Add(writeTimeout))
@@ -230,11 +232,10 @@ func (s *Server) handle(c net.Conn) {
 				// Closing makes the driver's readLoop fail the deployment;
 				// our read loop unblocks and resets. Then drain silently.
 				c.Close()
-				for {
-					if _, ok := out.drain(); !ok {
-						return
-					}
+				for ok {
+					entries, ok = out.drain(entries)
 				}
+				return
 			}
 		}
 	}()
@@ -242,7 +243,7 @@ func (s *Server) handle(c net.Conn) {
 	sink := &daemonSink{out: out}
 	host := cluster.NewSiteHost(dep.total, dep.hosted, frags, dep.assign, cluster.Network{}, sink)
 
-	out.put(outEntry{kind: entryFrame, frame: wire.AppendFrame(nil, frameDeployed, nil)})
+	out.put(outEntry{kind: entryFrame, data: wire.AppendFrame(nil, frameDeployed, nil)})
 	s.logf("dgsd: v%d, hosting %d/%d sites, %d-node assign directory, %d-label dict",
 		ProtocolVersion, len(dep.hosted), dep.total, len(dep.assign), len(dep.labels))
 
@@ -258,7 +259,7 @@ func (s *Server) handle(c net.Conn) {
 		}
 		atomic.AddInt64(&s.counters.framesIn, 1)
 		errOut := func(qid uint64, msg string) {
-			out.put(outEntry{kind: entryFrame, frame: wire.AppendFrame(nil, frameErr, encodeErr(errBody{qid: qid, msg: msg}))})
+			out.put(outEntry{kind: entryFrame, data: wire.AppendFrame(nil, frameErr, encodeErr(errBody{qid: qid, msg: msg}))})
 		}
 		switch typ {
 		case frameOpen:
@@ -302,7 +303,7 @@ func (s *Server) handle(c net.Conn) {
 				// close on the same connection. Even an empty snapshot is
 				// shipped: the driver counts one TRACE per connection.
 				if spans, traced := host.TakeTrace(qid); traced {
-					out.put(outEntry{kind: entryFrame, frame: wire.AppendFrame(nil, frameTrace, encodeTrace(qid, spans))})
+					out.put(outEntry{kind: entryFrame, data: wire.AppendFrame(nil, frameTrace, encodeTrace(qid, spans))})
 					atomic.AddInt64(&s.counters.traces, 1)
 				}
 			}
@@ -312,7 +313,7 @@ func (s *Server) handle(c net.Conn) {
 				errOut(0, "bad PING: "+err.Error())
 				goto done
 			}
-			out.put(outEntry{kind: entryFrame, frame: wire.AppendFrame(nil, framePong, encodePingPong(seq))})
+			out.put(outEntry{kind: entryFrame, data: wire.AppendFrame(nil, framePong, encodePingPong(seq))})
 		case frameRedeploy:
 			red, err := decodeDeploy(body)
 			if err != nil {
@@ -329,7 +330,7 @@ func (s *Server) handle(c net.Conn) {
 			// they are resident. FIFO on this connection orders any later
 			// session traffic for these sites after the installation.
 			host.AddSites(red.hosted, more)
-			out.put(outEntry{kind: entryFrame, frame: wire.AppendFrame(nil, frameDeployed, nil)})
+			out.put(outEntry{kind: entryFrame, data: wire.AppendFrame(nil, frameDeployed, nil)})
 			s.logf("dgsd: redeploy absorbed %d sites (now hosting %d/%d)", len(red.hosted), len(host.HostedIDs()), dep.total)
 		case frameBye:
 			s.logf("dgsd: driver said BYE after %d sessions", sessions)

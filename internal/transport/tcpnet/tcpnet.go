@@ -10,10 +10,10 @@
 // preserves the runtime's termination guarantee across process
 // boundaries: the driver increments its per-session in-flight counter
 // when a message enters the network (a MSG frame arrives or is sent) and
-// decrements it when the processing daemon's ACK arrives, and because a
-// daemon writes a handler's output frames before the triggering
-// message's ACK on the same FIFO connection, the counter can never hit
-// zero while work is outstanding. It also makes the driver the natural
+// decrements it when the processing daemon's ACK arrives — one counted
+// ACK per drained run of a site's mailbox — and because a daemon writes
+// a run's output frames before the run's ACK on the same FIFO
+// connection, the counter can never hit zero while work is outstanding. It also makes the driver the natural
 // metering point: Stats.WireBytes on this backend is the measured frame
 // bytes (headers included) that crossed the driver's sockets for the
 // session. The price is a driver hop on site-to-site messages; direct
@@ -350,8 +350,8 @@ func appendMsgBatch(dst []byte, qid uint64, run []outEntry) []byte {
 	dst = append(dst, byte(wire.KindBatch))
 	dst = appendU32(dst, uint32(len(run)))
 	for i := range run {
-		dst = appendI32(dst, run[i].from)
-		dst = appendI32(dst, run[i].to)
+		dst = appendI32(dst, int(run[i].from))
+		dst = appendI32(dst, int(run[i].to))
 		dst = appendBlob(dst, run[i].data)
 	}
 	return dst
@@ -549,21 +549,22 @@ func writeFrame(c net.Conn, timeout time.Duration, typ byte, body []byte) (int, 
 // stay as typed entries so the writer can coalesce consecutive runs at
 // flush time.
 const (
-	entryFrame = iota // pre-encoded frame, written as-is
+	entryFrame = iota // pre-encoded frame in data, written as-is
 	entryMsg          // one session message; same-qid runs merge into MSGB
-	entryAck          // one processed-message ack; same-(qid,site) runs merge into ACKN
+	entryAck          // one site's retired run; same-(qid,site) runs merge
 )
 
+// outEntry is 64 bytes: the writer's queue is the transport's largest
+// pointer-bearing buffer, so entry width is allocation and GC-scan cost
+// on every message.
 type outEntry struct {
 	kind byte
 	qid  uint64
-	// entryFrame:
-	frame []byte
-	// entryMsg:
-	from, to int
-	data     []byte
+	data []byte // entryFrame: the frame; entryMsg: the payload
+	// entryMsg: endpoints. entryAck: from is the retiring site, to the
+	// number of messages retired.
+	from, to int32
 	// entryAck:
-	site   int
 	busyNs int64
 	rounds int64
 }
@@ -584,6 +585,11 @@ type outbox struct {
 	closed bool
 }
 
+// maxSpare caps the buffer a drained queue recycles, in entries: a
+// burst's backing array is dropped instead of staying pinned to an idle
+// connection (the cluster mailbox follows the same rule).
+const maxSpare = 4096
+
 func newOutbox() *outbox {
 	o := &outbox{}
 	o.cond = sync.NewCond(&o.mu)
@@ -602,16 +608,22 @@ func (o *outbox) put(e outEntry) bool {
 }
 
 // drain blocks for the next chunk and returns the entire queue;
-// ok=false after close and drain.
-func (o *outbox) drain() ([]outEntry, bool) {
+// ok=false after close and drain. spare is the writer's previous chunk,
+// already on the socket: it is cleared — releasing the payloads it
+// references — and becomes the next queue, so steady traffic regrows
+// nothing.
+func (o *outbox) drain(spare []outEntry) (chunk []outEntry, ok bool) {
+	clear(spare)
+	if cap(spare) > maxSpare {
+		spare = nil
+	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	for len(o.queue) == 0 && !o.closed {
 		o.cond.Wait()
 	}
-	q := o.queue
-	o.queue = nil
-	return q, len(q) > 0
+	chunk, o.queue = o.queue, spare[:0]
+	return chunk, len(chunk) > 0
 }
 
 func (o *outbox) close() {
@@ -637,11 +649,12 @@ const batchByteCap = 1 << 24
 // writeChunk encodes one drained outbox chunk onto bw and flushes once,
 // so an entire chunk shares syscalls. Consecutive entryMsg runs with
 // one qid become a single MSGB frame and consecutive entryAck runs with
-// one (qid, site) become a single ACKN frame (a run of one stays a
-// plain MSG or ACK, which is shorter); runs never extend across a
-// differing entry, so per-connection FIFO order — a daemon's
-// handler-output MSGs stay ahead of the triggering message's ACK — is
-// exactly preserved.
+// one (qid, site) become a single ACKN frame carrying their summed
+// counts (one message stays a plain MSG, a count of one a plain ACK,
+// which are shorter); runs never extend across a differing entry, so
+// per-connection FIFO order — a daemon's handler-output MSGs stay ahead
+// of the retirement of the run that produced them — is exactly
+// preserved.
 //
 // meter (nil ok) observes each frame's (qid, length) only after the
 // flush succeeds: metered bytes never drift ahead of what actually hit
@@ -664,11 +677,8 @@ func writeChunk(bw *bufio.Writer, entries []outEntry, meter func(qid uint64, n i
 	for i := 0; i < len(entries); {
 		e := entries[i]
 		j := i + 1
+		frame := e.data
 		switch e.kind {
-		case entryFrame:
-			if err := emit(e.qid, e.frame); err != nil {
-				return err
-			}
 		case entryMsg:
 			sz := 12 + len(e.data)
 			for j < len(entries) && entries[j].kind == entryMsg && entries[j].qid == e.qid {
@@ -679,37 +689,26 @@ func writeChunk(bw *bufio.Writer, entries []outEntry, meter func(qid uint64, n i
 				sz = nsz
 				j++
 			}
-			var frame []byte
 			if j == i+1 {
-				frame = wire.AppendFrame(nil, frameMsg, encodeMsg(msgBody{qid: e.qid, from: e.from, to: e.to, data: e.data}))
+				frame = wire.AppendFrame(nil, frameMsg, encodeMsg(msgBody{qid: e.qid, from: int(e.from), to: int(e.to), data: e.data}))
 			} else {
 				frame = wire.AppendFrame(nil, frameMsgB, appendMsgBatch(nil, e.qid, entries[i:j]))
 			}
-			if err := emit(e.qid, frame); err != nil {
-				return err
-			}
 		case entryAck:
-			for j < len(entries) && entries[j].kind == entryAck && entries[j].qid == e.qid && entries[j].site == e.site {
-				j++
+			a := ackNBody{qid: e.qid, site: int(e.from), count: uint32(e.to), busyNs: e.busyNs, rounds: e.rounds}
+			for ; j < len(entries) && entries[j].kind == entryAck && entries[j].qid == e.qid && entries[j].from == e.from; j++ {
+				a.count += uint32(entries[j].to)
+				a.busyNs += entries[j].busyNs
+				a.rounds += entries[j].rounds
 			}
-			var frame []byte
-			if j == i+1 {
-				frame = wire.AppendFrame(nil, frameAck, encodeAck(ackBody{
-					qid: e.qid, site: e.site, busyNs: e.busyNs, rounds: e.rounds,
-				}))
+			if a.count == 1 {
+				frame = wire.AppendFrame(nil, frameAck, encodeAck(ackBody{qid: a.qid, site: a.site, busyNs: a.busyNs, rounds: a.rounds}))
 			} else {
-				var busy, rounds int64
-				for _, a := range entries[i:j] {
-					busy += a.busyNs
-					rounds += a.rounds
-				}
-				frame = wire.AppendFrame(nil, frameAckN, encodeAckN(ackNBody{
-					qid: e.qid, site: e.site, count: uint32(j - i), busyNs: busy, rounds: rounds,
-				}))
+				frame = wire.AppendFrame(nil, frameAckN, encodeAckN(a))
 			}
-			if err := emit(e.qid, frame); err != nil {
-				return err
-			}
+		}
+		if err := emit(e.qid, frame); err != nil {
+			return err
 		}
 		i = j
 	}

@@ -299,6 +299,9 @@ func decodeVectors(b []byte) (Payload, error) {
 		return nil, fmt.Errorf("wire: vector count %d exceeds buffer", n)
 	}
 	m := &Vectors{NumQ: nq, Nodes: make([]uint32, n), Bitsets: make([][]byte, n)}
+	// One backing array for every bitset, sub-sliced with capped capacity
+	// so an append to one cannot run into its neighbour.
+	bits := make([]byte, int(n)*width)
 	for i := range m.Nodes {
 		if m.Nodes[i], err = r.u32(); err != nil {
 			return nil, err
@@ -306,7 +309,8 @@ func decodeVectors(b []byte) (Payload, error) {
 		if r.off+width > len(r.b) {
 			return nil, fmt.Errorf("wire: truncated bitset")
 		}
-		m.Bitsets[i] = append([]byte(nil), r.b[r.off:r.off+width]...)
+		m.Bitsets[i] = bits[i*width : (i+1)*width : (i+1)*width]
+		copy(m.Bitsets[i], r.b[r.off:])
 		r.off += width
 	}
 	if err := r.done(); err != nil {
