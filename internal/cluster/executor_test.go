@@ -148,6 +148,39 @@ func TestSiteLoopSplitsChunkIntoRuns(t *testing.T) {
 	}
 }
 
+// A session closed while a site is inside one of its runs gets the
+// Recv in progress and nothing after it: the rest of the run is neither
+// delivered nor retired.
+func TestSessionClosedMidRunDropsRest(t *testing.T) {
+	sink := &recSink{}
+	h := NewSiteHost(1, []int{0}, nil, nil, Network{}, sink)
+	defer h.Shutdown()
+	g := gatedReply{entered: make(chan struct{}), gate: make(chan struct{})}
+	for qid := uint64(1); qid <= 2; qid++ {
+		if err := h.OpenHandlers(qid, map[int]Handler{0: g}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	park, msg := wire.Encode(&wire.Control{Op: 1}), wire.Encode(&wire.Control{})
+	h.Enqueue(1, Coordinator, 0, park)
+	<-g.entered // parked in a run of one; the next two queue up as one run
+	h.Enqueue(1, Coordinator, 0, park)
+	h.Enqueue(1, Coordinator, 0, msg)
+	g.gate <- struct{}{}
+	<-g.entered // parked in the first Recv of the two-envelope run
+	h.CloseSession(1)
+	g.gate <- struct{}{}
+	h.Enqueue(2, Coordinator, 0, msg)
+	want := []string{
+		"send q1", "retire q1 x1",
+		"send q1", // the Recv that was in progress; its run-mate is dropped
+		"send q2", "retire q2 x1",
+	}
+	if got := sink.waitFor(t, len(want)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("sink saw %v\nwant    %v", got, want)
+	}
+}
+
 // spyNet is the in-process transport with its upcalls observed: the
 // count of every retirement, and the session's in-flight counter at the
 // moment each site-originated message is routed.

@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dgs/internal/obs"
@@ -50,6 +51,9 @@ type hostSession struct {
 	handlers map[int]Handler // by global site ID
 	ctxs     map[int]*Ctx
 	trace    *obs.SpanRecorder // nil unless the session is traced
+	// closed is set by CloseSession, so that a site in the middle of one
+	// of the session's runs stops delivering it.
+	closed atomic.Bool
 }
 
 // SiteHost hosts a set of worker sites identified by their global IDs.
@@ -244,11 +248,15 @@ func (h *SiteHost) siteCtx(qid uint64, st *siteState, trace *obs.SpanRecorder) *
 }
 
 // CloseSession discards session qid's handlers; queued envelopes for it
-// are dropped when dequeued. A traced session's recorder survives until
-// TakeTrace collects it.
+// are dropped when dequeued, the undelivered rest of a run in progress
+// included. A traced session's recorder survives until TakeTrace
+// collects it.
 func (h *SiteHost) CloseSession(qid uint64) {
 	h.mu.Lock()
-	delete(h.sessions, qid)
+	if hs := h.sessions[qid]; hs != nil {
+		hs.closed.Store(true)
+		delete(h.sessions, qid)
+	}
 	h.mu.Unlock()
 }
 
@@ -299,7 +307,9 @@ func (h *SiteHost) siteLoop(st *siteState) {
 // lookup, one busy-time measurement (decoding included, emulated link
 // waits excluded), one Retire carrying the count. Everything the
 // handler emitted — during a Recv or from its RunEnder hook — reached
-// the sink before the retirement does.
+// the sink before the retirement does. A session closed mid-run gets
+// nothing more: the rest of the run is dropped unretired, like a run
+// that finds no session.
 func (h *SiteHost) run(st *siteState, run []envelope) {
 	qid := run[0].qid
 	h.mu.RLock()
@@ -316,6 +326,9 @@ func (h *SiteHost) run(st *siteState, run []envelope) {
 	bytes := 0
 	start := time.Now()
 	for _, env := range run {
+		if hs.closed.Load() {
+			return
+		}
 		idle += h.net.await(env)
 		p, err := wire.Decode(env.data)
 		if err != nil {

@@ -19,14 +19,24 @@
 // inherently incremental: processing a falsification touches exactly the
 // affected cone (the paper's O(|AFF|) bound for incremental lEval).
 //
-// Hot state is dense: fragment-visible nodes (locals followed by
-// virtuals) are indexed 0..nVis-1 and alive flags/counters live in flat
-// arrays; maps appear only on cold paths (pushed equations, message
-// boundaries).
+// Hot state is flat arrays sized by candidates, not by the fragment's
+// product with the pattern. Fragment-visible nodes (locals followed by
+// virtuals) are indexed 0..nVis-1; alive flags are one dense byte row per
+// query node over that numbering, and the successor counters of a query
+// edge (u,u') exist only for the local candidates of label(u), addressed
+// by a node's position in its label bucket (partition.Index.Pos). Maps
+// appear only on cold paths (pushed equations, message boundaries).
+//
+// Counter invariant: the counter of an ALIVE local variable X(u,v) on
+// edge (u,u') is exactly the number of v's alive successors for u', and
+// is positive. A dead variable's counters are stale — propagation skips
+// dead and label-inconsistent predecessors before touching a counter —
+// and nothing reads them: every counter read is behind an alive test.
 package dgpm
 
 import (
 	"fmt"
+	"sync"
 
 	"dgs/internal/graph"
 	"dgs/internal/partition"
@@ -95,8 +105,17 @@ type Engine struct {
 
 	// alive[u][vi] — dense variable state for visible nodes.
 	alive [][]bool
-	// cnt[eIdx][li] — alive-successor counters for local variables.
+	// cand[u] lists the local candidates of u, ascending: the local prefix
+	// of label(u)'s bucket. pos[vi] is vi's position in its label's bucket
+	// and labels[vi] that label.
+	cand   [][]int32
+	pos    []int32
+	labels []graph.Label
+	// cnt[e=(u,u')][pos[li]] — alive-successor counter of X(u, vis[li]),
+	// one cell per member of cand[u]; exact while that variable is alive.
 	cnt [][]int32
+	// wasAlive is ApplyEdgeDeletions' per-query-edge scratch.
+	wasAlive []bool
 
 	// ext variables (pushed equations and their leaves), keyed by (u,v).
 	ext map[varKey]*extVar
@@ -163,14 +182,17 @@ func NewEngine(q *pattern.Pattern, frag *partition.Fragment) *Engine {
 // A nil (or ill-fitting) plan is the identity order: nodes 0..|Vq|−1,
 // edges in declaration index order.
 //
-// Construction is the same either way. The fragment's dense topology
-// (vis numbering, adjacency rows, label buckets) comes from the
-// fragment's cached Index, built once per fragment version and shared
-// by every engine, and the alive rows, successor counters, benefit
-// tallies and seed scan are all driven off the index's per-label
-// candidate buckets — touching only label-consistent candidates instead
-// of scanning all |Vq|·|vis| cells and all |Eq| edges per adjacency
-// entry. Exact, because initial alive state is label consistency.
+// Construction is the same either way, and touches candidates only:
+// §4.1's initial lEval is defined over label-consistent pairs, and
+// everything it needs about the fragment is query-independent and comes
+// from the fragment's cached Index, built once per fragment version and
+// shared by every engine — the vis numbering and adjacency rows, the
+// per-label candidate buckets that drive the alive rows, benefit tallies
+// and seed scan, and the per-label successor degrees the counters are
+// gathered from (one byte load per local candidate per query edge; a
+// saturated cell is recounted from its Succ row). Exact, because initial
+// alive state is label consistency. No adjacency entry is visited until
+// the fixpoint itself walks the predecessors of a falsified variable.
 func NewEnginePlanned(q *pattern.Pattern, frag *partition.Fragment, pl *plan.Plan) *Engine {
 	nq := q.NumNodes()
 	nl := len(frag.Local)
@@ -207,8 +229,8 @@ func NewEnginePlanned(q *pattern.Pattern, frag *partition.Fragment, pl *plan.Pla
 	// Borrow the fragment's cached topology index (read-only — the first
 	// edge deletion copies succ/pred) and drive every scan off its
 	// per-label candidate buckets. Buckets are ascending, and locals
-	// precede virtuals in vis, so a bucket's local prefix ends at the
-	// first index ≥ nl.
+	// precede virtuals in vis, so a bucket's local candidates are its
+	// prefix, short of its VirtOf virtual ones.
 	ix := frag.Index()
 	e.vis = ix.Vis
 	e.visIdx = ix.VisIdx
@@ -216,88 +238,84 @@ func NewEnginePlanned(q *pattern.Pattern, frag *partition.Fragment, pl *plan.Pla
 	e.succ = ix.Succ
 	e.pred = ix.Pred
 	e.topoShared = true
-	byLabel := ix.ByLabel
+	e.pos = ix.Pos
+	e.labels = ix.Labels
 
 	// Alive state is label consistency; the benefit function's tallies
 	// (alive, non-constant variables on in-nodes and virtual nodes) are
 	// the index's per-label counts.
 	e.alive = make([][]bool, nq)
+	e.cand = make([][]int32, nq)
+	rows := make([]bool, nq*nvis)
 	for u := 0; u < nq; u++ {
-		row := make([]bool, nvis)
+		row := rows[u*nvis : (u+1)*nvis : (u+1)*nvis]
 		ql := q.Label(pattern.QNode(u))
-		for _, i := range byLabel[ql] {
+		bucket := ix.ByLabel[ql]
+		for _, i := range bucket {
 			row[i] = true
 		}
 		e.alive[u] = row
+		e.cand[u] = bucket[:len(bucket)-ix.VirtOf[ql]]
 		if !e.constTrue[u] {
 			e.unevalIn += ix.InOf[ql]
 			e.unevalVirt += ix.VirtOf[ql]
 		}
 	}
 
-	// Counters: cnt[e=(u,u')][li] = #alive successors matching u'. An
-	// adjacency entry (li, wi) contributes to precisely the edges whose
-	// child label is labels[wi]. The dispatch is a linear match over the
-	// pattern's few distinct child labels — integer compares, no
-	// alive-row loads.
+	// Counters: cnt[e=(u,u')][p] = #successors of cand[u][p] labelled
+	// label(u'), which are its alive successors for u'.
+	ncells := 0
+	for _, qe := range e.qedges {
+		ncells += len(e.cand[qe.parent])
+	}
+	cells := make([]int32, ncells)
 	e.cnt = make([][]int32, len(e.qedges))
-	for i := range e.cnt {
-		e.cnt[i] = make([]int32, nl)
-	}
-	type childGroup struct {
-		label graph.Label
-		edges []int32
-	}
-	var groups []childGroup
 	for ei, qe := range e.qedges {
-		l := q.Label(qe.child)
-		found := false
-		for gi := range groups {
-			if groups[gi].label == l {
-				groups[gi].edges = append(groups[gi].edges, int32(ei))
-				found = true
-				break
-			}
+		cand := e.cand[qe.parent]
+		row := cells[:len(cand):len(cand)]
+		cells = cells[len(cand):]
+		e.cnt[ei] = row
+		cl := q.Label(qe.child)
+		deg := ix.OutDeg[cl]
+		if deg == nil {
+			continue // no local node has a successor labelled cl
 		}
-		if !found {
-			groups = append(groups, childGroup{l, []int32{int32(ei)}})
-		}
-	}
-	labels := ix.Labels
-	for li := 0; li < nl; li++ {
-		for _, wi := range e.succ[li] {
-			l := labels[wi]
-			for gi := range groups {
-				if groups[gi].label == l {
-					for _, ei := range groups[gi].edges {
-						e.cnt[ei][li]++
+		for p, li := range cand {
+			c := int32(deg[li])
+			if c == partition.OutDegSat {
+				c = 0
+				for _, wi := range e.succ[li] {
+					if e.labels[wi] == cl {
+						c++
 					}
-					break
 				}
 			}
+			row[p] = c
 		}
 	}
 
 	// Seed: alive local vars with an exhausted out-edge counter die. The
-	// scan runs in plan node order over each label's candidate bucket
-	// only (and each node's edges in plan edge order), so under a greedy
-	// plan the cheapest falsifications enter the queue — and the first
-	// Drain — earliest.
+	// scan runs in plan node order over each node's local candidates (and
+	// each node's edges in plan edge order), so under a greedy plan the
+	// cheapest falsifications enter the queue — and the first Drain —
+	// earliest. The seed phase's kill queue grows to the fragment's share
+	// of the falsified relation and is empty again when propagate
+	// returns, so it is borrowed from a pool for the build; later
+	// incremental kills grow a small one of the engine's own.
+	qp := queuePool.Get().(*[]visVar)
+	e.queue = (*qp)[:0]
 	for _, pu := range pl.Nodes {
 		u := pattern.QNode(pu)
 		if e.constTrue[u] {
 			continue
 		}
 		row := e.alive[u]
-		for _, li := range byLabel[q.Label(u)] {
-			if li >= int32(nl) {
-				break // virtual suffix of the bucket
-			}
+		for p, li := range e.cand[u] {
 			if !row[li] { // killed by an earlier seed's direct hit
 				continue
 			}
 			for _, ei := range e.eOut[u] {
-				if e.cnt[ei][li] == 0 {
+				if e.cnt[ei][p] == 0 {
 					e.killVis(u, li)
 					break
 				}
@@ -305,9 +323,14 @@ func NewEnginePlanned(q *pattern.Pattern, frag *partition.Fragment, pl *plan.Pla
 		}
 	}
 	e.propagate()
+	*qp, e.queue = e.queue[:0], nil
+	queuePool.Put(qp)
 	e.Evals++
 	return e
 }
+
+// queuePool recycles the seed phase's kill queue across engine builds.
+var queuePool = sync.Pool{New: func() any { return new([]visVar) }}
 
 // identityOrder lists 0..n−1: the plan-less node and edge order.
 func identityOrder(n int) []uint16 {
@@ -379,9 +402,10 @@ func (e *Engine) killExt(k varKey) {
 	e.extQueue = append(e.extQueue, k)
 }
 
-// propagate drains the kill queues: each death decrements successor
-// counters of local predecessors (the fragment-level HHK step) and the
-// group counters of watching equations.
+// propagate drains the kill queues: each death decrements the successor
+// counters of its alive local predecessors (the fragment-level HHK step;
+// a dead or label-inconsistent predecessor has no counter worth keeping)
+// and the group counters of watching equations.
 func (e *Engine) propagate() {
 	for len(e.queue) > 0 || len(e.extQueue) > 0 {
 		if n := len(e.queue); n > 0 {
@@ -393,8 +417,12 @@ func (e *Engine) propagate() {
 				cnt := e.cnt[ei]
 				arow := e.alive[up]
 				for _, lp := range e.pred[kv.vi] {
-					cnt[lp]--
-					if cnt[lp] == 0 && arow[lp] {
+					if !arow[lp] {
+						continue
+					}
+					p := e.pos[lp]
+					cnt[p]--
+					if cnt[p] == 0 {
 						e.killVis(up, lp)
 					}
 				}
@@ -463,6 +491,7 @@ func (e *Engine) ApplyEdgeDeletions(dels [][2]graph.NodeID) {
 		e.succ = copyRows(e.succ)
 		e.pred = copyRows(e.pred)
 		e.topoShared = false
+		e.wasAlive = make([]bool, len(e.qedges))
 	}
 	for _, d := range dels {
 		v, w := d[0], d[1]
@@ -486,16 +515,16 @@ func (e *Engine) ApplyEdgeDeletions(dels [][2]graph.NodeID) {
 		// Snapshot w's liveness first: a kill fired mid-loop (w can be v
 		// itself via a self-loop) would otherwise lose this edge's
 		// decrement for the remaining query edges.
-		wasAlive := make([]bool, len(e.qedges))
 		for ei := range e.qedges {
-			wasAlive[ei] = e.alive[e.qedges[ei].child][wi]
+			e.wasAlive[ei] = e.alive[e.qedges[ei].child][wi]
 		}
+		p := e.pos[li]
 		for ei, qe := range e.qedges {
-			if !wasAlive[ei] {
+			if !e.wasAlive[ei] || !e.alive[qe.parent][li] {
 				continue
 			}
-			e.cnt[ei][li]--
-			if e.cnt[ei][li] == 0 && e.alive[qe.parent][li] {
+			e.cnt[ei][p]--
+			if e.cnt[ei][p] == 0 {
 				e.killVis(qe.parent, li)
 			}
 		}
@@ -554,11 +583,21 @@ func (e *Engine) AliveLocalVar(u pattern.QNode, v graph.NodeID) bool {
 // LocalMatches lists all alive local variables — the site's partial
 // answer Q(Fi) shipped to the coordinator in phase 3.
 func (e *Engine) LocalMatches() []wire.VarRef {
-	var out []wire.VarRef
-	for u := range e.alive {
-		row := e.alive[u]
-		for li := int32(0); li < e.nl; li++ {
-			if row[li] {
+	n := 0
+	for u, cand := range e.cand {
+		for _, li := range cand {
+			if e.alive[u][li] {
+				n++
+			}
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]wire.VarRef, 0, n)
+	for u, cand := range e.cand {
+		for _, li := range cand {
+			if e.alive[u][li] {
 				out = append(out, wire.VarRef{U: uint16(u), V: uint32(e.vis[li])})
 			}
 		}
@@ -575,7 +614,7 @@ func (e *Engine) DeadLocalVars(v graph.NodeID) []wire.VarRef {
 		return nil
 	}
 	var out []wire.VarRef
-	lbl := e.frag.Labels[v]
+	lbl := e.labels[vi]
 	for u := 0; u < e.q.NumNodes(); u++ {
 		if e.q.Label(pattern.QNode(u)) == lbl && !e.alive[u][vi] {
 			out = append(out, wire.VarRef{U: uint16(u), V: uint32(v)})

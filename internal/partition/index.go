@@ -8,6 +8,14 @@ package partition
 // the cache. Callers that mutate adjacency during evaluation (standing
 // maintenance sessions) must copy the Succ/Pred rows they touch — the
 // index itself is immutable.
+//
+// Besides the adjacency the index records the two query-independent
+// facts an engine build needs per candidate, so that a build touches one
+// label bucket per query node and never the whole fragment: where a node
+// sits in its label bucket (Pos), and how many of a local node's
+// successors carry each label (OutDeg). OutDeg is one byte per (successor
+// label, local node) and saturates at OutDegSat: a saturated cell means
+// "at least this many — recount from the Succ row", which only hubs pay.
 
 import (
 	"dgs/internal/graph"
@@ -33,13 +41,22 @@ type Index struct {
 	Labels []graph.Label
 	// ByLabel buckets visible indices per label, ascending — so each
 	// bucket's local candidates form its prefix, ending at the first
-	// index ≥ NL.
+	// index ≥ NL. Pos[i] is i's position in its bucket:
+	// ByLabel[Labels[i]][Pos[i]] == i.
 	ByLabel map[graph.Label][]int32
+	Pos     []int32
+	// OutDeg[l][li] is the number of local node li's successors labelled
+	// l, saturating at OutDegSat. A label no local node has a successor
+	// of has no row.
+	OutDeg map[graph.Label][]uint8
 	// InOf and VirtOf count, per label, the in-node and virtual-node
 	// candidates (the benefit function's per-label tallies).
 	InOf   map[graph.Label]int
 	VirtOf map[graph.Label]int
 }
+
+// OutDegSat is the value at which an OutDeg cell stops counting.
+const OutDegSat = 255
 
 // Index returns the fragment's cached topology index, building it on
 // first use. The returned value is shared and must be treated as
@@ -73,15 +90,24 @@ func (f *Fragment) buildIndex() *Index {
 		Pred:    make([][]int32, nvis),
 		Labels:  make([]graph.Label, nvis),
 		ByLabel: make(map[graph.Label][]int32),
+		Pos:     make([]int32, nvis),
+		OutDeg:  make(map[graph.Label][]uint8),
 		InOf:    make(map[graph.Label]int),
 		VirtOf:  make(map[graph.Label]int),
 	}
 	ix.Vis = append(ix.Vis, f.Local...)
 	ix.Vis = append(ix.Vis, f.Virtual...)
+	maxLabel := graph.Label(0)
 	for i, v := range ix.Vis {
 		ix.VisIdx[v] = int32(i)
 		ix.Labels[i] = f.Labels[v]
+		maxLabel = max(maxLabel, ix.Labels[i])
 	}
+	// deg and buckets dispatch to a label's OutDeg row and ByLabel bucket
+	// by slice index: a map lookup per adjacency entry measured +25–35% on
+	// the whole build.
+	deg := make([][]uint8, int(maxLabel)+1)
+	buckets := make([][]int32, int(maxLabel)+1)
 	for _, v := range f.InNodes {
 		ix.IsIn[ix.VisIdx[v]] = true
 	}
@@ -95,15 +121,30 @@ func (f *Fragment) buildIndex() *Index {
 			wi := ix.VisIdx[w]
 			row[i] = wi
 			ix.Pred[wi] = append(ix.Pred[wi], int32(li))
+			l := ix.Labels[wi]
+			d := deg[l]
+			if d == nil {
+				d = make([]uint8, nl)
+				deg[l], ix.OutDeg[l] = d, d
+			}
+			if d[li] < OutDegSat {
+				d[li]++
+			}
 		}
 		ix.Succ[li] = row
 	}
 	for i, l := range ix.Labels {
-		ix.ByLabel[l] = append(ix.ByLabel[l], int32(i))
+		ix.Pos[i] = int32(len(buckets[l]))
+		buckets[l] = append(buckets[l], int32(i))
 		if i >= nl {
 			ix.VirtOf[l]++
 		} else if ix.IsIn[i] {
 			ix.InOf[l]++
+		}
+	}
+	for l, bucket := range buckets {
+		if bucket != nil {
+			ix.ByLabel[graph.Label(l)] = bucket
 		}
 	}
 	return ix
