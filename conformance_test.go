@@ -147,6 +147,20 @@ func confArms() []confArm {
 // message is processed, so it is the same on every run and transport.
 type confPush struct{ msgs, bytes int64 }
 
+// confTraffic is a cell's data shipment, which no transport may change.
+// A dGPM site ships once per drained run, so its message and round
+// counts depend on the schedule; what does not is the falsified pairs
+// it ships, 6 B each beyond a 5 B message header — so for the dGPM arms
+// the signature is DataBytes − 5·DataMsgs alone.
+type confTraffic struct{ dataBytes, dataMsgs, rounds int64 }
+
+func confTrafficOf(algo Algorithm, st Stats) confTraffic {
+	if algo == AlgoDGPM || algo == AlgoDGPMNoOpt {
+		return confTraffic{dataBytes: st.DataBytes - 5*st.DataMsgs}
+	}
+	return confTraffic{st.DataBytes, st.DataMsgs, st.Rounds}
+}
+
 // confModes are the transport backends the matrix runs over: the
 // in-process channel network, a deployment spanning two dgsd site
 // servers over loopback TCP, and the same TCP deployment with
@@ -203,7 +217,8 @@ func confModes(t *testing.T) []struct {
 func TestConformanceMatrix(t *testing.T) {
 	ctx := context.Background()
 	arms := confArms()
-	pushed := make(map[string]confPush) // by cell name, from the first transport that ran it
+	pushed := make(map[string]confPush)     // by cell name, from the first transport that ran it
+	shipped := make(map[string]confTraffic) // likewise
 	for _, mode := range confModes(t) {
 		mode := mode
 		t.Run(mode.name, func(t *testing.T) {
@@ -257,6 +272,11 @@ func TestConformanceMatrix(t *testing.T) {
 									t.Fatalf("%s: pushed %+v, but %+v on an earlier transport", name, got, want)
 								}
 								pushed[name] = got
+								tr := confTrafficOf(algo, res.Stats)
+								if want, seen := shipped[name]; seen && tr != want {
+									t.Fatalf("%s: shipped %+v, but %+v on an earlier transport", name, tr, want)
+								}
+								shipped[name] = tr
 								switch arm.name {
 								case "dGPM":
 									defaultPushBytes += got.bytes

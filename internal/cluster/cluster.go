@@ -190,69 +190,85 @@ type envelope struct {
 	sent time.Time // zero when the network model is off
 }
 
-// mailbox is an unbounded FIFO queue; senders never block, which rules
-// out the send-deadlock of bounded channels under all-to-all bursts. The
-// consumer takes the whole queue per wakeup (drain), so under load one
-// wakeup, one lock round-trip and one retirement cover a run of
-// envelopes, while an idle site still sees each message at once.
-type mailbox struct {
+// Queue is the runtime's one unbounded FIFO with one consumer: a site's
+// or the coordinator's mailbox here, a connection's outbound queue in
+// tcpnet. Producers never block, which rules out the send-deadlock of
+// bounded channels under all-to-all bursts (and hub routing's circular
+// write-deadlock). The consumer takes the whole queue per wakeup
+// (Drain), so under load one wakeup and one lock round-trip cover a run
+// of entries, while an idle consumer still sees each entry at once.
+type Queue[T any] struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []envelope
+	cond   sync.Cond
+	queue  []T
 	closed bool
 }
 
 // maxSpare caps the buffer a drained queue recycles, in entries: a
 // burst's backing array is dropped instead of staying pinned to an idle
-// site (or connection — tcpnet's outbox follows the same rule).
+// consumer.
 const maxSpare = 4096
 
-func newMailbox() *mailbox {
-	m := &mailbox{}
-	m.cond = sync.NewCond(&m.mu)
-	return m
+// NewQueue returns an empty, open queue.
+func NewQueue[T any]() *Queue[T] {
+	q := &Queue[T]{}
+	q.cond.L = &q.mu
+	return q
 }
 
-func (m *mailbox) put(e envelope) bool {
-	m.mu.Lock()
-	ok := !m.closed
-	if ok {
-		m.queue = append(m.queue, e)
+// Put appends e; after Close it is dropped.
+func (q *Queue[T]) Put(e T) {
+	q.mu.Lock()
+	if !q.closed {
+		q.queue = append(q.queue, e)
 	}
-	m.mu.Unlock()
-	m.cond.Signal()
-	return ok
+	q.mu.Unlock()
+	q.cond.Signal()
 }
 
-// drain blocks for the next chunk and returns the entire queue in FIFO
-// order; ok=false after close and drain. spare is the caller's previous
-// chunk, fully consumed: it is cleared — releasing the payloads it
-// references — and becomes the next queue, so a steady flow allocates
-// nothing.
-func (m *mailbox) drain(spare []envelope) (chunk []envelope, ok bool) {
+// Drain blocks for the next chunk and returns the entire queue in FIFO
+// order; ok=false after Close and drain. spare is the caller's previous
+// chunk, fully consumed: it is cleared — releasing what it references —
+// and becomes the next queue, so a steady flow allocates nothing.
+func (q *Queue[T]) Drain(spare []T) (chunk []T, ok bool) {
 	clear(spare)
 	if cap(spare) > maxSpare {
 		spare = nil
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for len(m.queue) == 0 && !m.closed {
-		m.cond.Wait()
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for len(q.queue) == 0 && !q.closed {
+		q.cond.Wait()
 	}
-	chunk, m.queue = m.queue, spare[:0]
+	chunk, q.queue = q.queue, spare[:0]
 	return chunk, len(chunk) > 0
+}
+
+// Close stops accepting entries; what was queued is still drained.
+func (q *Queue[T]) Close() {
+	q.mu.Lock()
+	q.closed = true
+	q.mu.Unlock()
+	q.cond.Broadcast()
+}
+
+// Len reports the entries queued and not yet drained.
+func (q *Queue[T]) Len() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.queue)
 }
 
 // serve is the actor loop of a mailbox's one consumer — a site or the
 // coordinator: take the whole queue per wakeup and hand run each run of
 // consecutive same-session envelopes, in arrival order, until the
 // mailbox is closed and empty. A run is the unit the consumer looks its
-// session up for, times, and retires with one count.
-func (m *mailbox) serve(run func([]envelope)) {
+// session up for, times, and retires at once.
+func serve(box *Queue[envelope], run func([]envelope)) {
 	var chunk []envelope
 	for {
 		var ok bool
-		if chunk, ok = m.drain(chunk); !ok {
+		if chunk, ok = box.Drain(chunk); !ok {
 			return
 		}
 		for i := 0; i < len(chunk); {
@@ -266,13 +282,6 @@ func (m *mailbox) serve(run func([]envelope)) {
 	}
 }
 
-func (m *mailbox) close() {
-	m.mu.Lock()
-	m.closed = true
-	m.mu.Unlock()
-	m.cond.Broadcast()
-}
-
 // Cluster is the driver side of a deployment: it runs the coordinator
 // actor, tracks sessions, and reaches the n worker sites through its
 // Transport. Create it once per deployment, run queries as Sessions, and
@@ -281,7 +290,7 @@ type Cluster struct {
 	n        int
 	tr       Transport
 	net      Network // link emulation, when the transport models one
-	coordBox *mailbox
+	coordBox *Queue[envelope]
 	wg       sync.WaitGroup
 
 	mu       sync.RWMutex
@@ -309,7 +318,7 @@ func NewWithTransport(tr Transport) *Cluster {
 		n:        tr.NumSites(),
 		tr:       tr,
 		sessions: make(map[uint64]*Session),
-		coordBox: newMailbox(),
+		coordBox: NewQueue[envelope](),
 	}
 	if lm, ok := tr.(interface{ LinkModel() Network }); ok {
 		c.net = lm.LinkModel()
@@ -382,9 +391,9 @@ func (c *Cluster) newSession(kind SessionKind, coord Handler) (*Session, bool) {
 		coord:       coord,
 		quiesce:     make(chan struct{}, 1),
 		abort:       make(chan struct{}),
-		perKind:     make(map[wire.Kind]int64),
 		busy:        make([]time.Duration, c.n+1),
 		outstanding: make([]int64, c.n),
+		seen:        make([]uint64, c.n),
 	}
 	s.coordCtx = &Ctx{
 		self: Coordinator,
@@ -484,7 +493,7 @@ func (c *Cluster) NewSessionKind(kind SessionKind, sites []Handler, coord Handle
 // each same-session run timed and retired once.
 func (c *Cluster) coordLoop() {
 	defer c.wg.Done()
-	c.coordBox.serve(c.coordRun)
+	serve(c.coordBox, c.coordRun)
 }
 
 func (c *Cluster) coordRun(run []envelope) {
@@ -542,39 +551,40 @@ func (c *Cluster) Deliver(qid uint64, from int, data []byte) {
 	if c.net.Latency > 0 || c.net.Bandwidth > 0 || c.net.PerMsg > 0 {
 		env.sent = time.Now()
 	}
-	c.coordBox.put(env)
+	c.coordBox.Put(env)
 }
 
-// Retired implements Events: retire n processed messages and fold in
-// the handlers' summed busy time and recorded rounds. The retirement is
-// clamped to the site's outstanding count — messages routed to it and
-// not yet retired — so a duplicated or forged ACK can never drive the
-// in-flight counter below the true count and falsely certify
-// termination.
-func (c *Cluster) Retired(qid uint64, site int, busy time.Duration, rounds int64, n int) {
+// Retired implements Events. cum is the site's cumulative count of the
+// session's retired messages, so what a retirement retires is what it
+// adds to the count already seen from that site, clamped to the site's
+// outstanding ledger (messages routed to it and not yet retired): a
+// duplicated retirement retires nothing, and a forged count retires at
+// most what was routed to that site — neither can drive the in-flight
+// counter below the true count and certify termination early. A
+// retirement that retires nothing is ignored whole, its busy time and
+// rounds included. The per-site count is well defined because a site
+// loss fails every open session, so no session spans two hosts of one
+// site.
+func (c *Cluster) Retired(qid uint64, site int, busy time.Duration, rounds int64, cum uint64) {
 	c.mu.RLock()
 	s := c.sessions[qid]
 	c.mu.RUnlock()
-	if s == nil || n <= 0 {
+	if s == nil || site < 0 || site >= c.n {
 		return
 	}
 	s.statMu.Lock()
-	if site >= 0 && site < len(s.busy) {
-		s.busy[site] += busy
+	seen := s.seen[site]
+	if cum <= seen || s.outstanding[site] == 0 {
+		s.statMu.Unlock()
+		return
 	}
+	n := int64(min(cum-seen, uint64(s.outstanding[site])))
+	s.seen[site] += uint64(n)
+	s.outstanding[site] -= n
+	s.busy[site] += busy
 	s.stats.Rounds += rounds
-	if site >= 0 && site < len(s.outstanding) {
-		if out := s.outstanding[site]; int64(n) > out {
-			n = int(out)
-		}
-		s.outstanding[site] -= int64(n)
-	} else {
-		n = 0 // not a worker site: nothing was routed there
-	}
 	s.statMu.Unlock()
-	if n > 0 {
-		s.doneN(n)
-	}
+	s.doneN(int(n))
 }
 
 // Fail implements Events: abort one session (or, with qid 0, all of
@@ -652,7 +662,7 @@ func (c *Cluster) Shutdown() {
 		s.Close()
 	}
 	c.tr.Shutdown()
-	c.coordBox.close()
+	c.coordBox.Close()
 	c.wg.Wait()
 }
 
@@ -676,14 +686,15 @@ type Session struct {
 	failErr   error // set (at most once) before dropped, read after
 	closeOnce sync.Once
 
-	statMu  sync.Mutex
-	stats   Stats
-	busy    []time.Duration
-	perKind map[wire.Kind]int64
+	statMu sync.Mutex
+	stats  Stats
+	busy   []time.Duration
 	// outstanding[i] counts messages routed to worker site i and not yet
-	// retired — the per-site ledger Retired clamps against so duplicated
-	// ACK delivery cannot falsely certify termination.
+	// retired, seen[i] the site's cumulative retirement count the driver
+	// has accepted — the per-site ledger Retired clamps against so a
+	// duplicated or forged retirement cannot falsely certify termination.
 	outstanding []int64
+	seen        []uint64
 
 	// traceRec records the driver-side (coordinator) spans of a traced
 	// session; nil means tracing off. Set once in OpenSession before any
@@ -709,7 +720,6 @@ func (s *Session) route(from, to int, data []byte) {
 	}
 	k := wire.Kind(data[0])
 	s.statMu.Lock()
-	s.perKind[k] += int64(len(data))
 	switch {
 	case k == wire.KindMatches:
 		s.stats.ResultBytes += int64(len(data))
@@ -857,17 +867,6 @@ func (s *Session) Stats() Stats {
 		}
 	}
 	return st
-}
-
-// BytesByKind snapshots the session's per-kind byte counters.
-func (s *Session) BytesByKind() map[wire.Kind]int64 {
-	s.statMu.Lock()
-	defer s.statMu.Unlock()
-	out := make(map[wire.Kind]int64, len(s.perKind))
-	for k, v := range s.perKind {
-		out[k] = v
-	}
-	return out
 }
 
 // drop marks the session abandoned: subsequent sends are suppressed,

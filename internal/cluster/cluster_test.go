@@ -226,25 +226,6 @@ func TestRoundsCounter(t *testing.T) {
 	}
 }
 
-func TestBytesByKind(t *testing.T) {
-	c := New(2, Network{})
-	defer c.Shutdown()
-	s := c.NewSession(nopSites(2), nopHandler{})
-	defer s.Close()
-	s.Inject(0, &wire.Falsify{Pairs: []wire.VarRef{{U: 1, V: 2}}})
-	s.Inject(1, &wire.Control{})
-	if err := s.WaitQuiesce(bg); err != nil {
-		t.Fatal(err)
-	}
-	bk := s.BytesByKind()
-	if bk[wire.KindFalsify] != 11 {
-		t.Fatalf("falsify bytes = %d", bk[wire.KindFalsify])
-	}
-	if bk[wire.KindControl] != 7 {
-		t.Fatalf("control bytes = %d", bk[wire.KindControl])
-	}
-}
-
 func TestWaitQuiesceImmediateWhenQuiet(t *testing.T) {
 	c := New(1, Network{})
 	defer c.Shutdown()

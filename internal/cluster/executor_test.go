@@ -2,8 +2,8 @@ package cluster
 
 // The site executor, run by run: the mailbox hands its queue over whole,
 // a chunk splits into same-session runs, and a run is delivered in
-// order, then retired once with its count — after everything its
-// handler emitted.
+// order, then retired once with the site's cumulative count — after
+// everything its handler emitted.
 
 import (
 	"context"
@@ -18,11 +18,11 @@ import (
 )
 
 func TestMailboxDrainFIFOReleasesConsumed(t *testing.T) {
-	m := newMailbox()
+	m := NewQueue[envelope]()
 	for i := 0; i < 5; i++ {
-		m.put(envelope{from: i, data: []byte{byte(i)}})
+		m.Put(envelope{from: i, data: []byte{byte(i)}})
 	}
-	first, ok := m.drain(nil)
+	first, ok := m.Drain(nil)
 	if !ok || len(first) != 5 {
 		t.Fatalf("drain = %d envelopes, ok=%v; want the whole queue of 5", len(first), ok)
 	}
@@ -31,8 +31,8 @@ func TestMailboxDrainFIFOReleasesConsumed(t *testing.T) {
 			t.Fatalf("envelope %d came out as %d: not FIFO", i, e.from)
 		}
 	}
-	m.put(envelope{from: 5, data: []byte{5}})
-	second, ok := m.drain(first)
+	m.Put(envelope{from: 5, data: []byte{5}})
+	second, ok := m.Drain(first)
 	if !ok || len(second) != 1 || second[0].from != 5 {
 		t.Fatalf("second drain = %+v, ok=%v", second, ok)
 	}
@@ -42,28 +42,28 @@ func TestMailboxDrainFIFOReleasesConsumed(t *testing.T) {
 		}
 	}
 	// The consumed chunk is the queue now: the next put lands in its array.
-	m.put(envelope{from: 6})
-	if third, _ := m.drain(second); &third[0] != &first[0] {
+	m.Put(envelope{from: 6})
+	if third, _ := m.Drain(second); &third[0] != &first[0] {
 		t.Fatal("the recycled chunk was not reused as the queue")
 	}
 
 	// A burst's buffer is dropped rather than pinned to an idle site.
 	for i := 0; i <= maxSpare; i++ {
-		m.put(envelope{})
+		m.Put(envelope{})
 	}
-	burst, _ := m.drain(nil)
+	burst, _ := m.Drain(nil)
 	if cap(burst) <= maxSpare {
 		t.Fatalf("burst of %d fit a %d-entry buffer", maxSpare+1, cap(burst))
 	}
-	m.put(envelope{})
-	m.drain(burst)
-	m.put(envelope{})
-	if after, _ := m.drain(nil); cap(after) > maxSpare {
+	m.Put(envelope{})
+	m.Drain(burst)
+	m.Put(envelope{})
+	if after, _ := m.Drain(nil); cap(after) > maxSpare {
 		t.Fatalf("a %d-entry burst buffer was kept as the queue", cap(after))
 	}
 
-	m.close()
-	if _, ok := m.drain(nil); ok {
+	m.Close()
+	if _, ok := m.Drain(nil); ok {
 		t.Fatal("drain after close and drain reported ok")
 	}
 }
@@ -81,8 +81,8 @@ func (k *recSink) add(format string, args ...any) {
 }
 
 func (k *recSink) ForwardSend(qid uint64, from, to int, data []byte) { k.add("send q%d", qid) }
-func (k *recSink) Retire(qid uint64, site int, busy time.Duration, rounds int64, n int) {
-	k.add("retire q%d x%d", qid, n)
+func (k *recSink) Retire(qid uint64, site int, busy time.Duration, rounds int64, cum uint64) {
+	k.add("retire q%d cum%d", qid, cum)
 }
 func (k *recSink) Fatal(err error) { k.add("fatal %v", err) }
 
@@ -116,9 +116,9 @@ func (g gatedReply) Recv(ctx *Ctx, from int, p wire.Payload) {
 }
 
 // A chunk interleaving sessions splits into same-session runs, each
-// retired once with its count after its own output; a session closed
-// while its envelopes were queued gets neither deliveries nor a
-// retirement.
+// retired once after its own output with the site's running count for
+// its session; a session closed while its envelopes were queued gets
+// neither deliveries nor a retirement.
 func TestSiteLoopSplitsChunkIntoRuns(t *testing.T) {
 	sink := &recSink{}
 	h := NewSiteHost(1, []int{0}, nil, nil, Network{}, sink)
@@ -138,10 +138,10 @@ func TestSiteLoopSplitsChunkIntoRuns(t *testing.T) {
 	h.CloseSession(3)
 	close(g.gate)
 	want := []string{
-		"send q1", "retire q1 x1",
-		"send q1", "send q1", "retire q1 x2",
-		"send q2", "send q2", "retire q2 x2",
-		"send q1", "retire q1 x1",
+		"send q1", "retire q1 cum1",
+		"send q1", "send q1", "retire q1 cum3",
+		"send q2", "send q2", "retire q2 cum2",
+		"send q1", "retire q1 cum4",
 	}
 	if got := sink.waitFor(t, len(want)); !reflect.DeepEqual(got, want) {
 		t.Fatalf("sink saw %v\nwant    %v", got, want)
@@ -172,9 +172,9 @@ func TestSessionClosedMidRunDropsRest(t *testing.T) {
 	g.gate <- struct{}{}
 	h.Enqueue(2, Coordinator, 0, msg)
 	want := []string{
-		"send q1", "retire q1 x1",
+		"send q1", "retire q1 cum1",
 		"send q1", // the Recv that was in progress; its run-mate is dropped
-		"send q2", "retire q2 x1",
+		"send q2", "retire q2 cum1",
 	}
 	if got := sink.waitFor(t, len(want)); !reflect.DeepEqual(got, want) {
 		t.Fatalf("sink saw %v\nwant    %v", got, want)
@@ -182,14 +182,14 @@ func TestSessionClosedMidRunDropsRest(t *testing.T) {
 }
 
 // spyNet is the in-process transport with its upcalls observed: the
-// count of every retirement, and the session's in-flight counter at the
-// moment each site-originated message is routed.
+// cumulative count of every retirement, and the session's in-flight
+// counter at the moment each site-originated message is routed.
 type spyNet struct {
 	*InProc
 	ev       Events
 	sess     func() *Session
 	mu       sync.Mutex
-	retired  []int
+	retired  []uint64
 	inflight []int64
 }
 
@@ -202,7 +202,7 @@ func (n *spyNet) SiteSent(qid uint64, from, to int, data []byte) {
 	n.ev.SiteSent(qid, from, to, data)
 }
 func (n *spyNet) Deliver(qid uint64, from int, data []byte) { n.ev.Deliver(qid, from, data) }
-func (n *spyNet) Retired(qid uint64, site int, busy time.Duration, rounds int64, k int) {
+func (n *spyNet) Retired(qid uint64, site int, busy time.Duration, rounds int64, k uint64) {
 	if site == 0 {
 		n.mu.Lock()
 		n.retired = append(n.retired, k)
@@ -212,10 +212,10 @@ func (n *spyNet) Retired(qid uint64, site int, busy time.Duration, rounds int64,
 }
 func (n *spyNet) Fail(qid uint64, err error) { n.ev.Fail(qid, err) }
 
-// A run of n queued envelopes is retired by exactly one Retired(…, n),
-// and while the run's handler output is being routed the session still
-// counts the whole run in flight — the counter cannot touch zero before
-// the output it certifies is accounted.
+// A run of n queued envelopes is retired by exactly one Retired, whose
+// cumulative count grows by n, and while the run's handler output is
+// being routed the session still counts the whole run in flight — the
+// counter cannot touch zero before the output it certifies is accounted.
 func TestRunRetiredOnceAfterItsOutput(t *testing.T) {
 	const n = 7
 	var s *Session
@@ -237,7 +237,7 @@ func TestRunRetiredOnceAfterItsOutput(t *testing.T) {
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	if want := []int{1, n}; !reflect.DeepEqual(tr.retired, want) {
+	if want := []uint64{1, 1 + n}; !reflect.DeepEqual(tr.retired, want) {
 		t.Fatalf("site 0 retirements = %v, want %v (the parked message, then the run)", tr.retired, want)
 	}
 	if len(tr.inflight) != 1+n {
@@ -249,6 +249,36 @@ func TestRunRetiredOnceAfterItsOutput(t *testing.T) {
 		if v < n {
 			t.Fatalf("reply %d of the run was routed with %d in flight, want ≥ %d", i, v, n)
 		}
+	}
+}
+
+// dropNet is the in-process transport with its sends swallowed: what is
+// routed to a site stays outstanding until the test retires it.
+type dropNet struct{ *InProc }
+
+func (dropNet) Send(uint64, int, int, []byte) {}
+
+// A retirement carries the site's cumulative count, so replaying one
+// retires nothing: with two messages routed to a site, the same
+// retirement delivered twice leaves one in flight, and only the count
+// covering both certifies termination.
+func TestReplayedRetirementRetiresNothing(t *testing.T) {
+	c := NewWithTransport(dropNet{NewInProc(1, nil, Network{})})
+	defer c.Shutdown()
+	s := c.NewSession(nopSites(1), nopHandler{})
+	defer s.Close()
+	s.Inject(0, &wire.Control{})
+	s.Inject(0, &wire.Control{})
+	c.Retired(s.ID(), 0, 0, 0, 1)
+	c.Retired(s.ID(), 0, 0, 0, 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if err := s.WaitQuiesce(ctx); err == nil {
+		t.Fatal("a replayed retirement certified termination with a message outstanding")
+	}
+	c.Retired(s.ID(), 0, 0, 0, 2)
+	if err := s.WaitQuiesce(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -30,11 +30,12 @@ type SiteSink interface {
 	// may be Coordinator, a site on this host, or a site elsewhere —
 	// routing is the sink's problem.
 	ForwardSend(qid uint64, from, to int, data []byte)
-	// Retire reports that the site finished processing a run of n
+	// Retire reports that the site finished processing a run of
 	// delivered messages of one session, with the handler's busy time and
-	// recorded rounds over the run. Every ForwardSend the run caused
-	// precedes it.
-	Retire(qid uint64, site int, busy time.Duration, rounds int64, n int)
+	// recorded rounds over the run; cum is the site's cumulative count of
+	// the session's retired messages, the run included. Every ForwardSend
+	// the run caused precedes it.
+	Retire(qid uint64, site int, busy time.Duration, rounds int64, cum uint64)
 	// Fatal reports an unrecoverable protocol error (an undecodable
 	// message reached a site). The in-process sink panics — exactly the
 	// old behavior — while a daemon reports it to the driver and resets.
@@ -43,17 +44,25 @@ type SiteSink interface {
 
 type siteState struct {
 	id     int // global site ID
-	box    *mailbox
+	box    *Queue[envelope]
 	rounds int64 // scratch: rounds recorded by the Recv in progress
 }
 
 type hostSession struct {
-	handlers map[int]Handler // by global site ID
-	ctxs     map[int]*Ctx
-	trace    *obs.SpanRecorder // nil unless the session is traced
+	sites map[int]*siteSession // by global site ID
+	trace *obs.SpanRecorder    // nil unless the session is traced
 	// closed is set by CloseSession, so that a site in the middle of one
 	// of the session's runs stops delivering it.
 	closed atomic.Bool
+}
+
+// siteSession is one hosted site's share of a session.
+type siteSession struct {
+	h   Handler
+	ctx *Ctx
+	// retired is the site's cumulative count of the session's retired
+	// messages — what Retire reports. Only the site's goroutine touches it.
+	retired uint64
 }
 
 // SiteHost hosts a set of worker sites identified by their global IDs.
@@ -96,20 +105,12 @@ func NewSiteHost(total int, ids []int, frags map[int]*partition.Fragment, assign
 		traces:   make(map[uint64]*obs.SpanRecorder),
 	}
 	for _, id := range ids {
-		st := &siteState{id: id, box: newMailbox()}
+		st := &siteState{id: id, box: NewQueue[envelope]()}
 		h.sites[id] = st
 		h.wg.Add(1)
 		go h.siteLoop(st)
 	}
 	return h
-}
-
-// Hosts reports whether site id lives on this host.
-func (h *SiteHost) Hosts(id int) bool {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	_, ok := h.sites[id]
-	return ok
 }
 
 // HostedIDs reports the hosted global site IDs, in no particular order.
@@ -140,7 +141,7 @@ func (h *SiteHost) AddSites(ids []int, frags map[int]*partition.Fragment) {
 		if _, ok := h.sites[id]; ok || h.closed {
 			continue
 		}
-		st := &siteState{id: id, box: newMailbox()}
+		st := &siteState{id: id, box: NewQueue[envelope]()}
 		h.sites[id] = st
 		h.wg.Add(1)
 		go h.siteLoop(st)
@@ -199,18 +200,18 @@ func (h *SiteHost) OpenHandlers(qid uint64, handlers map[int]Handler) error {
 }
 
 func (h *SiteHost) install(qid uint64, handlers map[int]Handler, traceID uint64) error {
-	hs := &hostSession{handlers: handlers, ctxs: make(map[int]*Ctx, len(handlers))}
+	hs := &hostSession{sites: make(map[int]*siteSession, len(handlers))}
 	if traceID != 0 {
 		hs.trace = obs.NewSpanRecorder(traceID)
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for id := range handlers {
+	for id, hd := range handlers {
 		st, ok := h.sites[id]
 		if !ok {
 			return fmt.Errorf("cluster: handler for site %d which is not hosted here", id)
 		}
-		hs.ctxs[id] = h.siteCtx(qid, st, hs.trace)
+		hs.sites[id] = &siteSession{h: hd, ctx: h.siteCtx(qid, st, hs.trace)}
 	}
 	if h.closed {
 		// Shut-down host: accept the registration as a no-op; queued
@@ -292,24 +293,24 @@ func (h *SiteHost) Enqueue(qid uint64, from, to int, data []byte) {
 	if h.net.Latency > 0 || h.net.Bandwidth > 0 || h.net.PerMsg > 0 {
 		env.sent = time.Now()
 	}
-	st.box.put(env)
+	st.box.Put(env)
 }
 
 // siteLoop is a hosted site's executor: the mailbox's whole queue per
 // wakeup, each same-session run handed to run in arrival order.
 func (h *SiteHost) siteLoop(st *siteState) {
 	defer h.wg.Done()
-	st.box.serve(func(run []envelope) { h.run(st, run) })
+	serve(st.box, func(run []envelope) { h.run(st, run) })
 }
 
 // run delivers one drained run of session envelopes to the site's
 // handler, in order, then retires the run as a whole: one session
 // lookup, one busy-time measurement (decoding included, emulated link
-// waits excluded), one Retire carrying the count. Everything the
-// handler emitted — during a Recv or from its RunEnder hook — reached
-// the sink before the retirement does. A session closed mid-run gets
-// nothing more: the rest of the run is dropped unretired, like a run
-// that finds no session.
+// waits excluded), one Retire carrying the site's cumulative count.
+// Everything the handler emitted — during a Recv or from its RunEnder
+// hook — reached the sink before the retirement does. A session closed
+// mid-run gets nothing more: the rest of the run is dropped unretired,
+// like a run that finds no session.
 func (h *SiteHost) run(st *siteState, run []envelope) {
 	qid := run[0].qid
 	h.mu.RLock()
@@ -320,7 +321,7 @@ func (h *SiteHost) run(st *siteState, run []envelope) {
 		// released the session's in-flight accounting when it closed.
 		return
 	}
-	hd, ctx := hs.handlers[st.id], hs.ctxs[st.id]
+	ss := hs.sites[st.id]
 	st.rounds = 0
 	var idle time.Duration
 	bytes := 0
@@ -337,17 +338,18 @@ func (h *SiteHost) run(st *siteState, run []envelope) {
 			h.sink.Fatal(fmt.Errorf("cluster: site %d received undecodable message from %d: %v", st.id, env.from, err))
 			return
 		}
-		hd.Recv(ctx, env.from, p)
+		ss.h.Recv(ss.ctx, env.from, p)
 		bytes += len(env.data)
 	}
-	if re, ok := hd.(RunEnder); ok {
-		re.EndRun(ctx)
+	if re, ok := ss.h.(RunEnder); ok {
+		re.EndRun(ss.ctx)
 	}
 	busy := time.Since(start) - idle
 	if hs.trace != nil {
 		hs.trace.RecordIn(st.id, len(run), bytes, busy, st.rounds)
 	}
-	h.sink.Retire(qid, st.id, busy, st.rounds, len(run))
+	ss.retired += uint64(len(run))
+	h.sink.Retire(qid, st.id, busy, st.rounds, ss.retired)
 }
 
 // Shutdown stops every site goroutine and waits for them. Idempotent.
@@ -360,7 +362,7 @@ func (h *SiteHost) Shutdown() {
 	}
 	h.mu.Unlock()
 	for _, st := range sites {
-		st.box.close()
+		st.box.Close()
 	}
 	h.wg.Wait()
 }
@@ -415,8 +417,8 @@ func (s *inprocSink) ForwardSend(qid uint64, from, to int, data []byte) {
 	s.ev.SiteSent(qid, from, to, data)
 }
 
-func (s *inprocSink) Retire(qid uint64, site int, busy time.Duration, rounds int64, n int) {
-	s.ev.Retired(qid, site, busy, rounds, n)
+func (s *inprocSink) Retire(qid uint64, site int, busy time.Duration, rounds int64, cum uint64) {
+	s.ev.Retired(qid, site, busy, rounds, cum)
 }
 
 func (s *inprocSink) Fatal(err error) { panic(err) }

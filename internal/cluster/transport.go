@@ -145,13 +145,14 @@ type Events interface {
 	// accounting already happened (used by transports that route
 	// coordinator traffic themselves; SiteSent calls it internally).
 	Deliver(qid uint64, from int, data []byte)
-	// Retired reports that n of session qid's messages finished
-	// processing at a site, together with the handlers' summed busy time
-	// and any communication rounds they recorded. n > 1 is how a
-	// transport retires a coalesced ACK: the in-flight counter drops by
-	// exactly n, so the quiescence certificate is the same as n
-	// per-message calls.
-	Retired(qid uint64, site int, busy time.Duration, rounds int64, n int)
+	// Retired reports that session qid's messages finished processing at
+	// a site, together with the handlers' summed busy time and any
+	// communication rounds they recorded. cum is the site's cumulative
+	// count of the session's retired messages: the in-flight counter
+	// drops by what cum adds to the last count seen from the site, so a
+	// replayed retirement is a no-op and merged ones certify exactly what
+	// their parts would have.
+	Retired(qid uint64, site int, busy time.Duration, rounds int64, cum uint64)
 	// Fail aborts session qid with err; qid 0 aborts every session (the
 	// transport itself died). Waiters observe err from WaitQuiesce.
 	Fail(qid uint64, err error)

@@ -50,7 +50,7 @@ type Options struct {
 	MaxDelay time.Duration
 	// DupRetire, when positive, is the probability (0..1) that a
 	// retirement upcall is delivered twice — the duplicate-ACK
-	// injection the driver's per-site outstanding clamp must absorb.
+	// injection the driver's cumulative per-site ledger must absorb.
 	DupRetire float64
 }
 
@@ -335,7 +335,7 @@ func (f *filteredEvents) Deliver(qid uint64, from int, data []byte) {
 	ev.Deliver(qid, from, data)
 }
 
-func (f *filteredEvents) Retired(qid uint64, site int, busy time.Duration, rounds int64, n int) {
+func (f *filteredEvents) Retired(qid uint64, site int, busy time.Duration, rounds int64, cum uint64) {
 	t := f.net()
 	if t.dead(site) {
 		return
@@ -347,9 +347,9 @@ func (f *filteredEvents) Retired(qid uint64, site int, busy time.Duration, round
 		dup = true
 	}
 	t.mu.Unlock()
-	ev.Retired(qid, site, busy, rounds, n)
+	ev.Retired(qid, site, busy, rounds, cum)
 	if dup {
-		ev.Retired(qid, site, busy, rounds, n)
+		ev.Retired(qid, site, busy, rounds, cum)
 	}
 }
 

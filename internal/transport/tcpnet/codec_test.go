@@ -2,7 +2,7 @@ package tcpnet
 
 // Codec-level tests for the frame bodies and the chunk writer: buffer
 // ownership of decoded values that outlive their frame, the DEPLOY
-// label table, ACKN aggregation, and the exact coalescing behavior of
+// label table, the ACKN codec, and the exact coalescing behavior of
 // writeChunk.
 
 import (
@@ -61,7 +61,8 @@ func TestDeployLabelTable(t *testing.T) {
 }
 
 func TestAckNRoundTrip(t *testing.T) {
-	a := ackNBody{qid: 3, site: 2, count: 17, busyNs: 123456, rounds: 9}
+	// The count is a session's cumulative total: it must survive past u32.
+	a := ackNBody{qid: 3, site: 2, count: 1<<40 + 17, busyNs: 123456, rounds: 9}
 	got, err := decodeAckN(encodeAckN(a))
 	if err != nil {
 		t.Fatal(err)
@@ -101,55 +102,55 @@ func readChunkFrames(t *testing.T, entries []outEntry) (types []byte, bodies [][
 }
 
 // The coalescer merges only consecutive same-key runs and never
-// reorders: message runs split at qid changes and at interleaved acks,
-// ack runs split at (qid, site) changes and sum their counts, and a
-// single message or a count of one stays a plain MSG or ACK.
+// reorders: message runs split at qid changes and at interleaved
+// retirements, retirement runs split at (qid, site) changes. A lone
+// message is a MSGB of one and a lone retirement an ACKN; merged
+// retirements carry the later cumulative count and summed busy/rounds.
 func TestWriteChunkCoalescing(t *testing.T) {
-	msg := func(qid uint64, to int32, b byte) outEntry {
+	msg := func(qid uint64, to int64, b byte) outEntry {
 		return outEntry{kind: entryMsg, qid: qid, from: -1, to: to, data: []byte{byte(wire.KindControl), b}}
 	}
-	ack := func(qid uint64, site, n int32, busy, rounds int64) outEntry {
-		return outEntry{kind: entryAck, qid: qid, from: site, to: n, busyNs: busy, rounds: rounds}
+	ack := func(qid uint64, site int32, cum, busy, rounds int64) outEntry {
+		return outEntry{kind: entryAck, qid: qid, from: site, to: cum, busyNs: busy, rounds: rounds}
 	}
 	entries := []outEntry{
 		msg(1, 0, 10), msg(1, 1, 11), msg(1, 2, 12), // run → MSGB(3)
-		msg(2, 0, 20),                          // qid change → lone MSG
-		ack(1, 0, 3, 5, 1), ack(1, 0, 1, 7, 2), // run → ACKN(3+1)
-		ack(1, 1, 1, 3, 0), // site change, count 1 → plain ACK
-		msg(1, 3, 13),      // ack in between → new run, lone MSG
-		ack(1, 3, 5, 9, 1), // one retired run of 5 → ACKN(5) as is
+		msg(2, 0, 20),                          // qid change → MSGB(1)
+		ack(1, 0, 3, 5, 1), ack(1, 0, 4, 7, 2), // run → ACKN(cum 4)
+		ack(1, 1, 1, 3, 0), // site change → ACKN(cum 1)
+		msg(1, 3, 13),      // retirement in between → new run, MSGB(1)
+		ack(1, 3, 5, 9, 1), // lone retirement → ACKN(cum 5) as is
 		{kind: entryFrame, qid: 0, data: wire.AppendFrame(nil, frameBye, nil)},
 	}
 
 	types, bodies, _ := readChunkFrames(t, entries)
-	want := []byte{frameMsgB, frameMsg, frameAckN, frameAck, frameMsg, frameAckN, frameBye}
+	want := []byte{frameMsgB, frameMsgB, frameAckN, frameAckN, frameMsgB, frameAckN, frameBye}
 	if !bytes.Equal(types, want) {
 		t.Fatalf("frame sequence = %v, want %v", types, want)
 	}
-	qid, batch, err := decodeMsgB(bodies[0])
-	if err != nil {
-		t.Fatal(err)
+	for i, want := range map[int]struct {
+		qid uint64
+		n   int
+	}{0: {1, 3}, 1: {2, 1}, 4: {1, 1}} {
+		qid, batch, err := decodeMsgB(bodies[i])
+		if err != nil || qid != want.qid || len(batch.Msgs) != want.n {
+			t.Fatalf("frame %d: MSGB qid=%d with %d msgs (%v), want qid=%d with %d", i, qid, len(batch.Msgs), err, want.qid, want.n)
+		}
 	}
-	if qid != 1 || len(batch.Msgs) != 3 {
-		t.Fatalf("MSGB: qid=%d msgs=%d, want qid=1 msgs=3", qid, len(batch.Msgs))
-	}
+	_, batch, _ := decodeMsgB(bodies[0])
 	for i, m := range batch.Msgs {
 		if int(m.To) != i || m.Data[1] != byte(10+i) {
 			t.Fatalf("MSGB sub-message %d out of order: to=%d data=%v", i, m.To, m.Data)
 		}
 	}
-	an, err := decodeAckN(bodies[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if an.count != 4 || an.busyNs != 12 || an.rounds != 3 || an.site != 0 {
-		t.Fatalf("ACKN did not aggregate the run: %+v", an)
-	}
-	if a, err := decodeAck(bodies[3]); err != nil || a.site != 1 || a.busyNs != 3 {
-		t.Fatalf("count-1 retirement: %+v, %v", a, err)
-	}
-	if an, err = decodeAckN(bodies[5]); err != nil || an.count != 5 || an.site != 3 || an.busyNs != 9 || an.rounds != 1 {
-		t.Fatalf("counted retirement: %+v, %v", an, err)
+	for i, want := range map[int]ackNBody{
+		2: {qid: 1, site: 0, count: 4, busyNs: 12, rounds: 3},
+		3: {qid: 1, site: 1, count: 1, busyNs: 3},
+		5: {qid: 1, site: 3, count: 5, busyNs: 9, rounds: 1},
+	} {
+		if got, err := decodeAckN(bodies[i]); err != nil || got != want {
+			t.Fatalf("frame %d: ACKN = %+v (%v), want %+v", i, got, err, want)
+		}
 	}
 }
 
@@ -168,7 +169,7 @@ func TestWriteChunkRespectsByteCap(t *testing.T) {
 		t.Fatalf("an over-cap run coalesced into %d frame(s)", len(types))
 	}
 	for _, typ := range types {
-		if typ != frameMsg && typ != frameMsgB {
+		if typ != frameMsgB {
 			t.Fatalf("unexpected frame %s in split run", frameName(typ))
 		}
 	}

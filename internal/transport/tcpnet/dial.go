@@ -33,10 +33,6 @@ import (
 
 // Options tune a Dial. The zero value is ready to use.
 type Options struct {
-	// DialTimeout bounds each TCP connect + handshake + fragment
-	// shipment when the Dial context carries no earlier deadline.
-	// Default 30s.
-	DialTimeout time.Duration
 	// Spares lists standby daemon addresses that are not part of the
 	// initial deployment. Recover dials them, in order, to re-host the
 	// sites of a lost daemon; each spare is used at most once.
@@ -57,9 +53,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.DialTimeout == 0 {
-		o.DialTimeout = 30 * time.Second
-	}
 	if o.HeartbeatMisses <= 0 {
 		o.HeartbeatMisses = 3
 	}
@@ -164,7 +157,7 @@ type conn struct {
 	addr string
 	c    net.Conn
 	br   *bufio.Reader
-	out  *outbox
+	out  *cluster.Queue[outEntry]
 
 	dead     atomic.Bool  // set once by loseConn
 	lastIn   atomic.Int64 // unix nanos of the last inbound frame
@@ -230,7 +223,7 @@ func Dial(ctx context.Context, addrs []string, fr *partition.Fragmentation, opts
 	}
 	owner := make([]int, n)
 	var conns []*conn
-	dialer := &net.Dialer{Timeout: opts.DialTimeout}
+	dialer := &net.Dialer{Timeout: dialTimeout}
 	for j, addr := range addrs {
 		lo, hi := HostedRange(n, len(addrs), j)
 		hosted := make([]int, 0, hi-lo)
@@ -260,7 +253,7 @@ func (t *Net) newConn(addr string, nc net.Conn) *conn {
 		addr:   addr,
 		c:      nc,
 		br:     bufio.NewReaderSize(nc, 1<<16),
-		out:    newOutbox(),
+		out:    cluster.NewQueue[outEntry](),
 		stopHB: make(chan struct{}),
 	}
 }
@@ -269,7 +262,7 @@ func (t *Net) newConn(addr string, nc net.Conn) *conn {
 // connection, synchronously and under the context's deadline, shipping
 // the fragments of exactly the given site IDs.
 func (t *Net) handshake(ctx context.Context, cn *conn, fr *partition.Fragmentation, hosted []int) error {
-	deadline := time.Now().Add(t.opts.DialTimeout)
+	deadline := time.Now().Add(dialTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
@@ -366,10 +359,6 @@ func closeConns(conns []*conn) {
 // NumSites implements cluster.Transport.
 func (t *Net) NumSites() int { return t.n }
 
-// NumDaemons reports how many dgsd processes back the deployment
-// (dead connections included until a Recover swaps them out).
-func (t *Net) NumDaemons() int { return len(t.rt.Load().conns) }
-
 // DeployBytes reports the measured one-time deployment traffic:
 // handshakes plus shipped fragments (re-deployments included).
 func (t *Net) DeployBytes() int64 {
@@ -404,7 +393,7 @@ func (t *Net) startConn(cn *conn) bool {
 	}
 	t.mu.Unlock()
 	cn.lastIn.Store(time.Now().UnixNano())
-	go cn.writeLoop()
+	go cn.writer()
 	go cn.readLoop()
 	if hb {
 		go cn.heartbeatLoop()
@@ -431,7 +420,7 @@ func (t *Net) addWire(qid uint64, n int) {
 // the writer at flush time (writeChunk), so measured bytes are exactly
 // what the socket saw.
 func (t *Net) enqueue(cn *conn, qid uint64, typ byte, body []byte) {
-	cn.out.put(outEntry{kind: entryFrame, qid: qid, data: wire.AppendFrame(nil, typ, body)})
+	cn.out.Put(outEntry{kind: entryFrame, qid: qid, data: wire.AppendFrame(nil, typ, body)})
 }
 
 // Open implements cluster.Transport: OPEN frames go to every daemon
@@ -492,7 +481,7 @@ func (t *Net) Close(qid uint64) {
 func (t *Net) Send(qid uint64, from, to int, data []byte) {
 	rt := t.rt.Load()
 	cn := rt.conns[rt.owner[to]]
-	cn.out.put(outEntry{kind: entryMsg, qid: qid, from: int32(from), to: int32(to), data: data})
+	cn.out.Put(outEntry{kind: entryMsg, qid: qid, from: int32(from), to: int64(to), data: data})
 	if t.msgsOut != nil {
 		t.msgsOut.Inc()
 	}
@@ -532,7 +521,7 @@ func (t *Net) registerMetrics(reg *obs.Registry) {
 			var depth int
 			for _, cn := range t.rt.Load().conns {
 				if !cn.dead.Load() {
-					depth += cn.out.len()
+					depth += cn.out.Len()
 				}
 			}
 			return float64(depth)
@@ -619,8 +608,8 @@ func (t *Net) Shutdown() {
 	t.abandonTraces()
 	for _, cn := range t.rt.Load().conns {
 		cn.stop()
-		cn.out.put(outEntry{kind: entryFrame, data: wire.AppendFrame(nil, frameBye, nil)})
-		cn.out.close()
+		cn.out.Put(outEntry{kind: entryFrame, data: wire.AppendFrame(nil, frameBye, nil)})
+		cn.out.Close()
 	}
 	// Writers drain (BYE last), then close the write side; readers
 	// unblock on EOF/reset and exit without reporting failure.
@@ -643,7 +632,7 @@ func (t *Net) fail(err error) {
 	t.mu.Unlock()
 	for _, cn := range t.rt.Load().conns {
 		cn.stop()
-		cn.out.close()
+		cn.out.Close()
 	}
 	t.abandonTraces()
 	if !closing && t.ev != nil {
@@ -673,7 +662,7 @@ func (t *Net) loseConn(cn *conn, cause error) {
 		return
 	}
 	cn.stop()
-	cn.out.close()
+	cn.out.Close()
 	cn.c.Close()
 	lostErr := fmt.Errorf("tcpnet: daemon %s (sites %v): %v: %w", cn.addr, t.sitesOf(cn), cause, cluster.ErrSiteLost)
 	cn.deliverDeployed(lostErr)
@@ -777,7 +766,7 @@ func (t *Net) Recover(ctx context.Context, fr *partition.Fragmentation, full boo
 			if !ok {
 				break
 			}
-			dialer := &net.Dialer{Timeout: t.opts.DialTimeout}
+			dialer := &net.Dialer{Timeout: dialTimeout}
 			nc, err := dialer.DialContext(ctx, "tcp", addr)
 			if err != nil {
 				continue // consumed; try the next spare
@@ -865,27 +854,20 @@ func (t *Net) Recover(ctx context.Context, fr *partition.Fragmentation, full boo
 	return nil
 }
 
-func (cn *conn) writeLoop() {
+// writer runs the connection's writeLoop; a write error loses the
+// daemon.
+func (cn *conn) writer() {
 	t := cn.t
 	defer t.wg.Done()
-	bw := bufio.NewWriterSize(cn.c, 1<<16)
 	meter := func(qid uint64, n int) {
 		t.addWire(qid, n)
 		t.framesOut.Add(1)
 	}
-	var entries []outEntry
-	for {
-		var ok bool
-		if entries, ok = cn.out.drain(entries); !ok {
-			cn.c.Close()
-			return
-		}
-		cn.c.SetWriteDeadline(time.Now().Add(writeTimeout))
-		if err := writeChunk(bw, entries, meter); err != nil {
-			t.loseConn(cn, fmt.Errorf("write: %w", err))
-			return
-		}
+	if err := writeLoop(cn.c, cn.out, meter); err != nil {
+		t.loseConn(cn, fmt.Errorf("write: %w", err))
+		return
 	}
+	cn.c.Close()
 }
 
 // heartbeatLoop is the per-connection failure detector: a PING every
@@ -965,20 +947,6 @@ func (cn *conn) readLoop() {
 		cn.lastIn.Store(time.Now().UnixNano())
 		t.framesIn.Add(1)
 		switch typ {
-		case frameMsg:
-			m, err := decodeMsg(body)
-			if err != nil {
-				t.fail(fmt.Errorf("tcpnet: %s sent bad MSG: %w", cn.addr, err))
-				return
-			}
-			// Range-check remote input here: a corrupt or skewed daemon
-			// must fail the deployment, not panic the driver's router.
-			if !t.siteRangeOK(m.from, m.to) {
-				t.fail(fmt.Errorf("tcpnet: %s sent MSG with out-of-range site (%d→%d of %d)", cn.addr, m.from, m.to, t.n))
-				return
-			}
-			t.addWire(m.qid, wire.FrameOverhead+len(body))
-			t.ev.SiteSent(m.qid, m.from, m.to, m.data)
 		case frameMsgB:
 			qid, batch, err := decodeMsgB(body)
 			if err != nil {
@@ -990,6 +958,8 @@ func (cn *conn) readLoop() {
 			// the body is a fresh per-ReadFrame allocation that is never
 			// reused, so handing the slices to the router is safe.
 			for _, m := range batch.Msgs {
+				// Range-check remote input here: a corrupt or skewed daemon
+				// must fail the deployment, not panic the driver's router.
 				from, to := int(m.From), int(m.To)
 				if !t.siteRangeOK(from, to) {
 					t.fail(fmt.Errorf("tcpnet: %s sent MSGB with out-of-range site (%d→%d of %d)", cn.addr, from, to, t.n))
@@ -997,14 +967,6 @@ func (cn *conn) readLoop() {
 				}
 				t.ev.SiteSent(qid, from, to, m.Data)
 			}
-		case frameAck:
-			a, err := decodeAck(body)
-			if err != nil {
-				t.fail(fmt.Errorf("tcpnet: %s sent bad ACK: %w", cn.addr, err))
-				return
-			}
-			t.addWire(a.qid, wire.FrameOverhead+len(body))
-			t.ev.Retired(a.qid, a.site, time.Duration(a.busyNs), a.rounds, 1)
 		case frameAckN:
 			a, err := decodeAckN(body)
 			if err != nil {
@@ -1012,7 +974,7 @@ func (cn *conn) readLoop() {
 				return
 			}
 			t.addWire(a.qid, wire.FrameOverhead+len(body))
-			t.ev.Retired(a.qid, a.site, time.Duration(a.busyNs), a.rounds, int(a.count))
+			t.ev.Retired(a.qid, a.site, time.Duration(a.busyNs), a.rounds, a.count)
 		case framePong:
 			if _, err := decodePingPong(body); err != nil {
 				t.fail(fmt.Errorf("tcpnet: %s sent bad PONG: %w", cn.addr, err))

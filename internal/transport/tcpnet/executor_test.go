@@ -1,13 +1,17 @@
 package tcpnet
 
-// The batched message path at the socket: the outbox recycles its
-// buffers, a daemon retires a drained run with one counted ACKN behind
-// the run's own output, and the driver still clamps a forged count.
+// The batched message path at the socket: a connection's queue recycles
+// its buffers, a daemon retires a drained run with one ACKN behind the
+// run's own output, the driver still clamps a forged count, and the
+// retired MSG/ACK type bytes are refused on both ends.
 
 import (
 	"bufio"
 	"context"
+	"errors"
+	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -18,39 +22,30 @@ import (
 	"dgs/internal/wire"
 )
 
+// A connection's queue is cluster.Queue over 64-byte entries; its burst
+// rule is held in internal/cluster.
 func TestOutboxSteadyStateAllocatesNothing(t *testing.T) {
 	if sz := unsafe.Sizeof(outEntry{}); sz > 64 {
 		t.Errorf("outEntry grew to %d bytes; it is sized to a 64-byte cache line", sz)
 	}
-	o := newOutbox()
+	o := cluster.NewQueue[outEntry]()
 	payload := []byte{byte(wire.KindControl)}
 	var chunk []outEntry
 	cycle := func() {
 		for i := 0; i < 64; i++ {
-			o.put(outEntry{kind: entryMsg, qid: 1, to: int32(i), data: payload})
+			o.Put(outEntry{kind: entryMsg, qid: 1, to: int64(i), data: payload})
 		}
-		chunk, _ = o.drain(chunk)
+		chunk, _ = o.Drain(chunk)
 	}
 	cycle() // grows the first buffer
 	cycle() // grows the second; from here the two swap
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
-		t.Fatalf("steady-state put+drain allocates %.1f times per 64-entry chunk, want 0", allocs)
+		t.Fatalf("steady-state Put+Drain allocates %.1f times per 64-entry chunk, want 0", allocs)
 	}
 	for _, e := range chunk[:cap(chunk)][len(chunk):] {
 		if e.data != nil {
 			t.Fatal("a recycled buffer still pins a written payload")
 		}
-	}
-	// A burst's buffer is not kept.
-	for i := 0; i <= maxSpare; i++ {
-		o.put(outEntry{kind: entryMsg})
-	}
-	burst, _ := o.drain(chunk)
-	o.put(outEntry{kind: entryMsg})
-	o.drain(burst)
-	o.put(outEntry{kind: entryMsg})
-	if after, _ := o.drain(nil); cap(after) > maxSpare {
-		t.Fatalf("a %d-entry burst buffer was kept as the queue", cap(after))
 	}
 }
 
@@ -90,34 +85,32 @@ func init() {
 	})
 }
 
-// A raw-socket driver against a real Server: n messages queued behind a
-// parked site come back as n reply MSGs followed by a single ACKN of
-// count n — the run's output precedes its retirement in the byte
-// stream, which is what lets the driver's counter certify termination.
-func TestRunRetiredByOneAckNBehindItsOutput(t *testing.T) {
-	const n = 9
-	gatedEntered, gatedGate = make(chan struct{}), make(chan struct{})
+// rawDriver connects a raw-socket driver to a real Server and deploys
+// twoSiteWorld on it: send writes a frame, expect reads the next one and
+// fails the test unless it has type want.
+func rawDriver(t *testing.T) (send func(typ byte, body []byte), expect func(want byte) []byte, br *bufio.Reader) {
+	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lis.Close()
+	t.Cleanup(func() { lis.Close() })
 	go (&Server{}).Serve(lis)
 
 	c, err := net.Dial("tcp", lis.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	t.Cleanup(func() { c.Close() })
 	c.SetDeadline(time.Now().Add(20 * time.Second))
-	br := bufio.NewReader(c)
-	send := func(typ byte, body []byte) {
+	br = bufio.NewReader(c)
+	send = func(typ byte, body []byte) {
 		t.Helper()
 		if _, err := writeFrame(c, 0, typ, body); err != nil {
 			t.Fatal(err)
 		}
 	}
-	expect := func(want byte) []byte {
+	expect = func(want byte) []byte {
 		t.Helper()
 		typ, body, err := wire.ReadFrame(br)
 		if err != nil || typ != want {
@@ -129,10 +122,23 @@ func TestRunRetiredByOneAckNBehindItsOutput(t *testing.T) {
 	expect(frameHelloOK)
 	send(frameDeploy, deployBodyFor(twoSiteWorld(t), 2, []int{0, 1}))
 	expect(frameDeployed)
+	return send, expect, br
+}
+
+// A raw-socket driver against a real Server: n messages queued behind a
+// parked site come back as n replies followed by a single ACKN raising
+// the site's count by n — the run's output precedes its retirement in
+// the byte stream, which is what lets the driver's counter certify
+// termination.
+func TestRunRetiredByOneAckNBehindItsOutput(t *testing.T) {
+	const n = 9
+	gatedEntered, gatedGate = make(chan struct{}), make(chan struct{})
+	send, expect, br := rawDriver(t)
 
 	const qid = 5
 	send(frameOpen, encodeOpen(openBody{qid: qid, spec: cluster.SessionSpec{Algo: algoGated}}))
-	send(frameMsg, encodeMsg(msgBody{qid: qid, from: cluster.Coordinator, to: 0, data: wire.Encode(&wire.Control{Op: 1})}))
+	park := []outEntry{{kind: entryMsg, from: cluster.Coordinator, to: 0, data: wire.Encode(&wire.Control{Op: 1})}}
+	send(frameMsgB, appendMsgBatch(nil, qid, park))
 	<-gatedEntered
 	run := make([]outEntry, n)
 	for i := range run {
@@ -144,36 +150,35 @@ func TestRunRetiredByOneAckNBehindItsOutput(t *testing.T) {
 	expect(framePong)
 	close(gatedGate)
 
-	replies, acks := 0, []uint32(nil)
+	// Two ACKNs: the parked message (cumulative count 1) behind its one
+	// reply, then the whole run (count 1+n) behind all of its replies.
+	replies, acks := 0, []uint64(nil)
 	for len(acks) < 2 {
 		typ, body, err := wire.ReadFrame(br)
 		if err != nil {
 			t.Fatalf("after %d replies and retirements %v: %v", replies, acks, err)
 		}
 		switch typ {
-		case frameMsg:
-			replies++
 		case frameMsgB:
 			_, batch, err := decodeMsgB(body)
 			if err != nil {
 				t.Fatal(err)
 			}
 			replies += len(batch.Msgs)
-		case frameAck:
-			if replies != 1 {
-				t.Fatalf("the parked message's ACK arrived after %d replies, want 1", replies)
-			}
-			acks = append(acks, 1)
 		case frameAckN:
 			a, err := decodeAckN(body)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if a.qid != qid || a.site != 0 || a.count != n {
-				t.Fatalf("ACKN = %+v, want one retirement of the whole run of %d at site 0", a, n)
+			want := uint64(1)
+			if len(acks) == 1 {
+				want = 1 + n
 			}
-			if replies != 1+n {
-				t.Fatalf("the run's ACKN arrived after %d replies; all %d must precede it", replies, 1+n)
+			if a.qid != qid || a.site != 0 || a.count != want {
+				t.Fatalf("ACKN = %+v, want site 0's cumulative count %d", a, want)
+			}
+			if uint64(replies) != want {
+				t.Fatalf("the ACKN of count %d arrived after %d replies; all %d must precede it", want, replies, want)
 			}
 			acks = append(acks, a.count)
 		default:
@@ -181,6 +186,69 @@ func TestRunRetiredByOneAckNBehindItsOutput(t *testing.T) {
 		}
 	}
 	send(frameBye, nil)
+}
+
+// The version-7 MSG frame type (0x07) is gone: a daemon refuses it like
+// any unknown type, with a deployment ERR, and hangs up.
+func TestDaemonRefusesRetiredMsgFrame(t *testing.T) {
+	send, expect, br := rawDriver(t)
+	msg := appendI32(appendI32(appendU64(nil, 5), cluster.Coordinator), 0)
+	send(0x07, append(msg, wire.Encode(&wire.Control{})...))
+	if e, err := decodeErr(expect(frameErr)); err != nil || e.qid != 0 {
+		t.Fatalf("refusal = %+v (%v), want a deployment ERR", e, err)
+	}
+	if _, _, err := wire.ReadFrame(br); !errors.Is(err, io.EOF) {
+		t.Fatalf("after the refusal the daemon kept the connection (read: %v)", err)
+	}
+}
+
+// The version-7 ACK frame type (0x08) is gone: a driver that reads one
+// fails the deployment as protocol corruption — not a retryable site
+// loss.
+func TestDriverFailsOnRetiredAckFrame(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	go func() {
+		c, err := lis.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		br := bufio.NewReader(c)
+		for _, reply := range []struct {
+			typ  byte
+			body []byte
+		}{{frameHelloOK, appendU16(nil, ProtocolVersion)}, {frameDeployed, nil}} {
+			if _, _, err := wire.ReadFrame(br); err != nil {
+				return
+			}
+			writeFrame(c, 0, reply.typ, reply.body)
+		}
+		ack := appendU64(appendU64(appendI32(appendU64(nil, 1), 0), 0), 0)
+		writeFrame(c, 0, 0x08, ack)
+		io.Copy(io.Discard, br) // until the driver hangs up
+	}()
+	tr, err := Dial(context.Background(), []string{lis.Addr().String()}, twoSiteWorld(t), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := cluster.NewWithTransport(tr)
+	defer cl.Shutdown()
+	s, err := cl.OpenSession(cluster.SessionQuery, cluster.SessionSpec{Algo: algoGated}, cluster.HandlerFunc(func(*cluster.Ctx, int, wire.Payload) {}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.Inject(0, &wire.Control{})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	err = s.WaitQuiesce(ctx)
+	if err == nil || errors.Is(err, cluster.ErrSiteLost) || !strings.Contains(err.Error(), "unexpected frame(0x8)") {
+		t.Fatalf("WaitQuiesce after an ACK frame = %v, want the deployment failed on frame 0x8", err)
+	}
 }
 
 // A daemon claiming more retirements than were routed to a site — or

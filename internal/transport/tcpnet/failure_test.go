@@ -71,8 +71,9 @@ func TestMidDeployDisconnect(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := tcpnet.Dial(context.Background(), []string{lis.Addr().String()},
-			trivialFragmentation(t, 64), tcpnet.Options{DialTimeout: 5 * time.Second})
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_, err := tcpnet.Dial(ctx, []string{lis.Addr().String()}, trivialFragmentation(t, 64), tcpnet.Options{})
 		done <- err
 	}()
 	select {

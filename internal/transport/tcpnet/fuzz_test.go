@@ -1,11 +1,12 @@
 package tcpnet
 
-// Fuzz targets for the two network-facing body decoders with
-// variable-length fields. Each must never panic on arbitrary bytes,
-// never build a value larger than its input (the counts and lengths a
-// peer sends are checked against the bytes actually present before
-// anything is allocated), and accept only the canonical encoding:
-// re-encoding an accepted input reproduces it byte for byte.
+// Fuzz targets for the network-facing body decoders: the two with
+// variable-length fields, and ACKN, the retirement the termination
+// certificate trusts. Each must never panic on arbitrary bytes, never
+// build a value larger than its input (the counts and lengths a peer
+// sends are checked against the bytes actually present before anything
+// is allocated), and accept only the canonical encoding: re-encoding an
+// accepted input reproduces it byte for byte.
 
 import (
 	"bytes"
@@ -82,6 +83,33 @@ func FuzzDecodeDeploy(f *testing.F) {
 		}
 		if re := encodeDeploy(d); !bytes.Equal(re, data) {
 			t.Fatalf("decodeDeploy accepted non-canonical input:\nin  %x\nout %x", data, re)
+		}
+	})
+}
+
+func FuzzDecodeAckN(f *testing.F) {
+	for _, a := range []ackNBody{
+		{qid: 3, site: 2, count: 17, busyNs: 123456, rounds: 9},
+		{qid: 1, site: -1, count: 1},
+		{qid: 1<<64 - 1, site: 1<<31 - 1, count: 1<<64 - 1, busyNs: -1, rounds: -1},
+		{qid: 7, count: 0}, // zero count: refused
+	} {
+		body := encodeAckN(a)
+		f.Add(body)
+		f.Add(body[:len(body)-1])
+		f.Add(append(append([]byte(nil), body...), 0))
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := decodeAckN(data) // must never panic
+		if err != nil {
+			return
+		}
+		if a.count == 0 {
+			t.Fatalf("decodeAckN accepted a zero count: %+v", a)
+		}
+		if re := encodeAckN(a); !bytes.Equal(re, data) {
+			t.Fatalf("decodeAckN accepted non-canonical input:\nin  %x\nout %x", data, re)
 		}
 	})
 }

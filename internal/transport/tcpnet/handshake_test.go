@@ -105,7 +105,9 @@ func TestHelloVersionMismatchRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Dial(context.Background(), []string{fake.Addr().String()}, fr, Options{DialTimeout: 10 * time.Second})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	_, err = Dial(ctx, []string{fake.Addr().String()}, fr, Options{})
 	if err == nil {
 		t.Fatal("Dial accepted a HELLO-OK carrying another protocol version")
 	}

@@ -260,7 +260,7 @@ func TestMatrixRoundsPropagate(t *testing.T) {
 	})
 }
 
-// Site busy time survives the process boundary (ACK piggyback).
+// Site busy time survives the process boundary (ACKN piggyback).
 func TestMatrixBusyPropagates(t *testing.T) {
 	forEachBackend(t, 2, func(t *testing.T, c *cluster.Cluster) {
 		s := open(t, c, cluster.SessionQuery, cluster.SessionSpec{Algo: algoSleep, Config: []byte{8}}, nil)
@@ -396,9 +396,9 @@ func TestMatrixUnknownAlgorithm(t *testing.T) {
 // bulk of every burst must coalesce: strictly fewer frames leave the
 // driver than messages were handed to it (OPEN and CLOSE frames count
 // against the transport). The daemon side interleaves each site's reply
-// with its ACK, so consecutive same-key runs (the only thing the
+// with its ACKN, so consecutive same-key runs (the only thing the
 // FIFO-preserving coalescer may merge) form only when the writer falls
-// behind; there only no-increase over one frame per reply and per ACK is
+// behind; there only no-increase over one frame per reply and per ACKN is
 // guaranteed.
 func TestCoalescingReducesFrames(t *testing.T) {
 	registerTestAlgos()
@@ -421,7 +421,7 @@ func TestCoalescingReducesFrames(t *testing.T) {
 		t.Errorf("driver→daemon frames did not drop below messages: frames=%d msgs=%d", sent, msgsOut)
 	}
 	if received > 2*msgsOut {
-		t.Errorf("daemon→driver frames exceed one per reply and per ACK: frames=%d, bound %d", received, 2*msgsOut)
+		t.Errorf("daemon→driver frames exceed one per reply and per ACKN: frames=%d, bound %d", received, 2*msgsOut)
 	}
 }
 

@@ -103,24 +103,24 @@ func ListenAndServe(addr string, s *Server) error {
 }
 
 // daemonSink adapts SiteHost upcalls onto the connection: handler sends
-// become MSG frames to the driver (hub routing), a retired run becomes
-// one ACK/ACKN carrying its count, and protocol corruption becomes a
-// deployment ERR.
+// become MSGB frames to the driver (hub routing), a retired run becomes
+// one ACKN carrying the site's cumulative count, and protocol corruption
+// becomes a deployment ERR.
 type daemonSink struct {
-	out *outbox
+	out *cluster.Queue[outEntry]
 }
 
 func (k *daemonSink) ForwardSend(qid uint64, from, to int, data []byte) {
-	k.out.put(outEntry{kind: entryMsg, qid: qid, from: int32(from), to: int32(to), data: data})
+	k.out.Put(outEntry{kind: entryMsg, qid: qid, from: int32(from), to: int64(to), data: data})
 }
 
-func (k *daemonSink) Retire(qid uint64, site int, busy time.Duration, rounds int64, n int) {
-	k.out.put(outEntry{kind: entryAck, qid: qid, from: int32(site), to: int32(n), busyNs: int64(busy), rounds: rounds})
+func (k *daemonSink) Retire(qid uint64, site int, busy time.Duration, rounds int64, cum uint64) {
+	k.out.Put(outEntry{kind: entryAck, qid: qid, from: int32(site), to: int64(cum), busyNs: int64(busy), rounds: rounds})
 }
 
 func (k *daemonSink) Fatal(err error) {
-	k.out.put(outEntry{kind: entryFrame, data: wire.AppendFrame(nil, frameErr, encodeErr(errBody{qid: 0, msg: err.Error()}))})
-	k.out.close()
+	k.out.Put(outEntry{kind: entryFrame, data: wire.AppendFrame(nil, frameErr, encodeErr(errBody{qid: 0, msg: err.Error()}))})
+	k.out.Close()
 }
 
 // decodeFragSet decodes and validates a DEPLOY/REDEPLOY body's hosted
@@ -212,30 +212,20 @@ func (s *Server) handle(c net.Conn) {
 		return
 	}
 
-	out := newOutbox()
+	out := cluster.NewQueue[outEntry]()
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		bw := bufio.NewWriterSize(c, 1<<16)
-		var entries []outEntry
-		for {
-			var ok bool
-			if entries, ok = out.drain(entries); !ok {
-				return
-			}
-			c.SetWriteDeadline(time.Now().Add(writeTimeout))
-			meter := func(qid uint64, n int) { atomic.AddInt64(&s.counters.framesOut, 1) }
-			if err := writeChunk(bw, entries, meter); err != nil {
-				// Sever the connection: a driver waiting on our ACKs would
-				// otherwise never learn its frames stopped flowing (it has
-				// no reason to close first), and its sessions would hang.
-				// Closing makes the driver's readLoop fail the deployment;
-				// our read loop unblocks and resets. Then drain silently.
-				c.Close()
-				for ok {
-					entries, ok = out.drain(entries)
-				}
-				return
+		meter := func(uint64, int) { atomic.AddInt64(&s.counters.framesOut, 1) }
+		if err := writeLoop(c, out, meter); err != nil {
+			// Sever the connection: a driver waiting on our ACKNs would
+			// otherwise never learn its frames stopped flowing (it has no
+			// reason to close first), and its sessions would hang. Closing
+			// makes the driver's readLoop fail the deployment; our read
+			// loop unblocks and resets. Then drain silently.
+			c.Close()
+			for ok := true; ok; {
+				_, ok = out.Drain(nil)
 			}
 		}
 	}()
@@ -243,7 +233,7 @@ func (s *Server) handle(c net.Conn) {
 	sink := &daemonSink{out: out}
 	host := cluster.NewSiteHost(dep.total, dep.hosted, frags, dep.assign, cluster.Network{}, sink)
 
-	out.put(outEntry{kind: entryFrame, data: wire.AppendFrame(nil, frameDeployed, nil)})
+	out.Put(outEntry{kind: entryFrame, data: wire.AppendFrame(nil, frameDeployed, nil)})
 	s.logf("dgsd: v%d, hosting %d/%d sites, %d-node assign directory, %d-label dict",
 		ProtocolVersion, len(dep.hosted), dep.total, len(dep.assign), len(dep.labels))
 
@@ -259,7 +249,7 @@ func (s *Server) handle(c net.Conn) {
 		}
 		atomic.AddInt64(&s.counters.framesIn, 1)
 		errOut := func(qid uint64, msg string) {
-			out.put(outEntry{kind: entryFrame, data: wire.AppendFrame(nil, frameErr, encodeErr(errBody{qid: qid, msg: msg}))})
+			out.Put(outEntry{kind: entryFrame, data: wire.AppendFrame(nil, frameErr, encodeErr(errBody{qid: qid, msg: msg}))})
 		}
 		switch typ {
 		case frameOpen:
@@ -274,15 +264,6 @@ func (s *Server) handle(c net.Conn) {
 			}
 			sessions++
 			atomic.AddInt64(&s.counters.sessions, 1)
-		case frameMsg:
-			m, err := decodeMsg(body)
-			if err != nil {
-				errOut(0, "bad MSG: "+err.Error())
-				continue
-			}
-			// The payload aliases the frame buffer, which is not reused,
-			// so handing it straight to the host is safe.
-			host.Enqueue(m.qid, m.from, m.to, m.data)
 		case frameMsgB:
 			qid, batch, err := decodeMsgB(body)
 			if err != nil {
@@ -303,7 +284,7 @@ func (s *Server) handle(c net.Conn) {
 				// close on the same connection. Even an empty snapshot is
 				// shipped: the driver counts one TRACE per connection.
 				if spans, traced := host.TakeTrace(qid); traced {
-					out.put(outEntry{kind: entryFrame, data: wire.AppendFrame(nil, frameTrace, encodeTrace(qid, spans))})
+					out.Put(outEntry{kind: entryFrame, data: wire.AppendFrame(nil, frameTrace, encodeTrace(qid, spans))})
 					atomic.AddInt64(&s.counters.traces, 1)
 				}
 			}
@@ -313,7 +294,7 @@ func (s *Server) handle(c net.Conn) {
 				errOut(0, "bad PING: "+err.Error())
 				goto done
 			}
-			out.put(outEntry{kind: entryFrame, data: wire.AppendFrame(nil, framePong, encodePingPong(seq))})
+			out.Put(outEntry{kind: entryFrame, data: wire.AppendFrame(nil, framePong, encodePingPong(seq))})
 		case frameRedeploy:
 			red, err := decodeDeploy(body)
 			if err != nil {
@@ -330,7 +311,7 @@ func (s *Server) handle(c net.Conn) {
 			// they are resident. FIFO on this connection orders any later
 			// session traffic for these sites after the installation.
 			host.AddSites(red.hosted, more)
-			out.put(outEntry{kind: entryFrame, data: wire.AppendFrame(nil, frameDeployed, nil)})
+			out.Put(outEntry{kind: entryFrame, data: wire.AppendFrame(nil, frameDeployed, nil)})
 			s.logf("dgsd: redeploy absorbed %d sites (now hosting %d/%d)", len(red.hosted), len(host.HostedIDs()), dep.total)
 		case frameBye:
 			s.logf("dgsd: driver said BYE after %d sessions", sessions)
@@ -342,6 +323,6 @@ func (s *Server) handle(c net.Conn) {
 	}
 done:
 	host.Shutdown()
-	out.close()
+	out.Close()
 	<-writerDone
 }

@@ -8,27 +8,28 @@
 // routes ALL traffic — even site-to-site messages between two sites of
 // the same daemon pass through the driver. This hub routing is what
 // preserves the runtime's termination guarantee across process
-// boundaries: the driver increments its per-session in-flight counter
-// when a message enters the network (a MSG frame arrives or is sent) and
-// decrements it when the processing daemon's ACK arrives — one counted
-// ACK per drained run of a site's mailbox — and because a daemon writes
-// a run's output frames before the run's ACK on the same FIFO
-// connection, the counter can never hit zero while work is outstanding. It also makes the driver the natural
-// metering point: Stats.WireBytes on this backend is the measured frame
-// bytes (headers included) that crossed the driver's sockets for the
-// session. The price is a driver hop on site-to-site messages; direct
-// daemon-to-daemon links are future work and would need a distributed
-// termination protocol.
+// boundaries. The driver increments its per-session in-flight counter
+// when a message enters the network (it sends one, or one arrives in a
+// MSGB frame) and decrements it when the processing daemon's ACKN
+// arrives — one ACKN per drained run of a site's mailbox, carrying the
+// site's cumulative retired count. A daemon writes a run's output frames
+// before the run's ACKN on the same FIFO connection, so the counter can
+// never hit zero while work is outstanding. Hub routing also makes the
+// driver the natural metering point: Stats.WireBytes on this backend is
+// the measured frame bytes (headers included) that crossed the driver's
+// sockets for the session. The price is a driver hop on site-to-site
+// messages; direct daemon-to-daemon links are future work and would
+// need a distributed termination protocol.
 //
 // Connection lifecycle: dial (context-aware) → HELLO/HELLO-OK version
 // check → DEPLOY fragment shipping → DEPLOYED → any number of
-// sessions (OPEN/MSG/ACK/CLOSE) → BYE → TCP close. A daemon serves one
+// sessions (OPEN/MSGB/ACKN/CLOSE) → BYE → TCP close. A daemon serves one
 // deployment at a time and resets when the driver disconnects. Errors
 // travel as ERR frames: qid-scoped ones kill a session, qid-0 ones kill
 // the deployment. Writes never block protocol progress — each
-// connection's frames pass through an unbounded outbox drained by a
-// writer goroutine, which rules out the distributed write-deadlock of
-// mutually full TCP buffers.
+// connection's frames pass through an unbounded cluster.Queue drained by
+// one writer goroutine (writeLoop, the same on both ends), which rules
+// out the distributed write-deadlock of mutually full TCP buffers.
 package tcpnet
 
 import (
@@ -36,7 +37,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"time"
 
 	"dgs/internal/cluster"
@@ -49,17 +49,23 @@ import (
 // check: the driver offers this value, the daemon refuses any other
 // with an ERR naming both numbers, and the driver refuses a HELLO-OK
 // that echoes anything else. Bump it on any frame-layout change.
-const ProtocolVersion uint16 = 7
+const ProtocolVersion uint16 = 8
 
 // writeTimeout bounds each frame write after the handshake, on both
 // ends: a stalled peer fails the deployment instead of wedging it.
 const writeTimeout = 30 * time.Second
+
+// dialTimeout bounds each TCP connect + handshake + fragment shipment
+// when the Dial (or Recover) context carries no earlier deadline.
+const dialTimeout = 30 * time.Second
 
 // helloMagic opens every HELLO body so that a stray connection to the
 // wrong port fails fast and explicitly.
 const helloMagic = "DGSN"
 
 // Frame types (the byte after the length prefix; see docs/WIRE.md).
+// 0x07 and 0x08 (MSG and ACK up to version 7) are retired: they are
+// refused like any unknown type.
 const (
 	frameHello    = 0x01 // driver→daemon: magic, protocol version
 	frameHelloOK  = 0x02 // daemon→driver: accepted version
@@ -67,12 +73,10 @@ const (
 	frameDeployed = 0x04 // daemon→driver: fragments resident
 	frameOpen     = 0x05 // driver→daemon: open session qid from spec
 	frameClose    = 0x06 // driver→daemon: discard session qid
-	frameMsg      = 0x07 // both ways: one payload for (qid, from→to)
-	frameAck      = 0x08 // daemon→driver: one message processed
 	frameErr      = 0x09 // daemon→driver: session (qid) or deployment (0) error
 	frameBye      = 0x0A // driver→daemon: graceful goodbye
-	frameMsgB     = 0x0B // both ways: several payloads of one session in one frame
-	frameAckN     = 0x0C // daemon→driver: count messages processed, aggregated busy/rounds
+	frameMsgB     = 0x0B // both ways: a run of payloads of one session
+	frameAckN     = 0x0C // daemon→driver: a site's cumulative retired count, busy/rounds
 	framePing     = 0x0D // driver→daemon: liveness probe (u64 seq)
 	framePong     = 0x0E // daemon→driver: echo of a PING's seq
 	frameRedeploy = 0x0F // driver→daemon: host additional sites (deployBody); daemon replies DEPLOYED
@@ -93,10 +97,6 @@ func frameName(t byte) string {
 		return "OPEN"
 	case frameClose:
 		return "CLOSE"
-	case frameMsg:
-		return "MSG"
-	case frameAck:
-		return "ACK"
 	case frameErr:
 		return "ERR"
 	case frameBye:
@@ -213,101 +213,25 @@ func decodeOpen(b []byte) (openBody, error) {
 	return o, r.Done()
 }
 
-// msgBody is the MSG frame payload. data is the wire-encoded payload
-// message, unchanged from what Session accounting sees.
-type msgBody struct {
-	qid      uint64
-	from, to int
-	data     []byte
-}
-
-func encodeMsg(m msgBody) []byte {
-	dst := make([]byte, 0, 16+len(m.data))
-	dst = appendU64(dst, m.qid)
-	dst = appendI32(dst, m.from)
-	dst = appendI32(dst, m.to)
-	return append(dst, m.data...)
-}
-
-func decodeMsg(b []byte) (msgBody, error) {
-	r := wire.NewByteReader(b)
-	var m msgBody
-	var err error
-	if m.qid, err = r.U64(); err != nil {
-		return m, err
-	}
-	if m.from, err = readI32(r); err != nil {
-		return m, err
-	}
-	if m.to, err = readI32(r); err != nil {
-		return m, err
-	}
-	m.data = r.Rest()
-	if len(m.data) == 0 {
-		return m, fmt.Errorf("tcpnet: MSG with empty payload")
-	}
-	return m, nil
-}
-
-// ackBody is the ACK frame payload: one processed message at `site`,
-// with the handler's busy time and recorded rounds piggybacked so the
-// driver's Stats stay meaningful across the process boundary.
-type ackBody struct {
-	qid    uint64
-	site   int
-	busyNs int64
-	rounds int64
-}
-
-func encodeAck(a ackBody) []byte {
-	dst := make([]byte, 0, 28)
-	dst = appendU64(dst, a.qid)
-	dst = appendI32(dst, a.site)
-	dst = appendU64(dst, uint64(a.busyNs))
-	return appendU64(dst, uint64(a.rounds))
-}
-
-func decodeAck(b []byte) (ackBody, error) {
-	r := wire.NewByteReader(b)
-	var a ackBody
-	var err error
-	if a.qid, err = r.U64(); err != nil {
-		return a, err
-	}
-	if a.site, err = readI32(r); err != nil {
-		return a, err
-	}
-	bn, err := r.U64()
-	if err != nil {
-		return a, err
-	}
-	a.busyNs = int64(bn)
-	rn, err := r.U64()
-	if err != nil {
-		return a, err
-	}
-	a.rounds = int64(rn)
-	return a, r.Done()
-}
-
-// ackNBody is the ACKN frame payload: count messages of one
-// session processed at `site`, with busy time and rounds summed over
-// them. Retiring it is equivalent to count single ACKs — the driver
-// drops its in-flight counter by exactly count — so the quiescence
-// certificate is preserved bit-for-bit.
+// ackNBody is the ACKN frame payload: `site`'s cumulative count of the
+// session's retired messages, with the busy time and rounds of the
+// run(s) it retires piggybacked so the driver's Stats stay meaningful
+// across the process boundary. The driver retires what count adds to
+// the last count it saw from the site (cluster.Cluster.Retired), so a
+// replayed ACKN retires nothing.
 type ackNBody struct {
 	qid    uint64
 	site   int
-	count  uint32
+	count  uint64
 	busyNs int64
 	rounds int64
 }
 
 func encodeAckN(a ackNBody) []byte {
-	dst := make([]byte, 0, 32)
+	dst := make([]byte, 0, 36)
 	dst = appendU64(dst, a.qid)
 	dst = appendI32(dst, a.site)
-	dst = appendU32(dst, a.count)
+	dst = appendU64(dst, a.count)
 	dst = appendU64(dst, uint64(a.busyNs))
 	return appendU64(dst, uint64(a.rounds))
 }
@@ -322,7 +246,7 @@ func decodeAckN(b []byte) (ackNBody, error) {
 	if a.site, err = readI32(r); err != nil {
 		return a, err
 	}
-	if a.count, err = r.U32(); err != nil {
+	if a.count, err = r.U64(); err != nil {
 		return a, err
 	}
 	if a.count == 0 {
@@ -341,10 +265,10 @@ func decodeAckN(b []byte) (ackNBody, error) {
 	return a, r.Done()
 }
 
-// MSGB frame body: u64 qid, then one wire.Batch payload carrying
-// the coalesced sub-messages. appendMsgBatch encodes straight from an
-// outbox run; decodeMsgB goes through wire.Decode so the batch codec
-// (and its fuzz coverage) is the single source of truth.
+// MSGB frame body: u64 qid, then one wire.Batch payload carrying a run
+// of one or more messages. appendMsgBatch encodes straight from a queued
+// run; decodeMsgB goes through wire.Decode so the batch codec (and its
+// fuzz coverage) is the single source of truth.
 func appendMsgBatch(dst []byte, qid uint64, run []outEntry) []byte {
 	dst = appendU64(dst, qid)
 	dst = append(dst, byte(wire.KindBatch))
@@ -543,102 +467,31 @@ func writeFrame(c net.Conn, timeout time.Duration, typ byte, body []byte) (int, 
 	return n, err
 }
 
-// --- outbox ---
+// --- the connection writer ---
 
-// Outbox entry kinds. Control traffic is pre-framed; messages and acks
-// stay as typed entries so the writer can coalesce consecutive runs at
-// flush time.
+// Outbound entry kinds. Control traffic is pre-framed; messages and
+// retirements stay as typed entries so the writer can coalesce
+// consecutive runs at flush time.
 const (
 	entryFrame = iota // pre-encoded frame in data, written as-is
-	entryMsg          // one session message; same-qid runs merge into MSGB
-	entryAck          // one site's retired run; same-(qid,site) runs merge
+	entryMsg          // one session message; same-qid runs become one MSGB
+	entryAck          // one site's retired run; same-(qid,site) runs become one ACKN
 )
 
-// outEntry is 64 bytes: the writer's queue is the transport's largest
+// outEntry is 64 bytes: a connection's queue is the transport's largest
 // pointer-bearing buffer, so entry width is allocation and GC-scan cost
 // on every message.
 type outEntry struct {
 	kind byte
+	from int32 // entryMsg: the sender; entryAck: the retiring site
 	qid  uint64
 	data []byte // entryFrame: the frame; entryMsg: the payload
-	// entryMsg: endpoints. entryAck: from is the retiring site, to the
-	// number of messages retired.
-	from, to int32
+	// entryMsg: the destination site; entryAck: the site's cumulative
+	// retired count.
+	to int64
 	// entryAck:
 	busyNs int64
 	rounds int64
-}
-
-// outbox is an unbounded FIFO of outbound entries with a dedicated
-// writer goroutine per connection. Senders never block on the socket,
-// which rules out the circular write-deadlock of hub routing under
-// all-to-all bursts (driver reader blocked writing to daemon B, daemon
-// B blocked writing to the driver, ...). close drains what was queued
-// first. The writer takes the whole queue per wakeup (drain), which is
-// where coalescing batches form: under load many entries accumulate
-// while the previous chunk is on the socket, while an idle connection
-// flushes single messages with no added latency.
-type outbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []outEntry
-	closed bool
-}
-
-// maxSpare caps the buffer a drained queue recycles, in entries: a
-// burst's backing array is dropped instead of staying pinned to an idle
-// connection (the cluster mailbox follows the same rule).
-const maxSpare = 4096
-
-func newOutbox() *outbox {
-	o := &outbox{}
-	o.cond = sync.NewCond(&o.mu)
-	return o
-}
-
-func (o *outbox) put(e outEntry) bool {
-	o.mu.Lock()
-	ok := !o.closed
-	if ok {
-		o.queue = append(o.queue, e)
-	}
-	o.mu.Unlock()
-	o.cond.Signal()
-	return ok
-}
-
-// drain blocks for the next chunk and returns the entire queue;
-// ok=false after close and drain. spare is the writer's previous chunk,
-// already on the socket: it is cleared — releasing the payloads it
-// references — and becomes the next queue, so steady traffic regrows
-// nothing.
-func (o *outbox) drain(spare []outEntry) (chunk []outEntry, ok bool) {
-	clear(spare)
-	if cap(spare) > maxSpare {
-		spare = nil
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	for len(o.queue) == 0 && !o.closed {
-		o.cond.Wait()
-	}
-	chunk, o.queue = o.queue, spare[:0]
-	return chunk, len(chunk) > 0
-}
-
-func (o *outbox) close() {
-	o.mu.Lock()
-	o.closed = true
-	o.mu.Unlock()
-	o.cond.Broadcast()
-}
-
-// len reports the entries currently queued (not yet drained by the
-// writer) — the backlog the outbox-depth gauge samples.
-func (o *outbox) len() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return len(o.queue)
 }
 
 // batchByteCap bounds one MSGB frame's coalesced payload bytes: a run
@@ -646,15 +499,37 @@ func (o *outbox) len() int {
 // under wire.MaxFrame and bounding the receiver's per-frame work.
 const batchByteCap = 1 << 24
 
-// writeChunk encodes one drained outbox chunk onto bw and flushes once,
-// so an entire chunk shares syscalls. Consecutive entryMsg runs with
-// one qid become a single MSGB frame and consecutive entryAck runs with
-// one (qid, site) become a single ACKN frame carrying their summed
-// counts (one message stays a plain MSG, a count of one a plain ACK,
-// which are shorter); runs never extend across a differing entry, so
-// per-connection FIFO order — a daemon's handler-output MSGs stay ahead
-// of the retirement of the run that produced them — is exactly
-// preserved.
+// writeLoop is the one writer of a connection end, driver or daemon: it
+// drains the connection's queue a whole chunk per wakeup — which is
+// where coalescing runs form: under load many entries accumulate while
+// the previous chunk is on the socket, while an idle connection flushes
+// a lone message with no added latency — and writes each chunk under a
+// fresh write deadline. It returns nil once the queue is closed and
+// drained, or the first write error; the caller owns the error policy.
+func writeLoop(c net.Conn, q *cluster.Queue[outEntry], meter func(qid uint64, n int)) error {
+	bw := bufio.NewWriterSize(c, 1<<16)
+	var entries []outEntry
+	for {
+		var ok bool
+		if entries, ok = q.Drain(entries); !ok {
+			return nil
+		}
+		c.SetWriteDeadline(time.Now().Add(writeTimeout))
+		if err := writeChunk(bw, entries, meter); err != nil {
+			return err
+		}
+	}
+}
+
+// writeChunk encodes one drained chunk onto bw and flushes once, so an
+// entire chunk shares syscalls. Each run of consecutive entryMsg entries
+// with one qid — a run of one included — becomes one MSGB frame, and
+// each run of consecutive entryAck entries with one (qid, site) one ACKN
+// frame carrying the run's last cumulative count (it covers the earlier
+// ones) and its summed busy time and rounds. Runs never extend across a
+// differing entry, so per-connection FIFO order — a daemon's
+// handler-output messages stay ahead of the retirement of the run that
+// produced them — is exactly preserved.
 //
 // meter (nil ok) observes each frame's (qid, length) only after the
 // flush succeeds: metered bytes never drift ahead of what actually hit
@@ -689,23 +564,15 @@ func writeChunk(bw *bufio.Writer, entries []outEntry, meter func(qid uint64, n i
 				sz = nsz
 				j++
 			}
-			if j == i+1 {
-				frame = wire.AppendFrame(nil, frameMsg, encodeMsg(msgBody{qid: e.qid, from: int(e.from), to: int(e.to), data: e.data}))
-			} else {
-				frame = wire.AppendFrame(nil, frameMsgB, appendMsgBatch(nil, e.qid, entries[i:j]))
-			}
+			frame = wire.AppendFrame(nil, frameMsgB, appendMsgBatch(nil, e.qid, entries[i:j]))
 		case entryAck:
-			a := ackNBody{qid: e.qid, site: int(e.from), count: uint32(e.to), busyNs: e.busyNs, rounds: e.rounds}
+			a := ackNBody{qid: e.qid, site: int(e.from), count: uint64(e.to), busyNs: e.busyNs, rounds: e.rounds}
 			for ; j < len(entries) && entries[j].kind == entryAck && entries[j].qid == e.qid && entries[j].from == e.from; j++ {
-				a.count += uint32(entries[j].to)
+				a.count = uint64(entries[j].to)
 				a.busyNs += entries[j].busyNs
 				a.rounds += entries[j].rounds
 			}
-			if a.count == 1 {
-				frame = wire.AppendFrame(nil, frameAck, encodeAck(ackBody{qid: a.qid, site: a.site, busyNs: a.busyNs, rounds: a.rounds}))
-			} else {
-				frame = wire.AppendFrame(nil, frameAckN, encodeAckN(a))
-			}
+			frame = wire.AppendFrame(nil, frameAckN, encodeAckN(a))
 		}
 		if err := emit(e.qid, frame); err != nil {
 			return err

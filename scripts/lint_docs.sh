@@ -42,6 +42,16 @@ for need in HELLO DEPLOY OPEN CLOSE MSGB ACKN PING PONG REDEPLOY heartbeat "site
   fi
 done
 
+# The wire spec's frame table and tcpnet's frame-type const block must
+# list the same type bytes: a retired frame cannot linger in the spec,
+# and a new frame cannot ship without a row.
+code_frames=$(sed -n '/^\/\/ Frame types/,/^)/s/^[[:space:]]*frame[A-Za-z]* *= *\(0x[0-9A-Fa-f]*\).*/\1/p' internal/transport/tcpnet/tcpnet.go | tr 'a-f' 'A-F' | sort | tr '\n' ' ')
+doc_frames=$(sed -n 's/^| [A-Z-]* | \(0x[0-9A-Fa-f]*\) |.*/\1/p' docs/WIRE.md | tr 'a-f' 'A-F' | sort | tr '\n' ' ')
+if [ -z "$code_frames" ] || [ "$code_frames" != "$doc_frames" ]; then
+  echo "docs/WIRE.md frame table lists type bytes '$doc_frames', tcpnet.go's frame constants '$code_frames'"
+  fail=1
+fi
+
 # The HTTP spec must cover every gateway endpoint and the error,
 # overload and failover semantics clients program against.
 for need in /query /apply /stats /healthz overload bad_request deadline "503" "Retry-After" cached version site_lost failovers; do
