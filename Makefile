@@ -7,10 +7,10 @@ FUZZTIME ?= 10s
 # the project-specific dgsvet analyzers), full build, and the test suite
 # under the race detector (the Deployment API serves concurrent
 # queries; races are correctness bugs here), and bench-check, because
-# benchmark/ is its own module that go build ./... does not see. The two
+# benchmark/ is its own module that go build ./... does not see. The
 # inner-loop benchmarks run once each so that they cannot rot.
 tier1: vet dgsvet build race bench-check
-	$(GO) test -run '^$$' -bench 'SiteHostStorm|EngineBuild' -benchtime=1x ./internal/cluster ./internal/dgpm
+	$(GO) test -run '^$$' -bench 'SiteHostStorm|EngineBuild|IndexBuild' -benchtime=1x ./internal/cluster ./internal/dgpm
 
 vet:
 	$(GO) vet ./...
@@ -78,6 +78,8 @@ fuzz:
 	$(GO) test ./internal/transport/tcpnet -run=^$$ -fuzz=^FuzzDecodeDeploy$$ -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/transport/tcpnet -run=^$$ -fuzz=^FuzzDecodeAckN$$ -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/obs -run=^$$ -fuzz=^FuzzDecodeSpans$$ -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/partition -run=^$$ -fuzz=^FuzzDecodeFragment$$ -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/plan -run=^$$ -fuzz=^FuzzDecodePlan$$ -fuzztime=$(FUZZTIME)
 
 # docs fails when any package lacks a package comment, an
 # operator-facing document (README, wire spec) is missing/stale, or the

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"dgs/internal/graph"
@@ -21,8 +22,11 @@ import (
 	"dgs/internal/workload"
 )
 
-// scanEngine is what the scan build leaves behind.
+// scanEngine is what the scan build leaves behind, over its own
+// numbering of the fragment.
 type scanEngine struct {
+	vis        []graph.NodeID // locals then virtuals, in Fragment order
+	nl         int
 	alive      [][]bool
 	out        []wire.VarRef
 	inV, virtV int
@@ -31,10 +35,29 @@ type scanEngine struct {
 // scanBuild is NewEnginePlanned as it stood before counters were
 // compacted: alive rows and cnt[e][li] over every local node, counters
 // counted up from every adjacency entry of the fragment, kills
-// decrementing every predecessor's counter.
+// decrementing every predecessor's counter. It shares nothing with
+// partition.Index: it numbers the fragment itself, in Fragment order
+// (Local then Virtual), from Local, Virtual, Succ, Labels and InNodes.
 func scanBuild(q *pattern.Pattern, frag *partition.Fragment, pl *plan.Plan) *scanEngine {
-	ix := frag.Index()
-	nq, nl, nvis := q.NumNodes(), int(ix.NL), len(ix.Vis)
+	vis := append(append([]graph.NodeID(nil), frag.Local...), frag.Virtual...)
+	visIdx := make(map[graph.NodeID]int32, len(vis))
+	for i, v := range vis {
+		visIdx[v] = int32(i)
+	}
+	nq, nl, nvis := q.NumNodes(), len(frag.Local), len(vis)
+	isIn := make([]bool, nl)
+	for _, v := range frag.InNodes {
+		isIn[visIdx[v]] = true
+	}
+	succ := make([][]int32, nl)
+	pred := make([][]int32, nvis)
+	for li, v := range frag.Local {
+		for _, w := range frag.Succ[v] {
+			wi := visIdx[w]
+			succ[li] = append(succ[li], wi)
+			pred[wi] = append(pred[wi], int32(li))
+		}
+	}
 	var qedges []qEdge
 	constTrue := make([]bool, nq)
 	for u := 0; u < nq; u++ {
@@ -51,16 +74,21 @@ func scanBuild(q *pattern.Pattern, frag *partition.Fragment, pl *plan.Plan) *sca
 		eOut[qedges[ei].parent] = append(eOut[qedges[ei].parent], int32(ei))
 		eIn[qedges[ei].child] = append(eIn[qedges[ei].child], int32(ei))
 	}
-	s := &scanEngine{alive: make([][]bool, nq)}
+	s := &scanEngine{vis: vis, nl: nl, alive: make([][]bool, nq)}
 	for u := 0; u < nq; u++ {
 		s.alive[u] = make([]bool, nvis)
-		ql := q.Label(pattern.QNode(u))
-		for _, i := range ix.ByLabel[ql] {
+		for i, v := range vis {
+			if frag.Labels[v] != q.Label(pattern.QNode(u)) {
+				continue
+			}
 			s.alive[u][i] = true
-		}
-		if !constTrue[u] {
-			s.inV += ix.InOf[ql]
-			s.virtV += ix.VirtOf[ql]
+			switch {
+			case constTrue[u]:
+			case i >= nl:
+				s.virtV++
+			case isIn[i]:
+				s.inV++
+			}
 		}
 	}
 	cnt := make([][]int32, len(qedges))
@@ -68,9 +96,9 @@ func scanBuild(q *pattern.Pattern, frag *partition.Fragment, pl *plan.Plan) *sca
 		cnt[i] = make([]int32, nl)
 	}
 	for li := 0; li < nl; li++ {
-		for _, wi := range ix.Succ[li] {
+		for _, wi := range succ[li] {
 			for ei, qe := range qedges {
-				if q.Label(qe.child) == ix.Labels[wi] {
+				if q.Label(qe.child) == frag.Labels[vis[wi]] {
 					cnt[ei][li]++
 				}
 			}
@@ -80,8 +108,8 @@ func scanBuild(q *pattern.Pattern, frag *partition.Fragment, pl *plan.Plan) *sca
 	kill := func(u pattern.QNode, vi int32) {
 		s.alive[u][vi] = false
 		if int(vi) < nl {
-			if ix.IsIn[vi] {
-				s.out = append(s.out, wire.VarRef{U: uint16(u), V: uint32(ix.Vis[vi])})
+			if isIn[vi] {
+				s.out = append(s.out, wire.VarRef{U: uint16(u), V: uint32(vis[vi])})
 				if !constTrue[u] {
 					s.inV--
 				}
@@ -96,9 +124,9 @@ func scanBuild(q *pattern.Pattern, frag *partition.Fragment, pl *plan.Plan) *sca
 		if constTrue[u] {
 			continue
 		}
-		for _, li := range ix.ByLabel[q.Label(u)] {
-			if int(li) >= nl {
-				break
+		for li := int32(0); li < int32(nl); li++ {
+			if !s.alive[u][li] {
+				continue
 			}
 			for _, ei := range eOut[u] {
 				if cnt[ei][li] == 0 {
@@ -113,7 +141,7 @@ func scanBuild(q *pattern.Pattern, frag *partition.Fragment, pl *plan.Plan) *sca
 		queue = queue[:len(queue)-1]
 		for _, ei := range eIn[kv.u] {
 			up := qedges[ei].parent
-			for _, lp := range ix.Pred[kv.vi] {
+			for _, lp := range pred[kv.vi] {
 				cnt[ei][lp]--
 				if cnt[ei][lp] == 0 && s.alive[up][lp] {
 					kill(up, lp)
@@ -124,15 +152,32 @@ func scanBuild(q *pattern.Pattern, frag *partition.Fragment, pl *plan.Plan) *sca
 	return s
 }
 
-func (s *scanEngine) localMatches(ix *partition.Index) []wire.VarRef {
+// localMatches lists the alive local variables, query node by query
+// node, locals in Fragment order.
+func (s *scanEngine) localMatches() []wire.VarRef {
 	var out []wire.VarRef
 	for u, row := range s.alive {
-		for li := int32(0); li < ix.NL; li++ {
+		for li, v := range s.vis[:s.nl] {
 			if row[li] {
-				out = append(out, wire.VarRef{U: uint16(u), V: uint32(ix.Vis[li])})
+				out = append(out, wire.VarRef{U: uint16(u), V: uint32(v)})
 			}
 		}
 	}
+	return out
+}
+
+// aliveRefs lists every alive variable of a build as global references,
+// sorted: a kill set independent of how the build numbered the fragment.
+func aliveRefs(vis []graph.NodeID, alive [][]bool) []wire.VarRef {
+	var out []wire.VarRef
+	for u, row := range alive {
+		for i, ok := range row {
+			if ok {
+				out = append(out, wire.VarRef{U: uint16(u), V: uint32(vis[i])})
+			}
+		}
+	}
+	slices.SortFunc(out, compareRefs)
 	return out
 }
 
@@ -142,10 +187,10 @@ func checkBuild(t *testing.T, what string, q *pattern.Pattern, frag *partition.F
 	t.Helper()
 	want := scanBuild(q, frag, pl)
 	e := NewEnginePlanned(q, frag, pl)
-	if !reflect.DeepEqual(e.alive, want.alive) {
+	if !reflect.DeepEqual(aliveRefs(e.vis, e.alive), aliveRefs(want.vis, want.alive)) {
 		t.Fatalf("%s: kill set differs from the scan build", what)
 	}
-	if got := e.LocalMatches(); !reflect.DeepEqual(got, want.localMatches(frag.Index())) {
+	if got := e.LocalMatches(); !reflect.DeepEqual(got, want.localMatches()) {
 		t.Fatalf("%s: LocalMatches differ from the scan build", what)
 	}
 	if inV, virtV := e.UnevaluatedCounts(); inV != want.inV || virtV != want.virtV {
@@ -163,11 +208,12 @@ func checkBuild(t *testing.T, what string, q *pattern.Pattern, frag *partition.F
 // positive.
 func checkCounters(t *testing.T, what string, e *Engine) {
 	t.Helper()
-	for u, cand := range e.cand {
-		for p, li := range cand {
-			if !e.alive[u][li] {
+	for u, row := range e.alive {
+		for li := e.lo[u]; li < e.hi[u]; li++ {
+			if !row[li] {
 				continue
 			}
+			p := li - e.lo[u]
 			for _, ei := range e.eOut[u] {
 				n := int32(0)
 				for _, wi := range e.succ[li] {
@@ -267,11 +313,12 @@ func TestSaturatedHubCountsExactly(t *testing.T) {
 	}
 	fr := mustPartition(t, b.MustBuild(), make([]int32, fan+1))
 	frag := fr.Frags[0]
-	if got := frag.Index().OutDeg[q.Label(1)][0]; got != partition.OutDegSat {
+	ix := frag.Index()
+	if got := ix.OutDeg[q.Label(1)][ix.VisIdx[hub]]; got != partition.OutDegSat {
 		t.Fatalf("hub's OutDeg cell = %d, want saturated", got)
 	}
 	e := NewEngine(q, frag)
-	if got := e.cnt[0][e.pos[0]]; got != fan {
+	if got := e.cnt[0][e.visIdx[hub]-e.lo[0]]; got != fan {
 		t.Fatalf("hub's counter = %d, want %d", got, fan)
 	}
 	for i := 1; i <= fan; i++ {
@@ -355,4 +402,36 @@ func BenchmarkEngineBuild(b *testing.B) {
 	runtime.ReadMemStats(&after)
 	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/query")
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/1e6, "MB/query")
+}
+
+var indexSink *partition.Index
+
+// BenchmarkIndexBuild is the fragment index build the engines borrow
+// from: one op indexes the eight fragments of BenchmarkEngineBuild, each
+// freshly decoded (off the clock) so no cached index is reused, so
+// ms/8frags reads against `partition.index_build_ms_sum` on `local-8`.
+func BenchmarkIndexBuild(b *testing.B) {
+	fr, _, _ := localEight(b, 300_000, 1_500_000)
+	encs := make([][]byte, len(fr.Frags))
+	for i, f := range fr.Frags {
+		encs[i] = partition.AppendFragment(nil, f)
+	}
+	frags := make([]*partition.Fragment, len(encs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j, enc := range encs {
+			f, _, err := partition.DecodeFragment(enc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			frags[j] = f
+		}
+		b.StartTimer()
+		for _, f := range frags {
+			indexSink = f.Index()
+		}
+	}
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/8frags")
 }

@@ -20,18 +20,21 @@
 // affected cone (the paper's O(|AFF|) bound for incremental lEval).
 //
 // Hot state is flat arrays sized by candidates, not by the fragment's
-// product with the pattern. Fragment-visible nodes (locals followed by
-// virtuals) are indexed 0..nVis-1; alive flags are one dense byte row per
-// query node over that numbering, and the successor counters of a query
-// edge (u,u') exist only for the local candidates of label(u), addressed
-// by a node's position in its label bucket (partition.Index.Pos). Maps
-// appear only on cold paths (pushed equations, message boundaries).
+// product with the pattern. Fragment-visible nodes are indexed 0..nVis-1
+// in the fragment index's label-major numbering (locals grouped by label,
+// then virtuals); alive flags are one dense byte row per query node over
+// that numbering. The local candidates of query node u are one range
+// [lo[u], hi[u]), and the successor counters of a query edge (u,u') exist
+// only for them, addressed by li − lo[u]. Pred rows are ascending, so
+// propagation walks only the [lo[u], hi[u]) block of a row. Maps appear
+// only on cold paths (pushed equations, message boundaries).
 //
 // Counter invariant: the counter of an ALIVE local variable X(u,v) on
 // edge (u,u') is exactly the number of v's alive successors for u', and
 // is positive. A dead variable's counters are stale — propagation skips
-// dead and label-inconsistent predecessors before touching a counter —
-// and nothing reads them: every counter read is behind an alive test.
+// dead predecessors, and never reaches label-inconsistent ones, before
+// touching a counter — and nothing reads them: every counter read is
+// behind an alive test.
 package dgpm
 
 import (
@@ -89,30 +92,32 @@ type Engine struct {
 	// constant true.
 	constTrue []bool
 
-	// Dense node universe: vis[0:nl] are local nodes, vis[nl:] virtual.
+	// Dense node universe, borrowed from the fragment's cached topology
+	// index: vis[0:nl] are local nodes, vis[nl:] virtual.
 	vis    []graph.NodeID
 	visIdx map[graph.NodeID]int32
 	nl     int32 // number of locals
 
 	// succ[li] lists vis indices of local node li's successors.
 	succ [][]int32
-	// pred[vi] lists local indices with an edge to vis node vi.
+	// pred[vi] lists, ascending, the local indices with an edge to vis
+	// node vi.
 	pred [][]int32
-	// topoShared marks succ/pred as borrowed read-only from the
-	// fragment's cached topology index; the first edge deletion
-	// deep-copies them into private rows.
-	topoShared bool
+	// ix is the index succ/pred (and the watcher rows) are borrowed from,
+	// read-only. The first edge deletion deep-copies succ/pred into
+	// private rows and drops ix: the engine then no longer mirrors a
+	// fragment version, and does not keep that index alive.
+	ix *partition.Index
 
 	// alive[u][vi] — dense variable state for visible nodes.
 	alive [][]bool
-	// cand[u] lists the local candidates of u, ascending: the local prefix
-	// of label(u)'s bucket. pos[vi] is vi's position in its label's bucket
-	// and labels[vi] that label.
-	cand   [][]int32
-	pos    []int32
+	// The local candidates of u are the label range [lo[u], hi[u]);
+	// labels[vi] is vi's label.
+	lo, hi []int32
 	labels []graph.Label
-	// cnt[e=(u,u')][pos[li]] — alive-successor counter of X(u, vis[li]),
-	// one cell per member of cand[u]; exact while that variable is alive.
+	// cnt[e=(u,u')][li−lo[u]] — alive-successor counter of X(u, vis[li]),
+	// one cell per local candidate of u; exact while that variable is
+	// alive.
 	cnt [][]int32
 	// wasAlive is ApplyEdgeDeletions' per-query-edge scratch.
 	wasAlive []bool
@@ -131,8 +136,9 @@ type Engine struct {
 	// extQueue: pending ext kills.
 	extQueue []varKey
 
-	// out accumulates in-node variables falsified since the last Drain.
-	out []wire.VarRef
+	// out accumulates in-node variables falsified since the last Drain,
+	// by local index, so the site routes them without a lookup.
+	out []visVar
 
 	// unevalIn / unevalVirt track |Fi.I'| and |Fi.O'| of the benefit
 	// function incrementally (decremented on kills).
@@ -187,7 +193,7 @@ func NewEngine(q *pattern.Pattern, frag *partition.Fragment) *Engine {
 // everything it needs about the fragment is query-independent and comes
 // from the fragment's cached Index, built once per fragment version and
 // shared by every engine — the vis numbering and adjacency rows, the
-// per-label candidate buckets that drive the alive rows, benefit tallies
+// per-label candidate ranges that drive the alive rows, benefit tallies
 // and seed scan, and the per-label successor degrees the counters are
 // gathered from (one byte load per local candidate per query edge; a
 // saturated cell is recounted from its Succ row). Exact, because initial
@@ -228,63 +234,66 @@ func NewEnginePlanned(q *pattern.Pattern, frag *partition.Fragment, pl *plan.Pla
 
 	// Borrow the fragment's cached topology index (read-only — the first
 	// edge deletion copies succ/pred) and drive every scan off its
-	// per-label candidate buckets. Buckets are ascending, and locals
-	// precede virtuals in vis, so a bucket's local candidates are its
-	// prefix, short of its VirtOf virtual ones.
+	// label ranges: a query node's local candidates are one contiguous
+	// range of the label-major numbering, its virtual ones a short list.
 	ix := frag.Index()
+	e.ix = ix
 	e.vis = ix.Vis
 	e.visIdx = ix.VisIdx
 	e.isIn = ix.IsIn
 	e.succ = ix.Succ
 	e.pred = ix.Pred
-	e.topoShared = true
-	e.pos = ix.Pos
 	e.labels = ix.Labels
 
 	// Alive state is label consistency; the benefit function's tallies
 	// (alive, non-constant variables on in-nodes and virtual nodes) are
 	// the index's per-label counts.
 	e.alive = make([][]bool, nq)
-	e.cand = make([][]int32, nq)
+	e.lo, e.hi = make([]int32, nq), make([]int32, nq)
 	rows := make([]bool, nq*nvis)
 	for u := 0; u < nq; u++ {
 		row := rows[u*nvis : (u+1)*nvis : (u+1)*nvis]
 		ql := q.Label(pattern.QNode(u))
-		bucket := ix.ByLabel[ql]
-		for _, i := range bucket {
+		lo, hi := ix.Locals(ql)
+		for i := lo; i < hi; i++ {
+			row[i] = true
+		}
+		virt := ix.Virt[ql]
+		for _, i := range virt {
 			row[i] = true
 		}
 		e.alive[u] = row
-		e.cand[u] = bucket[:len(bucket)-ix.VirtOf[ql]]
+		e.lo[u], e.hi[u] = lo, hi
 		if !e.constTrue[u] {
 			e.unevalIn += ix.InOf[ql]
-			e.unevalVirt += ix.VirtOf[ql]
+			e.unevalVirt += len(virt)
 		}
 	}
 
-	// Counters: cnt[e=(u,u')][p] = #successors of cand[u][p] labelled
-	// label(u'), which are its alive successors for u'.
-	ncells := 0
+	// Counters: cnt[e=(u,u')][li−lo[u]] = #successors of local candidate
+	// li labelled label(u'), which are its alive successors for u'.
+	ncells := int32(0)
 	for _, qe := range e.qedges {
-		ncells += len(e.cand[qe.parent])
+		ncells += e.hi[qe.parent] - e.lo[qe.parent]
 	}
 	cells := make([]int32, ncells)
 	e.cnt = make([][]int32, len(e.qedges))
 	for ei, qe := range e.qedges {
-		cand := e.cand[qe.parent]
-		row := cells[:len(cand):len(cand)]
-		cells = cells[len(cand):]
+		lo, hi := e.lo[qe.parent], e.hi[qe.parent]
+		n := hi - lo
+		row := cells[:n:n]
+		cells = cells[n:]
 		e.cnt[ei] = row
 		cl := q.Label(qe.child)
 		deg := ix.OutDeg[cl]
 		if deg == nil {
 			continue // no local node has a successor labelled cl
 		}
-		for p, li := range cand {
-			c := int32(deg[li])
+		for p, d := range deg[lo:hi] {
+			c := int32(d)
 			if c == partition.OutDegSat {
 				c = 0
-				for _, wi := range e.succ[li] {
+				for _, wi := range e.succ[lo+int32(p)] {
 					if e.labels[wi] == cl {
 						c++
 					}
@@ -301,7 +310,9 @@ func NewEnginePlanned(q *pattern.Pattern, frag *partition.Fragment, pl *plan.Pla
 	// earliest. The seed phase's kill queue grows to the fragment's share
 	// of the falsified relation and is empty again when propagate
 	// returns, so it is borrowed from a pool for the build; later
-	// incremental kills grow a small one of the engine's own.
+	// incremental kills grow a small one of the engine's own. Nothing
+	// propagates during the scan, so every candidate is still alive when
+	// it is reached.
 	qp := queuePool.Get().(*[]visVar)
 	e.queue = (*qp)[:0]
 	for _, pu := range pl.Nodes {
@@ -309,14 +320,16 @@ func NewEnginePlanned(q *pattern.Pattern, frag *partition.Fragment, pl *plan.Pla
 		if e.constTrue[u] {
 			continue
 		}
-		row := e.alive[u]
-		for p, li := range e.cand[u] {
-			if !row[li] { // killed by an earlier seed's direct hit
-				continue
-			}
-			for _, ei := range e.eOut[u] {
-				if e.cnt[ei][p] == 0 {
-					e.killVis(u, li)
+		var buf [8][]int32
+		rows := buf[:0] // u's counter rows, in plan edge order
+		for _, ei := range e.eOut[u] {
+			rows = append(rows, e.cnt[ei])
+		}
+		lo := e.lo[u]
+		for p := range e.hi[u] - lo {
+			for _, row := range rows {
+				if row[p] == 0 {
+					e.killVis(u, lo+p)
 					break
 				}
 			}
@@ -376,7 +389,7 @@ func (e *Engine) killVis(u pattern.QNode, vi int32) {
 	e.mut++
 	if vi < e.nl {
 		if e.isIn[vi] {
-			e.out = append(e.out, wire.VarRef{U: uint16(u), V: uint32(e.vis[vi])})
+			e.out = append(e.out, visVar{u, vi})
 			if !e.constTrue[u] {
 				e.unevalIn--
 			}
@@ -404,8 +417,10 @@ func (e *Engine) killExt(k varKey) {
 
 // propagate drains the kill queues: each death decrements the successor
 // counters of its alive local predecessors (the fragment-level HHK step;
-// a dead or label-inconsistent predecessor has no counter worth keeping)
-// and the group counters of watching equations.
+// a dead predecessor has no counter worth keeping, a label-inconsistent
+// one none at all) and the group counters of watching equations. Pred
+// rows are ascending, so the predecessors labelled label(u) are the
+// [lo[u], hi[u]) block of a row: the walk skips to it and stops after it.
 func (e *Engine) propagate() {
 	for len(e.queue) > 0 || len(e.extQueue) > 0 {
 		if n := len(e.queue); n > 0 {
@@ -414,20 +429,29 @@ func (e *Engine) propagate() {
 			// Local predecessors lose a witness for each edge into kv.u.
 			for _, ei := range e.eIn[kv.u] {
 				up := e.qedges[ei].parent
+				lo, hi := e.lo[up], e.hi[up]
 				cnt := e.cnt[ei]
 				arow := e.alive[up]
 				for _, lp := range e.pred[kv.vi] {
+					if lp < lo {
+						continue
+					}
+					if lp >= hi {
+						break
+					}
 					if !arow[lp] {
 						continue
 					}
-					p := e.pos[lp]
+					p := lp - lo
 					cnt[p]--
 					if cnt[p] == 0 {
 						e.killVis(up, lp)
 					}
 				}
 			}
-			e.fireWatchers(key(kv.u, e.vis[kv.vi]))
+			if len(e.eqWatch) > 0 {
+				e.fireWatchers(key(kv.u, e.vis[kv.vi]))
+			}
 			continue
 		}
 		n := len(e.extQueue)
@@ -483,14 +507,14 @@ func (e *Engine) ApplyFalsifications(pairs []wire.VarRef) {
 // accumulate for Drain as usual. Edges unknown to the engine are
 // ignored (the site layer validates existence upstream).
 func (e *Engine) ApplyEdgeDeletions(dels [][2]graph.NodeID) {
-	if e.topoShared && len(dels) > 0 {
+	if e.ix != nil && len(dels) > 0 {
 		// The adjacency rows are borrowed from the fragment's shared
 		// topology index; take private copies before the first unlink.
 		// One O(|Ei|) copy per standing session, amortized over its
 		// lifetime — per-deletion refinement stays O(|AFF|).
 		e.succ = copyRows(e.succ)
 		e.pred = copyRows(e.pred)
-		e.topoShared = false
+		e.ix = nil
 		e.wasAlive = make([]bool, len(e.qedges))
 	}
 	for _, d := range dels {
@@ -518,11 +542,11 @@ func (e *Engine) ApplyEdgeDeletions(dels [][2]graph.NodeID) {
 		for ei := range e.qedges {
 			e.wasAlive[ei] = e.alive[e.qedges[ei].child][wi]
 		}
-		p := e.pos[li]
 		for ei, qe := range e.qedges {
 			if !e.wasAlive[ei] || !e.alive[qe.parent][li] {
 				continue
 			}
+			p := li - e.lo[qe.parent]
 			e.cnt[ei][p]--
 			if e.cnt[ei][p] == 0 {
 				e.killVis(qe.parent, li)
@@ -565,9 +589,28 @@ func unlink(s *[]int32, x int32) bool {
 // Drain returns and clears the in-node variables falsified since the last
 // call. The site layer routes them to watcher sites (procedure lMsg).
 func (e *Engine) Drain() []wire.VarRef {
+	out := e.drain()
+	if len(out) == 0 {
+		return nil
+	}
+	refs := make([]wire.VarRef, len(out))
+	for i, x := range out {
+		refs[i] = e.ref(x)
+	}
+	return refs
+}
+
+// drain is Drain in the engine's own numbering. The returned slice is the
+// engine's buffer: it is valid until the engine next changes.
+func (e *Engine) drain() []visVar {
 	out := e.out
-	e.out = nil
+	e.out = out[:0]
 	return out
+}
+
+// ref is the wire reference of a visible variable.
+func (e *Engine) ref(x visVar) wire.VarRef {
+	return wire.VarRef{U: uint16(x.u), V: uint32(e.vis[x.vi])}
 }
 
 // AliveLocalVar reports the status of a local variable; it panics if v is
@@ -584,9 +627,9 @@ func (e *Engine) AliveLocalVar(u pattern.QNode, v graph.NodeID) bool {
 // answer Q(Fi) shipped to the coordinator in phase 3.
 func (e *Engine) LocalMatches() []wire.VarRef {
 	n := 0
-	for u, cand := range e.cand {
-		for _, li := range cand {
-			if e.alive[u][li] {
+	for u, row := range e.alive {
+		for _, alive := range row[e.lo[u]:e.hi[u]] {
+			if alive {
 				n++
 			}
 		}
@@ -595,9 +638,9 @@ func (e *Engine) LocalMatches() []wire.VarRef {
 		return nil
 	}
 	out := make([]wire.VarRef, 0, n)
-	for u, cand := range e.cand {
-		for _, li := range cand {
-			if e.alive[u][li] {
+	for u, row := range e.alive {
+		for li := e.lo[u]; li < e.hi[u]; li++ {
+			if row[li] {
 				out = append(out, wire.VarRef{U: uint16(u), V: uint32(e.vis[li])})
 			}
 		}

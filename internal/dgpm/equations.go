@@ -113,8 +113,15 @@ func (e *Engine) assumptionDependent() *depSet {
 				if e.constTrue[up] {
 					continue
 				}
+				lo, hi := e.lo[up], e.hi[up]
 				arow := e.alive[up]
 				for _, lp := range e.pred[vi] {
+					if lp < lo {
+						continue
+					}
+					if lp >= hi {
+						break
+					}
 					if arow[lp] {
 						markVis(up, lp)
 					}
@@ -155,13 +162,19 @@ type pushPlan struct {
 // extraction, parent by parent under the remaining budget, abandoned
 // mid-parent before any sort.
 func (e *Engine) planPush(budget int) []pushPlan {
+	if e.ix == nil {
+		// Refined under edge deletions: a pushed equation would be a
+		// frozen snapshot that later deletions invalidate (why standing
+		// sessions run with push off).
+		return nil
+	}
 	if minEquationBytes > budget || e.certainPushBytes(budget) > budget {
 		return nil
 	}
 	parents := make(map[int][]graph.NodeID)
-	for _, v := range e.frag.InNodes {
-		for _, w := range e.frag.InWatchers[v] {
-			parents[w] = append(parents[w], v)
+	for _, li := range e.ix.In {
+		for _, w := range e.ix.Watchers(li) {
+			parents[int(w)] = append(parents[int(w)], e.vis[li])
 		}
 	}
 	dests := make([]int, 0, len(parents))
@@ -192,9 +205,8 @@ func (e *Engine) planPush(budget int) []pushPlan {
 // the bound exceeds budget.
 func (e *Engine) certainPushBytes(budget int) int {
 	floor := 0
-	for _, v := range e.frag.InNodes {
-		li := e.visIdx[v]
-		perVar := minEquationBytes * len(e.frag.InWatchers[v])
+	for _, li := range e.ix.In {
+		perVar := minEquationBytes * len(e.ix.Watchers(li))
 		for u := range e.alive {
 			if e.alive[u][li] && e.seesAssumption(pattern.QNode(u), li) {
 				if floor += perVar; floor > budget {

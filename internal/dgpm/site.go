@@ -55,9 +55,10 @@ type site struct {
 
 	eng *Engine
 
-	// extraWatch extends InWatchers with reroute destinations (§4.2
-	// dependency-graph rewiring after a push).
-	extraWatch map[graph.NodeID][]int
+	// extraWatch[li] extends local li's watchers with reroute
+	// destinations (§4.2 dependency-graph rewiring after a push); nil
+	// until the first reroute.
+	extraWatch [][]int
 	// pushDecided is set once the benefit test has been evaluated; a site
 	// outsources its equations at most once per session.
 	pushDecided bool
@@ -85,13 +86,12 @@ type pendingMsg struct {
 
 func newSite(q *pattern.Pattern, frag *partition.Fragment, assign []int32, cfg Config, pl *plan.Plan) *site {
 	return &site{
-		q:          q,
-		frag:       frag,
-		assign:     assign,
-		cfg:        cfg,
-		pl:         pl,
-		extraWatch: make(map[graph.NodeID][]int),
-		reported:   make(map[wire.VarRef]bool),
+		q:        q,
+		frag:     frag,
+		assign:   assign,
+		cfg:      cfg,
+		pl:       pl,
+		reported: make(map[wire.VarRef]bool),
 	}
 }
 
@@ -111,9 +111,9 @@ func (s *site) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
 			if !s.cfg.Incremental {
 				// Seed the reported set from the initial evaluation so a
 				// later rebuild does not resend these.
-				s.flushTracked(ctx, s.eng.Drain())
+				s.flushTracked(ctx)
 			} else {
-				s.flush(ctx, s.eng.Drain())
+				s.flush(ctx)
 			}
 			s.maybePush(ctx)
 			pending := s.pending
@@ -139,7 +139,7 @@ func (s *site) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
 		s.extFalse = append(s.extFalse, m.Pairs...)
 		s.eng = NewEnginePlanned(s.q, s.frag, s.pl)
 		s.eng.ApplyFalsifications(s.extFalse)
-		s.flushTracked(ctx, s.eng.Drain())
+		s.flushTracked(ctx)
 		s.maybePush(ctx)
 	case *wire.Push:
 		s.eng.InstallEquations(m.Eqs)
@@ -162,12 +162,17 @@ func (s *site) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
 		var backfill []wire.VarRef
 		for _, nv := range m.Nodes {
 			v := graph.NodeID(nv)
-			s.extraWatch[v] = append(s.extraWatch[v], dest)
+			li, ok := s.eng.visIdx[v]
+			if !ok || li >= s.eng.nl {
+				continue // only a local node's falsifications are ours to forward
+			}
+			if s.extraWatch == nil {
+				s.extraWatch = make([][]int, s.eng.nl)
+			}
+			s.extraWatch[li] = append(s.extraWatch[li], dest)
 			// The new watcher missed falsifications that predate the
 			// reroute; resend them (falsifications are idempotent).
-			if s.eng != nil {
-				backfill = append(backfill, s.eng.DeadLocalVars(v)...)
-			}
+			backfill = append(backfill, s.eng.DeadLocalVars(v)...)
 		}
 		if len(backfill) > 0 {
 			ctx.Send(dest, &wire.Falsify{Pairs: backfill})
@@ -200,28 +205,61 @@ func (s *site) EndRun(ctx *cluster.Ctx) {
 	}
 	s.dirty = false
 	ctx.AddRounds(1)
-	s.flush(ctx, s.eng.Drain())
+	s.flush(ctx)
 	s.maybePush(ctx)
 }
 
-// flush routes freshly falsified in-node variables to every site that
-// watches them (procedure lMsg, Fig. 4): the sites holding the in-node as
-// a virtual node, plus any rerouted push parents. One message per
-// destination, destinations ascending.
-func (s *site) flush(ctx *cluster.Ctx, pairs []wire.VarRef) {
-	if len(pairs) == 0 {
+// flush routes the engine's freshly falsified in-node variables to every
+// site that watches them (procedure lMsg, Fig. 4).
+func (s *site) flush(ctx *cluster.Ctx) {
+	s.route(ctx, s.eng.drain())
+}
+
+// flushTracked is flush with resend suppression for the rebuild-from-
+// scratch variant: a rebuild re-derives earlier falsifications, which must
+// not be shipped again.
+func (s *site) flushTracked(ctx *cluster.Ctx) {
+	kills := s.eng.drain()
+	fresh := kills[:0]
+	for _, x := range kills {
+		if r := s.eng.ref(x); !s.reported[r] {
+			s.reported[r] = true
+			fresh = append(fresh, x)
+		}
+	}
+	s.route(ctx, fresh)
+}
+
+// route sends each falsified in-node variable to the sites holding the
+// in-node as a virtual node, plus any rerouted push parents. One message
+// per destination, destinations ascending. The watchers are the engine
+// index's dense rows — unless that index no longer describes the
+// fragment (a standing engine, refined under the deletions that mutated
+// it), when they are the fragment's live annotations.
+func (s *site) route(ctx *cluster.Ctx, kills []visVar) {
+	if len(kills) == 0 {
 		return
 	}
 	if s.perDest == nil {
 		s.perDest = make([][]wire.VarRef, ctx.NumSites())
 	}
-	for _, r := range pairs {
-		v := graph.NodeID(r.V)
-		for _, w := range s.frag.InWatchers[v] {
-			s.perDest[w] = append(s.perDest[w], r)
+	ix := s.eng.ix
+	current := ix != nil && s.frag.IndexCurrent(ix)
+	for _, x := range kills {
+		r, li := s.eng.ref(x), x.vi
+		if current {
+			for _, w := range ix.Watchers(li) {
+				s.perDest[w] = append(s.perDest[w], r)
+			}
+		} else {
+			for _, w := range s.frag.InWatchers[graph.NodeID(r.V)] {
+				s.perDest[w] = append(s.perDest[w], r)
+			}
 		}
-		for _, w := range s.extraWatch[v] {
-			s.perDest[w] = append(s.perDest[w], r)
+		if s.extraWatch != nil {
+			for _, w := range s.extraWatch[li] {
+				s.perDest[w] = append(s.perDest[w], r)
+			}
 		}
 	}
 	for d, refs := range s.perDest {
@@ -232,20 +270,6 @@ func (s *site) flush(ctx *cluster.Ctx, pairs []wire.VarRef) {
 		ctx.Send(d, &wire.Falsify{Pairs: dedupe(refs)})
 		s.perDest[d] = refs[:0]
 	}
-}
-
-// flushTracked is flush with resend suppression for the rebuild-from-
-// scratch variant: a rebuild re-derives earlier falsifications, which must
-// not be shipped again.
-func (s *site) flushTracked(ctx *cluster.Ctx, pairs []wire.VarRef) {
-	fresh := pairs[:0]
-	for _, r := range pairs {
-		if !s.reported[r] {
-			s.reported[r] = true
-			fresh = append(fresh, r)
-		}
-	}
-	s.flush(ctx, fresh)
 }
 
 func dedupe(pairs []wire.VarRef) []wire.VarRef {

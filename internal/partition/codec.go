@@ -22,6 +22,7 @@ package partition
 // in place by maintenance sessions after shipping.
 
 import (
+	"fmt"
 	"sort"
 
 	"dgs/internal/graph"
@@ -65,7 +66,14 @@ func AppendFragment(dst []byte, f *Fragment) []byte {
 }
 
 // DecodeFragment parses one AppendFragment encoding from the front of b
-// and returns the fragment plus the remaining bytes.
+// and returns the fragment plus the remaining bytes. It refuses a
+// fragment without the structure the rest of the system relies on:
+// Local, Virtual, InNodes, every watcher list and every successor row
+// strictly ascending (so sorted and duplicate-free), Local and Virtual
+// disjoint, every in-node local, every successor visible. Each count is
+// checked against the bytes left before anything is allocated for it.
+// Cross-fragment facts — owners and watchers naming real sites, labels
+// inside the dictionary — are the caller's to check.
 func DecodeFragment(b []byte) (*Fragment, []byte, error) {
 	r := wire.NewByteReader(b)
 	id, err := r.U32()
@@ -80,29 +88,35 @@ func DecodeFragment(b []byte) (*Fragment, []byte, error) {
 		InWatchers: make(map[graph.NodeID][]int),
 		crossCnt:   make(map[graph.NodeID]int),
 	}
-	nl, err := r.U32()
+	// A local costs 6 bytes here and a 4-byte degree at the end.
+	nl, err := readCount(r, 10, "local")
 	if err != nil {
 		return nil, nil, err
 	}
 	f.Local = make([]graph.NodeID, nl)
 	for i := range f.Local {
-		if f.Local[i], err = r.U32(); err != nil {
+		v, err := readAscending(r, f.Local[:i], "local")
+		if err != nil {
 			return nil, nil, err
 		}
 		l, err := r.U16()
 		if err != nil {
 			return nil, nil, err
 		}
-		f.Labels[f.Local[i]] = l
+		f.Local[i], f.Labels[v] = v, l
 	}
-	nv, err := r.U32()
+	nv, err := readCount(r, 10, "virtual")
 	if err != nil {
 		return nil, nil, err
 	}
 	f.Virtual = make([]graph.NodeID, nv)
 	for i := range f.Virtual {
-		if f.Virtual[i], err = r.U32(); err != nil {
+		v, err := readAscending(r, f.Virtual[:i], "virtual")
+		if err != nil {
 			return nil, nil, err
+		}
+		if f.IsLocal(v) {
+			return nil, nil, fmt.Errorf("partition: fragment %d holds node %d as both local and virtual", id, v)
 		}
 		l, err := r.U16()
 		if err != nil {
@@ -112,22 +126,28 @@ func DecodeFragment(b []byte) (*Fragment, []byte, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		v := f.Virtual[i]
-		f.Labels[v] = l
-		f.Owner[v] = int(owner)
+		f.Virtual[i], f.Labels[v], f.Owner[v] = v, l, int(owner)
 	}
-	ni, err := r.U32()
+	ni, err := readCount(r, 8, "in-node")
 	if err != nil {
 		return nil, nil, err
 	}
 	f.InNodes = make([]graph.NodeID, ni)
 	for i := range f.InNodes {
-		if f.InNodes[i], err = r.U32(); err != nil {
-			return nil, nil, err
-		}
-		nw, err := r.U32()
+		v, err := readAscending(r, f.InNodes[:i], "in-node")
 		if err != nil {
 			return nil, nil, err
+		}
+		if !f.IsLocal(v) {
+			return nil, nil, fmt.Errorf("partition: fragment %d lists in-node %d, which is not local", id, v)
+		}
+		f.InNodes[i] = v
+		nw, err := readCount(r, 4, "watcher")
+		if err != nil {
+			return nil, nil, err
+		}
+		if nw == 0 {
+			return nil, nil, fmt.Errorf("partition: fragment %d's in-node %d has no watcher", id, v)
 		}
 		ws := make([]int, nw)
 		for j := range ws {
@@ -135,34 +155,74 @@ func DecodeFragment(b []byte) (*Fragment, []byte, error) {
 			if err != nil {
 				return nil, nil, err
 			}
+			if j > 0 && int(w) <= ws[j-1] {
+				return nil, nil, fmt.Errorf("partition: fragment %d's watchers of %d are not strictly ascending", id, v)
+			}
 			ws[j] = int(w)
 		}
-		f.InWatchers[f.InNodes[i]] = ws
+		f.InWatchers[v] = ws
 	}
 	for _, v := range f.Local {
-		deg, err := r.U32()
+		row, err := readRow(r)
 		if err != nil {
 			return nil, nil, err
 		}
-		if deg == 0 {
+		if len(row) == 0 {
 			continue
 		}
-		row := make([]graph.NodeID, deg)
-		for j := range row {
-			if row[j], err = r.U32(); err != nil {
-				return nil, nil, err
-			}
-		}
 		f.Succ[v] = row
-		f.numEdges += int(deg)
+		f.numEdges += len(row)
 		for _, w := range row {
 			if f.IsVirtual(w) {
 				f.numCrossing++
 				f.crossCnt[w]++
+			} else if _, visible := f.Labels[w]; !visible {
+				return nil, nil, fmt.Errorf("partition: fragment %d has edge (%d,%d) to a node it cannot see", id, v, w)
 			}
 		}
 	}
 	return f, r.Rest(), nil
+}
+
+// readCount reads a u32 count of entries at least width bytes each,
+// refusing one the remaining bytes cannot hold.
+func readCount(r *wire.ByteReader, width int, what string) (int, error) {
+	n, err := r.U32()
+	if err != nil {
+		return 0, err
+	}
+	if uint64(n)*uint64(width) > uint64(r.Remaining()) {
+		return 0, fmt.Errorf("partition: %s count %d exceeds the %d bytes left", what, n, r.Remaining())
+	}
+	return int(n), nil
+}
+
+// readAscending reads the u32 that follows prev in a strictly ascending
+// list.
+func readAscending(r *wire.ByteReader, prev []graph.NodeID, what string) (graph.NodeID, error) {
+	x, err := r.U32()
+	if err != nil {
+		return 0, err
+	}
+	if len(prev) > 0 && x <= prev[len(prev)-1] {
+		return 0, fmt.Errorf("partition: %s list is not strictly ascending at %d", what, x)
+	}
+	return x, nil
+}
+
+// readRow reads a count-prefixed, strictly ascending successor row.
+func readRow(r *wire.ByteReader) ([]graph.NodeID, error) {
+	n, err := readCount(r, 4, "successor")
+	if err != nil {
+		return nil, err
+	}
+	row := make([]graph.NodeID, n)
+	for i := range row {
+		if row[i], err = readAscending(r, row[:i], "successor"); err != nil {
+			return nil, err
+		}
+	}
+	return row, nil
 }
 
 // CloneFragment deep-copies f through a codec round-trip. The copy

@@ -152,6 +152,65 @@ func TestFragmentDecodeRejectsTruncation(t *testing.T) {
 	}
 }
 
+// A fragment that breaks its own structure is refused at decode, before
+// Index or an engine can trip over it: an in-node that is one of the
+// fragment's virtual nodes used to panic Index, and a successor the
+// fragment cannot see silently aliased the first local node.
+func TestFragmentDecodeRejectsMalformed(t *testing.T) {
+	fresh := func() *Fragment {
+		b := graph.NewBuilder()
+		for _, l := range []string{"a", "b", "a", "b"} {
+			b.AddNode(l)
+		}
+		b.AddEdge(0, 1)
+		b.AddEdge(1, 2)
+		b.AddEdge(2, 3)
+		b.AddEdge(3, 0)
+		fr, err := Build(b.MustBuild(), []int32{0, 0, 1, 1}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fr.Frags[0] // locals 0, 1; virtual 2; in-node 0, watched by 1
+	}
+	for _, c := range []struct {
+		name   string
+		mangle func(f *Fragment)
+	}{
+		{"in-node is virtual", func(f *Fragment) {
+			f.InNodes = append(f.InNodes, 2)
+			f.InWatchers[2] = []int{1}
+		}},
+		{"in-node unknown", func(f *Fragment) {
+			f.InNodes = append(f.InNodes, 9)
+			f.InWatchers[9] = []int{1}
+		}},
+		{"successor unknown", func(f *Fragment) { f.Succ[1] = []graph.NodeID{2, 7} }},
+		{"successor row unsorted", func(f *Fragment) { f.Succ[0] = []graph.NodeID{1, 0} }},
+		{"duplicate successor", func(f *Fragment) { f.Succ[0] = []graph.NodeID{1, 1} }},
+		{"duplicate local", func(f *Fragment) { f.Local = []graph.NodeID{0, 0, 1} }},
+		{"locals unsorted", func(f *Fragment) { f.Local = []graph.NodeID{1, 0} }},
+		{"local and virtual", func(f *Fragment) { f.Virtual = []graph.NodeID{1, 2} }},
+		{"duplicate virtual", func(f *Fragment) { f.Virtual = []graph.NodeID{2, 2} }},
+		{"duplicate in-node", func(f *Fragment) { f.InNodes = []graph.NodeID{0, 0} }},
+		{"in-node unwatched", func(f *Fragment) { f.InWatchers[0] = nil }},
+		{"watchers unsorted", func(f *Fragment) { f.InWatchers[0] = []int{1, 0} }},
+	} {
+		f := fresh()
+		c.mangle(f)
+		if g, _, err := DecodeFragment(AppendFragment(nil, f)); err == nil {
+			g.Index()
+			t.Fatalf("%s: accepted", c.name)
+		}
+	}
+
+	// A count the remaining bytes cannot hold is refused before it is
+	// allocated: 2^32−1 locals in a 12-byte input.
+	huge := []byte{0, 0, 0, 0, 255, 255, 255, 255, 0, 0, 0, 0}
+	if _, _, err := DecodeFragment(huge); err == nil {
+		t.Fatal("a local count beyond the input was accepted")
+	}
+}
+
 // ApplyBatchLocal must agree with the distributed update session: same
 // mutations, same boundary structure, Validate-clean.
 func TestApplyBatchLocalKeepsInvariants(t *testing.T) {

@@ -19,6 +19,7 @@ package partition
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -86,14 +87,14 @@ func (f *Fragment) Size() int { return len(f.Local) + len(f.Virtual) + f.numEdge
 
 // IsLocal reports whether v is one of the fragment's own nodes.
 func (f *Fragment) IsLocal(v graph.NodeID) bool {
-	i := sort.Search(len(f.Local), func(i int) bool { return f.Local[i] >= v })
-	return i < len(f.Local) && f.Local[i] == v
+	_, ok := slices.BinarySearch(f.Local, v)
+	return ok
 }
 
 // IsVirtual reports whether v is one of the fragment's virtual nodes.
 func (f *Fragment) IsVirtual(v graph.NodeID) bool {
-	i := sort.Search(len(f.Virtual), func(i int) bool { return f.Virtual[i] >= v })
-	return i < len(f.Virtual) && f.Virtual[i] == v
+	_, ok := slices.BinarySearch(f.Virtual, v)
+	return ok
 }
 
 // Fragmentation is a partition of a graph plus derived statistics.

@@ -14,6 +14,7 @@ package simulation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -70,7 +71,7 @@ func (m *Match) Contains(u pattern.QNode, v graph.NodeID) bool {
 // Sort puts every per-node list in ascending order (idempotent).
 func (m *Match) Sort() {
 	for _, s := range m.Sets {
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+		slices.Sort(s)
 	}
 }
 

@@ -12,7 +12,9 @@ import (
 	"testing"
 
 	"dgs/internal/cluster"
+	"dgs/internal/graph"
 	"dgs/internal/obs"
+	"dgs/internal/partition"
 	"dgs/internal/wire"
 )
 
@@ -57,6 +59,43 @@ func TestDeployLabelTable(t *testing.T) {
 	}
 	if !bytes.Equal(got.frags, d.frags) || got.total != d.total {
 		t.Fatalf("round trip mangled the body: %+v", got)
+	}
+}
+
+// A fragment that names sites or nodes outside the deployment is refused
+// at DEPLOY: its sites would index past the deployment's site table or
+// owner directory at the first query.
+func TestDecodeFragSetRefusesOutsideDeployment(t *testing.T) {
+	b := graph.NewBuilder()
+	for i := 0; i < 4; i++ {
+		b.AddNode("a")
+	}
+	b.AddEdge(0, 2)
+	b.AddEdge(2, 1)
+	fr, err := partition.Build(b.MustBuild(), []int32{0, 0, 1, 1}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok := deployBody{total: 2, hosted: []int{0}, assign: fr.Assign, labels: []string{"", "a"}, frags: partition.AppendFragment(nil, fr.Frags[0])}
+	if _, why := decodeFragSet(ok); why != "" {
+		t.Fatalf("well-formed fragment refused: %s", why)
+	}
+	for name, mangle := range map[string]func(f *partition.Fragment){
+		"watcher": func(f *partition.Fragment) { f.InWatchers[1] = []int{5} },
+		"owner":   func(f *partition.Fragment) { f.Owner[2] = 5 },
+		"directory": func(f *partition.Fragment) {
+			f.Succ[0] = []graph.NodeID{2, 9}
+			f.Virtual = []graph.NodeID{2, 9}
+			f.Owner[9] = 1
+		},
+	} {
+		f := partition.CloneFragment(fr.Frags[0])
+		mangle(f)
+		d := ok
+		d.frags = partition.AppendFragment(nil, f)
+		if _, why := decodeFragSet(d); why == "" {
+			t.Fatalf("%s outside the deployment accepted", name)
+		}
 	}
 }
 

@@ -124,10 +124,14 @@ func (k *daemonSink) Fatal(err error) {
 }
 
 // decodeFragSet decodes and validates a DEPLOY/REDEPLOY body's hosted
-// fragments; a non-empty second return is the refusal reason. The label
-// check catches a skewed shipment: every label id a fragment carries
-// must resolve in the driver's shipped dictionary, turning a would-be
-// silent mismatch into an explicit refusal.
+// fragments; a non-empty second return is the refusal reason.
+// DecodeFragment checks each fragment's own structure; here the
+// fragments are checked against the deployment. The label check catches
+// a skewed shipment: every label id a fragment carries must resolve in
+// the driver's shipped dictionary, turning a would-be silent mismatch
+// into an explicit refusal. Every node a fragment sees must be in the
+// owner directory, and every owner and watcher must be a site of the
+// deployment: the sites index by all three.
 func decodeFragSet(dep deployBody) (map[int]*partition.Fragment, string) {
 	frags := make(map[int]*partition.Fragment, len(dep.hosted))
 	rest := dep.frags
@@ -147,9 +151,23 @@ func decodeFragSet(dep deployBody) (map[int]*partition.Fragment, string) {
 		return nil, fmt.Sprintf("%d trailing bytes after fragments", len(rest))
 	}
 	for id, f := range frags {
-		for _, l := range f.Labels {
+		for v, l := range f.Labels {
 			if int(l) >= len(dep.labels) {
 				return nil, fmt.Sprintf("fragment %d carries label id %d outside the %d-entry dictionary", id, l, len(dep.labels))
+			}
+			if int(v) >= len(dep.assign) {
+				return nil, fmt.Sprintf("fragment %d sees node %d outside the %d-node owner directory", id, v, len(dep.assign))
+			}
+		}
+		for v, o := range f.Owner {
+			if o >= dep.total {
+				return nil, fmt.Sprintf("fragment %d names site %d, of %d, as the owner of %d", id, o, dep.total, v)
+			}
+		}
+		for v, ws := range f.InWatchers {
+			// Decoded watcher lists are non-empty and ascending.
+			if w := ws[len(ws)-1]; w >= dep.total {
+				return nil, fmt.Sprintf("fragment %d names site %d, of %d, as a watcher of %d", id, w, dep.total, v)
 			}
 		}
 	}

@@ -197,6 +197,70 @@ func TestWatchInsertionFallback(t *testing.T) {
 	}
 }
 
+// A standing engine is refined under the very mutations that drop its
+// fragment's index, so its dense watcher rows can be stale. Its
+// falsifications must still follow the live watcher annotations: a site
+// that gave up its last edge to an in-node in this batch is told nothing
+// more about it. Node a (label A, site 0) is an in-node watched by site 1
+// through x → a, and site 1 deletes that edge; X(a, a) dies in the same
+// batch, either by a deletion at site 0 itself or by a falsification
+// from site 2, whose engine is then the only one refined under deletions.
+func TestWatchRoutesByLiveWatchers(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		assign   []int32 // a, b, c, x
+		wantMsgs int64   // deletion deltas plus the falsifications that ship
+	}{
+		{"killed by a local deletion", []int32{0, 0, 0, 1}, 2},
+		{"killed by a falsification", []int32{0, 2, 2, 1}, 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dict := NewDict()
+			b := NewGraphBuilder(dict)
+			a, bn, cn, x := b.AddNode("A"), b.AddNode("B"), b.AddNode("C"), b.AddNode("X")
+			b.AddEdge(a, bn)
+			b.AddEdge(bn, cn)
+			b.AddEdge(x, a)
+			g, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			part, err := PartitionFromAssign(g, c.assign)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dep, err := Deploy(part)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dep.Close()
+			q, err := ParsePattern(dict, "node a A\nnode b B\nnode c C\nedge a b\nedge b c")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			w, err := dep.Watch(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			if !w.Current().Ok() {
+				t.Fatal("must match before the batch")
+			}
+			st, err := dep.Apply(ctx, []EdgeOp{DeleteOp(bn, cn), DeleteOp(x, a)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !w.Current().Equal(Simulate(q, part.CurrentGraph())) {
+				t.Fatal("maintained relation diverges from oracle")
+			}
+			if st.Maintenance.DataMsgs != c.wantMsgs {
+				t.Fatalf("refinement shipped %d data messages, want %d: X(a,a)'s death went to a site that no longer watches a", st.Maintenance.DataMsgs, c.wantMsgs)
+			}
+		})
+	}
+}
+
 func TestWatchCloseAndDeploymentClose(t *testing.T) {
 	_, _, part, dep, q := miniWorld(t, 150, 400, 3, 6)
 	ctx := context.Background()
