@@ -244,6 +244,32 @@ func TestBuildMatchesScanBuild(t *testing.T) {
 			checkBuild(t, fmt.Sprintf("catalog %d frag %d", i, frag.ID), q, frag, pls[i])
 		}
 	}
+	// Under an update stream, the engines build from indexes patched (or,
+	// when the virtual set moved, rebuilt) batch by batch.
+	for seed := int64(0); seed < 30; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		q, g, fr := randomCase(r)
+		stream := workload.Deletions(g, g.NumEdges()/2, r)
+		inserted := make(map[[2]graph.NodeID]bool)
+		for bi := 0; len(stream) > 0; bi++ {
+			var dels, ins [][2]graph.NodeID
+			for _, op := range stream[:min(2, len(stream))] {
+				dels = append(dels, [2]graph.NodeID{op.V, op.W})
+			}
+			stream = stream[len(dels):]
+			v, w := graph.NodeID(r.Intn(g.NumNodes())), graph.NodeID(r.Intn(g.NumNodes()))
+			if e := [2]graph.NodeID{v, w}; bi%3 == 0 && !g.HasEdge(v, w) && !inserted[e] {
+				inserted[e] = true
+				ins = append(ins, e)
+			}
+			if err := partition.ApplyBatchLocal(fr, dels, ins); err != nil {
+				t.Fatal(err)
+			}
+			for _, frag := range fr.Frags {
+				checkBuild(t, fmt.Sprintf("seed %d batch %d frag %d", seed, bi, frag.ID), q, frag, nil)
+			}
+		}
+	}
 }
 
 // A label that only virtual nodes carry has candidates but no counter
@@ -356,6 +382,28 @@ func TestBuildAllocatesAThirdOfScanBuild(t *testing.T) {
 	}
 }
 
+// A standing engine's first deletion copies the adjacency it borrowed
+// from the index into one backing array per table: a handful of
+// allocations, not one per row.
+func TestFirstDeletionCopiesRowsFlat(t *testing.T) {
+	fr, qs, pls := localEight(t, 6_000, 30_000)
+	frag := fr.Frags[0]
+	e := NewEnginePlanned(qs[0], frag, pls[0])
+	v := slices.IndexFunc(frag.Local, func(v graph.NodeID) bool { return len(frag.Succ[v]) > 0 })
+	del := [][2]graph.NodeID{{frag.Local[v], frag.Succ[frag.Local[v]][0]}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e.ApplyEdgeDeletions(del)
+	runtime.ReadMemStats(&after)
+	if allocs := after.Mallocs - before.Mallocs; allocs > 32 {
+		t.Fatalf("first deletion made %d allocations copying %d rows", allocs, len(e.succ)+len(e.pred))
+	}
+	if e.ix != nil {
+		t.Fatal("the engine still borrows the index after a deletion")
+	}
+	checkCounters(t, "after the first deletion", e)
+}
+
 // localEight is the benchmark's `local-8` workload as a site sees it: the
 // 1/10-scale web graph in 8 block fragments, the eight catalog patterns
 // and their greedy plans.
@@ -434,4 +482,42 @@ func BenchmarkIndexBuild(b *testing.B) {
 		}
 	}
 	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/8frags")
+}
+
+// BenchmarkIndexPatch is the index upkeep of `maintain-8`'s update
+// stream on its shape (the 60k/300k web graph in eight block fragments):
+// one op applies an 8-deletion batch with ApplyBatchLocal and takes every
+// fragment's Index, as the next query does. The batch's edges are put
+// back off the clock, so every op starts from the same graph.
+func BenchmarkIndexPatch(b *testing.B) {
+	fr, _, _ := localEight(b, 60_000, 300_000)
+	var edges [][2]graph.NodeID
+	fr.G.Edges(func(v, w graph.NodeID) bool {
+		edges = append(edges, [2]graph.NodeID{v, w})
+		return true
+	})
+	rand.New(rand.NewSource(1)).Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	index := func() {
+		for _, f := range fr.Frags {
+			indexSink = f.Index()
+		}
+	}
+	index()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := 8 * i % (len(edges) - 8)
+		batch := edges[k : k+8]
+		if err := partition.ApplyBatchLocal(fr, batch, nil); err != nil {
+			b.Fatal(err)
+		}
+		index()
+		b.StopTimer()
+		if err := partition.ApplyBatchLocal(fr, nil, batch); err != nil {
+			b.Fatal(err)
+		}
+		index()
+		b.StartTimer()
+	}
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/batch")
 }

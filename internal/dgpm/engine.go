@@ -191,12 +191,13 @@ func NewEngine(q *pattern.Pattern, frag *partition.Fragment) *Engine {
 // Construction is the same either way, and touches candidates only:
 // §4.1's initial lEval is defined over label-consistent pairs, and
 // everything it needs about the fragment is query-independent and comes
-// from the fragment's cached Index, built once per fragment version and
-// shared by every engine — the vis numbering and adjacency rows, the
-// per-label candidate ranges that drive the alive rows, benefit tallies
-// and seed scan, and the per-label successor degrees the counters are
-// gathered from (one byte load per local candidate per query edge; a
-// saturated cell is recounted from its Succ row). Exact, because initial
+// from the fragment's cached Index, built (or patched from the last one)
+// once per fragment version and shared by every engine — the vis
+// numbering and adjacency rows, the per-label candidate ranges that
+// drive the alive rows, benefit tallies and seed scan, and the per-label
+// successor degrees the counters are gathered from (one byte load per
+// local candidate per query edge; a saturated cell is recounted from its
+// Succ row). Exact, because initial
 // alive state is label consistency. No adjacency entry is visited until
 // the fixpoint itself walks the predecessors of a falsified variable.
 func NewEnginePlanned(q *pattern.Pattern, frag *partition.Fragment, pl *plan.Plan) *Engine {
@@ -560,14 +561,22 @@ func (e *Engine) ApplyEdgeDeletions(dels [][2]graph.NodeID) {
 }
 
 // copyRows deep-copies a dense adjacency table so unlink can edit rows
-// in place without touching the shared original.
+// in place without touching the shared original. The copies share one
+// backing array, each row capped at its length: unlink only shrinks a
+// row, so no row can grow into its neighbour.
 func copyRows(rows [][]int32) [][]int32 {
+	n := 0
+	for _, r := range rows {
+		n += len(r)
+	}
+	flat := make([]int32, 0, n)
 	out := make([][]int32, len(rows))
 	for i, r := range rows {
 		if len(r) == 0 {
 			continue
 		}
-		out[i] = append([]int32(nil), r...)
+		flat = append(flat, r...)
+		out[i] = flat[len(flat)-len(r) : len(flat) : len(flat)]
 	}
 	return out
 }

@@ -4,10 +4,16 @@ package partition
 // fragment that every evaluation engine otherwise rebuilds from the
 // Succ/Labels maps on each query. A resident deployment answers many
 // queries against the same fragment, so the index is built once, cached
-// on the Fragment, and shared read-only; any fragment mutation drops
-// the cache. Callers that mutate adjacency during evaluation (standing
-// maintenance sessions) must copy the Succ/Pred rows they touch — the
-// index itself is immutable.
+// on the Fragment, and shared read-only. An index is an immutable
+// snapshot: a fragment mutation leaves it as it is and logs what it
+// changed, and the next Index call derives the fragment's new index from
+// the cached one copy-on-write (patch) — fresh Succ rows for the edited
+// sources, fresh Pred rows for their targets, fresh OutDeg rows where a
+// cell moved, every other row shared. Only a change to the virtual set,
+// which would renumber the virtual nodes, builds afresh. A reader that
+// holds an older index keeps a consistent view of the fragment as it
+// was. Callers that mutate adjacency during evaluation (standing
+// maintenance sessions) must copy the Succ/Pred rows they touch.
 //
 // The index is label-major: locals are numbered grouped by label (a
 // stable counting sort, so node IDs stay ascending within a label), and
@@ -29,6 +35,10 @@ package partition
 // the Succ row", which only hubs pay.
 
 import (
+	"cmp"
+	"maps"
+	"slices"
+
 	"dgs/internal/graph"
 )
 
@@ -89,32 +99,59 @@ func (ix *Index) Watchers(li int32) []int32 {
 	return ix.watchers[ix.watchStart[li]:ix.watchStart[li+1]]
 }
 
-// Index returns the fragment's cached topology index, building it on
-// first use. The returned value is shared and must be treated as
-// read-only; it is dropped whenever the fragment mutates.
+// Index returns the fragment's topology index as of its current state:
+// the cached one while no mutation has been logged against it, else one
+// derived from it by patch, or built afresh when none is cached (first
+// use, or a mutation dropped the cache), which becomes the cached one.
+// The returned value is shared and must be treated as read-only; later
+// mutations leave it unchanged.
 func (f *Fragment) Index() *Index {
 	f.idxMu.Lock()
 	defer f.idxMu.Unlock()
-	if f.idx == nil {
+	switch {
+	case f.idx == nil:
 		f.idx = f.buildIndex()
+	case len(f.idxSrc) > 0 || f.idxWatch:
+		f.idx = f.idx.patch(f, f.idxSrc, f.idxWatch)
 	}
+	f.idxSrc, f.idxWatch = f.idxSrc[:0], false
 	return f.idx
 }
 
-// IndexCurrent reports whether ix is still the fragment's cached index —
-// no mutation has dropped it since it was built. It never builds one.
+// IndexCurrent reports whether ix still describes the fragment: it is
+// the cached index and no mutation has been logged against it since. It
+// never builds or patches one.
 func (f *Fragment) IndexCurrent(ix *Index) bool {
 	f.idxMu.Lock()
 	defer f.idxMu.Unlock()
-	return f.idx == ix
+	return f.idx == ix && len(f.idxSrc) == 0 && !f.idxWatch
 }
 
-// invalidateIndex drops the cached topology index; every mutating
-// Fragment method calls it.
-func (f *Fragment) invalidateIndex() {
+// touchRow logs against the cached index, if one is cached, that local
+// v's Succ row changed. A change to the virtual set drops the cache
+// instead — the virtual nodes' numbering follows Fragment order and
+// would shift — and so does a log longer than the fragment has locals.
+func (f *Fragment) touchRow(v graph.NodeID, virtualChanged bool) {
 	f.idxMu.Lock()
-	f.idx = nil
-	f.idxMu.Unlock()
+	defer f.idxMu.Unlock()
+	if f.idx == nil {
+		return
+	}
+	if virtualChanged || len(f.idxSrc) == len(f.Local) {
+		f.idx, f.idxSrc, f.idxWatch = nil, nil, false
+		return
+	}
+	f.idxSrc = append(f.idxSrc, v)
+}
+
+// touchWatchers logs that the in-node watchers changed against the
+// cached index, if one is cached.
+func (f *Fragment) touchWatchers() {
+	f.idxMu.Lock()
+	defer f.idxMu.Unlock()
+	if f.idx != nil {
+		f.idxWatch = true
+	}
 }
 
 func (f *Fragment) buildIndex() *Index {
@@ -125,12 +162,10 @@ func (f *Fragment) buildIndex() *Index {
 		VisIdx: make(map[graph.NodeID]int32, nvis),
 		NL:     int32(nl),
 		Labels: make([]graph.Label, nvis),
-		IsIn:   make([]bool, nl),
 		Succ:   make([][]int32, nl),
 		Pred:   make([][]int32, nvis),
 		Virt:   make(map[graph.Label][]int32),
 		OutDeg: make(map[graph.Label][]uint8),
-		InOf:   make(map[graph.Label]int),
 	}
 
 	// Number the locals label-major: one label lookup per node, then a
@@ -215,8 +250,21 @@ func (f *Fragment) buildIndex() *Index {
 		}
 	}
 
-	// In-nodes and their watcher rows.
+	fillWatchers(f, ix)
+	for vi := nl; vi < nvis; vi++ {
+		l := ix.Labels[vi]
+		ix.Virt[l] = append(ix.Virt[l], int32(vi))
+	}
+	return ix
+}
+
+// fillWatchers sets ix's in-node fields — In, IsIn, InOf and the watcher
+// rows — from f's InNodes and InWatchers, into fresh storage.
+func fillWatchers(f *Fragment, ix *Index) {
+	nl := int(ix.NL)
 	ix.In = make([]int32, len(f.InNodes))
+	ix.IsIn = make([]bool, nl)
+	ix.InOf = make(map[graph.Label]int)
 	ix.watchStart = make([]int32, nl+1)
 	for k, v := range f.InNodes {
 		li := ix.VisIdx[v]
@@ -235,10 +283,163 @@ func (f *Fragment) buildIndex() *Index {
 			row[j] = int32(w)
 		}
 	}
+}
 
-	for vi := nl; vi < nvis; vi++ {
-		l := ix.Labels[vi]
-		ix.Virt[l] = append(ix.Virt[l], int32(vi))
+// predEdit is one change to a Pred row: local source li gained (add) or
+// lost an edge into visible node wi.
+type predEdit struct {
+	wi, li int32
+	add    bool
+}
+
+// patch derives the index of f's current state from o, the index of an
+// earlier state with the same virtual set (see touchRow): srcs lists the
+// local sources whose Succ rows changed since (duplicates allowed),
+// watchers whether the in-node watchers did. The numbering, labels, label
+// ranges and Virt lists carry over unchanged. The result is what
+// buildIndex would return, and it shares every row it does not change
+// with o, which is left untouched.
+func (o *Index) patch(f *Fragment, srcs []graph.NodeID, watchers bool) *Index {
+	ix := *o
+	if watchers {
+		fillWatchers(f, &ix)
 	}
-	return ix
+	if len(srcs) == 0 {
+		return &ix
+	}
+	lis := make([]int32, len(srcs))
+	for i, v := range srcs {
+		lis[i] = o.VisIdx[v]
+	}
+	slices.Sort(lis)
+	lis = slices.Compact(lis)
+
+	// Succ: a fresh row per dirty source, one backing array for all,
+	// each row diffed against its old self into Pred edits. Rows follow
+	// the fragment's (ascending-ID) row order, so the diff is a merge by
+	// node ID.
+	n := 0
+	for _, li := range lis {
+		n += len(f.Succ[o.Vis[li]])
+	}
+	flat := make([]int32, 0, n)
+	ix.Succ = slices.Clone(o.Succ)
+	var edits []predEdit
+	for _, li := range lis {
+		start := len(flat)
+		for _, w := range f.Succ[o.Vis[li]] {
+			flat = append(flat, o.VisIdx[w])
+		}
+		row := flat[start:len(flat):len(flat)]
+		if len(row) == 0 {
+			row = nil
+		}
+		old := o.Succ[li]
+		ix.Succ[li] = row
+		i, j := 0, 0
+		for i < len(old) || j < len(row) {
+			switch {
+			case j == len(row) || i < len(old) && o.Vis[old[i]] < o.Vis[row[j]]:
+				edits = append(edits, predEdit{old[i], li, false})
+				i++
+			case i == len(old) || o.Vis[row[j]] < o.Vis[old[i]]:
+				edits = append(edits, predEdit{row[j], li, true})
+				j++
+			default:
+				i, j = i+1, j+1
+			}
+		}
+	}
+	ix.OutDeg = o.patchOutDeg(ix.Succ, lis)
+	if len(edits) == 0 {
+		return &ix
+	}
+
+	// Pred: each target's row merges its old, ascending row with its
+	// edits, sorted by source, so the row stays ascending.
+	slices.SortFunc(edits, func(a, b predEdit) int {
+		return cmp.Or(cmp.Compare(a.wi, b.wi), cmp.Compare(a.li, b.li))
+	})
+	n = 0
+	for k, e := range edits {
+		if k == 0 || e.wi != edits[k-1].wi {
+			n += len(o.Pred[e.wi])
+		}
+		if e.add {
+			n++
+		} else {
+			n--
+		}
+	}
+	flat = make([]int32, 0, n)
+	ix.Pred = slices.Clone(o.Pred)
+	for k := 0; k < len(edits); {
+		wi := edits[k].wi
+		old := o.Pred[wi]
+		start, i := len(flat), 0
+		for ; k < len(edits) && edits[k].wi == wi; k++ {
+			e := edits[k]
+			for i < len(old) && old[i] < e.li {
+				flat = append(flat, old[i])
+				i++
+			}
+			if e.add {
+				flat = append(flat, e.li)
+			} else {
+				i++ // old[i] == e.li
+			}
+		}
+		flat = append(flat, old[i:]...)
+		row := flat[start:len(flat):len(flat)]
+		if len(row) == 0 {
+			row = nil
+		}
+		ix.Pred[wi] = row
+	}
+	return &ix
+}
+
+// patchOutDeg returns o's OutDeg with the cells of the dirty sources lis
+// recounted from their new Succ rows. A row is copied only when one of
+// its cells changes, and the map only when a row does; a row left all
+// zero is dropped, as buildIndex would not have made it.
+func (o *Index) patchOutDeg(succ [][]int32, lis []int32) map[graph.Label][]uint8 {
+	deg := o.OutDeg
+	var copied map[graph.Label]bool         // copied row → one of its cells fell to zero
+	cnt := make([]int, len(o.labelStart)-1) // one slot per label the index knows
+	for _, li := range lis {
+		row := succ[li]
+		for _, wi := range row {
+			cnt[o.Labels[wi]]++
+		}
+		// Every label the source had or has a successor of.
+		for _, r := range [2][]int32{o.Succ[li], row} {
+			for _, wi := range r {
+				l := o.Labels[wi]
+				c := uint8(min(cnt[l], OutDegSat))
+				if d := deg[l]; d != nil && d[li] == c {
+					continue
+				}
+				if copied == nil {
+					deg, copied = maps.Clone(o.OutDeg), make(map[graph.Label]bool)
+				}
+				if _, ok := copied[l]; !ok {
+					d := make([]uint8, o.NL)
+					copy(d, deg[l])
+					deg[l] = d
+				}
+				deg[l][li] = c
+				copied[l] = copied[l] || c == 0
+			}
+		}
+		for _, wi := range row {
+			cnt[o.Labels[wi]] = 0
+		}
+	}
+	for l, zeroed := range copied {
+		if zeroed && !slices.ContainsFunc(deg[l], func(c uint8) bool { return c != 0 }) {
+			delete(deg, l)
+		}
+	}
+	return deg
 }

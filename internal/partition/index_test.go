@@ -1,8 +1,10 @@
 package partition
 
 import (
+	"fmt"
 	"maps"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -145,8 +147,9 @@ func TestIndexLabelMajor(t *testing.T) {
 		}
 	}
 
-	// After in-place mutation: the index rebuilt from the mutated fragments
-	// (watchers added and dropped, virtual nodes born and retired).
+	// After in-place mutation: large batches of deletions and insertions
+	// together (watchers added and dropped, virtual nodes born and
+	// retired) onto cached indexes, patched or rebuilt.
 	for seed := int64(0); seed < 10; seed++ {
 		fr := randomFragmentation(t, seed)
 		r := rand.New(rand.NewSource(seed))
@@ -167,25 +170,9 @@ func TestIndexLabelMajor(t *testing.T) {
 				}
 			}
 			for _, f := range fr.Frags {
-				f.Index() // cached before the batch, so the batch must drop it
+				f.Index() // cached before the batch
 			}
-			if err := ApplyBatchLocal(fr, dels, ins); err != nil {
-				t.Fatal(err)
-			}
-			ov := fr.Overlay()
-			for _, e := range dels {
-				if err := ov.DeleteEdge(e[0], e[1]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, e := range ins {
-				if err := ov.InsertEdge(e[0], e[1]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := fr.Validate(); err != nil {
-				t.Fatalf("seed %d batch %d: %v", seed, batch, err)
-			}
+			applyBatch(t, fr, dels, ins)
 			for _, f := range fr.Frags {
 				checkIndex(t, f)
 			}
@@ -224,4 +211,267 @@ func TestIndexLabelMajor(t *testing.T) {
 	if ix.OutDeg[g.Label(hub)][h] != OutDegSat {
 		t.Fatalf("hub's cell = %d, want saturated", ix.OutDeg[g.Label(hub)][h])
 	}
+}
+
+// indexDiff describes the first field in which got differs from want, or
+// returns "" when they agree.
+func indexDiff(got, want *Index) string {
+	fields := []struct {
+		name      string
+		got, want any
+	}{
+		{"Vis", got.Vis, want.Vis},
+		{"VisIdx", got.VisIdx, want.VisIdx},
+		{"NL", got.NL, want.NL},
+		{"IsIn", got.IsIn, want.IsIn},
+		{"In", got.In, want.In},
+		{"Succ", got.Succ, want.Succ},
+		{"Pred", got.Pred, want.Pred},
+		{"Labels", got.Labels, want.Labels},
+		{"Virt", got.Virt, want.Virt},
+		{"OutDeg", got.OutDeg, want.OutDeg},
+		{"InOf", got.InOf, want.InOf},
+		{"labelStart", got.labelStart, want.labelStart},
+		{"watchStart", got.watchStart, want.watchStart},
+		{"watchers", got.watchers, want.watchers},
+	}
+	if n := reflect.TypeOf(Index{}).NumField(); n != len(fields) {
+		return fmt.Sprintf("indexDiff compares %d of Index's %d fields", len(fields), n)
+	}
+	for _, c := range fields {
+		if !reflect.DeepEqual(c.got, c.want) {
+			return fmt.Sprintf("%s = %v, want %v", c.name, c.got, c.want)
+		}
+	}
+	return ""
+}
+
+// applyBatch applies one update batch as a driver replays it —
+// ApplyBatchLocal on the fragments, the overlay alongside — and checks
+// the §2.2 invariants.
+func applyBatch(t *testing.T, fr *Fragmentation, dels, ins [][2]graph.NodeID) {
+	t.Helper()
+	if err := ApplyBatchLocal(fr, dels, ins); err != nil {
+		t.Fatal(err)
+	}
+	ov := fr.Overlay()
+	for _, e := range dels {
+		if err := ov.DeleteEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range ins {
+		if err := ov.InsertEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// batchKinds names the batches drawBatch draws, by what they do to the
+// indexes: edit Succ rows only (the first three), retire or give birth
+// to a virtual node, which changes its owner's watchers and nothing else
+// there, or delete and insert together, so that one Pred row can lose
+// and gain sources in the same patch.
+var batchKinds = []string{"deletions", "same-fragment insertions", "cross-fragment insertions", "watcher notices", "mixed"}
+
+func drawBatch(r *rand.Rand, fr *Fragmentation, kind int) (dels, ins [][2]graph.NodeID) {
+	n := fr.G.NumNodes()
+	want := 1 + r.Intn(3)
+	if kind == 4 {
+		want += 3
+	}
+	for try := 0; try < 1000 && len(dels)+len(ins) < want; try++ {
+		v, w := graph.NodeID(r.Intn(n)), graph.NodeID(r.Intn(n))
+		f := fr.Frags[fr.Assign[v]]
+		row := f.Succ[v]
+		_, present := slices.BinarySearch(row, w)
+		cross := fr.Assign[w] != fr.Assign[v]
+		if kind == 4 && r.Intn(2) == 0 { // an insertion; the other half delete
+			if len(dels) > 0 && r.Intn(2) == 0 {
+				// Into a deleted edge's target, from a local of its fragment.
+				d := dels[r.Intn(len(dels))]
+				f = fr.Frags[fr.Assign[d[0]]]
+				v, w = f.Local[r.Intn(len(f.Local))], d[1]
+				_, present = slices.BinarySearch(f.Succ[v], w)
+			}
+			if e := [2]graph.NodeID{v, w}; v != w && !present && !slices.Contains(ins, e) && (f.IsLocal(w) || f.IsVirtual(w)) {
+				ins = append(ins, e)
+			}
+			continue
+		}
+		switch kind {
+		case 0, 4:
+			if len(row) > 0 {
+				if e := [2]graph.NodeID{v, row[r.Intn(len(row))]}; !slices.Contains(dels, e) {
+					dels = append(dels, e)
+				}
+			}
+		case 1, 2: // inside the fragment, or to a node it already holds as virtual
+			e := [2]graph.NodeID{v, w}
+			if v != w && !present && !slices.Contains(ins, e) && cross == (kind == 2) && (!cross || f.IsVirtual(w)) {
+				ins = append(ins, e)
+			}
+		case 3: // retire a virtual node, or give birth to one
+			if r.Intn(2) == 0 {
+				for _, x := range row {
+					if f.crossCnt[x] == 1 {
+						return [][2]graph.NodeID{{v, x}}, nil
+					}
+				}
+			} else if cross && !f.IsVirtual(w) {
+				return nil, [][2]graph.NodeID{{v, w}}
+			}
+		}
+	}
+	return dels, ins
+}
+
+// TestIndexMatchesRebuild holds the copy-on-write index against a fresh
+// build over ApplyBatchLocal streams: after every batch — or every run
+// of two or three, so that one patch replays a log gathered over several
+// — each fragment's Index equals buildIndex on a clone, field for field,
+// and every index taken before the batches is exactly as it was.
+func TestIndexMatchesRebuild(t *testing.T) {
+	patched, watchersPatched := 0, 0
+	for seed := int64(0); seed < 12; seed++ {
+		fr := randomFragmentation(t, seed)
+		r := rand.New(rand.NewSource(seed))
+		before := make([]*Index, len(fr.Frags))
+		snaps := make([]string, len(fr.Frags))
+		for step := 0; step < 40; step++ {
+			for i, f := range fr.Frags {
+				before[i] = f.Index()
+				snaps[i] = fmt.Sprint(*before[i])
+			}
+			var kinds []string
+			for b := 0; b < 1+step%3; b++ {
+				kind := (step + b) % len(batchKinds)
+				dels, ins := drawBatch(r, fr, kind)
+				applyBatch(t, fr, dels, ins)
+				kinds = append(kinds, batchKinds[kind])
+			}
+			for i, f := range fr.Frags {
+				what := fmt.Sprintf("seed %d step %d (%v) frag %d", seed, step, kinds, f.ID)
+				ix, old := f.Index(), before[i]
+				if d := indexDiff(ix, CloneFragment(f).buildIndex()); d != "" {
+					t.Fatalf("%s: %s", what, d)
+				}
+				checkIndex(t, f)
+				if fmt.Sprint(*old) != snaps[i] {
+					t.Fatalf("%s: the index taken before the batch changed", what)
+				}
+				// A patch shares the numbering; a build allocates its own.
+				if ix != old && len(ix.Vis) > 0 && &ix.Vis[0] == &old.Vis[0] {
+					patched++
+					if &ix.watchStart[0] != &old.watchStart[0] {
+						watchersPatched++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d patched indexes, %d with their watchers refilled", patched, watchersPatched)
+	if patched < 500 || watchersPatched < 50 {
+		t.Fatalf("the patch path ran %d times, refilling watchers %d times: the streams no longer exercise it", patched, watchersPatched)
+	}
+
+	// A patch that deletes a label's last successor edge drops its OutDeg
+	// row, and one that inserts it again brings the row back.
+	b := graph.NewBuilder()
+	a, bb := b.AddNode("A"), b.AddNode("B")
+	b.AddEdge(a, bb)
+	b.AddEdge(b.AddNode("A"), a)
+	g := b.MustBuild()
+	fr, err := FromAssign(g, make([]int32, g.NumNodes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := fr.Frags[0]
+	for _, batch := range []struct{ dels, ins [][2]graph.NodeID }{
+		{dels: [][2]graph.NodeID{{a, bb}}},
+		{ins: [][2]graph.NodeID{{a, bb}}},
+	} {
+		old := f.Index()
+		applyBatch(t, fr, batch.dels, batch.ins)
+		ix := f.Index()
+		if &ix.Vis[0] != &old.Vis[0] {
+			t.Fatal("an edge-only batch rebuilt the index")
+		}
+		if d := indexDiff(ix, CloneFragment(f).buildIndex()); d != "" {
+			t.Fatalf("after %v: %s", batch, d)
+		}
+		if (ix.OutDeg[g.Label(bb)] != nil) != (len(batch.ins) > 0) {
+			t.Fatalf("after %v: OutDeg row of B = %v", batch, ix.OutDeg[g.Label(bb)])
+		}
+	}
+}
+
+// TestIndexMutationLog: an index stops being current at the first
+// mutation logged against it, a fragment with no cached index logs
+// nothing, and a log that outgrows the fragment's locals drops the cache.
+func TestIndexMutationLog(t *testing.T) {
+	fr := randomFragmentation(t, 5)
+	f := fr.Frags[0]
+	var v, w graph.NodeID
+	found := false
+	for _, x := range f.Local {
+		for _, y := range f.Succ[x] {
+			if f.IsLocal(y) && !found {
+				v, w, found = x, y, true
+			}
+		}
+	}
+	if !found {
+		t.Fatal("fragment 0 has no local edge")
+	}
+	const site = 99 // a watcher no fragment is
+	x := f.Local[0]
+	mutators := []struct {
+		name string
+		do   func() error
+	}{
+		{"DeleteEdge", func() error { _, err := f.DeleteEdge(v, w); return err }},
+		{"InsertEdge", func() error { _, err := f.InsertEdge(v, w, f.Labels[w], f.ID); return err }},
+		{"AddWatcher", func() error { f.AddWatcher(x, site); return nil }},
+		{"RemoveWatcher", func() error { f.RemoveWatcher(x, site); return nil }},
+	}
+	mutate := func(k int) {
+		t.Helper()
+		if err := mutators[k].do(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := range mutators {
+		mutate(k)
+	}
+	if f.idx != nil || len(f.idxSrc) > 0 || f.idxWatch {
+		t.Fatal("a fragment without a cached index logged its mutations")
+	}
+	for k, m := range mutators {
+		ix := f.Index()
+		mutate(k)
+		if f.IndexCurrent(ix) {
+			t.Fatalf("%s: the index taken before it is still current", m.name)
+		}
+		if nx := f.Index(); nx == ix || !f.IndexCurrent(nx) {
+			t.Fatalf("%s: Index did not move on to a current index", m.name)
+		}
+	}
+	// Delete and re-insert (v, w) alternately: len(Local) edits are
+	// logged, one more drops the cache.
+	f.Index()
+	for i := range f.Local {
+		mutate(i % 2)
+	}
+	if f.idx == nil || len(f.idxSrc) != len(f.Local) {
+		t.Fatalf("%d edits on %d locals: cache dropped early (log %d)", len(f.Local), len(f.Local), len(f.idxSrc))
+	}
+	mutate(len(f.Local) % 2)
+	if f.idx != nil || len(f.idxSrc) > 0 {
+		t.Fatal("a log past len(Local) kept the cache")
+	}
+	checkIndex(t, f)
 }

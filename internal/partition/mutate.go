@@ -33,7 +33,6 @@ func (f *Fragment) DeleteEdge(v, w graph.NodeID) (droppedVirtual bool, err error
 	if i >= len(row) || row[i] != w {
 		return false, fmt.Errorf("partition: fragment %d has no edge (%d,%d)", f.ID, v, w)
 	}
-	f.invalidateIndex()
 	// Copy-on-write: rows may still alias the Build-time CSR arrays.
 	nrow := make([]graph.NodeID, 0, len(row)-1)
 	nrow = append(nrow, row[:i]...)
@@ -44,19 +43,19 @@ func (f *Fragment) DeleteEdge(v, w graph.NodeID) (droppedVirtual bool, err error
 		f.Succ[v] = nrow
 	}
 	f.numEdges--
-	if f.IsLocal(w) {
-		return false, nil
+	if !f.IsLocal(w) {
+		f.numCrossing--
+		f.crossCnt[w]--
+		if f.crossCnt[w] == 0 {
+			delete(f.crossCnt, w)
+			delete(f.Labels, w)
+			delete(f.Owner, w)
+			f.Virtual = removeSorted(f.Virtual, w)
+			droppedVirtual = true
+		}
 	}
-	f.numCrossing--
-	f.crossCnt[w]--
-	if f.crossCnt[w] > 0 {
-		return false, nil
-	}
-	delete(f.crossCnt, w)
-	delete(f.Labels, w)
-	delete(f.Owner, w)
-	f.Virtual = removeSorted(f.Virtual, w)
-	return true, nil
+	f.touchRow(v, droppedVirtual)
+	return droppedVirtual, nil
 }
 
 // InsertEdge adds the edge (v, w); v must be local and the edge absent.
@@ -73,25 +72,24 @@ func (f *Fragment) InsertEdge(v, w graph.NodeID, wLabel graph.Label, wOwner int)
 	if i < len(row) && row[i] == w {
 		return false, fmt.Errorf("partition: fragment %d already has edge (%d,%d)", f.ID, v, w)
 	}
-	f.invalidateIndex()
 	nrow := make([]graph.NodeID, 0, len(row)+1)
 	nrow = append(nrow, row[:i]...)
 	nrow = append(nrow, w)
 	nrow = append(nrow, row[i:]...)
 	f.Succ[v] = nrow
 	f.numEdges++
-	if f.IsLocal(w) {
-		return false, nil
+	if !f.IsLocal(w) {
+		f.numCrossing++
+		f.crossCnt[w]++
+		if f.crossCnt[w] == 1 {
+			f.Labels[w] = wLabel
+			f.Owner[w] = wOwner
+			f.Virtual = insertSorted(f.Virtual, w)
+			addedVirtual = true
+		}
 	}
-	f.numCrossing++
-	f.crossCnt[w]++
-	if f.crossCnt[w] > 1 {
-		return false, nil
-	}
-	f.Labels[w] = wLabel
-	f.Owner[w] = wOwner
-	f.Virtual = insertSorted(f.Virtual, w)
-	return true, nil
+	f.touchRow(v, addedVirtual)
+	return addedVirtual, nil
 }
 
 // AddWatcher records that fragment id now holds local node v as virtual.
@@ -104,7 +102,7 @@ func (f *Fragment) AddWatcher(v graph.NodeID, id int) (becameIn bool) {
 	if i < len(ws) && ws[i] == id {
 		return false
 	}
-	f.invalidateIndex()
+	f.touchWatchers()
 	ws = append(ws, 0)
 	copy(ws[i+1:], ws[i:])
 	ws[i] = id
@@ -121,7 +119,7 @@ func (f *Fragment) AddWatcher(v graph.NodeID, id int) (becameIn bool) {
 func (f *Fragment) RemoveWatcher(v graph.NodeID, id int) (droppedIn bool) {
 	ws := f.InWatchers[v]
 	if i := sort.SearchInts(ws, id); i < len(ws) && ws[i] == id {
-		f.invalidateIndex()
+		f.touchWatchers()
 		ws = append(ws[:i], ws[i+1:]...)
 	}
 	if len(ws) > 0 {

@@ -67,10 +67,16 @@ type Fragment struct {
 	numEdges    int
 	numCrossing int
 
-	// idx caches the dense topology index (see Index); dropped by every
-	// mutating method.
-	idxMu sync.Mutex
-	idx   *Index
+	// idx caches the dense topology index (see Index). While one is
+	// cached, the mutating methods log what they change against it, for
+	// the next Index call to patch: the local sources whose Succ rows
+	// changed (idxSrc, duplicates allowed, at most len(Local) long) and
+	// whether the in-node watchers did (idxWatch). A change to the
+	// virtual set, or a longer log, drops the cache instead.
+	idxMu    sync.Mutex
+	idx      *Index
+	idxSrc   []graph.NodeID
+	idxWatch bool
 }
 
 // NumNodes reports |Vi| (local nodes only).
