@@ -10,7 +10,7 @@ FUZZTIME ?= 10s
 # benchmark/ is its own module that go build ./... does not see. The
 # inner-loop benchmarks run once each so that they cannot rot.
 tier1: vet dgsvet build race bench-check
-	$(GO) test -run '^$$' -bench 'SiteHostStorm|EngineBuild|IndexBuild|IndexPatch' -benchtime=1x ./internal/cluster ./internal/dgpm
+	$(GO) test -run '^$$' -bench 'SiteHostStorm|EngineBuild|EnginePrepared|IndexBuild|IndexPatch' -benchtime=1x ./internal/cluster ./internal/dgpm
 
 vet:
 	$(GO) vet ./...
@@ -166,6 +166,7 @@ help:
 	@echo "  bench-smoke      the benchmark's five workloads at 1/20 scale, answers checked against the oracle"
 	@echo "                   (executor inner loop, no daemons, seconds: go test -run '^$$' -bench SiteHostStorm ./internal/cluster)"
 	@echo "                   (engine build inner loop at local-8's shape, seconds: go test -run '^$$' -bench EngineBuild ./internal/dgpm)"
+	@echo "                   (the same engines restored from prepared state, seconds: go test -run '^$$' -bench EnginePrepared ./internal/dgpm)"
 	@echo "                   (index upkeep under maintain-8's deletion batches, seconds: go test -run '^$$' -bench IndexPatch ./internal/dgpm)"
 	@echo "  smoke-tcp        two dgsd processes on loopback, all algorithms"
 	@echo "  partition-smoke  partitioner quality smoke (LDG beats Random)"

@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"dgs/internal/buildinfo"
+	"dgs/internal/dgpm"
 	"dgs/internal/obs"
 	"dgs/internal/transport/tcpnet"
 
@@ -53,7 +54,6 @@ import (
 	_ "dgs/internal/baseline"
 	_ "dgs/internal/dagcheck"
 	_ "dgs/internal/dagsim"
-	_ "dgs/internal/dgpm"
 	_ "dgs/internal/treesim"
 )
 
@@ -83,6 +83,12 @@ func main() {
 	if *metrics != "" {
 		reg := obs.NewRegistry()
 		srv.RegisterMetrics(reg)
+		reg.CounterFunc("dgsd_engine_builds_total",
+			"dGPM engines built from scratch (the seed fixpoint run).",
+			func() float64 { b, _ := dgpm.EngineCounts(); return float64(b) })
+		reg.CounterFunc("dgsd_engine_restores_total",
+			"dGPM engines restored from prepared state (the seed fixpoint skipped).",
+			func() float64 { _, r := dgpm.EngineCounts(); return float64(r) })
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", obs.Handler(reg))
 		mux.HandleFunc("/debug/pprof/", pprof.Index)

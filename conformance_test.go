@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"dgs/internal/dgpm"
 )
 
 type confWorkload struct {
@@ -208,7 +210,9 @@ func confModes(t *testing.T) []struct {
 // and with θ = 0, × {cyclic, DAG, tree} workloads × {Random, Blocks,
 // TargetRatio, LDG, Fennel} partitions × {in-process, loopback-TCP}
 // transports agree with centralized Simulate, and each arm pushes the
-// same messages and bytes on every transport.
+// same messages and bytes on every transport. Every dGPM and dGPMNOpt
+// cell runs twice on its deployment, the second time on engines restored
+// from prepared state, with the same answer, push and shipment.
 // Combinations outside an algorithm's preconditions (dGPMd needs a DAG
 // pattern or DAG graph; dGPMt needs a tree graph) are skipped
 // explicitly. On the TCP backend every deployment spans two dgsd
@@ -277,6 +281,29 @@ func TestConformanceMatrix(t *testing.T) {
 									t.Fatalf("%s: shipped %+v, but %+v on an earlier transport", name, tr, want)
 								}
 								shipped[name] = tr
+								if algo == AlgoDGPM || algo == AlgoDGPMNoOpt {
+									// Again on the same deployment: every site now restores
+									// its engine from the state an earlier run filed on its
+									// fragment's index, and must answer and ship as a fresh
+									// build did.
+									builds, _ := dgpm.EngineCounts()
+									again, err := dep.Query(ctx, cq.q, append(opts, WithAlgorithm(algo))...)
+									if err != nil {
+										t.Fatalf("%s, again: %v", name, err)
+									}
+									if !again.Match.Equal(oracle) {
+										t.Fatalf("%s, again: diverges from Simulate", name)
+									}
+									if p := (confPush{again.Stats.PushMsgs, again.Stats.PushBytes}); p != got {
+										t.Fatalf("%s, again: pushed %+v, fresh %+v", name, p, got)
+									}
+									if a := confTrafficOf(algo, again.Stats); a != tr {
+										t.Fatalf("%s, again: shipped %+v, fresh %+v", name, a, tr)
+									}
+									if b, _ := dgpm.EngineCounts(); algo == AlgoDGPM && b != builds {
+										t.Fatalf("%s, again: %d engines built, want every one restored", name, b-builds)
+									}
+								}
 								switch arm.name {
 								case "dGPM":
 									defaultPushBytes += got.bytes

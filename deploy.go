@@ -282,6 +282,9 @@ func Deploy(part *Partition, opts ...DeployOption) (*Deployment, error) {
 	default:
 		d.c = cluster.NewLocal(part.fr, dc.net)
 	}
+	if !d.remote {
+		d.registerEngineMetrics()
+	}
 	d.bindFailover(len(dc.spares) > 0 || dc.hbInterval > 0)
 	return d, nil
 }
@@ -337,6 +340,21 @@ func (d *Deployment) registerMetrics() {
 	r.GaugeFunc("dgs_graph_version",
 		"Resident graph version (update batches that changed the graph).",
 		func() float64 { return float64(d.version.Load()) })
+}
+
+// registerEngineMetrics exports, for a deployment whose sites run in
+// this process, how the process's dGPM sites came by their engines:
+// built from scratch, or restored from the prepared state an earlier
+// build filed on the same fragment version. Restores ÷ (builds +
+// restores) is the prepared state's hit share. The counts are
+// process-wide, as the engines' memos live on the fragments.
+func (d *Deployment) registerEngineMetrics() {
+	d.metrics.CounterFunc("dgs_engine_builds_total",
+		"dGPM engines built from scratch in this process (the seed fixpoint run).",
+		func() float64 { b, _ := dgpm.EngineCounts(); return float64(b) })
+	d.metrics.CounterFunc("dgs_engine_restores_total",
+		"dGPM engines restored from prepared state in this process (the seed fixpoint skipped).",
+		func() float64 { _, r := dgpm.EngineCounts(); return float64(r) })
 }
 
 // Metrics returns the deployment's metric registry: driver-side query

@@ -71,7 +71,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		fx.x = newSite(q, frag, assign, cfg, nil)
+		fx.x = newSite(q, frag, assign, cfg, nil, preparedKey(spec.Query, spec.Plan))
 		return parkedSite{fx.x, fx}, nil
 	})
 }

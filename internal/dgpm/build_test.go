@@ -452,6 +452,34 @@ func BenchmarkEngineBuild(b *testing.B) {
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/1e6, "MB/query")
 }
 
+// BenchmarkEnginePrepared is BenchmarkEngineBuild as a dGPM site pays it
+// on a warm memo: one op restores a catalog pattern's engine on each of
+// the eight fragments from the state its first build filed.
+func BenchmarkEnginePrepared(b *testing.B) {
+	fr, qs, pls := localEight(b, 300_000, 1_500_000)
+	keys := make([]string, len(qs))
+	for i, q := range qs {
+		keys[i] = keyOf(q, pls[i])
+		for _, f := range fr.Frags {
+			prepare(q, f, pls[i], keys[i])
+		}
+	}
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(qs)
+		for _, f := range fr.Frags {
+			engineSink = prepare(qs[k], f, pls[k], keys[k])
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/query")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/1e6, "MB/query")
+}
+
 var indexSink *partition.Index
 
 // BenchmarkIndexBuild is the fragment index build the engines borrow

@@ -200,16 +200,24 @@ func NewEngine(q *pattern.Pattern, frag *partition.Fragment) *Engine {
 // Succ row). Exact, because initial
 // alive state is label consistency. No adjacency entry is visited until
 // the fixpoint itself walks the predecessors of a falsified variable.
+//
+// A dGPM site usually does not call it: it restores the engine from the
+// state an earlier build filed on the same index (prepare), and builds —
+// here — only on a miss.
 func NewEnginePlanned(q *pattern.Pattern, frag *partition.Fragment, pl *plan.Plan) *Engine {
+	return build(q, frag, frag.Index(), pl)
+}
+
+// build is NewEnginePlanned on ix, which must be an index of frag.
+func build(q *pattern.Pattern, frag *partition.Fragment, ix *partition.Index, pl *plan.Plan) *Engine {
+	engineBuilds.Add(1)
 	nq := q.NumNodes()
-	nl := len(frag.Local)
-	nvis := nl + len(frag.Virtual)
+	nvis := len(ix.Vis)
 	e := &Engine{
 		q:       q,
 		frag:    frag,
 		ext:     make(map[varKey]*extVar),
 		eqWatch: make(map[varKey][]eqWatcher),
-		nl:      int32(nl),
 	}
 	e.constTrue = make([]bool, nq)
 	for u := 0; u < nq; u++ {
@@ -233,18 +241,10 @@ func NewEnginePlanned(q *pattern.Pattern, frag *partition.Fragment, pl *plan.Pla
 		e.eIn[qe.child] = append(e.eIn[qe.child], int32(ei))
 	}
 
-	// Borrow the fragment's cached topology index (read-only — the first
-	// edge deletion copies succ/pred) and drive every scan off its
+	// Borrow the fragment's topology index and drive every scan off its
 	// label ranges: a query node's local candidates are one contiguous
 	// range of the label-major numbering, its virtual ones a short list.
-	ix := frag.Index()
-	e.ix = ix
-	e.vis = ix.Vis
-	e.visIdx = ix.VisIdx
-	e.isIn = ix.IsIn
-	e.succ = ix.Succ
-	e.pred = ix.Pred
-	e.labels = ix.Labels
+	e.borrow(ix)
 
 	// Alive state is label consistency; the benefit function's tallies
 	// (alive, non-constant variables on in-nodes and virtual nodes) are
@@ -346,6 +346,19 @@ func NewEnginePlanned(q *pattern.Pattern, frag *partition.Fragment, pl *plan.Pla
 // queuePool recycles the seed phase's kill queue across engine builds.
 var queuePool = sync.Pool{New: func() any { return new([]visVar) }}
 
+// borrow points the engine's numbering and adjacency at ix, read-only:
+// the first edge deletion copies succ/pred.
+func (e *Engine) borrow(ix *partition.Index) {
+	e.ix = ix
+	e.nl = ix.NL
+	e.vis = ix.Vis
+	e.visIdx = ix.VisIdx
+	e.isIn = ix.IsIn
+	e.succ = ix.Succ
+	e.pred = ix.Pred
+	e.labels = ix.Labels
+}
+
 // identityOrder lists 0..n−1: the plan-less node and edge order.
 func identityOrder(n int) []uint16 {
 	xs := make([]uint16, n)
@@ -355,9 +368,19 @@ func identityOrder(n int) []uint16 {
 	return xs
 }
 
+// inQuery reports whether k's query node exists: a forged reference may
+// name one past the pattern.
+func (e *Engine) inQuery(k varKey) bool {
+	return int(k.u()) < len(e.constTrue)
+}
+
 // isAlive reports the current status of any variable the engine can see.
-// Unknown external variables default to alive.
+// Unknown external variables default to alive; a variable of no query
+// node does not exist, and is dead.
 func (e *Engine) isAlive(k varKey) bool {
+	if !e.inQuery(k) {
+		return false
+	}
 	if vi, ok := e.visIdx[k.v()]; ok {
 		return e.alive[k.u()][vi]
 	}
@@ -370,7 +393,7 @@ func (e *Engine) isAlive(k varKey) bool {
 // isConst reports whether k is constant true: leaf query node with a
 // matching label on a visible node.
 func (e *Engine) isConst(k varKey) bool {
-	if !e.constTrue[k.u()] {
+	if !e.inQuery(k) || !e.constTrue[k.u()] {
 		return false
 	}
 	if vi, ok := e.visIdx[k.v()]; ok {
@@ -484,10 +507,14 @@ func (e *Engine) fireWatchers(k varKey) {
 // ApplyFalsifications processes a received falsification batch
 // (incremental lEval, §4.2): each listed variable is killed and the
 // effect propagated. Unknown or already-dead variables are ignored —
-// falsifications are idempotent.
+// falsifications are idempotent — and so are references to a query node
+// the pattern does not have.
 func (e *Engine) ApplyFalsifications(pairs []wire.VarRef) {
 	for _, r := range pairs {
 		k := refKey(r)
+		if !e.inQuery(k) {
+			continue
+		}
 		if vi, ok := e.visIdx[k.v()]; ok {
 			if e.alive[k.u()][vi] {
 				e.killVis(k.u(), vi)

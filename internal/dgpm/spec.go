@@ -74,7 +74,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return newSite(q, frag, assign, cfg, pl), nil
+		return newSite(q, frag, assign, cfg, pl, preparedKey(spec.Query, spec.Plan)), nil
 	})
 	cluster.RegisterAlgorithm(AlgoUpdate, func(spec cluster.SessionSpec, frag *partition.Fragment, assign []int32) (cluster.Handler, error) {
 		return &updSite{frag: frag, assign: assign}, nil

@@ -33,11 +33,16 @@ package partition
 // OutDeg is one byte per (successor label, local node) and saturates at
 // OutDegSat: a saturated cell means "at least this many — recount from
 // the Succ row", which only hubs pay.
+//
+// An index is also the version that query-dependent state derived from
+// the fragment is filed against (Prepared): a small LRU that every new
+// index, built or patched, starts empty.
 
 import (
 	"cmp"
 	"maps"
 	"slices"
+	"sync"
 
 	"dgs/internal/graph"
 )
@@ -79,10 +84,74 @@ type Index struct {
 	// watchers: the CSR form of InWatchers, addressed by local index.
 	watchStart []int32
 	watchers   []int32
+
+	// prepared holds the query-dependent state filed on this index (see
+	// Prepared). buildIndex and patch give every index an empty one.
+	prepared *preparedMemo
 }
 
 // OutDegSat is the value at which an OutDeg cell stops counting.
 const OutDegSat = 255
+
+// preparedCap is how many prepared states an index keeps; filing one more
+// evicts the least recently used.
+const preparedCap = 16
+
+// preparedMemo is an index's LRU of prepared states, least recently used
+// first. It is never longer than preparedCap, so a scan is the lookup.
+type preparedMemo struct {
+	mu      sync.Mutex
+	entries []preparedEntry
+}
+
+type preparedEntry struct {
+	key string
+	val any
+}
+
+// Prepared returns the state filed on this index under key by Prepare, or
+// nil, and marks a hit as the most recently used entry.
+//
+// Prepared state is whatever a caller derives from one fragment version
+// and a key (a dGPM engine's state after its first local fixpoint, keyed
+// by the query and plan) and wants to reuse on the next query with the
+// same key. It lives and dies with the index it was filed on: a mutation
+// moves the fragment to a new index with an empty memo, so the state of
+// exactly the fragments a batch touched is dropped. The values are shared
+// by every reader and must not be changed once filed.
+func (ix *Index) Prepared(key string) any {
+	m := ix.prepared
+	if m == nil {
+		return nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	i := slices.IndexFunc(m.entries, func(en preparedEntry) bool { return en.key == key })
+	if i < 0 {
+		return nil
+	}
+	en := m.entries[i]
+	m.entries = append(slices.Delete(m.entries, i, i+1), en)
+	return en.val
+}
+
+// Prepare files val under key on this index as its most recently used
+// entry, replacing what key held and evicting the least recently used
+// entry beyond preparedCap.
+func (ix *Index) Prepare(key string, val any) {
+	m := ix.prepared
+	if m == nil {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if i := slices.IndexFunc(m.entries, func(en preparedEntry) bool { return en.key == key }); i >= 0 {
+		m.entries = slices.Delete(m.entries, i, i+1)
+	} else if len(m.entries) == preparedCap {
+		m.entries = slices.Delete(m.entries, 0, 1)
+	}
+	m.entries = append(m.entries, preparedEntry{key, val})
+}
 
 // Locals returns the local index range [lo, hi) of the nodes labelled l;
 // it is empty when no local node carries l.
@@ -166,6 +235,8 @@ func (f *Fragment) buildIndex() *Index {
 		Pred:   make([][]int32, nvis),
 		Virt:   make(map[graph.Label][]int32),
 		OutDeg: make(map[graph.Label][]uint8),
+
+		prepared: new(preparedMemo),
 	}
 
 	// Number the locals label-major: one label lookup per node, then a
@@ -298,9 +369,11 @@ type predEdit struct {
 // watchers whether the in-node watchers did. The numbering, labels, label
 // ranges and Virt lists carry over unchanged. The result is what
 // buildIndex would return, and it shares every row it does not change
-// with o, which is left untouched.
+// with o, which is left untouched — except the prepared state, which
+// describes o alone and starts empty.
 func (o *Index) patch(f *Fragment, srcs []graph.NodeID, watchers bool) *Index {
 	ix := *o
+	ix.prepared = new(preparedMemo)
 	if watchers {
 		fillWatchers(f, &ix)
 	}

@@ -234,6 +234,7 @@ func indexDiff(got, want *Index) string {
 		{"labelStart", got.labelStart, want.labelStart},
 		{"watchStart", got.watchStart, want.watchStart},
 		{"watchers", got.watchers, want.watchers},
+		{"prepared", got.numPrepared(), want.numPrepared()},
 	}
 	if n := reflect.TypeOf(Index{}).NumField(); n != len(fields) {
 		return fmt.Sprintf("indexDiff compares %d of Index's %d fields", len(fields), n)
@@ -474,4 +475,86 @@ func TestIndexMutationLog(t *testing.T) {
 		t.Fatal("a log past len(Local) kept the cache")
 	}
 	checkIndex(t, f)
+}
+
+// numPrepared reports how many prepared states the index holds.
+func (ix *Index) numPrepared() int {
+	ix.prepared.mu.Lock()
+	defer ix.prepared.mu.Unlock()
+	return len(ix.prepared.entries)
+}
+
+// TestPreparedDiesWithItsIndex: state filed on an index stays with that
+// index. After a batch, a fragment it touched has a new index — patched
+// or rebuilt — with an empty memo, while the old index still holds what
+// was filed on it; a fragment it left alone keeps index and memo.
+func TestPreparedDiesWithItsIndex(t *testing.T) {
+	kept, patched, rebuilt := 0, 0, 0
+	for seed := int64(0); seed < 6; seed++ {
+		fr := randomFragmentation(t, seed)
+		r := rand.New(rand.NewSource(seed))
+		for step := 0; step < 20; step++ {
+			before := make([]*Index, len(fr.Frags))
+			for i, f := range fr.Frags {
+				before[i] = f.Index()
+				before[i].Prepare("q", step)
+			}
+			kind := step % len(batchKinds)
+			dels, ins := drawBatch(r, fr, kind)
+			applyBatch(t, fr, dels, ins)
+			for i, f := range fr.Frags {
+				what := fmt.Sprintf("seed %d step %d (%s) frag %d", seed, step, batchKinds[kind], f.ID)
+				ix := f.Index()
+				if got := before[i].Prepared("q"); got != step {
+					t.Fatalf("%s: the old index lost its state: %v", what, got)
+				}
+				switch {
+				case ix == before[i]:
+					kept++
+				case ix.numPrepared() != 0 || ix.Prepared("q") != nil:
+					t.Fatalf("%s: the new index starts with %d prepared states", what, ix.numPrepared())
+				case len(ix.Vis) > 0 && &ix.Vis[0] == &before[i].Vis[0]:
+					patched++
+				default:
+					rebuilt++
+				}
+			}
+		}
+	}
+	t.Logf("%d indexes kept, %d patched, %d rebuilt", kept, patched, rebuilt)
+	if kept == 0 || patched == 0 || rebuilt == 0 {
+		t.Fatal("the streams no longer keep, patch and rebuild indexes")
+	}
+}
+
+// TestPreparedIsLRU: the memo never holds more than preparedCap states,
+// evicts the least recently used, and counts a hit as a use.
+func TestPreparedIsLRU(t *testing.T) {
+	ix := randomFragmentation(t, 1).Frags[0].Index()
+	for k := range preparedCap {
+		ix.Prepare(fmt.Sprint(k), k)
+	}
+	if ix.Prepared("0") != 0 {
+		t.Fatal("a full memo lost its oldest entry before any eviction")
+	}
+	for k := preparedCap; k < preparedCap+4; k++ {
+		ix.Prepare(fmt.Sprint(k), k)
+	}
+	if n := ix.numPrepared(); n != preparedCap {
+		t.Fatalf("%d keys filed leave %d entries, want %d", preparedCap+4, n, preparedCap)
+	}
+	// "0" was used last before the overflow, so "1".."4" went.
+	for k := range preparedCap + 4 {
+		want := any(k)
+		if k >= 1 && k <= 4 {
+			want = nil
+		}
+		if got := ix.Prepared(fmt.Sprint(k)); got != want {
+			t.Fatalf("key %d: %v, want %v", k, got, want)
+		}
+	}
+	ix.Prepare("0", "again")
+	if ix.Prepared("0") != "again" || ix.numPrepared() != preparedCap {
+		t.Fatal("refiling a key did not replace its state in place")
+	}
 }

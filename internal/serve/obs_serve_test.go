@@ -17,6 +17,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dgs/internal/dgpm"
 )
 
 // TestStatsJSONGolden pins the /stats field names. Renaming or
@@ -127,6 +129,15 @@ func TestMetricsAgreeWithStats(t *testing.T) {
 	}
 	if got := vals["dgs_failovers_total"]; int64(got) != w.dep.Failovers() {
 		t.Fatalf("dgs_failovers_total = %v, deployment says %d", got, w.dep.Failovers())
+	}
+	// The sites run in this process, so its engine counts are on the page.
+	builds, restores := dgpm.EngineCounts()
+	if vals["dgs_engine_builds_total"] != float64(builds) || vals["dgs_engine_restores_total"] != float64(restores) {
+		t.Fatalf("engine builds/restores on the page %v/%v, process %d/%d",
+			vals["dgs_engine_builds_total"], vals["dgs_engine_restores_total"], builds, restores)
+	}
+	if builds == 0 {
+		t.Fatal("the missed query built no engine")
 	}
 }
 

@@ -6,7 +6,9 @@
 #   2. the gateway exposition agrees with its own /stats counters;
 #   3. a {"trace":true} query returns a complete multi-site span tree;
 #   4. the daemons counted the TRACE frames they shipped;
-#   5. pprof answers on the daemon's metrics listener.
+#   5. the daemons restored the repeated query's engines from prepared
+#      state (dgsd_engine_restores_total);
+#   6. pprof answers on the daemon's metrics listener.
 # This is the CI-enforced form of docs/OBSERVABILITY.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -87,6 +89,10 @@ DM=$(curl -fsS "http://127.0.0.1:$MPORT1/metrics"; curl -fsS "http://127.0.0.1:$
 echo "$DM" | grep -q '^# TYPE dgsd_sessions_total counter' || { echo "daemon exposition lacks dgsd_sessions_total" >&2; exit 1; }
 traces=$(echo "$DM" | awk '$1 == "dgsd_traces_total" {s += $2} END {print s+0}')
 [ "$traces" -ge 1 ] || { echo "daemons shipped no TRACE frames (dgsd_traces_total=$traces)" >&2; exit 1; }
+# The traced query re-evaluates the first one's pattern: its sites restore
+# the engines the first evaluation filed.
+restores=$(echo "$DM" | awk '$1 == "dgsd_engine_restores_total" {s += $2} END {print s+0}')
+[ "$restores" -ge 1 ] || { echo "daemons restored no engine (dgsd_engine_restores_total=$restores)" >&2; exit 1; }
 curl -fsS "http://127.0.0.1:$MPORT1/debug/pprof/cmdline" >/dev/null || { echo "pprof not answering on the daemon metrics listener" >&2; exit 1; }
 
-echo "obs smoke: exposition, stats agreement, distributed trace, TRACE accounting and pprof all verified over 2 dgsd + 1 dgsgw"
+echo "obs smoke: exposition, stats agreement, distributed trace, TRACE accounting, engine restores and pprof all verified over 2 dgsd + 1 dgsgw"
