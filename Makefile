@@ -12,8 +12,13 @@ FUZZTIME ?= 10s
 tier1: vet dgsvet build race bench-check
 	$(GO) test -run '^$$' -bench 'SiteHostStorm|EngineBuild|EnginePrepared|IndexBuild|IndexPatch' -benchtime=1x ./internal/cluster ./internal/dgpm
 
+# vet also fails on unformatted code: gofmt -l over every tracked .go
+# file outside testdata/ (analyzer fixtures such as wirecompletebad are
+# deliberately malformed), listing the files to run gofmt -w on.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(git ls-files -- '*.go' ':!:**/testdata/**')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l reports:"; echo "$$unformatted"; exit 1; fi
 
 # dgsvet machine-checks the repo's own invariants (lock discipline,
 # ctx-guarded blocking, wire-kind completeness, registry consistency,

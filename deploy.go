@@ -222,11 +222,10 @@ type Deployment struct {
 	// Apply (health probes must stay live during large updates).
 	version atomic.Uint64
 
-	watchMu  sync.Mutex
-	watchers map[*Maintained]struct{}
 	// shard is the deployment's standing-query shard: every non-empty
 	// Watch pattern lives as one block of its single maintenance
-	// session, opened by the first Watch.
+	// session, opened by the first Watch. It is the only holder of
+	// standing-query state; Maintained handles are views of it.
 	shard watchShard
 
 	mu     sync.Mutex
@@ -252,7 +251,6 @@ func Deploy(part *Partition, opts ...DeployOption) (*Deployment, error) {
 	d := &Deployment{
 		part:      part,
 		defaults:  dc.defaults,
-		watchers:  make(map[*Maintained]struct{}),
 		planStats: plan.Collect(part.fr.G),
 		metrics:   obs.NewRegistry(),
 	}

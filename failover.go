@@ -8,7 +8,8 @@ package dgs
 // with the retryable ErrSiteLost, new operations fail fast. Recovery
 // re-ships the lost fragments from the driver's retained state (spare
 // daemon first, else a redeploy-capable survivor), resumes the cluster,
-// and re-registers every standing query. With WithHeartbeat or
+// and re-evaluates the one shared standing-query session, which every
+// Maintained handle reads. With WithHeartbeat or
 // WithSpareSites configured, recovery runs automatically on detection;
 // Recover triggers it manually. See DESIGN.md §"Fault tolerance".
 
@@ -151,15 +152,11 @@ func (d *Deployment) Recover(ctx context.Context) error {
 	d.state.Unlock()
 
 	// The standing queries lost their maintenance session with the site:
-	// re-evaluate it once against the recovered graph, then every handle
-	// re-reads its block.
+	// re-evaluate it once against the recovered graph; every handle reads
+	// the re-evaluated shard.
 	d.state.RLock()
 	defer d.state.RUnlock()
-	err := d.shard.reevaluate(ctx, d.version.Load())
-	for _, w := range d.openWatchers() {
-		w.resync(err)
-	}
-	if err != nil {
+	if err := d.shard.reevaluate(ctx); err != nil {
 		return errorf("recover: standing query re-registration: %w", publicErr(err))
 	}
 	return nil

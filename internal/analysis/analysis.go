@@ -201,13 +201,6 @@ func Run(mod *load.Module, analyzers []*Analyzer, keep func(pkg *load.Package) b
 
 // --- shared type/AST helpers for the analyzers ---
 
-// IsPkgType reports whether t (after pointer indirection) is the named
-// type pkgPath.name.
-func IsPkgType(t interface{ String() string }, pkgPath, name string) bool {
-	s := t.String()
-	return s == pkgPath+"."+name || s == "*"+pkgPath+"."+name
-}
-
 // CalleeIdent returns the identifier a call expression invokes — the
 // rightmost name of f() / x.f() — or nil.
 func CalleeIdent(call *ast.CallExpr) *ast.Ident {

@@ -56,7 +56,7 @@ type Module struct {
 	Path string
 	Dir  string
 	// Pkgs lists the packages in topological order.
-	Pkgs []*Package
+	Pkgs   []*Package
 	byPath map[string]*Package
 }
 

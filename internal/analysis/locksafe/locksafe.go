@@ -5,7 +5,7 @@
 // which must only be touched through their Load/Store/Add methods.
 //
 // This is the static form of the Deployment locking contract in
-// DESIGN.md: d.mu, d.state and d.watchMu are acquired in leaf sections
+// DESIGN.md: d.mu and d.state are acquired in leaf sections
 // that never call back into locking methods, and d.version is an
 // atomic.Uint64 so Version() stays wait-free during Apply. Go mutexes
 // are not re-entrant, so every violation is a real deadlock waiting for
@@ -38,9 +38,9 @@ var Analyzer = &analysis.Analyzer{
 type lockOp int
 
 const (
-	opNone lockOp = iota
-	opLock        // Lock, RLock
-	opUnlock      // Unlock, RUnlock
+	opNone   lockOp = iota
+	opLock          // Lock, RLock
+	opUnlock        // Unlock, RUnlock
 )
 
 func run(pass *analysis.Pass) error {

@@ -55,7 +55,8 @@ func (s *updSite) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
 	if !ok {
 		return
 	}
-	// Watch/unwatch notices from peer sites about our local in-nodes.
+	// Watch/unwatch notices from peer sites about our local in-nodes
+	// (the fragment ignores notices about nodes it does not own).
 	for _, v := range m.Watch {
 		s.frag.AddWatcher(graph.NodeID(v), from)
 	}
@@ -63,31 +64,35 @@ func (s *updSite) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
 		s.frag.RemoveWatcher(graph.NodeID(v), from)
 	}
 	// Edge ops routed to us as the source's owner. The driver validated
-	// existence/absence against the overlay, so fragment errors here are
-	// protocol bugs, not user errors. Watch/unwatch notices carry the NET
-	// virtual-status change per target node: a batch may drop the last
-	// crossing edge to w and add a new one, and per-op notices would
-	// leave the owner's annotations out of sync.
+	// existence/absence against the overlay, so an op naming a target
+	// outside the owner directory, or one the fragment refuses (its
+	// source is not local, or the edge's presence is not what the op
+	// assumes), did not come from it and is skipped. Watch/unwatch
+	// notices carry the NET virtual-status change per target node: a
+	// batch may drop the last crossing edge to w and add a new one, and
+	// per-op notices would leave the owner's annotations out of sync.
 	wasVirtual := make(map[graph.NodeID]bool)
-	recordTarget := func(w graph.NodeID) {
+	recordTarget := func(w graph.NodeID) (known bool) {
+		if int(w) >= len(s.assign) {
+			return false
+		}
 		if !s.frag.IsLocal(w) {
 			if _, seen := wasVirtual[w]; !seen {
 				wasVirtual[w] = s.frag.IsVirtual(w)
 			}
 		}
+		return true
 	}
 	for _, d := range m.Dels {
 		v, w := graph.NodeID(d[0]), graph.NodeID(d[1])
-		recordTarget(w)
-		if _, err := s.frag.DeleteEdge(v, w); err != nil {
-			panic("dgpm: update session: " + err.Error())
+		if recordTarget(w) {
+			_, _ = s.frag.DeleteEdge(v, w) // a refused op is skipped
 		}
 	}
 	for i, e := range m.Ins {
 		v, w := graph.NodeID(e[0]), graph.NodeID(e[1])
-		recordTarget(w)
-		if _, err := s.frag.InsertEdge(v, w, graph.Label(m.InsLabels[i]), int(s.assign[w])); err != nil {
-			panic("dgpm: update session: " + err.Error())
+		if recordTarget(w) {
+			_, _ = s.frag.InsertEdge(v, w, graph.Label(m.InsLabels[i]), int(s.assign[w])) // a refused op is skipped
 		}
 	}
 	watch := make(map[int][]uint32)

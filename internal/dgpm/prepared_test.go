@@ -298,3 +298,48 @@ func TestForgedQueryNodeIgnored(t *testing.T) {
 		t.Fatalf("after a forged falsification the session answered %v, want %v", m.Canonical(), want)
 	}
 }
+
+// An update session's Delta is trusted no further than a falsification:
+// an edge op whose source is not local or whose target lies outside the
+// owner directory, one the fragment refuses, and a watch notice for a
+// node the site does not own are all skipped. None may panic the site,
+// break the fragment's §2.2 structure, or break its cached index.
+func TestForgedDeltaIgnored(t *testing.T) {
+	q, g, ids, assign := fig1()
+	fr := mustPartition(t, g, assign)
+	frag := fr.Frags[0]
+	frag.Index() // a site that has served a query has one cached
+	yb1, yf1, f1, f2, f3, f4 := ids["yb1"], ids["yf1"], ids["f1"], ids["f2"], ids["f3"], ids["f4"]
+	forged := []*wire.Delta{
+		{Ins: [][2]uint32{{yb1, 1 << 30}}, InsLabels: []graph.Label{1}}, // target outside the directory
+		{Ins: [][2]uint32{{f2, yb1}}, InsLabels: []graph.Label{1}},      // source not local
+		{Dels: [][2]uint32{{f2, f3}}},                                   // source not local
+		{Dels: [][2]uint32{{yb1, yf1}}},                                 // no such edge
+		{Ins: [][2]uint32{{yb1, f1}}, InsLabels: []graph.Label{1}},      // edge already present
+		{Watch: []uint32{f2}, Unwatch: []uint32{f4}},                    // nodes site 0 does not own
+	}
+
+	c := cluster.NewLocal(fr, cluster.Network{})
+	defer c.Shutdown()
+	sess, err := c.OpenSession(cluster.SessionMaintenance, cluster.SessionSpec{Algo: AlgoUpdate}, nopHandler{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range forged {
+		sess.Inject(0, d)
+	}
+	ctx := context.Background()
+	if err := sess.WaitQuiesce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	sess.Close()
+	if err := fr.Validate(); err != nil {
+		t.Fatalf("a forged delta corrupted the fragmentation: %v", err)
+	}
+	if ix := frag.Index(); ix == nil {
+		t.Fatal("no index after a forged delta")
+	}
+	if m, _ := run(q, fr, DefaultConfig()); !m.Equal(simulation.HHK(q, g)) {
+		t.Fatalf("after a forged delta dGPM answered %v, want %v", m, simulation.HHK(q, g))
+	}
+}

@@ -158,34 +158,6 @@ func BFSFrom(g *Graph, src NodeID, visit func(v NodeID, depth int) bool) {
 	}
 }
 
-// Induced returns the subgraph induced by keep (keep[v] true means v stays)
-// together with the mapping old→new ID (or -1 when dropped). Edges with
-// either endpoint dropped are dropped. Labels are shared with g's dict.
-func Induced(g *Graph, keep []bool) (*Graph, []int32) {
-	n := g.NumNodes()
-	remap := make([]int32, n)
-	b := NewBuilderDict(g.dict)
-	for v := 0; v < n; v++ {
-		if keep[v] {
-			remap[v] = int32(b.AddNodeLabel(g.labels[v]))
-		} else {
-			remap[v] = -1
-		}
-	}
-	for v := 0; v < n; v++ {
-		if remap[v] < 0 {
-			continue
-		}
-		for _, w := range g.Succ(NodeID(v)) {
-			if remap[w] >= 0 {
-				b.AddEdge(NodeID(remap[v]), NodeID(remap[w]))
-			}
-		}
-	}
-	ind := b.MustBuild()
-	return ind, remap
-}
-
 // IsTree reports whether g is a rooted out-tree or out-forest: every node
 // has in-degree ≤ 1 and there is no cycle. The dGPMt algorithm (§5.2)
 // requires tree data graphs. Roots (in-degree 0) are returned.

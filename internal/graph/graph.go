@@ -267,16 +267,6 @@ func (b *Builder) AddNodeLabel(l Label) NodeID {
 	return id
 }
 
-// AddNodes appends n nodes sharing one label and returns the first ID.
-func (b *Builder) AddNodes(n int, label string) NodeID {
-	first := NodeID(len(b.labels))
-	l := b.dict.Intern(label)
-	for i := 0; i < n; i++ {
-		b.labels = append(b.labels, l)
-	}
-	return first
-}
-
 // AddEdge records the directed edge (v, w). Both endpoints must already
 // exist when Build is called.
 func (b *Builder) AddEdge(v, w NodeID) {

@@ -235,25 +235,6 @@ func TestTopoOrder(t *testing.T) {
 	}
 }
 
-func TestInduced(t *testing.T) {
-	g := buildDiamond(t)
-	keep := []bool{true, true, false, true}
-	ind, remap := Induced(g, keep)
-	if ind.NumNodes() != 3 {
-		t.Fatalf("|V| = %d", ind.NumNodes())
-	}
-	if remap[2] != -1 {
-		t.Fatal("dropped node should remap to -1")
-	}
-	// Edges A->x and x->z survive; A->y, y->z dropped.
-	if ind.NumEdges() != 2 {
-		t.Fatalf("|E| = %d", ind.NumEdges())
-	}
-	if ind.LabelName(NodeID(remap[3])) != "C" {
-		t.Fatal("label not preserved")
-	}
-}
-
 func TestIsTree(t *testing.T) {
 	b := NewBuilder()
 	r0 := b.AddNode("R")
@@ -322,35 +303,6 @@ func TestBinaryRoundTrip(t *testing.T) {
 func TestBinaryRejectsGarbage(t *testing.T) {
 	if _, err := ReadBinary(bytes.NewReader([]byte("not a graph"))); err == nil {
 		t.Fatal("expected error")
-	}
-}
-
-func TestTextRoundTrip(t *testing.T) {
-	g := buildDiamond(t)
-	var buf bytes.Buffer
-	if err := WriteText(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ParseText(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameGraph(g, g2) {
-		t.Fatal("text round trip changed the graph")
-	}
-}
-
-func TestParseTextErrors(t *testing.T) {
-	cases := []string{
-		"node 5 A\n",           // non-dense id
-		"edge 0\n",             // short edge
-		"frob 1 2\n",           // unknown directive
-		"node 0 A\nedge 0 9\n", // dangling edge target
-	}
-	for _, c := range cases {
-		if _, err := ParseText(bytes.NewReader([]byte(c))); err == nil {
-			t.Fatalf("input %q: expected error", c)
-		}
 	}
 }
 

@@ -1,6 +1,6 @@
 package graph
 
-// Binary and text serialization. The binary format is what Match and
+// Binary serialization. The binary format is what Match and
 // disHHK "ship over the wire" in the experiments, so its exact byte size
 // matters: data-shipment numbers for the ship-the-graph baselines are the
 // encoded sizes produced here (§3.1, §6).
@@ -10,7 +10,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"strings"
 )
 
 const binMagic = "DGSG1\n"
@@ -171,79 +170,4 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		g.succ[i] = x
 	}
 	return g, nil
-}
-
-// WriteText emits a human-readable edge-list form:
-//
-//	node <id> <label>
-//	edge <src> <dst>
-func WriteText(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	for v := 0; v < g.NumNodes(); v++ {
-		if _, err := fmt.Fprintf(bw, "node %d %s\n", v, g.LabelName(NodeID(v))); err != nil {
-			return err
-		}
-	}
-	var outerr error
-	g.Edges(func(v, w2 NodeID) bool {
-		_, outerr = fmt.Fprintf(bw, "edge %d %d\n", v, w2)
-		return outerr == nil
-	})
-	if outerr != nil {
-		return outerr
-	}
-	return bw.Flush()
-}
-
-// ParseText reads the WriteText format. Node lines must precede edges that
-// use them; node IDs must be dense and ascending from 0.
-func ParseText(r io.Reader) (*Graph, error) {
-	b := NewBuilder()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	lineno := 0
-	for sc.Scan() {
-		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		switch fields[0] {
-		case "node":
-			if len(fields) < 2 {
-				return nil, fmt.Errorf("graph: line %d: node needs an id", lineno)
-			}
-			var id int
-			if _, err := fmt.Sscanf(fields[1], "%d", &id); err != nil {
-				return nil, fmt.Errorf("graph: line %d: %v", lineno, err)
-			}
-			if id != b.NumNodes() {
-				return nil, fmt.Errorf("graph: line %d: node ids must be dense ascending (got %d want %d)", lineno, id, b.NumNodes())
-			}
-			label := ""
-			if len(fields) >= 3 {
-				label = fields[2]
-			}
-			b.AddNode(label)
-		case "edge":
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("graph: line %d: edge needs src and dst", lineno)
-			}
-			var s, d int
-			if _, err := fmt.Sscanf(fields[1], "%d", &s); err != nil {
-				return nil, fmt.Errorf("graph: line %d: %v", lineno, err)
-			}
-			if _, err := fmt.Sscanf(fields[2], "%d", &d); err != nil {
-				return nil, fmt.Errorf("graph: line %d: %v", lineno, err)
-			}
-			b.AddEdge(NodeID(s), NodeID(d))
-		default:
-			return nil, fmt.Errorf("graph: line %d: unknown directive %q", lineno, fields[0])
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return b.Build()
 }

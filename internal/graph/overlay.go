@@ -53,9 +53,6 @@ func NewOverlay(g *Graph) *Overlay {
 	}
 }
 
-// Base returns the immutable graph underneath.
-func (o *Overlay) Base() *Graph { return o.base }
-
 // NumNodes reports |V| (fixed).
 func (o *Overlay) NumNodes() int { return o.base.NumNodes() }
 

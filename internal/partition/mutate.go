@@ -93,10 +93,14 @@ func (f *Fragment) InsertEdge(v, w graph.NodeID, wLabel graph.Label, wOwner int)
 }
 
 // AddWatcher records that fragment id now holds local node v as virtual.
-// It reports whether v thereby became an in-node. Watcher lists are kept
-// sorted, so membership and insertion are binary searches — this sits on
-// the Apply hot path alongside insertSorted/removeSorted.
+// It reports whether v thereby became an in-node; a node that is not
+// local is ignored. Watcher lists are kept sorted, so membership and
+// insertion are binary searches — this sits on the Apply hot path
+// alongside insertSorted/removeSorted.
 func (f *Fragment) AddWatcher(v graph.NodeID, id int) (becameIn bool) {
+	if !f.IsLocal(v) {
+		return false
+	}
 	ws := f.InWatchers[v]
 	i := sort.SearchInts(ws, id)
 	if i < len(ws) && ws[i] == id {
@@ -115,8 +119,12 @@ func (f *Fragment) AddWatcher(v graph.NodeID, id int) (becameIn bool) {
 }
 
 // RemoveWatcher records that fragment id no longer holds v as virtual.
-// It reports whether v thereby stopped being an in-node.
+// It reports whether v thereby stopped being an in-node; a node that is
+// not local is ignored.
 func (f *Fragment) RemoveWatcher(v graph.NodeID, id int) (droppedIn bool) {
+	if !f.IsLocal(v) {
+		return false
+	}
 	ws := f.InWatchers[v]
 	if i := sort.SearchInts(ws, id); i < len(ws) && ws[i] == id {
 		f.touchWatchers()

@@ -7,13 +7,16 @@ package dgs
 // query whose match relation is refined incrementally on each deletion
 // batch (the O(|AFF|) deletion case of [13], run distributed over the
 // falsification messaging), with insertions falling back to a
-// re-evaluation of the standing query. See DESIGN.md §"The update
-// lifecycle" for the semantics and the interaction with in-flight
-// queries.
+// re-evaluation of the standing query. A deployment's standing queries
+// are blocks of one shared session (watchShard), refreshed once per
+// batch; a Maintained handle is a view of its block. See DESIGN.md
+// §"The update lifecycle" for the semantics and the interaction with
+// in-flight queries.
 
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 
 	"dgs/internal/cluster"
@@ -55,21 +58,6 @@ type ApplyStats struct {
 	// re-evaluation (insertions in the batch, or a previously failed
 	// refinement).
 	Reevaluated int
-}
-
-func addStats(a *Stats, b Stats) {
-	a.Wall += b.Wall
-	a.DataBytes += b.DataBytes
-	a.DataMsgs += b.DataMsgs
-	a.PushBytes += b.PushBytes
-	a.PushMsgs += b.PushMsgs
-	a.ControlBytes += b.ControlBytes
-	a.ResultBytes += b.ResultBytes
-	a.Rounds += b.Rounds
-	a.WireBytes += b.WireBytes
-	if b.MaxSiteBusy > a.MaxSiteBusy {
-		a.MaxSiteBusy = b.MaxSiteBusy
-	}
 }
 
 // Apply mutates the deployed graph with a batch of edge updates. The
@@ -151,50 +139,23 @@ func (d *Deployment) Apply(ctx context.Context, ops []EdgeOp) (ApplyStats, error
 	d.version.Add(1)
 	d.om.applies.Inc()
 
-	// Refresh the standing queries. A refresh failure (ctx cancellation)
-	// must not leave any other handle silently desynced: the graph is
-	// already committed, so every watcher not successfully refreshed
-	// against THIS batch is marked stale and re-evaluated by the next
-	// Apply or Refresh.
+	// Refresh the standing queries: one window of the shared session
+	// absorbs the batch for every handle. A failed window (ctx
+	// cancellation) leaves the shard stale, and with it every handle,
+	// until the next Apply or Refresh re-evaluates.
 	//
 	// A site lost mid-refresh is the one failure that must NOT fail the
 	// Apply: the batch is committed on the driver, so an error here would
 	// tell a retrying caller the batch never landed and make it
-	// re-submit ops the overlay has already absorbed. The watcher is
+	// re-submit ops the overlay has already absorbed. The shard is
 	// stale either way, and the recovery that clears the loss
-	// re-registers every standing query against the committed graph
-	// (failover.go); any other error still surfaces.
-	var firstErr error
-	for _, w := range d.openWatchers() {
-		if firstErr != nil {
-			w.markStale()
-			continue
-		}
-		reeval, wst, err := w.refresh(ctx, dels, len(ins) > 0)
-		if err != nil {
-			firstErr = err // refresh marked w stale itself
-			continue
-		}
-		if reeval {
-			st.Reevaluated++
-		}
-		addStats(&st.Maintenance, wst)
-	}
-	if firstErr != nil && !errors.Is(firstErr, cluster.ErrSiteLost) {
-		return st, errorf("apply: standing query refresh: %w", publicErr(firstErr))
+	// re-evaluates it against the committed graph (failover.go); any
+	// other error still surfaces.
+	st.Reevaluated, st.Maintenance, err = d.shard.refresh(ctx, dels, len(ins) > 0)
+	if err != nil && !errors.Is(err, cluster.ErrSiteLost) {
+		return st, errorf("apply: standing query refresh: %w", publicErr(err))
 	}
 	return st, nil
-}
-
-// openWatchers snapshots the registered standing-query handles.
-func (d *Deployment) openWatchers() []*Maintained {
-	d.watchMu.Lock()
-	defer d.watchMu.Unlock()
-	watchers := make([]*Maintained, 0, len(d.watchers))
-	for w := range d.watchers {
-		watchers = append(watchers, w)
-	}
-	return watchers
 }
 
 // Watch registers q as a standing query: it is evaluated now (with the
@@ -230,21 +191,17 @@ func (d *Deployment) Watch(ctx context.Context, q *Pattern) (*Maintained, error)
 	d.state.RLock()
 	defer d.state.RUnlock()
 
-	var w *Maintained
 	if d.planFor(q.p).Empty {
 		// Absent label: Q(G) = ∅ now and after every future batch (edge
 		// updates cannot mint label occurrences), so the handle is
 		// static — no session, no refresh work, never stale.
-		w = &Maintained{d: d, q: q, cur: &Match{m: emptyRelation(q.p.NumNodes())}}
-	} else {
-		var err error
-		if w, err = d.watchShared(ctx, q); err != nil {
-			return nil, errorf("watch: %w", err)
-		}
+		empty := &Match{m: simulation.NewMatch(q.p.NumNodes()).Canonical()}
+		return &Maintained{d: d, q: q, final: &handleView{cur: empty}}, nil
 	}
-	d.watchMu.Lock()
-	d.watchers[w] = struct{}{}
-	d.watchMu.Unlock()
+	w, err := d.watchShared(ctx, q)
+	if err != nil {
+		return nil, errorf("watch: %w", err)
+	}
 	return w, nil
 }
 
@@ -263,14 +220,14 @@ func (d *Deployment) watchShared(ctx context.Context, q *Pattern) (*Maintained, 
 	for _, b := range sh.blocks {
 		if b.refs > 0 && b.key == c.Key {
 			b.refs++
-			remap := composeRemap(b.perm, c.Perm)
-			return newHandle(d, q, sh, b, remap), nil
+			return &Maintained{d: d, q: q, shard: sh, block: b, remap: composeRemap(b.perm, c.Perm)}, nil
 		}
 	}
 	// Distinct pattern: rebuild the union session from the live blocks
 	// plus the newcomer (dead blocks are pruned here). The old session
 	// stays untouched until the new one is up, so a failed Watch leaves
-	// every existing handle exactly as it was.
+	// every existing handle exactly as it was; a successful one leaves
+	// every handle reading the fresh session, stale or not before.
 	live := make([]*watchBlock, 0, len(sh.blocks)+1)
 	for _, b := range sh.blocks {
 		if b.refs > 0 {
@@ -292,24 +249,8 @@ func (d *Deployment) watchShared(ctx context.Context, q *Pattern) (*Maintained, 
 	}
 	sh.st = st
 	sh.blocks = live
-	sh.refreshed = d.version.Load()
 	sh.stale = false
-	sh.last = fromCluster(st.LastStats())
-	return newHandle(d, q, sh, nb, identityPerm(q.p.NumNodes())), nil
-}
-
-// newHandle builds a Maintained over its shard block, snapshotting the
-// current relation. Callers must hold d.state (read) and sh.mu, so no
-// concurrent rebuild races the snapshot.
-func newHandle(d *Deployment, q *Pattern, sh *watchShard, b *watchBlock, remap []int) *Maintained {
-	w := &Maintained{d: d, q: q, shard: sh, block: b, remap: remap}
-	if m := sh.snapshotLocked(b, remap); m != nil {
-		w.cur = &Match{m: m}
-	} else {
-		w.cur = &Match{m: emptyRelation(q.p.NumNodes())}
-	}
-	w.last = sh.last
-	return w
+	return &Maintained{d: d, q: q, shard: sh, block: nb, remap: identityPerm(q.p.NumNodes())}, nil
 }
 
 func identityPerm(n int) []int {
@@ -336,119 +277,76 @@ func composeRemap(leadPerm, joinPerm []int) []int {
 	return remap
 }
 
-// emptyRelation is the canonical empty match relation over n query
-// nodes.
-func emptyRelation(n int) *simulation.Match {
-	return simulation.NewMatch(n).Canonical()
-}
-
 // watchShard is a deployment's standing queries, fed by one
 // dgpm.Standing session: its blocks, one per distinct pattern, are read
-// by one or more Maintained handles each. All fields are guarded by mu.
+// by one or more Maintained handles each. It is the only holder of
+// standing-query state; a handle is a view of its block. All fields are
+// guarded by mu.
 type watchShard struct {
 	mu     sync.Mutex
 	st     *dgpm.Standing // nil once every block's handles closed
 	blocks []*watchBlock  // aligned with st's member patterns
-	// refreshed is the graph version the session last absorbed. Apply
-	// touches every handle, but a shared session must pay each batch
-	// once: later handles of the same batch hit the version guard and
-	// only re-read their block.
-	refreshed uint64
-	// stale marks a failed (cancelled) refresh; the next window
+	// stale marks a failed (cancelled) window: st still serves the last
+	// successful window's relations and cost, and the next window
 	// re-evaluates.
 	stale bool
-	// lastWasReeval records whether the last window was a full
-	// re-evaluation (for ApplyStats.Reevaluated accounting on
-	// non-driving handles).
-	lastWasReeval bool
-	// last is the cost of the last refresh window.
-	last Stats
 }
 
-// refresh absorbs one committed batch (graph version ver) into the
-// session, once: the first handle of the batch drives the work and gets
-// its stats back for aggregation; subsequent handles see the version
-// guard and return zero stats. A shard that missed a version entirely
-// (its handles were marked stale mid-Apply) cannot trust this batch's
-// deletions alone and re-evaluates.
-func (sh *watchShard) refresh(ctx context.Context, ver uint64, dels [][2]NodeID, hasIns bool) (reeval bool, st Stats, err error) {
+// refresh absorbs one committed batch into the session, once for every
+// handle: incrementally for a deletion-only batch, by re-evaluation
+// when the batch inserts edges or the last window failed. It returns how
+// many open handles a re-evaluation brought up to date (0 for an
+// incremental window) and the window's cost. A failed window leaves the
+// shard stale.
+func (sh *watchShard) refresh(ctx context.Context, dels [][2]NodeID, hasIns bool) (reevaluated int, st Stats, err error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.st == nil {
-		return false, Stats{}, nil
+		return 0, Stats{}, nil
 	}
-	if sh.refreshed == ver && !sh.stale {
-		return sh.lastWasReeval, Stats{}, nil
-	}
-	reeval = hasIns || sh.stale || sh.refreshed+1 != ver
+	reeval := hasIns || sh.stale
 	if reeval {
 		err = sh.st.Reevaluate(ctx)
 	} else {
 		err = sh.st.ApplyDeletions(ctx, dels)
 	}
-	sh.lastWasReeval = reeval
-	if err != nil {
-		sh.stale = true
-		return reeval, Stats{}, err
+	if sh.stale = err != nil; sh.stale {
+		return 0, Stats{}, err
 	}
-	sh.stale = false
-	sh.refreshed = ver
-	sh.last = fromCluster(sh.st.LastStats())
-	return reeval, sh.last, nil
+	if reeval {
+		for _, b := range sh.blocks {
+			reevaluated += b.refs
+		}
+	}
+	return reevaluated, fromCluster(sh.st.LastStats()), nil
 }
 
 // reevaluate unconditionally re-runs the standing fixpoint (user
-// Refresh, failover recovery — the version guard must not skip it: the
-// graph may be unchanged while the per-site engines are gone). Callers
-// with several handles to bring up to date call it once and resync each
-// handle.
-func (sh *watchShard) reevaluate(ctx context.Context, ver uint64) error {
+// Refresh, failover recovery: the graph may be unchanged while the
+// per-site engines are gone).
+func (sh *watchShard) reevaluate(ctx context.Context) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.st == nil {
 		return nil
 	}
 	err := sh.st.Reevaluate(ctx)
-	sh.lastWasReeval = true
-	if err != nil {
-		sh.stale = true
-		return err
-	}
-	sh.stale = false
-	sh.refreshed = ver
-	sh.last = fromCluster(sh.st.LastStats())
-	return nil
+	sh.stale = err != nil
+	return err
 }
 
-// snapshot reads block b's relation remapped into a handle's node
-// order; nil if the block is gone (closed shard).
-func (sh *watchShard) snapshot(b *watchBlock, remap []int) *simulation.Match {
+// view is what a handle on block b reports: the block's relation
+// remapped into the handle's node order, the last window's cost, and
+// whether that window failed. b must be a live block.
+func (sh *watchShard) view(b *watchBlock, remap []int) handleView {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.snapshotLocked(b, remap)
-}
-
-func (sh *watchShard) snapshotLocked(b *watchBlock, remap []int) *simulation.Match {
-	if sh.st == nil {
-		return nil
+	cur := sh.st.Current(slices.Index(sh.blocks, b))
+	m := simulation.NewMatch(len(remap))
+	for u, lu := range remap {
+		m.Sets[u] = cur.Sets[lu]
 	}
-	for k, o := range sh.blocks {
-		if o == b {
-			cur := sh.st.Current(k)
-			m := simulation.NewMatch(len(remap))
-			for u, lu := range remap {
-				m.Sets[u] = cur.Sets[lu]
-			}
-			return m
-		}
-	}
-	return nil
-}
-
-func (sh *watchShard) lastStats() Stats {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.last
+	return handleView{cur: &Match{m: m}, last: fromCluster(sh.st.LastStats()), stale: sh.stale}
 }
 
 // release drops one handle's reference to its block. A block at zero
@@ -498,10 +396,27 @@ type Maintained struct {
 	remap []int
 
 	mu     sync.Mutex
-	cur    *Match
-	last   Stats
-	stale  bool
 	closed bool
+	// final, when set, is what the handle reports instead of reading its
+	// shard: the static ∅ from Watch on, or the view frozen at Close.
+	final *handleView
+}
+
+// handleView is what a standing-query handle reports.
+type handleView struct {
+	cur   *Match
+	last  Stats
+	stale bool
+}
+
+// view reads the handle's fixed values if it has them, else its block.
+func (w *Maintained) view() handleView {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.final != nil {
+		return *w.final
+	}
+	return w.shard.view(w.block, w.remap)
 }
 
 // Pattern returns the standing query.
@@ -509,81 +424,17 @@ func (w *Maintained) Pattern() *Pattern { return w.q }
 
 // Current returns the maintained match relation as of the last
 // successfully applied batch.
-func (w *Maintained) Current() *Match {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.cur
-}
+func (w *Maintained) Current() *Match { return w.view().cur }
 
 // LastStats reports the distributed cost of the last refresh window:
 // the initial evaluation, a deletion batch's incremental refinement, or
 // an insertion batch's re-evaluation. Handles sharing a session report
 // the shared window's cost.
-func (w *Maintained) LastStats() Stats {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.last
-}
+func (w *Maintained) LastStats() Stats { return w.view().last }
 
 // Stale reports whether the relation is out of date because a refresh
 // was cancelled; the next Apply or Refresh re-evaluates.
-func (w *Maintained) Stale() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.stale
-}
-
-// markStale flags the relation as out of date without refreshing it
-// (an earlier handle's refresh failed mid-Apply; the batch is already
-// committed to the graph).
-func (w *Maintained) markStale() {
-	w.mu.Lock()
-	if !w.closed && w.shard != nil {
-		w.stale = true
-	}
-	w.mu.Unlock()
-}
-
-// refresh brings the standing relation up to date with one committed
-// batch. It returns whether a full re-evaluation ran, and the cost to
-// aggregate — zero for handles whose shard already absorbed the batch.
-func (w *Maintained) refresh(ctx context.Context, dels [][2]NodeID, hasIns bool) (reeval bool, st Stats, err error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed || w.shard == nil {
-		// Closed, or static-∅: nothing to do (an absent label cannot be
-		// matched into existence by edge updates).
-		return false, Stats{}, nil
-	}
-	reeval, st, err = w.shard.refresh(ctx, w.d.version.Load(), dels, hasIns)
-	w.resyncLocked(err)
-	return reeval, st, err
-}
-
-// resync is resyncLocked for a window the handle did not drive itself
-// (recovery re-evaluates the shard once for all handles).
-func (w *Maintained) resync(err error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if !w.closed && w.shard != nil {
-		w.resyncLocked(err)
-	}
-}
-
-// resyncLocked brings the handle in line with its shard after a refresh
-// window that ended with err: stale on failure, else the block's current
-// relation and the window's cost. Callers hold w.mu.
-func (w *Maintained) resyncLocked(err error) {
-	if err != nil {
-		w.stale = true
-		return
-	}
-	w.stale = false
-	if m := w.shard.snapshot(w.block, w.remap); m != nil {
-		w.cur = &Match{m: m}
-	}
-	w.last = w.shard.lastStats()
-}
+func (w *Maintained) Stale() bool { return w.view().stale }
 
 // Refresh re-evaluates the standing query against the current graph now
 // — useful after a cancelled Apply left the handle stale, and the
@@ -602,9 +453,7 @@ func (w *Maintained) Refresh(ctx context.Context) error {
 	if w.shard == nil {
 		return nil
 	}
-	err := w.shard.reevaluate(ctx, w.d.version.Load())
-	w.resyncLocked(err)
-	if err != nil {
+	if err := w.shard.reevaluate(ctx); err != nil {
 		return errorf("refresh: %w", err)
 	}
 	return nil
@@ -615,17 +464,15 @@ func (w *Maintained) Refresh(ctx context.Context) error {
 // Idempotent.
 func (w *Maintained) Close() error {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		w.mu.Unlock()
 		return nil
 	}
 	w.closed = true
-	w.mu.Unlock()
 	if w.shard != nil {
+		v := w.shard.view(w.block, w.remap)
+		w.final = &v
 		w.shard.release(w.block)
 	}
-	w.d.watchMu.Lock()
-	delete(w.d.watchers, w)
-	w.d.watchMu.Unlock()
 	return nil
 }

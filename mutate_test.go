@@ -274,14 +274,37 @@ func TestWatchCloseAndDeploymentClose(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err) // idempotent
 	}
-	// A closed handle is skipped by Apply but keeps serving its relation.
-	pre := w.Current()
+	// A closed handle is skipped by Apply but keeps serving its relation
+	// and its last window's cost, frozen at Close, while later batches
+	// refresh the rest of the shard.
+	live, err := dep.Watch(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	closed, err := dep.Watch(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := closed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pre, preStats := closed.Current(), closed.LastStats()
 	stream := GenUpdateStream(part.CurrentGraph(), 30, 0, 7)
 	if _, err := dep.Apply(ctx, stream); err != nil {
 		t.Fatal(err)
 	}
-	if !w.Current().Equal(pre) {
+	if !closed.Current().Equal(pre) {
 		t.Fatal("closed handle's relation changed")
+	}
+	if closed.LastStats() != preStats {
+		t.Fatalf("closed handle's LastStats changed: %+v -> %+v", preStats, closed.LastStats())
+	}
+	if live.LastStats() == preStats {
+		t.Fatal("the open handle's LastStats did not move with the batch")
+	}
+	if !live.Current().Equal(Simulate(q, part.CurrentGraph())) {
+		t.Fatal("open handle diverges from oracle after a peer closed")
 	}
 	// Apply/Watch on a closed deployment fail.
 	dep.Close()
@@ -382,6 +405,46 @@ func TestApplyCancelledRefreshMarksAllWatchersStale(t *testing.T) {
 	}
 	if !w2.Current().Equal(Simulate(q2, part.CurrentGraph())) {
 		t.Fatal("w2 diverges from oracle after recovery")
+	}
+}
+
+// A Watch of a distinct pattern rebuilds the shared session against the
+// current graph, so a handle a cancelled Apply left stale comes out of
+// that rebuild fresh: staleness belongs to the session, not the handle.
+func TestWatchRebuildClearsStale(t *testing.T) {
+	dict, _, part, dep, q := miniWorld(t, 250, 700, 5, 21)
+	ctx := context.Background()
+	w1, err := dep.Watch(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w1.Close()
+	cctx, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := dep.Apply(cctx, GenUpdateStream(part.CurrentGraph(), 30, 0, 22)); err == nil {
+		t.Fatal("Apply with a cancelled ctx must report the failed refresh")
+	}
+	if !w1.Stale() {
+		t.Fatal("w1 not stale after a cancelled Apply")
+	}
+	q2 := GenCyclicPatternOver(dict, 3, 5, 4, 23)
+	if q2.CanonicalKey() == q.CanonicalKey() {
+		t.Fatal("the second pattern must be distinct to force a rebuild")
+	}
+	w2, err := dep.Watch(ctx, q2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	if w1.Stale() || w2.Stale() {
+		t.Fatalf("stale after the rebuild: w1=%v w2=%v", w1.Stale(), w2.Stale())
+	}
+	cur := part.CurrentGraph()
+	if !w1.Current().Equal(Simulate(q, cur)) {
+		t.Fatal("w1 diverges from oracle after the rebuild")
+	}
+	if !w2.Current().Equal(Simulate(q2, cur)) {
+		t.Fatal("w2 diverges from oracle")
 	}
 }
 
