@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: tier1 vet dgsvet analyze analyze-fix build test race bench bench-check bench-smoke fuzz examples docs smoke-tcp partition-smoke bench-partition gw-smoke obs-smoke bench-serving failover-smoke bench-failover api clean help
+.PHONY: tier1 vet dgsvet analyze analyze-fix build test race bench bench-check bench-smoke fuzz examples docs smoke-tcp gw-smoke obs-smoke failover-smoke api clean help
 
 # tier1 is the gate every change must pass: static checks (go vet plus
 # the project-specific dgsvet analyzers), full build, and the test suite
@@ -103,19 +103,6 @@ api:
 smoke-tcp:
 	./scripts/tcp_smoke.sh
 
-# partition-smoke runs the partition bench group on a tiny graph (both
-# backends) and asserts the quality claim in miniature: LDG must beat
-# the random fixture on |Ef|, and every point must carry its
-# fragmentation metadata.
-partition-smoke:
-	$(GO) test ./internal/bench -run '^TestPartitionSmoke$$' -v
-
-# bench-partition regenerates BENCH_PARTITION.json: the 256-site
-# partitioner quality sweep (build time, |Vf|/|Ef|, dGPM/dMes PT+DS,
-# measured TCP wire bytes per strategy).
-bench-partition:
-	$(GO) run ./cmd/benchfig -group partition -json BENCH_PARTITION.json
-
 # gw-smoke runs the serving stack as separate processes: 2 dgsd site
 # servers + 1 dgsgw gateway, asserting cache hit, update-driven
 # invalidation and post-update recompute over HTTP.
@@ -134,17 +121,6 @@ obs-smoke:
 # daemon and keep answering oracle-correct — no restarts.
 failover-smoke:
 	./scripts/failover_smoke.sh
-
-# bench-failover regenerates BENCH_FAILOVER.json: detection latency,
-# re-deploy time and queries lost per kill at 64 sites.
-bench-failover:
-	$(GO) run ./cmd/benchfig -group failover -json BENCH_FAILOVER.json
-
-# bench-serving regenerates BENCH_SERVING.json: the 256-site gateway
-# serving experiment (95/5 read/update mix, skewed vs uniform traffic,
-# QPS + p99 + cache hit rate, cache on vs off).
-bench-serving:
-	$(GO) run ./cmd/benchfig -group serving -queries 4 -json BENCH_SERVING.json
 
 examples:
 	$(GO) run ./examples/quickstart
@@ -174,11 +150,7 @@ help:
 	@echo "                   (the same engines restored from prepared state, seconds: go test -run '^$$' -bench EnginePrepared ./internal/dgpm)"
 	@echo "                   (index upkeep under maintain-8's deletion batches, seconds: go test -run '^$$' -bench IndexPatch ./internal/dgpm)"
 	@echo "  smoke-tcp        two dgsd processes on loopback, all algorithms"
-	@echo "  partition-smoke  partitioner quality smoke (LDG beats Random)"
 	@echo "  gw-smoke         2 dgsd + 1 dgsgw over HTTP (cache + invalidation)"
 	@echo "  obs-smoke        metrics exposition + distributed trace end to end"
 	@echo "  failover-smoke   kill 1 of 3 dgsd mid-stream; driver fails over to a spare"
-	@echo "  bench-failover   regenerate BENCH_FAILOVER.json (detection/redeploy/loss)"
-	@echo "  bench-partition  regenerate BENCH_PARTITION.json (long)"
-	@echo "  bench-serving    regenerate BENCH_SERVING.json (long)"
 	@echo "  examples         run every example program"

@@ -1,16 +1,15 @@
 // Benchmarks with no recorded twin elsewhere: the centralized HHK
 // kernel, dGPMt's two-round tree protocol, the Theorem 1 chain gadget
-// and what a resident Deployment amortizes. The paper's Fig. 6 panels
-// are regenerated (and recorded) by `go run ./cmd/benchfig -fig 6a…6p`,
-// and incremental-vs-recompute maintenance by the benchmark/ module's
-// maintain-8 workload; they are not repeated here. PT corresponds to
-// ns/op; DS is reported via the custom metrics data_KB/op and msgs/op.
+// and what a resident Deployment amortizes. The paper's Fig. 6 DS
+// orderings are count-based tests in internal/bench (DESIGN.md §6), and
+// incremental-vs-recompute maintenance is the benchmark/ module's
+// maintain-8 workload; they are not repeated here. ns/op is in-process
+// time with no emulated link cost; DS is reported via the custom metrics
+// data_KB/op and msgs/op.
 //
-// The deployed benchmarks make their fragmentation resident ONCE (with
-// the EC2-like link model, so ns/op reflects network-inclusive response
-// time) and serve all measured queries from it;
-// BenchmarkDeployAmortization quantifies what that residency is worth
-// against a per-query deploy.
+// The deployed benchmarks make their fragmentation resident ONCE and
+// serve all measured queries from it; BenchmarkDeployAmortization
+// quantifies what that residency is worth against a per-query deploy.
 package dgs
 
 import (
@@ -24,11 +23,11 @@ const (
 	benchWebNE = 100_000
 )
 
-// benchDeploy makes the partition resident with the EC2-like link model
-// for the benchmark's lifetime.
+// benchDeploy makes the partition resident for the benchmark's
+// lifetime.
 func benchDeploy(b *testing.B, part *Partition) *Deployment {
 	b.Helper()
-	dep, err := Deploy(part, WithNetwork(EC2Network()))
+	dep, err := Deploy(part)
 	if err != nil {
 		b.Fatal(err)
 	}

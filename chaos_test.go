@@ -47,7 +47,7 @@ func TestPropertyChaosFailover(t *testing.T) {
 // distinct state, exactly like a daemon deployment.
 func chaosDeploy(t *testing.T, seed int64, part *Partition) (*Deployment, *faultnet.Net) {
 	t.Helper()
-	fn := chaosNet(seed, part)
+	fn := chaosNet(part, faultnet.Options{Seed: seed})
 	dep, err := Deploy(part, WithTransport(fn))
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
@@ -59,14 +59,14 @@ func chaosDeploy(t *testing.T, seed int64, part *Partition) (*Deployment, *fault
 }
 
 // chaosNet hosts codec clones of part's fragments behind faultnet.
-func chaosNet(seed int64, part *Partition) *faultnet.Net {
+func chaosNet(part *Partition, opts faultnet.Options) *faultnet.Net {
 	src := part.fr
 	clones := make([]*partition.Fragment, len(src.Frags))
 	for i, f := range src.Frags {
 		clones[i] = partition.CloneFragment(f)
 	}
 	innerFr := partition.FragmentationFromParts(src.Assign, clones)
-	return faultnet.Wrap(cluster.NewInProc(part.NumFragments(), innerFr, cluster.Network{}), faultnet.Options{Seed: seed})
+	return faultnet.Wrap(cluster.NewInProc(part.NumFragments(), innerFr), opts)
 }
 
 // maintOpenCounter counts the maintenance sessions opened on a faultnet
@@ -95,7 +95,7 @@ func TestRecoverReevaluatesSharedWatchOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := &maintOpenCounter{Net: chaosNet(77, part)}
+	tr := &maintOpenCounter{Net: chaosNet(part, faultnet.Options{Seed: 77})}
 	dep, err := Deploy(part, WithTransport(tr))
 	if err != nil {
 		t.Fatal(err)

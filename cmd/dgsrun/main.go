@@ -8,7 +8,7 @@
 //	dgsrun -algo dgpmd -gen citation -nodes 140000 -edges 300000 -frags 8 -qdiam 4
 //	dgsrun -algo dgpmt -gen tree -nodes 100000 -frags 8
 //	dgsrun -algo match -graph g.dgsg -query q.pat -frags 4
-//	dgsrun -ec2 -repeat 5          # EC2-like link model, amortized serving
+//	dgsrun -repeat 5               # amortized serving on one deployment
 //	dgsrun -connect host1:7332,host2:7332   # sites live in dgsd daemons
 //
 // The query file uses the pattern DSL (node <name> <label> / edge <a> <b>);
@@ -50,7 +50,6 @@ func main() {
 		showAll   = flag.Bool("matches", false, "print the full match relation")
 		explain   = flag.Bool("explain", false, "print the evaluation plan (orders, estimates, canonical key) and exit without evaluating")
 		trace     = flag.Bool("trace", false, "evaluate with distributed tracing and print the per-site per-round span tree")
-		ec2       = flag.Bool("ec2", false, "charge the EC2-like link cost model (paper §6)")
 		repeat    = flag.Int("repeat", 1, "serve the query N times on the one deployment")
 		connect   = flag.String("connect", "", "comma-separated dgsd addresses: deploy the fragments over TCP instead of in-process")
 		version   = flag.Bool("version", false, "print the build version and exit")
@@ -139,13 +138,7 @@ func main() {
 	fmt.Printf("partition: %v [%s, built in %v]\n", part, part.Strategy(), part.BuildTime().Round(time.Millisecond))
 
 	var dopts []dgs.DeployOption
-	if *ec2 {
-		dopts = append(dopts, dgs.WithNetwork(dgs.EC2Network()))
-	}
 	if *connect != "" {
-		if *ec2 {
-			fail(fmt.Errorf("-ec2 emulates a network; -connect uses a real one (pick one)"))
-		}
 		addrs := strings.Split(*connect, ",")
 		for i := range addrs {
 			addrs[i] = strings.TrimSpace(addrs[i])

@@ -163,6 +163,37 @@ func confTrafficOf(algo Algorithm, st Stats) confTraffic {
 	return confTraffic{st.DataBytes, st.DataMsgs, st.Rounds}
 }
 
+// confClaims checks one cell's statistics against the paper's bounds on
+// what an algorithm ships, in counts no schedule can move:
+//
+//   - Theorem 2 (dGPM, dGPMNOpt): each falsified pair X(u,v), 6 B on the
+//     wire, crosses at most once per crossing edge into v and query node
+//     u — so the pairs' bytes, push messages excluded, are at most
+//     6·|Vq|·|Ef|;
+//   - Corollary 4 (dGPMt on connected-subtree fragments): two rounds, and
+//     exactly two data messages per fragment;
+//   - Theorem 3 (dGPMd on a DAG pattern): each site emits at most one
+//     wave per rank, so at most |F|·d rounds in all. A cyclic pattern on
+//     a DAG graph is answered ∅ without a wave, and is exempt.
+func confClaims(algo Algorithm, pname string, q *Pattern, part *Partition, st Stats) error {
+	nf, ef, vq := int64(part.NumFragments()), int64(part.Ef()), int64(q.NumNodes())
+	switch algo {
+	case AlgoDGPM, AlgoDGPMNoOpt:
+		if pairs := (st.DataBytes - st.PushBytes) - 5*(st.DataMsgs-st.PushMsgs); pairs > 6*vq*ef {
+			return fmt.Errorf("Theorem 2: %d B of falsified pairs > 6·|Vq|·|Ef| = 6·%d·%d", pairs, vq, ef)
+		}
+	case AlgoDGPMt:
+		if pname == "ConnectedTree" && (st.DataMsgs != 2*nf || st.Rounds != 2) {
+			return fmt.Errorf("Corollary 4: %d data messages in %d rounds, want 2·|F| = %d in 2", st.DataMsgs, st.Rounds, 2*nf)
+		}
+	case AlgoDGPMd:
+		if d := int64(q.p.MaxRank()); d >= 0 && st.Rounds > nf*d {
+			return fmt.Errorf("Theorem 3: %d rounds > |F|·d = %d·%d", st.Rounds, nf, d)
+		}
+	}
+	return nil
+}
+
 // confModes are the transport backends the matrix runs over: the
 // in-process channel network, a deployment spanning two dgsd site
 // servers over loopback TCP, and the same TCP deployment with
@@ -210,10 +241,11 @@ func confModes(t *testing.T) []struct {
 // and with θ = 0, × {cyclic, DAG, tree} workloads × {Random, Blocks,
 // TargetRatio, LDG, Fennel} partitions × {in-process, loopback-TCP}
 // transports agree with centralized Simulate, and each arm pushes the
-// same messages and bytes on every transport. Every dGPM and dGPMNOpt
-// cell runs twice on its deployment, the second time on engines restored
-// from prepared state, with the same answer, push and shipment.
-// Combinations outside an algorithm's preconditions (dGPMd needs a DAG
+// same messages and bytes on every transport. Every cell meets the
+// paper's shipment bounds (confClaims) and Fig. 6's DS ordering against
+// dMes. Every dGPM and dGPMNOpt cell runs twice on its deployment, the
+// second time on engines restored from prepared state, with the same
+// answer, push and shipment. Combinations outside an algorithm's preconditions (dGPMd needs a DAG
 // pattern or DAG graph; dGPMt needs a tree graph) are skipped
 // explicitly. On the TCP backend every deployment spans two dgsd
 // processes' worth of site servers and must additionally report real
@@ -236,6 +268,7 @@ func TestConformanceMatrix(t *testing.T) {
 					}
 					for _, cq := range wl.queries {
 						oracle := Simulate(cq.q, wl.g)
+						ds := make(map[string]int64) // by arm name, for the DS ordering
 						for _, arm := range arms {
 							algo := arm.algo
 							name := fmt.Sprintf("%s/%s/%s/%s", wl.name, pname, cq.name, arm.name)
@@ -281,6 +314,10 @@ func TestConformanceMatrix(t *testing.T) {
 									t.Fatalf("%s: shipped %+v, but %+v on an earlier transport", name, tr, want)
 								}
 								shipped[name] = tr
+								ds[arm.name] = res.Stats.DataBytes
+								if err := confClaims(algo, pname, cq.q, part, res.Stats); err != nil {
+									t.Fatalf("%s: %v", name, err)
+								}
 								if algo == AlgoDGPM || algo == AlgoDGPMNoOpt {
 									// Again on the same deployment: every site now restores
 									// its engine from the state an earlier run filed on its
@@ -318,6 +355,14 @@ func TestConformanceMatrix(t *testing.T) {
 								}
 								covered[algo] = true
 							})
+						}
+						// Fig. 6's DS ordering, per cell: dGPM and dGPMd ship no
+						// more than dMes. (DS(dGPM) ≤ DS(disHHK) does not hold per
+						// cell at this scale: high-cut cells break it.)
+						for _, a := range []string{"dGPM", "dGPMd"} {
+							if got, ok := ds[a]; ok && got > ds["dMes"] {
+								t.Errorf("%s/%s/%s: %s shipped %d B, more than dMes's %d B", wl.name, pname, cq.name, a, got, ds["dMes"])
+							}
 						}
 					}
 					dep.Close()

@@ -38,25 +38,6 @@ type Transport = cluster.Transport
 // "shutting down" condition, distinct from caller mistakes.
 var ErrClosed = errors.New("deployment is closed")
 
-// Network models per-deployment link cost: pipelined propagation latency,
-// serialized per-site receive bandwidth, and per-message receive
-// overhead. The zero Network delivers instantly — the right setting for
-// tests. There is no process-global network state; the model is fixed
-// per deployment at Deploy time.
-type Network struct {
-	// Latency is the per-message propagation delay (pipelined).
-	Latency time.Duration
-	// Bandwidth is bytes/sec each site can receive; 0 = infinite.
-	Bandwidth int64
-	// PerMsg is the serialized per-message receive overhead.
-	PerMsg time.Duration
-}
-
-// EC2Network approximates the paper's Amazon EC2 setup (§6): with it,
-// response times charge for shipped bytes the way the paper's cluster
-// does.
-func EC2Network() Network { return Network(cluster.EC2Network()) }
-
 // queryConfig is the resolved per-query configuration.
 type queryConfig struct {
 	algo        Algorithm
@@ -123,7 +104,6 @@ func WithTrace() QueryOption {
 
 // deployConfig collects Deploy-time settings.
 type deployConfig struct {
-	net         cluster.Network
 	transport   cluster.Transport
 	remoteAddrs []string
 	spares      []string
@@ -134,13 +114,6 @@ type deployConfig struct {
 
 // DeployOption configures a Deployment at Deploy time.
 type DeployOption func(*deployConfig)
-
-// WithNetwork installs the deployment's emulated link cost model. The
-// default is the free zero Network. Only meaningful for in-process
-// deployments — a TCP deployment pays its real network instead.
-func WithNetwork(n Network) DeployOption {
-	return func(dc *deployConfig) { dc.net = cluster.Network(n) }
-}
 
 // WithRemoteSites deploys over TCP: one dgsd daemon per address, each
 // hosting a contiguous block of the fragments, shipped at Deploy time.
@@ -278,7 +251,7 @@ func Deploy(part *Partition, opts ...DeployOption) (*Deployment, error) {
 		d.remote = true
 		d.c = cluster.NewWithTransport(tr)
 	default:
-		d.c = cluster.NewLocal(part.fr, dc.net)
+		d.c = cluster.NewLocal(part.fr, cluster.Network{})
 	}
 	if !d.remote {
 		d.registerEngineMetrics()

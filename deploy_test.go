@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"dgs/internal/cluster"
+	"dgs/internal/transport/faultnet"
 )
 
 func deployWorld(t testing.TB) (*Graph, *Pattern, *Deployment) {
@@ -157,9 +158,9 @@ func TestQueryContextCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A slow network makes the 32-hop causal falsification chain take
-	// ~32×(latency+per-msg) ≫ the timeout.
-	dep, err := Deploy(part, WithNetwork(Network{Latency: 20 * time.Millisecond, PerMsg: 2 * time.Millisecond}))
+	// Delivery jitter makes the 32-hop causal falsification chain take
+	// ~32 × 5 ms on average ≫ the timeout.
+	dep, err := Deploy(part, WithTransport(chaosNet(part, faultnet.Options{MaxDelay: 10 * time.Millisecond})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +320,7 @@ func TestCloseAbortsInFlightQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep, err := Deploy(part, WithNetwork(Network{Latency: 20 * time.Millisecond, PerMsg: 2 * time.Millisecond}))
+	dep, err := Deploy(part, WithTransport(chaosNet(part, faultnet.Options{MaxDelay: 10 * time.Millisecond})))
 	if err != nil {
 		t.Fatal(err)
 	}

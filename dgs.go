@@ -13,8 +13,8 @@
 //
 // The distributed substrate runs on a pluggable wire transport. The
 // default backend keeps all sites in-process — one goroutine per site,
-// real binary message encoding, exact byte accounting, an optional
-// emulated link cost model — while WithRemoteSites deploys the same
+// real binary message encoding, exact byte accounting, no emulated link
+// cost — while WithRemoteSites deploys the same
 // fragments across dgsd site-server processes over TCP, where every
 // message crosses a real socket and Stats.WireBytes reports the
 // measured traffic (docs/WIRE.md specifies the protocol). Matching the
@@ -31,8 +31,8 @@
 // maintained incrementally under deletions — O(|AFF|) falsification
 // propagation after [13] — with re-evaluation as the insertion
 // fallback. See DESIGN.md for the deployment and update lifecycles, the
-// session-multiplexing runtime, and the evaluation methodology
-// (cmd/benchfig regenerates the paper's figures).
+// session-multiplexing runtime, and which of the paper's claims the
+// tests check and how (§6).
 //
 // Quick start:
 //

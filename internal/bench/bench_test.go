@@ -1,315 +1,336 @@
 package bench
 
+// The sweeps are the paper's, at 1/20 of the repository's default sizes
+// (themselves scaled from §6's datasets: Yahoo 3M/15M → 60K/300K,
+// Citation 1.4M/3M → 28K/60K, synthetic 30M/120M → 120K/480K), two
+// queries per point, seed 3. Every deployment is in-process with no
+// emulated link cost; DS is Stats.DataBytes summed over a point's
+// queries. The other algorithms' counts are exact; dGPM's message count
+// — and with it 5 B of header per message — depends on how many
+// falsifications a site found queued per wakeup, so a claim about
+// dGPM's own curve is asserted on its falsified pairs alone
+// (DataBytes − 5·DataMsgs), and the orderings keep margins far wider
+// than that header share.
+
 import (
-	"strings"
+	"context"
+	"fmt"
 	"testing"
+
+	"dgs"
 )
 
-// tiny returns a configuration small enough for unit tests.
-func tiny() Config { return Config{Scale: 0.05, Queries: 1, Seed: 3, NoNetwork: true} }
+const (
+	scale   = 0.05
+	seed    = 3
+	queries = 2
 
-func TestFiguresComplete(t *testing.T) {
-	ids := Figures()
-	if len(ids) != 24 { // the paper's 16 panels + upd/part PT+DS pairs + serving QPS/p99 + failover detect/restore
-		t.Fatalf("want 24 panels, got %d", len(ids))
+	webNV = 60_000
+	webNE = 300_000
+	citNV = 28_000
+	citNE = 60_000
+	synNV = 120_000
+	synNE = 480_000
+)
+
+func scaled(n int) int { return max(int(float64(n)*scale), 16) }
+
+// exp1Queries are Exp-1's cyclic patterns of |Q| = (nv, ne), over the
+// four most frequent labels: the paper's queries are conditions on
+// common attributes, i.e. selective patterns with non-trivial candidate
+// sets.
+func exp1Queries(dict *dgs.Dict, nv, ne int) []*dgs.Pattern {
+	qs := make([]*dgs.Pattern, queries)
+	for i := range qs {
+		qs[i] = dgs.GenCyclicPatternOver(dict, nv, ne, 4, seed+int64(100+i))
 	}
-	covered := map[string]bool{}
-	for _, g := range groups {
-		for _, f := range g.figs {
-			covered[f] = true
+	return qs
+}
+
+// exp2Queries are Exp-2's DAG patterns of |Q| = (9, 13) and diameter diam.
+func exp2Queries(t *testing.T, dict *dgs.Dict, diam int) []*dgs.Pattern {
+	t.Helper()
+	qs := make([]*dgs.Pattern, queries)
+	for i := range qs {
+		q, err := dgs.GenDAGPattern(dict, 9, 13, diam, seed+int64(200+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs[i] = q
+	}
+	return qs
+}
+
+func partition(t *testing.T, g *dgs.Graph, nf int, by dgs.Metric, ratio float64) *dgs.Partition {
+	t.Helper()
+	part, err := dgs.PartitionTargetRatio(g, nf, by, ratio, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return part
+}
+
+// point is one x-position of a DS panel: each algorithm's total data
+// shipment and, for dGPM, its falsified pairs' bytes.
+type point struct {
+	x     string
+	ds    map[dgs.Algorithm]int64
+	pairs map[dgs.Algorithm]int64
+}
+
+// measure deploys part once and runs every query under every algorithm —
+// the paper's fragment-once, query-many methodology — checking each
+// answer against dgs.Simulate on g.
+func measure(t *testing.T, x string, g *dgs.Graph, part *dgs.Partition, qs []*dgs.Pattern, algos []dgs.Algorithm, qopts ...dgs.QueryOption) point {
+	t.Helper()
+	dep, err := dgs.Deploy(part, dgs.WithQueryDefaults(qopts...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.Close()
+	p := point{x: x, ds: make(map[dgs.Algorithm]int64), pairs: make(map[dgs.Algorithm]int64)}
+	for _, q := range qs {
+		want := dgs.Simulate(q, g)
+		for _, a := range algos {
+			res, err := dep.Query(context.Background(), q, dgs.WithAlgorithm(a))
+			if err != nil {
+				t.Fatalf("%s, %s: %v", x, a, err)
+			}
+			if !res.Match.Equal(want) {
+				t.Fatalf("%s, %s: diverges from Simulate", x, a)
+			}
+			p.ds[a] += res.Stats.DataBytes
+			p.pairs[a] += res.Stats.DataBytes - 5*res.Stats.DataMsgs
 		}
 	}
-	for _, id := range ids {
-		if !covered[id] {
-			t.Fatalf("figure %s has no experiment group", id)
+	return p
+}
+
+// ordered asserts DS(algos[0]) < DS(algos[1]) < … at every point.
+func ordered(t *testing.T, panel string, pts []point, algos ...dgs.Algorithm) {
+	t.Helper()
+	for _, p := range pts {
+		t.Logf("%s %s: %v", panel, p.x, p.ds)
+		for i := 1; i < len(algos); i++ {
+			if lo, hi := p.ds[algos[i-1]], p.ds[algos[i]]; lo >= hi {
+				t.Errorf("%s at %s: DS(%s) = %d B, not below DS(%s) = %d B", panel, p.x, algos[i-1], lo, algos[i], hi)
+			}
 		}
-	}
-	if len(Groups()) != 13 { // 8 figure groups + ablation + updates + partition + serving + failover
-		t.Fatalf("want 13 groups, got %d", len(Groups()))
 	}
 }
 
-func TestUnknownFigure(t *testing.T) {
-	if _, err := RunFigure("9z", tiny()); err == nil {
-		t.Fatal("unknown figure accepted")
-	}
-	if _, err := RunGroup("nope", tiny()); err == nil {
-		t.Fatal("unknown group accepted")
+// rising asserts that v strictly rises from point to point.
+func rising(t *testing.T, panel, what string, pts []point, v func(point) int64) {
+	t.Helper()
+	for i := 1; i < len(pts); i++ {
+		if a, b := v(pts[i-1]), v(pts[i]); a >= b {
+			t.Errorf("%s: %s does not rise from %s to %s: %d → %d B", panel, what, pts[i-1].x, pts[i].x, a, b)
+		}
 	}
 }
 
+var exp1Algos = []dgs.Algorithm{dgs.AlgoDGPM, dgs.AlgoDisHHK, dgs.AlgoDMes}
+
+// TestExp1VaryFShape is Exp-1 on the web graph: Fig. 6(b) varies |F|,
+// 6(d) |Q| and 6(f) |Vf|. DS(dGPM) < DS(disHHK) < DS(dMes) at every
+// point; as |Vf| grows, dGPM's and dMes's DS rise while disHHK's —
+// every fragment's candidates, whatever the cut — stays put.
 func TestExp1VaryFShape(t *testing.T) {
-	figs, err := RunFigure("6a", tiny())
-	if err != nil {
-		t.Fatal(err)
+	dict := dgs.NewDict()
+	g := dgs.GenWeb(dict, scaled(webNV), scaled(webNE), seed)
+	qs := exp1Queries(dict, 5, 10)
+
+	var pts []point
+	for _, nf := range []int{4, 8, 12, 16, 20} {
+		pts = append(pts, measure(t, fmt.Sprint(nf), g, partition(t, g, nf, dgs.ByVf, 0.25), qs, exp1Algos))
 	}
-	if len(figs) != 2 || figs[0].ID != "6a" || figs[1].ID != "6b" {
-		t.Fatalf("group shape wrong: %v", figs)
+	ordered(t, "6(b)", pts, exp1Algos...)
+
+	pts = nil
+	part := partition(t, g, 8, dgs.ByVf, 0.25)
+	for _, sz := range [][2]int{{4, 8}, {5, 10}, {6, 12}, {7, 14}, {8, 16}} {
+		pts = append(pts, measure(t, fmt.Sprint(sz), g, part, exp1Queries(dict, sz[0], sz[1]), exp1Algos))
 	}
-	pt, ds := figs[0], figs[1]
-	if len(pt.Series) != 5 || len(ds.Series) != 3 {
-		t.Fatalf("series counts: PT=%d DS=%d", len(pt.Series), len(ds.Series))
+	ordered(t, "6(d)", pts, exp1Algos...)
+
+	pts = nil
+	for _, ratio := range []float64{0.25, 0.30, 0.35, 0.40, 0.45, 0.50} {
+		pts = append(pts, measure(t, fmt.Sprint(ratio), g, partition(t, g, 8, dgs.ByVf, ratio), qs, exp1Algos))
 	}
-	for _, s := range pt.Series {
-		if len(s.Points) != 5 {
-			t.Fatalf("series %s has %d points", s.Name, len(s.Points))
-		}
-	}
-	// The headline DS claim: dGPM ships far less than disHHK at |F|=20.
-	var dgpmDS, hhkDS float64
-	for _, s := range ds.Series {
-		last := s.Points[len(s.Points)-1].DSkb
-		switch s.Name {
-		case "dGPM":
-			dgpmDS = last
-		case "disHHK":
-			hhkDS = last
-		}
-	}
-	if dgpmDS <= 0 && hhkDS <= 0 {
-		t.Fatal("no shipment measured at all")
-	}
-	if dgpmDS >= hhkDS {
-		t.Fatalf("dGPM must ship less than disHHK: %f vs %f KB", dgpmDS, hhkDS)
-	}
-	// Table renders all series.
-	tab := pt.Table()
-	for _, name := range []string{"dGPM", "disHHK", "dGPMNOpt", "dMes", "Match"} {
-		if !strings.Contains(tab, name) {
-			t.Fatalf("table missing %s:\n%s", name, tab)
+	ordered(t, "6(f)", pts, exp1Algos...)
+	rising(t, "6(f)", "dGPM's falsified pairs", pts, func(p point) int64 { return p.pairs[dgs.AlgoDGPM] })
+	rising(t, "6(f)", "dMes's DS", pts, func(p point) int64 { return p.ds[dgs.AlgoDMes] })
+	for _, p := range pts[1:] {
+		if got, want := p.ds[dgs.AlgoDisHHK], pts[0].ds[dgs.AlgoDisHHK]; got != want {
+			t.Errorf("6(f): disHHK's DS moved with |Vf|: %d B at %s, %d B at %s", got, p.x, want, pts[0].x)
 		}
 	}
 }
 
+var exp2Algos = []dgs.Algorithm{dgs.AlgoDGPMd, dgs.AlgoDisHHK, dgs.AlgoDMes}
+
+// TestExp2VaryDShape is Exp-2, dGPMd on the citation DAG: Fig. 6(h)
+// varies the query diameter d, 6(j) |F| and 6(l) |Vf|. DS(dGPMd) <
+// DS(disHHK) < DS(dMes) at every point.
 func TestExp2VaryDShape(t *testing.T) {
-	figs, err := RunFigure("6g", tiny())
-	if err != nil {
-		t.Fatal(err)
+	dict := dgs.NewDict()
+	g := dgs.GenCitation(dict, scaled(citNV), scaled(citNE), seed)
+	dag := dgs.WithGraphIsDAG()
+
+	var pts []point
+	part := partition(t, g, 8, dgs.ByEf, 0.25)
+	for d := 2; d <= 8; d++ {
+		pts = append(pts, measure(t, fmt.Sprint(d), g, part, exp2Queries(t, dict, d), exp2Algos, dag))
 	}
-	pt, ds := figs[0], figs[1]
-	if len(pt.Series) != 4 || len(ds.Series) != 3 {
-		t.Fatalf("series counts: %d %d", len(pt.Series), len(ds.Series))
+	ordered(t, "6(h)", pts, exp2Algos...)
+
+	pts = nil
+	qs := exp2Queries(t, dict, 4)
+	for _, nf := range []int{4, 8, 12, 16, 20} {
+		pts = append(pts, measure(t, fmt.Sprint(nf), g, partition(t, g, nf, dgs.ByVf, 0.25), qs, exp2Algos, dag))
 	}
-	if len(pt.Series[0].Points) != 7 { // d = 2..8
-		t.Fatalf("points = %d", len(pt.Series[0].Points))
+	ordered(t, "6(j)", pts, exp2Algos...)
+
+	pts = nil
+	for _, ratio := range []float64{0.25, 0.30, 0.35, 0.40, 0.45, 0.50} {
+		pts = append(pts, measure(t, fmt.Sprint(ratio), g, partition(t, g, 8, dgs.ByVf, ratio), qs, exp2Algos, dag))
 	}
-	// dGPMd's DS must not grow with d (Fig. 6(h)): compare first and last
-	// within an order of magnitude.
-	var first, last float64
-	for _, s := range ds.Series {
-		if s.Name == "dGPMd" {
-			first, last = s.Points[0].DSkb, s.Points[len(s.Points)-1].DSkb
-		}
-	}
-	if last > 10*first+1 {
-		t.Fatalf("dGPMd DS grew with d: %f -> %f KB", first, last)
-	}
+	ordered(t, "6(l)", pts, exp2Algos...)
 }
 
+// TestExp3VaryGRuns is Exp-3 on synthetic graphs: Fig. 6(n) varies |F|
+// and 6(p) |G|. DS(dGPM) < DS(disHHK) < DS(dMes) at every point, and on
+// 6(p) all three rise with |G|.
 func TestExp3VaryGRuns(t *testing.T) {
-	figs, err := RunGroup("exp3-G", tiny())
-	if err != nil {
-		t.Fatal(err)
+	dict := dgs.NewDict()
+	g := dgs.GenSynthetic(dict, scaled(synNV), scaled(synNE), seed)
+	qs := exp1Queries(dict, 5, 10)
+
+	var pts []point
+	for _, nf := range []int{8, 12, 16, 20} {
+		pts = append(pts, measure(t, fmt.Sprint(nf), g, partition(t, g, nf, dgs.ByVf, 0.20), qs, exp1Algos))
 	}
-	ds := figs[1]
-	if ds.ID != "6p" {
-		t.Fatalf("second figure = %s", ds.ID)
+	ordered(t, "6(n)", pts, exp1Algos...)
+
+	pts = nil
+	for _, mult := range []int{2, 4, 6, 8} {
+		nv, ne := scaled(mult*40_000), scaled(mult*160_000)
+		g := dgs.GenSynthetic(dict, nv, ne, seed+int64(mult))
+		pts = append(pts, measure(t, fmt.Sprintf("(%d,%d)", nv, ne), g, partition(t, g, 20, dgs.ByVf, 0.20), qs, exp1Algos))
 	}
-	// dGPM's DS must stay well below disHHK's as |G| grows.
-	var dgpm, hhk Series
-	for _, s := range ds.Series {
-		switch s.Name {
-		case "dGPM":
-			dgpm = s
-		case "disHHK":
-			hhk = s
-		}
-	}
-	lastD := dgpm.Points[len(dgpm.Points)-1].DSkb
-	lastH := hhk.Points[len(hhk.Points)-1].DSkb
-	if lastD >= lastH {
-		t.Fatalf("dGPM DS %f must be below disHHK %f at the largest |G|", lastD, lastH)
-	}
+	ordered(t, "6(p)", pts, exp1Algos...)
+	rising(t, "6(p)", "dGPM's falsified pairs", pts, func(p point) int64 { return p.pairs[dgs.AlgoDGPM] })
+	rising(t, "6(p)", "disHHK's DS", pts, func(p point) int64 { return p.ds[dgs.AlgoDisHHK] })
+	rising(t, "6(p)", "dMes's DS", pts, func(p point) int64 { return p.ds[dgs.AlgoDMes] })
 }
 
-func TestConfigNormalization(t *testing.T) {
-	c := Config{}.norm()
-	if c.Scale != 1 || c.Queries != 2 || c.Seed != 1 {
-		t.Fatalf("norm: %+v", c)
-	}
-	if (Config{Scale: 0.001}).scaled(1000) != 16 {
-		t.Fatal("scaled floor broken")
-	}
-}
-
+// TestAblationGroup is §4.2's ablation on the web graph: incremental
+// local evaluation changes how often a site re-evaluates, never what it
+// ships, so dGPM with push off and dGPMNOpt (neither optimization) ship
+// the same falsified pairs at every |F|. The paper's "dGPM is 20.3×
+// faster than dGPMNOpt" is a PT claim and is not asserted.
 func TestAblationGroup(t *testing.T) {
-	figs, err := RunGroup("ablation", tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(figs) != 2 || figs[0].ID != "ablation-PT" {
-		t.Fatalf("ablation figures: %v", figs)
-	}
-	if len(figs[0].Series) != 3 {
-		t.Fatalf("want 3 variants, got %d", len(figs[0].Series))
-	}
-	// The unoptimized variant must be slower than full dGPM at the
-	// largest fragment count (the paper reports ~20x; any consistent
-	// slowdown validates the ablation wiring at test scale).
-	var full, nopt float64
-	for _, s := range figs[0].Series {
-		last := s.Points[len(s.Points)-1].PTms
-		switch s.Name {
-		case "dGPM":
-			full = last
-		case "dGPMNOpt":
-			nopt = last
+	ctx := context.Background()
+	dict := dgs.NewDict()
+	g := dgs.GenWeb(dict, scaled(webNV), scaled(webNE), seed)
+	for _, nf := range []int{4, 8, 16} {
+		dep, err := dgs.Deploy(partition(t, g, nf, dgs.ByVf, 0.25))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if nopt <= full {
-		t.Logf("note: NOpt (%f ms) not slower than dGPM (%f ms) at tiny scale", nopt, full)
+		for i, q := range exp1Queries(dict, 5, 10) {
+			pairs := func(opts ...dgs.QueryOption) int64 {
+				res, err := dep.Query(ctx, q, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res.Stats.DataBytes - 5*res.Stats.DataMsgs
+			}
+			noPush := pairs(dgs.WithAlgorithm(dgs.AlgoDGPM), dgs.WithPushDisabled())
+			nOpt := pairs(dgs.WithAlgorithm(dgs.AlgoDGPMNoOpt))
+			if noPush != nOpt || noPush == 0 {
+				t.Errorf("|F|=%d, query %d: dGPM-nopush shipped %d B of pairs, dGPMNOpt %d B", nf, i, noPush, nOpt)
+			}
+		}
+		dep.Close()
 	}
 }
 
+// TestUpdatesGroupShape is incremental maintenance under a 1% edge
+// deletion stream (§7's direction, after [13]): per batch, the standing
+// query's refinement ships less than re-answering the query from
+// scratch, and its relation equals the recomputed one.
 func TestUpdatesGroupShape(t *testing.T) {
-	figs, err := RunGroup("updates", tiny())
+	ctx := context.Background()
+	dict := dgs.NewDict()
+	g := dgs.GenSynthetic(dict, scaled(synNV/2), scaled(synNE/2), seed)
+	part := partition(t, g, 8, dgs.ByVf, 0.25)
+	dep, err := dgs.Deploy(part)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(figs) != 2 || figs[0].ID != "upd-pt" || figs[1].ID != "upd-ds" {
-		t.Fatalf("updates figures: %v", figs)
+	defer dep.Close()
+	q := dgs.GenCyclicPatternOver(dict, 5, 10, 4, seed+100)
+	w, err := dep.Watch(ctx, q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ds := figs[1]
-	if len(ds.Series) != 2 {
-		t.Fatalf("want 2 series, got %d", len(ds.Series))
-	}
-	var inc, rec float64
-	for _, s := range ds.Series {
-		total := 0.0
-		for _, p := range s.Points {
-			total += p.DSkb
+	nDel := max(g.NumEdges()/100, 5)
+	batches := dgs.BatchOps(dgs.GenUpdateStream(part.CurrentGraph(), nDel, 0, seed+5), nDel/5+1)
+	for bi, batch := range batches {
+		if _, err := dep.Apply(ctx, batch); err != nil {
+			t.Fatal(err)
 		}
-		switch s.Name {
-		case "dGPM-inc":
-			inc = total
-		case "recompute":
-			rec = total
+		res, err := dep.Query(ctx, q)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// The headline claim: maintaining the standing query ships less than
-	// re-answering it from scratch, summed over the whole stream.
-	if inc >= rec {
-		t.Fatalf("incremental DS %.2fKB not below recompute DS %.2fKB", inc, rec)
+		if !res.Match.Equal(w.Current()) {
+			t.Fatalf("batch %d: the maintained relation diverged from the recomputed one", bi)
+		}
+		inc, rec := w.LastStats().DataBytes, res.Stats.DataBytes
+		t.Logf("batch %d: maintained %d B, recomputed %d B", bi, inc, rec)
+		if inc >= rec {
+			t.Errorf("batch %d: maintenance shipped %d B, not below recomputation's %d B", bi, inc, rec)
+		}
 	}
 }
 
-// TestPartitionSmoke is the CI partition-smoke gate: the partition
-// group must run end to end on a tiny graph (both backends), every
-// point must carry its fragmentation metadata, and LDG must beat the
-// random fixture on |Ef| even at toy scale.
+// TestPartitionSmoke is partitioning quality as the paper's bounds see
+// it: every cost is parameterized by the cut, so LDG, partitioning the
+// web graph under the same ±10% balance cap as the random fixture, must
+// cut fewer edges, and dGPM and dMes must ship less on its fragments.
 func TestPartitionSmoke(t *testing.T) {
-	figs, err := RunGroup("partition", tiny())
-	if err != nil {
-		t.Fatal(err)
+	dict := dgs.NewDict()
+	g := dgs.GenWeb(dict, scaled(webNV/4), scaled(webNE/4), seed)
+	const nf = 12 // the 256-site sweep, scaled
+	qs := make([]*dgs.Pattern, queries)
+	for i := range qs {
+		qs[i] = dgs.GenCyclicPatternOver(dict, 5, 10, 4, seed+int64(i)*17)
 	}
-	if len(figs) != 2 || figs[0].ID != "part-pt" || figs[1].ID != "part-ds" {
-		t.Fatalf("group shape wrong: %v", figs)
-	}
-	pt, ds := figs[0], figs[1]
-	if len(pt.Series) != 4 || len(ds.Series) != 6 { // dGPM/dMes × inproc/tcp (+2 wire series on DS)
-		t.Fatalf("series counts: PT=%d DS=%d", len(pt.Series), len(ds.Series))
-	}
-	ef := map[string]int{}
-	for _, s := range append(pt.Series, ds.Series...) {
-		for _, p := range s.Points {
-			if p.Part == nil {
-				t.Fatalf("series %s point %s has no partition metadata", s.Name, p.X)
-			}
-			if p.Part.Strategy != p.X {
-				t.Fatalf("series %s point %s attributed to %q", s.Name, p.X, p.Part.Strategy)
-			}
-			if p.Part.BuildMs < 0 || p.Part.Frags < 8 {
-				t.Fatalf("series %s point %s has bogus metadata %+v", s.Name, p.X, p.Part)
-			}
-			ef[p.X] = p.Part.Ef
+	algos := []dgs.Algorithm{dgs.AlgoDGPM, dgs.AlgoDMes}
+	pts := make(map[string]point)
+	ef := make(map[string]int)
+	for _, strat := range []string{"random", "ldg"} {
+		part, err := dgs.PartitionWith(g, strat, nf, dgs.WithPartitionSeed(seed), dgs.WithBalanceSlack(0.10))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, strat := range []string{"random", "blocks", "ldg", "fennel"} {
-		if _, ok := ef[strat]; !ok {
-			t.Fatalf("strategy %s never measured (have %v)", strat, ef)
+		// ⌈1.1·|V|/|F|⌉: the largest fragment the slack admits.
+		limit := (g.NumNodes()*11 + 10*nf - 1) / (10 * nf)
+		if biggest := part.FragmentSizes()[0]; biggest > limit {
+			t.Fatalf("%s: largest fragment %d outside the balance cap %d", strat, biggest, limit)
 		}
+		ef[strat] = part.Ef()
+		pts[strat] = measure(t, strat, g, part, qs, algos)
+		t.Logf("%s: |Ef| = %d, DS %v", strat, part.Ef(), pts[strat].ds)
 	}
 	if ef["ldg"] >= ef["random"] {
-		t.Fatalf("LDG cut %d not below random cut %d", ef["ldg"], ef["random"])
+		t.Fatalf("LDG cut %d edges, not fewer than random's %d", ef["ldg"], ef["random"])
 	}
-	t.Logf("Ef: random=%d blocks=%d ldg=%d fennel=%d", ef["random"], ef["blocks"], ef["ldg"], ef["fennel"])
-	// Equal balance footing: every strategy within the 10% slack cap the
-	// group partitions under, computed from the recorded metadata.
-	for _, s := range pt.Series {
-		for _, p := range s.Points {
-			cap_ := (p.Part.Nodes*11 + 10*p.Part.Frags - 1) / (10 * p.Part.Frags) // ceil(1.1·|V|/|F|)
-			if p.Part.MaxNodes == 0 || p.Part.MaxNodes > cap_ {
-				t.Fatalf("strategy %s max fragment %d outside slack cap %d (|V|=%d, |F|=%d)",
-					p.X, p.Part.MaxNodes, cap_, p.Part.Nodes, p.Part.Frags)
-			}
-		}
-	}
-	// The TCP arm must have measured real wire bytes for at least one
-	// strategy (tiny graphs can round small, but not all-zero).
-	var wire float64
-	for _, s := range ds.Series {
-		if s.Name == "dGPM-wire/tcp" || s.Name == "dMes-wire/tcp" {
-			for _, p := range s.Points {
-				wire += p.DSkb
-			}
-		}
-	}
-	if wire == 0 {
-		t.Fatal("TCP arm measured no wire bytes")
-	}
-}
-
-// TestServingSmoke runs the serving group in miniature and asserts its
-// structural claims: both figures produced, every point carries QPS,
-// p99 and fragmentation metadata, and the cache-on arm actually hit its
-// cache on the skewed workload.
-func TestServingSmoke(t *testing.T) {
-	figs, err := RunGroup("serving", tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(figs) != 2 || figs[0].ID != "srv-qps" || figs[1].ID != "srv-p99" {
-		t.Fatalf("serving group shape wrong: %v", figs)
-	}
-	qps := figs[0]
-	if len(qps.Series) != 2 {
-		t.Fatalf("want cache-on/cache-off series, got %d", len(qps.Series))
-	}
-	for _, s := range qps.Series {
-		if len(s.Points) != 2 {
-			t.Fatalf("series %s has %d points, want skewed+uniform", s.Name, len(s.Points))
-		}
-		for _, p := range s.Points {
-			if p.QPS <= 0 || p.P99ms <= 0 {
-				t.Fatalf("series %s point %s lacks throughput/latency: %+v", s.Name, p.X, p)
-			}
-			if p.Part == nil || p.Part.Frags == 0 {
-				t.Fatalf("series %s point %s lacks fragmentation metadata", s.Name, p.X)
-			}
-		}
-	}
-	for _, s := range qps.Series {
-		for _, p := range s.Points {
-			switch s.Name {
-			case "cache-on":
-				if p.X == "skewed" && p.HitRate <= 0 {
-					t.Fatalf("cache-on skewed arm never hit the cache: %+v", p)
-				}
-			case "cache-off":
-				if p.HitRate != 0 {
-					t.Fatalf("cache-off arm reports hit rate %v", p.HitRate)
-				}
-			}
+	for _, a := range algos {
+		if l, r := pts["ldg"].ds[a], pts["random"].ds[a]; l >= r {
+			t.Errorf("%s shipped %d B on LDG's fragments, not below %d B on random's", a, l, r)
 		}
 	}
 }

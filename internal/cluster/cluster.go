@@ -1,8 +1,8 @@
 // Package cluster is the distributed-runtime substrate: a driver-side
 // coordinator plus n worker sites reached through a pluggable Transport.
-// With the in-process backend it simulates the paper's EC2 deployment
-// (§6) — one goroutine per site, every message really serialized through
-// internal/wire, exact per-kind byte accounting — and with the TCP
+// With the in-process backend it runs the paper's cluster (§6) in one
+// process — one goroutine per site, every message really serialized
+// through internal/wire, exact per-kind byte accounting — and with the TCP
 // backend (internal/transport/tcpnet) the same sessions span OS
 // processes, the sites living in dgsd daemons. Sites are reactive actors
 // — they only act on received messages — which matches the asynchronous
@@ -61,56 +61,10 @@ var ErrClosed = errors.New("cluster: session closed")
 // have been re-hosted. Check with errors.Is.
 var ErrSiteLost = errors.New("cluster: site lost")
 
-// Network models link cost for the in-process backend. Propagation
-// latency pipelines — a message becomes deliverable Latency after it was
-// sent, regardless of how many others are in flight — while receive
-// bandwidth serializes: each receiving site drains one message at a time
-// at Bandwidth bytes/sec (one NIC per site, shared by all sessions). The
-// zero Network delivers instantly — the right setting for unit tests.
-// Benchmarks use EC2Network to reproduce the paper's cluster economics;
-// the TCP backend ignores the model because a real network charges real
-// time.
-type Network struct {
-	Latency   time.Duration // per-message propagation delay (pipelined)
-	Bandwidth int64         // bytes per second per receiver; 0 = infinite
-	PerMsg    time.Duration // serialized per-message receive overhead
-}
-
-// EC2Network approximates the paper's Amazon EC2 General Purpose setup
-// (§6): sub-millisecond intra-region latency, ~0.5 Gbit/s effective
-// per-instance throughput, and a per-message receive overhead (framing,
-// syscalls) that penalizes fine-grained messaging — the cost vertex-
-// centric systems pay and batch-oriented partial evaluation avoids.
-func EC2Network() Network {
-	return Network{Latency: 300 * time.Microsecond, Bandwidth: 64 << 20, PerMsg: 15 * time.Microsecond}
-}
-
-// xferTime is the serialized receive cost of one message.
-func (n Network) xferTime(size int) time.Duration {
-	d := n.PerMsg
-	if n.Bandwidth > 0 {
-		d += time.Duration(int64(size) * int64(time.Second) / n.Bandwidth)
-	}
-	return d
-}
-
-// await sleeps out env's emulated link cost — the pipelined propagation
-// latency, then the serialized NIC drain — and reports the time spent, so
-// a run's busy time excludes it. Free when the model is off (env carries
-// no send stamp).
-func (n Network) await(env envelope) time.Duration {
-	if env.sent.IsZero() {
-		return 0
-	}
-	start := time.Now()
-	if wait := env.sent.Add(n.Latency).Sub(start); wait > 0 {
-		time.Sleep(wait)
-	}
-	if x := n.xferTime(len(env.data)); x > 0 {
-		time.Sleep(x)
-	}
-	return time.Since(start)
-}
+// Network is an empty placeholder: NewLocal still takes one, because the
+// benchmark module (benchmark/probes.go) calls NewLocal(fr, Network{}).
+// There is no link emulation; every backend pays only its real cost.
+type Network struct{}
 
 // Handler is the per-site (or coordinator) algorithm logic. Recv is
 // invoked serially per site; different sites run concurrently.
@@ -187,7 +141,6 @@ type envelope struct {
 	qid  uint64
 	from int
 	data []byte
-	sent time.Time // zero when the network model is off
 }
 
 // Queue is the runtime's one unbounded FIFO with one consumer: a site's
@@ -289,7 +242,6 @@ func serve(box *Queue[envelope], run func([]envelope)) {
 type Cluster struct {
 	n        int
 	tr       Transport
-	net      Network // link emulation, when the transport models one
 	coordBox *Queue[envelope]
 	wg       sync.WaitGroup
 
@@ -320,20 +272,17 @@ func NewWithTransport(tr Transport) *Cluster {
 		sessions: make(map[uint64]*Session),
 		coordBox: NewQueue[envelope](),
 	}
-	if lm, ok := tr.(interface{ LinkModel() Network }); ok {
-		c.net = lm.LinkModel()
-	}
 	c.wg.Add(1)
 	go c.coordLoop()
 	tr.Bind(c)
 	return c
 }
 
-// New creates a cluster of n in-process sites with the given link model
-// and no resident fragments — the handler-session substrate tests and
-// custom protocols use. Deployments with fragments use NewLocal.
-func New(n int, net Network) *Cluster {
-	return NewWithTransport(NewInProc(n, nil, net))
+// New creates a cluster of n in-process sites with no resident
+// fragments — the handler-session substrate tests and custom protocols
+// use. Deployments with fragments use NewLocal.
+func New(n int) *Cluster {
+	return NewWithTransport(NewInProc(n, nil))
 }
 
 // NumSites reports the number of worker sites (excluding the coordinator).
@@ -356,10 +305,6 @@ func (c *Cluster) ActiveSessions(kind SessionKind) int {
 	}
 	return n
 }
-
-// Network reports the emulated link model (zero when the transport is a
-// real network).
-func (c *Cluster) Network() Network { return c.net }
 
 // SessionKind labels what a session multiplexed on the cluster is for.
 // Query sessions are one-shot protocol runs; maintenance sessions are
@@ -508,11 +453,9 @@ func (c *Cluster) coordRun(run []envelope) {
 		return
 	}
 	s.coordRounds = 0
-	var idle time.Duration
 	bytes := 0
 	start := time.Now()
 	for _, env := range run {
-		idle += c.net.await(env)
 		p, err := wire.Decode(env.data)
 		if err != nil {
 			panic(fmt.Sprintf("cluster: coordinator received undecodable message from %d: %v", env.from, err))
@@ -520,7 +463,7 @@ func (c *Cluster) coordRun(run []envelope) {
 		s.coord.Recv(s.coordCtx, env.from, p)
 		bytes += len(env.data)
 	}
-	el := time.Since(start) - idle
+	el := time.Since(start)
 	s.statMu.Lock()
 	s.busy[c.n] += el
 	s.statMu.Unlock()
@@ -547,11 +490,7 @@ func (c *Cluster) SiteSent(qid uint64, from, to int, data []byte) {
 // Deliver implements Events: enqueue a coordinator-addressed message
 // whose accounting already happened.
 func (c *Cluster) Deliver(qid uint64, from int, data []byte) {
-	env := envelope{qid: qid, from: from, data: data}
-	if c.net.Latency > 0 || c.net.Bandwidth > 0 || c.net.PerMsg > 0 {
-		env.sent = time.Now()
-	}
-	c.coordBox.Put(env)
+	c.coordBox.Put(envelope{qid: qid, from: from, data: data})
 }
 
 // Retired implements Events. cum is the site's cumulative count of the

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -45,7 +44,7 @@ func nopSites(n int) []Handler {
 }
 
 func TestRingQuiesces(t *testing.T) {
-	c := New(4, Network{})
+	c := New(4)
 	defer c.Shutdown()
 	sites := make([]Handler, 4)
 	for i := range sites {
@@ -72,7 +71,7 @@ func TestRingQuiesces(t *testing.T) {
 
 func TestBroadcastReachesAllSites(t *testing.T) {
 	var got atomic.Int64
-	c := New(8, Network{})
+	c := New(8)
 	defer c.Shutdown()
 	sites := make([]Handler, 8)
 	for i := range sites {
@@ -104,7 +103,7 @@ func TestCoordinatorRoundTrip(t *testing.T) {
 	var mu sync.Mutex
 	seen := map[int]bool{}
 	n := 5
-	c := New(n, Network{})
+	c := New(n)
 	defer c.Shutdown()
 	sites := make([]Handler, n)
 	for i := range sites {
@@ -140,7 +139,7 @@ func TestCoordinatorRoundTrip(t *testing.T) {
 // mailboxes must absorb it.
 func TestAllToAllBurstNoDeadlock(t *testing.T) {
 	n := 10
-	c := New(n, Network{})
+	c := New(n)
 	defer c.Shutdown()
 	sites := make([]Handler, n)
 	for i := range sites {
@@ -178,7 +177,7 @@ func TestAllToAllBurstNoDeadlock(t *testing.T) {
 func TestMultiPhase(t *testing.T) {
 	// Phase 1 then phase 2 on the same session; WaitQuiesce twice.
 	var phase1, phase2 atomic.Int64
-	c := New(3, Network{})
+	c := New(3)
 	defer c.Shutdown()
 	sites := make([]Handler, 3)
 	for i := range sites {
@@ -211,7 +210,7 @@ func TestMultiPhase(t *testing.T) {
 }
 
 func TestRoundsCounter(t *testing.T) {
-	c := New(1, Network{})
+	c := New(1)
 	defer c.Shutdown()
 	s := c.NewSession([]Handler{HandlerFunc(func(ctx *Ctx, from int, p wire.Payload) {
 		ctx.AddRounds(2)
@@ -227,7 +226,7 @@ func TestRoundsCounter(t *testing.T) {
 }
 
 func TestWaitQuiesceImmediateWhenQuiet(t *testing.T) {
-	c := New(1, Network{})
+	c := New(1)
 	defer c.Shutdown()
 	s := c.NewSession(nopSites(1), nopHandler{})
 	defer s.Close()
@@ -246,7 +245,7 @@ func TestWaitQuiesceImmediateWhenQuiet(t *testing.T) {
 }
 
 func TestMaxSiteBusyTracked(t *testing.T) {
-	c := New(1, Network{})
+	c := New(1)
 	defer c.Shutdown()
 	s := c.NewSession([]Handler{HandlerFunc(func(ctx *Ctx, from int, p wire.Payload) {
 		time.Sleep(5 * time.Millisecond)
@@ -266,7 +265,7 @@ func TestMaxSiteBusyTracked(t *testing.T) {
 // relies on for concurrent queries.
 func TestConcurrentSessionsIsolated(t *testing.T) {
 	n := 4
-	c := New(n, Network{})
+	c := New(n)
 	defer c.Shutdown()
 
 	mkSites := func() []Handler {
@@ -301,7 +300,7 @@ func TestConcurrentSessionsIsolated(t *testing.T) {
 // sends are suppressed, so an abandoned query cannot touch a later one.
 func TestClosedSessionDropsTraffic(t *testing.T) {
 	var delivered atomic.Int64
-	c := New(1, Network{})
+	c := New(1)
 	defer c.Shutdown()
 	block := make(chan struct{})
 	s := c.NewSession([]Handler{HandlerFunc(func(ctx *Ctx, from int, p wire.Payload) {
@@ -330,7 +329,7 @@ func TestClosedSessionDropsTraffic(t *testing.T) {
 }
 
 func TestWaitQuiesceHonorsContext(t *testing.T) {
-	c := New(1, Network{})
+	c := New(1)
 	defer c.Shutdown()
 	block := make(chan struct{})
 	defer close(block)
@@ -352,7 +351,7 @@ func TestWaitQuiesceHonorsContext(t *testing.T) {
 }
 
 func TestNewSessionOnShutdownCluster(t *testing.T) {
-	c := New(1, Network{})
+	c := New(1)
 	c.Shutdown()
 	s := c.NewSession(nopSites(1), nopHandler{})
 	s.Inject(0, &wire.Control{}) // must not panic
@@ -362,7 +361,7 @@ func TestNewSessionOnShutdownCluster(t *testing.T) {
 }
 
 func TestShutdownIdempotent(t *testing.T) {
-	c := New(2, Network{})
+	c := New(2)
 	s := c.NewSession(nopSites(2), nopHandler{})
 	s.Broadcast(&wire.Control{})
 	if err := s.WaitQuiesce(bg); err != nil {
@@ -375,7 +374,7 @@ func TestShutdownIdempotent(t *testing.T) {
 // Many sessions created and torn down in sequence must not leak:
 // the registry shrinks back to empty.
 func TestSessionRegistryDrains(t *testing.T) {
-	c := New(2, Network{})
+	c := New(2)
 	defer c.Shutdown()
 	for i := 0; i < 50; i++ {
 		s := c.NewSession(nopSites(2), nopHandler{})
@@ -393,23 +392,8 @@ func TestSessionRegistryDrains(t *testing.T) {
 	}
 }
 
-func TestNumSitesAndNetworkAccessors(t *testing.T) {
-	net := Network{Latency: time.Millisecond}
-	c := New(3, net)
-	defer c.Shutdown()
-	if c.NumSites() != 3 {
-		t.Fatalf("NumSites = %d", c.NumSites())
-	}
-	if c.Network() != net {
-		t.Fatalf("Network = %+v", c.Network())
-	}
-	if fmt.Sprint(c.Network().Latency) != "1ms" {
-		t.Fatal("unexpected latency")
-	}
-}
-
 func TestSessionKindsMultiplex(t *testing.T) {
-	c := New(3, Network{})
+	c := New(3)
 	defer c.Shutdown()
 	q1 := c.NewSession(nopSites(3), nopHandler{})
 	defer q1.Close()
@@ -457,7 +441,7 @@ func TestStatsMinus(t *testing.T) {
 // sessions fail with the cause, and sessions opened afterwards fail
 // immediately instead of waiting forever on dropped sends.
 func TestFatalFailurePoisonsCluster(t *testing.T) {
-	c := New(2, Network{})
+	c := New(2)
 	defer c.Shutdown()
 	s := c.NewSession(nopSites(2), nopHandler{})
 	boom := errors.New("daemon lost")

@@ -19,7 +19,7 @@ func TestMatchFromPairsRejectsOutOfRange(t *testing.T) {
 		{"data-node", wire.VarRef{U: 1, V: nv}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := New(2, Network{})
+			c := New(2)
 			defer c.Shutdown()
 			report := HandlerFunc(func(ctx *Ctx, from int, p wire.Payload) {
 				pairs := []wire.VarRef{{U: 0, V: uint32(ctx.Self())}}

@@ -121,7 +121,7 @@ func (g gatedReply) Recv(ctx *Ctx, from int, p wire.Payload) {
 // neither deliveries nor a retirement.
 func TestSiteLoopSplitsChunkIntoRuns(t *testing.T) {
 	sink := &recSink{}
-	h := NewSiteHost(1, []int{0}, nil, nil, Network{}, sink)
+	h := NewSiteHost(1, []int{0}, nil, nil, sink)
 	defer h.Shutdown()
 	g := gatedReply{entered: make(chan struct{}), gate: make(chan struct{})}
 	for qid := uint64(1); qid <= 3; qid++ {
@@ -153,7 +153,7 @@ func TestSiteLoopSplitsChunkIntoRuns(t *testing.T) {
 // delivered nor retired.
 func TestSessionClosedMidRunDropsRest(t *testing.T) {
 	sink := &recSink{}
-	h := NewSiteHost(1, []int{0}, nil, nil, Network{}, sink)
+	h := NewSiteHost(1, []int{0}, nil, nil, sink)
 	defer h.Shutdown()
 	g := gatedReply{entered: make(chan struct{}), gate: make(chan struct{})}
 	for qid := uint64(1); qid <= 2; qid++ {
@@ -219,7 +219,7 @@ func (n *spyNet) Fail(qid uint64, err error) { n.ev.Fail(qid, err) }
 func TestRunRetiredOnceAfterItsOutput(t *testing.T) {
 	const n = 7
 	var s *Session
-	tr := &spyNet{InProc: NewInProc(2, nil, Network{}), sess: func() *Session { return s }}
+	tr := &spyNet{InProc: NewInProc(2, nil), sess: func() *Session { return s }}
 	c := NewWithTransport(tr)
 	defer c.Shutdown()
 	g := gatedReply{entered: make(chan struct{}), gate: make(chan struct{})}
@@ -263,7 +263,7 @@ func (dropNet) Send(uint64, int, int, []byte) {}
 // retirement delivered twice leaves one in flight, and only the count
 // covering both certifies termination.
 func TestReplayedRetirementRetiresNothing(t *testing.T) {
-	c := NewWithTransport(dropNet{NewInProc(1, nil, Network{})})
+	c := NewWithTransport(dropNet{NewInProc(1, nil)})
 	defer c.Shutdown()
 	s := c.NewSession(nopSites(1), nopHandler{})
 	defer s.Close()
@@ -290,7 +290,7 @@ func TestReplayedRetirementRetiresNothing(t *testing.T) {
 //	go test -run '^$' -bench SiteHostStorm ./internal/cluster
 func BenchmarkSiteHostStorm(b *testing.B) {
 	const sites = 8
-	c := New(sites, Network{})
+	c := New(sites)
 	defer c.Shutdown()
 	s := c.NewSession(nopSites(sites), nopHandler{})
 	defer s.Close()

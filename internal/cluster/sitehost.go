@@ -71,7 +71,6 @@ type SiteHost struct {
 	sites  map[int]*siteState
 	frags  map[int]*partition.Fragment // may be empty (protocol tests)
 	assign []int32
-	net    Network // link emulation; zero for real networks
 	sink   SiteSink
 
 	mu       sync.RWMutex // guards sessions, sites, frags, closed
@@ -90,16 +89,13 @@ type SiteHost struct {
 
 // NewSiteHost starts the site goroutines for the given global site IDs.
 // frags maps a hosted ID to its resident fragment (nil entries and a nil
-// map are allowed — spec factories then receive a nil fragment). net is
-// the emulated link model; pass the zero Network when a real network
-// provides the latency.
-func NewSiteHost(total int, ids []int, frags map[int]*partition.Fragment, assign []int32, net Network, sink SiteSink) *SiteHost {
+// map are allowed — spec factories then receive a nil fragment).
+func NewSiteHost(total int, ids []int, frags map[int]*partition.Fragment, assign []int32, sink SiteSink) *SiteHost {
 	h := &SiteHost{
 		total:    total,
 		sites:    make(map[int]*siteState, len(ids)),
 		frags:    frags,
 		assign:   assign,
-		net:      net,
 		sink:     sink,
 		sessions: make(map[uint64]*hostSession),
 		traces:   make(map[uint64]*obs.SpanRecorder),
@@ -279,8 +275,7 @@ func (h *SiteHost) TakeTrace(qid uint64) (spans []obs.SiteTrace, traced bool) {
 	return rec.Snapshot(), true
 }
 
-// Enqueue delivers one encoded payload to hosted site `to`. The message
-// is timestamped for link emulation when the host's Network is non-zero.
+// Enqueue delivers one encoded payload to hosted site `to`.
 func (h *SiteHost) Enqueue(qid uint64, from, to int, data []byte) {
 	h.mu.RLock()
 	st, ok := h.sites[to]
@@ -289,11 +284,7 @@ func (h *SiteHost) Enqueue(qid uint64, from, to int, data []byte) {
 		h.sink.Fatal(fmt.Errorf("cluster: message for site %d which is not hosted here", to))
 		return
 	}
-	env := envelope{qid: qid, from: from, data: data}
-	if h.net.Latency > 0 || h.net.Bandwidth > 0 || h.net.PerMsg > 0 {
-		env.sent = time.Now()
-	}
-	st.box.Put(env)
+	st.box.Put(envelope{qid: qid, from: from, data: data})
 }
 
 // siteLoop is a hosted site's executor: the mailbox's whole queue per
@@ -305,9 +296,8 @@ func (h *SiteHost) siteLoop(st *siteState) {
 
 // run delivers one drained run of session envelopes to the site's
 // handler, in order, then retires the run as a whole: one session
-// lookup, one busy-time measurement (decoding included, emulated link
-// waits excluded), one Retire carrying the site's cumulative count.
-// Everything the handler emitted — during a Recv or from its RunEnder
+// lookup, one busy-time measurement (decoding included), one Retire
+// carrying the site's cumulative count. Everything the handler emitted — during a Recv or from its RunEnder
 // hook — reached the sink before the retirement does. A session closed
 // mid-run gets nothing more: the rest of the run is dropped unretired,
 // like a run that finds no session.
@@ -323,14 +313,12 @@ func (h *SiteHost) run(st *siteState, run []envelope) {
 	}
 	ss := hs.sites[st.id]
 	st.rounds = 0
-	var idle time.Duration
 	bytes := 0
 	start := time.Now()
 	for _, env := range run {
 		if hs.closed.Load() {
 			return
 		}
-		idle += h.net.await(env)
 		p, err := wire.Decode(env.data)
 		if err != nil {
 			// Fatal ends the deployment (or panics in-process): the rest of
@@ -344,7 +332,7 @@ func (h *SiteHost) run(st *siteState, run []envelope) {
 	if re, ok := ss.h.(RunEnder); ok {
 		re.EndRun(ss.ctx)
 	}
-	busy := time.Since(start) - idle
+	busy := time.Since(start)
 	if hs.trace != nil {
 		hs.trace.RecordIn(st.id, len(run), bytes, busy, st.rounds)
 	}
@@ -372,12 +360,11 @@ func (h *SiteHost) Shutdown() {
 // InProc is the in-process channel network: all n sites are goroutines
 // in the driver's process, messages are Go slices handed between
 // mailboxes (still fully serialized through internal/wire — byte counts
-// are exact), and link cost is emulated by the Network model. This is
-// the original runtime of the repo, now one Transport among others, and
-// the only backend that supports direct handler sessions.
+// are exact), with no emulated link cost. This is the original runtime
+// of the repo, now one Transport among others, and the only backend that
+// supports direct handler sessions.
 type InProc struct {
 	n    int
-	net  Network
 	host *SiteHost
 	ev   Events
 }
@@ -390,8 +377,8 @@ var _ Tracer = (*InProc)(nil)
 // NewInProc creates the in-process backend hosting n sites with the
 // fragments of fr resident (fr may be nil for fragment-less protocol
 // sessions; spec factories then receive nil fragments).
-func NewInProc(n int, fr *partition.Fragmentation, net Network) *InProc {
-	t := &InProc{n: n, net: net}
+func NewInProc(n int, fr *partition.Fragmentation) *InProc {
+	t := &InProc{n: n}
 	ids := make([]int, n)
 	for i := range ids {
 		ids[i] = i
@@ -405,7 +392,7 @@ func NewInProc(n int, fr *partition.Fragmentation, net Network) *InProc {
 		}
 		assign = fr.Assign
 	}
-	t.host = NewSiteHost(n, ids, frags, assign, net, (*inprocSink)(t))
+	t.host = NewSiteHost(n, ids, frags, assign, (*inprocSink)(t))
 	return t
 }
 
@@ -428,9 +415,6 @@ func (t *InProc) NumSites() int { return t.n }
 
 // Bind implements Transport.
 func (t *InProc) Bind(ev Events) { t.ev = ev }
-
-// LinkModel exposes the emulated Network (Cluster.Network reads it).
-func (t *InProc) LinkModel() Network { return t.net }
 
 // SharesDriverFragments implements FragmentSharer: the sites mutate the
 // driver's own fragment objects, so no driver-side replay is needed.
@@ -482,7 +466,8 @@ func (t *InProc) WireBytes(uint64) int64 { return 0 }
 
 // NewLocal creates a cluster over the in-process backend with the
 // fragments of fr resident at its sites — the fragment-once/serve-many
-// substrate for single-process deployments and the Run wrappers.
-func NewLocal(fr *partition.Fragmentation, net Network) *Cluster {
-	return NewWithTransport(NewInProc(fr.NumFragments(), fr, net))
+// substrate for single-process deployments and the Run wrappers. The
+// Network argument is the empty placeholder and is ignored.
+func NewLocal(fr *partition.Fragmentation, _ Network) *Cluster {
+	return NewWithTransport(NewInProc(fr.NumFragments(), fr))
 }

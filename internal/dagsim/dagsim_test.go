@@ -210,9 +210,10 @@ func TestQuickDGPMdEqualsCentralized(t *testing.T) {
 	}
 }
 
-// Message count bound: dGPMd sends at most one batch per (site pair,
+// Message count bound: dGPMd sends exactly one batch per (site pair,
 // shippable rank) — the static send plan — regardless of how many
-// variables are falsified.
+// variables are falsified, and each site spends one round per rank it
+// ships at: at most d waves (Theorem 3).
 func TestQuickMessagePlanBound(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -221,9 +222,10 @@ func TestQuickMessagePlanBound(t *testing.T) {
 		if !ok {
 			return true
 		}
-		plan := 0
+		plan, waves := 0, 0
 		for _, f := range fr.Frags {
 			seen := map[[2]int]bool{}
+			ranks := map[int]bool{}
 			for _, v := range f.InNodes {
 				for _, w := range f.InWatchers[v] {
 					for _, rr := range ri.shipRanks(f.Labels[v]) {
@@ -232,16 +234,18 @@ func TestQuickMessagePlanBound(t *testing.T) {
 							seen[k] = true
 							plan++
 						}
+						ranks[rr] = true
 					}
 				}
 			}
+			waves += len(ranks)
 		}
 		_, stats, err := run(q, fr, false)
 		if err != nil {
 			return false
 		}
-		if stats.DataMsgs > int64(plan) {
-			t.Logf("seed %d: %d messages > plan %d", seed, stats.DataMsgs, plan)
+		if stats.DataMsgs != int64(plan) || stats.Rounds != int64(waves) {
+			t.Logf("seed %d: %d messages in %d rounds, plan %d in %d waves", seed, stats.DataMsgs, stats.Rounds, plan, waves)
 			return false
 		}
 		return true

@@ -176,7 +176,11 @@ func (s *site) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
 			s.extraWatch[li] = append(s.extraWatch[li], dest)
 			// The new watcher missed falsifications that predate the
 			// reroute; resend them (falsifications are idempotent).
-			backfill = append(backfill, s.eng.DeadLocalVars(v)...)
+			for _, r := range s.eng.DeadLocalVars(v) {
+				if s.read(pattern.QNode(r.U)) {
+					backfill = append(backfill, r)
+				}
+			}
 		}
 		if len(backfill) > 0 {
 			ctx.Send(dest, &wire.Falsify{Pairs: backfill})
@@ -239,7 +243,8 @@ func (s *site) flushTracked(ctx *cluster.Ctx) {
 // per destination, destinations ascending. The watchers are the engine
 // index's dense rows — unless that index no longer describes the
 // fragment (a standing engine, refined under the deletions that mutated
-// it), when they are the fragment's live annotations.
+// it), when they are the fragment's live annotations. Only variables some
+// receiver reads are shipped (read).
 func (s *site) route(ctx *cluster.Ctx, kills []visVar) {
 	if len(kills) == 0 {
 		return
@@ -250,6 +255,9 @@ func (s *site) route(ctx *cluster.Ctx, kills []visVar) {
 	ix := s.eng.ix
 	current := ix != nil && s.frag.IndexCurrent(ix)
 	for _, x := range kills {
+		if !s.read(x.u) {
+			continue
+		}
 		r, li := s.eng.ref(x), x.vi
 		if current {
 			for _, w := range ix.Watchers(li) {
@@ -275,6 +283,12 @@ func (s *site) route(ctx *cluster.Ctx, kills []visVar) {
 		s.perDest[d] = refs[:0]
 	}
 }
+
+// read reports whether a variable X(u,v) has readers at other sites. A
+// root u of Q (no parent) feeds no counter and no pushed equation
+// anywhere, so its variables are never shipped — as dGPMd never ships
+// its top-rank ones.
+func (s *site) read(u pattern.QNode) bool { return len(s.q.Pred(u)) > 0 }
 
 func dedupe(pairs []wire.VarRef) []wire.VarRef {
 	slices.SortFunc(pairs, compareRefs)

@@ -7,12 +7,8 @@ package serve
 import (
 	"context"
 	"errors"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
-
-	"dgs"
 )
 
 func TestGateUnit(t *testing.T) {
@@ -80,64 +76,39 @@ func TestGateQueuedDeadline(t *testing.T) {
 }
 
 // TestOverloadSheds drives the whole server past its capacity: with one
-// execution slot and a one-deep queue, a burst of slow queries must
-// produce explicit ErrOverload rejections — quickly — while admitted
-// queries still complete correctly.
+// execution slot — held by the test — and a one-deep queue, a burst of
+// queries must produce explicit ErrOverload rejections at once, while
+// the one admitted query still completes correctly once the slot frees.
 func TestOverloadSheds(t *testing.T) {
-	w := newWorld(t, Options{MaxInFlight: 1, MaxQueue: 1},
-		dgs.WithNetwork(dgs.Network{Latency: 5 * time.Millisecond}))
+	w := newWorld(t, Options{MaxInFlight: 1, MaxQueue: 1})
 	ctx := context.Background()
+	if err := w.srv.gate.acquire(ctx); err != nil {
+		t.Fatal(err)
+	}
 
 	const burst = 8
-	var (
-		wg         sync.WaitGroup
-		rejected   int64
-		served     int64
-		slowestRej int64 // ns
-	)
+	errs := make(chan error, burst)
 	for i := 0; i < burst; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Distinct patterns with NoCache: no coalescing, every query
-			// wants its own slot.
-			req := QueryRequest{
-				Pattern: "node a l0\nnode b l1\nedge a b\n",
-				NoCache: true,
-			}
-			start := time.Now()
-			_, err := w.srv.Query(ctx, req)
-			switch {
-			case err == nil:
-				atomic.AddInt64(&served, 1)
-			case errors.Is(err, ErrOverload):
-				atomic.AddInt64(&rejected, 1)
-				if d := int64(time.Since(start)); d > atomic.LoadInt64(&slowestRej) {
-					atomic.StoreInt64(&slowestRej, d)
-				}
-			default:
-				t.Errorf("query %d: %v", i, err)
-			}
-		}(i)
+		go func() {
+			// NoCache: no coalescing, every query wants its own slot.
+			_, err := w.srv.Query(ctx, QueryRequest{Pattern: "node a l0\nnode b l1\nedge a b\n", NoCache: true})
+			errs <- err
+		}()
 	}
-	wg.Wait()
-
-	if rejected == 0 {
-		t.Fatal("burst past capacity produced no overload rejections")
+	// Every query but the queued one is shed while the slot is still held.
+	for i := 0; i < burst-1; i++ {
+		if err := <-errs; !errors.Is(err, ErrOverload) {
+			t.Fatalf("query past capacity: err = %v, want ErrOverload", err)
+		}
 	}
-	if served < 1 {
-		t.Fatal("no query served at all under overload")
+	if d := w.srv.gate.queueDepth(); d != 1 {
+		t.Fatalf("queue depth %d with the slot held, want 1", d)
 	}
-	if served+rejected != burst {
-		t.Fatalf("served %d + rejected %d != %d", served, rejected, burst)
+	w.srv.gate.release()
+	if err := <-errs; err != nil {
+		t.Fatalf("the queued query failed: %v", err)
 	}
-	// Sheds must be immediate — far under one service time (which the
-	// emulated latency stretches to tens of ms).
-	if d := time.Duration(slowestRej); d > 2*time.Second {
-		t.Fatalf("slowest rejection took %v — shedding is not bounding latency", d)
-	}
-	c := w.srv.Counters()
-	if c.Rejected != rejected {
-		t.Fatalf("Rejected counter %d, want %d", c.Rejected, rejected)
+	if c := w.srv.Counters(); c.Rejected != burst-1 {
+		t.Fatalf("Rejected counter %d, want %d", c.Rejected, burst-1)
 	}
 }

@@ -129,25 +129,32 @@ func TestCacheHitMissInvalidate(t *testing.T) {
 }
 
 func TestCoalescing(t *testing.T) {
-	// A sluggish emulated network keeps the leader in flight long enough
-	// for followers to join deterministically (we poll InFlight).
-	w := newWorld(t, Options{MaxInFlight: 4},
-		dgs.WithNetwork(dgs.Network{Latency: 10 * time.Millisecond}))
+	// The test holds the server's one execution slot, so the leader —
+	// which joins its flight before it asks for a slot — waits queued
+	// while the followers join that flight.
+	w := newWorld(t, Options{MaxInFlight: 1})
 	ctx := context.Background()
 	req := QueryRequest{Pattern: w.pattern()}
+	if err := w.srv.gate.acquire(ctx); err != nil {
+		t.Fatal(err)
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 
 	leaderDone := make(chan error, 1)
 	go func() {
 		_, err := w.srv.Query(ctx, req)
 		leaderDone <- err
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for w.srv.Counters().InFlight == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("leader never entered flight")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor("the leader to queue", func() bool { return w.srv.gate.queueDepth() == 1 })
 	const followers = 3
 	followerDone := make(chan *QueryResponse, followers)
 	for i := 0; i < followers; i++ {
@@ -155,32 +162,26 @@ func TestCoalescing(t *testing.T) {
 			resp, err := w.srv.Query(ctx, req)
 			if err != nil {
 				t.Error(err)
-				followerDone <- nil
-				return
 			}
 			followerDone <- resp
 		}()
 	}
+	waitFor("the followers to join", func() bool { return w.srv.Counters().Coalesced == followers })
+	w.srv.gate.release()
 	if err := <-leaderDone; err != nil {
 		t.Fatal(err)
 	}
-	coalesced := 0
 	for i := 0; i < followers; i++ {
 		resp := <-followerDone
 		if resp == nil {
 			t.Fatal("follower failed")
 		}
-		if resp.Coalesced {
-			coalesced++
-		} else if !resp.Cached {
-			t.Fatal("follower neither coalesced nor cache-hit")
+		if !resp.Coalesced {
+			t.Fatalf("follower not coalesced onto the leader's flight: %+v", resp)
 		}
 	}
-	if coalesced == 0 {
-		t.Fatal("no follower coalesced onto the leader's flight")
-	}
-	if c := w.srv.Counters(); c.Coalesced != int64(coalesced) {
-		t.Fatalf("coalesced counter %d, want %d", c.Coalesced, coalesced)
+	if c := w.srv.Counters(); c.Coalesced != followers || c.Misses != followers+1 {
+		t.Fatalf("counters %+v: want %d coalesced of %d misses", c, followers, followers+1)
 	}
 }
 

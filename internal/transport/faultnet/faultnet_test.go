@@ -41,7 +41,7 @@ func ringSites(n int) []cluster.Handler {
 
 func newChaosCluster(t *testing.T, n int, opts faultnet.Options) (*faultnet.Net, *cluster.Cluster) {
 	t.Helper()
-	fn := faultnet.Wrap(cluster.NewInProc(n, nil, cluster.Network{}), opts)
+	fn := faultnet.Wrap(cluster.NewInProc(n, nil), opts)
 	c := cluster.NewWithTransport(fn)
 	t.Cleanup(c.Shutdown)
 	return fn, c

@@ -139,7 +139,7 @@ func tcpBackend(daemons int) backend {
 func backends() []backend {
 	return []backend{
 		{"inproc", func(t *testing.T, n int) *cluster.Cluster {
-			return cluster.New(n, cluster.Network{})
+			return cluster.New(n)
 		}},
 		tcpBackend(1),
 		tcpBackend(2),

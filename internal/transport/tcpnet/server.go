@@ -249,7 +249,7 @@ func (s *Server) handle(c net.Conn) {
 	}()
 
 	sink := &daemonSink{out: out}
-	host := cluster.NewSiteHost(dep.total, dep.hosted, frags, dep.assign, cluster.Network{}, sink)
+	host := cluster.NewSiteHost(dep.total, dep.hosted, frags, dep.assign, sink)
 
 	out.Put(outEntry{kind: entryFrame, data: wire.AppendFrame(nil, frameDeployed, nil)})
 	s.logf("dgsd: v%d, hosting %d/%d sites, %d-node assign directory, %d-label dict",

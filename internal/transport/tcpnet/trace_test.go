@@ -35,7 +35,7 @@ func forEachTraceBackend(t *testing.T, n int, body func(t *testing.T, c *cluster
 	registerTestAlgos()
 	for _, be := range []backend{
 		{"inproc", func(t *testing.T, n int) *cluster.Cluster {
-			return cluster.New(n, cluster.Network{})
+			return cluster.New(n)
 		}},
 		tcpBackend(1),
 		tcpBackend(2),

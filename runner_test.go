@@ -18,6 +18,7 @@ import (
 	"dgs/internal/dgpm"
 	"dgs/internal/obs"
 	"dgs/internal/simulation"
+	"dgs/internal/transport/faultnet"
 	"dgs/internal/treesim"
 	"dgs/internal/wire"
 )
@@ -102,9 +103,9 @@ func TestRunnerContract(t *testing.T) {
 				}
 			}
 
-			// Cancelled mid-run: no message is deliverable before the
-			// link latency has passed, and the context expires first.
-			slow := cluster.NewLocal(fr, cluster.Network{Latency: 50 * time.Millisecond})
+			// Cancelled mid-run: every delivery is jittered by up to
+			// 10 ms, so the protocol outlasts the context.
+			slow := cluster.NewWithTransport(faultnet.Wrap(cluster.NewInProc(fr.NumFragments(), fr), faultnet.Options{MaxDelay: 10 * time.Millisecond}))
 			defer slow.Shutdown()
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 			defer cancel()

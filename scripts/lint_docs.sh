@@ -4,7 +4,9 @@
 #   2. the operator-facing documents exist and are non-trivial;
 #   3. the documents track the code they describe (payload kinds, frames,
 #      endpoints, algorithm names, driver entry points, analyzers);
-#   4. the public surface (root package API, dgsrun/dgsd/dgsgw flags)
+#   4. the prose documents name only defined make targets and nothing of
+#      the deleted figure stack or link emulation;
+#   5. the public surface (root package API, dgsrun/dgsd/dgsgw flags)
 #      equals its golden docs/API.txt.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -164,6 +166,26 @@ while IFS=$'\t' read -r name _doc; do
     fail=1
   fi
 done < <(go run ./cmd/dgsvet -list)
+
+# The prose documents (CHANGES.md and ROADMAP.md are history and plans,
+# and exempt) may name only make targets the Makefile defines — as
+# `make X` in backticks or at the start of a line — and nothing of the
+# deleted figure stack or link emulation.
+prose="README.md DESIGN.md docs/*.md"
+[ -f .claude/skills/verify/SKILL.md ] && prose="$prose .claude/skills/verify/SKILL.md"
+targets=$(sed -n 's/^\([a-zA-Z0-9_-]*\):.*/\1/p' Makefile)
+for target in $(grep -ohE '(`|^)make [a-z][a-z0-9-]*' $prose | awk '{print $2}' | sort -u); do
+  if ! grep -qx -- "$target" <<<"$targets"; then
+    echo "the documents name 'make $target', which the Makefile does not define:"
+    grep -nE "(\`|^)make $target\b" $prose | sed 's/^/  /'
+    fail=1
+  fi
+done
+if stale=$(grep -nE 'benchfig|BENCH_|WithNetwork|EC2Network|-ec2' $prose); then
+  echo "the documents mention the deleted figure stack or link emulation:"
+  echo "$stale" | sed 's/^/  /'
+  fail=1
+fi
 
 # The public surface must equal its golden: an option or flag appears or
 # vanishes only together with a docs/API.txt diff (make api).
