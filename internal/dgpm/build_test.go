@@ -18,6 +18,7 @@ import (
 	"dgs/internal/partition"
 	"dgs/internal/pattern"
 	"dgs/internal/plan"
+	"dgs/internal/simulation"
 	"dgs/internal/wire"
 	"dgs/internal/workload"
 )
@@ -340,11 +341,12 @@ func TestSaturatedHubCountsExactly(t *testing.T) {
 	fr := mustPartition(t, b.MustBuild(), make([]int32, fan+1))
 	frag := fr.Frags[0]
 	ix := frag.Index()
-	if got := ix.OutDeg[q.Label(1)][ix.VisIdx[hub]]; got != partition.OutDegSat {
+	h, _ := ix.Find(hub)
+	if got := ix.OutDeg[q.Label(1)][h]; got != partition.OutDegSat {
 		t.Fatalf("hub's OutDeg cell = %d, want saturated", got)
 	}
 	e := NewEngine(q, frag)
-	if got := e.cnt[0][e.visIdx[hub]-e.lo[0]]; got != fan {
+	if got := e.cnt[0][h-e.lo[0]]; got != fan {
 		t.Fatalf("hub's counter = %d, want %d", got, fan)
 	}
 	for i := 1; i <= fan; i++ {
@@ -479,6 +481,54 @@ func BenchmarkEnginePrepared(b *testing.B) {
 	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/query")
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/1e6, "MB/query")
 }
+
+// BenchmarkEngineInbound is incremental lEval's inner loop on a warm
+// memo: one op restores a catalog pattern's engine on each of the eight
+// fragments and applies, with ApplyFalsifications, every falsification
+// its owners could ever send it — each label-consistent X(u,v) with v
+// virtual, u not a root of Q and (u,v) outside the maximum simulation —
+// then drains the in-node kills for routing, so ms/query reads against
+// the falsification handling inside `dgpm.site_busy_ms_sum` on `local-8`.
+// The streams are computed off the clock from simulation.HHK's answer.
+func BenchmarkEngineInbound(b *testing.B) {
+	fr, qs, pls := localEight(b, 300_000, 1_500_000)
+	keys := make([]string, len(qs))
+	streams := make([][][]wire.VarRef, len(qs)) // [pattern][fragment]
+	for i, q := range qs {
+		keys[i] = keyOf(q, pls[i])
+		m := simulation.HHK(q, fr.G)
+		streams[i] = make([][]wire.VarRef, len(fr.Frags))
+		for j, f := range fr.Frags {
+			prepare(q, f, pls[i], keys[i])
+			for _, v := range f.Virtual {
+				for u := range q.NumNodes() {
+					qu := pattern.QNode(u)
+					if q.Label(qu) == f.Labels[v] && len(q.Pred(qu)) > 0 && !m.Contains(qu, v) {
+						streams[i][j] = append(streams[i][j], wire.VarRef{U: uint16(u), V: uint32(v)})
+					}
+				}
+			}
+		}
+	}
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(qs)
+		for j, f := range fr.Frags {
+			e := prepare(qs[k], f, pls[k], keys[k])
+			e.ApplyFalsifications(streams[k][j])
+			refSink = e.Drain()
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/query")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/1e6, "MB/query")
+}
+
+var refSink []wire.VarRef
 
 var indexSink *partition.Index
 

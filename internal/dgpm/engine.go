@@ -26,8 +26,9 @@
 // that numbering. The local candidates of query node u are one range
 // [lo[u], hi[u]), and the successor counters of a query edge (u,u') exist
 // only for them, addressed by li − lo[u]. Pred rows are ascending, so
-// propagation walks only the [lo[u], hi[u]) block of a row. Maps appear
-// only on cold paths (pushed equations, message boundaries).
+// propagation walks only the [lo[u], hi[u]) block of a row. An inbound
+// reference resolves through the index's open-addressed node table, so
+// maps appear only on the cold path of pushed equations.
 //
 // Counter invariant: the counter of an ALIVE local variable X(u,v) on
 // edge (u,u') is exactly the number of v's alive successors for u', and
@@ -93,10 +94,13 @@ type Engine struct {
 	constTrue []bool
 
 	// Dense node universe, borrowed from the fragment's cached topology
-	// index: vis[0:nl] are local nodes, vis[nl:] virtual.
-	vis    []graph.NodeID
-	visIdx map[graph.NodeID]int32
-	nl     int32 // number of locals
+	// index: vis[0:nl] are local nodes, vis[nl:] virtual. vt resolves a
+	// node ID — an inbound reference's V — to its index in vis without a
+	// map: the index's open-addressed table, held by value so that the
+	// engine keeps the table alive and not the index (ix).
+	vis []graph.NodeID
+	vt  partition.VisTable
+	nl  int32 // number of locals
 
 	// succ[li] lists vis indices of local node li's successors.
 	succ [][]int32
@@ -352,7 +356,7 @@ func (e *Engine) borrow(ix *partition.Index) {
 	e.ix = ix
 	e.nl = ix.NL
 	e.vis = ix.Vis
-	e.visIdx = ix.VisIdx
+	e.vt = ix.Table()
 	e.isIn = ix.IsIn
 	e.succ = ix.Succ
 	e.pred = ix.Pred
@@ -381,7 +385,7 @@ func (e *Engine) isAlive(k varKey) bool {
 	if !e.inQuery(k) {
 		return false
 	}
-	if vi, ok := e.visIdx[k.v()]; ok {
+	if vi, ok := e.vt.Find(k.v()); ok {
 		return e.alive[k.u()][vi]
 	}
 	if x, ok := e.ext[k]; ok {
@@ -396,7 +400,7 @@ func (e *Engine) isConst(k varKey) bool {
 	if !e.inQuery(k) || !e.constTrue[k.u()] {
 		return false
 	}
-	if vi, ok := e.visIdx[k.v()]; ok {
+	if vi, ok := e.vt.Find(k.v()); ok {
 		// Initial alive == label consistency; leaves are never killed.
 		return e.alive[k.u()][vi]
 	}
@@ -515,7 +519,7 @@ func (e *Engine) ApplyFalsifications(pairs []wire.VarRef) {
 		if !e.inQuery(k) {
 			continue
 		}
-		if vi, ok := e.visIdx[k.v()]; ok {
+		if vi, ok := e.vt.Find(k.v()); ok {
 			if e.alive[k.u()][vi] {
 				e.killVis(k.u(), vi)
 			}
@@ -547,11 +551,11 @@ func (e *Engine) ApplyEdgeDeletions(dels [][2]graph.NodeID) {
 	}
 	for _, d := range dels {
 		v, w := d[0], d[1]
-		li, ok := e.visIdx[v]
+		li, ok := e.vt.Find(v)
 		if !ok || li >= e.nl {
 			continue
 		}
-		wi, ok := e.visIdx[w]
+		wi, ok := e.vt.Find(w)
 		if !ok {
 			continue
 		}
@@ -652,7 +656,7 @@ func (e *Engine) ref(x visVar) wire.VarRef {
 // AliveLocalVar reports the status of a local variable; it panics if v is
 // not local (programming error in the caller).
 func (e *Engine) AliveLocalVar(u pattern.QNode, v graph.NodeID) bool {
-	vi, ok := e.visIdx[v]
+	vi, ok := e.vt.Find(v)
 	if !ok || vi >= e.nl {
 		panic(fmt.Sprintf("dgpm: node %d is not local to fragment %d", v, e.frag.ID))
 	}
@@ -688,7 +692,7 @@ func (e *Engine) LocalMatches() []wire.VarRef {
 // node — used to backfill a rerouted watcher that joined after those
 // variables died.
 func (e *Engine) DeadLocalVars(v graph.NodeID) []wire.VarRef {
-	vi, ok := e.visIdx[v]
+	vi, ok := e.vt.Find(v)
 	if !ok || vi >= e.nl {
 		return nil
 	}

@@ -19,7 +19,7 @@ import (
 // killVar falsifies any variable, routing to the dense path for visible
 // nodes (so fragment counters fire) and to the ext path otherwise.
 func (e *Engine) killVar(k varKey) {
-	if vi, ok := e.visIdx[k.v()]; ok {
+	if vi, ok := e.vt.Find(k.v()); ok {
 		e.killVis(k.u(), vi)
 		return
 	}
@@ -34,7 +34,7 @@ type depSet struct {
 }
 
 func (d *depSet) has(k varKey) bool {
-	if vi, ok := d.e.visIdx[k.v()]; ok {
+	if vi, ok := d.e.vt.Find(k.v()); ok {
 		return d.vis[k.u()][vi]
 	}
 	return d.ext[k]
@@ -69,7 +69,7 @@ func (e *Engine) assumptionDependent() *depSet {
 		}
 	}
 	mark := func(k varKey) {
-		if vi, ok := e.visIdx[k.v()]; ok {
+		if vi, ok := e.vt.Find(k.v()); ok {
 			markVis(k.u(), vi)
 			return
 		}
@@ -96,7 +96,7 @@ func (e *Engine) assumptionDependent() *depSet {
 		}
 	}
 	for k, x := range e.ext {
-		if _, visible := e.visIdx[k.v()]; visible {
+		if _, visible := e.vt.Find(k.v()); visible {
 			continue
 		}
 		if x.alive && !x.hasEq {
@@ -107,7 +107,7 @@ func (e *Engine) assumptionDependent() *depSet {
 		k := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		uc := k.u()
-		if vi, ok := e.visIdx[k.v()]; ok {
+		if vi, ok := e.vt.Find(k.v()); ok {
 			for _, ei := range e.eIn[uc] {
 				up := e.qedges[ei].parent
 				if e.constTrue[up] {
@@ -343,7 +343,7 @@ func compareRefs(a, b wire.VarRef) int {
 // are pruned; groups containing a constant-true reference are dropped as
 // satisfied.
 func (e *Engine) groupsOf(k varKey) (groups [][]varKey, isLeaf bool) {
-	vi, visible := e.visIdx[k.v()]
+	vi, visible := e.vt.Find(k.v())
 	if visible && vi < e.nl {
 		// Local variable: groups come from the fragment adjacency.
 		for _, ei := range e.eOut[k.u()] {
@@ -395,7 +395,7 @@ func (e *Engine) InstallEquations(eqs []wire.Equation) {
 	installed := make(map[varKey]bool, len(eqs))
 	for _, eq := range eqs {
 		k := refKey(eq.Target)
-		if vi, ok := e.visIdx[k.v()]; ok && vi < e.nl {
+		if vi, ok := e.vt.Find(k.v()); ok && vi < e.nl {
 			// A pushed equation never targets our own node; if a routing
 			// anomaly delivers one, our local derivation is authoritative.
 			continue

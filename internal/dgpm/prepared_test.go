@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -248,7 +249,10 @@ func TestNOptRebuildsNeverRestore(t *testing.T) {
 
 // A falsification naming a query node the pattern does not have is
 // ignored, by an engine and by a site that a peer sends it to, as it is
-// when it comes inside a pushed equation.
+// when it comes inside a pushed equation. So is one naming a node ID the
+// fragment cannot see — the largest NodeID, one past the graph, or a node
+// of the graph outside the fragment's view — there, in a Reroute and in a
+// Delta.
 func TestForgedQueryNodeIgnored(t *testing.T) {
 	q, g, _, assign := fig1()
 	fr := mustPartition(t, g, assign)
@@ -258,12 +262,57 @@ func TestForgedQueryNodeIgnored(t *testing.T) {
 	for _, v := range append(frag.Local[:1:1], frag.Virtual...) {
 		forged = append(forged, wire.VarRef{U: nq, V: uint32(v)}, wire.VarRef{U: 60000, V: uint32(v)})
 	}
+	unseen := -1
+	for v := range g.NumNodes() {
+		if id := graph.NodeID(v); !frag.IsLocal(id) && !frag.IsVirtual(id) {
+			unseen = v
+			break
+		}
+	}
+	if unseen < 0 {
+		t.Fatal("fragment 0 sees the whole graph")
+	}
+	// Strays: every query node's variable of the two IDs outside the graph,
+	// and the false ones of the unseen node (a true one, falsified, would
+	// rightly change the answer wherever a pushed equation reads it).
+	want := simulation.HHK(q, g)
+	outside := []uint32{math.MaxUint32, uint32(g.NumNodes())}
+	var strays []wire.VarRef
+	for u := range nq + 1 {
+		for _, v := range outside {
+			strays = append(strays, wire.VarRef{U: u, V: v})
+		}
+		if int(u) == int(nq) || !want.Contains(pattern.QNode(u), graph.NodeID(unseen)) {
+			strays = append(strays, wire.VarRef{U: u, V: uint32(unseen)})
+		}
+	}
+	strayEqs := []wire.Equation{
+		{Target: wire.VarRef{U: 0, V: outside[0]}, Groups: [][]wire.VarRef{strays}},
+		{Target: wire.VarRef{U: 0, V: outside[1]}, Groups: [][]wire.VarRef{strays[:1]}},
+	}
+	strayNodes := append(slices.Clone(outside), uint32(unseen))
+	var strayDels [][2]uint32
+	for _, v := range strayNodes {
+		strayDels = append(strayDels, [2]uint32{uint32(frag.Local[0]), v}, [2]uint32{v, uint32(frag.Local[0])})
+	}
 
-	e, want := NewEngine(q, frag), NewEngine(q, frag)
+	e, fresh := NewEngine(q, frag), NewEngine(q, frag)
 	e.ApplyFalsifications(forged)
 	e.InstallEquations([]wire.Equation{{Target: forged[len(forged)-1], Groups: [][]wire.VarRef{forged}}})
-	if !reflect.DeepEqual(e.LocalMatches(), want.LocalMatches()) {
+	e.ApplyFalsifications(strays)
+	e.InstallEquations(strayEqs)
+	dels := make([][2]graph.NodeID, len(strayDels))
+	for i, d := range strayDels {
+		dels[i] = [2]graph.NodeID{graph.NodeID(d[0]), graph.NodeID(d[1])}
+	}
+	e.ApplyEdgeDeletions(dels)
+	if !reflect.DeepEqual(e.LocalMatches(), fresh.LocalMatches()) {
 		t.Fatal("forged references changed the engine's local matches")
+	}
+	for _, v := range strayNodes {
+		if got := e.DeadLocalVars(graph.NodeID(v)); got != nil {
+			t.Fatalf("node %d the fragment cannot see has dead local variables %v", v, got)
+		}
 	}
 	// In a group, a variable of no query node is no witness.
 	e.InstallEquations([]wire.Equation{{Target: wire.VarRef{U: 0, V: uint32(frag.Virtual[0])}, Groups: [][]wire.VarRef{forged}}})
@@ -284,6 +333,10 @@ func TestForgedQueryNodeIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess.Inject(0, &wire.Falsify{Pairs: forged})
+	sess.Inject(0, &wire.Falsify{Pairs: strays})
+	sess.Inject(0, &wire.Push{Origin: 1, Eqs: strayEqs})
+	sess.Inject(0, &wire.Reroute{Dest: 1, Nodes: strayNodes})
+	sess.Inject(0, &wire.Delta{Dels: strayDels})
 	if err := sess.WaitQuiesce(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -294,8 +347,8 @@ func TestForgedQueryNodeIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := simulation.HHK(q, g); !m.Canonical().Equal(want) {
-		t.Fatalf("after a forged falsification the session answered %v, want %v", m.Canonical(), want)
+	if !m.Canonical().Equal(want) {
+		t.Fatalf("after forged messages the session answered %v, want %v", m.Canonical(), want)
 	}
 }
 

@@ -166,14 +166,16 @@ func (s *site) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
 		var backfill []wire.VarRef
 		for _, nv := range m.Nodes {
 			v := graph.NodeID(nv)
-			li, ok := s.eng.visIdx[v]
+			li, ok := s.eng.vt.Find(v)
 			if !ok || li >= s.eng.nl {
 				continue // only a local node's falsifications are ours to forward
 			}
 			if s.extraWatch == nil {
 				s.extraWatch = make([][]int, s.eng.nl)
 			}
-			s.extraWatch[li] = append(s.extraWatch[li], dest)
+			if !slices.Contains(s.extraWatch[li], dest) {
+				s.extraWatch[li] = append(s.extraWatch[li], dest)
+			}
 			// The new watcher missed falsifications that predate the
 			// reroute; resend them (falsifications are idempotent).
 			for _, r := range s.eng.DeadLocalVars(v) {
@@ -240,11 +242,18 @@ func (s *site) flushTracked(ctx *cluster.Ctx) {
 
 // route sends each falsified in-node variable to the sites holding the
 // in-node as a virtual node, plus any rerouted push parents. One message
-// per destination, destinations ascending. The watchers are the engine
-// index's dense rows — unless that index no longer describes the
-// fragment (a standing engine, refined under the deletions that mutated
-// it), when they are the fragment's live annotations. Only variables some
-// receiver reads are shipped (read).
+// per destination, destinations ascending, each listing its variables in
+// kill order. The watchers are the engine index's dense rows — unless
+// that index no longer describes the fragment (a standing engine, refined
+// under the deletions that mutated it), when they are the fragment's live
+// annotations. Only variables some receiver reads are shipped (read).
+//
+// No message repeats a variable, and none is sorted: a variable dies
+// once, a watcher row lists distinct sites, the Reroute handler files a
+// destination at most once per extraWatch row, and an extraWatch
+// destination the watcher row already lists is skipped — its row ends
+// with the variable, since kills are routed one at a time. Receivers do
+// not depend on the order within a message: kills commute.
 func (s *site) route(ctx *cluster.Ctx, kills []visVar) {
 	if len(kills) == 0 {
 		return
@@ -270,7 +279,10 @@ func (s *site) route(ctx *cluster.Ctx, kills []visVar) {
 		}
 		if s.extraWatch != nil {
 			for _, w := range s.extraWatch[li] {
-				s.perDest[w] = append(s.perDest[w], r)
+				// A destination the watcher row lists already ends with r.
+				if row := s.perDest[w]; len(row) == 0 || row[len(row)-1] != r {
+					s.perDest[w] = append(row, r)
+				}
 			}
 		}
 	}
@@ -279,7 +291,7 @@ func (s *site) route(ctx *cluster.Ctx, kills []visVar) {
 			continue
 		}
 		// Send encodes before it returns, so the row is free for reuse.
-		ctx.Send(d, &wire.Falsify{Pairs: dedupe(refs)})
+		ctx.Send(d, &wire.Falsify{Pairs: refs})
 		s.perDest[d] = refs[:0]
 	}
 }
@@ -289,11 +301,6 @@ func (s *site) route(ctx *cluster.Ctx, kills []visVar) {
 // anywhere, so its variables are never shipped — as dGPMd never ships
 // its top-rank ones.
 func (s *site) read(u pattern.QNode) bool { return len(s.q.Pred(u)) > 0 }
-
-func dedupe(pairs []wire.VarRef) []wire.VarRef {
-	slices.SortFunc(pairs, compareRefs)
-	return slices.Compact(pairs)
-}
 
 // pushBudget is the benefit test B(Si) = |O'|/(m·|I'|) ≥ θ (§4.2) solved
 // for m: the largest byte count the test still accepts. B only falls as m

@@ -32,7 +32,9 @@ package partition
 // in-node (Watchers), so falsifications route without a map lookup.
 // OutDeg is one byte per (successor label, local node) and saturates at
 // OutDegSat: a saturated cell means "at least this many — recount from
-// the Succ row", which only hubs pay.
+// the Succ row", which only hubs pay. An inbound node ID resolves to its
+// index without a map either, through an open-addressed table (Find) that
+// a patch shares, as the numbering carries over.
 //
 // An index is also the version that query-dependent state derived from
 // the fragment is filed against (Prepared): a small LRU that every new
@@ -41,6 +43,7 @@ package partition
 import (
 	"cmp"
 	"maps"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -51,9 +54,8 @@ import (
 // Visible nodes are indexed 0..len(Vis)-1: the NL local nodes first,
 // label-major, then the virtual nodes in Fragment order.
 type Index struct {
-	// Vis lists local then virtual node IDs; VisIdx inverts it.
-	Vis    []graph.NodeID
-	VisIdx map[graph.NodeID]int32
+	// Vis lists local then virtual node IDs; Find inverts it.
+	Vis []graph.NodeID
 	// NL is the number of local nodes (the local prefix of Vis).
 	NL int32
 	// IsIn marks the local indices that are in-nodes; In lists them in
@@ -76,6 +78,9 @@ type Index struct {
 	// InOf counts, per label, the in-node candidates (the benefit
 	// function's per-label tally; len(Virt[l]) is the virtual one).
 	InOf map[graph.Label]int
+
+	// table inverts Vis (Find).
+	table VisTable
 
 	// labelStart[l] is where label l's locals start; labelStart[l+1]
 	// where they end.
@@ -153,6 +158,65 @@ func (ix *Index) Prepare(key string, val any) {
 	m.entries = append(m.entries, preparedEntry{key, val})
 }
 
+// Find returns the index of node v in Vis, and false when the fragment
+// cannot see v.
+func (ix *Index) Find(v graph.NodeID) (int32, bool) { return ix.table.Find(v) }
+
+// Table returns the table Find reads, for a holder that must not keep
+// the index itself alive.
+func (ix *Index) Table() VisTable { return ix.table }
+
+// VisTable maps the visible node IDs of one index to their indices in its
+// Vis. It is open-addressed: a power-of-two slot array at most half full,
+// each slot v<<32 | (index+1) and 0 when empty, probed linearly from a
+// Fibonacci hash of v. Storing only what is there, it costs 16–32 B per
+// visible node where a dense array over node IDs would cost 4 B per node
+// of the whole graph, in every fragment; and a probe is one multiply and,
+// at this load, usually one cache line, where a map hashes and indirects.
+// A table is immutable once built and safe to share.
+type VisTable struct {
+	slots []uint64
+	shift uint8 // 64 − log2(len(slots)): the hash keeps the top bits
+}
+
+// fibHash is 2^64 divided by the golden ratio, rounded to odd.
+const fibHash = 0x9e3779b97f4a7c15
+
+// newVisTable indexes vis, whose IDs are distinct.
+func newVisTable(vis []graph.NodeID) VisTable {
+	n := 2
+	for n < 2*len(vis) {
+		n <<= 1
+	}
+	t := VisTable{slots: make([]uint64, n), shift: uint8(64 - bits.TrailingZeros(uint(n)))}
+	mask := uint64(n - 1)
+	for i, v := range vis {
+		j := t.home(v)
+		for t.slots[j] != 0 {
+			j = (j + 1) & mask
+		}
+		t.slots[j] = uint64(v)<<32 | uint64(i+1)
+	}
+	return t
+}
+
+// home is the slot v's probe starts at.
+func (t VisTable) home(v graph.NodeID) uint64 { return uint64(v) * fibHash >> t.shift }
+
+// Find returns v's index, and false when v is not in the table.
+func (t VisTable) Find(v graph.NodeID) (int32, bool) {
+	mask := uint64(len(t.slots) - 1)
+	for j := t.home(v); ; j = (j + 1) & mask {
+		s := t.slots[j]
+		if s == 0 {
+			return 0, false
+		}
+		if graph.NodeID(s>>32) == v {
+			return int32(uint32(s)) - 1, true
+		}
+	}
+}
+
 // Locals returns the local index range [lo, hi) of the nodes labelled l;
 // it is empty when no local node carries l.
 func (ix *Index) Locals(l graph.Label) (lo, hi int32) {
@@ -228,7 +292,6 @@ func (f *Fragment) buildIndex() *Index {
 	nvis := nl + len(f.Virtual)
 	ix := &Index{
 		Vis:    make([]graph.NodeID, nvis),
-		VisIdx: make(map[graph.NodeID]int32, nvis),
 		NL:     int32(nl),
 		Labels: make([]graph.Label, nvis),
 		Succ:   make([][]int32, nl),
@@ -267,9 +330,7 @@ func (f *Fragment) buildIndex() *Index {
 		next[l]++
 		ix.Vis[li], ix.Labels[li] = v, l
 	}
-	for i, v := range ix.Vis {
-		ix.VisIdx[v] = int32(i)
-	}
+	ix.table = newVisTable(ix.Vis)
 
 	// Succ: one pass over the fragment's adjacency in local order, which
 	// also counts each visible node's predecessors and fills OutDeg. deg
@@ -281,7 +342,7 @@ func (f *Fragment) buildIndex() *Index {
 	succFlat := make([]int32, 0, f.numEdges)
 	for li, v := range ix.Vis[:nl] {
 		for _, w := range f.Succ[v] {
-			wi := ix.VisIdx[w]
+			wi, _ := ix.Find(w)
 			succFlat = append(succFlat, wi)
 			predStart[wi+1]++
 			l := ix.Labels[wi]
@@ -338,7 +399,7 @@ func fillWatchers(f *Fragment, ix *Index) {
 	ix.InOf = make(map[graph.Label]int)
 	ix.watchStart = make([]int32, nl+1)
 	for k, v := range f.InNodes {
-		li := ix.VisIdx[v]
+		li, _ := ix.Find(v)
 		ix.In[k] = li
 		ix.IsIn[li] = true
 		ix.InOf[ix.Labels[li]]++
@@ -366,11 +427,11 @@ type predEdit struct {
 // patch derives the index of f's current state from o, the index of an
 // earlier state with the same virtual set (see touchRow): srcs lists the
 // local sources whose Succ rows changed since (duplicates allowed),
-// watchers whether the in-node watchers did. The numbering, labels, label
-// ranges and Virt lists carry over unchanged. The result is what
-// buildIndex would return, and it shares every row it does not change
-// with o, which is left untouched — except the prepared state, which
-// describes o alone and starts empty.
+// watchers whether the in-node watchers did. The numbering and its Find
+// table, labels, label ranges and Virt lists carry over unchanged. The
+// result is what buildIndex would return, and it shares every row it does
+// not change with o, which is left untouched — except the prepared state,
+// which describes o alone and starts empty.
 func (o *Index) patch(f *Fragment, srcs []graph.NodeID, watchers bool) *Index {
 	ix := *o
 	ix.prepared = new(preparedMemo)
@@ -382,7 +443,7 @@ func (o *Index) patch(f *Fragment, srcs []graph.NodeID, watchers bool) *Index {
 	}
 	lis := make([]int32, len(srcs))
 	for i, v := range srcs {
-		lis[i] = o.VisIdx[v]
+		lis[i], _ = o.Find(v)
 	}
 	slices.Sort(lis)
 	lis = slices.Compact(lis)
@@ -401,7 +462,8 @@ func (o *Index) patch(f *Fragment, srcs []graph.NodeID, watchers bool) *Index {
 	for _, li := range lis {
 		start := len(flat)
 		for _, w := range f.Succ[o.Vis[li]] {
-			flat = append(flat, o.VisIdx[w])
+			wi, _ := o.Find(w)
+			flat = append(flat, wi)
 		}
 		row := flat[start:len(flat):len(flat)]
 		if len(row) == 0 {

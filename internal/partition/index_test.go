@@ -3,6 +3,7 @@ package partition
 import (
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -31,9 +32,17 @@ func checkIndex(t *testing.T, f *Fragment) {
 		t.Fatalf("frag %d: virtuals out of Fragment order", f.ID)
 	}
 	for i, v := range ix.Vis {
-		if ix.VisIdx[v] != int32(i) || ix.Labels[i] != f.Labels[v] {
-			t.Fatalf("frag %d: node %d at %d: VisIdx %d, label %d (want %d)", f.ID, v, i, ix.VisIdx[v], ix.Labels[i], f.Labels[v])
+		if vi, ok := ix.Find(v); vi != int32(i) || !ok || ix.Labels[i] != f.Labels[v] {
+			t.Fatalf("frag %d: node %d at %d: Find %d, %v, label %d (want %d)", f.ID, v, i, vi, ok, ix.Labels[i], f.Labels[v])
 		}
+	}
+	find := func(v graph.NodeID) int32 {
+		t.Helper()
+		vi, ok := ix.Find(v)
+		if !ok {
+			t.Fatalf("frag %d: Find misses visible node %d", f.ID, v)
+		}
+		return vi
 	}
 	// Each label's range covers exactly its locals.
 	perLabel := make(map[graph.Label]int)
@@ -64,8 +73,9 @@ func checkIndex(t *testing.T, f *Fragment) {
 	for li, v := range ix.Vis[:nl] {
 		var row []int32
 		for _, w := range f.Succ[v] {
-			row = append(row, ix.VisIdx[w])
-			wantPred[ix.VisIdx[w]] = append(wantPred[ix.VisIdx[w]], int32(li))
+			wi := find(w)
+			row = append(row, wi)
+			wantPred[wi] = append(wantPred[wi], int32(li))
 		}
 		if !slices.Equal(ix.Succ[li], row) {
 			t.Fatalf("frag %d: Succ[%d] = %v, want %v", f.ID, li, ix.Succ[li], row)
@@ -79,7 +89,7 @@ func checkIndex(t *testing.T, f *Fragment) {
 	// Watcher rows are InWatchers by local index; In is InNodes.
 	var in []int32
 	for _, v := range f.InNodes {
-		in = append(in, ix.VisIdx[v])
+		in = append(in, find(v))
 	}
 	if !slices.Equal(ix.In, in) {
 		t.Fatalf("frag %d: In = %v, want %v", f.ID, ix.In, in)
@@ -201,7 +211,7 @@ func TestIndexLabelMajor(t *testing.T) {
 	}
 	ix := fr.Frags[0].Index()
 	lb, lc := g.Label(far), g.Label(far+1)
-	h := ix.VisIdx[hub]
+	h, _ := ix.Find(hub)
 	if lo, hi := ix.Locals(lb); lo != hi || len(ix.Virt[lb]) != 1 || ix.OutDeg[lb][h] != 1 {
 		t.Fatalf("virtual-only label: range [%d,%d), Virt %v, OutDeg row %v", lo, hi, ix.Virt[lb], ix.OutDeg[lb])
 	}
@@ -221,7 +231,7 @@ func indexDiff(got, want *Index) string {
 		got, want any
 	}{
 		{"Vis", got.Vis, want.Vis},
-		{"VisIdx", got.VisIdx, want.VisIdx},
+		{"table", got.table, want.table},
 		{"NL", got.NL, want.NL},
 		{"IsIn", got.IsIn, want.IsIn},
 		{"In", got.In, want.In},
@@ -408,6 +418,98 @@ func TestIndexMatchesRebuild(t *testing.T) {
 			t.Fatalf("after %v: OutDeg row of B = %v", batch, ix.OutDeg[g.Label(bb)])
 		}
 	}
+}
+
+// checkFind holds ix's Find against f: every visible node resolves to
+// its position in Vis, and every other ID up to one past the largest
+// visible one misses, as does the largest NodeID.
+func checkFind(t *testing.T, what string, f *Fragment, ix *Index) {
+	t.Helper()
+	for i, v := range ix.Vis {
+		if vi, ok := ix.Find(v); vi != int32(i) || !ok {
+			t.Fatalf("%s: Find(%d) = %d, %v, want %d, true", what, v, vi, ok, i)
+		}
+	}
+	maxVis := slices.Max(append([]graph.NodeID{0}, ix.Vis...))
+	for v := graph.NodeID(0); v <= maxVis+1; v++ {
+		if f.IsLocal(v) || f.IsVirtual(v) {
+			continue
+		}
+		if vi, ok := ix.Find(v); ok {
+			t.Fatalf("%s: Find(%d) = %d for a node the fragment cannot see", what, v, vi)
+		}
+	}
+	if vi, ok := ix.Find(math.MaxUint32); ok {
+		t.Fatalf("%s: Find(MaxUint32) = %d", what, vi)
+	}
+}
+
+// TestIndexFind: the open-addressed table inverts Vis on built and
+// patched indexes and misses everything else, including on probe runs
+// that wrap past the last slot.
+func TestIndexFind(t *testing.T) {
+	patched := 0
+	for seed := int64(0); seed < 6; seed++ {
+		fr := randomFragmentation(t, seed)
+		r := rand.New(rand.NewSource(seed))
+		for _, f := range fr.Frags {
+			checkFind(t, fmt.Sprintf("seed %d frag %d built", seed, f.ID), f, f.Index())
+		}
+		for step := 0; step < 10; step++ {
+			before := make([]*Index, len(fr.Frags))
+			for i, f := range fr.Frags {
+				before[i] = f.Index()
+			}
+			dels, ins := drawBatch(r, fr, step%len(batchKinds))
+			applyBatch(t, fr, dels, ins)
+			for i, f := range fr.Frags {
+				ix := f.Index()
+				if ix != before[i] && len(ix.Vis) > 0 && &ix.Vis[0] == &before[i].Vis[0] {
+					patched++
+				}
+				checkFind(t, fmt.Sprintf("seed %d step %d frag %d", seed, step, f.ID), f, ix)
+			}
+		}
+	}
+	if patched == 0 {
+		t.Fatal("the streams patched no index")
+	}
+
+	// Four locals whose probes all start at the last of the table's eight
+	// slots: three of them wrap to the front.
+	const n = 4
+	shape := newVisTable(make([]graph.NodeID, n)) // sized for n nodes; only its hash is used
+	last := uint64(len(shape.slots) - 1)
+	var ids []graph.NodeID
+	for v := graph.NodeID(0); len(ids) < n; v++ {
+		if shape.home(v) == last {
+			ids = append(ids, v)
+		}
+	}
+	b := graph.NewBuilder()
+	assign := make([]int32, ids[n-1]+1)
+	for v := range assign {
+		b.AddNode("a")
+		assign[v] = 1
+	}
+	for _, v := range ids {
+		assign[v] = 0
+	}
+	fr, err := FromAssign(b.MustBuild(), assign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := fr.Frags[0]
+	ix := f.Index()
+	if len(ix.table.slots) != len(shape.slots) {
+		t.Fatalf("%d visible nodes got %d slots, want %d", len(ix.Vis), len(ix.table.slots), len(shape.slots))
+	}
+	for j := range uint64(n - 1) {
+		if s := ix.table.slots[j]; s == 0 || ix.table.home(graph.NodeID(s>>32)) != last {
+			t.Fatalf("slot %d holds %#x, want a node wrapped from slot %d", j, s, last)
+		}
+	}
+	checkFind(t, "colliding IDs", f, ix)
 }
 
 // TestIndexMutationLog: an index stops being current at the first
