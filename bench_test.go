@@ -70,7 +70,7 @@ func BenchmarkTreeDGPMt(b *testing.B) {
 	dict := NewDict()
 	g := GenTree(dict, 50_000, 1)
 	q := GenTreePattern(dict, 4, 9)
-	part, err := PartitionTree(g, 8)
+	part, err := PartitionWith(g, "tree", 8)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func BenchmarkImpossibilityChain(b *testing.B) {
 	q := ChainQuery(dict)
 	for _, n := range []int{16, 64, 256} {
 		g := GenChain(dict, n, false)
-		part, err := PartitionChain(g, n)
+		part, err := PartitionWith(g, "chain", n)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func BenchmarkDeployAmortization(b *testing.B) {
 		dict := NewDict()
 		g := GenSynthetic(dict, 5_000, 20_000, 42)
 		q := GenCyclicPatternOver(dict, 5, 10, 4, 100)
-		part, err := PartitionTargetRatio(g, 8, ByVf, 0.25, 1)
+		part, err := PartitionWith(g, "targetratio", 8, WithPartitionTarget(0.25), WithPartitionSeed(1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func BenchmarkDeployAmortization(b *testing.B) {
 		dict := NewDict()
 		q := ChainQuery(dict)
 		g := GenChain(dict, 256, true)
-		part, err := PartitionChain(g, 256)
+		part, err := PartitionWith(g, "chain", 256)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -91,7 +91,7 @@ func TestRecoverReevaluatesSharedWatchOnce(t *testing.T) {
 	ctx := context.Background()
 	dict := NewDict()
 	g := GenSynthetic(dict, 300, 900, 77)
-	part, err := PartitionRandom(g, 4, 77)
+	part, err := PartitionWith(g, "random", 4, WithPartitionSeed(77))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,34 +100,23 @@ func main() {
 		}
 		g = gg
 		dict = g.Dict()
-	case *gen == "web":
-		g = dgs.GenWeb(dict, *nodes, *edges, *seed)
-	case *gen == "citation":
-		g = dgs.GenCitation(dict, *nodes, *edges, *seed)
-	case *gen == "synthetic":
-		g = dgs.GenSynthetic(dict, *nodes, *edges, *seed)
-	case *gen == "tree":
-		g = dgs.GenTree(dict, *nodes, *seed)
-	case *gen == "chain":
-		// The Fig-2 chain gadget: deterministic edges ((2i,2i+1), (2i+1,
-		// 2i+2), closing edge), which gives smoke tests a known edge to
-		// delete via /apply.
-		g = dgs.GenChain(dict, *nodes, true)
 	default:
-		fail(fmt.Errorf("unknown generator %q", *gen))
+		gg, err := dgs.GenGraph(dict, *gen, *nodes, *edges, *seed)
+		if err != nil {
+			fail(err)
+		}
+		g = gg
 	}
 	logf("dgsgw %s", buildinfo.Version())
 	logf("graph:     %v", g)
 
-	var part *dgs.Partition
-	var err error
-	if *partName != "" {
-		part, err = dgs.PartitionWith(g, *partName, *frags,
-			dgs.WithPartitionSeed(*seed), dgs.WithPartitionMetric(dgs.ByVf),
-			dgs.WithPartitionTarget(*vf))
-	} else {
-		part, err = dgs.PartitionTargetRatio(g, *frags, dgs.ByVf, *vf, *seed)
+	strategy := *partName
+	if strategy == "" {
+		strategy = "targetratio"
 	}
+	part, err := dgs.PartitionWith(g, strategy, *frags,
+		dgs.WithPartitionSeed(*seed), dgs.WithPartitionMetric(dgs.ByVf),
+		dgs.WithPartitionTarget(*vf))
 	if err != nil {
 		fail(err)
 	}

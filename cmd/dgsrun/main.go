@@ -80,18 +80,12 @@ func main() {
 		}
 		g = gg
 		dict = g.Dict()
-	case *gen == "web":
-		g = dgs.GenWeb(dict, *nodes, *edges, *seed)
-	case *gen == "citation":
-		g = dgs.GenCitation(dict, *nodes, *edges, *seed)
-	case *gen == "synthetic":
-		g = dgs.GenSynthetic(dict, *nodes, *edges, *seed)
-	case *gen == "tree":
-		g = dgs.GenTree(dict, *nodes, *seed)
-	case *gen == "chain":
-		g = dgs.GenChain(dict, *nodes, true)
 	default:
-		fail(fmt.Errorf("unknown generator %q", *gen))
+		gg, err := dgs.GenGraph(dict, *gen, *nodes, *edges, *seed)
+		if err != nil {
+			fail(err)
+		}
+		g = gg
 	}
 	fmt.Println("graph:    ", g)
 
@@ -118,20 +112,21 @@ func main() {
 	}
 	fmt.Printf("query:     |Vq|=%d |Eq|=%d dag=%v\n", q.NumNodes(), q.NumEdges(), q.IsDAG())
 
-	var part *dgs.Partition
+	strategy := *partName
 	switch {
-	case *partName != "":
-		part, err = dgs.PartitionWith(g, *partName, *frags,
-			dgs.WithPartitionSeed(*seed), dgs.WithPartitionMetric(dgs.ByVf),
-			dgs.WithPartitionTarget(*vf), dgs.WithBalanceSlack(*slack),
-			dgs.WithRefinePasses(*refine))
+	case strategy != "":
 	case algo == dgs.AlgoDGPMt:
-		part, err = dgs.PartitionTree(g, *frags)
+		strategy = "tree"
 	case *gen == "chain":
-		part, err = dgs.PartitionChain(g, *frags)
+		strategy = "chain"
 	default:
-		part, err = dgs.PartitionTargetRatio(g, *frags, dgs.ByVf, *vf, *seed)
+		strategy = "targetratio"
 	}
+	// Each strategy ignores the options that do not apply to it.
+	part, err := dgs.PartitionWith(g, strategy, *frags,
+		dgs.WithPartitionSeed(*seed), dgs.WithPartitionMetric(dgs.ByVf),
+		dgs.WithPartitionTarget(*vf), dgs.WithBalanceSlack(*slack),
+		dgs.WithRefinePasses(*refine))
 	if err != nil {
 		fail(err)
 	}

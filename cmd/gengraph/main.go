@@ -26,21 +26,9 @@ func main() {
 	)
 	flag.Parse()
 
-	dict := dgs.NewDict()
-	var g *dgs.Graph
-	switch *gen {
-	case "web":
-		g = dgs.GenWeb(dict, *nodes, *edges, *seed)
-	case "citation":
-		g = dgs.GenCitation(dict, *nodes, *edges, *seed)
-	case "synthetic":
-		g = dgs.GenSynthetic(dict, *nodes, *edges, *seed)
-	case "tree":
-		g = dgs.GenTree(dict, *nodes, *seed)
-	case "chain":
-		g = dgs.GenChain(dict, *nodes, true)
-	default:
-		fmt.Fprintf(os.Stderr, "gengraph: unknown generator %q\n", *gen)
+	g, err := dgs.GenGraph(dgs.NewDict(), *gen, *nodes, *edges, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "gengraph:", err)
 		os.Exit(2)
 	}
 

@@ -90,13 +90,13 @@ func confPartitions(t *testing.T, wl confWorkload) map[string]*Partition {
 	g := wl.g
 	out := make(map[string]*Partition)
 	var err error
-	if out["Random"], err = PartitionRandom(g, 6, 31); err != nil {
+	if out["Random"], err = PartitionWith(g, "random", 6, WithPartitionSeed(31)); err != nil {
 		t.Fatal(err)
 	}
-	if out["Blocks"], err = PartitionBlocks(g, 6); err != nil {
+	if out["Blocks"], err = PartitionWith(g, "blocks", 6); err != nil {
 		t.Fatal(err)
 	}
-	if out["TargetRatio"], err = PartitionTargetRatio(g, 6, ByVf, 0.3, 31); err != nil {
+	if out["TargetRatio"], err = PartitionWith(g, "targetratio", 6, WithPartitionTarget(0.3), WithPartitionSeed(31)); err != nil {
 		t.Fatal(err)
 	}
 	// The quality-first streaming partitioners: every algorithm must
@@ -111,7 +111,7 @@ func confPartitions(t *testing.T, wl confWorkload) map[string]*Partition {
 	if wl.gIsTree {
 		// dGPMt's Corollary-4 precondition: fragments must be connected
 		// subtrees; only this strategy guarantees it.
-		if out["ConnectedTree"], err = PartitionTree(g, 6); err != nil {
+		if out["ConnectedTree"], err = PartitionWith(g, "tree", 6); err != nil {
 			t.Fatal(err)
 		}
 	}

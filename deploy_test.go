@@ -25,7 +25,7 @@ func deployWorld(t testing.TB) (*Graph, *Pattern, *Deployment) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := PartitionTargetRatio(g, 4, ByVf, 0.25, 7)
+	part, err := PartitionWith(g, "targetratio", 4, WithPartitionTarget(0.25), WithPartitionSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestDeployQueryConcurrent(t *testing.T) {
 func TestDeployQueryConcurrentDistinctPatterns(t *testing.T) {
 	dict := NewDict()
 	g := GenSynthetic(dict, 2000, 8000, 42)
-	part, err := PartitionTargetRatio(g, 4, ByVf, 0.25, 7)
+	part, err := PartitionWith(g, "targetratio", 4, WithPartitionTarget(0.25), WithPartitionSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestQueryContextCancellation(t *testing.T) {
 	dict := NewDict()
 	q := ChainQuery(dict)
 	g := GenChain(dict, 32, false)
-	part, err := PartitionChain(g, 32)
+	part, err := PartitionWith(g, "chain", 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestWithQueryDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := PartitionTargetRatio(g, 3, ByVf, 0.25, 3)
+	part, err := PartitionWith(g, "targetratio", 3, WithPartitionTarget(0.25), WithPartitionSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestCloseAbortsInFlightQuery(t *testing.T) {
 	dict := NewDict()
 	q := ChainQuery(dict)
 	g := GenChain(dict, 32, false)
-	part, err := PartitionChain(g, 32)
+	part, err := PartitionWith(g, "chain", 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestDeployQueryTree(t *testing.T) {
 	dict := NewDict()
 	g := GenTree(dict, 3000, 5)
 	q := GenTreePattern(dict, 4, 9)
-	part, err := PartitionTree(g, 6)
+	part, err := PartitionWith(g, "tree", 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +407,7 @@ func TestDeployQueryDAG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := PartitionTargetRatio(g, 4, ByVf, 0.25, 7)
+	part, err := PartitionWith(g, "targetratio", 4, WithPartitionTarget(0.25), WithPartitionSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@
 //
 //	dict := dgs.NewDict()
 //	g := dgs.GenWeb(dict, 300_000, 1_500_000, 1)      // Yahoo-like graph
-//	part, _ := dgs.PartitionTargetRatio(g, 8, dgs.ByVf, 0.25, 1)
+//	part, _ := dgs.PartitionWith(g, "targetratio", 8, dgs.WithPartitionTarget(0.25), dgs.WithPartitionSeed(1))
 //	dep, _ := dgs.Deploy(part)                        // fragment once
 //	defer dep.Close()
 //	q, _ := dgs.ParsePattern(dict, "node a l0\nnode b l1\nedge a b")
@@ -329,37 +329,6 @@ func PartitionWith(g *Graph, name string, n int, opts ...PartitionOption) (*Part
 		return nil, err
 	}
 	return &Partition{fr: fr}, nil
-}
-
-// PartitionRandom fragments g into n balanced random fragments.
-func PartitionRandom(g *Graph, n int, seed int64) (*Partition, error) {
-	return PartitionWith(g, "random", n, WithPartitionSeed(seed))
-}
-
-// PartitionBlocks fragments g into n contiguous ID blocks (low boundary
-// on the locality-biased generator outputs).
-func PartitionBlocks(g *Graph, n int) (*Partition, error) {
-	return PartitionWith(g, "blocks", n)
-}
-
-// PartitionTargetRatio fragments g into n fragments whose boundary
-// metric is close to target — the experiments' |Vf|/|Ef| knob (§6).
-func PartitionTargetRatio(g *Graph, n int, metric Metric, target float64, seed int64) (*Partition, error) {
-	return PartitionWith(g, "targetratio", n,
-		WithPartitionMetric(metric), WithPartitionTarget(target), WithPartitionSeed(seed))
-}
-
-// PartitionTree splits a tree graph into ~n connected subtrees (dGPMt's
-// precondition, Corollary 4).
-func PartitionTree(g *Graph, n int) (*Partition, error) {
-	return PartitionWith(g, "tree", n)
-}
-
-// PartitionChain assigns contiguous ID runs to n fragments — with the
-// Fig-2 chain graphs this is the paper's worst-case fragmentation where
-// every node is on the boundary.
-func PartitionChain(g *Graph, n int) (*Partition, error) {
-	return PartitionWith(g, "chain", n)
 }
 
 // PartitionFromAssign builds a fragmentation from an explicit node→site

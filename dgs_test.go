@@ -24,7 +24,7 @@ func testWorld(t testing.TB, algoFriendly bool) (*Dict, *Graph, *Pattern, *Parti
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := PartitionTargetRatio(g, 4, ByVf, 0.25, 7)
+	part, err := PartitionWith(g, "targetratio", 4, WithPartitionTarget(0.25), WithPartitionSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestDGPMdOnCitation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := PartitionTargetRatio(g, 4, ByVf, 0.25, 7)
+	part, err := PartitionWith(g, "targetratio", 4, WithPartitionTarget(0.25), WithPartitionSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestDGPMtOnTree(t *testing.T) {
 		t.Fatal("tree generator must produce a tree")
 	}
 	q := GenTreePattern(dict, 4, 9)
-	part, err := PartitionTree(g, 6)
+	part, err := PartitionWith(g, "tree", 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +109,11 @@ func TestRunBooleanChain(t *testing.T) {
 	q := ChainQuery(dict)
 	closed := GenChain(dict, 12, true)
 	broken := GenChain(dict, 12, false)
-	pc, err := PartitionChain(closed, 12)
+	pc, err := PartitionWith(closed, "chain", 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := PartitionChain(broken, 12)
+	pb, err := PartitionWith(broken, "chain", 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestReadGraphDictMatchesFragments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := PartitionBlocks(g2, 3)
+	part, err := PartitionWith(g2, "blocks", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestPatternAccessors(t *testing.T) {
 func TestPartitionAccessors(t *testing.T) {
 	dict := NewDict()
 	g := GenSynthetic(dict, 500, 2000, 1)
-	part, err := PartitionRandom(g, 5, 3)
+	part, err := PartitionWith(g, "random", 5, WithPartitionSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestPartitionAccessors(t *testing.T) {
 	if !strings.Contains(part.String(), "|F|=5") {
 		t.Fatal("String wrong")
 	}
-	if _, err := PartitionRandom(g, 0, 1); err == nil {
+	if _, err := PartitionWith(g, "random", 0, WithPartitionSeed(1)); err == nil {
 		t.Fatal("n=0 accepted")
 	}
 }
@@ -412,7 +412,7 @@ func TestPartitionWithAPI(t *testing.T) {
 		t.Fatalf("ldg balance slack violated: max %d > cap %d", sizes[0], cap)
 	}
 	// The wrappers route through the registry and stamp metadata too.
-	tr, err := PartitionTargetRatio(g, 8, ByVf, 0.3, 5)
+	tr, err := PartitionWith(g, "targetratio", 8, WithPartitionTarget(0.3), WithPartitionSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func main() {
 	g := dgs.GenCitation(dict, 28_000, 60_000, 11)
 	fmt.Println("citation graph:", g, "DAG:", g.IsDAG())
 
-	part, err := dgs.PartitionTargetRatio(g, 8, dgs.ByVf, 0.25, 11)
+	part, err := dgs.PartitionWith(g, "targetratio", 8, dgs.WithPartitionTarget(0.25), dgs.WithPartitionSeed(11))
 	if err != nil {
 		log.Fatal(err)
 	}

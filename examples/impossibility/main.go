@@ -30,7 +30,7 @@ func main() {
 	ctx := context.Background()
 	for _, n := range []int{4, 8, 16, 32, 64, 128} {
 		g := dgs.GenChain(dict, n, false) // broken: the last B has no successor
-		part, err := dgs.PartitionChain(g, n)
+		part, err := dgs.PartitionWith(g, "chain", n)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func main() {
 	fmt.Println("\nclosed cycle for contrast (everything matches, nothing to falsify):")
 	for _, n := range []int{4, 64} {
 		g := dgs.GenChain(dict, n, true)
-		part, err := dgs.PartitionChain(g, n)
+		part, err := dgs.PartitionWith(g, "chain", n)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -42,7 +42,7 @@ edge media      fan
 		log.Fatal(err)
 	}
 
-	part, err := dgs.PartitionTargetRatio(g, 8, dgs.ByVf, 0.25, 7)
+	part, err := dgs.PartitionWith(g, "targetratio", 8, dgs.WithPartitionTarget(0.25), dgs.WithPartitionSeed(7))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -35,7 +35,7 @@ edge figure  caption
 	fmt.Printf("%10s %8s %10s %12s %10s\n", "|V|", "|F|", "pairs", "DS (bytes)", "rounds")
 	for _, nv := range []int{20_000, 80_000, 320_000} {
 		g := dgs.GenTree(dict, nv, 3)
-		part, err := dgs.PartitionTree(g, 8)
+		part, err := dgs.PartitionWith(g, "tree", 8)
 		if err != nil {
 			log.Fatal(err)
 		}

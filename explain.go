@@ -16,38 +16,41 @@ import (
 )
 
 // PlanInfo describes the evaluation plan of one pattern against a
-// deployment, as produced by Deployment.Explain.
+// deployment, as produced by Deployment.Explain. Its JSON form is the
+// gateway's explain response (docs/HTTP.md).
 type PlanInfo struct {
 	// CanonicalKey is the renaming-invariant canonical rendering of the
 	// pattern: equivalent-modulo-renaming patterns share it, so caches
 	// and standing-query sharing key on it.
-	CanonicalKey string
+	CanonicalKey string `json:"canonical_key"`
 	// Empty reports that some query node's label has zero occurrences in
 	// the deployed graph: Query answers ∅ without any distributed work.
-	Empty bool
+	Empty bool `json:"empty"`
 	// Nodes is the seed evaluation order, rarest label first.
-	Nodes []PlanNode
+	Nodes []PlanNode `json:"nodes"`
 	// Edges is the query-edge evaluation order, ascending estimated
 	// selectivity.
-	Edges []PlanEdge
+	Edges []PlanEdge `json:"edges"`
 }
 
 // PlanNode is one query node in plan order.
 type PlanNode struct {
 	// Name is the node's printable identifier, Label its label name.
-	Name, Label string
+	Name  string `json:"name"`
+	Label string `json:"label"`
 	// Est is the candidate estimate: the number of graph nodes carrying
 	// the label (exact for the deployed graph — labels never change).
-	Est uint32
+	Est uint32 `json:"est"`
 }
 
 // PlanEdge is one query edge in plan order.
 type PlanEdge struct {
 	// From and To are the endpoint node names.
-	From, To string
+	From string `json:"from"`
+	To   string `json:"to"`
 	// Est is the selectivity estimate: the smaller endpoint candidate
 	// count (the counter population that can exhaust first).
-	Est uint32
+	Est uint32 `json:"est"`
 }
 
 // Explain reports how the deployment would evaluate q, without
@@ -68,6 +71,8 @@ func (d *Deployment) Explain(q *Pattern) (*PlanInfo, error) {
 	info := &PlanInfo{
 		CanonicalKey: plan.Canonicalize(p).Key,
 		Empty:        pl.Empty,
+		Nodes:        make([]PlanNode, 0, len(pl.Nodes)),
+		Edges:        make([]PlanEdge, 0, len(pl.Edges)),
 	}
 	for _, u := range pl.Nodes {
 		info.Nodes = append(info.Nodes, PlanNode{

@@ -50,7 +50,7 @@ func TestIncrementalFacade(t *testing.T) {
 func TestIsDAGDistributedFacade(t *testing.T) {
 	dict := NewDict()
 	cyc := GenChain(dict, 8, true)
-	part, err := PartitionChain(cyc, 8)
+	part, err := PartitionWith(cyc, "chain", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestIsDAGDistributedFacade(t *testing.T) {
 		t.Fatal("closed chain is cyclic")
 	}
 	dag := GenCitation(dict, 500, 1200, 1)
-	part2, err := PartitionRandom(dag, 4, 1)
+	part2, err := PartitionWith(dag, "random", 4, WithPartitionSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestDGPMdAutoDAGCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := PartitionRandom(g, 4, 2)
+	part, err := PartitionWith(g, "random", 4, WithPartitionSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func publicErr(err error) error {
 // automatic failover (spares or heartbeat configured).
 func (d *Deployment) bindFailover(autoRecover bool) {
 	d.autoRecover = autoRecover
-	ln, ok := d.c.Transport().(cluster.LossNotifier)
+	rec, ok := d.c.Transport().(cluster.Recoverer)
 	if !ok {
 		return
 	}
@@ -77,7 +77,7 @@ func (d *Deployment) bindFailover(autoRecover bool) {
 	// autoRecover the loss only suspends the cluster — operations fail
 	// fast with ErrSiteLost until Recover is called (chaos tests rely
 	// on this to keep scripted schedules deterministic).
-	ln.OnSiteLoss(func(err error) {
+	rec.OnSiteLoss(func(err error) {
 		if !d.autoRecover {
 			return
 		}

@@ -35,7 +35,7 @@ func TestFailoverSmokeExternal(t *testing.T) {
 	dict := NewDict()
 	g := GenSynthetic(dict, 400, 1200, 41)
 	q := GenCyclicPatternOver(dict, 4, 6, 4, 42)
-	part, err := PartitionBlocks(g, 2*len(addrs))
+	part, err := PartitionWith(g, "blocks", 2*len(addrs))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func failoverWorkload(t *testing.T, frags int, seed int64) (*Dict, *Graph, *Patt
 	dict := NewDict()
 	g := GenSynthetic(dict, 300, 900, seed)
 	q := GenCyclicPatternOver(dict, 4, 6, 4, seed+1)
-	part, err := PartitionBlocks(g, frags)
+	part, err := PartitionWith(g, "blocks", frags)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,33 @@ package dgs
 // the internal/bench package comment for the scaled dataset sizes.
 
 import (
+	"fmt"
+
 	"dgs/internal/graph"
 	"dgs/internal/workload"
 )
+
+// GenGraph generates the named workload graph — "web", "citation",
+// "synthetic", "tree" or "chain" — the one generator table the CLIs'
+// -gen flag resolves against. nodes is |V| (the number of (A,B) pairs
+// for "chain": the Fig-2 gadget with its cycle closed, whose edges are
+// deterministic, so smoke tests know an edge to delete); edges is
+// ignored by "tree" and "chain", seed by "chain".
+func GenGraph(dict *Dict, name string, nodes, edges int, seed int64) (*Graph, error) {
+	switch name {
+	case "web":
+		return GenWeb(dict, nodes, edges, seed), nil
+	case "citation":
+		return GenCitation(dict, nodes, edges, seed), nil
+	case "synthetic":
+		return GenSynthetic(dict, nodes, edges, seed), nil
+	case "tree":
+		return GenTree(dict, nodes, seed), nil
+	case "chain":
+		return GenChain(dict, nodes, true), nil
+	}
+	return nil, fmt.Errorf("unknown generator %q", name)
+}
 
 // ExperimentLabels returns the 15-label alphabet used by the synthetic
 // experiments.

@@ -63,7 +63,7 @@ func exp2Queries(t *testing.T, dict *dgs.Dict, diam int) []*dgs.Pattern {
 
 func partition(t *testing.T, g *dgs.Graph, nf int, by dgs.Metric, ratio float64) *dgs.Partition {
 	t.Helper()
-	part, err := dgs.PartitionTargetRatio(g, nf, by, ratio, seed)
+	part, err := dgs.PartitionWith(g, "targetratio", nf, dgs.WithPartitionMetric(by), dgs.WithPartitionTarget(ratio), dgs.WithPartitionSeed(seed))
 	if err != nil {
 		t.Fatal(err)
 	}

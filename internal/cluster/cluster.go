@@ -487,12 +487,6 @@ func (c *Cluster) SiteSent(qid uint64, from, to int, data []byte) {
 	s.route(from, to, data)
 }
 
-// Deliver implements Events: enqueue a coordinator-addressed message
-// whose accounting already happened.
-func (c *Cluster) Deliver(qid uint64, from int, data []byte) {
-	c.coordBox.Put(envelope{qid: qid, from: from, data: data})
-}
-
 // Retired implements Events. cum is the site's cumulative count of the
 // session's retired messages, so what a retirement retires is what it
 // adds to the count already seen from that site, clamped to the site's
@@ -685,10 +679,16 @@ func (s *Session) route(from, to int, data []byte) {
 	}
 	s.inflight.Add(1)
 	if to == Coordinator {
-		s.c.Deliver(s.qid, from, data)
+		s.c.deliver(s.qid, from, data)
 		return
 	}
 	s.c.tr.Send(s.qid, from, to, data)
+}
+
+// deliver enqueues a coordinator-addressed message whose accounting
+// already happened.
+func (c *Cluster) deliver(qid uint64, from int, data []byte) {
+	c.coordBox.Put(envelope{qid: qid, from: from, data: data})
 }
 
 // doneN retires n in-flight messages at once (a drained run) and

@@ -201,7 +201,6 @@ func (n *spyNet) SiteSent(qid uint64, from, to int, data []byte) {
 	n.mu.Unlock()
 	n.ev.SiteSent(qid, from, to, data)
 }
-func (n *spyNet) Deliver(qid uint64, from int, data []byte) { n.ev.Deliver(qid, from, data) }
 func (n *spyNet) Retired(qid uint64, site int, busy time.Duration, rounds int64, k uint64) {
 	if site == 0 {
 		n.mu.Lock()

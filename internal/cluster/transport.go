@@ -98,9 +98,14 @@ type FragmentSharer interface {
 // Recoverer is the optional Transport extension for site-loss recovery.
 // A transport implementing it scopes failures to individual sites
 // (reporting them via Events.Fail with an error wrapping ErrSiteLost)
-// instead of declaring the whole deployment dead, and can re-host the
-// lost sites afterwards.
+// instead of declaring the whole deployment dead, announces each loss
+// to the deployment layer, and can re-host the lost sites afterwards.
 type Recoverer interface {
+	// OnSiteLoss installs the callback announcing detected site losses;
+	// the deployment layer reacts by running recovery. fn may be invoked
+	// from any transport goroutine and must not call back into the
+	// transport synchronously.
+	OnSiteLoss(fn func(err error))
 	// Lost reports the IDs of the worker sites currently without a live
 	// host, ascending. Empty means every site is reachable.
 	Lost() []int
@@ -125,14 +130,6 @@ type Tracer interface {
 	Trace(ctx context.Context, qid uint64) (spans []obs.SiteTrace, complete bool, err error)
 }
 
-// LossNotifier is the optional Transport extension that announces
-// detected site losses to the deployment layer, which reacts by running
-// recovery. fn may be invoked from any transport goroutine and must not
-// call back into the transport synchronously.
-type LossNotifier interface {
-	OnSiteLoss(fn func(err error))
-}
-
 // Events is the upcall sink a Transport drives; the Cluster implements
 // it. Calls may come from any transport goroutine.
 type Events interface {
@@ -141,10 +138,6 @@ type Events interface {
 	// in-flight and either delivers it to the coordinator or hands it
 	// back to the transport for the destination site.
 	SiteSent(qid uint64, from, to int, data []byte)
-	// Deliver hands the coordinator a message addressed to it whose
-	// accounting already happened (used by transports that route
-	// coordinator traffic themselves; SiteSent calls it internally).
-	Deliver(qid uint64, from int, data []byte)
 	// Retired reports that session qid's messages finished processing at
 	// a site, together with the handlers' summed busy time and any
 	// communication rounds they recorded. cum is the site's cumulative

@@ -95,7 +95,7 @@ type dagSite struct {
 	pending []wire.Payload
 }
 
-func newDagSite(q *pattern.Pattern, frag *partition.Fragment, ri *rankInfo) *dagSite {
+func newDagSite(q *pattern.Pattern, frag *partition.Fragment, assign []int32, ri *rankInfo) *dagSite {
 	s := &dagSite{q: q, frag: frag, ri: ri, nextSend: 1}
 	d := ri.maxRank
 	s.need = make([]int, d+1)
@@ -107,7 +107,7 @@ func newDagSite(q *pattern.Pattern, frag *partition.Fragment, ri *rankInfo) *dag
 	// owner has an in-node we hold as virtual with a shippable rank.
 	inSeen := make(map[[2]int]bool)
 	for _, v := range frag.Virtual {
-		owner := frag.Owner[v]
+		owner := int(assign[v])
 		for _, rr := range ri.shipRanks(frag.Labels[v]) {
 			k := [2]int{owner, rr}
 			if !inSeen[k] {
@@ -146,7 +146,7 @@ func (s *dagSite) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
 	case *wire.Control:
 		switch m.Op {
 		case dgpm.OpStart:
-			s.eng = dgpm.NewEngine(s.q, s.frag)
+			s.eng = dgpm.NewEnginePlanned(s.q, s.frag, nil)
 			s.bufferDeaths(s.eng.Drain())
 			s.advance(ctx)
 			for _, buf := range s.pending {
@@ -278,6 +278,6 @@ func init() {
 		if !ok {
 			return nil, fmt.Errorf("dagsim: spec query is cyclic")
 		}
-		return newDagSite(q, frag, ri), nil
+		return newDagSite(q, frag, assign, ri), nil
 	})
 }

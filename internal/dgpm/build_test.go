@@ -299,7 +299,7 @@ func TestCountersExactForAlive(t *testing.T) {
 		q, _, fr := randomCase(r)
 		for _, frag := range fr.Frags {
 			what := fmt.Sprintf("seed %d frag %d", seed, frag.ID)
-			e := NewEngine(q, frag)
+			e := NewEnginePlanned(q, frag, nil)
 			checkCounters(t, what+" built", e)
 			for round := 0; round < 3 && len(frag.Virtual) > 0; round++ {
 				var batch []wire.VarRef
@@ -345,7 +345,7 @@ func TestSaturatedHubCountsExactly(t *testing.T) {
 	if got := ix.OutDeg[q.Label(1)][h]; got != partition.OutDegSat {
 		t.Fatalf("hub's OutDeg cell = %d, want saturated", got)
 	}
-	e := NewEngine(q, frag)
+	e := NewEnginePlanned(q, frag, nil)
 	if got := e.cnt[0][h-e.lo[0]]; got != fan {
 		t.Fatalf("hub's counter = %d, want %d", got, fan)
 	}

@@ -170,19 +170,14 @@ type eqWatcher struct {
 	group  int32
 }
 
-// NewEngine builds the initial state and runs the first partial
-// evaluation (procedure lEval of Fig. 4, lines 1–9): label-consistent
-// variables are created, counters initialized, and locally-refutable
-// variables falsified under the optimistic virtual-node assumption.
-// It is NewEnginePlanned without a plan: declaration order.
-func NewEngine(q *pattern.Pattern, frag *partition.Fragment) *Engine {
-	return NewEnginePlanned(q, frag, nil)
-}
-
-// NewEnginePlanned is NewEngine under an evaluation plan. The plan is
-// advisory — the counter fixpoint is confluent, so the relation, the
-// shipped falsification set, and the termination certificate are
-// independent of evaluation order — and decides only two orders:
+// NewEnginePlanned builds the initial state and runs the first partial
+// evaluation (procedure lEval of Fig. 4, lines 1–9) under an evaluation
+// plan: label-consistent variables are created, counters initialized,
+// and locally-refutable variables falsified under the optimistic
+// virtual-node assumption. The plan is advisory — the counter fixpoint
+// is confluent, so the relation, the shipped falsification set, and the
+// termination certificate are independent of evaluation order — and
+// decides only two orders:
 //
 //   - per-node edge lists follow the plan's ascending-selectivity
 //     order, so exhaustion checks hit the emptiest counters first;

@@ -92,7 +92,7 @@ func (s *updSite) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
 	for i, e := range m.Ins {
 		v, w := graph.NodeID(e[0]), graph.NodeID(e[1])
 		if recordTarget(w) {
-			_, _ = s.frag.InsertEdge(v, w, graph.Label(m.InsLabels[i]), int(s.assign[w])) // a refused op is skipped
+			_, _ = s.frag.InsertEdge(v, w, graph.Label(m.InsLabels[i])) // a refused op is skipped
 		}
 	}
 	watch := make(map[int][]uint32)

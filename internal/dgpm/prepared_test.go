@@ -296,7 +296,7 @@ func TestForgedQueryNodeIgnored(t *testing.T) {
 		strayDels = append(strayDels, [2]uint32{uint32(frag.Local[0]), v}, [2]uint32{v, uint32(frag.Local[0])})
 	}
 
-	e, fresh := NewEngine(q, frag), NewEngine(q, frag)
+	e, fresh := NewEnginePlanned(q, frag, nil), NewEnginePlanned(q, frag, nil)
 	e.ApplyFalsifications(forged)
 	e.InstallEquations([]wire.Equation{{Target: forged[len(forged)-1], Groups: [][]wire.VarRef{forged}}})
 	e.ApplyFalsifications(strays)

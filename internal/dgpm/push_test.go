@@ -205,7 +205,7 @@ func checkPushLifecycle(t *testing.T, r *rand.Rand, q *pattern.Pattern, fr *part
 	ok := true
 	engs := make([]*Engine, len(fr.Frags))
 	for i, f := range fr.Frags {
-		engs[i] = NewEngine(q, f)
+		engs[i] = NewEnginePlanned(q, f, nil)
 		engs[i].Drain()
 		ok = checkPush(t, engs[i], tally) && ok
 	}

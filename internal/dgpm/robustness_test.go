@@ -33,9 +33,9 @@ func TestQuickDuplicateDeliveryHarmless(t *testing.T) {
 					}
 				}
 			}
-			e1 := NewEngine(q, frag)
+			e1 := NewEnginePlanned(q, frag, nil)
 			e1.ApplyFalsifications(ext)
-			e2 := NewEngine(q, frag)
+			e2 := NewEnginePlanned(q, frag, nil)
 			perm := r.Perm(len(ext))
 			for _, i := range perm {
 				e2.ApplyFalsifications([]wire.VarRef{ext[i]})
@@ -85,7 +85,7 @@ func TestQuickUnevaluatedCountersConsistent(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		q, _, fr := randomCase(r)
 		for _, frag := range fr.Frags {
-			e := NewEngine(q, frag)
+			e := NewEnginePlanned(q, frag, nil)
 			for round := 0; round < 4; round++ {
 				gi, gv := e.UnevaluatedCounts()
 				wi, wv := recount(e, q)

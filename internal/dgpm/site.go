@@ -61,9 +61,6 @@ type site struct {
 	// destinations (§4.2 dependency-graph rewiring after a push); nil
 	// until the first reroute.
 	extraWatch [][]int
-	// pushDecided is set once the benefit test has been evaluated; a site
-	// outsources its equations at most once per session.
-	pushDecided bool
 	// perDest is flush's per-destination scratch, indexed by site ID.
 	perDest [][]wire.VarRef
 	// dirty marks engine changes applied by Recv whose falsifications
@@ -144,7 +141,6 @@ func (s *site) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
 		s.eng = NewEnginePlanned(s.q, s.frag, s.pl)
 		s.eng.ApplyFalsifications(s.extFalse)
 		s.flushTracked(ctx)
-		s.maybePush(ctx)
 	case *wire.Push:
 		s.eng.InstallEquations(m.Eqs)
 		s.applied(ctx)
@@ -216,7 +212,6 @@ func (s *site) EndRun(ctx *cluster.Ctx) {
 	s.dirty = false
 	ctx.AddRounds(1)
 	s.flush(ctx)
-	s.maybePush(ctx)
 }
 
 // flush routes the engine's freshly falsified in-node variables to every
@@ -314,9 +309,11 @@ func pushBudget(virtV, inV int, theta float64) int {
 }
 
 // maybePush decides the push operation of §4.2, once per site per
-// session, at the site's first opportunity with unevaluated variables on
-// both sides: when the benefit B(Si) = |Fi.O'| / (m·|Fi.I'|) clears θ —
-// m the encoded bytes of the equations to ship, summed over parents — it
+// session, on the start signal. No later moment could push: the
+// unevaluated tallies are set by the build or restore and only fall
+// after it (a dGPMNOpt rebuild applies only kills to a fresh build's).
+// When the benefit B(Si) = |Fi.O'| / (m·|Fi.I'|) clears θ — m the
+// encoded bytes of the equations to ship, summed over parents — it
 // sends each parent site its equation subsystem, with reroute requests to
 // the leaf owners. The paper uses m "to suppress the overhead of
 // shipment": with θ=0.2 only small, high-leverage subsystems clear the
@@ -326,14 +323,13 @@ func pushBudget(virtV, inV int, theta float64) int {
 // The test is Engine.planPush under pushBudget: exact, and abandoned at
 // the first bound on m that exceeds the budget.
 func (s *site) maybePush(ctx *cluster.Ctx) {
-	if !s.cfg.Push || s.eng == nil || s.pushDecided {
+	if !s.cfg.Push {
 		return
 	}
 	inV, virtV := s.eng.UnevaluatedCounts()
 	if inV == 0 || virtV == 0 {
 		return
 	}
-	s.pushDecided = true
 	for _, pl := range s.eng.planPush(pushBudget(virtV, inV, s.cfg.Theta)) {
 		ctx.Send(pl.dest, &wire.Push{Origin: uint16(s.frag.ID), Eqs: pl.eqs})
 		// Ask each leaf owner to also feed the parent.

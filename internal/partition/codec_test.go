@@ -75,8 +75,7 @@ func TestFragmentCodecRoundTrip(t *testing.T) {
 			!reflect.DeepEqual(f.InNodes, orig.InNodes) {
 			t.Fatalf("fragment %d: node sets changed across the wire", i)
 		}
-		if !reflect.DeepEqual(f.Labels, orig.Labels) || !reflect.DeepEqual(f.Owner, orig.Owner) ||
-			!reflect.DeepEqual(f.InWatchers, orig.InWatchers) {
+		if !reflect.DeepEqual(f.Labels, orig.Labels) || !reflect.DeepEqual(f.InWatchers, orig.InWatchers) {
 			t.Fatalf("fragment %d: annotations changed across the wire", i)
 		}
 		if !reflect.DeepEqual(f.Succ, orig.Succ) {

@@ -44,7 +44,7 @@ func FuzzDecodeFragment(f *testing.F) {
 		if re := AppendFragment(nil, fg); !bytes.Equal(re, used) {
 			t.Fatalf("DecodeFragment accepted non-canonical input:\nin  %x\nout %x", used, re)
 		}
-		n := 10*(len(fg.Local)+len(fg.Virtual)) + 8*len(fg.InNodes) + 4*fg.NumEdges()
+		n := 10*len(fg.Local) + 6*len(fg.Virtual) + 8*len(fg.InNodes) + 4*fg.NumEdges()
 		for _, ws := range fg.InWatchers {
 			n += 4 * len(ws)
 		}

@@ -537,7 +537,7 @@ func TestIndexMutationLog(t *testing.T) {
 		do   func() error
 	}{
 		{"DeleteEdge", func() error { _, err := f.DeleteEdge(v, w); return err }},
-		{"InsertEdge", func() error { _, err := f.InsertEdge(v, w, f.Labels[w], f.ID); return err }},
+		{"InsertEdge", func() error { _, err := f.InsertEdge(v, w, f.Labels[w]); return err }},
 		{"AddWatcher", func() error { f.AddWatcher(x, site); return nil }},
 		{"RemoveWatcher", func() error { f.RemoveWatcher(x, site); return nil }},
 	}

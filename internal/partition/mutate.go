@@ -49,7 +49,6 @@ func (f *Fragment) DeleteEdge(v, w graph.NodeID) (droppedVirtual bool, err error
 		if f.crossCnt[w] == 0 {
 			delete(f.crossCnt, w)
 			delete(f.Labels, w)
-			delete(f.Owner, w)
 			f.Virtual = removeSorted(f.Virtual, w)
 			droppedVirtual = true
 		}
@@ -59,11 +58,11 @@ func (f *Fragment) DeleteEdge(v, w graph.NodeID) (droppedVirtual bool, err error
 }
 
 // InsertEdge adds the edge (v, w); v must be local and the edge absent.
-// For a crossing edge the caller supplies w's label and owning fragment
-// (the routing metadata a real system resolves from the edge's IRI). It
-// reports whether w thereby became a new virtual node, in which case the
-// caller must send an AddWatcher notification to w's owner.
-func (f *Fragment) InsertEdge(v, w graph.NodeID, wLabel graph.Label, wOwner int) (addedVirtual bool, err error) {
+// For a crossing edge the caller supplies w's label. It reports whether w
+// thereby became a new virtual node, in which case the caller must send
+// an AddWatcher notification to w's owner, which the owner directory
+// names.
+func (f *Fragment) InsertEdge(v, w graph.NodeID, wLabel graph.Label) (addedVirtual bool, err error) {
 	if !f.IsLocal(v) {
 		return false, fmt.Errorf("partition: fragment %d asked to insert (%d,%d) but %d is not local", f.ID, v, w, v)
 	}
@@ -83,7 +82,6 @@ func (f *Fragment) InsertEdge(v, w graph.NodeID, wLabel graph.Label, wOwner int)
 		f.crossCnt[w]++
 		if f.crossCnt[w] == 1 {
 			f.Labels[w] = wLabel
-			f.Owner[w] = wOwner
 			f.Virtual = insertSorted(f.Virtual, w)
 			addedVirtual = true
 		}

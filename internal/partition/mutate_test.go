@@ -60,7 +60,7 @@ func applyOpsDirect(t *testing.T, fr *Fragmentation, ops []graph.EdgeOp) {
 	}
 	for _, e := range ins {
 		f := fr.Frags[fr.Assign[e[0]]]
-		added, err := f.InsertEdge(e[0], e[1], fr.G.Label(e[1]), int(fr.Assign[e[1]]))
+		added, err := f.InsertEdge(e[0], e[1], fr.G.Label(e[1]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestFragmentMutationErrors(t *testing.T) {
 	if _, err := f0.DeleteEdge(0, 3); err == nil {
 		t.Fatal("deleting an absent edge must error")
 	}
-	if _, err := f0.InsertEdge(0, 1, 0, 0); err == nil {
+	if _, err := f0.InsertEdge(0, 1, 0); err == nil {
 		t.Fatal("inserting a present edge must error")
 	}
 	// Dropping the only crossing edge retires the virtual node and the

@@ -37,7 +37,9 @@ type Fragment struct {
 	// Local lists the fragment's own nodes Vi (sorted, global IDs).
 	Local []graph.NodeID
 	// Virtual lists Fi.O (sorted): other fragments' nodes that local
-	// crossing edges point to. The fragment knows their labels and owners.
+	// crossing edges point to. The fragment knows their labels; their
+	// owners are in the deployment's owner directory (Fragmentation.Assign),
+	// which every site holds.
 	Virtual []graph.NodeID
 	// InNodes lists Fi.I (sorted): local nodes with an incoming crossing
 	// edge; these are exactly the nodes other sites hold as virtual.
@@ -49,11 +51,6 @@ type Fragment struct {
 
 	// Labels of every node the fragment can see (local + virtual).
 	Labels map[graph.NodeID]graph.Label
-
-	// Owner[v] gives the owning fragment of each virtual node. Crossing
-	// edges carry IRIs/IDs in real systems [26,28]; the owner directory
-	// is the stand-in for that routing metadata.
-	Owner map[graph.NodeID]int
 
 	// InWatchers[v] lists the fragment IDs that hold in-node v as a
 	// virtual node — i.e. the sites to notify when v's status changes.
@@ -108,8 +105,11 @@ func (f *Fragment) IsVirtual(v graph.NodeID) bool {
 // live updates records them in an overlay (see Overlay/CurrentGraph),
 // while the fragments themselves are mutated in place at their sites.
 type Fragmentation struct {
-	G      *graph.Graph
-	Assign []int32 // node -> fragment ID
+	G *graph.Graph
+	// Assign maps node -> owning fragment ID: the owner directory, the
+	// one copy of the routing metadata that crossing edges carry as
+	// IRIs/IDs in real systems [26,28]. Every site holds it.
+	Assign []int32
 	Frags  []*Fragment
 
 	// Strategy names the registered partitioner that produced this
@@ -200,7 +200,6 @@ func buildWorkers(g *graph.Graph, assign []int32, n, workers int) (*Fragmentatio
 			ID:         i,
 			Succ:       make(map[graph.NodeID][]graph.NodeID),
 			Labels:     make(map[graph.NodeID]graph.Label),
-			Owner:      make(map[graph.NodeID]int),
 			InWatchers: make(map[graph.NodeID][]int),
 			crossCnt:   make(map[graph.NodeID]int),
 		}
@@ -247,7 +246,6 @@ func buildWorkers(g *graph.Graph, assign []int32, n, workers int) (*Fragmentatio
 				if f.crossCnt[w] == 1 {
 					f.Virtual = append(f.Virtual, w)
 					f.Labels[w] = g.Label(w)
-					f.Owner[w] = fj
 					out = append(out, watchPair{w, int32(fi)})
 				}
 			}
@@ -353,9 +351,6 @@ func (fr *Fragmentation) Validate() error {
 			if fr.Assign[v] == int32(f.ID) {
 				return fmt.Errorf("fragment %d holds own node %d as virtual", f.ID, v)
 			}
-			if f.Owner[v] != int(fr.Assign[v]) {
-				return fmt.Errorf("fragment %d has wrong owner for %d", f.ID, v)
-			}
 		}
 		for _, v := range f.InNodes {
 			ins[v] = true
@@ -376,7 +371,7 @@ func (fr *Fragmentation) Validate() error {
 	// hold v as virtual, and in-nodes are exactly the watched nodes.
 	for _, f := range fr.Frags {
 		for _, v := range f.Virtual {
-			owner := fr.Frags[f.Owner[v]]
+			owner := fr.Frags[fr.Assign[v]]
 			found := false
 			for _, w := range owner.InWatchers[v] {
 				if w == f.ID {

@@ -50,8 +50,8 @@ func TestBuildTwoFragments(t *testing.T) {
 	if got := f1.InWatchers[2]; len(got) != 1 || got[0] != 0 {
 		t.Fatalf("watchers of 2 = %v", got)
 	}
-	if f0.Owner[2] != 1 {
-		t.Fatalf("owner of 2 = %d", f0.Owner[2])
+	if fr.Assign[2] != 1 {
+		t.Fatalf("owner of 2 = %d", fr.Assign[2])
 	}
 	if !f0.IsLocal(0) || f0.IsLocal(2) || !f0.IsVirtual(2) || f0.IsVirtual(0) {
 		t.Fatal("IsLocal/IsVirtual wrong")

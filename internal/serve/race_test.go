@@ -24,7 +24,7 @@ func TestCacheNeverServesWrongVersion(t *testing.T) {
 	ctx := context.Background()
 	dict := dgs.NewDict()
 	g := dgs.GenSynthetic(dict, 200, 700, 99)
-	part, err := dgs.PartitionRandom(g, 3, 99)
+	part, err := dgs.PartitionWith(g, "random", 3, dgs.WithPartitionSeed(99))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -257,49 +257,7 @@ type QueryResponse struct {
 	Trace *dgs.QueryTrace `json:"trace,omitempty"`
 	// Plan is the evaluation plan; only for Explain requests, which
 	// carry no evaluation fields (OK/Pairs/Stats stay zero).
-	Plan *PlanBody `json:"plan,omitempty"`
-}
-
-// PlanBody is the JSON rendering of a query's evaluation plan.
-type PlanBody struct {
-	// CanonicalKey is the renaming-invariant cache key.
-	CanonicalKey string `json:"canonical_key"`
-	// Empty reports the absent-label short-circuit verdict.
-	Empty bool `json:"empty"`
-	// Nodes is the seed order, rarest label first; Edges the query-edge
-	// order, ascending selectivity.
-	Nodes []PlanNodeBody `json:"nodes"`
-	Edges []PlanEdgeBody `json:"edges"`
-}
-
-// PlanNodeBody is one query node in plan order.
-type PlanNodeBody struct {
-	Name  string `json:"name"`
-	Label string `json:"label"`
-	Est   uint32 `json:"est"`
-}
-
-// PlanEdgeBody is one query edge in plan order.
-type PlanEdgeBody struct {
-	From string `json:"from"`
-	To   string `json:"to"`
-	Est  uint32 `json:"est"`
-}
-
-func toPlanBody(pi *dgs.PlanInfo) *PlanBody {
-	b := &PlanBody{
-		CanonicalKey: pi.CanonicalKey,
-		Empty:        pi.Empty,
-		Nodes:        make([]PlanNodeBody, len(pi.Nodes)),
-		Edges:        make([]PlanEdgeBody, len(pi.Edges)),
-	}
-	for i, n := range pi.Nodes {
-		b.Nodes[i] = PlanNodeBody{Name: n.Name, Label: n.Label, Est: n.Est}
-	}
-	for i, e := range pi.Edges {
-		b.Edges[i] = PlanEdgeBody{From: e.From, To: e.To, Est: e.Est}
-	}
-	return b
+	Plan *dgs.PlanInfo `json:"plan,omitempty"`
 }
 
 // compiled is a parsed and canonicalized query.
@@ -394,7 +352,7 @@ func (s *Server) Query(ctx context.Context, req QueryRequest) (*QueryResponse, e
 		return &QueryResponse{
 			Algo:    c.algo.String(),
 			Version: s.dep.Version(),
-			Plan:    toPlanBody(pi),
+			Plan:    pi,
 		}, nil
 	}
 	timeout := s.opts.DefaultTimeout

@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -32,7 +34,7 @@ func newWorld(t *testing.T, opts Options, dopts ...dgs.DeployOption) *world {
 	t.Helper()
 	dict := dgs.NewDict()
 	g := dgs.GenSynthetic(dict, 400, 1200, 7)
-	part, err := dgs.PartitionRandom(g, 4, 7)
+	part, err := dgs.PartitionWith(g, "random", 4, dgs.WithPartitionSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,6 +303,22 @@ func TestExplainRequest(t *testing.T) {
 	if hr.Plan == nil || hr.Plan.CanonicalKey != resp.Plan.CanonicalKey {
 		t.Fatalf("HTTP explain diverges from direct: %+v", hr.Plan)
 	}
+	// The plan's JSON shape, read off the raw body: decoding back into
+	// QueryResponse would accept whatever the tags say.
+	var raw map[string]any
+	postJSON(t, ts.URL+"/query", QueryRequest{Pattern: w.pattern(), Explain: true}, &raw)
+	plan, _ := raw["plan"].(map[string]any)
+	wantKeys(t, "plan", plan, "canonical_key", "edges", "empty", "nodes")
+	for what, want := range map[string][]string{"nodes": {"est", "label", "name"}, "edges": {"est", "from", "to"}} {
+		rows, _ := plan[what].([]any)
+		if len(rows) != 2 {
+			t.Fatalf("plan %s = %v, want 2 entries", what, plan[what])
+		}
+		for _, row := range rows {
+			m, _ := row.(map[string]any)
+			wantKeys(t, "plan "+what+" entry", m, want...)
+		}
+	}
 	// Malformed patterns still classify as the client's fault.
 	var reqErr *RequestError
 	if _, err := w.srv.Query(ctx, QueryRequest{Pattern: "frob", Explain: true}); err == nil || !asRequestError(err, &reqErr) {
@@ -320,7 +338,7 @@ func TestHTTPConformance(t *testing.T) {
 	cyclic := func(t *testing.T) (*dgs.Dict, *dgs.Graph, *dgs.Partition, *dgs.Pattern) {
 		dict := dgs.NewDict()
 		g := dgs.GenSynthetic(dict, 400, 1200, 11)
-		part, err := dgs.PartitionRandom(g, 4, 11)
+		part, err := dgs.PartitionWith(g, "random", 4, dgs.WithPartitionSeed(11))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,7 +347,7 @@ func TestHTTPConformance(t *testing.T) {
 	dag := func(t *testing.T) (*dgs.Dict, *dgs.Graph, *dgs.Partition, *dgs.Pattern) {
 		dict := dgs.NewDict()
 		g := dgs.GenCitation(dict, 400, 900, 13)
-		part, err := dgs.PartitionRandom(g, 4, 13)
+		part, err := dgs.PartitionWith(g, "random", 4, dgs.WithPartitionSeed(13))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,7 +360,7 @@ func TestHTTPConformance(t *testing.T) {
 	tree := func(t *testing.T) (*dgs.Dict, *dgs.Graph, *dgs.Partition, *dgs.Pattern) {
 		dict := dgs.NewDict()
 		g := dgs.GenTree(dict, 400, 15)
-		part, err := dgs.PartitionTree(g, 4)
+		part, err := dgs.PartitionWith(g, "tree", 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -483,6 +501,19 @@ func contains(s []dgs.NodeID, v dgs.NodeID) bool {
 }
 
 // postJSON posts body and decodes the 200 response into out.
+// wantKeys fails unless m's keys are exactly want (sorted).
+func wantKeys(t *testing.T, what string, m map[string]any, want ...string) {
+	t.Helper()
+	got := make([]string, 0, len(m))
+	for k := range m {
+		got = append(got, k)
+	}
+	sort.Strings(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s keys = %q, want %q", what, got, want)
+	}
+}
+
 func postJSON(t *testing.T, url string, body, out any) {
 	t.Helper()
 	blob, err := json.Marshal(body)

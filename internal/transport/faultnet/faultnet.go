@@ -77,7 +77,6 @@ type Net struct {
 
 var _ cluster.Transport = (*Net)(nil)
 var _ cluster.Recoverer = (*Net)(nil)
-var _ cluster.LossNotifier = (*Net)(nil)
 var _ cluster.HandlerOpener = (*Net)(nil)
 
 // rehoster is what the inner transport must provide for Recover;
@@ -235,7 +234,7 @@ func (t *Net) Revive(site int) {
 	t.mu.Unlock()
 }
 
-// OnSiteLoss implements cluster.LossNotifier. The callback runs
+// OnSiteLoss implements cluster.Recoverer. The callback runs
 // synchronously inside Kill/DetectSilent, which is what keeps scripted
 // chaos schedules deterministic; it must not call back into Kill.
 func (t *Net) OnSiteLoss(fn func(err error)) {
@@ -322,17 +321,6 @@ func (f *filteredEvents) SiteSent(qid uint64, from, to int, data []byte) {
 	ev := t.ev
 	t.mu.Unlock()
 	ev.SiteSent(qid, from, to, data)
-}
-
-func (f *filteredEvents) Deliver(qid uint64, from int, data []byte) {
-	t := f.net()
-	if t.dead(from) {
-		return
-	}
-	t.mu.Lock()
-	ev := t.ev
-	t.mu.Unlock()
-	ev.Deliver(qid, from, data)
 }
 
 func (f *filteredEvents) Retired(qid uint64, site int, busy time.Duration, rounds int64, cum uint64) {

@@ -62,9 +62,10 @@ func TestDeployLabelTable(t *testing.T) {
 	}
 }
 
-// A fragment that names sites or nodes outside the deployment is refused
-// at DEPLOY: its sites would index past the deployment's site table or
-// owner directory at the first query.
+// A DEPLOY that names sites or nodes outside the deployment is refused:
+// its sites would index past the deployment's site table or owner
+// directory at the first query, route to the coordinator through a
+// directory entry of -1, or host one site twice.
 func TestDecodeFragSetRefusesOutsideDeployment(t *testing.T) {
 	b := graph.NewBuilder()
 	for i := 0; i < 4; i++ {
@@ -80,19 +81,38 @@ func TestDecodeFragSetRefusesOutsideDeployment(t *testing.T) {
 	if _, why := decodeFragSet(ok); why != "" {
 		t.Fatalf("well-formed fragment refused: %s", why)
 	}
-	for name, mangle := range map[string]func(f *partition.Fragment){
-		"watcher": func(f *partition.Fragment) { f.InWatchers[1] = []int{5} },
-		"owner":   func(f *partition.Fragment) { f.Owner[2] = 5 },
-		"directory": func(f *partition.Fragment) {
+	frag := func(mangle func(f *partition.Fragment)) func(d *deployBody) {
+		return func(d *deployBody) {
+			f := partition.CloneFragment(fr.Frags[0])
+			mangle(f)
+			d.frags = partition.AppendFragment(nil, f)
+		}
+	}
+	enc := func(fs ...*partition.Fragment) (b []byte) {
+		for _, f := range fs {
+			b = partition.AppendFragment(b, f)
+		}
+		return b
+	}
+	for name, mangle := range map[string]func(d *deployBody){
+		"watcher": frag(func(f *partition.Fragment) { f.InWatchers[1] = []int{5} }),
+		"directory": frag(func(f *partition.Fragment) {
 			f.Succ[0] = []graph.NodeID{2, 9}
 			f.Virtual = []graph.NodeID{2, 9}
-			f.Owner[9] = 1
+		}),
+		"directory entry":   func(d *deployBody) { d.assign = []int32{0, 0, 5, 1} },
+		"coordinator entry": func(d *deployBody) { d.assign = []int32{0, 0, -1, 1} },
+		"no sites":          func(d *deployBody) { d.total, d.hosted, d.assign, d.frags = 0, nil, nil, nil },
+		"hosted ID": func(d *deployBody) {
+			f := partition.CloneFragment(fr.Frags[0])
+			f.ID = 2
+			d.hosted, d.frags = []int{2}, enc(f)
 		},
+		"repeated hosted ID":    func(d *deployBody) { d.hosted, d.frags = []int{0, 0}, enc(fr.Frags[0], fr.Frags[0]) },
+		"descending hosted IDs": func(d *deployBody) { d.hosted, d.frags = []int{1, 0}, enc(fr.Frags[1], fr.Frags[0]) },
 	} {
-		f := partition.CloneFragment(fr.Frags[0])
-		mangle(f)
 		d := ok
-		d.frags = partition.AppendFragment(nil, f)
+		mangle(&d)
 		if _, why := decodeFragSet(d); why == "" {
 			t.Fatalf("%s outside the deployment accepted", name)
 		}

@@ -106,7 +106,6 @@ type Net struct {
 
 var _ cluster.Transport = (*Net)(nil)
 var _ cluster.Recoverer = (*Net)(nil)
-var _ cluster.LossNotifier = (*Net)(nil)
 var _ cluster.Tracer = (*Net)(nil)
 
 // traceWait accumulates the TRACE frames of one traced session: one per
@@ -688,7 +687,7 @@ func (t *Net) loseConn(cn *conn, cause error) {
 	}
 }
 
-// OnSiteLoss implements cluster.LossNotifier.
+// OnSiteLoss implements cluster.Recoverer.
 func (t *Net) OnSiteLoss(fn func(err error)) {
 	t.mu.Lock()
 	t.onLoss = fn

@@ -129,10 +129,25 @@ func (k *daemonSink) Fatal(err error) {
 // fragments are checked against the deployment. The label check catches
 // a skewed shipment: every label id a fragment carries must resolve in
 // the driver's shipped dictionary, turning a would-be silent mismatch
-// into an explicit refusal. Every node a fragment sees must be in the
-// owner directory, and every owner and watcher must be a site of the
-// deployment: the sites index by all three.
+// into an explicit refusal. The hosted IDs must be distinct sites of the
+// deployment, ascending as deployBodyFor ships them; every directory
+// entry and every watcher must be a site of the deployment, and every
+// node a fragment sees must be in the directory: the sites index by all
+// of them, and a directory entry of -1 would name the coordinator.
 func decodeFragSet(dep deployBody) (map[int]*partition.Fragment, string) {
+	if dep.total < 1 {
+		return nil, "deployment of no sites"
+	}
+	for i, id := range dep.hosted {
+		if id >= dep.total || i > 0 && id <= dep.hosted[i-1] {
+			return nil, fmt.Sprintf("hosted site IDs %v are not ascending sites of %d", dep.hosted, dep.total)
+		}
+	}
+	for v, o := range dep.assign {
+		if o < 0 || int(o) >= dep.total {
+			return nil, fmt.Sprintf("owner directory names site %d, of %d, as the owner of %d", o, dep.total, v)
+		}
+	}
 	frags := make(map[int]*partition.Fragment, len(dep.hosted))
 	rest := dep.frags
 	var err error
@@ -157,11 +172,6 @@ func decodeFragSet(dep deployBody) (map[int]*partition.Fragment, string) {
 			}
 			if int(v) >= len(dep.assign) {
 				return nil, fmt.Sprintf("fragment %d sees node %d outside the %d-node owner directory", id, v, len(dep.assign))
-			}
-		}
-		for v, o := range f.Owner {
-			if o >= dep.total {
-				return nil, fmt.Sprintf("fragment %d names site %d, of %d, as the owner of %d", id, o, dep.total, v)
 			}
 		}
 		for v, ws := range f.InWatchers {

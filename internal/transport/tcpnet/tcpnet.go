@@ -49,7 +49,7 @@ import (
 // check: the driver offers this value, the daemon refuses any other
 // with an ERR naming both numbers, and the driver refuses a HELLO-OK
 // that echoes anything else. Bump it on any frame-layout change.
-const ProtocolVersion uint16 = 8
+const ProtocolVersion uint16 = 9
 
 // writeTimeout bounds each frame write after the handshake, on both
 // ends: a stalled peer fails the deployment instead of wedging it.

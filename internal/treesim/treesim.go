@@ -55,7 +55,7 @@ func (s *treeSite) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
 	case *wire.Control:
 		switch m.Op {
 		case dgpm.OpStart:
-			s.eng = dgpm.NewEngine(s.q, s.frag)
+			s.eng = dgpm.NewEnginePlanned(s.q, s.frag, nil)
 			eqs, _ := s.eng.ExtractSubsystem(s.frag.InNodes)
 			ctx.Send(cluster.Coordinator, &wire.EqSystem{
 				Frag:      uint16(s.frag.ID),

@@ -18,7 +18,7 @@ func miniWorld(t testing.TB, nv, ne, nf int, seed int64) (*Dict, *Graph, *Partit
 	t.Helper()
 	dict := NewDict()
 	g := GenSynthetic(dict, nv, ne, seed)
-	part, err := PartitionRandom(g, nf, seed)
+	part, err := PartitionWith(g, "random", nf, WithPartitionSeed(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +457,7 @@ func Test256SiteDeletionStream(t *testing.T) {
 	}
 	dict := NewDict()
 	g := GenSynthetic(dict, 6_000, 15_000, 11)
-	part, err := PartitionRandom(g, 256, 11)
+	part, err := PartitionWith(g, "random", 256, WithPartitionSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}

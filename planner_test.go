@@ -56,7 +56,7 @@ func TestPlannerParityMatrix(t *testing.T) {
 		{
 			dict := NewDict()
 			g := GenSynthetic(dict, 400, 1200, 91)
-			part, err := PartitionRandom(g, 4, 91)
+			part, err := PartitionWith(g, "random", 4, WithPartitionSeed(91))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,7 +75,7 @@ func TestPlannerParityMatrix(t *testing.T) {
 		{
 			dict := NewDict()
 			g := GenTree(dict, 400, 94)
-			part, err := PartitionTree(g, 4)
+			part, err := PartitionWith(g, "tree", 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,7 +184,7 @@ func TestQueryAbsentLabelShortCircuit(t *testing.T) {
 	}
 
 	t.Run("inproc", func(t *testing.T) {
-		part, err := PartitionRandom(g, 4, 61)
+		part, err := PartitionWith(g, "random", 4, WithPartitionSeed(61))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +222,7 @@ func TestQueryAbsentLabelShortCircuit(t *testing.T) {
 		if testing.Short() {
 			t.Skip("loopback-TCP short-circuit skipped in -short mode")
 		}
-		part, err := PartitionRandom(g, 4, 62)
+		part, err := PartitionWith(g, "random", 4, WithPartitionSeed(62))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,7 +287,7 @@ func TestOpenRejectsIllFittingPlan(t *testing.T) {
 	for _, mode := range confModes(t)[:2] { // inproc, tcp
 		mode := mode
 		t.Run(mode.name, func(t *testing.T) {
-			part, err := PartitionRandom(g, 4, 67)
+			part, err := PartitionWith(g, "random", 4, WithPartitionSeed(67))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -330,7 +330,7 @@ func TestWatchSharedAcrossRenamedPatterns(t *testing.T) {
 	ctx := context.Background()
 	dict := NewDict()
 	g := GenSynthetic(dict, 300, 900, 71)
-	part, err := PartitionRandom(g, 4, 71)
+	part, err := PartitionWith(g, "random", 4, WithPartitionSeed(71))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +472,7 @@ func TestWatchAbsentLabelStatic(t *testing.T) {
 	ctx := context.Background()
 	dict := NewDict()
 	g := GenSynthetic(dict, 200, 600, 75)
-	part, err := PartitionRandom(g, 4, 75)
+	part, err := PartitionWith(g, "random", 4, WithPartitionSeed(75))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,7 +560,7 @@ func TestSharedMaintenanceCheaperThanIndependent(t *testing.T) {
 			t.Fatalf("renaming %d does not share the canonical key", i)
 		}
 	}
-	part, err := PartitionRandom(g, 4, 81)
+	part, err := PartitionWith(g, "random", 4, WithPartitionSeed(81))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -628,7 +628,7 @@ func max64(a, b int64) int64 {
 func TestExplain(t *testing.T) {
 	dict := NewDict()
 	g := GenSynthetic(dict, 300, 900, 85)
-	part, err := PartitionRandom(g, 4, 85)
+	part, err := PartitionWith(g, "random", 4, WithPartitionSeed(85))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func drawCase(t *testing.T, seed int64) *propCase {
 	nlabels := 2 + r.Intn(4)
 	g := syntheticForProp(dict, nv, ne, nlabels, r.Int63())
 	nf := 2 + r.Intn(5)
-	part, err := PartitionRandom(g, nf, r.Int63())
+	part, err := PartitionWith(g, "random", nf, WithPartitionSeed(r.Int63()))
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
@@ -177,7 +177,7 @@ func TestPropertyDeletionOnlyVsCentralizedIncremental(t *testing.T) {
 			ne := nv + r.Intn(2*nv)
 			nlabels := 2 + r.Intn(3)
 			g := syntheticForProp(dict, nv, ne, nlabels, r.Int63())
-			part, err := PartitionRandom(g, 2+r.Intn(4), r.Int63())
+			part, err := PartitionWith(g, "random", 2+r.Intn(4), WithPartitionSeed(r.Int63()))
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}

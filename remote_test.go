@@ -42,7 +42,7 @@ func TestRemoteDeployBasics(t *testing.T) {
 	dict := NewDict()
 	g := GenSynthetic(dict, 400, 1200, 7)
 	q := GenCyclicPatternOver(dict, 4, 6, 4, 8)
-	part, err := PartitionTargetRatio(g, 5, ByVf, 0.3, 9)
+	part, err := PartitionWith(g, "targetratio", 5, WithPartitionTarget(0.3), WithPartitionSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestRemoteApplyWatch(t *testing.T) {
 	dict := NewDict()
 	g := GenSynthetic(dict, 300, 900, 17)
 	q := GenCyclicPatternOver(dict, 4, 6, 4, 18)
-	part, err := PartitionTargetRatio(g, 4, ByVf, 0.3, 19)
+	part, err := PartitionWith(g, "targetratio", 4, WithPartitionTarget(0.3), WithPartitionSeed(19))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestCoalescingStatsParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := PartitionBlocks(g, 4)
+	part, err := PartitionWith(g, "blocks", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestCoalescingStatsParity(t *testing.T) {
 func TestRemoteDialFailures(t *testing.T) {
 	dict := NewDict()
 	g := GenSynthetic(dict, 50, 120, 3)
-	part, err := PartitionBlocks(g, 2)
+	part, err := PartitionWith(g, "blocks", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestRemoteDaemonLoss(t *testing.T) {
 	dict := NewDict()
 	g := GenSynthetic(dict, 200, 600, 5)
 	q := GenCyclicPatternOver(dict, 4, 6, 4, 6)
-	part, err := PartitionBlocks(g, 4)
+	part, err := PartitionWith(g, "blocks", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestRemoteTrace(t *testing.T) {
 	dict := NewDict()
 	g := GenSynthetic(dict, 400, 1200, 7)
 	q := GenCyclicPatternOver(dict, 4, 6, 4, 8)
-	part, err := PartitionTargetRatio(g, 4, ByVf, 0.3, 9)
+	part, err := PartitionWith(g, "targetratio", 4, WithPartitionTarget(0.3), WithPartitionSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}

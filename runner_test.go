@@ -27,7 +27,7 @@ func TestRunnerContract(t *testing.T) {
 	dict := NewDict()
 	g := GenTree(dict, 300, 41) // a tree is also a DAG: every precondition holds
 	q := GenTreePattern(dict, 4, 24)
-	part, err := PartitionTree(g, 4)
+	part, err := PartitionWith(g, "tree", 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@
 #   3. the documents track the code they describe (payload kinds, frames,
 #      endpoints, algorithm names, driver entry points, analyzers);
 #   4. the prose documents name only defined make targets and nothing of
-#      the deleted figure stack or link emulation;
+#      the deleted figure stack, link emulation or duplicate identifiers;
 #   5. the public surface (root package API, dgsrun/dgsd/dgsgw flags)
 #      equals its golden docs/API.txt.
 set -euo pipefail
@@ -118,8 +118,14 @@ for need in /metrics WithTrace QueryTrace pprof slow-query dgs_gw_ dgs_net_ dgsd
 done
 
 # The HTTP spec must document the plan-only explain request, with the
-# plan body's fields as serve.PlanBody renders them.
-for need in explain $(sed -n '/^type PlanBody struct/,/^}/s/.*json:"\([a-z_]*\)".*/\1/p' internal/serve/serve.go); do
+# plan body's nine distinct fields as dgs.PlanInfo, PlanNode and PlanEdge
+# render them.
+plan_fields=$(sed -n '/^type Plan\(Info\|Node\|Edge\) struct/,/^}/s/.*json:"\([a-z_]*\)".*/\1/p' explain.go | sort -u)
+if [ "$(wc -w <<<"$plan_fields")" -ne 9 ]; then
+  echo "explain.go's plan types render fields '$(echo $plan_fields)', want nine"
+  fail=1
+fi
+for need in explain $plan_fields; do
   if ! grep -q -- "\"$need\"" docs/HTTP.md; then
     echo "docs/HTTP.md does not mention '\"$need\"'"
     fail=1
@@ -183,6 +189,15 @@ for target in $(grep -ohE '(`|^)make [a-z][a-z0-9-]*' $prose | awk '{print $2}' 
 done
 if stale=$(grep -nE 'benchfig|BENCH_|WithNetwork|EC2Network|-ec2' $prose); then
   echo "the documents mention the deleted figure stack or link emulation:"
+  echo "$stale" | sed 's/^/  /'
+  fail=1
+fi
+# Nor any identifier deleted when each fact got one home: the
+# per-strategy partition constructors, the plan-less engine constructor,
+# the fragment's second owner directory, the gateway's plan copy and the
+# separate loss-notification extension.
+if stale=$(grep -nE 'Partition(Random|Blocks|TargetRatio|Tree|Chain)|dgpm\.NewEngine\b|Fragment\.Owner|PlanBody|LossNotifier' $prose); then
+  echo "the documents name a deleted identifier:"
   echo "$stale" | sed 's/^/  /'
   fail=1
 fi
