@@ -10,7 +10,7 @@ FUZZTIME ?= 10s
 # benchmark/ is its own module that go build ./... does not see. The
 # inner-loop benchmarks run once each so that they cannot rot.
 tier1: vet dgsvet build race bench-check
-	$(GO) test -run '^$$' -bench 'SiteHostStorm|EngineBuild|EnginePrepared|EngineInbound|IndexBuild|IndexPatch' -benchtime=1x ./internal/cluster ./internal/dgpm
+	$(GO) test -run '^$$' -bench 'SiteHostStorm|EngineBuild|EnginePrepared|EngineInbound|WarmSession|IndexBuild|IndexPatch' -benchtime=1x ./internal/cluster ./internal/dgpm
 
 # vet also fails on unformatted code: gofmt -l over every tracked .go
 # file outside testdata/ (analyzer fixtures such as wirecompletebad are
@@ -85,6 +85,7 @@ fuzz:
 	$(GO) test ./internal/obs -run=^$$ -fuzz=^FuzzDecodeSpans$$ -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/partition -run=^$$ -fuzz=^FuzzDecodeFragment$$ -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/plan -run=^$$ -fuzz=^FuzzDecodePlan$$ -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/cluster -run=^$$ -fuzz=^FuzzMatchFromPairs$$ -fuzztime=$(FUZZTIME)
 
 # docs fails when any package lacks a package comment, an
 # operator-facing document (README, wire spec) is missing/stale, or the
@@ -149,6 +150,7 @@ help:
 	@echo "                   (engine build inner loop at local-8's shape, seconds: go test -run '^$$' -bench EngineBuild ./internal/dgpm)"
 	@echo "                   (the same engines restored from prepared state, seconds: go test -run '^$$' -bench EnginePrepared ./internal/dgpm)"
 	@echo "                   (restored engines absorbing falsification streams, seconds: go test -run '^$$' -bench EngineInbound ./internal/dgpm)"
+	@echo "                   (a warm query's site and assembly work, seconds: go test -run '^$$' -bench WarmSession ./internal/dgpm)"
 	@echo "                   (index upkeep under maintain-8's deletion batches, seconds: go test -run '^$$' -bench IndexPatch ./internal/dgpm)"
 	@echo "  smoke-tcp        two dgsd processes on loopback, all algorithms"
 	@echo "  gw-smoke         2 dgsd + 1 dgsgw over HTTP (cache + invalidation)"

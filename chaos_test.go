@@ -69,15 +69,16 @@ func chaosNet(part *Partition, opts faultnet.Options) *faultnet.Net {
 	return faultnet.Wrap(cluster.NewInProc(part.NumFragments(), innerFr), opts)
 }
 
-// maintOpenCounter counts the maintenance sessions opened on a faultnet
+// openCounter counts the sessions of one kind opened on a faultnet
 // transport.
-type maintOpenCounter struct {
+type openCounter struct {
 	*faultnet.Net
+	kind   cluster.SessionKind
 	opened atomic.Int64
 }
 
-func (c *maintOpenCounter) Open(qid uint64, kind cluster.SessionKind, spec cluster.SessionSpec) error {
-	if kind == cluster.SessionMaintenance {
+func (c *openCounter) Open(qid uint64, kind cluster.SessionKind, spec cluster.SessionSpec) error {
+	if kind == c.kind {
 		c.opened.Add(1)
 	}
 	return c.Net.Open(qid, kind, spec)
@@ -95,7 +96,7 @@ func TestRecoverReevaluatesSharedWatchOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := &maintOpenCounter{Net: chaosNet(part, faultnet.Options{Seed: 77})}
+	tr := &openCounter{Net: chaosNet(part, faultnet.Options{Seed: 77}), kind: cluster.SessionMaintenance}
 	dep, err := Deploy(part, WithTransport(tr))
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ package dgs
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,7 +74,7 @@ func WithAlgorithm(a Algorithm) QueryOption {
 
 // WithPushTheta sets the push benefit threshold θ of §4.2 (default 0.2).
 // An explicit 0 is honored: θ=0 makes every beneficial-or-not push
-// fire. Only meaningful for AlgoDGPM.
+// fire. Only meaningful for AlgoDGPM. A NaN θ fails the query.
 func WithPushTheta(theta float64) QueryOption {
 	return func(qc *queryConfig) { qc.theta = theta; qc.thetaSet = true }
 }
@@ -396,6 +397,9 @@ func (d *Deployment) Query(ctx context.Context, q *Pattern, opts ...QueryOption)
 	cfg := d.defaults
 	for _, o := range opts {
 		o(&cfg)
+	}
+	if math.IsNaN(cfg.theta) {
+		return nil, errorf("query: push threshold θ is NaN")
 	}
 	// Share the resident graph state with other queries; Apply batches
 	// wait for in-flight queries and vice versa.

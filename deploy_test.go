@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -236,6 +237,47 @@ func TestWithPushThetaHonorsZero(t *testing.T) {
 	}
 	if !res.Match.Equal(Simulate(q, g)) {
 		t.Fatal("θ=0 result differs from centralized simulation")
+	}
+}
+
+// A NaN θ compares false with every benefit, so it would silently push
+// everything: Query refuses it, from WithPushTheta or from the
+// deployment's defaults, before opening a session, and the deployment
+// keeps serving. The infinite
+// and negative θ keep their meaning (never, always push).
+func TestQueryRefusesNaNTheta(t *testing.T) {
+	g, q, dep := deployWorld(t)
+	ctx := context.Background()
+	if _, err := dep.Query(ctx, q, WithPushTheta(math.NaN())); err == nil || !strings.Contains(err.Error(), "NaN") {
+		t.Fatalf("WithPushTheta(NaN): err = %v, want a NaN error", err)
+	}
+	want := Simulate(q, g)
+	for _, theta := range []float64{math.Inf(1), math.Inf(-1), -1} {
+		res, err := dep.Query(ctx, q, WithPushTheta(theta))
+		if err != nil {
+			t.Fatalf("θ = %v: %v", theta, err)
+		}
+		if !res.Match.Equal(want) {
+			t.Fatalf("θ = %v: result differs from centralized simulation", theta)
+		}
+	}
+
+	tr := &openCounter{Net: chaosNet(dep.Partition(), faultnet.Options{}), kind: cluster.SessionQuery}
+	nan, err := Deploy(dep.Partition(), WithTransport(tr), WithQueryDefaults(WithPushTheta(math.NaN())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nan.Close()
+	for _, opts := range [][]QueryOption{nil, {WithPushTheta(math.NaN())}} {
+		if _, err := nan.Query(ctx, q, opts...); err == nil || !strings.Contains(err.Error(), "NaN") {
+			t.Fatalf("θ NaN: err = %v, want a NaN error", err)
+		}
+	}
+	if n := tr.opened.Load(); n != 0 {
+		t.Fatalf("a query with θ NaN opened %d sessions", n)
+	}
+	if res, err := nan.Query(ctx, q, WithPushTheta(0.2)); err != nil || !res.Match.Equal(want) {
+		t.Fatalf("default θ NaN overridden by 0.2: err = %v", err)
 	}
 }
 

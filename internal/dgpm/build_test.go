@@ -14,6 +14,7 @@ import (
 	"slices"
 	"testing"
 
+	"dgs/internal/cluster"
 	"dgs/internal/graph"
 	"dgs/internal/partition"
 	"dgs/internal/pattern"
@@ -463,7 +464,7 @@ func BenchmarkEnginePrepared(b *testing.B) {
 	for i, q := range qs {
 		keys[i] = keyOf(q, pls[i])
 		for _, f := range fr.Frags {
-			prepare(q, f, pls[i], keys[i])
+			prepare(q, f, pls[i], keys[i], DefaultConfig())
 		}
 	}
 	b.ReportAllocs()
@@ -473,7 +474,7 @@ func BenchmarkEnginePrepared(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k := i % len(qs)
 		for _, f := range fr.Frags {
-			engineSink = prepare(qs[k], f, pls[k], keys[k])
+			engineSink = prepare(qs[k], f, pls[k], keys[k], DefaultConfig())
 		}
 	}
 	b.StopTimer()
@@ -491,25 +492,7 @@ func BenchmarkEnginePrepared(b *testing.B) {
 // the falsification handling inside `dgpm.site_busy_ms_sum` on `local-8`.
 // The streams are computed off the clock from simulation.HHK's answer.
 func BenchmarkEngineInbound(b *testing.B) {
-	fr, qs, pls := localEight(b, 300_000, 1_500_000)
-	keys := make([]string, len(qs))
-	streams := make([][][]wire.VarRef, len(qs)) // [pattern][fragment]
-	for i, q := range qs {
-		keys[i] = keyOf(q, pls[i])
-		m := simulation.HHK(q, fr.G)
-		streams[i] = make([][]wire.VarRef, len(fr.Frags))
-		for j, f := range fr.Frags {
-			prepare(q, f, pls[i], keys[i])
-			for _, v := range f.Virtual {
-				for u := range q.NumNodes() {
-					qu := pattern.QNode(u)
-					if q.Label(qu) == f.Labels[v] && len(q.Pred(qu)) > 0 && !m.Contains(qu, v) {
-						streams[i][j] = append(streams[i][j], wire.VarRef{U: uint16(u), V: uint32(v)})
-					}
-				}
-			}
-		}
-	}
+	fr, qs, pls, keys, streams := warmLocalEight(b)
 	b.ReportAllocs()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -517,7 +500,7 @@ func BenchmarkEngineInbound(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k := i % len(qs)
 		for j, f := range fr.Frags {
-			e := prepare(qs[k], f, pls[k], keys[k])
+			e := prepare(qs[k], f, pls[k], keys[k], DefaultConfig())
 			e.ApplyFalsifications(streams[k][j])
 			refSink = e.Drain()
 		}
@@ -529,6 +512,75 @@ func BenchmarkEngineInbound(b *testing.B) {
 }
 
 var refSink []wire.VarRef
+
+// warmLocalEight is localEight at full scale with every catalog
+// pattern's snapshot filed on every fragment at the default config, the
+// patterns' prepared-state keys, and the falsification streams of
+// BenchmarkEngineInbound, by pattern and fragment.
+func warmLocalEight(b *testing.B) (*partition.Fragmentation, []*pattern.Pattern, []*plan.Plan, []string, [][][]wire.VarRef) {
+	fr, qs, pls := localEight(b, 300_000, 1_500_000)
+	keys := make([]string, len(qs))
+	streams := make([][][]wire.VarRef, len(qs))
+	for i, q := range qs {
+		keys[i] = keyOf(q, pls[i])
+		m := simulation.HHK(q, fr.G)
+		streams[i] = make([][]wire.VarRef, len(fr.Frags))
+		for j, f := range fr.Frags {
+			prepare(q, f, pls[i], keys[i], DefaultConfig())
+			for _, v := range f.Virtual {
+				for u := range q.NumNodes() {
+					qu := pattern.QNode(u)
+					if q.Label(qu) == f.Labels[v] && len(q.Pred(qu)) > 0 && !m.Contains(qu, v) {
+						streams[i][j] = append(streams[i][j], wire.VarRef{U: uint16(u), V: uint32(v)})
+					}
+				}
+			}
+		}
+	}
+	return fr, qs, pls, keys, streams
+}
+
+var (
+	pushSink  []pushPlan
+	matchSink *simulation.Match
+)
+
+// BenchmarkWarmSession is a warm dGPM query's site and assembly work
+// without the transport: one op takes a catalog pattern (round-robin)
+// through each of the eight fragments as its site does — restore the
+// engine, take the start signal's push verdict at the default θ, absorb
+// BenchmarkEngineInbound's stream, drain, list the local matches — and
+// assembles the eight reports with cluster.MatchFromPairs, so ms/query
+// reads against `cpu_s_per_op` on `local-8`.
+func BenchmarkWarmSession(b *testing.B) {
+	fr, qs, pls, keys, streams := warmLocalEight(b)
+	cfg := DefaultConfig()
+	var pairs []wire.VarRef
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(qs)
+		pairs = pairs[:0]
+		for j, f := range fr.Frags {
+			e := prepare(qs[k], f, pls[k], keys[k], cfg)
+			pushSink = startVerdict(e, cfg)
+			e.ApplyFalsifications(streams[k][j])
+			refSink = e.Drain()
+			pairs = append(pairs, e.LocalMatches()...)
+		}
+		m, err := cluster.MatchFromPairs(qs[k].NumNodes(), len(fr.Assign), pairs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		matchSink = m
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/query")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/1e6, "MB/query")
+}
 
 var indexSink *partition.Index
 

@@ -158,6 +158,10 @@ type Engine struct {
 	// result as of depMut, shared by every extraction until mut moves.
 	mut, depMut uint64
 	dep         *depSet
+
+	// snap is the snapshot this engine was filed as or restored from,
+	// read-only; nil for an engine built without filing.
+	snap *snapshot
 }
 
 type visVar struct {
@@ -659,11 +663,24 @@ func (e *Engine) AliveLocalVar(u pattern.QNode, v graph.NodeID) bool {
 }
 
 // LocalMatches lists all alive local variables — the site's partial
-// answer Q(Fi) shipped to the coordinator in phase 3.
+// answer Q(Fi) shipped to the coordinator in phase 3 — query node by
+// query node, each node's ascending in the label-major numbering. A
+// non-leaf node of an engine from a snapshot is read at the positions the
+// snapshot lists alive, the only ones that can still be; every other
+// node's range is scanned.
 func (e *Engine) LocalMatches() []wire.VarRef {
 	n := 0
 	for u, row := range e.alive {
-		for _, alive := range row[e.lo[u]:e.hi[u]] {
+		lo := e.lo[u]
+		if ps, ok := e.snapAlive(u); ok {
+			for _, p := range ps {
+				if row[lo+p] {
+					n++
+				}
+			}
+			continue
+		}
+		for _, alive := range row[lo:e.hi[u]] {
 			if alive {
 				n++
 			}
@@ -674,13 +691,32 @@ func (e *Engine) LocalMatches() []wire.VarRef {
 	}
 	out := make([]wire.VarRef, 0, n)
 	for u, row := range e.alive {
-		for li := e.lo[u]; li < e.hi[u]; li++ {
+		lo := e.lo[u]
+		if ps, ok := e.snapAlive(u); ok {
+			for _, p := range ps {
+				if li := lo + p; row[li] {
+					out = append(out, wire.VarRef{U: uint16(u), V: uint32(e.vis[li])})
+				}
+			}
+			continue
+		}
+		for li := lo; li < e.hi[u]; li++ {
 			if row[li] {
 				out = append(out, wire.VarRef{U: uint16(u), V: uint32(e.vis[li])})
 			}
 		}
 	}
 	return out
+}
+
+// snapAlive returns the positions li − lo[u] of u's local candidates
+// alive in e's snapshot, ascending, and whether there is such a list: an
+// engine from a snapshot, and u not a leaf.
+func (e *Engine) snapAlive(u int) ([]int32, bool) {
+	if e.snap == nil || e.constTrue[u] {
+		return nil, false
+	}
+	return e.snap.alive[u], true
 }
 
 // DeadLocalVars lists the falsified non-constant variables of a local

@@ -15,6 +15,13 @@ package dgpm
 // shared read-only. A mutation moves the fragment to a new index with an
 // empty memo, so state is never restored onto a fragment version it was
 // not built on.
+//
+// §4.2's push test reads only that state, so the session that files a
+// snapshot files its push verdict with it, and a restored session under
+// the same budget sends the filed plans instead of testing again. The
+// alive lists bound the answer: no path revives a local variable, so an
+// engine from a snapshot reports its local matches (LocalMatches) by
+// checking only the positions the snapshot lists.
 
 import (
 	"encoding/binary"
@@ -46,23 +53,46 @@ func preparedKey(query, plan []byte) string {
 }
 
 // prepare returns the engine of q under pl on frag's current index:
-// restored from the snapshot filed there under key, or built and filed.
-// Build and filing use the one index taken here, so a snapshot always
-// describes the index it is filed on.
-func prepare(q *pattern.Pattern, frag *partition.Fragment, pl *plan.Plan, key string) *Engine {
+// restored from the snapshot filed there under key, or built and filed
+// with its push verdict under cfg. Build and filing use the one index
+// taken here, so a snapshot always describes the index it is filed on.
+func prepare(q *pattern.Pattern, frag *partition.Fragment, pl *plan.Plan, key string, cfg Config) *Engine {
 	ix := frag.Index()
 	if s, ok := ix.Prepared(key).(*snapshot); ok {
 		return s.restore(q, frag, ix)
 	}
 	e := build(q, frag, ix, pl)
-	e.file(key)
+	e.file(key, cfg)
 	return e
 }
 
-// file files e's snapshot under key on the index e was built on; e must
-// be as build returned it.
-func (e *Engine) file(key string) {
-	e.ix.Prepare(key, e.snapshot())
+// file files e's snapshot, with e's push verdict under cfg when cfg
+// tests push, under key on the index e was built on; e must be as build
+// returned it.
+func (e *Engine) file(key string, cfg Config) {
+	s := e.snapshot()
+	if budget, ok := cfg.budget(e); ok {
+		s.push = &verdict{budget: budget, plans: e.planPush(budget)}
+	}
+	e.snap = s
+	e.ix.Prepare(key, s)
+}
+
+// verdict is planPush's answer under budget.
+type verdict struct {
+	budget int
+	plans  []pushPlan
+}
+
+// pushVerdict returns planPush(budget): the verdict e's snapshot filed,
+// when it filed one under budget and e has not changed since, or a fresh
+// test. A filed verdict is shared by every engine restored from the
+// snapshot and must not be changed.
+func (e *Engine) pushVerdict(budget int) []pushPlan {
+	if s := e.snap; s != nil && s.push != nil && s.push.budget == budget && e.mut == s.mut {
+		return s.push.plans
+	}
+	return e.planPush(budget)
 }
 
 // snapshot is an engine's state as its build left it, minus what the
@@ -86,6 +116,10 @@ type snapshot struct {
 	out                  []visVar // the seed kills of in-node variables, in order
 	unevalIn, unevalVirt int
 	mut                  uint64
+
+	// push is the filing session's push verdict; nil when it tested no
+	// push.
+	push *verdict
 }
 
 // snapshot records e, which must be as build returned it.
@@ -140,6 +174,7 @@ func (s *snapshot) restore(q *pattern.Pattern, frag *partition.Fragment, ix *par
 		eqWatch:  make(map[varKey][]eqWatcher),
 		out:      slices.Clone(s.out),
 		unevalIn: s.unevalIn, unevalVirt: s.unevalVirt, mut: s.mut,
+		snap:  s,
 		Evals: 1,
 	}
 	e.borrow(ix)

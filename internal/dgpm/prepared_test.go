@@ -30,7 +30,7 @@ func keyOf(q *pattern.Pattern, pl *plan.Plan) string {
 func restored(t *testing.T, q *pattern.Pattern, frag *partition.Fragment, pl *plan.Plan, key string) *Engine {
 	t.Helper()
 	b0, r0 := EngineCounts()
-	e := prepare(q, frag, pl, key)
+	e := prepare(q, frag, pl, key, DefaultConfig())
 	if b1, r1 := EngineCounts(); b1 != b0 || r1 != r0+1 {
 		t.Fatalf("prepare built %d and restored %d engines, want one restore", b1-b0, r1-r0)
 	}
@@ -71,6 +71,71 @@ func sameEngine(t *testing.T, what string, got, want *Engine) {
 	}
 }
 
+// startVerdict is the push a site with cfg sends from e at the start
+// signal: the plans (destinations, equations, leaves) maybePush ships.
+func startVerdict(e *Engine, cfg Config) []pushPlan {
+	budget, ok := cfg.budget(e)
+	if !ok {
+		return nil
+	}
+	return e.pushVerdict(budget)
+}
+
+// checkVerdict holds the push verdict of engines from q's snapshot on
+// frag against planPush on a fresh build. At every θ of pushThetas, a
+// restore from a snapshot filed at that θ sends the filed plans. A
+// restore at another θ than the filer's tests afresh, and so does a
+// restored engine that has killed a variable since, its state no longer
+// the snapshot's, even under the filed budget.
+func checkVerdict(t *testing.T, what string, q *pattern.Pattern, frag *partition.Fragment, pl *plan.Plan, key string) {
+	t.Helper()
+	at := func(theta float64) Config { return Config{Incremental: true, Push: true, Theta: theta} }
+	file := func(cfg Config) { build(q, frag, frag.Index(), pl).file(key, cfg) }
+	for _, theta := range pushThetas {
+		file(at(theta))
+		e := restored(t, q, frag, pl, key)
+		got, want := startVerdict(e, at(theta)), startVerdict(NewEnginePlanned(q, frag, pl), at(theta))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: filed and restored at θ=%v: verdict %+v, fresh build %+v", what, theta, got, want)
+		}
+		if len(got) > 0 && &got[0] != &e.snap.push.plans[0] {
+			t.Fatalf("%s: restored at the filer's θ=%v, the verdict was tested again", what, theta)
+		}
+	}
+
+	filer := pushThetas[len(pushThetas)-1]
+	if got, want := startVerdict(restored(t, q, frag, pl, key), at(0)), startVerdict(NewEnginePlanned(q, frag, pl), at(0)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: filed at θ=%v, restored at θ=0: verdict %+v, fresh build %+v", what, filer, got, want)
+	}
+
+	var batch []wire.VarRef
+	for _, v := range frag.Virtual {
+		for u := range q.NumNodes() {
+			if qu := pattern.QNode(u); len(q.Succ(qu)) > 0 && q.Label(qu) == frag.Labels[v] {
+				batch = append(batch, wire.VarRef{U: uint16(u), V: uint32(v)})
+				break
+			}
+		}
+		if len(batch) == 2 {
+			break
+		}
+	}
+	file(at(0))
+	e, want := restored(t, q, frag, pl, key), NewEnginePlanned(q, frag, pl)
+	if e.snap.push == nil || len(batch) == 0 {
+		return // nothing filed, or nothing to kill
+	}
+	e.ApplyFalsifications(batch)
+	want.ApplyFalsifications(batch)
+	if e.mut == e.snap.mut {
+		t.Fatalf("%s: falsifying %v killed nothing", what, batch)
+	}
+	budget := e.snap.push.budget
+	if got, w := e.pushVerdict(budget), want.planPush(budget); !reflect.DeepEqual(got, w) {
+		t.Fatalf("%s: filed at θ=0, then falsified: verdict %+v, fresh build %+v", what, got, w)
+	}
+}
+
 // checkPrepared files q's engine on frag under pl, restores it, and holds
 // the restored engine against a fresh build — as restored, and through
 // one falsification batch, the equations the other fragments push at
@@ -80,9 +145,10 @@ func sameEngine(t *testing.T, what string, got, want *Engine) {
 func checkPrepared(t *testing.T, r *rand.Rand, what string, q *pattern.Pattern, fr *partition.Fragmentation, frag *partition.Fragment, pl *plan.Plan) {
 	t.Helper()
 	key := keyOf(q, pl)
-	prepare(q, frag, pl, key)
+	prepare(q, frag, pl, key, DefaultConfig())
 	got, want := restored(t, q, frag, pl, key), NewEnginePlanned(q, frag, pl)
 	sameEngine(t, what+" restored", got, want)
+	checkVerdict(t, what, q, frag, pl, key)
 
 	var batch []wire.VarRef
 	for _, v := range frag.Virtual {
@@ -174,7 +240,7 @@ func TestStaleEngineNotFiledOnCurrentIndex(t *testing.T) {
 	if err := partition.ApplyBatchLocal(fr, [][2]graph.NodeID{{v, frag.Succ[v][0]}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	e.file(key)
+	e.file(key, DefaultConfig())
 	cur := frag.Index()
 	if cur == stale {
 		t.Fatal("the deletion left the fragment on its old index")
@@ -186,7 +252,7 @@ func TestStaleEngineNotFiledOnCurrentIndex(t *testing.T) {
 		t.Fatal("the engine was not filed on the index it was built on")
 	}
 	b0, r0 := EngineCounts()
-	got := prepare(q, frag, pl, key)
+	got := prepare(q, frag, pl, key, DefaultConfig())
 	if b1, r1 := EngineCounts(); b1 != b0+1 || r1 != r0 {
 		t.Fatalf("after the mutation prepare built %d and restored %d engines, want one build", b1-b0, r1-r0)
 	}
@@ -194,16 +260,19 @@ func TestStaleEngineNotFiledOnCurrentIndex(t *testing.T) {
 }
 
 // Engines restored concurrently from one snapshot, and driven at once,
-// share nothing they write: each equals a fresh build (and -race is
-// quiet).
+// share nothing they write: each takes the push verdict filed at θ = 0,
+// absorbs a falsification batch and lists its local matches, and each
+// equals a fresh build (and -race is quiet).
 func TestConcurrentRestoresShareNoWrites(t *testing.T) {
 	fr, qs, pls := localEight(t, 6_000, 30_000)
+	always := Config{Incremental: true, Push: true, Theta: 0}
 	var wg sync.WaitGroup
 	for _, frag := range fr.Frags[:2] {
 		for i, q := range qs[:4] {
 			key := keyOf(q, pls[i])
-			prepare(q, frag, pls[i], key)
+			prepare(q, frag, pls[i], key, always)
 			want := NewEnginePlanned(q, frag, pls[i])
+			wantPush := startVerdict(want, always)
 			var batch []wire.VarRef
 			for k, v := range frag.Virtual {
 				if k%3 == 0 {
@@ -216,7 +285,10 @@ func TestConcurrentRestoresShareNoWrites(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					e := prepare(q, frag, pls[i], key)
+					e := prepare(q, frag, pls[i], key, always)
+					if !reflect.DeepEqual(startVerdict(e, always), wantPush) {
+						t.Errorf("frag %d catalog %d: a concurrent restore's push verdict diverged from a fresh build", frag.ID, i)
+					}
 					e.ApplyFalsifications(batch)
 					if !reflect.DeepEqual(e.LocalMatches(), wantMatches) {
 						t.Errorf("frag %d catalog %d: a concurrent restore diverged from a fresh build", frag.ID, i)

@@ -135,11 +135,11 @@ func referencePlanPush(e *Engine, theta float64) (plans []pushPlan, totalBytes i
 
 // tieredPlanPush is the decision site.maybePush takes now.
 func tieredPlanPush(e *Engine, theta float64) []pushPlan {
-	inV, virtV := e.UnevaluatedCounts()
-	if inV == 0 || virtV == 0 {
+	budget, ok := Config{Push: true, Theta: theta}.budget(e)
+	if !ok {
 		return nil
 	}
-	return e.planPush(pushBudget(virtV, inV, theta))
+	return e.planPush(budget)
 }
 
 // pushTally counts how the decisions of a run of checkPush fell.

@@ -1,10 +1,12 @@
 package dgpm
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"dgs/internal/cluster"
 	"dgs/internal/graph"
 	"dgs/internal/pattern"
 	"dgs/internal/simulation"
@@ -168,5 +170,39 @@ func TestAbsentLabelShipsAlmostNothing(t *testing.T) {
 	// bounded by the analytic limit.
 	if stats.DataBytes > int64(fr.Ef()*q.NumNodes()*6+int(stats.DataMsgs)*5) {
 		t.Fatalf("shipped too much: %d bytes", stats.DataBytes)
+	}
+}
+
+// DecodeConfig refuses what no EncodeConfig of a usable Config gives: a
+// wrong length, an unknown flag and a NaN θ (which no benefit compares
+// with, so it would push everything). The infinite and negative θ round
+// trip. A site is built from the decoded config, so a session whose spec
+// carries a NaN θ does not open.
+func TestDecodeConfigRefusesMalformed(t *testing.T) {
+	nan := EncodeConfig(Config{Incremental: true, Push: true, Theta: math.NaN()})
+	for name, b := range map[string][]byte{
+		"short":        EncodeConfig(DefaultConfig())[:8],
+		"unknown flag": append([]byte{1 << 2}, EncodeConfig(DefaultConfig())[1:]...),
+		"NaN θ":        nan,
+	} {
+		if cfg, err := DecodeConfig(b); err == nil {
+			t.Errorf("%s: decoded to %+v", name, cfg)
+		}
+	}
+	for _, theta := range []float64{math.Inf(1), math.Inf(-1), -1, 0, 0.2} {
+		cfg := Config{Incremental: true, Push: true, Theta: theta}
+		if got, err := DecodeConfig(EncodeConfig(cfg)); err != nil || got != cfg {
+			t.Errorf("θ = %v: decoded %+v, %v", theta, got, err)
+		}
+	}
+
+	q, g, _, assign := fig1()
+	c := cluster.NewLocal(mustPartition(t, g, assign), cluster.Network{})
+	defer c.Shutdown()
+	spec := sessionSpec(q, DefaultConfig(), nil, 0)
+	spec.Config = nan
+	if sess, err := c.OpenSession(cluster.SessionQuery, spec, &cluster.Collector{}); err == nil {
+		sess.Close()
+		t.Fatal("a session whose config has a NaN θ opened")
 	}
 }

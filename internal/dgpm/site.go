@@ -107,7 +107,7 @@ func (s *site) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
 	case *wire.Control:
 		switch m.Op {
 		case OpStart:
-			s.eng = prepare(s.q, s.frag, s.pl, s.key)
+			s.eng = prepare(s.q, s.frag, s.pl, s.key, s.cfg)
 			if !s.cfg.Incremental {
 				// Seed the reported set from the initial evaluation so a
 				// later rebuild does not resend these.
@@ -297,6 +297,20 @@ func (s *site) route(ctx *cluster.Ctx, kills []visVar) {
 // its top-rank ones.
 func (s *site) read(u pattern.QNode) bool { return len(s.q.Pred(u)) > 0 }
 
+// budget is the push budget cfg gives e (pushBudget of e's unevaluated
+// tallies at cfg's θ); ok is false when cfg tests no push on e — push is
+// off, or no in-node or no virtual-node variable is unevaluated.
+func (cfg Config) budget(e *Engine) (budget int, ok bool) {
+	if !cfg.Push {
+		return 0, false
+	}
+	inV, virtV := e.UnevaluatedCounts()
+	if inV == 0 || virtV == 0 {
+		return 0, false
+	}
+	return pushBudget(virtV, inV, cfg.Theta), true
+}
+
 // pushBudget is the benefit test B(Si) = |O'|/(m·|I'|) ≥ θ (§4.2) solved
 // for m: the largest byte count the test still accepts. B only falls as m
 // grows, so the budget is found by bisection on the test's own float
@@ -321,16 +335,15 @@ func pushBudget(virtV, inV int, theta float64) int {
 // the no-push protocol, defeating Theorem 2's bound in practice.
 //
 // The test is Engine.planPush under pushBudget: exact, and abandoned at
-// the first bound on m that exceeds the budget.
+// the first bound on m that exceeds the budget. It reads only the state
+// the engine's snapshot records, so a site whose engine came from one
+// takes the verdict filed with it when the budget matches (pushVerdict).
 func (s *site) maybePush(ctx *cluster.Ctx) {
-	if !s.cfg.Push {
+	budget, ok := s.cfg.budget(s.eng)
+	if !ok {
 		return
 	}
-	inV, virtV := s.eng.UnevaluatedCounts()
-	if inV == 0 || virtV == 0 {
-		return
-	}
-	for _, pl := range s.eng.planPush(pushBudget(virtV, inV, s.cfg.Theta)) {
+	for _, pl := range s.eng.pushVerdict(budget) {
 		ctx.Send(pl.dest, &wire.Push{Origin: uint16(s.frag.ID), Eqs: pl.eqs})
 		// Ask each leaf owner to also feed the parent.
 		perOwner := make(map[int][]uint32)

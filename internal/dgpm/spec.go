@@ -45,7 +45,9 @@ func EncodeConfig(cfg Config) []byte {
 	return out
 }
 
-// DecodeConfig parses an EncodeConfig blob.
+// DecodeConfig parses an EncodeConfig blob. A NaN θ is refused: no
+// benefit compares with it, so it would mean "push everything" without
+// saying so.
 func DecodeConfig(b []byte) (Config, error) {
 	if len(b) != 9 {
 		return Config{}, fmt.Errorf("dgpm: config must be 9 bytes, got %d", len(b))
@@ -53,10 +55,14 @@ func DecodeConfig(b []byte) (Config, error) {
 	if b[0]&^(cfgIncremental|cfgPush) != 0 {
 		return Config{}, fmt.Errorf("dgpm: unknown config flags %#x", b[0])
 	}
+	theta := math.Float64frombits(binary.LittleEndian.Uint64(b[1:]))
+	if math.IsNaN(theta) {
+		return Config{}, fmt.Errorf("dgpm: push threshold θ is NaN")
+	}
 	return Config{
 		Incremental: b[0]&cfgIncremental != 0,
 		Push:        b[0]&cfgPush != 0,
-		Theta:       math.Float64frombits(binary.LittleEndian.Uint64(b[1:])),
+		Theta:       theta,
 	}, nil
 }
 
