@@ -84,7 +84,6 @@ fuzz:
 	$(GO) test ./internal/transport/tcpnet -run=^$$ -fuzz=^FuzzDecodeAckN$$ -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/obs -run=^$$ -fuzz=^FuzzDecodeSpans$$ -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/partition -run=^$$ -fuzz=^FuzzDecodeFragment$$ -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/plan -run=^$$ -fuzz=^FuzzDecodePlan$$ -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/cluster -run=^$$ -fuzz=^FuzzMatchFromPairs$$ -fuzztime=$(FUZZTIME)
 
 # docs fails when any package lacks a package comment, an

@@ -48,7 +48,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random seed")
 		boolean   = flag.Bool("bool", false, "Boolean query (report true/false only)")
 		showAll   = flag.Bool("matches", false, "print the full match relation")
-		explain   = flag.Bool("explain", false, "print the evaluation plan (orders, estimates, canonical key) and exit without evaluating")
+		explain   = flag.Bool("explain", false, "print the plan (node and edge estimates in declaration order, empty verdict, canonical key) and exit without evaluating")
 		trace     = flag.Bool("trace", false, "evaluate with distributed tracing and print the per-site per-round span tree")
 		repeat    = flag.Int("repeat", 1, "serve the query N times on the one deployment")
 		connect   = flag.String("connect", "", "comma-separated dgsd addresses: deploy the fragments over TCP instead of in-process")

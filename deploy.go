@@ -158,8 +158,7 @@ type Deployment struct {
 	defaults queryConfig
 	// planStats are the label statistics plans are built from, collected
 	// once at Deploy: Apply mutates edges only, so label populations —
-	// and with them the Empty short-circuit — stay exact forever, and
-	// the degree sums remain an adequate work proxy.
+	// and with them the Empty short-circuit — stay exact forever.
 	planStats *plan.Stats
 	// remote marks a deployment whose sites hold their own fragment
 	// copies (another process); Apply then replays batches locally to
@@ -356,8 +355,9 @@ func (d *Deployment) WireFrames() (sent, received int64) {
 // Partition returns the resident fragmentation.
 func (d *Deployment) Partition() *Partition { return d.part }
 
-// planFor builds the deployment's evaluation plan for p: a pure
-// function of the pattern and the Deploy-time label statistics.
+// planFor is the planner's verdict on p — the Empty short-circuit and
+// the node estimates Explain renders: a pure function of the pattern
+// and the Deploy-time label statistics. Nothing of it is shipped.
 func (d *Deployment) planFor(p *pattern.Pattern) *plan.Plan {
 	return plan.GreedyPlan(p, d.planStats)
 }
@@ -406,13 +406,11 @@ func (d *Deployment) Query(ctx context.Context, q *Pattern, opts ...QueryOption)
 	d.state.RLock()
 	defer d.state.RUnlock()
 
-	// Plan the query. A plan whose Empty verdict fired means some query
-	// node's label has zero occurrences in the deployed graph, so
-	// Q(G) = ∅ for every algorithm (initial candidates are exactly the
-	// label-consistent nodes): answer here, with no session opened and
-	// no wire traffic at all.
-	pl := d.planFor(q.p)
-	if pl.Empty {
+	// An Empty verdict means some query node's label has zero
+	// occurrences in the deployed graph, so Q(G) = ∅ for every algorithm
+	// (initial candidates are exactly the label-consistent nodes): answer
+	// here, with no session opened and no wire traffic at all.
+	if d.planFor(q.p).Empty {
 		d.om.queries.Inc()
 		m := simulation.NewMatch(q.p.NumNodes()).Canonical()
 		return &Result{Match: &Match{m: m}, Version: d.version.Load()}, nil
@@ -429,9 +427,9 @@ func (d *Deployment) Query(ctx context.Context, q *Pattern, opts ...QueryOption)
 	var err error
 	switch cfg.algo {
 	case AlgoDGPM:
-		m, st, qt, err = dgpm.Eval(ctx, d.c, q.p, d.part.fr, cfg.dgpmConfig(), pl, traceID)
+		m, st, qt, err = dgpm.Eval(ctx, d.c, q.p, d.part.fr, cfg.dgpmConfig(), traceID)
 	case AlgoDGPMNoOpt:
-		m, st, qt, err = dgpm.Eval(ctx, d.c, q.p, d.part.fr, dgpm.NOptConfig(), pl, traceID)
+		m, st, qt, err = dgpm.Eval(ctx, d.c, q.p, d.part.fr, dgpm.NOptConfig(), traceID)
 	case AlgoDGPMd:
 		m, st, qt, err = dagsim.Eval(ctx, d.c, q.p, d.part.fr, cfg.graphIsDAG, traceID)
 	case AlgoDGPMt:

@@ -1,11 +1,11 @@
 package dgs
 
-// Explain: the planner's inspection surface. It reports how a
-// deployment would evaluate a pattern — seed and edge orders with their
-// selectivity estimates, the Empty short-circuit verdict, and the
-// renaming-invariant canonical cache key — without opening a session or
-// shipping a byte. dgsrun -explain and the gateway's "explain" request
-// field render this.
+// Explain: the planner's inspection surface. It reports what the
+// deployment knows about a pattern before evaluating it — each query
+// node's and edge's candidate estimate, the Empty short-circuit verdict,
+// and the renaming-invariant canonical cache key — without opening a
+// session or shipping a byte. dgsrun -explain and the gateway's
+// "explain" request field render this.
 
 import (
 	"fmt"
@@ -15,9 +15,9 @@ import (
 	"dgs/internal/plan"
 )
 
-// PlanInfo describes the evaluation plan of one pattern against a
-// deployment, as produced by Deployment.Explain. Its JSON form is the
-// gateway's explain response (docs/HTTP.md).
+// PlanInfo describes the plan of one pattern against a deployment, as
+// produced by Deployment.Explain. Its JSON form is the gateway's explain
+// response (docs/HTTP.md).
 type PlanInfo struct {
 	// CanonicalKey is the renaming-invariant canonical rendering of the
 	// pattern: equivalent-modulo-renaming patterns share it, so caches
@@ -26,14 +26,14 @@ type PlanInfo struct {
 	// Empty reports that some query node's label has zero occurrences in
 	// the deployed graph: Query answers ∅ without any distributed work.
 	Empty bool `json:"empty"`
-	// Nodes is the seed evaluation order, rarest label first.
+	// Nodes lists the query nodes in declaration order.
 	Nodes []PlanNode `json:"nodes"`
-	// Edges is the query-edge evaluation order, ascending estimated
-	// selectivity.
+	// Edges lists the query edges in declaration order: by source node,
+	// then in the order each source's edges were added.
 	Edges []PlanEdge `json:"edges"`
 }
 
-// PlanNode is one query node in plan order.
+// PlanNode is one query node with its estimate.
 type PlanNode struct {
 	// Name is the node's printable identifier, Label its label name.
 	Name  string `json:"name"`
@@ -43,18 +43,18 @@ type PlanNode struct {
 	Est uint32 `json:"est"`
 }
 
-// PlanEdge is one query edge in plan order.
+// PlanEdge is one query edge with its estimate.
 type PlanEdge struct {
 	// From and To are the endpoint node names.
 	From string `json:"from"`
 	To   string `json:"to"`
 	// Est is the selectivity estimate: the smaller endpoint candidate
-	// count (the counter population that can exhaust first).
+	// count.
 	Est uint32 `json:"est"`
 }
 
-// Explain reports how the deployment would evaluate q, without
-// executing anything.
+// Explain reports what the deployment knows about q before evaluating
+// it, without executing anything.
 func (d *Deployment) Explain(q *Pattern) (*PlanInfo, error) {
 	if q == nil {
 		return nil, errorf("explain: nil pattern")
@@ -71,32 +71,19 @@ func (d *Deployment) Explain(q *Pattern) (*PlanInfo, error) {
 	info := &PlanInfo{
 		CanonicalKey: plan.Canonicalize(p).Key,
 		Empty:        pl.Empty,
-		Nodes:        make([]PlanNode, 0, len(pl.Nodes)),
-		Edges:        make([]PlanEdge, 0, len(pl.Edges)),
+		Nodes:        make([]PlanNode, 0, p.NumNodes()),
+		Edges:        make([]PlanEdge, 0, p.NumEdges()),
 	}
-	for _, u := range pl.Nodes {
-		info.Nodes = append(info.Nodes, PlanNode{
-			Name:  p.NodeName(pattern.QNode(u)),
-			Label: p.LabelName(pattern.QNode(u)),
-			Est:   pl.NodeEst[u],
-		})
-	}
-	// pl.Edges indexes the engines' edge enumeration: u ascending,
-	// succ-slice order.
-	type edge struct{ from, to pattern.QNode }
-	var edges []edge
-	for u := 0; u < p.NumNodes(); u++ {
-		for _, w := range p.Succ(pattern.QNode(u)) {
-			edges = append(edges, edge{pattern.QNode(u), w})
+	for u := range p.NumNodes() {
+		qu := pattern.QNode(u)
+		info.Nodes = append(info.Nodes, PlanNode{Name: p.NodeName(qu), Label: p.LabelName(qu), Est: pl.NodeEst[u]})
+		for _, w := range p.Succ(qu) {
+			info.Edges = append(info.Edges, PlanEdge{
+				From: p.NodeName(qu),
+				To:   p.NodeName(w),
+				Est:  min(pl.NodeEst[u], pl.NodeEst[w]),
+			})
 		}
-	}
-	for _, ei := range pl.Edges {
-		e := edges[ei]
-		info.Edges = append(info.Edges, PlanEdge{
-			From: p.NodeName(e.from),
-			To:   p.NodeName(e.to),
-			Est:  min(pl.NodeEst[e.from], pl.NodeEst[e.to]),
-		})
 	}
 	return info, nil
 }
@@ -107,11 +94,11 @@ func (pi *PlanInfo) String() string {
 	if pi.Empty {
 		b.WriteString("verdict: empty — a query label has no occurrence in the graph; Query short-circuits\n")
 	}
-	b.WriteString("seed order (rarest label first):\n")
+	b.WriteString("nodes (candidate estimates):\n")
 	for _, n := range pi.Nodes {
 		fmt.Fprintf(&b, "  %s (%s) est %d\n", n.Name, n.Label, n.Est)
 	}
-	b.WriteString("edge order (ascending selectivity):\n")
+	b.WriteString("edges (smaller endpoint estimate):\n")
 	for _, e := range pi.Edges {
 		fmt.Fprintf(&b, "  %s -> %s est %d\n", e.From, e.To, e.Est)
 	}

@@ -34,8 +34,8 @@ var matrix = []Algorithm{AlgoA, AlgoB} // want "exhaustive literal over Algorith
 var names = [...]string{AlgoA: "a", AlgoC: "c"} // want "exhaustive table over Algorithm misses AlgoB"
 
 type SessionSpec struct {
-	Algo string
-	Plan []byte
+	Algo   string
+	Config []byte
 }
 
 func RegisterAlgorithm(name string, f func()) {}

@@ -37,8 +37,8 @@ var names = [...]string{AlgoX: "x", AlgoY: "y"}
 var partialNames = [...]string{AlgoX: "x"}
 
 type SessionSpec struct {
-	Algo string
-	Plan []byte
+	Algo   string
+	Config []byte
 }
 
 func RegisterAlgorithm(name string, f func()) {}
@@ -59,7 +59,7 @@ func init() {
 
 func use() {
 	_ = SessionSpec{Algo: "gamma"}
-	_ = SessionSpec{Algo: "gamma", Plan: []byte{1}}
+	_ = SessionSpec{Algo: "gamma", Config: []byte{1}}
 	PartitionWith(nil, "ldg", 4)
 	//lint:allow regconsistent — probing the unknown-name error path
 	_ = SessionSpec{Algo: "deliberately-unknown"}

@@ -32,7 +32,7 @@ func run(algo string, q *pattern.Pattern, fr *partition.Fragmentation) (*simulat
 	case AlgoDMes:
 		m, st, _, err = EvalDMes(ctx, c, q, fr, 0)
 	case dgpm.Algo:
-		m, st, _, err = dgpm.Eval(ctx, c, q, fr, dgpm.Config{Incremental: true}, nil, 0)
+		m, st, _, err = dgpm.Eval(ctx, c, q, fr, dgpm.Config{Incremental: true}, 0)
 	default:
 		err = fmt.Errorf("unknown algorithm %q", algo)
 	}

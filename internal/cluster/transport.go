@@ -39,14 +39,9 @@ type SessionSpec struct {
 	Algo   string
 	Query  []byte
 	Config []byte
-	// Plan carries an optional evaluation plan (internal/plan wire
-	// encoding). Plans are advisory — they reorder work without changing
-	// results. Empty is the identity plan: the site evaluates in
-	// declaration order.
-	Plan []byte
 	// TraceID, when nonzero, asks every site to record per-round spans
-	// for this session (internal/obs) and ship them back on close. Like
-	// the plan, tracing is advisory. Zero means tracing off.
+	// for this session (internal/obs) and ship them back on close.
+	// Tracing is advisory. Zero means tracing off.
 	TraceID uint64
 }
 

@@ -71,7 +71,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		fx.x = newSite(q, frag, assign, cfg, nil, preparedKey(spec.Query, spec.Plan))
+		fx.x = newSite(q, frag, assign, cfg, preparedKey(spec.Query))
 		return parkedSite{fx.x, fx}, nil
 	})
 }
@@ -110,7 +110,7 @@ func TestQueuedFalsificationsShipOncePerWatcher(t *testing.T) {
 		probe = fx
 		c := cluster.NewLocal(fr, cluster.Network{})
 		defer c.Shutdown()
-		spec := sessionSpec(q, DefaultConfig(), nil, 7)
+		spec := sessionSpec(q, DefaultConfig(), 7)
 		spec.Algo = algoBatchProbe
 		s, err := c.OpenSession(cluster.SessionQuery, spec, nopHandler{})
 		if err != nil {

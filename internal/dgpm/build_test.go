@@ -18,7 +18,6 @@ import (
 	"dgs/internal/graph"
 	"dgs/internal/partition"
 	"dgs/internal/pattern"
-	"dgs/internal/plan"
 	"dgs/internal/simulation"
 	"dgs/internal/wire"
 	"dgs/internal/workload"
@@ -40,7 +39,7 @@ type scanEngine struct {
 // decrementing every predecessor's counter. It shares nothing with
 // partition.Index: it numbers the fragment itself, in Fragment order
 // (Local then Virtual), from Local, Virtual, Succ, Labels and InNodes.
-func scanBuild(q *pattern.Pattern, frag *partition.Fragment, pl *plan.Plan) *scanEngine {
+func scanBuild(q *pattern.Pattern, frag *partition.Fragment) *scanEngine {
 	vis := append(append([]graph.NodeID(nil), frag.Local...), frag.Virtual...)
 	visIdx := make(map[graph.NodeID]int32, len(vis))
 	for i, v := range vis {
@@ -62,19 +61,15 @@ func scanBuild(q *pattern.Pattern, frag *partition.Fragment, pl *plan.Plan) *sca
 	}
 	var qedges []qEdge
 	constTrue := make([]bool, nq)
+	eOut, eIn := make([][]int32, nq), make([][]int32, nq)
 	for u := 0; u < nq; u++ {
 		for _, uc := range q.Succ(pattern.QNode(u)) {
+			ei := int32(len(qedges))
 			qedges = append(qedges, qEdge{pattern.QNode(u), uc})
+			eOut[u] = append(eOut[u], ei)
+			eIn[uc] = append(eIn[uc], ei)
 		}
 		constTrue[u] = len(q.Succ(pattern.QNode(u))) == 0
-	}
-	if pl == nil || pl.Fits(q) != nil {
-		pl = &plan.Plan{Nodes: identityOrder(nq), Edges: identityOrder(len(qedges))}
-	}
-	eOut, eIn := make([][]int32, nq), make([][]int32, nq)
-	for _, ei := range pl.Edges {
-		eOut[qedges[ei].parent] = append(eOut[qedges[ei].parent], int32(ei))
-		eIn[qedges[ei].child] = append(eIn[qedges[ei].child], int32(ei))
 	}
 	s := &scanEngine{vis: vis, nl: nl, alive: make([][]bool, nq)}
 	for u := 0; u < nq; u++ {
@@ -121,8 +116,7 @@ func scanBuild(q *pattern.Pattern, frag *partition.Fragment, pl *plan.Plan) *sca
 		}
 		queue = append(queue, visVar{u, vi})
 	}
-	for _, pu := range pl.Nodes {
-		u := pattern.QNode(pu)
+	for u := range pattern.QNode(nq) {
 		if constTrue[u] {
 			continue
 		}
@@ -185,10 +179,10 @@ func aliveRefs(vis []graph.NodeID, alive [][]bool) []wire.VarRef {
 
 // checkBuild holds one build against the scan build: kill set, Drain
 // order, local matches and benefit tallies.
-func checkBuild(t *testing.T, what string, q *pattern.Pattern, frag *partition.Fragment, pl *plan.Plan) {
+func checkBuild(t *testing.T, what string, q *pattern.Pattern, frag *partition.Fragment) {
 	t.Helper()
-	want := scanBuild(q, frag, pl)
-	e := NewEnginePlanned(q, frag, pl)
+	want := scanBuild(q, frag)
+	e := NewEnginePlanned(q, frag, nil)
 	if !reflect.DeepEqual(aliveRefs(e.vis, e.alive), aliveRefs(want.vis, want.alive)) {
 		t.Fatalf("%s: kill set differs from the scan build", what)
 	}
@@ -233,17 +227,15 @@ func checkCounters(t *testing.T, what string, e *Engine) {
 
 func TestBuildMatchesScanBuild(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
-		q, g, fr := randomCase(rand.New(rand.NewSource(seed)))
-		greedy := plan.GreedyPlan(q, plan.Collect(g))
+		q, _, fr := randomCase(rand.New(rand.NewSource(seed)))
 		for _, frag := range fr.Frags {
-			checkBuild(t, fmt.Sprintf("seed %d frag %d", seed, frag.ID), q, frag, nil)
-			checkBuild(t, fmt.Sprintf("seed %d frag %d greedy", seed, frag.ID), q, frag, greedy)
+			checkBuild(t, fmt.Sprintf("seed %d frag %d", seed, frag.ID), q, frag)
 		}
 	}
-	fr, qs, pls := localEight(t, 6_000, 30_000)
+	fr, qs := localEight(t, 6_000, 30_000)
 	for i, q := range qs {
 		for _, frag := range fr.Frags {
-			checkBuild(t, fmt.Sprintf("catalog %d frag %d", i, frag.ID), q, frag, pls[i])
+			checkBuild(t, fmt.Sprintf("catalog %d frag %d", i, frag.ID), q, frag)
 		}
 	}
 	// Under an update stream, the engines build from indexes patched (or,
@@ -268,7 +260,7 @@ func TestBuildMatchesScanBuild(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, frag := range fr.Frags {
-				checkBuild(t, fmt.Sprintf("seed %d batch %d frag %d", seed, bi, frag.ID), q, frag, nil)
+				checkBuild(t, fmt.Sprintf("seed %d batch %d frag %d", seed, bi, frag.ID), q, frag)
 			}
 		}
 	}
@@ -288,7 +280,7 @@ func TestBuildLabelOnlyVirtualOrAbsent(t *testing.T) {
 	b.AddEdge(1, 0)
 	fr := mustPartition(t, b.MustBuild(), []int32{0, 0, 1})
 	for _, frag := range fr.Frags {
-		checkBuild(t, fmt.Sprintf("frag %d", frag.ID), q, frag, nil)
+		checkBuild(t, fmt.Sprintf("frag %d", frag.ID), q, frag)
 	}
 }
 
@@ -361,7 +353,7 @@ func TestSaturatedHubCountsExactly(t *testing.T) {
 // The dense rows must not come back unnoticed: a warm build allocates at
 // most a third of what the scan build does.
 func TestBuildAllocatesAThirdOfScanBuild(t *testing.T) {
-	fr, qs, pls := localEight(t, 30_000, 150_000)
+	fr, qs := localEight(t, 30_000, 150_000)
 	allocated := func(build func(i int, f *partition.Fragment)) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -373,12 +365,12 @@ func TestBuildAllocatesAThirdOfScanBuild(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
-	build := func(i int, f *partition.Fragment) { engineSink = NewEnginePlanned(qs[i], f, pls[i]) }
+	build := func(i int, f *partition.Fragment) { engineSink = NewEnginePlanned(qs[i], f, nil) }
 	allocated(build) // warm: fragment indexes built, kill queues pooled
 	// Best of three: under the race detector sync.Pool sheds a quarter of
 	// what it is given, at random.
 	got := min(allocated(build), allocated(build), allocated(build))
-	scan := allocated(func(i int, f *partition.Fragment) { scanBuild(qs[i], f, pls[i]) })
+	scan := allocated(func(i int, f *partition.Fragment) { scanBuild(qs[i], f) })
 	t.Logf("build %d B, scan build %d B per catalog pass", got, scan)
 	if 3*got > scan {
 		t.Fatalf("build allocated %d B, more than a third of the scan build's %d B", got, scan)
@@ -389,9 +381,9 @@ func TestBuildAllocatesAThirdOfScanBuild(t *testing.T) {
 // from the index into one backing array per table: a handful of
 // allocations, not one per row.
 func TestFirstDeletionCopiesRowsFlat(t *testing.T) {
-	fr, qs, pls := localEight(t, 6_000, 30_000)
+	fr, qs := localEight(t, 6_000, 30_000)
 	frag := fr.Frags[0]
-	e := NewEnginePlanned(qs[0], frag, pls[0])
+	e := NewEnginePlanned(qs[0], frag, nil)
 	v := slices.IndexFunc(frag.Local, func(v graph.NodeID) bool { return len(frag.Succ[v]) > 0 })
 	del := [][2]graph.NodeID{{frag.Local[v], frag.Succ[frag.Local[v]][0]}}
 	var before, after runtime.MemStats
@@ -408,9 +400,9 @@ func TestFirstDeletionCopiesRowsFlat(t *testing.T) {
 }
 
 // localEight is the benchmark's `local-8` workload as a site sees it: the
-// 1/10-scale web graph in 8 block fragments, the eight catalog patterns
-// and their greedy plans.
-func localEight(tb testing.TB, nodes, edges int) (*partition.Fragmentation, []*pattern.Pattern, []*plan.Plan) {
+// 1/10-scale web graph in 8 block fragments and the eight catalog
+// patterns.
+func localEight(tb testing.TB, nodes, edges int) (*partition.Fragmentation, []*pattern.Pattern) {
 	tb.Helper()
 	d := graph.NewDict()
 	g := workload.WebDict(d, nodes, edges, 1)
@@ -418,15 +410,11 @@ func localEight(tb testing.TB, nodes, edges int) (*partition.Fragmentation, []*p
 	if err != nil {
 		tb.Fatal(err)
 	}
-	stats := plan.Collect(g)
 	var qs []*pattern.Pattern
-	var pls []*plan.Plan
 	for i := 0; i < 8; i++ {
-		q := workload.CyclicPattern(d, 4+i%2, 6+i%3, workload.Labels(4), int64(301+i))
-		qs = append(qs, q)
-		pls = append(pls, plan.GreedyPlan(q, stats))
+		qs = append(qs, workload.CyclicPattern(d, 4+i%2, 6+i%3, workload.Labels(4), int64(301+i)))
 	}
-	return fr, qs, pls
+	return fr, qs
 }
 
 var engineSink *Engine
@@ -436,7 +424,7 @@ var engineSink *Engine
 // eight warm fragments — so ms/query and MB/query read against
 // `dgpm.engine_build_ms_sum` on `local-8`.
 func BenchmarkEngineBuild(b *testing.B) {
-	fr, qs, pls := localEight(b, 300_000, 1_500_000)
+	fr, qs := localEight(b, 300_000, 1_500_000)
 	for _, f := range fr.Frags {
 		f.Index()
 	}
@@ -446,7 +434,7 @@ func BenchmarkEngineBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, f := range fr.Frags {
-			engineSink = NewEnginePlanned(qs[i%len(qs)], f, pls[i%len(qs)])
+			engineSink = NewEnginePlanned(qs[i%len(qs)], f, nil)
 		}
 	}
 	b.StopTimer()
@@ -459,12 +447,12 @@ func BenchmarkEngineBuild(b *testing.B) {
 // on a warm memo: one op restores a catalog pattern's engine on each of
 // the eight fragments from the state its first build filed.
 func BenchmarkEnginePrepared(b *testing.B) {
-	fr, qs, pls := localEight(b, 300_000, 1_500_000)
+	fr, qs := localEight(b, 300_000, 1_500_000)
 	keys := make([]string, len(qs))
 	for i, q := range qs {
-		keys[i] = keyOf(q, pls[i])
+		keys[i] = keyOf(q)
 		for _, f := range fr.Frags {
-			prepare(q, f, pls[i], keys[i], DefaultConfig())
+			prepare(q, f, keys[i], DefaultConfig())
 		}
 	}
 	b.ReportAllocs()
@@ -474,7 +462,7 @@ func BenchmarkEnginePrepared(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k := i % len(qs)
 		for _, f := range fr.Frags {
-			engineSink = prepare(qs[k], f, pls[k], keys[k], DefaultConfig())
+			engineSink = prepare(qs[k], f, keys[k], DefaultConfig())
 		}
 	}
 	b.StopTimer()
@@ -492,7 +480,7 @@ func BenchmarkEnginePrepared(b *testing.B) {
 // the falsification handling inside `dgpm.site_busy_ms_sum` on `local-8`.
 // The streams are computed off the clock from simulation.HHK's answer.
 func BenchmarkEngineInbound(b *testing.B) {
-	fr, qs, pls, keys, streams := warmLocalEight(b)
+	fr, qs, keys, streams := warmLocalEight(b)
 	b.ReportAllocs()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -500,7 +488,7 @@ func BenchmarkEngineInbound(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k := i % len(qs)
 		for j, f := range fr.Frags {
-			e := prepare(qs[k], f, pls[k], keys[k], DefaultConfig())
+			e := prepare(qs[k], f, keys[k], DefaultConfig())
 			e.ApplyFalsifications(streams[k][j])
 			refSink = e.Drain()
 		}
@@ -517,16 +505,16 @@ var refSink []wire.VarRef
 // pattern's snapshot filed on every fragment at the default config, the
 // patterns' prepared-state keys, and the falsification streams of
 // BenchmarkEngineInbound, by pattern and fragment.
-func warmLocalEight(b *testing.B) (*partition.Fragmentation, []*pattern.Pattern, []*plan.Plan, []string, [][][]wire.VarRef) {
-	fr, qs, pls := localEight(b, 300_000, 1_500_000)
+func warmLocalEight(b *testing.B) (*partition.Fragmentation, []*pattern.Pattern, []string, [][][]wire.VarRef) {
+	fr, qs := localEight(b, 300_000, 1_500_000)
 	keys := make([]string, len(qs))
 	streams := make([][][]wire.VarRef, len(qs))
 	for i, q := range qs {
-		keys[i] = keyOf(q, pls[i])
+		keys[i] = keyOf(q)
 		m := simulation.HHK(q, fr.G)
 		streams[i] = make([][]wire.VarRef, len(fr.Frags))
 		for j, f := range fr.Frags {
-			prepare(q, f, pls[i], keys[i], DefaultConfig())
+			prepare(q, f, keys[i], DefaultConfig())
 			for _, v := range f.Virtual {
 				for u := range q.NumNodes() {
 					qu := pattern.QNode(u)
@@ -537,7 +525,7 @@ func warmLocalEight(b *testing.B) (*partition.Fragmentation, []*pattern.Pattern,
 			}
 		}
 	}
-	return fr, qs, pls, keys, streams
+	return fr, qs, keys, streams
 }
 
 var (
@@ -553,7 +541,7 @@ var (
 // assembles the eight reports with cluster.MatchFromPairs, so ms/query
 // reads against `cpu_s_per_op` on `local-8`.
 func BenchmarkWarmSession(b *testing.B) {
-	fr, qs, pls, keys, streams := warmLocalEight(b)
+	fr, qs, keys, streams := warmLocalEight(b)
 	cfg := DefaultConfig()
 	var pairs []wire.VarRef
 	b.ReportAllocs()
@@ -564,7 +552,7 @@ func BenchmarkWarmSession(b *testing.B) {
 		k := i % len(qs)
 		pairs = pairs[:0]
 		for j, f := range fr.Frags {
-			e := prepare(qs[k], f, pls[k], keys[k], cfg)
+			e := prepare(qs[k], f, keys[k], cfg)
 			pushSink = startVerdict(e, cfg)
 			e.ApplyFalsifications(streams[k][j])
 			refSink = e.Drain()
@@ -589,7 +577,7 @@ var indexSink *partition.Index
 // freshly decoded (off the clock) so no cached index is reused, so
 // ms/8frags reads against `partition.index_build_ms_sum` on `local-8`.
 func BenchmarkIndexBuild(b *testing.B) {
-	fr, _, _ := localEight(b, 300_000, 1_500_000)
+	fr, _ := localEight(b, 300_000, 1_500_000)
 	encs := make([][]byte, len(fr.Frags))
 	for i, f := range fr.Frags {
 		encs[i] = partition.AppendFragment(nil, f)
@@ -620,7 +608,7 @@ func BenchmarkIndexBuild(b *testing.B) {
 // fragment's Index, as the next query does. The batch's edges are put
 // back off the clock, so every op starts from the same graph.
 func BenchmarkIndexPatch(b *testing.B) {
-	fr, _, _ := localEight(b, 60_000, 300_000)
+	fr, _ := localEight(b, 60_000, 300_000)
 	var edges [][2]graph.NodeID
 	fr.G.Edges(func(v, w graph.NodeID) bool {
 		edges = append(edges, [2]graph.NodeID{v, w})

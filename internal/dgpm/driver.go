@@ -12,7 +12,6 @@ import (
 	"dgs/internal/obs"
 	"dgs/internal/partition"
 	"dgs/internal/pattern"
-	"dgs/internal/plan"
 	"dgs/internal/simulation"
 	"dgs/internal/wire"
 )
@@ -27,15 +26,13 @@ import (
 // fragmentation resident on c (it sizes and documents the deployment;
 // the sites evaluate against their own resident copies).
 //
-// pl is an advisory evaluation plan for q, shipped in the session spec
-// (nil runs in declaration order, with results identical by the
-// fixpoint's confluence). A nonzero traceID asks every site to record
+// A nonzero traceID asks every site to record
 // per-round spans, returned as a QueryTrace; traceID 0 disables tracing
 // (the trace return is then nil) and leaves the session's wire traffic
 // byte-identical to an untraced run.
-func Eval(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr *partition.Fragmentation, cfg Config, pl *plan.Plan, traceID uint64) (*simulation.Match, cluster.Stats, *obs.QueryTrace, error) {
+func Eval(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr *partition.Fragmentation, cfg Config, traceID uint64) (*simulation.Match, cluster.Stats, *obs.QueryTrace, error) {
 	coord := &cluster.Collector{}
-	stats, trace, err := c.Evaluate(ctx, sessionSpec(q, cfg, pl, traceID), coord, func(sess *cluster.Session) error {
+	stats, trace, err := c.Evaluate(ctx, sessionSpec(q, cfg, traceID), coord, func(sess *cluster.Session) error {
 		// Phase 1+2: partial evaluation and message passing to the fixpoint.
 		if err := sess.Phase(ctx, &wire.Control{Op: OpStart}); err != nil {
 			return err

@@ -175,23 +175,18 @@ type eqWatcher struct {
 }
 
 // NewEnginePlanned builds the initial state and runs the first partial
-// evaluation (procedure lEval of Fig. 4, lines 1–9) under an evaluation
-// plan: label-consistent variables are created, counters initialized,
-// and locally-refutable variables falsified under the optimistic
-// virtual-node assumption. The plan is advisory — the counter fixpoint
-// is confluent, so the relation, the shipped falsification set, and the
-// termination certificate are independent of evaluation order — and
-// decides only two orders:
+// evaluation (procedure lEval of Fig. 4, lines 1–9): label-consistent
+// variables are created, counters initialized, and locally-refutable
+// variables falsified under the optimistic virtual-node assumption. pl
+// is ignored: the counter fixpoint is confluent — its kill set is the
+// complement of the unique maximum simulation, and every killed
+// variable walks its predecessors once per in-edge in any order — so no
+// plan can change the relation, the shipped falsification set or the
+// work. The seed scan and propagation run in declaration order; the one
+// order a build picks, which counter row of a candidate to check first,
+// it derives from the fragment's own label counts.
 //
-//   - per-node edge lists follow the plan's ascending-selectivity
-//     order, so exhaustion checks hit the emptiest counters first;
-//   - the seed scan visits query nodes rarest label first, so the
-//     cheapest falsifications propagate — and ship — earliest.
-//
-// A nil (or ill-fitting) plan is the identity order: nodes 0..|Vq|−1,
-// edges in declaration index order.
-//
-// Construction is the same either way, and touches candidates only:
+// Construction touches candidates only:
 // §4.1's initial lEval is defined over label-consistent pairs, and
 // everything it needs about the fragment is query-independent and comes
 // from the fragment's cached Index, built (or patched from the last one)
@@ -208,11 +203,11 @@ type eqWatcher struct {
 // state an earlier build filed on the same index (prepare), and builds —
 // here — only on a miss.
 func NewEnginePlanned(q *pattern.Pattern, frag *partition.Fragment, pl *plan.Plan) *Engine {
-	return build(q, frag, frag.Index(), pl)
+	return build(q, frag, frag.Index())
 }
 
 // build is NewEnginePlanned on ix, which must be an index of frag.
-func build(q *pattern.Pattern, frag *partition.Fragment, ix *partition.Index, pl *plan.Plan) *Engine {
+func build(q *pattern.Pattern, frag *partition.Fragment, ix *partition.Index) *Engine {
 	engineBuilds.Add(1)
 	nq := q.NumNodes()
 	nvis := len(ix.Vis)
@@ -223,25 +218,16 @@ func build(q *pattern.Pattern, frag *partition.Fragment, ix *partition.Index, pl
 		eqWatch: make(map[varKey][]eqWatcher),
 	}
 	e.constTrue = make([]bool, nq)
-	for u := 0; u < nq; u++ {
-		for _, uc := range q.Succ(pattern.QNode(u)) {
-			e.qedges = append(e.qedges, qEdge{pattern.QNode(u), uc})
-		}
-		e.constTrue[u] = len(q.Succ(pattern.QNode(u))) == 0
-	}
-	if pl == nil || pl.Fits(q) != nil {
-		pl = &plan.Plan{Nodes: identityOrder(nq), Edges: identityOrder(len(e.qedges))}
-	}
-	// Thread the per-node edge lists in plan order. Edge indices — and
-	// therefore counter rows and wire encodings — are declaration order
-	// regardless; only the iteration order over a node's edges follows
-	// the plan.
 	e.eOut = make([][]int32, nq)
 	e.eIn = make([][]int32, nq)
-	for _, ei := range pl.Edges {
-		qe := e.qedges[ei]
-		e.eOut[qe.parent] = append(e.eOut[qe.parent], int32(ei))
-		e.eIn[qe.child] = append(e.eIn[qe.child], int32(ei))
+	for u := 0; u < nq; u++ {
+		for _, uc := range q.Succ(pattern.QNode(u)) {
+			ei := int32(len(e.qedges))
+			e.qedges = append(e.qedges, qEdge{pattern.QNode(u), uc})
+			e.eOut[u] = append(e.eOut[u], ei)
+			e.eIn[uc] = append(e.eIn[uc], ei)
+		}
+		e.constTrue[u] = len(q.Succ(pattern.QNode(u))) == 0
 	}
 
 	// Borrow the fragment's topology index and drive every scan off its
@@ -308,32 +294,44 @@ func build(q *pattern.Pattern, frag *partition.Fragment, ix *partition.Index, pl
 	}
 
 	// Seed: alive local vars with an exhausted out-edge counter die. The
-	// scan runs in plan node order over each node's local candidates (and
-	// each node's edges in plan edge order), so under a greedy plan the
-	// cheapest falsifications enter the queue — and the first Drain —
-	// earliest. The seed phase's kill queue grows to the fragment's share
-	// of the falsified relation and is empty again when propagate
+	// scan runs in declaration order over each node's local candidates;
+	// nothing propagates during it, so every candidate is still alive when
+	// it is reached, and neither the kill set nor the kill order depends
+	// on how a candidate's counter rows are ordered. The scan stops at a
+	// candidate's first exhausted counter, so it checks first the rows of
+	// the children with the fewest candidates on this fragment (locals
+	// plus virtuals, ties in declaration order): the counters likeliest
+	// to be zero. The seed phase's kill queue grows to the fragment's
+	// share of the falsified relation and is empty again when propagate
 	// returns, so it is borrowed from a pool for the build; later
-	// incremental kills grow a small one of the engine's own. Nothing
-	// propagates during the scan, so every candidate is still alive when
-	// it is reached.
+	// incremental kills grow a small one of the engine's own.
+	type seedRow struct {
+		cnt   []int32
+		cands int32 // the child's candidates on this fragment
+	}
 	qp := queuePool.Get().(*[]visVar)
 	e.queue = (*qp)[:0]
-	for _, pu := range pl.Nodes {
-		u := pattern.QNode(pu)
+	for u := range nq {
 		if e.constTrue[u] {
 			continue
 		}
-		var buf [8][]int32
-		rows := buf[:0] // u's counter rows, in plan edge order
+		var buf [8]seedRow
+		rows := buf[:0] // u's counter rows, fewest child candidates first
 		for _, ei := range e.eOut[u] {
-			rows = append(rows, e.cnt[ei])
+			uc := e.qedges[ei].child
+			r := seedRow{e.cnt[ei], e.hi[uc] - e.lo[uc] + int32(len(ix.Virt[q.Label(uc)]))}
+			j := len(rows)
+			rows = append(rows, r)
+			for ; j > 0 && rows[j-1].cands > r.cands; j-- {
+				rows[j] = rows[j-1]
+			}
+			rows[j] = r
 		}
 		lo := e.lo[u]
 		for p := range e.hi[u] - lo {
 			for _, row := range rows {
-				if row[p] == 0 {
-					e.killVis(u, lo+p)
+				if row.cnt[p] == 0 {
+					e.killVis(pattern.QNode(u), lo+p)
 					break
 				}
 			}
@@ -360,15 +358,6 @@ func (e *Engine) borrow(ix *partition.Index) {
 	e.succ = ix.Succ
 	e.pred = ix.Pred
 	e.labels = ix.Labels
-}
-
-// identityOrder lists 0..n−1: the plan-less node and edge order.
-func identityOrder(n int) []uint16 {
-	xs := make([]uint16, n)
-	for i := range xs {
-		xs[i] = uint16(i)
-	}
-	return xs
 }
 
 // inQuery reports whether k's query node exists: a forged reference may

@@ -14,7 +14,7 @@ import (
 func run(q *pattern.Pattern, fr *partition.Fragmentation, cfg Config) (*simulation.Match, cluster.Stats) {
 	c := cluster.NewLocal(fr, cluster.Network{})
 	defer c.Shutdown()
-	m, st, _, err := Eval(context.Background(), c, q, fr, cfg, nil, 0)
+	m, st, _, err := Eval(context.Background(), c, q, fr, cfg, 0)
 	if err != nil {
 		panic(err)
 	}

@@ -34,7 +34,6 @@ import (
 	"dgs/internal/graph"
 	"dgs/internal/partition"
 	"dgs/internal/pattern"
-	"dgs/internal/plan"
 	"dgs/internal/simulation"
 	"dgs/internal/wire"
 )
@@ -207,8 +206,7 @@ type Standing struct {
 	fr *partition.Fragmentation
 
 	union *pattern.Pattern
-	offs  []int      // block k owns union nodes [offs[k], offs[k+1])
-	pl    *plan.Plan // advisory plan for the union; may be nil
+	offs  []int // block k owns union nodes [offs[k], offs[k+1])
 
 	sess  *cluster.Session
 	coord *cluster.Collector
@@ -218,18 +216,14 @@ type Standing struct {
 }
 
 // NewStanding evaluates the patterns as standing queries over one
-// session. planFor, when non-nil, is consulted once with the union
-// pattern and may return an advisory evaluation plan (or nil). The
-// session stays registered until Close (or cluster shutdown).
-func NewStanding(ctx context.Context, c *cluster.Cluster, fr *partition.Fragmentation, qs []*pattern.Pattern, planFor func(*pattern.Pattern) *plan.Plan) (*Standing, error) {
+// session. The session stays registered until Close (or cluster
+// shutdown).
+func NewStanding(ctx context.Context, c *cluster.Cluster, fr *partition.Fragmentation, qs []*pattern.Pattern) (*Standing, error) {
 	union, offs, err := pattern.Union(qs)
 	if err != nil {
 		return nil, err
 	}
 	s := &Standing{c: c, fr: fr, union: union, offs: offs}
-	if planFor != nil {
-		s.pl = planFor(union)
-	}
 	if err := s.Reevaluate(ctx); err != nil {
 		return nil, err
 	}
@@ -252,7 +246,7 @@ func (s *Standing) LastStats() cluster.Stats { return s.last }
 // falsifications against the new engines.
 func (s *Standing) Reevaluate(ctx context.Context) error {
 	coord := &cluster.Collector{}
-	sess, err := s.c.OpenSession(cluster.SessionMaintenance, sessionSpec(s.union, MaintConfig(), s.pl, 0), coord)
+	sess, err := s.c.OpenSession(cluster.SessionMaintenance, sessionSpec(s.union, MaintConfig(), 0), coord)
 	if err != nil {
 		return err
 	}

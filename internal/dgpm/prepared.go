@@ -1,18 +1,18 @@
 package dgpm
 
 // Prepared engines. §4.1's initial partial evaluation (lEval, Fig. 4
-// lines 1–9) depends only on the pattern, its plan and the fragment, and
-// a resident deployment answers many queries against one fragment
-// version. So the first engine a site builds for a (pattern, plan) on an
-// index files a compact snapshot of its post-fixpoint state on that
+// lines 1–9) depends only on the pattern and the fragment, and a
+// resident deployment answers many queries against one fragment
+// version. So the first engine a site builds for a pattern on an index
+// files a compact snapshot of its post-fixpoint state on that
 // index, and every later session with the same key on the same index
 // restores the engine from it instead of re-running the seed scan and
 // propagate. The snapshot keeps only what is non-zero and read: the
 // alive local candidates with their counters (a dead variable's counters
 // are never read), the seed kill list in order, and the benefit tallies.
 // Virtual candidates need no record — the fixpoint never kills one — and
-// the query-only parts (edge lists in plan order, candidate ranges) are
-// shared read-only. A mutation moves the fragment to a new index with an
+// the query-only parts (edge lists, candidate ranges) are shared
+// read-only. A mutation moves the fragment to a new index with an
 // empty memo, so state is never restored onto a fragment version it was
 // not built on.
 //
@@ -24,13 +24,11 @@ package dgpm
 // checking only the positions the snapshot lists.
 
 import (
-	"encoding/binary"
 	"slices"
 	"sync/atomic"
 
 	"dgs/internal/partition"
 	"dgs/internal/pattern"
-	"dgs/internal/plan"
 )
 
 // engineBuilds and engineRestores count, process-wide, the engines built
@@ -44,24 +42,20 @@ func EngineCounts() (builds, restores uint64) {
 }
 
 // preparedKey is what a session's prepared state is filed under: the
-// spec's query and plan blobs, the query's length first so that no two
-// (query, plan) pairs share a key.
-func preparedKey(query, plan []byte) string {
-	b := binary.AppendUvarint(nil, uint64(len(query)))
-	b = append(b, query...)
-	return string(append(b, plan...))
-}
+// spec's query blob. Every session of one pattern therefore shares one
+// prepared state per fragment version, whichever entry point opened it.
+func preparedKey(query []byte) string { return string(query) }
 
-// prepare returns the engine of q under pl on frag's current index:
+// prepare returns the engine of q on frag's current index:
 // restored from the snapshot filed there under key, or built and filed
 // with its push verdict under cfg. Build and filing use the one index
 // taken here, so a snapshot always describes the index it is filed on.
-func prepare(q *pattern.Pattern, frag *partition.Fragment, pl *plan.Plan, key string, cfg Config) *Engine {
+func prepare(q *pattern.Pattern, frag *partition.Fragment, key string, cfg Config) *Engine {
 	ix := frag.Index()
 	if s, ok := ix.Prepared(key).(*snapshot); ok {
 		return s.restore(q, frag, ix)
 	}
-	e := build(q, frag, ix, pl)
+	e := build(q, frag, ix)
 	e.file(key, cfg)
 	return e
 }

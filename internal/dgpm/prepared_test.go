@@ -14,23 +14,21 @@ import (
 	"dgs/internal/graph"
 	"dgs/internal/partition"
 	"dgs/internal/pattern"
-	"dgs/internal/plan"
 	"dgs/internal/simulation"
 	"dgs/internal/wire"
 )
 
-// keyOf is the prepared-state key a session spec for q under pl carries.
-func keyOf(q *pattern.Pattern, pl *plan.Plan) string {
-	spec := sessionSpec(q, DefaultConfig(), pl, 0)
-	return preparedKey(spec.Query, spec.Plan)
+// keyOf is the prepared-state key a session spec for q carries.
+func keyOf(q *pattern.Pattern) string {
+	return preparedKey(sessionSpec(q, DefaultConfig(), 0).Query)
 }
 
 // restored is prepare on a fragment whose memo holds key: it fails the
 // test unless the engine was restored rather than built.
-func restored(t *testing.T, q *pattern.Pattern, frag *partition.Fragment, pl *plan.Plan, key string) *Engine {
+func restored(t *testing.T, q *pattern.Pattern, frag *partition.Fragment, key string) *Engine {
 	t.Helper()
 	b0, r0 := EngineCounts()
-	e := prepare(q, frag, pl, key, DefaultConfig())
+	e := prepare(q, frag, key, DefaultConfig())
 	if b1, r1 := EngineCounts(); b1 != b0 || r1 != r0+1 {
 		t.Fatalf("prepare built %d and restored %d engines, want one restore", b1-b0, r1-r0)
 	}
@@ -87,14 +85,14 @@ func startVerdict(e *Engine, cfg Config) []pushPlan {
 // restore at another θ than the filer's tests afresh, and so does a
 // restored engine that has killed a variable since, its state no longer
 // the snapshot's, even under the filed budget.
-func checkVerdict(t *testing.T, what string, q *pattern.Pattern, frag *partition.Fragment, pl *plan.Plan, key string) {
+func checkVerdict(t *testing.T, what string, q *pattern.Pattern, frag *partition.Fragment, key string) {
 	t.Helper()
 	at := func(theta float64) Config { return Config{Incremental: true, Push: true, Theta: theta} }
-	file := func(cfg Config) { build(q, frag, frag.Index(), pl).file(key, cfg) }
+	file := func(cfg Config) { build(q, frag, frag.Index()).file(key, cfg) }
 	for _, theta := range pushThetas {
 		file(at(theta))
-		e := restored(t, q, frag, pl, key)
-		got, want := startVerdict(e, at(theta)), startVerdict(NewEnginePlanned(q, frag, pl), at(theta))
+		e := restored(t, q, frag, key)
+		got, want := startVerdict(e, at(theta)), startVerdict(NewEnginePlanned(q, frag, nil), at(theta))
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: filed and restored at θ=%v: verdict %+v, fresh build %+v", what, theta, got, want)
 		}
@@ -104,7 +102,7 @@ func checkVerdict(t *testing.T, what string, q *pattern.Pattern, frag *partition
 	}
 
 	filer := pushThetas[len(pushThetas)-1]
-	if got, want := startVerdict(restored(t, q, frag, pl, key), at(0)), startVerdict(NewEnginePlanned(q, frag, pl), at(0)); !reflect.DeepEqual(got, want) {
+	if got, want := startVerdict(restored(t, q, frag, key), at(0)), startVerdict(NewEnginePlanned(q, frag, nil), at(0)); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: filed at θ=%v, restored at θ=0: verdict %+v, fresh build %+v", what, filer, got, want)
 	}
 
@@ -121,7 +119,7 @@ func checkVerdict(t *testing.T, what string, q *pattern.Pattern, frag *partition
 		}
 	}
 	file(at(0))
-	e, want := restored(t, q, frag, pl, key), NewEnginePlanned(q, frag, pl)
+	e, want := restored(t, q, frag, key), NewEnginePlanned(q, frag, nil)
 	if e.snap.push == nil || len(batch) == 0 {
 		return // nothing filed, or nothing to kill
 	}
@@ -136,19 +134,19 @@ func checkVerdict(t *testing.T, what string, q *pattern.Pattern, frag *partition
 	}
 }
 
-// checkPrepared files q's engine on frag under pl, restores it, and holds
+// checkPrepared files q's engine on frag, restores it, and holds
 // the restored engine against a fresh build — as restored, and through
 // one falsification batch, the equations the other fragments push at
 // θ = 0, falsifications against those, and edge deletions. A second
 // restore afterwards must still equal a fresh build: driving the first
 // must have left the snapshot as it was.
-func checkPrepared(t *testing.T, r *rand.Rand, what string, q *pattern.Pattern, fr *partition.Fragmentation, frag *partition.Fragment, pl *plan.Plan) {
+func checkPrepared(t *testing.T, r *rand.Rand, what string, q *pattern.Pattern, fr *partition.Fragmentation, frag *partition.Fragment) {
 	t.Helper()
-	key := keyOf(q, pl)
-	prepare(q, frag, pl, key, DefaultConfig())
-	got, want := restored(t, q, frag, pl, key), NewEnginePlanned(q, frag, pl)
+	key := keyOf(q)
+	prepare(q, frag, key, DefaultConfig())
+	got, want := restored(t, q, frag, key), NewEnginePlanned(q, frag, nil)
 	sameEngine(t, what+" restored", got, want)
-	checkVerdict(t, what, q, frag, pl, key)
+	checkVerdict(t, what, q, frag, key)
 
 	var batch []wire.VarRef
 	for _, v := range frag.Virtual {
@@ -164,7 +162,7 @@ func checkPrepared(t *testing.T, r *rand.Rand, what string, q *pattern.Pattern, 
 		if other == frag {
 			continue
 		}
-		for _, pp := range NewEnginePlanned(q, other, pl).planPush(math.MaxInt) {
+		for _, pp := range NewEnginePlanned(q, other, nil).planPush(math.MaxInt) {
 			if pp.dest != frag.ID {
 				continue
 			}
@@ -201,24 +199,22 @@ func checkPrepared(t *testing.T, r *rand.Rand, what string, q *pattern.Pattern, 
 		sameEngine(t, what+" edges deleted", got, want)
 	}
 
-	sameEngine(t, what+" restored again", restored(t, q, frag, pl, key), NewEnginePlanned(q, frag, pl))
+	sameEngine(t, what+" restored again", restored(t, q, frag, key), NewEnginePlanned(q, frag, nil))
 }
 
 func TestPreparedMatchesFresh(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		q, g, fr := randomCase(r)
-		greedy := plan.GreedyPlan(q, plan.Collect(g))
+		q, _, fr := randomCase(r)
 		for _, frag := range fr.Frags {
-			checkPrepared(t, r, fmt.Sprintf("seed %d frag %d", seed, frag.ID), q, fr, frag, nil)
-			checkPrepared(t, r, fmt.Sprintf("seed %d frag %d greedy", seed, frag.ID), q, fr, frag, greedy)
+			checkPrepared(t, r, fmt.Sprintf("seed %d frag %d", seed, frag.ID), q, fr, frag)
 		}
 	}
-	fr, qs, pls := localEight(t, 6_000, 30_000)
+	fr, qs := localEight(t, 6_000, 30_000)
 	r := rand.New(rand.NewSource(1))
 	for i, q := range qs {
 		for _, frag := range fr.Frags {
-			checkPrepared(t, r, fmt.Sprintf("catalog %d frag %d", i, frag.ID), q, fr, frag, pls[i])
+			checkPrepared(t, r, fmt.Sprintf("catalog %d frag %d", i, frag.ID), q, fr, frag)
 		}
 	}
 }
@@ -227,12 +223,12 @@ func TestPreparedMatchesFresh(t *testing.T) {
 // fragment has moved on since, the current index does not get it, and
 // the next session there builds afresh.
 func TestStaleEngineNotFiledOnCurrentIndex(t *testing.T) {
-	fr, qs, pls := localEight(t, 6_000, 30_000)
+	fr, qs := localEight(t, 6_000, 30_000)
 	frag := fr.Frags[0]
-	q, pl := qs[0], pls[0]
-	key := keyOf(q, pl)
+	q := qs[0]
+	key := keyOf(q)
 	stale := frag.Index()
-	e := build(q, frag, stale, pl)
+	e := build(q, frag, stale)
 	v := frag.Local[0]
 	for len(frag.Succ[v]) == 0 {
 		v++
@@ -252,11 +248,11 @@ func TestStaleEngineNotFiledOnCurrentIndex(t *testing.T) {
 		t.Fatal("the engine was not filed on the index it was built on")
 	}
 	b0, r0 := EngineCounts()
-	got := prepare(q, frag, pl, key, DefaultConfig())
+	got := prepare(q, frag, key, DefaultConfig())
 	if b1, r1 := EngineCounts(); b1 != b0+1 || r1 != r0 {
 		t.Fatalf("after the mutation prepare built %d and restored %d engines, want one build", b1-b0, r1-r0)
 	}
-	sameEngine(t, "built on the current index", got, NewEnginePlanned(q, frag, pl))
+	sameEngine(t, "built on the current index", got, NewEnginePlanned(q, frag, nil))
 }
 
 // Engines restored concurrently from one snapshot, and driven at once,
@@ -264,14 +260,14 @@ func TestStaleEngineNotFiledOnCurrentIndex(t *testing.T) {
 // absorbs a falsification batch and lists its local matches, and each
 // equals a fresh build (and -race is quiet).
 func TestConcurrentRestoresShareNoWrites(t *testing.T) {
-	fr, qs, pls := localEight(t, 6_000, 30_000)
+	fr, qs := localEight(t, 6_000, 30_000)
 	always := Config{Incremental: true, Push: true, Theta: 0}
 	var wg sync.WaitGroup
 	for _, frag := range fr.Frags[:2] {
 		for i, q := range qs[:4] {
-			key := keyOf(q, pls[i])
-			prepare(q, frag, pls[i], key, always)
-			want := NewEnginePlanned(q, frag, pls[i])
+			key := keyOf(q)
+			prepare(q, frag, key, always)
+			want := NewEnginePlanned(q, frag, nil)
 			wantPush := startVerdict(want, always)
 			var batch []wire.VarRef
 			for k, v := range frag.Virtual {
@@ -285,7 +281,7 @@ func TestConcurrentRestoresShareNoWrites(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					e := prepare(q, frag, pls[i], key, always)
+					e := prepare(q, frag, key, always)
 					if !reflect.DeepEqual(startVerdict(e, always), wantPush) {
 						t.Errorf("frag %d catalog %d: a concurrent restore's push verdict diverged from a fresh build", frag.ID, i)
 					}
@@ -395,7 +391,7 @@ func TestForgedQueryNodeIgnored(t *testing.T) {
 	c := cluster.NewLocal(fr, cluster.Network{})
 	defer c.Shutdown()
 	coord := &cluster.Collector{}
-	sess, err := c.OpenSession(cluster.SessionQuery, sessionSpec(q, DefaultConfig(), nil, 0), coord)
+	sess, err := c.OpenSession(cluster.SessionQuery, sessionSpec(q, DefaultConfig(), 0), coord)
 	if err != nil {
 		t.Fatal(err)
 	}

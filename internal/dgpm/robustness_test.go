@@ -199,7 +199,7 @@ func TestDecodeConfigRefusesMalformed(t *testing.T) {
 	q, g, _, assign := fig1()
 	c := cluster.NewLocal(mustPartition(t, g, assign), cluster.Network{})
 	defer c.Shutdown()
-	spec := sessionSpec(q, DefaultConfig(), nil, 0)
+	spec := sessionSpec(q, DefaultConfig(), 0)
 	spec.Config = nan
 	if sess, err := c.OpenSession(cluster.SessionQuery, spec, &cluster.Collector{}); err == nil {
 		sess.Close()

@@ -54,7 +54,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return shipSpy{newSite(q, frag, assign, cfg, nil, preparedKey(spec.Query, spec.Plan))}, nil
+		return shipSpy{newSite(q, frag, assign, cfg, preparedKey(spec.Query))}, nil
 	})
 }
 
@@ -68,7 +68,7 @@ func spyShipped(t *testing.T, q *pattern.Pattern, fr *partition.Fragmentation, c
 	ctx := context.Background()
 	c := cluster.NewLocal(fr, cluster.Network{})
 	defer c.Shutdown()
-	spec := sessionSpec(q, cfg, nil, 0)
+	spec := sessionSpec(q, cfg, 0)
 	spec.Algo = algoShipSpy
 	_, _, err := c.Evaluate(ctx, spec, &cluster.Collector{}, func(sess *cluster.Session) error {
 		if err := sess.Phase(ctx, &wire.Control{Op: OpStart}); err != nil {
@@ -176,7 +176,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		s := newSite(q, frag, assign, cfg, nil, preparedKey(spec.Query, spec.Plan))
+		s := newSite(q, frag, assign, cfg, preparedKey(spec.Query))
 		reroutes.mu.Lock()
 		reroutes.sites[frag.ID] = s
 		reroutes.mu.Unlock()
@@ -361,7 +361,7 @@ func rerouteRun(t *testing.T, q *pattern.Pattern, fr *partition.Fragmentation, c
 	resetReroutes()
 	c := cluster.NewLocal(fr, cluster.Network{})
 	defer c.Shutdown()
-	spec := sessionSpec(q, cfg, nil, 0)
+	spec := sessionSpec(q, cfg, 0)
 	spec.Algo = algoRerouteSpy
 	coord := &cluster.Collector{}
 	if _, _, err := c.Evaluate(context.Background(), spec, coord, drive); err != nil {

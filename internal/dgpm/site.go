@@ -15,7 +15,6 @@ import (
 	"dgs/internal/graph"
 	"dgs/internal/partition"
 	"dgs/internal/pattern"
-	"dgs/internal/plan"
 	"dgs/internal/wire"
 )
 
@@ -48,10 +47,6 @@ type site struct {
 	frag   *partition.Fragment
 	assign []int32 // owner directory (IRI/hashing stand-in, §2.2)
 	cfg    Config
-	// pl is the session's advisory evaluation plan (nil: declaration
-	// order). Rebuild paths reuse it — the plan depends only on the
-	// query and the deployment's immutable label statistics.
-	pl *plan.Plan
 	// key files and finds the session's prepared engine (preparedKey).
 	key string
 
@@ -83,13 +78,12 @@ type pendingMsg struct {
 	p    wire.Payload
 }
 
-func newSite(q *pattern.Pattern, frag *partition.Fragment, assign []int32, cfg Config, pl *plan.Plan, key string) *site {
+func newSite(q *pattern.Pattern, frag *partition.Fragment, assign []int32, cfg Config, key string) *site {
 	return &site{
 		q:        q,
 		frag:     frag,
 		assign:   assign,
 		cfg:      cfg,
-		pl:       pl,
 		key:      key,
 		reported: make(map[wire.VarRef]bool),
 	}
@@ -107,7 +101,7 @@ func (s *site) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
 	case *wire.Control:
 		switch m.Op {
 		case OpStart:
-			s.eng = prepare(s.q, s.frag, s.pl, s.key, s.cfg)
+			s.eng = prepare(s.q, s.frag, s.key, s.cfg)
 			if !s.cfg.Incremental {
 				// Seed the reported set from the initial evaluation so a
 				// later rebuild does not resend these.
@@ -138,7 +132,7 @@ func (s *site) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
 		// fresh build, never a restore, as the ablation measures.
 		ctx.AddRounds(1)
 		s.extFalse = append(s.extFalse, m.Pairs...)
-		s.eng = NewEnginePlanned(s.q, s.frag, s.pl)
+		s.eng = NewEnginePlanned(s.q, s.frag, nil)
 		s.eng.ApplyFalsifications(s.extFalse)
 		s.flushTracked(ctx)
 	case *wire.Push:

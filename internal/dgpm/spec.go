@@ -14,7 +14,6 @@ import (
 	"dgs/internal/cluster"
 	"dgs/internal/partition"
 	"dgs/internal/pattern"
-	"dgs/internal/plan"
 )
 
 const (
@@ -76,11 +75,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		pl, err := decodeSpecPlan(spec, q)
-		if err != nil {
-			return nil, err
-		}
-		return newSite(q, frag, assign, cfg, pl, preparedKey(spec.Query, spec.Plan)), nil
+		return newSite(q, frag, assign, cfg, preparedKey(spec.Query)), nil
 	})
 	cluster.RegisterAlgorithm(AlgoUpdate, func(spec cluster.SessionSpec, frag *partition.Fragment, assign []int32) (cluster.Handler, error) {
 		return &updSite{frag: frag, assign: assign}, nil
@@ -88,29 +83,7 @@ func init() {
 }
 
 // sessionSpec is the one place a dGPM session spec is built: the query
-// and config blobs, and pl's orders when there is a plan (nil leaves the
-// plan blob empty — the identity order).
-func sessionSpec(q *pattern.Pattern, cfg Config, pl *plan.Plan, traceID uint64) cluster.SessionSpec {
-	spec := cluster.SessionSpec{Algo: Algo, Query: pattern.EncodeBinary(q), Config: EncodeConfig(cfg), TraceID: traceID}
-	if pl != nil {
-		spec.Plan = pl.Encode()
-	}
-	return spec
-}
-
-// decodeSpecPlan extracts and validates the optional evaluation plan of
-// a session spec: the orders must fit the decoded pattern. A spec with
-// an empty plan blob yields nil, the identity order.
-func decodeSpecPlan(spec cluster.SessionSpec, q *pattern.Pattern) (*plan.Plan, error) {
-	if len(spec.Plan) == 0 {
-		return nil, nil
-	}
-	pl, err := plan.Decode(spec.Plan)
-	if err != nil {
-		return nil, err
-	}
-	if err := pl.Fits(q); err != nil {
-		return nil, err
-	}
-	return pl, nil
+// and config blobs.
+func sessionSpec(q *pattern.Pattern, cfg Config, traceID uint64) cluster.SessionSpec {
+	return cluster.SessionSpec{Algo: Algo, Query: pattern.EncodeBinary(q), Config: EncodeConfig(cfg), TraceID: traceID}
 }

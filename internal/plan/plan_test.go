@@ -2,7 +2,6 @@ package plan
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"dgs/internal/graph"
@@ -42,9 +41,6 @@ func TestCollect(t *testing.T) {
 	if got := st.Candidates(mustLabel(t, dict, "common")); got != 100 {
 		t.Fatalf("common candidates = %d, want 100", got)
 	}
-	if got := st.OutSum(mustLabel(t, dict, "common")); got != 100 {
-		t.Fatalf("common out-degree sum = %d, want 100", got)
-	}
 	if got := st.Candidates(graph.Label(9999)); got != 0 {
 		t.Fatalf("unknown label candidates = %d, want 0", got)
 	}
@@ -57,34 +53,6 @@ func mustLabel(t *testing.T, d *graph.Dict, name string) graph.Label {
 		t.Fatalf("label %q not interned", name)
 	}
 	return l
-}
-
-func TestGreedyPlanOrders(t *testing.T) {
-	g := testGraph(t)
-	st := Collect(g)
-	// Declared common-first so the planner must reorder.
-	q := pattern.MustParse(g.Dict(), `
-node a common
-node b mid
-node c rare
-edge a b
-edge a c
-`)
-	p := GreedyPlan(q, st)
-	if p.Empty {
-		t.Fatal("plan marked empty with all labels populated")
-	}
-	// Seed order: rare (node 2), then mid (1), then common (0).
-	if want := []uint16{2, 1, 0}; !reflect.DeepEqual(p.Nodes, want) {
-		t.Fatalf("node order = %v, want %v", p.Nodes, want)
-	}
-	// Edge 1 (a→c, min=1) before edge 0 (a→b, min=10).
-	if want := []uint16{1, 0}; !reflect.DeepEqual(p.Edges, want) {
-		t.Fatalf("edge order = %v, want %v", p.Edges, want)
-	}
-	if err := p.Fits(q); err != nil {
-		t.Fatalf("plan does not fit its own pattern: %v", err)
-	}
 }
 
 func TestGreedyPlanEmpty(t *testing.T) {
@@ -101,55 +69,6 @@ func TestGreedyPlanEmpty(t *testing.T) {
 	}
 	if p.NodeEst[1] != 0 {
 		t.Fatalf("ghost estimate = %d, want 0", p.NodeEst[1])
-	}
-}
-
-func TestCodecRoundTrip(t *testing.T) {
-	g := testGraph(t)
-	st := Collect(g)
-	q := pattern.MustParse(g.Dict(), "node a common\nnode b rare\nedge a b\nedge b a")
-	p := GreedyPlan(q, st)
-	got, err := Decode(p.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Nodes, p.Nodes) || !reflect.DeepEqual(got.Edges, p.Edges) || got.Empty != p.Empty {
-		t.Fatalf("round trip mismatch: got %+v, want %+v", got, p)
-	}
-}
-
-func TestDecodeRejectsGarbage(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		{0},
-		{2, 0, 0, 0, 0, 0},          // unknown version
-		{1, 0xff, 0, 0, 0, 0},       // unknown flags
-		{1, 0, 5, 0},                // truncated node order
-		{1, 0, 0, 0, 0, 0, 0xba},    // trailing bytes
-		{1, 0, 1, 0, 2, 0, 0, 0, 1}, // truncated edge payload
-	}
-	for i, b := range cases {
-		if _, err := Decode(b); err == nil {
-			t.Errorf("case %d: Decode(%v) accepted garbage", i, b)
-		}
-	}
-}
-
-func TestFitsRejectsWrongShape(t *testing.T) {
-	g := testGraph(t)
-	q := pattern.MustParse(g.Dict(), "node a common\nnode b rare\nedge a b")
-	cases := []*Plan{
-		{Nodes: []uint16{0}, Edges: []uint16{0}},       // too few nodes
-		{Nodes: []uint16{0, 0}, Edges: []uint16{0}},    // duplicate node
-		{Nodes: []uint16{0, 2}, Edges: []uint16{0}},    // out of range
-		{Nodes: []uint16{0, 1}, Edges: nil},            // too few edges
-		{Nodes: []uint16{0, 1}, Edges: []uint16{1}},    // edge out of range
-		{Nodes: []uint16{0, 1}, Edges: []uint16{0, 0}}, // too many edges
-	}
-	for i, p := range cases {
-		if err := p.Fits(q); err == nil {
-			t.Errorf("case %d: Fits accepted malformed plan %+v", i, p)
-		}
 	}
 }
 
@@ -226,8 +145,8 @@ func TestCanonicalPermIsConsistent(t *testing.T) {
 	c := Canonicalize(q)
 	// Perm must be a permutation, and relabeling q by it must reproduce
 	// the key's edge structure.
-	if err := checkPerm(toU16(c.Perm), q.NumNodes(), "canon"); err != nil {
-		t.Fatal(err)
+	if !isPerm(c.Perm) {
+		t.Fatalf("Perm %v is not a permutation", c.Perm)
 	}
 	re := pattern.MustParse(dict, c.Key)
 	for u := 0; u < q.NumNodes(); u++ {
@@ -248,12 +167,15 @@ func TestCanonicalPermIsConsistent(t *testing.T) {
 	}
 }
 
-func toU16(xs []int) []uint16 {
-	out := make([]uint16, len(xs))
-	for i, x := range xs {
-		out[i] = uint16(x)
+func isPerm(xs []int) bool {
+	seen := make([]bool, len(xs))
+	for _, x := range xs {
+		if x < 0 || x >= len(xs) || seen[x] {
+			return false
+		}
+		seen[x] = true
 	}
-	return out
+	return true
 }
 
 func TestCanonicalFallbackOnSymmetryBlowup(t *testing.T) {

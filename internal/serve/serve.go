@@ -202,9 +202,10 @@ type QueryRequest struct {
 	// coalescing like NoCache (a shared or cached result carries no
 	// trace of THIS request's evaluation), but still passes admission.
 	Trace bool `json:"trace,omitempty"`
-	// Explain returns the evaluation plan — node/edge orders with
-	// selectivity estimates and the canonical cache key — without
-	// executing the query. Nothing is evaluated, cached or admitted.
+	// Explain returns the plan — the pattern's nodes and edges in
+	// declaration order with their candidate estimates, the empty
+	// verdict and the canonical cache key — without executing the
+	// query. Nothing is evaluated, cached or admitted.
 	Explain bool `json:"explain,omitempty"`
 	// TimeoutMS overrides the server's default per-query deadline.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -255,7 +256,7 @@ type QueryResponse struct {
 	Stats QueryStats `json:"stats"`
 	// Trace is the evaluation's span tree; only for Trace requests.
 	Trace *dgs.QueryTrace `json:"trace,omitempty"`
-	// Plan is the evaluation plan; only for Explain requests, which
+	// Plan is the pattern's plan; only for Explain requests, which
 	// carry no evaluation fields (OK/Pairs/Stats stay zero).
 	Plan *dgs.PlanInfo `json:"plan,omitempty"`
 }

@@ -25,7 +25,7 @@ func TestDecodeOpenCopiesSpec(t *testing.T) {
 	body := encodeOpen(openBody{
 		qid:  7,
 		kind: cluster.SessionQuery,
-		spec: cluster.SessionSpec{Algo: "a", Query: []byte{1, 2, 3}, Config: []byte{9, 8}, Plan: []byte{4, 5}}, //lint:allow regconsistent — codec round-trip probe, the spec never reaches a site
+		spec: cluster.SessionSpec{Algo: "a", Query: []byte{1, 2, 3}, Config: []byte{9, 8}}, //lint:allow regconsistent — codec round-trip probe, the spec never reaches a site
 	})
 	o, err := decodeOpen(body)
 	if err != nil {
@@ -36,9 +36,6 @@ func TestDecodeOpenCopiesSpec(t *testing.T) {
 	}
 	if !bytes.Equal(o.spec.Query, []byte{1, 2, 3}) || !bytes.Equal(o.spec.Config, []byte{9, 8}) {
 		t.Fatalf("decoded spec aliases the frame buffer: query=%v config=%v", o.spec.Query, o.spec.Config)
-	}
-	if !bytes.Equal(o.spec.Plan, []byte{4, 5}) {
-		t.Fatalf("decoded plan aliases the frame buffer: plan=%v", o.spec.Plan)
 	}
 }
 
@@ -234,16 +231,15 @@ func TestWriteChunkRespectsByteCap(t *testing.T) {
 	}
 }
 
-// The OPEN layout is fixed: plan and trace ID are always on
-// the wire, empty/zero meaning absent, and every combination
-// round-trips. A body cut short anywhere, or with bytes after the trace
-// ID, is rejected rather than read as a shorter layout.
+// The OPEN layout is fixed: the trace ID is always on the wire, zero
+// meaning absent, and both cases round-trip. A body cut short anywhere,
+// or with bytes after the trace ID, is rejected rather than read as a
+// shorter layout — and so is the version-9 layout, which carried a plan
+// blob between config and trace ID.
 func TestEncodeOpenTracedRoundTrip(t *testing.T) {
 	for name, spec := range map[string]cluster.SessionSpec{
-		"bare":           {Algo: "a", Query: []byte{1}, Config: []byte{2}},                               //lint:allow regconsistent — codec round-trip probe, the spec never reaches a site
-		"planned":        {Algo: "a", Query: []byte{1}, Config: []byte{2}, Plan: []byte{7}},              //lint:allow regconsistent — codec round-trip probe, the spec never reaches a site
-		"traced":         {Algo: "a", Query: []byte{1}, Config: []byte{2}, TraceID: 0xBEEF},              //lint:allow regconsistent — codec round-trip probe, the spec never reaches a site
-		"planned-traced": {Algo: "a", Query: []byte{1}, Config: []byte{2}, Plan: []byte{7}, TraceID: 11}, //lint:allow regconsistent — codec round-trip probe, the spec never reaches a site
+		"bare":   {Algo: "a", Query: []byte{1}, Config: []byte{2}},                  //lint:allow regconsistent — codec round-trip probe, the spec never reaches a site
+		"traced": {Algo: "a", Query: []byte{1}, Config: []byte{2}, TraceID: 0xBEEF}, //lint:allow regconsistent — codec round-trip probe, the spec never reaches a site
 	} {
 		o := openBody{qid: 3, kind: cluster.SessionQuery, spec: spec}
 		body := encodeOpen(o)
@@ -251,11 +247,8 @@ func TestEncodeOpenTracedRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got.spec.TraceID != spec.TraceID {
-			t.Fatalf("%s: trace ID = %#x, want %#x", name, got.spec.TraceID, spec.TraceID)
-		}
-		if !bytes.Equal(got.spec.Plan, spec.Plan) {
-			t.Fatalf("%s: plan mangled: %+v", name, got.spec)
+		if !reflect.DeepEqual(got, o) {
+			t.Fatalf("%s: round trip mangled the body: %+v", name, got)
 		}
 		for cut := 0; cut < len(body); cut++ {
 			if _, err := decodeOpen(body[:cut]); err == nil {
@@ -264,6 +257,18 @@ func TestEncodeOpenTracedRoundTrip(t *testing.T) {
 		}
 		if _, err := decodeOpen(append(body, 0)); err == nil {
 			t.Fatalf("%s: trailing byte after the trace ID decoded", name)
+		}
+		for _, plan := range [][]byte{nil, {7}} {
+			v9 := appendU64(nil, o.qid)
+			v9 = append(v9, byte(o.kind))
+			v9 = appendBlob(v9, []byte(spec.Algo))
+			v9 = appendBlob(v9, spec.Query)
+			v9 = appendBlob(v9, spec.Config)
+			v9 = appendBlob(v9, plan)
+			v9 = appendU64(v9, spec.TraceID)
+			if got, err := decodeOpen(v9); err == nil {
+				t.Fatalf("%s: version-9 body with plan blob %v decoded as %+v", name, plan, got)
+			}
 		}
 	}
 }

@@ -10,6 +10,7 @@ package tcpnet
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"dgs/internal/cluster"
@@ -17,20 +18,21 @@ import (
 
 func FuzzDecodeOpen(f *testing.F) {
 	for _, s := range []struct {
-		algo                string
-		query, config, plan []byte
-		traceID             uint64
+		algo          string
+		kind          cluster.SessionKind
+		query, config []byte
+		traceID       uint64
 	}{
 		{algo: "a", query: []byte{1, 2, 3}, config: []byte{9, 8}},
-		{algo: "a", query: []byte{1}, config: []byte{2}, plan: []byte{4, 5}},
+		{algo: "update", kind: cluster.SessionMaintenance},
 		{algo: "a", query: []byte{1}, config: []byte{2}, traceID: 0xBEEF},
-		{algo: "a", query: []byte{1}, config: []byte{2}, plan: []byte{7}, traceID: 11},
+		{algo: "a", query: []byte{1}, config: []byte{2}, traceID: math.MaxUint64},
 		{},
 		{algo: "long-algorithm-name", query: bytes.Repeat([]byte{7}, 300), config: bytes.Repeat([]byte{1}, 40)},
 	} {
-		o := openBody{qid: 7, kind: cluster.SessionQuery}
+		o := openBody{qid: 7, kind: s.kind}
 		o.spec.Algo, o.spec.Query, o.spec.Config = s.algo, s.query, s.config
-		o.spec.Plan, o.spec.TraceID = s.plan, s.traceID
+		o.spec.TraceID = s.traceID
 		body := encodeOpen(o)
 		f.Add(body)
 		f.Add(body[:len(body)-1])
@@ -44,7 +46,7 @@ func FuzzDecodeOpen(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if n := len(o.spec.Algo) + len(o.spec.Query) + len(o.spec.Config) + len(o.spec.Plan); n > len(data) {
+		if n := len(o.spec.Algo) + len(o.spec.Query) + len(o.spec.Config); n > len(data) {
 			t.Fatalf("decoded %d field bytes from a %d-byte body", n, len(data))
 		}
 		if re := encodeOpen(o); !bytes.Equal(re, data) {

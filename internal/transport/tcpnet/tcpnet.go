@@ -49,7 +49,7 @@ import (
 // check: the driver offers this value, the daemon refuses any other
 // with an ERR naming both numbers, and the driver refuses a HELLO-OK
 // that echoes anything else. Bump it on any frame-layout change.
-const ProtocolVersion uint16 = 9
+const ProtocolVersion uint16 = 10
 
 // writeTimeout bounds each frame write after the handshake, on both
 // ends: a stalled peer fails the deployment instead of wedging it.
@@ -173,7 +173,6 @@ func encodeOpen(o openBody) []byte {
 	dst = appendBlob(dst, []byte(o.spec.Algo))
 	dst = appendBlob(dst, o.spec.Query)
 	dst = appendBlob(dst, o.spec.Config)
-	dst = appendBlob(dst, o.spec.Plan)
 	return appendU64(dst, o.spec.TraceID)
 }
 
@@ -195,16 +194,13 @@ func decodeOpen(b []byte) (openBody, error) {
 	}
 	o.spec.Algo = string(algo)
 	// The spec escapes the frame: the host retains it for the session's
-	// lifetime, long after this frame buffer is gone, so Query, Config
-	// and Plan must be copies, not aliases (see the ownership convention
-	// in wire.ByteReader).
+	// lifetime, long after this frame buffer is gone, so Query and
+	// Config must be copies, not aliases (see the ownership convention in
+	// wire.ByteReader).
 	if o.spec.Query, err = readBlobCopy(r); err != nil {
 		return o, err
 	}
 	if o.spec.Config, err = readBlobCopy(r); err != nil {
-		return o, err
-	}
-	if o.spec.Plan, err = readBlobCopy(r); err != nil {
 		return o, err
 	}
 	if o.spec.TraceID, err = r.U64(); err != nil {

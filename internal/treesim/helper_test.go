@@ -23,6 +23,6 @@ func run(q *pattern.Pattern, fr *partition.Fragmentation) (*simulation.Match, cl
 func runDGPM(q *pattern.Pattern, fr *partition.Fragmentation) (*simulation.Match, error) {
 	c := cluster.NewLocal(fr, cluster.Network{})
 	defer c.Shutdown()
-	m, _, _, err := dgpm.Eval(context.Background(), c, q, fr, dgpm.DefaultConfig(), nil, 0)
+	m, _, _, err := dgpm.Eval(context.Background(), c, q, fr, dgpm.DefaultConfig(), 0)
 	return m, err
 }

@@ -240,7 +240,7 @@ func (d *Deployment) watchShared(ctx context.Context, q *Pattern) (*Maintained, 
 	for i, b := range live {
 		qs[i] = b.q
 	}
-	st, err := dgpm.NewStanding(ctx, d.c, d.part.fr, qs, d.planFor)
+	st, err := dgpm.NewStanding(ctx, d.c, d.part.fr, qs)
 	if err != nil {
 		return nil, err
 	}

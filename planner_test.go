@@ -1,9 +1,9 @@
 package dgs
 
-// Planner-layer tests: the planned/identity-order parity matrix (plans
-// are advisory — the counter fixpoint is confluent, so both arms must
-// produce identical results with identical result accounting), the
-// absent-label short-circuit (zero distributed work, zero wire frames),
+// Planner-layer tests: the parity matrix (Deployment.Query against a
+// direct dgpm.Eval of the same pattern on the same deployment — one
+// answer, one result accounting, one prepared state), the absent-label
+// short-circuit (zero distributed work, zero wire frames),
 // canonical-key sharing of standing queries (equivalent-modulo-renaming
 // Watches join one maintenance session and pay each batch once), and
 // the Explain inspection surface.
@@ -15,19 +15,16 @@ import (
 	"testing"
 	"time"
 
-	"dgs/internal/cluster"
 	"dgs/internal/dgpm"
 	"dgs/internal/pattern"
-	"dgs/internal/plan"
-	"dgs/internal/wire"
 )
 
-// referenceEval is the reference arm planned evaluation is compared
-// against: the same dGPM session on the same deployment with a nil plan
-// — declaration order, no short-circuit.
+// referenceEval is the reference arm Deployment.Query is compared
+// against: the same dGPM session on the same deployment, opened
+// directly — no short-circuit.
 func referenceEval(t *testing.T, dep *Deployment, q *Pattern, cfg dgpm.Config) (*Match, Stats) {
 	t.Helper()
-	m, st, _, err := dgpm.Eval(context.Background(), dep.c, q.p, dep.part.fr, cfg, nil, 0)
+	m, st, _, err := dgpm.Eval(context.Background(), dep.c, q.p, dep.part.fr, cfg, 0)
 	if err != nil {
 		t.Fatalf("reference evaluation: %v", err)
 	}
@@ -35,12 +32,14 @@ func referenceEval(t *testing.T, dep *Deployment, q *Pattern, cfg dgpm.Config) (
 }
 
 // TestPlannerParityMatrix runs every algorithm through Deployment.Query
-// (planned) across all three transport modes (in-process, TCP, TCP with
-// heartbeats), and the two that accept a plan — dGPM and dGPMNOpt —
-// again through the nil-plan reference on the same deployment: the
-// match relations must be identical — both equal the centralized oracle
-// — and so must the result accounting (ResultBytes serializes the final
-// relation, which order cannot change).
+// across all three transport modes (in-process, TCP, TCP with
+// heartbeats), and dGPM and dGPMNOpt again through a direct dgpm.Eval on
+// the same deployment: the match relations must be identical — both
+// equal the centralized oracle — and so must the result accounting
+// (ResultBytes serializes the final relation). In-process, the direct
+// session must also find the prepared state the Query filed: one
+// restore per fragment and, for dGPM, no build — the key is the pattern,
+// whichever entry point opened the session.
 func TestPlannerParityMatrix(t *testing.T) {
 	ctx := context.Background()
 	type world struct {
@@ -129,19 +128,28 @@ func TestPlannerParityMatrix(t *testing.T) {
 							t.Fatalf("%s: diverges from Simulate", name)
 						}
 						covered[algo] = true
-						cfg, planned := refConfigs[algo]
-						if !planned {
+						cfg, direct := refConfigs[algo]
+						if !direct {
 							continue
 						}
+						b0, r0 := dgpm.EngineCounts()
 						ref, refStats := referenceEval(t, dep, cq.q, cfg)
+						if b1, r1 := dgpm.EngineCounts(); mode.name == "inproc" {
+							if n := wl.part.NumFragments(); r1-r0 != uint64(n) {
+								t.Fatalf("%s: direct Eval after Query restored %d engines, want %d (one per fragment)", name, r1-r0, n)
+							}
+							if algo == AlgoDGPM && b1 != b0 {
+								t.Fatalf("%s: direct Eval after Query built %d engines, want 0", name, b1-b0)
+							}
+						}
 						if !ref.Equal(oracle) {
-							t.Fatalf("%s: identity-order reference diverges from Simulate", name)
+							t.Fatalf("%s: direct reference diverges from Simulate", name)
 						}
 						if !res.Match.Equal(ref) {
-							t.Fatalf("%s: planned and identity-order relations diverge", name)
+							t.Fatalf("%s: Query and direct relations diverge", name)
 						}
 						if res.Stats.ResultBytes != refStats.ResultBytes {
-							t.Fatalf("%s: ResultBytes differ across arms: planned=%d reference=%d",
+							t.Fatalf("%s: ResultBytes differ across arms: Query=%d reference=%d",
 								name, res.Stats.ResultBytes, refStats.ResultBytes)
 						}
 						referenced[algo] = true
@@ -158,7 +166,7 @@ func TestPlannerParityMatrix(t *testing.T) {
 			}
 			for algo := range refConfigs {
 				if !referenced[algo] {
-					t.Fatalf("algorithm %s never ran against the identity-order reference", algo)
+					t.Fatalf("algorithm %s never ran against the direct reference", algo)
 				}
 			}
 		})
@@ -264,61 +272,6 @@ func TestQueryAbsentLabelShortCircuit(t *testing.T) {
 			t.Fatal("remote reference arm metered no wire bytes: the frame meters guard nothing")
 		}
 	})
-}
-
-// TestOpenRejectsIllFittingPlan: a site trusts a received plan only
-// after Plan.Fits — a plan blob that is not a permutation of the
-// pattern's nodes and edges fails the session at the site factory
-// (synchronously in-process, through the session's failure on TCP), and
-// the deployment keeps serving.
-func TestOpenRejectsIllFittingPlan(t *testing.T) {
-	ctx := context.Background()
-	dict := NewDict()
-	g := GenSynthetic(dict, 300, 900, 67)
-	q, err := ParsePattern(dict, "node a l0\nnode b l1\nedge a b\nedge b a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := map[string]*plan.Plan{
-		"duplicate-node": {Nodes: []uint16{0, 0}, Edges: []uint16{0, 1}},
-		"short-edges":    {Nodes: []uint16{0, 1}, Edges: []uint16{0}},
-		"edge-range":     {Nodes: []uint16{0, 1}, Edges: []uint16{0, 2}},
-	}
-	for _, mode := range confModes(t)[:2] { // inproc, tcp
-		mode := mode
-		t.Run(mode.name, func(t *testing.T) {
-			part, err := PartitionWith(g, "random", 4, WithPartitionSeed(67))
-			if err != nil {
-				t.Fatal(err)
-			}
-			dep, err := Deploy(part, mode.extra(t)...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer dep.Close()
-			for name, pl := range bad {
-				spec := cluster.SessionSpec{
-					Algo:   dgpm.Algo,
-					Query:  pattern.EncodeBinary(q.p),
-					Config: dgpm.EncodeConfig(dgpm.DefaultConfig()),
-					Plan:   pl.Encode(),
-				}
-				_, _, err := dep.c.Evaluate(ctx, spec, &cluster.Collector{}, func(s *cluster.Session) error {
-					return s.Phase(ctx, &wire.Control{Op: dgpm.OpStart})
-				})
-				if err == nil || !strings.Contains(err.Error(), "plan:") {
-					t.Fatalf("%s: ill-fitting plan: err = %v, want the site's plan refusal", name, err)
-				}
-			}
-			res, err := dep.Query(ctx, q)
-			if err != nil {
-				t.Fatalf("query after the refusals: %v", err)
-			}
-			if !res.Match.Equal(Simulate(q, g)) {
-				t.Fatal("query after the refusals diverges from Simulate")
-			}
-		})
-	}
 }
 
 // TestWatchSharedAcrossRenamedPatterns: Watches whose patterns are equal modulo node renaming share one
@@ -520,7 +473,7 @@ func TestWatchAbsentLabelStatic(t *testing.T) {
 	}
 	// The reference evaluates the same pattern with a real maintenance
 	// session and reaches the same ∅.
-	ref, err := dgpm.NewStanding(ctx, dep.c, part.fr, []*pattern.Pattern{q.p}, nil)
+	ref, err := dgpm.NewStanding(ctx, dep.c, part.fr, []*pattern.Pattern{q.p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,7 +547,7 @@ func TestSharedMaintenanceCheaperThanIndependent(t *testing.T) {
 		if !ws[i].Current().Equal(want) {
 			t.Fatalf("shared watch %d diverges from oracle", i)
 		}
-		ref, err := dgpm.NewStanding(ctx, dep.c, part.fr, []*pattern.Pattern{q.p}, nil)
+		ref, err := dgpm.NewStanding(ctx, dep.c, part.fr, []*pattern.Pattern{q.p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -622,9 +575,9 @@ func max64(a, b int64) int64 {
 	return b
 }
 
-// TestExplain covers the plan inspection surface: orders sorted by the
-// greedy selectivity estimates, the renaming-invariant canonical key,
-// and the Empty verdict.
+// TestExplain covers the plan inspection surface: every node and edge in
+// declaration order with its estimate, the renaming-invariant canonical
+// key, and the Empty verdict.
 func TestExplain(t *testing.T) {
 	dict := NewDict()
 	g := GenSynthetic(dict, 300, 900, 85)
@@ -655,23 +608,23 @@ func TestExplain(t *testing.T) {
 	if pi.Empty {
 		t.Fatal("present labels reported Empty")
 	}
-	for i := 1; i < len(pi.Nodes); i++ {
-		if pi.Nodes[i-1].Est > pi.Nodes[i].Est {
-			t.Fatalf("seed order not ascending in estimate: %+v", pi.Nodes)
+	est := make(map[string]uint32)
+	for i, n := range pi.Nodes {
+		if n.Name != q.p.NodeName(pattern.QNode(i)) {
+			t.Fatalf("node %d is %s, want declaration order: %+v", i, n.Name, pi.Nodes)
 		}
-	}
-	for i := 1; i < len(pi.Edges); i++ {
-		if pi.Edges[i-1].Est > pi.Edges[i].Est {
-			t.Fatalf("edge order not ascending in selectivity: %+v", pi.Edges)
-		}
-	}
-	for _, n := range pi.Nodes {
 		if n.Est == 0 {
 			t.Fatalf("node %s estimated 0 candidates on a populated label", n.Name)
 		}
+		est[n.Name] = n.Est
+	}
+	for _, e := range pi.Edges {
+		if e.Est != min(est[e.From], est[e.To]) {
+			t.Fatalf("edge %s -> %s estimated %d, want the smaller endpoint estimate of %+v", e.From, e.To, e.Est, pi.Nodes)
+		}
 	}
 	s := pi.String()
-	for _, want := range []string{"seed order", "edge order", "canonical key:"} {
+	for _, want := range []string{"nodes", "edges", "canonical key:"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("rendered plan misses %q:\n%s", want, s)
 		}

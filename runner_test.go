@@ -40,10 +40,10 @@ func TestRunnerContract(t *testing.T) {
 	type evalFunc func(ctx context.Context, c *cluster.Cluster, traceID uint64) (*simulation.Match, cluster.Stats, *obs.QueryTrace, error)
 	algos := map[Algorithm]evalFunc{
 		AlgoDGPM: func(ctx context.Context, c *cluster.Cluster, id uint64) (*simulation.Match, cluster.Stats, *obs.QueryTrace, error) {
-			return dgpm.Eval(ctx, c, p, fr, dgpm.DefaultConfig(), nil, id)
+			return dgpm.Eval(ctx, c, p, fr, dgpm.DefaultConfig(), id)
 		},
 		AlgoDGPMNoOpt: func(ctx context.Context, c *cluster.Cluster, id uint64) (*simulation.Match, cluster.Stats, *obs.QueryTrace, error) {
-			return dgpm.Eval(ctx, c, p, fr, dgpm.NOptConfig(), nil, id)
+			return dgpm.Eval(ctx, c, p, fr, dgpm.NOptConfig(), id)
 		},
 		AlgoDGPMd: func(ctx context.Context, c *cluster.Cluster, id uint64) (*simulation.Match, cluster.Stats, *obs.QueryTrace, error) {
 			return dagsim.Eval(ctx, c, p, fr, false, id)

@@ -72,29 +72,28 @@ for need in "Fault tolerance" ErrSiteLost faultnet "failover_smoke"; do
 done
 
 # The design document must describe the planning layer: the advisory
-# plan, the confluence argument, the canonical key, and that planning is
-# one pure function with no off switch and a Fits check at the sites.
-for need in "## 10. Planning" selectivity advisory confluen canonical "no off switch" GreedyPlan Plan.Fits "identity plan"; do
+# estimates, the confluence argument, the canonical key, and that
+# planning is one pure function with no off switch.
+for need in "## 10. Planning" selectivity advisory confluen canonical "no off switch" GreedyPlan; do
   if ! grep -qi -- "$need" DESIGN.md; then
     echo "DESIGN.md does not mention '$need'"
     fail=1
   fi
 done
 
-# The wire spec must document how plans ride OPEN — one blob, no planner
-# name, empty = identity order, Fits-checked — and the one-version
-# handshake at the version the code speaks.
+# The wire spec must document the one-version handshake at the version
+# the code speaks.
 version=$(sed -n 's/^const ProtocolVersion uint16 = \([0-9]*\)$/\1/p' internal/transport/tcpnet/tcpnet.go)
-for need in "### Plans" "identity order" Plan.Fits Versioning "ProtocolVersion\`, currently $version)"; do
+for need in Versioning "ProtocolVersion\`, currently $version)"; do
   if ! grep -q -- "$need" docs/WIRE.md; then
     echo "docs/WIRE.md does not mention '$need'"
     fail=1
   fi
 done
-# OPEN is exactly qid, kind, algo, query, config, plan, traceID.
+# OPEN is exactly qid, kind, algo, query, config, traceID.
 open_fields=$(grep '^| OPEN |' docs/WIRE.md | grep -oE '`u(8|64) [a-zA-Z]+`|blob `[a-z]+`' | sed -E 's/.* `?([a-zA-Z]+)`$/\1/' | tr '\n' ' ')
-if [ "$open_fields" != "qid kind algo query config plan traceID " ]; then
-  echo "docs/WIRE.md OPEN row lists fields '$open_fields', want 'qid kind algo query config plan traceID '"
+if [ "$open_fields" != "qid kind algo query config traceID " ]; then
+  echo "docs/WIRE.md OPEN row lists fields '$open_fields', want 'qid kind algo query config traceID '"
   fail=1
 fi
 
@@ -194,9 +193,10 @@ if stale=$(grep -nE 'benchfig|BENCH_|WithNetwork|EC2Network|-ec2' $prose); then
 fi
 # Nor any identifier deleted when each fact got one home: the
 # per-strategy partition constructors, the plan-less engine constructor,
-# the fragment's second owner directory, the gateway's plan copy and the
-# separate loss-notification extension.
-if stale=$(grep -nE 'Partition(Random|Blocks|TargetRatio|Tree|Chain)|dgpm\.NewEngine\b|Fragment\.Owner|PlanBody|LossNotifier' $prose); then
+# the fragment's second owner directory, the gateway's plan copy, the
+# separate loss-notification extension, and the shipped evaluation
+# orders with their check, decoder and OPEN field.
+if stale=$(grep -nE 'Partition(Random|Blocks|TargetRatio|Tree|Chain)|dgpm\.NewEngine\b|Fragment\.Owner|PlanBody|LossNotifier|Plan\.Fits|decodeSpecPlan|SessionSpec\.Plan|seed order' $prose); then
   echo "the documents name a deleted identifier:"
   echo "$stale" | sed 's/^/  /'
   fail=1
