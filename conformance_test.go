@@ -9,7 +9,13 @@ package dgs
 
 import (
 	"context"
+	"encoding/binary"
+	"flag"
 	"fmt"
+	"hash/fnv"
+	"os"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -163,6 +169,66 @@ func confTrafficOf(algo Algorithm, st Stats) confTraffic {
 	return confTraffic{st.DataBytes, st.DataMsgs, st.Rounds}
 }
 
+// confGolden is the matrix's record of every cell's answer and counts,
+// one line per cell name, sorted: what no transport and no commit may
+// change unless the change means to. `go test -run TestConformanceMatrix
+// -update` rewrites it from the cells the run visits, so it must run the
+// whole matrix.
+const confGolden = "testdata/conformance.golden"
+
+var confUpdate = flag.Bool("update", false, "rewrite "+confGolden+" from this run of TestConformanceMatrix")
+
+// confLine is a cell's golden line: its name, a hash of the answer, what
+// it pushed, its schedule-free shipment (confTrafficOf) and the bytes of
+// the sites' reports.
+func confLine(name string, m *Match, push confPush, tr confTraffic, resultBytes int64) string {
+	h := fnv.New64a()
+	var buf []byte
+	for _, set := range m.m.Sets {
+		buf = binary.AppendUvarint(buf[:0], uint64(len(set)))
+		for _, v := range set {
+			buf = binary.AppendUvarint(buf, uint64(v))
+		}
+		h.Write(buf)
+	}
+	return fmt.Sprintf("%s answer=%016x push=%d/%d data=%d/%d/%d result=%d",
+		name, h.Sum64(), push.msgs, push.bytes, tr.dataBytes, tr.dataMsgs, tr.rounds, resultBytes)
+}
+
+// readConfGolden returns the golden lines by cell name.
+func readConfGolden(t *testing.T) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	if *confUpdate {
+		return out
+	}
+	b, err := os.ReadFile(confGolden)
+	if err != nil {
+		t.Fatalf("%v (go test -run TestConformanceMatrix -update writes it)", err)
+	}
+	for _, line := range strings.Split(strings.TrimSuffix(string(b), "\n"), "\n") {
+		name, _, _ := strings.Cut(line, " ")
+		out[name] = line
+	}
+	return out
+}
+
+// writeConfGolden writes the lines of the cells a run visited, sorted.
+func writeConfGolden(t *testing.T, lines map[string]string) {
+	t.Helper()
+	out := make([]string, 0, len(lines))
+	for _, line := range lines {
+		out = append(out, line)
+	}
+	slices.Sort(out)
+	if err := os.MkdirAll("testdata", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(confGolden, []byte(strings.Join(out, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // confClaims checks one cell's statistics against the paper's bounds on
 // what an algorithm ships, in counts no schedule can move:
 //
@@ -243,7 +309,8 @@ func confModes(t *testing.T) []struct {
 // transports agree with centralized Simulate, and each arm pushes the
 // same messages and bytes on every transport. Every cell meets the
 // paper's shipment bounds (confClaims) and Fig. 6's DS ordering against
-// dMes. Every dGPM and dGPMNOpt cell runs twice on its deployment, the
+// dMes, and reproduces its line of the golden file (confGolden): answer,
+// push, shipment and report bytes. Every dGPM and dGPMNOpt cell runs twice on its deployment, the
 // second time on engines restored from prepared state, with the same
 // answer, push and shipment. Combinations outside an algorithm's preconditions (dGPMd needs a DAG
 // pattern or DAG graph; dGPMt needs a tree graph) are skipped
@@ -255,6 +322,8 @@ func TestConformanceMatrix(t *testing.T) {
 	arms := confArms()
 	pushed := make(map[string]confPush)     // by cell name, from the first transport that ran it
 	shipped := make(map[string]confTraffic) // likewise
+	golden := readConfGolden(t)
+	seen := make(map[string]string) // the lines this run produced, by cell name
 	for _, mode := range confModes(t) {
 		mode := mode
 		t.Run(mode.name, func(t *testing.T) {
@@ -314,6 +383,11 @@ func TestConformanceMatrix(t *testing.T) {
 									t.Fatalf("%s: shipped %+v, but %+v on an earlier transport", name, tr, want)
 								}
 								shipped[name] = tr
+								line := confLine(name, res.Match, got, tr, res.Stats.ResultBytes)
+								if want := golden[name]; !*confUpdate && line != want {
+									t.Fatalf("golden mismatch (go test -run TestConformanceMatrix -update rewrites %s)\nwant %q\ngot  %q", confGolden, want, line)
+								}
+								seen[name] = line
 								ds[arm.name] = res.Stats.DataBytes
 								if err := confClaims(algo, pname, cq.q, part, res.Stats); err != nil {
 									t.Fatalf("%s: %v", name, err)
@@ -377,5 +451,8 @@ func TestConformanceMatrix(t *testing.T) {
 				t.Fatal("no cell of the matrix pushed at the default θ: the push-on arm guards nothing")
 			}
 		})
+	}
+	if *confUpdate {
+		writeConfGolden(t, seen)
 	}
 }
