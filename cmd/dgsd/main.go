@@ -53,8 +53,6 @@ import (
 	// instantiate sites for algorithms linked into it.
 	_ "dgs/internal/baseline"
 	_ "dgs/internal/dagcheck"
-	_ "dgs/internal/dagsim"
-	_ "dgs/internal/treesim"
 )
 
 func main() {

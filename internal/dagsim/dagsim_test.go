@@ -218,7 +218,7 @@ func TestQuickMessagePlanBound(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		q, _, fr := randomDAGCase(r)
-		ri, ok := newRankInfo(q)
+		ri, ok := pattern.NewRankInfo(q)
 		if !ok {
 			return true
 		}
@@ -228,7 +228,7 @@ func TestQuickMessagePlanBound(t *testing.T) {
 			ranks := map[int]bool{}
 			for _, v := range f.InNodes {
 				for _, w := range f.InWatchers[v] {
-					for _, rr := range ri.shipRanks(f.Labels[v]) {
+					for _, rr := range ri.ShipRanks(f.Labels[v]) {
 						k := [2]int{w, rr}
 						if !seen[k] {
 							seen[k] = true
@@ -258,26 +258,26 @@ func TestQuickMessagePlanBound(t *testing.T) {
 func TestRankInfo(t *testing.T) {
 	d := graph.NewDict()
 	q := pattern.MustParse(d, "node a A\nnode b B\nnode c C\nedge a b\nedge b c")
-	ri, ok := newRankInfo(q)
+	ri, ok := pattern.NewRankInfo(q)
 	if !ok {
 		t.Fatal("chain is a DAG")
 	}
-	if ri.maxRank != 2 {
-		t.Fatalf("maxRank = %d", ri.maxRank)
+	if ri.MaxRank != 2 {
+		t.Fatalf("maxRank = %d", ri.MaxRank)
 	}
 	// c: rank 0 -> never shipped. b: rank 1, has parent -> shipped.
 	// a: rank 2, no parent -> not shipped.
 	la, _ := d.Lookup("A")
 	lb, _ := d.Lookup("B")
 	lc, _ := d.Lookup("C")
-	if len(ri.shipRanks(la)) != 0 {
-		t.Fatalf("A ranks = %v", ri.shipRanks(la))
+	if len(ri.ShipRanks(la)) != 0 {
+		t.Fatalf("A ranks = %v", ri.ShipRanks(la))
 	}
-	if got := ri.shipRanks(lb); len(got) != 1 || got[0] != 1 {
+	if got := ri.ShipRanks(lb); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("B ranks = %v", got)
 	}
-	if len(ri.shipRanks(lc)) != 0 {
-		t.Fatalf("C ranks = %v", ri.shipRanks(lc))
+	if len(ri.ShipRanks(lc)) != 0 {
+		t.Fatalf("C ranks = %v", ri.ShipRanks(lc))
 	}
 }
 

@@ -71,7 +71,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		fx.x = newSite(q, frag, assign, cfg, preparedKey(spec.Query))
+		fx.x = newSite(q, frag, assign, cfg, preparedKey(spec.Query), releaseExchange)
 		return parkedSite{fx.x, fx}, nil
 	})
 }

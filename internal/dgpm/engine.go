@@ -1,7 +1,11 @@
 // Package dgpm implements the paper's core contribution (§4): the
 // partition-bounded distributed graph simulation algorithm dGPM, its
 // unoptimized variant dGPMNOpt, and the two optimization strategies of
-// §4.2 (incremental local evaluation and the push operation).
+// §4.2 (incremental local evaluation and the push operation). Its site
+// is also the site of dGPMd and dGPMt (§5), whose coordinators are
+// internal/dagsim and internal/treesim: the three share the start
+// signal and the prepared engine, and differ in how falsifications are
+// released.
 //
 // Each site runs an Engine over its fragment. The engine maintains the
 // Boolean variables X(u,v) of §4.1 with counter-based propagation:

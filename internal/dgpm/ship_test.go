@@ -54,7 +54,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return shipSpy{newSite(q, frag, assign, cfg, preparedKey(spec.Query))}, nil
+		return shipSpy{newSite(q, frag, assign, cfg, preparedKey(spec.Query), releaseExchange)}, nil
 	})
 }
 
@@ -176,7 +176,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		s := newSite(q, frag, assign, cfg, preparedKey(spec.Query))
+		s := newSite(q, frag, assign, cfg, preparedKey(spec.Query), releaseExchange)
 		reroutes.mu.Lock()
 		reroutes.sites[frag.ID] = s
 		reroutes.mu.Unlock()

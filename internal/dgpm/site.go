@@ -4,7 +4,10 @@ package dgpm
 // evaluation on the start signal, phase 2 asynchronous exchange of
 // falsified variables along the local dependency graph (procedure lMsg),
 // plus the push operation, and phase 3 reporting local matches Q(Fi) to
-// the coordinator.
+// the coordinator. dGPMd and dGPMt (§5) run on the same site: they start
+// from the same prepared engine and differ only in how its falsified
+// in-node variables are released — in rank waves (Theorem 3), or in one
+// equation upload answered by one value download (Corollary 4).
 
 import (
 	"math"
@@ -42,6 +45,24 @@ func DefaultConfig() Config { return Config{Incremental: true, Push: true, Theta
 // NOptConfig is dGPMNOpt: no incremental evaluation, no push.
 func NOptConfig() Config { return Config{} }
 
+// release is how a site ships the in-node variables its engine falsifies,
+// picked by the session's algorithm name. After the start signal the
+// payload kinds each release reads are disjoint, and a site ignores the
+// kinds of the others.
+type release uint8
+
+const (
+	// releaseExchange is dGPM's (§4): Falsify messages to the watching
+	// sites after every drained run, plus Push and Reroute.
+	releaseExchange release = iota
+	// releaseRanks is dGPMd's (§5.1): one RankBatch per watching site and
+	// rank, each sent once every batch of a lower rank has arrived.
+	releaseRanks
+	// releaseUpload is dGPMt's (§5.2): one EqSystem to the coordinator on
+	// the start signal, answered by one Values download.
+	releaseUpload
+)
+
 type site struct {
 	q      *pattern.Pattern
 	frag   *partition.Fragment
@@ -49,6 +70,8 @@ type site struct {
 	cfg    Config
 	// key files and finds the session's prepared engine (preparedKey).
 	key string
+	// rel is the release the session's algorithm name picked.
+	rel release
 
 	eng *Engine
 
@@ -56,7 +79,8 @@ type site struct {
 	// destinations (§4.2 dependency-graph rewiring after a push); nil
 	// until the first reroute.
 	extraWatch [][]int
-	// perDest is flush's per-destination scratch, indexed by site ID.
+	// perDest is the per-destination scratch of flush and of the rank
+	// waves, indexed by site ID.
 	perDest [][]wire.VarRef
 	// dirty marks engine changes applied by Recv whose falsifications
 	// EndRun has not shipped yet.
@@ -66,6 +90,10 @@ type site struct {
 	// falsifications already reported, so rebuilds do not resend.
 	extFalse []wire.VarRef
 	reported map[wire.VarRef]bool
+
+	// waves is dGPMd's rank-wave state; nil on the other algorithms'
+	// sites.
+	waves *rankWaves
 
 	// pending buffers messages that raced ahead of the start signal: a
 	// fast neighbor may evaluate and ship falsifications before the
@@ -78,15 +106,12 @@ type pendingMsg struct {
 	p    wire.Payload
 }
 
-func newSite(q *pattern.Pattern, frag *partition.Fragment, assign []int32, cfg Config, key string) *site {
-	return &site{
-		q:        q,
-		frag:     frag,
-		assign:   assign,
-		cfg:      cfg,
-		key:      key,
-		reported: make(map[wire.VarRef]bool),
+func newSite(q *pattern.Pattern, frag *partition.Fragment, assign []int32, cfg Config, key string, rel release) *site {
+	s := &site{q: q, frag: frag, assign: assign, cfg: cfg, key: key, rel: rel}
+	if !cfg.Incremental {
+		s.reported = make(map[wire.VarRef]bool)
 	}
+	return s
 }
 
 func (s *site) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
@@ -101,15 +126,7 @@ func (s *site) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
 	case *wire.Control:
 		switch m.Op {
 		case OpStart:
-			s.eng = prepare(s.q, s.frag, s.key, s.cfg)
-			if !s.cfg.Incremental {
-				// Seed the reported set from the initial evaluation so a
-				// later rebuild does not resend these.
-				s.flushTracked(ctx)
-			} else {
-				s.flush(ctx)
-			}
-			s.maybePush(ctx)
+			s.start(ctx)
 			pending := s.pending
 			s.pending = nil
 			for _, m := range pending {
@@ -122,6 +139,66 @@ func (s *site) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
 				Pairs: s.eng.LocalMatches(),
 			})
 		}
+	case *wire.RankBatch:
+		if s.waves != nil {
+			s.recvWave(ctx, m)
+		}
+	case *wire.Values:
+		if s.rel == releaseUpload {
+			// Round 2: the solved values of the virtual variables (listed =
+			// false). The deaths they cause on the in-node are already known
+			// upstream, so none ships.
+			s.eng.ApplyFalsifications(m.False)
+			s.eng.drain()
+		}
+	default:
+		if s.rel == releaseExchange {
+			s.exchange(ctx, p)
+		}
+	}
+}
+
+// start is the start signal: the engine comes from prepare — restored
+// from the snapshot filed under the session's key on the fragment's
+// current index, or built and filed there — and its initial
+// falsifications leave by the site's release.
+func (s *site) start(ctx *cluster.Ctx) {
+	s.eng = prepare(s.q, s.frag, s.key, s.cfg)
+	s.perDest = make([][]wire.VarRef, ctx.NumSites())
+	switch s.rel {
+	case releaseExchange:
+		if !s.cfg.Incremental {
+			// Seed the reported set from the initial evaluation so a
+			// later rebuild does not resend these.
+			s.flushTracked(ctx)
+		} else {
+			s.flush(ctx)
+		}
+		s.maybePush(ctx)
+	case releaseRanks:
+		s.startWaves(ctx)
+	case releaseUpload:
+		// Round 1: the Boolean equations of the in-node variables, reduced
+		// to the virtual variables they depend on, plus the variables
+		// already falsified.
+		ix := s.eng.ix
+		in := make([]graph.NodeID, len(ix.In))
+		for i, li := range ix.In {
+			in[i] = ix.Vis[li]
+		}
+		eqs, _ := s.eng.ExtractSubsystem(in)
+		ctx.Send(cluster.Coordinator, &wire.EqSystem{
+			Frag:      uint16(s.frag.ID),
+			Eqs:       eqs,
+			FalseVars: s.eng.Drain(),
+		})
+	}
+}
+
+// exchange is dGPM's receive path: falsifications, pushed equations,
+// maintenance deltas and reroute requests.
+func (s *site) exchange(ctx *cluster.Ctx, p wire.Payload) {
+	switch m := p.(type) {
 	case *wire.Falsify:
 		if s.cfg.Incremental {
 			s.eng.ApplyFalsifications(m.Pairs)
@@ -246,9 +323,6 @@ func (s *site) flushTracked(ctx *cluster.Ctx) {
 func (s *site) route(ctx *cluster.Ctx, kills []visVar) {
 	if len(kills) == 0 {
 		return
-	}
-	if s.perDest == nil {
-		s.perDest = make([][]wire.VarRef, ctx.NumSites())
 	}
 	ix := s.eng.ix
 	current := ix != nil && s.frag.IndexCurrent(ix)

@@ -2,9 +2,10 @@ package dgpm
 
 // Session-spec plumbing: the algorithm names and config encoding that
 // let a site — in this process or in a remote dgsd daemon — instantiate
-// dGPM's per-site handlers from a cluster.SessionSpec. The registry
-// entries live here so that importing the package (as the driver and
-// cmd/dgsd both do) is all it takes to serve the algorithm.
+// the per-site handlers of dGPM, dGPMd and dGPMt from a
+// cluster.SessionSpec. The registry entries live here so that importing
+// the package (as the driver and cmd/dgsd both do) is all it takes to
+// serve the three algorithms.
 
 import (
 	"encoding/binary"
@@ -20,6 +21,13 @@ const (
 	// Algo is the registered name of the dGPM query/maintenance site
 	// (spec.Config carries an EncodeConfig blob).
 	Algo = "dgpm"
+	// AlgoDAG is the registered name of the dGPMd site (§5.1). The spec
+	// carries only the (DAG) query; each site derives the rank schedule
+	// from it.
+	AlgoDAG = "dgpmd"
+	// AlgoTree is the registered name of the dGPMt site (§5.2). The spec
+	// carries only the query.
+	AlgoTree = "dgpmt"
 	// AlgoUpdate is the registered name of the fragment-update site
 	// (query-less; Delta payloads carry the batch).
 	AlgoUpdate = "update"
@@ -65,6 +73,10 @@ func DecodeConfig(b []byte) (Config, error) {
 	}, nil
 }
 
+// The three query algorithms share one site and one prepared state per
+// pattern (preparedKey). dGPMd and dGPMt sites test no push, but file
+// their engines with the verdict DefaultConfig's test gives, so a dGPM
+// session restoring one sends the filed plans instead of testing again.
 func init() {
 	cluster.RegisterAlgorithm(Algo, func(spec cluster.SessionSpec, frag *partition.Fragment, assign []int32) (cluster.Handler, error) {
 		q, err := pattern.DecodeBinary(spec.Query)
@@ -75,7 +87,27 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return newSite(q, frag, assign, cfg, preparedKey(spec.Query)), nil
+		return newSite(q, frag, assign, cfg, preparedKey(spec.Query), releaseExchange), nil
+	})
+	cluster.RegisterAlgorithm(AlgoDAG, func(spec cluster.SessionSpec, frag *partition.Fragment, assign []int32) (cluster.Handler, error) {
+		q, err := pattern.DecodeBinary(spec.Query)
+		if err != nil {
+			return nil, err
+		}
+		ri, ok := pattern.NewRankInfo(q)
+		if !ok {
+			return nil, fmt.Errorf("dgpm: dGPMd spec query is cyclic")
+		}
+		s := newSite(q, frag, assign, DefaultConfig(), preparedKey(spec.Query), releaseRanks)
+		s.waves = &rankWaves{ri: ri}
+		return s, nil
+	})
+	cluster.RegisterAlgorithm(AlgoTree, func(spec cluster.SessionSpec, frag *partition.Fragment, assign []int32) (cluster.Handler, error) {
+		q, err := pattern.DecodeBinary(spec.Query)
+		if err != nil {
+			return nil, err
+		}
+		return newSite(q, frag, assign, DefaultConfig(), preparedKey(spec.Query), releaseUpload), nil
 	})
 	cluster.RegisterAlgorithm(AlgoUpdate, func(spec cluster.SessionSpec, frag *partition.Fragment, assign []int32) (cluster.Handler, error) {
 		return &updSite{frag: frag, assign: assign}, nil

@@ -6,6 +6,7 @@ package pattern
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -202,6 +203,57 @@ func (p *Pattern) MaxRank() int {
 		}
 	}
 	return best
+}
+
+// RankInfo is dGPMd's shipping-rank table (§5.1): the rank of every
+// query node, the largest, and per label the ranks at which a variable
+// X(u,v) of a node v with that label is shipped. Those are the ranks
+// r(u) ≥ 1 of the query nodes u with that label and a parent: a leaf's
+// variables are constant, and a variable of a node without a parent feeds
+// nobody ("no data needs to be shipped when r = d").
+type RankInfo struct {
+	Ranks   []int // r(u) per query node
+	MaxRank int
+	// Labels lists the labels that ship at some rank, ascending.
+	Labels []graph.Label
+	// ship[l] lists label l's shipping ranks, ascending.
+	ship [][]int
+}
+
+// NewRankInfo computes p's shipping-rank table; ok=false for cyclic Q.
+func NewRankInfo(p *Pattern) (ri *RankInfo, ok bool) {
+	r, ok := p.Ranks()
+	if !ok {
+		return nil, false
+	}
+	ri = &RankInfo{Ranks: r}
+	for u, rr := range r {
+		ri.MaxRank = max(ri.MaxRank, rr)
+		if rr == 0 || len(p.pred[u]) == 0 {
+			continue
+		}
+		l := p.labels[u]
+		if int(l) >= len(ri.ship) {
+			ri.ship = append(ri.ship, make([][]int, int(l)+1-len(ri.ship))...)
+		}
+		if len(ri.ship[l]) == 0 {
+			ri.Labels = append(ri.Labels, l)
+		}
+		if i, found := slices.BinarySearch(ri.ship[l], rr); !found {
+			ri.ship[l] = slices.Insert(ri.ship[l], i, rr)
+		}
+	}
+	slices.Sort(ri.Labels)
+	return ri, true
+}
+
+// ShipRanks reports, ascending, the ranks at which variables of a node
+// labelled l are shipped.
+func (ri *RankInfo) ShipRanks(l graph.Label) []int {
+	if int(l) >= len(ri.ship) {
+		return nil
+	}
+	return ri.ship[l]
 }
 
 // Validate checks structural sanity: every node has a label, no dangling

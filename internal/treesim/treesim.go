@@ -1,8 +1,10 @@
-// Package treesim implements dGPMt (§5.2): distributed graph simulation
-// over tree data graphs whose fragments are connected subtrees, with two
-// rounds of site↔coordinator communication and data shipment O(|Q||F|) —
-// the parallel-scalable-in-data-shipment case of Corollary 4, extending
-// the XPath partial-evaluation bounds of [10] to graph simulation.
+// Package treesim is dGPMt's coordinator (§5.2): distributed graph
+// simulation over tree data graphs whose fragments are connected
+// subtrees, with two rounds of site↔coordinator communication and data
+// shipment O(|Q||F|) — the parallel-scalable-in-data-shipment case of
+// Corollary 4, extending the XPath partial-evaluation bounds of [10] to
+// graph simulation. The sites are dGPM's (internal/dgpm, AlgoTree),
+// started from the same prepared engine as a dGPM query of the pattern.
 //
 // Protocol:
 //
@@ -25,6 +27,7 @@ package treesim
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"dgs/internal/cluster"
 	"dgs/internal/dgpm"
@@ -35,49 +38,6 @@ import (
 	"dgs/internal/simulation"
 	"dgs/internal/wire"
 )
-
-type treeSite struct {
-	q    *pattern.Pattern
-	frag *partition.Fragment
-
-	eng     *dgpm.Engine
-	pending []wire.Payload
-}
-
-func (s *treeSite) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
-	if s.eng == nil {
-		if c, ok := p.(*wire.Control); !ok || c.Op != dgpm.OpStart {
-			s.pending = append(s.pending, p)
-			return
-		}
-	}
-	switch m := p.(type) {
-	case *wire.Control:
-		switch m.Op {
-		case dgpm.OpStart:
-			s.eng = dgpm.NewEnginePlanned(s.q, s.frag, nil)
-			eqs, _ := s.eng.ExtractSubsystem(s.frag.InNodes)
-			ctx.Send(cluster.Coordinator, &wire.EqSystem{
-				Frag:      uint16(s.frag.ID),
-				Eqs:       eqs,
-				FalseVars: s.eng.Drain(),
-			})
-			for _, buf := range s.pending {
-				s.Recv(ctx, from, buf)
-			}
-			s.pending = nil
-		case dgpm.OpReport:
-			ctx.Send(cluster.Coordinator, &wire.Matches{
-				Frag:  uint16(s.frag.ID),
-				Pairs: s.eng.LocalMatches(),
-			})
-		}
-	case *wire.Values:
-		// Round 2: instantiated virtual-variable values (listed = false).
-		s.eng.ApplyFalsifications(m.False)
-		s.eng.Drain() // deaths of our own in-node are already known upstream
-	}
-}
 
 // solver is the coordinator's Boolean equation system (§5.2 step 2):
 // greatest-fixpoint propagation with group counters, the same discipline
@@ -211,7 +171,8 @@ func (c *treeCoord) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
 // a QueryTrace; traceID 0 disables tracing (nil trace) with wire traffic
 // byte-identical to an untraced run.
 func Eval(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr *partition.Fragmentation, traceID uint64) (*simulation.Match, cluster.Stats, *obs.QueryTrace, error) {
-	if _, ok := graph.IsTree(fr.CurrentGraph()); !ok {
+	g := fr.CurrentGraph()
+	if _, ok := graph.IsTree(g); !ok {
 		return nil, cluster.Stats{}, nil, fmt.Errorf("treesim: dGPMt requires a tree (or forest) data graph")
 	}
 	for _, f := range fr.Frags {
@@ -221,7 +182,7 @@ func Eval(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr *parti
 	}
 
 	coord := &treeCoord{}
-	spec := cluster.SessionSpec{Algo: Algo, Query: pattern.EncodeBinary(q), TraceID: traceID}
+	spec := cluster.SessionSpec{Algo: dgpm.AlgoTree, Query: pattern.EncodeBinary(q), TraceID: traceID}
 	stats, trace, err := c.Evaluate(ctx, spec, coord, func(sess *cluster.Session) error {
 		// Round 1: partial evaluation, equations to the coordinator.
 		if err := sess.Phase(ctx, &wire.Control{Op: dgpm.OpStart}); err != nil {
@@ -239,8 +200,8 @@ func Eval(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr *parti
 		// Round 2: per-site values of its virtual variables. The coordinator
 		// organized the fragmentation, so it knows each site's virtual nodes;
 		// only falsified values need shipping.
-		for i, f := range fr.Frags {
-			sess.Inject(i, &wire.Values{False: sv.falseFor(f.Virtual, q.NumNodes())})
+		for i, virt := range virtuals(g, fr.Assign, len(fr.Frags)) {
+			sess.Inject(i, &wire.Values{False: sv.falseFor(virt, q.NumNodes())})
 		}
 		if err := sess.WaitQuiesce(ctx); err != nil {
 			return err
@@ -260,15 +221,20 @@ func Eval(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr *parti
 	return m.Canonical(), stats, trace, nil
 }
 
-// Algo is the registered name of the dGPMt site.
-const Algo = "dgpmt"
-
-func init() {
-	cluster.RegisterAlgorithm(Algo, func(spec cluster.SessionSpec, frag *partition.Fragment, assign []int32) (cluster.Handler, error) {
-		q, err := pattern.DecodeBinary(spec.Query)
-		if err != nil {
-			return nil, err
+// virtuals lists, per fragment and ascending, the nodes of other
+// fragments that its local nodes have an edge to (Fi.O): the nodes whose
+// variables' solved values the fragment needs.
+func virtuals(g *graph.Graph, assign []int32, nf int) [][]graph.NodeID {
+	out := make([][]graph.NodeID, nf)
+	g.Edges(func(v, w graph.NodeID) bool {
+		if f := assign[v]; f != assign[w] {
+			out[f] = append(out[f], w)
 		}
-		return &treeSite{q: q, frag: frag}, nil
+		return true
 	})
+	for f, virt := range out {
+		slices.Sort(virt)
+		out[f] = slices.Compact(virt)
+	}
+	return out
 }
