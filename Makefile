@@ -10,7 +10,7 @@ FUZZTIME ?= 10s
 # benchmark/ is its own module that go build ./... does not see. The
 # inner-loop benchmarks run once each so that they cannot rot.
 tier1: vet dgsvet build race bench-check
-	$(GO) test -run '^$$' -bench 'SiteHostStorm|EngineBuild|EnginePrepared|EngineInbound|WarmSession|IndexBuild|IndexPatch' -benchtime=1x ./internal/cluster ./internal/dgpm
+	$(GO) test -run '^$$' -bench 'SiteHostStorm|EngineBuild|EnginePrepared|EngineInbound|WarmSession|IndexBuild|IndexPatch' -benchtime=1x ./internal/cluster ./internal/dgpm .
 
 # vet also fails on unformatted code: gofmt -l over every tracked .go
 # file outside testdata/ (analyzer fixtures such as wirecompletebad are
@@ -142,7 +142,7 @@ help:
 	@echo "  fuzz             fuzz targets for FUZZTIME each (default $(FUZZTIME))"
 	@echo "  docs             documentation lint (package comments, specs, ANALYSIS.md, docs/API.txt golden)"
 	@echo "  api              regenerate docs/API.txt (exported API + dgsrun/dgsd/dgsgw flags)"
-	@echo "  bench            root-package benchmarks without a recorded twin (HHK, dGPMt, chain gadget, deploy amortization), one iteration"
+	@echo "  bench            root-package benchmarks without a recorded twin (HHK, dGPMt, chain gadget, deploy amortization, warm dGPMd vs dGPM), one iteration"
 	@echo "  bench-check      build + vet + test + dgsvet the benchmark/ module against this tree"
 	@echo "  bench-smoke      the benchmark's five workloads at 1/20 scale, answers checked against the oracle"
 	@echo "                   (executor inner loop, no daemons, seconds: go test -run '^$$' -bench SiteHostStorm ./internal/cluster)"
@@ -151,6 +151,7 @@ help:
 	@echo "                   (restored engines absorbing falsification streams, seconds: go test -run '^$$' -bench EngineInbound ./internal/dgpm)"
 	@echo "                   (a warm query's site and assembly work, seconds: go test -run '^$$' -bench WarmSession ./internal/dgpm)"
 	@echo "                   (index upkeep under maintain-8's deletion batches, seconds: go test -run '^$$' -bench IndexPatch ./internal/dgpm)"
+	@echo "                   (warm dGPMd against warm dGPM on local-8's graph, seconds: go test -run '^$$' -bench WarmSessionDAG .)"
 	@echo "  smoke-tcp        two dgsd processes on loopback, all algorithms"
 	@echo "  gw-smoke         2 dgsd + 1 dgsgw over HTTP (cache + invalidation)"
 	@echo "  obs-smoke        metrics exposition + distributed trace end to end"

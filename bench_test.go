@@ -1,6 +1,7 @@
 // Benchmarks with no recorded twin elsewhere: the centralized HHK
-// kernel, dGPMt's two-round tree protocol, the Theorem 1 chain gadget
-// and what a resident Deployment amortizes. The paper's Fig. 6 DS
+// kernel, dGPMt's two-round tree protocol, the Theorem 1 chain gadget,
+// what a resident Deployment amortizes, and warm dGPMd against warm dGPM
+// on the same DAG patterns. The paper's Fig. 6 DS
 // orderings are count-based tests in internal/bench (DESIGN.md §6), and
 // incremental-vs-recompute maintenance is the benchmark/ module's
 // maintain-8 workload; they are not repeated here. ns/op is in-process
@@ -16,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
 )
 
 const (
@@ -151,6 +153,50 @@ func BenchmarkDeployAmortization(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkWarmSessionDAG is a warm query of dGPMd and of dGPM on the
+// same DAG patterns, through an in-process deployment of `local-8`'s
+// graph (web, 300k nodes and 1.5M edges, 8 block fragments): eight DAG
+// patterns, round-robin, each already run once per algorithm so that
+// every site restores its engine from prepared state. The two algorithms
+// share the site and its prepared state, so their ms/query differ by the
+// release alone: rank waves against the lMsg exchange.
+func BenchmarkWarmSessionDAG(b *testing.B) {
+	ctx := context.Background()
+	dict := NewDict()
+	g := GenWeb(dict, 300_000, 1_500_000, 1)
+	part, err := PartitionWith(g, "blocks", 8, WithPartitionSeed(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	dep := benchDeploy(b, part)
+	qs := make([]*Pattern, 8)
+	for i := range qs {
+		if qs[i], err = GenDAGPattern(dict, 4+i%2, 5+i%2, 3, int64(500+i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	algos := []Algorithm{AlgoDGPMd, AlgoDGPM}
+	for _, q := range qs {
+		for _, algo := range algos {
+			if _, err := dep.Query(ctx, q, WithAlgorithm(algo)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for _, algo := range algos {
+		b.Run(algo.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := dep.Query(ctx, qs[i%len(qs)], WithAlgorithm(algo)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed())/float64(time.Millisecond)/float64(b.N), "ms/query")
 		})
 	}
 }

@@ -1,21 +1,15 @@
 package dgs
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
-func TestSimulateDualSubsetOfPlain(t *testing.T) {
-	_, g, q, _ := testWorld(t, true)
-	plain := Simulate(q, g)
-	dual := SimulateDual(q, g)
-	for u := 0; u < q.NumNodes(); u++ {
-		for _, v := range dual.MatchesOf(QNode(u)) {
-			if !plain.Contains(QNode(u), v) {
-				t.Fatalf("dual pair (u%d,%d) not in plain simulation", u, v)
-			}
-		}
-	}
-}
-
+// TestIncrementalFacade drives the public incremental-maintenance path,
+// Deployment.Watch kept current by Apply, on the smallest case: one edge,
+// its deletion, and a second deletion of the same edge.
 func TestIncrementalFacade(t *testing.T) {
+	ctx := context.Background()
 	dict := NewDict()
 	b := NewGraphBuilder(dict)
 	va := b.AddNode("A")
@@ -29,20 +23,34 @@ func TestIncrementalFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc := NewIncremental(q, g)
-	if !inc.Current().Ok() {
-		t.Fatal("initial match expected")
-	}
-	if err := inc.DeleteEdge(va, vb); err != nil {
+	part, err := PartitionWith(g, "blocks", 2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if inc.Current().Ok() {
+	dep, err := Deploy(part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.Close()
+	w, err := dep.Watch(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if !w.Current().Ok() {
+		t.Fatal("initial match expected")
+	}
+	st, err := dep.Apply(ctx, []EdgeOp{DeleteOp(va, vb)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Current().Ok() {
 		t.Fatal("match must vanish after deletion")
 	}
-	if inc.Affected() == 0 {
-		t.Fatal("AFF must be positive")
+	if st.Reevaluated != 0 {
+		t.Fatalf("a deletion-only batch re-evaluated %d standing queries; it must refine them incrementally", st.Reevaluated)
 	}
-	if err := inc.DeleteEdge(va, vb); err == nil {
+	if _, err := dep.Apply(ctx, []EdgeOp{DeleteOp(va, vb)}); err == nil {
 		t.Fatal("double delete must error")
 	}
 }

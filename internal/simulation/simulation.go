@@ -183,15 +183,6 @@ type state struct {
 	alive  [][]bool
 	cnt    [][]int32 // [edgeIdx][v]
 	queue  []pair
-	// dead counts falsified variables, maintained by kill — O(1)
-	// bookkeeping so |AFF| reporting never rescans the relation.
-	dead int
-
-	// deleted marks graph edges removed by incremental maintenance
-	// (packed v<<32|w); nil for plain one-shot evaluation. Propagation
-	// must not walk deleted edges, or counters would be decremented for
-	// witnesses that were already discounted at deletion time.
-	deleted map[uint64]bool
 }
 
 type pair struct {
@@ -256,7 +247,6 @@ func (st *state) kill(u pattern.QNode, v graph.NodeID) {
 		return
 	}
 	st.alive[u][v] = false
-	st.dead++
 	st.queue = append(st.queue, pair{u, v})
 }
 
@@ -270,9 +260,6 @@ func (st *state) refineAll() {
 		for _, e := range st.eIn[p.u] {
 			up := st.qedges[e].parent
 			for _, vp := range st.g.Pred(p.v) {
-				if st.deleted != nil && st.deleted[uint64(vp)<<32|uint64(p.v)] {
-					continue
-				}
 				st.cnt[e][vp]--
 				if st.cnt[e][vp] == 0 && st.alive[up][vp] {
 					st.kill(up, vp)

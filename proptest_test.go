@@ -156,11 +156,10 @@ func runPropCase(t *testing.T, pc *propCase) {
 	}
 }
 
-// TestPropertyDeletionOnlyAffectedMonotone cross-checks the distributed
-// maintenance against the centralized Incremental engine on
-// deletion-only streams: both must land on the oracle, and the
-// centralized |AFF| accounting must match a full scan (the countDead
-// regression surface).
+// TestPropertyDeletionOnlyVsCentralizedIncremental holds the distributed
+// maintenance on deletion-only streams against the centralized oracle:
+// after every batch, a standing query's relation equals Simulate on the
+// mutated graph.
 func TestPropertyDeletionOnlyVsCentralizedIncremental(t *testing.T) {
 	seeds := 12
 	if testing.Short() {
@@ -191,23 +190,14 @@ func TestPropertyDeletionOnlyVsCentralizedIncremental(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
-			inc := NewIncremental(q, g)
 			stream := GenUpdateStream(g, 1+r.Intn(ne/2+1), 0, r.Int63())
 			for bi, batch := range BatchOps(stream, 1+r.Intn(6)) {
 				if _, err := dep.Apply(ctx, batch); err != nil {
 					t.Fatalf("seed %d batch %d: %v", seed, bi, err)
 				}
-				for _, op := range batch {
-					if err := inc.DeleteEdge(op.V, op.W); err != nil {
-						t.Fatalf("seed %d batch %d: centralized delete: %v", seed, bi, err)
-					}
-				}
 				oracle := Simulate(q, part.CurrentGraph())
 				if !w.Current().Equal(oracle) {
 					t.Fatalf("seed %d batch %d: distributed maintenance diverges", seed, bi)
-				}
-				if !inc.Current().Equal(oracle) {
-					t.Fatalf("seed %d batch %d: centralized incremental diverges", seed, bi)
 				}
 			}
 		})
