@@ -10,7 +10,7 @@ FUZZTIME ?= 10s
 # benchmark/ is its own module that go build ./... does not see. The
 # inner-loop benchmarks run once each so that they cannot rot.
 tier1: vet dgsvet build race bench-check
-	$(GO) test -run '^$$' -bench 'SiteHostStorm|EngineBuild|EnginePrepared|EngineInbound|WarmSession|IndexBuild|IndexPatch' -benchtime=1x ./internal/cluster ./internal/dgpm .
+	$(GO) test -run '^$$' -bench 'SiteHostStorm|EngineBuild|EnginePrepared|EngineInbound|WarmSession|IndexBuild|IndexPatch|FragmentHeap' -benchtime=1x ./internal/cluster ./internal/dgpm .
 
 # vet also fails on unformatted code: gofmt -l over every tracked .go
 # file outside testdata/ (analyzer fixtures such as wirecompletebad are

@@ -176,7 +176,7 @@ func confTrafficOf(algo Algorithm, st Stats) confTraffic {
 // whole matrix.
 const confGolden = "testdata/conformance.golden"
 
-var confUpdate = flag.Bool("update", false, "rewrite "+confGolden+" from this run of TestConformanceMatrix")
+var update = flag.Bool("update", false, "rewrite the testdata/*.golden files of the golden tests this run visits")
 
 // confLine is a cell's golden line: its name, a hash of the answer, what
 // it pushed, its schedule-free shipment (confTrafficOf) and the bytes of
@@ -199,7 +199,7 @@ func confLine(name string, m *Match, push confPush, tr confTraffic, resultBytes 
 func readConfGolden(t *testing.T) map[string]string {
 	t.Helper()
 	out := make(map[string]string)
-	if *confUpdate {
+	if *update {
 		return out
 	}
 	b, err := os.ReadFile(confGolden)
@@ -397,7 +397,7 @@ func TestConformanceMatrix(t *testing.T) {
 								}
 								shipped[name] = tr
 								line := confLine(name, res.Match, got, tr, res.Stats.ResultBytes)
-								if *confUpdate {
+								if *update {
 									seen[name] = line
 								} else if want := golden[name]; line != want {
 									t.Fatalf("golden mismatch (go test -run TestConformanceMatrix -update rewrites %s)\nwant %q\ngot  %q", confGolden, want, line)
@@ -467,7 +467,7 @@ func TestConformanceMatrix(t *testing.T) {
 			}
 		})
 	}
-	if *confUpdate {
+	if *update {
 		writeConfGolden(t, seen)
 	}
 }

@@ -417,6 +417,58 @@ func localEight(tb testing.TB, nodes, edges int) (*partition.Fragmentation, []*p
 	return fr, qs
 }
 
+// BenchmarkFragmentHeap reports the heap the eight `local-8` fragments
+// retain once indexed, as a site holds them: MB-decoded after
+// DecodeFragment and Index, MB-built after Build and Index. The graph and
+// the owner directory are shared with the rest of the process and not
+// counted.
+func BenchmarkFragmentHeap(b *testing.B) {
+	fr, _ := localEight(b, 300_000, 1_500_000)
+	encs := make([][]byte, len(fr.Frags))
+	for i, f := range fr.Frags {
+		encs[i] = partition.AppendFragment(nil, f)
+	}
+	g, assign := fr.G, fr.Assign
+	fr = nil // only the encodings stay
+	retained := func(load func() any) float64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		held := load()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(held)
+		return float64(after.HeapAlloc-before.HeapAlloc) / 1e6
+	}
+	var decoded, built float64
+	for i := 0; i < b.N; i++ {
+		decoded = retained(func() any {
+			frags := make([]*partition.Fragment, len(encs))
+			for j, enc := range encs {
+				f, _, err := partition.DecodeFragment(enc)
+				if err != nil {
+					b.Fatal(err)
+				}
+				f.Index()
+				frags[j] = f
+			}
+			return frags
+		})
+		built = retained(func() any {
+			bf, err := partition.Build(g, assign, len(encs))
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, f := range bf.Frags {
+				f.Index()
+			}
+			return bf.Frags
+		})
+	}
+	b.ReportMetric(decoded, "MB-decoded")
+	b.ReportMetric(built, "MB-built")
+}
+
 var engineSink *Engine
 
 // BenchmarkEngineBuild is engine construction's inner loop: one op is one
