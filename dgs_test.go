@@ -188,7 +188,9 @@ func TestReadGraphDictMatchesFragments(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range part.fr.Frags {
-		for v, l := range f.Labels {
+		ix := f.Index()
+		for i, v := range ix.Vis {
+			l := ix.Labels[i]
 			id, ok := g2.Dict().Lookup(g2.LabelName(v))
 			if !ok || id != l {
 				t.Fatalf("fragment %d node %d carries label id %d, the loaded dictionary resolves %q to %d (found=%v)",

@@ -98,17 +98,29 @@ func toGlobal(m *simulation.Match, ids []uint32) *simulation.Match {
 // fragmentSubgraph serializes an entire fragment: its local nodes with
 // labels and all its edges (including crossing edges).
 func fragmentSubgraph(f *partition.Fragment) *wire.Subgraph {
+	ix := f.Index()
 	sg := &wire.Subgraph{}
-	for _, v := range f.Local {
+	lis := localIndices(f, ix)
+	for i, v := range f.Local {
 		sg.Nodes = append(sg.Nodes, uint32(v))
-		sg.Labels = append(sg.Labels, uint16(f.Labels[v]))
+		sg.Labels = append(sg.Labels, uint16(ix.Labels[lis[i]]))
 	}
-	for _, v := range f.Local {
-		for _, w := range f.Succ[v] {
-			sg.Edges = append(sg.Edges, [2]uint32{uint32(v), uint32(w)})
+	for i, v := range f.Local {
+		for _, wi := range ix.Succ[lis[i]] {
+			sg.Edges = append(sg.Edges, [2]uint32{uint32(v), uint32(ix.Vis[wi])})
 		}
 	}
 	return sg
+}
+
+// localIndices lists the index of each of f's local nodes in ix, in
+// Local order: the order the sites ship and update nodes in.
+func localIndices(f *partition.Fragment, ix *partition.Index) []int32 {
+	lis := make([]int32, len(f.Local))
+	for i, v := range f.Local {
+		lis[i], _ = ix.Find(v)
+	}
+	return lis
 }
 
 // shipSite answers opShip with the whole fragment (Match).

@@ -44,24 +44,28 @@ func (s *candSite) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
 	if !ok || c.Op != opCands {
 		return
 	}
+	ix := s.frag.Index()
 	sg := &wire.Subgraph{}
-	cand := make(map[uint32]bool, len(s.frag.Local))
-	for _, v := range s.frag.Local {
-		if isCandidate(s.q, s.frag.Labels[v]) {
-			cand[uint32(v)] = true
+	lis := localIndices(s.frag, ix)
+	cand := make([]bool, len(ix.Vis)) // by index into ix.Vis
+	for vi, l := range ix.Labels {
+		cand[vi] = isCandidate(s.q, l)
+	}
+	for i, v := range s.frag.Local {
+		if li := lis[i]; cand[li] {
 			sg.Nodes = append(sg.Nodes, uint32(v))
-			sg.Labels = append(sg.Labels, uint16(s.frag.Labels[v]))
+			sg.Labels = append(sg.Labels, uint16(ix.Labels[li]))
 		}
 	}
 	// Keep every edge between candidates; edges to candidate virtual
 	// nodes ride along (their owner ships the node entry).
-	for _, v := range s.frag.Local {
-		if !cand[uint32(v)] {
+	for i, v := range s.frag.Local {
+		if !cand[lis[i]] {
 			continue
 		}
-		for _, w := range s.frag.Succ[v] {
-			if cand[uint32(w)] || (s.frag.IsVirtual(w) && isCandidate(s.q, s.frag.Labels[w])) {
-				sg.Edges = append(sg.Edges, [2]uint32{uint32(v), uint32(w)})
+		for _, wi := range ix.Succ[lis[i]] {
+			if cand[wi] {
+				sg.Edges = append(sg.Edges, [2]uint32{uint32(v), uint32(ix.Vis[wi])})
 			}
 		}
 	}

@@ -47,6 +47,8 @@ func (b bitset) clone() bitset { return append(bitset(nil), b...) }
 type dmesSite struct {
 	q    *pattern.Pattern
 	frag *partition.Fragment
+	ix   *partition.Index
+	lis  []int32 // index in ix of each local node, in Local order
 
 	nq    int
 	state map[graph.NodeID]bitset // local vertices' candidate sets
@@ -56,22 +58,23 @@ type dmesSite struct {
 }
 
 func newDmesSite(q *pattern.Pattern, frag *partition.Fragment) *dmesSite {
-	s := &dmesSite{q: q, frag: frag, nq: q.NumNodes()}
+	ix := frag.Index()
+	s := &dmesSite{q: q, frag: frag, ix: ix, lis: localIndices(frag, ix), nq: q.NumNodes()}
 	s.state = make(map[graph.NodeID]bitset, len(frag.Local))
-	for _, v := range frag.Local {
+	for i, v := range frag.Local {
 		bs := newBitset(s.nq)
 		for u := 0; u < s.nq; u++ {
-			if q.Label(pattern.QNode(u)) == frag.Labels[v] {
+			if q.Label(pattern.QNode(u)) == ix.Labels[s.lis[i]] {
 				bs.set(u)
 			}
 		}
 		s.state[v] = bs
 	}
 	s.known = make(map[graph.NodeID]bitset, len(frag.Virtual))
-	for _, v := range frag.Virtual {
+	for j, v := range frag.Virtual {
 		bs := newBitset(s.nq)
 		for u := 0; u < s.nq; u++ {
-			if q.Label(pattern.QNode(u)) == frag.Labels[v] {
+			if q.Label(pattern.QNode(u)) == ix.Labels[int(ix.NL)+j] {
 				bs.set(u)
 			}
 		}
@@ -126,7 +129,7 @@ func (s *dmesSite) superstep(ctx *cluster.Ctx, step uint32) {
 	// (2) vertex-centric recompute of every local vertex — deliberately
 	// from scratch, per the unoptimized vertex program of [14].
 	changed := make(map[graph.NodeID]bool)
-	for _, v := range s.frag.Local {
+	for i, v := range s.frag.Local {
 		bs := s.state[v]
 		next := bs.clone()
 		for u := 0; u < s.nq; u++ {
@@ -136,8 +139,8 @@ func (s *dmesSite) superstep(ctx *cluster.Ctx, step uint32) {
 			ok := true
 			for _, uc := range s.q.Succ(pattern.QNode(u)) {
 				found := false
-				for _, w := range s.frag.Succ[v] {
-					if s.vecOf(w).get(int(uc)) {
+				for _, wi := range s.ix.Succ[s.lis[i]] {
+					if s.vecOf(s.ix.Vis[wi]).get(int(uc)) {
 						found = true
 						break
 					}

@@ -23,7 +23,6 @@ import (
 	"context"
 
 	"dgs/internal/cluster"
-	"dgs/internal/graph"
 	"dgs/internal/partition"
 	"dgs/internal/wire"
 )
@@ -49,23 +48,10 @@ func (s *checkSite) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
 // Summarize performs the local half of the protocol: a local cycle check
 // plus in-node → virtual reachability pairs.
 func Summarize(f *partition.Fragment) (localCyclic bool, pairs [][2]uint32) {
-	// Dense local indexing (locals then virtuals), mirroring the engine.
-	idx := make(map[graph.NodeID]int32, len(f.Local)+len(f.Virtual))
-	for i, v := range f.Local {
-		idx[v] = int32(i)
-	}
-	nl := len(f.Local)
-	for i, v := range f.Virtual {
-		idx[v] = int32(nl + i)
-	}
-	// Local-only adjacency for the cycle check; full adjacency for
-	// reachability (virtual nodes are sinks).
-	succ := make([][]int32, nl)
-	for li, v := range f.Local {
-		for _, w := range f.Succ[v] {
-			succ[li] = append(succ[li], idx[w])
-		}
-	}
+	// The fragment's index: locals then virtuals, virtual nodes sinks.
+	ix := f.Index()
+	nl := int(ix.NL)
+	succ := ix.Succ
 
 	// Tarjan-free cycle check: Kahn's algorithm over local nodes.
 	indeg := make([]int32, nl)
@@ -106,7 +92,7 @@ func Summarize(f *partition.Fragment) (localCyclic bool, pairs [][2]uint32) {
 		mark[i] = -1
 	}
 	for ii, in := range f.InNodes {
-		start := idx[in]
+		start := ix.In[ii]
 		stack := []int32{start}
 		mark[start] = int32(ii)
 		for len(stack) > 0 {
@@ -114,7 +100,7 @@ func Summarize(f *partition.Fragment) (localCyclic bool, pairs [][2]uint32) {
 			stack = stack[:len(stack)-1]
 			for _, w := range succ[v] {
 				if w >= int32(nl) {
-					pairs = append(pairs, [2]uint32{uint32(in), uint32(f.Virtual[w-int32(nl)])})
+					pairs = append(pairs, [2]uint32{uint32(in), uint32(ix.Vis[w])})
 					continue
 				}
 				if mark[w] != int32(ii) {

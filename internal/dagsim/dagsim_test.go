@@ -228,7 +228,7 @@ func TestQuickMessagePlanBound(t *testing.T) {
 			ranks := map[int]bool{}
 			for _, v := range f.InNodes {
 				for _, w := range f.InWatchers[v] {
-					for _, rr := range ri.ShipRanks(f.Labels[v]) {
+					for _, rr := range ri.ShipRanks(fr.G.Label(v)) {
 						k := [2]int{w, rr}
 						if !seen[k] {
 							seen[k] = true

@@ -109,7 +109,7 @@ func checkVerdict(t *testing.T, what string, q *pattern.Pattern, frag *partition
 	var batch []wire.VarRef
 	for _, v := range frag.Virtual {
 		for u := range q.NumNodes() {
-			if qu := pattern.QNode(u); len(q.Succ(qu)) > 0 && q.Label(qu) == frag.Labels[v] {
+			if qu := pattern.QNode(u); len(q.Succ(qu)) > 0 && q.Label(qu) == fragLabel(frag, v) {
 				batch = append(batch, wire.VarRef{U: uint16(u), V: uint32(v)})
 				break
 			}
@@ -185,7 +185,7 @@ func checkPrepared(t *testing.T, r *rand.Rand, what string, q *pattern.Pattern, 
 
 	var edges [][2]graph.NodeID
 	for _, v := range frag.Local {
-		for _, w := range frag.Succ[v] {
+		for _, w := range fragSucc(frag, v) {
 			if r.Intn(4) == 0 {
 				edges = append(edges, [2]graph.NodeID{v, w})
 			}
@@ -230,10 +230,10 @@ func TestStaleEngineNotFiledOnCurrentIndex(t *testing.T) {
 	stale := frag.Index()
 	e := build(q, frag, stale)
 	v := frag.Local[0]
-	for len(frag.Succ[v]) == 0 {
+	for len(fragSucc(frag, v)) == 0 {
 		v++
 	}
-	if err := partition.ApplyBatchLocal(fr, [][2]graph.NodeID{{v, frag.Succ[v][0]}}, nil); err != nil {
+	if err := partition.ApplyBatchLocal(fr, [][2]graph.NodeID{{v, fragSucc(frag, v)[0]}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	e.file(key, DefaultConfig())

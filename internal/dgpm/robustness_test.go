@@ -30,7 +30,7 @@ func TestQuickDuplicateDeliveryHarmless(t *testing.T) {
 			var ext []wire.VarRef
 			for _, v := range frag.Virtual {
 				for u := 0; u < q.NumNodes(); u++ {
-					if q.Label(pattern.QNode(u)) == frag.Labels[v] && r.Intn(2) == 0 {
+					if q.Label(pattern.QNode(u)) == fragLabel(frag, v) && r.Intn(2) == 0 {
 						ext = append(ext, wire.VarRef{U: uint16(u), V: uint32(v)})
 					}
 				}

@@ -35,10 +35,11 @@ func TestBuildParallelMatchesSerial(t *testing.T) {
 				a, b := serial.Frags[i], parallel.Frags[i]
 				if !reflect.DeepEqual(a.Local, b.Local) || !reflect.DeepEqual(a.Virtual, b.Virtual) ||
 					!reflect.DeepEqual(a.InNodes, b.InNodes) || !reflect.DeepEqual(a.InWatchers, b.InWatchers) ||
-					!reflect.DeepEqual(a.Succ, b.Succ) || !reflect.DeepEqual(a.Labels, b.Labels) ||
-					!reflect.DeepEqual(a.crossCnt, b.crossCnt) ||
 					a.numEdges != b.numEdges || a.numCrossing != b.numCrossing {
 					t.Fatalf("|V|=%d n=%d: fragment %d diverges between serial and parallel build", nn, n, i)
+				}
+				if d := indexDiff(a.Index(), b.Index()); d != "" {
+					t.Fatalf("|V|=%d n=%d: fragment %d's index diverges between serial and parallel build: %s", nn, n, i, d)
 				}
 			}
 			if err := parallel.Validate(); err != nil {

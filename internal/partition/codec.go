@@ -4,10 +4,10 @@ package partition
 // deployment uses to make a fragment resident at a remote site server
 // (cmd/dgsd). The encoding carries exactly the state §2.2 defines —
 // local nodes with labels and adjacency, virtual nodes with labels,
-// in-nodes with their watcher annotations — and the decoder
-// recomputes the derived counters (edge totals, crossing counts), so a
-// decoded fragment is Validate-equivalent to the original and ready for
-// live mutation (DeleteEdge/InsertEdge bookkeeping included).
+// in-nodes with their watcher annotations — read off the fragment's
+// index, and the decoder fills a fresh index with it directly and
+// recounts the edge totals, so a decoded fragment is Validate-equivalent
+// to the original and ready for live mutation.
 //
 // Layout (little-endian), per fragment:
 //
@@ -22,8 +22,9 @@ package partition
 // in place by maintenance sessions after shipping.
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dgs/internal/graph"
 	"dgs/internal/wire"
@@ -34,16 +35,21 @@ func appendU16(dst []byte, x uint16) []byte { return wire.AppendUint16(dst, x) }
 
 // AppendFragment appends f's wire encoding to dst.
 func AppendFragment(dst []byte, f *Fragment) []byte {
+	ix := f.Index()
+	lis := make([]int32, len(f.Local))
+	for i, v := range f.Local {
+		lis[i], _ = ix.Find(v)
+	}
 	dst = appendU32(dst, uint32(f.ID))
 	dst = appendU32(dst, uint32(len(f.Local)))
-	for _, v := range f.Local {
+	for i, v := range f.Local {
 		dst = appendU32(dst, v)
-		dst = appendU16(dst, f.Labels[v])
+		dst = appendU16(dst, ix.Labels[lis[i]])
 	}
 	dst = appendU32(dst, uint32(len(f.Virtual)))
-	for _, v := range f.Virtual {
+	for j, v := range f.Virtual {
 		dst = appendU32(dst, v)
-		dst = appendU16(dst, f.Labels[v])
+		dst = appendU16(dst, ix.Labels[int(ix.NL)+j])
 	}
 	dst = appendU32(dst, uint32(len(f.InNodes)))
 	for _, v := range f.InNodes {
@@ -54,19 +60,19 @@ func AppendFragment(dst []byte, f *Fragment) []byte {
 			dst = appendU32(dst, uint32(w))
 		}
 	}
-	for _, v := range f.Local {
-		succ := f.Succ[v]
+	for _, li := range lis {
+		succ := ix.Succ[li]
 		dst = appendU32(dst, uint32(len(succ)))
-		for _, w := range succ {
-			dst = appendU32(dst, w)
+		for _, wi := range succ {
+			dst = appendU32(dst, ix.Vis[wi])
 		}
 	}
 	return dst
 }
 
 // DecodeFragment parses one AppendFragment encoding from the front of b
-// and returns the fragment plus the remaining bytes. It refuses a
-// fragment without the structure the rest of the system relies on:
+// and returns the fragment, indexed, plus the remaining bytes. It refuses
+// a fragment without the structure the rest of the system relies on:
 // Local, Virtual, InNodes, every watcher list and every successor row
 // strictly ascending (so sorted and duplicate-free), Local and Virtual
 // disjoint, every in-node local, every successor visible. Each count is
@@ -80,35 +86,28 @@ func DecodeFragment(b []byte) (*Fragment, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	f := &Fragment{
-		ID:         int(id),
-		Succ:       make(map[graph.NodeID][]graph.NodeID),
-		Labels:     make(map[graph.NodeID]graph.Label),
-		InWatchers: make(map[graph.NodeID][]int),
-		crossCnt:   make(map[graph.NodeID]int),
-	}
+	f := &Fragment{ID: int(id), InWatchers: make(map[graph.NodeID][]int)}
 	// A local costs 6 bytes here and a 4-byte degree at the end.
 	nl, err := readCount(r, 10, "local")
 	if err != nil {
 		return nil, nil, err
 	}
 	f.Local = make([]graph.NodeID, nl)
+	labels := make([]graph.Label, nl) // the locals', then the virtuals'
 	for i := range f.Local {
-		v, err := readAscending(r, f.Local[:i], "local")
-		if err != nil {
+		if f.Local[i], err = readAscending(r, f.Local[:i], "local"); err != nil {
 			return nil, nil, err
 		}
-		l, err := r.U16()
-		if err != nil {
+		if labels[i], err = r.U16(); err != nil {
 			return nil, nil, err
 		}
-		f.Local[i], f.Labels[v] = v, l
 	}
 	nv, err := readCount(r, 6, "virtual")
 	if err != nil {
 		return nil, nil, err
 	}
 	f.Virtual = make([]graph.NodeID, nv)
+	labels = slices.Grow(labels, nv)[:nl+nv]
 	for i := range f.Virtual {
 		v, err := readAscending(r, f.Virtual[:i], "virtual")
 		if err != nil {
@@ -117,11 +116,10 @@ func DecodeFragment(b []byte) (*Fragment, []byte, error) {
 		if f.IsLocal(v) {
 			return nil, nil, fmt.Errorf("partition: fragment %d holds node %d as both local and virtual", id, v)
 		}
-		l, err := r.U16()
-		if err != nil {
+		f.Virtual[i] = v
+		if labels[nl+i], err = r.U16(); err != nil {
 			return nil, nil, err
 		}
-		f.Virtual[i], f.Labels[v] = v, l
 	}
 	ni, err := readCount(r, 8, "in-node")
 	if err != nil {
@@ -157,23 +155,17 @@ func DecodeFragment(b []byte) (*Fragment, []byte, error) {
 		}
 		f.InWatchers[v] = ws
 	}
-	for _, v := range f.Local {
-		row, err := readRow(r)
-		if err != nil {
-			return nil, nil, err
-		}
-		if len(row) == 0 {
-			continue
-		}
-		f.Succ[v] = row
-		f.numEdges += len(row)
-		for _, w := range row {
-			if f.IsVirtual(w) {
-				f.numCrossing++
-				f.crossCnt[w]++
-			} else if _, visible := f.Labels[w]; !visible {
-				return nil, nil, fmt.Errorf("partition: fragment %d has edge (%d,%d) to a node it cannot see", id, v, w)
-			}
+	var row []graph.NodeID
+	if f.idx, err = buildIndex(f, labels, func(int) ([]graph.NodeID, error) {
+		row, err = readRow(r, row)
+		return row, err
+	}); err != nil {
+		return nil, nil, err
+	}
+	for vi, p := range f.idx.Pred {
+		f.numEdges += len(p)
+		if vi >= int(f.idx.NL) {
+			f.numCrossing += len(p)
 		}
 	}
 	return f, r.Rest(), nil
@@ -205,27 +197,29 @@ func readAscending(r *wire.ByteReader, prev []graph.NodeID, what string) (graph.
 	return x, nil
 }
 
-// readRow reads a count-prefixed, strictly ascending successor row.
-func readRow(r *wire.ByteReader) ([]graph.NodeID, error) {
+// readRow reads a count-prefixed, strictly ascending successor row into
+// row's storage.
+func readRow(r *wire.ByteReader, row []graph.NodeID) ([]graph.NodeID, error) {
 	n, err := readCount(r, 4, "successor")
 	if err != nil {
 		return nil, err
 	}
-	row := make([]graph.NodeID, n)
-	for i := range row {
-		if row[i], err = readAscending(r, row[:i], "successor"); err != nil {
+	row = row[:0]
+	for range n {
+		w, err := readAscending(r, row, "successor")
+		if err != nil {
 			return nil, err
 		}
+		row = append(row, w)
 	}
 	return row, nil
 }
 
 // CloneFragment deep-copies f through a codec round-trip. The copy
-// shares nothing with the original — in particular not the CSR
-// adjacency slices Build lets pristine fragments alias — so it can be
-// mutated independently: the re-hosting primitive for in-process
-// failover, where a recovered site must start from the driver's
-// committed state rather than the survivor's object.
+// shares nothing with the original — not even its index or the state
+// filed on it — so it can be mutated independently: the re-hosting
+// primitive for in-process failover, where a recovered site must start
+// from the driver's committed state rather than the survivor's object.
 func CloneFragment(f *Fragment) *Fragment {
 	c, rest, err := DecodeFragment(AppendFragment(nil, f))
 	if err != nil || len(rest) != 0 {
@@ -255,56 +249,46 @@ func FragmentationFromParts(assign []int32, frags []*Fragment) *Fragmentation {
 // recounts boundary stats. Labels for insertion targets come from fr.G,
 // owners from fr.Assign. Errors indicate a validation bug upstream.
 func ApplyBatchLocal(fr *Fragmentation, dels, ins [][2]graph.NodeID) error {
-	// Track pre-batch virtual status per (fragment, target) so watcher
-	// notices reflect the batch's NET effect, exactly like the session.
-	type fragTarget struct {
+	// Each crossing edit's target and whether its source's fragment held
+	// it as virtual beforehand: the first record of a (fragment, target)
+	// pair is its status before the batch, so that watcher notices
+	// reflect the batch's NET effect, exactly like the session's.
+	type target struct {
 		frag int
-		node graph.NodeID
+		w    graph.NodeID
+		was  bool
 	}
-	wasVirtual := make(map[fragTarget]bool)
-	record := func(fi int, w graph.NodeID) {
-		f := fr.Frags[fi]
-		if f.IsLocal(w) {
-			return
+	var targets []target
+	source := func(e [2]graph.NodeID) *Fragment {
+		f := fr.Frags[fr.Assign[e[0]]]
+		if !f.IsLocal(e[1]) {
+			targets = append(targets, target{f.ID, e[1], f.IsVirtual(e[1])})
 		}
-		k := fragTarget{fi, w}
-		if _, seen := wasVirtual[k]; !seen {
-			wasVirtual[k] = f.IsVirtual(w)
-		}
+		return f
 	}
 	for _, e := range dels {
-		fi := int(fr.Assign[e[0]])
-		record(fi, e[1])
-		if _, err := fr.Frags[fi].DeleteEdge(e[0], e[1]); err != nil {
+		if _, err := source(e).DeleteEdge(e[0], e[1]); err != nil {
 			return err
 		}
 	}
 	for _, e := range ins {
-		fi := int(fr.Assign[e[0]])
-		record(fi, e[1])
-		if _, err := fr.Frags[fi].InsertEdge(e[0], e[1], fr.G.Label(e[1])); err != nil {
+		if _, err := source(e).InsertEdge(e[0], e[1], fr.G.Label(e[1])); err != nil {
 			return err
 		}
 	}
-	keys := make([]fragTarget, 0, len(wasVirtual))
-	for k := range wasVirtual {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].frag != keys[j].frag {
-			return keys[i].frag < keys[j].frag
-		}
-		return keys[i].node < keys[j].node
+	slices.SortStableFunc(targets, func(a, b target) int {
+		return cmp.Or(cmp.Compare(a.frag, b.frag), cmp.Compare(a.w, b.w))
 	})
-	for _, k := range keys {
-		was := wasVirtual[k]
-		now := fr.Frags[k.frag].IsVirtual(k.node)
-		owner := fr.Frags[fr.Assign[k.node]]
-		switch {
-		case now && !was:
-			owner.AddWatcher(k.node, k.frag)
-		case was && !now:
-			owner.RemoveWatcher(k.node, k.frag)
+	for i, t := range targets {
+		if i > 0 && targets[i-1].frag == t.frag && targets[i-1].w == t.w {
+			continue
+		}
+		owner := fr.Frags[fr.Assign[t.w]]
+		switch now := fr.Frags[t.frag].IsVirtual(t.w); {
+		case now && !t.was:
+			owner.AddWatcher(t.w, t.frag)
+		case t.was && !now:
+			owner.RemoveWatcher(t.w, t.frag)
 		}
 	}
 	fr.RecountBoundary()

@@ -1,12 +1,83 @@
 package partition
 
 import (
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dgs/internal/graph"
+	"dgs/internal/wire"
 )
+
+// plainFragment is a fragment in a form a test can mangle at will: its
+// adjacency and labels by node ID, read off the index by plainOf, and its
+// wire encoding written by encode, apart from AppendFragment.
+type plainFragment struct {
+	ID                      int
+	Local, Virtual, InNodes []graph.NodeID
+	Succ                    map[graph.NodeID][]graph.NodeID
+	Labels                  map[graph.NodeID]graph.Label
+	InWatchers              map[graph.NodeID][]int
+}
+
+func plainOf(f *Fragment) *plainFragment {
+	ix := f.Index()
+	p := &plainFragment{
+		ID:         f.ID,
+		Local:      slices.Clone(f.Local),
+		Virtual:    slices.Clone(f.Virtual),
+		InNodes:    slices.Clone(f.InNodes),
+		Succ:       make(map[graph.NodeID][]graph.NodeID),
+		Labels:     make(map[graph.NodeID]graph.Label),
+		InWatchers: maps.Clone(f.InWatchers),
+	}
+	for i, v := range ix.Vis {
+		p.Labels[v] = ix.Labels[i]
+		if i < int(ix.NL) {
+			p.Succ[v] = succOf(f, v)
+		}
+	}
+	return p
+}
+
+// encode writes the fragment in the wire layout codec.go documents.
+func (p *plainFragment) encode() []byte {
+	u32 := wire.AppendUint32
+	b := u32(nil, uint32(p.ID))
+	for _, vs := range [2][]graph.NodeID{p.Local, p.Virtual} {
+		b = u32(b, uint32(len(vs)))
+		for _, v := range vs {
+			b = wire.AppendUint16(u32(b, v), p.Labels[v])
+		}
+	}
+	b = u32(b, uint32(len(p.InNodes)))
+	for _, v := range p.InNodes {
+		b = u32(u32(b, v), uint32(len(p.InWatchers[v])))
+		for _, w := range p.InWatchers[v] {
+			b = u32(b, uint32(w))
+		}
+	}
+	for _, v := range p.Local {
+		b = u32(b, uint32(len(p.Succ[v])))
+		for _, w := range p.Succ[v] {
+			b = u32(b, w)
+		}
+	}
+	return b
+}
+
+// succOf lists local v's successors by node ID, as f's index holds them.
+func succOf(f *Fragment, v graph.NodeID) []graph.NodeID {
+	ix := f.Index()
+	li, _ := ix.Find(v)
+	var row []graph.NodeID
+	for _, wi := range ix.Succ[li] {
+		row = append(row, ix.Vis[wi])
+	}
+	return row
+}
 
 // randomFragmentation builds a labeled random graph and a random
 // assignment — enough structure to exercise every codec field.
@@ -75,18 +146,15 @@ func TestFragmentCodecRoundTrip(t *testing.T) {
 			!reflect.DeepEqual(f.InNodes, orig.InNodes) {
 			t.Fatalf("fragment %d: node sets changed across the wire", i)
 		}
-		if !reflect.DeepEqual(f.Labels, orig.Labels) || !reflect.DeepEqual(f.InWatchers, orig.InWatchers) {
+		if !reflect.DeepEqual(f.InWatchers, orig.InWatchers) {
 			t.Fatalf("fragment %d: annotations changed across the wire", i)
 		}
-		if !reflect.DeepEqual(f.Succ, orig.Succ) {
-			t.Fatalf("fragment %d: adjacency changed across the wire", i)
+		if d := indexDiff(f.Index(), orig.Index()); d != "" {
+			t.Fatalf("fragment %d: adjacency or labels changed across the wire: %s", i, d)
 		}
 		if f.NumEdges() != orig.NumEdges() || f.NumCrossing() != orig.NumCrossing() {
 			t.Fatalf("fragment %d: derived counters %d/%d, want %d/%d",
 				i, f.NumEdges(), f.NumCrossing(), orig.NumEdges(), orig.NumCrossing())
-		}
-		if !reflect.DeepEqual(f.crossCnt, orig.crossCnt) {
-			t.Fatalf("fragment %d: crossCnt diverged — live updates would corrupt the boundary", i)
 		}
 	}
 	// The reassembled fragmentation passes the full §2.2 validation (with
@@ -106,7 +174,7 @@ func TestFragmentCodecRoundTrip(t *testing.T) {
 func TestDecodedFragmentMutable(t *testing.T) {
 	fr := randomFragmentation(t, 7)
 	f0 := fr.Frags[0]
-	if len(f0.Local) == 0 || len(f0.Succ) == 0 {
+	if len(f0.Local) == 0 || f0.NumEdges() == 0 {
 		t.Skip("fragment 0 empty under this seed")
 	}
 	dec, _, err := DecodeFragment(AppendFragment(nil, f0))
@@ -116,7 +184,7 @@ func TestDecodedFragmentMutable(t *testing.T) {
 	var v, w graph.NodeID
 	found := false
 	for _, lv := range f0.Local {
-		if succ := f0.Succ[lv]; len(succ) > 0 {
+		if succ := succOf(f0, lv); len(succ) > 0 {
 			v, w = lv, succ[0]
 			found = true
 			break
@@ -136,8 +204,8 @@ func TestDecodedFragmentMutable(t *testing.T) {
 	if d1 != d2 {
 		t.Fatalf("virtual-status change diverged: original %v, decoded %v", d1, d2)
 	}
-	if !reflect.DeepEqual(f0.Succ, dec.Succ) || !reflect.DeepEqual(f0.Virtual, dec.Virtual) {
-		t.Fatal("post-mutation state diverged between original and decoded fragment")
+	if d := indexDiff(dec.Index(), f0.Index()); d != "" || !reflect.DeepEqual(f0.Virtual, dec.Virtual) {
+		t.Fatalf("post-mutation state diverged between original and decoded fragment: %s", d)
 	}
 }
 
@@ -156,7 +224,7 @@ func TestFragmentDecodeRejectsTruncation(t *testing.T) {
 // fragment's virtual nodes used to panic Index, and a successor the
 // fragment cannot see silently aliased the first local node.
 func TestFragmentDecodeRejectsMalformed(t *testing.T) {
-	fresh := func() *Fragment {
+	fresh := func() *plainFragment {
 		b := graph.NewBuilder()
 		for _, l := range []string{"a", "b", "a", "b"} {
 			b.AddNode(l)
@@ -169,34 +237,37 @@ func TestFragmentDecodeRejectsMalformed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fr.Frags[0] // locals 0, 1; virtual 2; in-node 0, watched by 1
+		return plainOf(fr.Frags[0]) // locals 0, 1; virtual 2; in-node 0, watched by 1
+	}
+	if _, _, err := DecodeFragment(fresh().encode()); err != nil {
+		t.Fatalf("the unmangled fragment is refused: %v", err)
 	}
 	for _, c := range []struct {
 		name   string
-		mangle func(f *Fragment)
+		mangle func(f *plainFragment)
 	}{
-		{"in-node is virtual", func(f *Fragment) {
+		{"in-node is virtual", func(f *plainFragment) {
 			f.InNodes = append(f.InNodes, 2)
 			f.InWatchers[2] = []int{1}
 		}},
-		{"in-node unknown", func(f *Fragment) {
+		{"in-node unknown", func(f *plainFragment) {
 			f.InNodes = append(f.InNodes, 9)
 			f.InWatchers[9] = []int{1}
 		}},
-		{"successor unknown", func(f *Fragment) { f.Succ[1] = []graph.NodeID{2, 7} }},
-		{"successor row unsorted", func(f *Fragment) { f.Succ[0] = []graph.NodeID{1, 0} }},
-		{"duplicate successor", func(f *Fragment) { f.Succ[0] = []graph.NodeID{1, 1} }},
-		{"duplicate local", func(f *Fragment) { f.Local = []graph.NodeID{0, 0, 1} }},
-		{"locals unsorted", func(f *Fragment) { f.Local = []graph.NodeID{1, 0} }},
-		{"local and virtual", func(f *Fragment) { f.Virtual = []graph.NodeID{1, 2} }},
-		{"duplicate virtual", func(f *Fragment) { f.Virtual = []graph.NodeID{2, 2} }},
-		{"duplicate in-node", func(f *Fragment) { f.InNodes = []graph.NodeID{0, 0} }},
-		{"in-node unwatched", func(f *Fragment) { f.InWatchers[0] = nil }},
-		{"watchers unsorted", func(f *Fragment) { f.InWatchers[0] = []int{1, 0} }},
+		{"successor unknown", func(f *plainFragment) { f.Succ[1] = []graph.NodeID{2, 7} }},
+		{"successor row unsorted", func(f *plainFragment) { f.Succ[0] = []graph.NodeID{1, 0} }},
+		{"duplicate successor", func(f *plainFragment) { f.Succ[0] = []graph.NodeID{1, 1} }},
+		{"duplicate local", func(f *plainFragment) { f.Local = []graph.NodeID{0, 0, 1} }},
+		{"locals unsorted", func(f *plainFragment) { f.Local = []graph.NodeID{1, 0} }},
+		{"local and virtual", func(f *plainFragment) { f.Virtual = []graph.NodeID{1, 2} }},
+		{"duplicate virtual", func(f *plainFragment) { f.Virtual = []graph.NodeID{2, 2} }},
+		{"duplicate in-node", func(f *plainFragment) { f.InNodes = []graph.NodeID{0, 0} }},
+		{"in-node unwatched", func(f *plainFragment) { f.InWatchers[0] = nil }},
+		{"watchers unsorted", func(f *plainFragment) { f.InWatchers[0] = []int{1, 0} }},
 	} {
 		f := fresh()
 		c.mangle(f)
-		if g, _, err := DecodeFragment(AppendFragment(nil, f)); err == nil {
+		if g, _, err := DecodeFragment(f.encode()); err == nil {
 			g.Index()
 			t.Fatalf("%s: accepted", c.name)
 		}

@@ -1,23 +1,23 @@
 package partition
 
-// The fragment topology index: the dense, query-independent view of a
-// fragment that every evaluation engine otherwise rebuilds from the
-// Succ/Labels maps on each query. A resident deployment answers many
-// queries against the same fragment, so the index is built once, cached
-// on the Fragment, and shared read-only. An index is an immutable
-// snapshot: a fragment mutation leaves it as it is and logs what it
-// changed, and the next Index call derives the fragment's new index from
-// the cached one copy-on-write (patch) — fresh Succ rows for the edited
-// sources, fresh Pred rows for their targets, fresh OutDeg rows where a
-// cell moved, every other row shared. Only a change to the virtual set,
-// which would renumber the virtual nodes, builds afresh. A reader that
-// holds an older index keeps a consistent view of the fragment as it
-// was. Callers that mutate adjacency during evaluation (standing
-// maintenance sessions) must copy the Succ/Pred rows they touch.
+// The fragment topology index: the dense, query-independent form of a
+// fragment's adjacency and labels, and the only place the fragment holds
+// them. Build and DecodeFragment fill it; every engine reads it, shared
+// read-only. An index is an immutable snapshot: a mutation logs its edit,
+// and the next Index call folds the log in (patch). While the virtual set
+// stands that is copy-on-write — fresh Succ rows for the edited sources,
+// fresh Pred rows for their targets, fresh OutDeg rows where a cell
+// moved, every other row shared; a virtual birth or death renumbers the
+// virtual nodes, and the index is laid out again from the old one and
+// the log. Either way the result is the index a fresh Build of the
+// current graph gives the fragment. A reader that holds an older index
+// keeps a consistent view of the fragment as it was. Callers that mutate
+// adjacency during evaluation (standing maintenance sessions) must copy
+// the Succ/Pred rows they touch.
 //
 // The index is label-major: locals are numbered grouped by label (a
 // stable counting sort, so node IDs stay ascending within a label), and
-// the virtual nodes follow in Fragment order. Each label's local
+// the virtual nodes follow in ascending order. Each label's local
 // candidates are therefore one range [lo, hi) (Locals), a candidate's
 // position in it is li − lo, and — since Pred rows are filled in
 // ascending local order — each Pred row is grouped by predecessor label:
@@ -34,7 +34,7 @@ package partition
 // OutDegSat: a saturated cell means "at least this many — recount from
 // the Succ row", which only hubs pay. An inbound node ID resolves to its
 // index without a map either, through an open-addressed table (Find) that
-// a patch shares, as the numbering carries over.
+// a patch shares while the numbering carries over.
 //
 // An index is also the version that query-dependent state derived from
 // the fragment is filed against (Prepared): a small LRU that every new
@@ -42,6 +42,7 @@ package partition
 
 import (
 	"cmp"
+	"fmt"
 	"maps"
 	"math/bits"
 	"slices"
@@ -52,7 +53,7 @@ import (
 
 // Index is an immutable dense snapshot of a fragment's topology.
 // Visible nodes are indexed 0..len(Vis)-1: the NL local nodes first,
-// label-major, then the virtual nodes in Fragment order.
+// label-major, then the virtual nodes in ascending order.
 type Index struct {
 	// Vis lists local then virtual node IDs; Find inverts it.
 	Vis []graph.NodeID
@@ -64,7 +65,8 @@ type Index struct {
 	In   []int32
 	// Succ[li] and Pred[vi] are the dense adjacency rows (indices into
 	// Vis); Succ covers local sources only. Each table's rows share one
-	// backing array, and Pred rows are ascending.
+	// backing array; Succ rows ascend by node ID, Pred rows by index, and
+	// a virtual node's Pred row is the fragment's crossing edges into it.
 	Succ [][]int32
 	Pred [][]int32
 	// Labels[i] is the label of Vis[i].
@@ -233,61 +235,41 @@ func (ix *Index) Watchers(li int32) []int32 {
 }
 
 // Index returns the fragment's topology index as of its current state:
-// the cached one while no mutation has been logged against it, else one
-// derived from it by patch, or built afresh when none is cached (first
-// use, or a mutation dropped the cache), which becomes the cached one.
-// The returned value is shared and must be treated as read-only; later
-// mutations leave it unchanged.
+// the current one, after folding in the edits logged since it was made
+// (see patch). The returned value is shared and must be treated as
+// read-only; later mutations leave it unchanged.
 func (f *Fragment) Index() *Index {
 	f.idxMu.Lock()
 	defer f.idxMu.Unlock()
-	switch {
-	case f.idx == nil:
-		f.idx = f.buildIndex()
-	case len(f.idxSrc) > 0 || f.idxWatch:
-		f.idx = f.idx.patch(f, f.idxSrc, f.idxWatch)
-	}
-	f.idxSrc, f.idxWatch = f.idxSrc[:0], false
+	f.fold()
 	return f.idx
 }
 
 // IndexCurrent reports whether ix still describes the fragment: it is
-// the cached index and no mutation has been logged against it since. It
-// never builds or patches one.
+// the current index and no mutation has been logged against it since. It
+// never folds the log.
 func (f *Fragment) IndexCurrent(ix *Index) bool {
 	f.idxMu.Lock()
 	defer f.idxMu.Unlock()
-	return f.idx == ix && len(f.idxSrc) == 0 && !f.idxWatch
+	return f.idx == ix && len(f.edits) == 0 && !f.idxWatch
 }
 
-// touchRow logs against the cached index, if one is cached, that local
-// v's Succ row changed. A change to the virtual set drops the cache
-// instead — the virtual nodes' numbering follows Fragment order and
-// would shift — and so does a log longer than the fragment has locals.
-func (f *Fragment) touchRow(v graph.NodeID, virtualChanged bool) {
-	f.idxMu.Lock()
-	defer f.idxMu.Unlock()
-	if f.idx == nil {
-		return
-	}
-	if virtualChanged || len(f.idxSrc) == len(f.Local) {
-		f.idx, f.idxSrc, f.idxWatch = nil, nil, false
-		return
-	}
-	f.idxSrc = append(f.idxSrc, v)
-}
-
-// touchWatchers logs that the in-node watchers changed against the
-// cached index, if one is cached.
-func (f *Fragment) touchWatchers() {
-	f.idxMu.Lock()
-	defer f.idxMu.Unlock()
-	if f.idx != nil {
-		f.idxWatch = true
+// fold makes the index describe the fragment's current state, patching
+// in the logged edits; the caller holds idxMu.
+func (f *Fragment) fold() {
+	if len(f.edits) > 0 || f.idxWatch {
+		f.idx = f.idx.patch(f, f.edits, f.idxWatch)
+		f.edits, f.idxWatch = f.edits[:0], false
 	}
 }
 
-func (f *Fragment) buildIndex() *Index {
+// buildIndex indexes a fragment with f's node lists and in-node
+// watchers afresh. labels gives the label of each local node, then of
+// each virtual one, in Local and Virtual order; row(i) lists Local[i]'s
+// successors by node ID, ascending, and is called in Local order. A
+// successor f cannot see is refused. f.numEdges, when known, sizes the
+// Succ rows' one backing array.
+func buildIndex(f *Fragment, labels []graph.Label, row func(i int) ([]graph.NodeID, error)) (*Index, error) {
 	nl := len(f.Local)
 	nvis := nl + len(f.Virtual)
 	ix := &Index{
@@ -302,48 +284,69 @@ func (f *Fragment) buildIndex() *Index {
 		prepared: new(preparedMemo),
 	}
 
-	// Number the locals label-major: one label lookup per node, then a
-	// stable counting sort into Vis. Virtuals keep Fragment order.
-	localLabels := make([]graph.Label, nl)
+	// Number the locals label-major: a stable counting sort into Vis.
+	// Virtuals follow in ascending order.
+	copy(ix.Vis[nl:], f.Virtual)
+	copy(ix.Labels[nl:], labels[nl:])
 	maxLabel := graph.Label(0)
-	for i, v := range f.Local {
-		localLabels[i] = f.Labels[v]
-		maxLabel = max(maxLabel, localLabels[i])
-	}
-	for j, v := range f.Virtual {
-		l := f.Labels[v]
-		ix.Vis[nl+j], ix.Labels[nl+j] = v, l
+	for _, l := range labels {
 		maxLabel = max(maxLabel, l)
 	}
 	start := make([]int32, int(maxLabel)+2)
-	for _, l := range localLabels {
+	for _, l := range labels[:nl] {
 		start[int(l)+1]++
 	}
 	for l := 1; l < len(start); l++ {
 		start[l] += start[l-1]
 	}
 	ix.labelStart = start
-	next := append([]int32(nil), start[:len(start)-1]...)
+	next := slices.Clone(start[:len(start)-1])
+	rank := make([]int32, nl) // Local[i]'s local index
 	for i, v := range f.Local {
-		l := localLabels[i]
-		li := next[l]
+		l := labels[i]
+		rank[i] = next[l]
 		next[l]++
-		ix.Vis[li], ix.Labels[li] = v, l
+		ix.Vis[rank[i]], ix.Labels[rank[i]] = v, l
 	}
 	ix.table = newVisTable(ix.Vis)
+	for vi := nl; vi < nvis; vi++ {
+		l := ix.Labels[vi]
+		ix.Virt[l] = append(ix.Virt[l], int32(vi))
+	}
 
-	// Succ: one pass over the fragment's adjacency in local order, which
-	// also counts each visible node's predecessors and fills OutDeg. deg
-	// dispatches to a label's OutDeg row by slice index: a map lookup per
-	// adjacency entry measured +25–35% on the whole build.
-	deg := make([][]uint8, int(maxLabel)+1)
-	succOff := make([]int32, nl+1)
+	// Succ: the rows in Local order, into one backing array, which is
+	// trimmed when it had to grow.
+	flat := make([]int32, 0, f.numEdges)
+	off := make([]int32, nl+1)
+	for i, v := range f.Local {
+		succ, err := row(i)
+		if err != nil {
+			return nil, err
+		}
+		for _, w := range succ {
+			wi, visible := ix.Find(w)
+			if !visible {
+				return nil, fmt.Errorf("partition: fragment %d has edge (%d,%d) to a node it cannot see", f.ID, v, w)
+			}
+			flat = append(flat, wi)
+		}
+		off[i+1] = int32(len(flat))
+	}
+	if cap(flat) > len(flat) {
+		flat = slices.Clone(flat)
+	}
+	for i, li := range rank {
+		ix.Succ[li] = clipRow(flat[off[i]:off[i+1]])
+	}
+
+	// One pass over the rows in local order counts each visible node's
+	// predecessors and fills OutDeg. deg dispatches to a label's OutDeg
+	// row by slice index: a map lookup per adjacency entry measured
+	// +25–35% on the whole build.
+	deg := make([][]uint8, len(start)-1)
 	predStart := make([]int32, nvis+1)
-	succFlat := make([]int32, 0, f.numEdges)
-	for li, v := range ix.Vis[:nl] {
-		for _, w := range f.Succ[v] {
-			wi, _ := ix.Find(w)
-			succFlat = append(succFlat, wi)
+	for li, row := range ix.Succ {
+		for _, wi := range row {
 			predStart[wi+1]++
 			l := ix.Labels[wi]
 			d := deg[l]
@@ -355,12 +358,6 @@ func (f *Fragment) buildIndex() *Index {
 				d[li]++
 			}
 		}
-		succOff[li+1] = int32(len(succFlat))
-	}
-	for li := range ix.Succ {
-		if lo, hi := succOff[li], succOff[li+1]; hi > lo {
-			ix.Succ[li] = succFlat[lo:hi:hi]
-		}
 	}
 
 	// Pred: a counting pass. Sources are visited in ascending local
@@ -368,8 +365,8 @@ func (f *Fragment) buildIndex() *Index {
 	for vi := 1; vi <= nvis; vi++ {
 		predStart[vi] += predStart[vi-1]
 	}
-	predFlat := make([]int32, len(succFlat))
-	fill := append([]int32(nil), predStart[:nvis]...)
+	predFlat := make([]int32, len(flat))
+	fill := slices.Clone(predStart[:nvis])
 	for li, row := range ix.Succ {
 		for _, wi := range row {
 			predFlat[fill[wi]] = int32(li)
@@ -377,17 +374,19 @@ func (f *Fragment) buildIndex() *Index {
 		}
 	}
 	for vi := range ix.Pred {
-		if lo, hi := predStart[vi], predStart[vi+1]; hi > lo {
-			ix.Pred[vi] = predFlat[lo:hi:hi]
-		}
+		ix.Pred[vi] = clipRow(predFlat[predStart[vi]:predStart[vi+1]])
 	}
 
 	fillWatchers(f, ix)
-	for vi := nl; vi < nvis; vi++ {
-		l := ix.Labels[vi]
-		ix.Virt[l] = append(ix.Virt[l], int32(vi))
+	return ix, nil
+}
+
+// clipRow returns row capped at its length, or nil when it is empty.
+func clipRow(row []int32) []int32 {
+	if len(row) == 0 {
+		return nil
 	}
-	return ix
+	return row[:len(row):len(row)]
 }
 
 // fillWatchers sets ix's in-node fields — In, IsIn, InOf and the watcher
@@ -417,6 +416,28 @@ func fillWatchers(f *Fragment, ix *Index) {
 	}
 }
 
+// editedRow appends to dst the successors of local li in o, by node ID,
+// with es applied: the net edits of its source (see patch), ascending by
+// target.
+func (o *Index) editedRow(dst []graph.NodeID, li int32, es []edgeEdit) []graph.NodeID {
+	old, i := o.Succ[li], 0
+	for _, e := range es {
+		for ; i < len(old) && o.Vis[old[i]] < e.w; i++ {
+			dst = append(dst, o.Vis[old[i]])
+		}
+		if i < len(old) && o.Vis[old[i]] == e.w {
+			i++
+		}
+		if e.add {
+			dst = append(dst, e.w)
+		}
+	}
+	for ; i < len(old); i++ {
+		dst = append(dst, o.Vis[old[i]])
+	}
+	return dst
+}
+
 // predEdit is one change to a Pred row: local source li gained (add) or
 // lost an edge into visible node wi.
 type predEdit struct {
@@ -425,119 +446,126 @@ type predEdit struct {
 }
 
 // patch derives the index of f's current state from o, the index of an
-// earlier state with the same virtual set (see touchRow): srcs lists the
-// local sources whose Succ rows changed since (duplicates allowed),
-// watchers whether the in-node watchers did. The numbering and its Find
-// table, labels, label ranges and Virt lists carry over unchanged. The
-// result is what buildIndex would return, and it shares every row it does
-// not change with o, which is left untouched — except the prepared state,
-// which describes o alone and starts empty.
-func (o *Index) patch(f *Fragment, srcs []graph.NodeID, watchers bool) *Index {
+// earlier state: edits lists the edge edits made since (oldest first),
+// watchers whether the in-node watchers changed. The result is what a
+// fresh Build of the current graph gives the fragment. While the virtual
+// set is o's, the numbering and its Find table, labels, label ranges and
+// Virt lists carry over, and the result shares every row it does not
+// change with o; otherwise the virtual nodes are numbered afresh, and the
+// index is built again from o's rows and labels and the edits. o is left
+// untouched, and the result's prepared state starts empty.
+func (o *Index) patch(f *Fragment, edits []edgeEdit, watchers bool) *Index {
+	// The net edits, grouped by source and ascending by target: the last
+	// edit of an edge says whether it is there now.
+	net := slices.Clone(edits)
+	slices.SortStableFunc(net, func(a, b edgeEdit) int {
+		return cmp.Or(cmp.Compare(a.v, b.v), cmp.Compare(a.w, b.w))
+	})
+	k := 0
+	for i, e := range net {
+		if i+1 == len(net) || net[i+1].v != e.v || net[i+1].w != e.w {
+			net[k] = e
+			k++
+		}
+	}
+	net = net[:k]
+	if !slices.Equal(o.Vis[o.NL:], f.Virtual) {
+		return o.rebuild(f, net, edits)
+	}
 	ix := *o
 	ix.prepared = new(preparedMemo)
 	if watchers {
 		fillWatchers(f, &ix)
 	}
-	if len(srcs) == 0 {
+	if len(net) == 0 {
 		return &ix
 	}
-	lis := make([]int32, len(srcs))
-	for i, v := range srcs {
-		lis[i], _ = o.Find(v)
-	}
-	slices.Sort(lis)
-	lis = slices.Compact(lis)
 
-	// Succ: a fresh row per dirty source, one backing array for all,
-	// each row diffed against its old self into Pred edits. Rows follow
-	// the fragment's (ascending-ID) row order, so the diff is a merge by
-	// node ID.
-	n := 0
-	for _, li := range lis {
-		n += len(f.Succ[o.Vis[li]])
-	}
-	flat := make([]int32, 0, n)
+	// Succ: a fresh row per edited source. A net edit that changes the
+	// row is a Pred edit.
 	ix.Succ = slices.Clone(o.Succ)
-	var edits []predEdit
-	for _, li := range lis {
-		start := len(flat)
-		for _, w := range f.Succ[o.Vis[li]] {
-			wi, _ := o.Find(w)
-			flat = append(flat, wi)
+	var lis []int32
+	var preds []predEdit
+	var ids []graph.NodeID
+	for len(net) > 0 {
+		end := 1
+		for end < len(net) && net[end].v == net[0].v {
+			end++
 		}
-		row := flat[start:len(flat):len(flat)]
-		if len(row) == 0 {
-			row = nil
-		}
-		old := o.Succ[li]
-		ix.Succ[li] = row
-		i, j := 0, 0
-		for i < len(old) || j < len(row) {
-			switch {
-			case j == len(row) || i < len(old) && o.Vis[old[i]] < o.Vis[row[j]]:
-				edits = append(edits, predEdit{old[i], li, false})
-				i++
-			case i == len(old) || o.Vis[row[j]] < o.Vis[old[i]]:
-				edits = append(edits, predEdit{row[j], li, true})
-				j++
-			default:
-				i, j = i+1, j+1
+		li, _ := o.Find(net[0].v)
+		lis = append(lis, li)
+		for _, e := range net[:end] {
+			if _, had := slices.BinarySearchFunc(o.Succ[li], e.w, o.byID); had != e.add {
+				wi, _ := o.Find(e.w)
+				preds = append(preds, predEdit{wi, li, e.add})
 			}
 		}
+		ids = o.editedRow(ids[:0], li, net[:end])
+		row := make([]int32, len(ids))
+		for k, w := range ids {
+			row[k], _ = o.Find(w)
+		}
+		ix.Succ[li] = clipRow(row)
+		net = net[end:]
 	}
 	ix.OutDeg = o.patchOutDeg(ix.Succ, lis)
-	if len(edits) == 0 {
-		return &ix
-	}
 
-	// Pred: each target's row merges its old, ascending row with its
-	// edits, sorted by source, so the row stays ascending.
-	slices.SortFunc(edits, func(a, b predEdit) int {
-		return cmp.Or(cmp.Compare(a.wi, b.wi), cmp.Compare(a.li, b.li))
-	})
-	n = 0
-	for k, e := range edits {
-		if k == 0 || e.wi != edits[k-1].wi {
-			n += len(o.Pred[e.wi])
-		}
-		if e.add {
-			n++
-		} else {
-			n--
-		}
+	// Pred: each edited row is copied on its first edit and stays
+	// ascending.
+	if len(preds) > 0 {
+		ix.Pred = slices.Clone(o.Pred)
 	}
-	flat = make([]int32, 0, n)
-	ix.Pred = slices.Clone(o.Pred)
-	for k := 0; k < len(edits); {
-		wi := edits[k].wi
-		old := o.Pred[wi]
-		start, i := len(flat), 0
-		for ; k < len(edits) && edits[k].wi == wi; k++ {
-			e := edits[k]
-			for i < len(old) && old[i] < e.li {
-				flat = append(flat, old[i])
-				i++
-			}
-			if e.add {
-				flat = append(flat, e.li)
-			} else {
-				i++ // old[i] == e.li
-			}
+	slices.SortFunc(preds, func(a, b predEdit) int { return cmp.Compare(a.wi, b.wi) })
+	for k, e := range preds {
+		row := ix.Pred[e.wi]
+		if k == 0 || preds[k-1].wi != e.wi {
+			row = slices.Clone(row)
 		}
-		flat = append(flat, old[i:]...)
-		row := flat[start:len(flat):len(flat)]
-		if len(row) == 0 {
-			row = nil
+		i, _ := slices.BinarySearch(row, e.li)
+		if e.add {
+			row = slices.Insert(row, i, e.li)
+		} else {
+			row = slices.Delete(row, i, i+1)
 		}
-		ix.Pred[wi] = row
+		ix.Pred[e.wi] = clipRow(row)
 	}
 	return &ix
 }
 
-// patchOutDeg returns o's OutDeg with the cells of the dirty sources lis
+// byID compares the node at index wi with node w, to search a Succ row
+// by node ID.
+func (ix *Index) byID(wi int32, w graph.NodeID) int { return cmp.Compare(ix.Vis[wi], w) }
+
+// rebuild builds the index of f's current state afresh from o and the
+// log — net, the net edits (see patch), and edits, whose insertions carry
+// the labels of newborn virtual nodes — numbering the virtual nodes anew.
+func (o *Index) rebuild(f *Fragment, net, edits []edgeEdit) *Index {
+	labels := make([]graph.Label, 0, len(f.Local)+len(f.Virtual))
+	for _, v := range slices.Concat(f.Local, f.Virtual) {
+		if vi, ok := o.Find(v); ok {
+			labels = append(labels, o.Labels[vi])
+		} else { // a newborn: its label came with its insertion
+			labels = append(labels, edits[slices.IndexFunc(edits, func(e edgeEdit) bool { return e.add && e.w == v })].l)
+		}
+	}
+	var ids []graph.NodeID
+	ix, _ := buildIndex(f, labels, func(i int) ([]graph.NodeID, error) {
+		end := 0
+		for end < len(net) && net[end].v == f.Local[i] {
+			end++
+		}
+		li, _ := o.Find(f.Local[i])
+		ids = o.editedRow(ids[:0], li, net[:end])
+		net = net[end:]
+		return ids, nil
+	})
+	return ix
+}
+
+// patchOutDeg returns o's OutDeg with the cells of the edited sources lis
 // recounted from their new Succ rows. A row is copied only when one of
 // its cells changes, and the map only when a row does; a row left all
-// zero is dropped, as buildIndex would not have made it.
+// zero is dropped, as a fresh build would not have made it.
 func (o *Index) patchOutDeg(succ [][]int32, lis []int32) map[graph.Label][]uint8 {
 	deg := o.OutDeg
 	var copied map[graph.Label]bool         // copied row → one of its cells fell to zero

@@ -12,19 +12,20 @@ import (
 	"dgs/internal/graph"
 )
 
-// checkIndex holds the label-major index against the fragment it
-// summarises: the numbering, the label ranges, the adjacency rows, the
-// watcher rows and the per-label tallies.
-func checkIndex(t *testing.T, f *Fragment) {
+// checkIndex holds the label-major index of f against the current
+// graph of fr, which it summarises for f: the numbering, the label
+// ranges, the adjacency rows, the watcher rows and the per-label tallies.
+func checkIndex(t *testing.T, fr *Fragmentation, f *Fragment) {
 	t.Helper()
+	g := fr.CurrentGraph()
 	ix := f.Index()
 	nl := int(ix.NL)
 	if nl != len(f.Local) || len(ix.Vis) != nl+len(f.Virtual) {
 		t.Fatalf("frag %d: %d locals of %d visible, fragment has %d and %d", f.ID, nl, len(ix.Vis), len(f.Local), len(f.Virtual))
 	}
-	// Locals are a stable label-major permutation; virtuals keep their order.
+	// Locals are a stable label-major permutation; virtuals ascend.
 	want := slices.Clone(f.Local)
-	slices.SortStableFunc(want, func(a, b graph.NodeID) int { return int(f.Labels[a]) - int(f.Labels[b]) })
+	slices.SortStableFunc(want, func(a, b graph.NodeID) int { return int(g.Label(a)) - int(g.Label(b)) })
 	if !slices.Equal(ix.Vis[:nl], want) {
 		t.Fatalf("frag %d: locals are not stably label-major:\n got %v\nwant %v", f.ID, ix.Vis[:nl], want)
 	}
@@ -32,8 +33,8 @@ func checkIndex(t *testing.T, f *Fragment) {
 		t.Fatalf("frag %d: virtuals out of Fragment order", f.ID)
 	}
 	for i, v := range ix.Vis {
-		if vi, ok := ix.Find(v); vi != int32(i) || !ok || ix.Labels[i] != f.Labels[v] {
-			t.Fatalf("frag %d: node %d at %d: Find %d, %v, label %d (want %d)", f.ID, v, i, vi, ok, ix.Labels[i], f.Labels[v])
+		if vi, ok := ix.Find(v); vi != int32(i) || !ok || ix.Labels[i] != g.Label(v) {
+			t.Fatalf("frag %d: node %d at %d: Find %d, %v, label %d (want %d)", f.ID, v, i, vi, ok, ix.Labels[i], g.Label(v))
 		}
 	}
 	find := func(v graph.NodeID) int32 {
@@ -47,11 +48,15 @@ func checkIndex(t *testing.T, f *Fragment) {
 	// Each label's range covers exactly its locals.
 	perLabel := make(map[graph.Label]int)
 	maxLabel := graph.Label(0)
-	for v, l := range f.Labels {
-		if f.IsLocal(v) {
+	for i, v := range ix.Vis {
+		l := g.Label(v)
+		if i < nl {
 			perLabel[l]++
 		}
 		maxLabel = max(maxLabel, l)
+	}
+	if len(ix.labelStart) != int(maxLabel)+2 {
+		t.Fatalf("frag %d: %d label range bounds, largest visible label %d", f.ID, len(ix.labelStart), maxLabel)
 	}
 	for l := graph.Label(0); l <= maxLabel+1; l++ {
 		lo, hi := ix.Locals(l)
@@ -67,12 +72,12 @@ func checkIndex(t *testing.T, f *Fragment) {
 	if lo, hi := ix.Locals(1<<16 - 1); lo != hi {
 		t.Fatalf("frag %d: an absent label has the range [%d,%d)", f.ID, lo, hi)
 	}
-	// Succ rows follow the fragment's rows; Pred is their transpose,
-	// every row ascending.
+	// Succ rows are the graph's rows; Pred is their transpose, every row
+	// ascending.
 	wantPred := make([][]int32, len(ix.Vis))
 	for li, v := range ix.Vis[:nl] {
 		var row []int32
-		for _, w := range f.Succ[v] {
+		for _, w := range g.Succ(v) {
 			wi := find(w)
 			row = append(row, wi)
 			wantPred[wi] = append(wantPred[wi], int32(li))
@@ -153,13 +158,13 @@ func TestIndexLabelMajor(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, f := range fr.Frags {
-			checkIndex(t, f)
+			checkIndex(t, fr, f)
 		}
 	}
 
 	// After in-place mutation: large batches of deletions and insertions
 	// together (watchers added and dropped, virtual nodes born and
-	// retired) onto cached indexes, patched or rebuilt.
+	// retired) onto cached indexes, patched in place or renumbered.
 	for seed := int64(0); seed < 10; seed++ {
 		fr := randomFragmentation(t, seed)
 		r := rand.New(rand.NewSource(seed))
@@ -184,7 +189,7 @@ func TestIndexLabelMajor(t *testing.T) {
 			}
 			applyBatch(t, fr, dels, ins)
 			for _, f := range fr.Frags {
-				checkIndex(t, f)
+				checkIndex(t, fr, f)
 			}
 		}
 	}
@@ -207,7 +212,7 @@ func TestIndexLabelMajor(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range fr.Frags {
-		checkIndex(t, f)
+		checkIndex(t, fr, f)
 	}
 	ix := fr.Frags[0].Index()
 	lb, lc := g.Label(far), g.Label(far+1)
@@ -290,6 +295,8 @@ var batchKinds = []string{"deletions", "same-fragment insertions", "cross-fragme
 
 func drawBatch(r *rand.Rand, fr *Fragmentation, kind int) (dels, ins [][2]graph.NodeID) {
 	n := fr.G.NumNodes()
+	cur := fr.CurrentGraph()
+	cur.EnsureReverse()
 	want := 1 + r.Intn(3)
 	if kind == 4 {
 		want += 3
@@ -297,7 +304,7 @@ func drawBatch(r *rand.Rand, fr *Fragmentation, kind int) (dels, ins [][2]graph.
 	for try := 0; try < 1000 && len(dels)+len(ins) < want; try++ {
 		v, w := graph.NodeID(r.Intn(n)), graph.NodeID(r.Intn(n))
 		f := fr.Frags[fr.Assign[v]]
-		row := f.Succ[v]
+		row := cur.Succ(v)
 		_, present := slices.BinarySearch(row, w)
 		cross := fr.Assign[w] != fr.Assign[v]
 		if kind == 4 && r.Intn(2) == 0 { // an insertion; the other half delete
@@ -306,7 +313,7 @@ func drawBatch(r *rand.Rand, fr *Fragmentation, kind int) (dels, ins [][2]graph.
 				d := dels[r.Intn(len(dels))]
 				f = fr.Frags[fr.Assign[d[0]]]
 				v, w = f.Local[r.Intn(len(f.Local))], d[1]
-				_, present = slices.BinarySearch(f.Succ[v], w)
+				_, present = slices.BinarySearch(cur.Succ(v), w)
 			}
 			if e := [2]graph.NodeID{v, w}; v != w && !present && !slices.Contains(ins, e) && (f.IsLocal(w) || f.IsVirtual(w)) {
 				ins = append(ins, e)
@@ -328,8 +335,10 @@ func drawBatch(r *rand.Rand, fr *Fragmentation, kind int) (dels, ins [][2]graph.
 		case 3: // retire a virtual node, or give birth to one
 			if r.Intn(2) == 0 {
 				for _, x := range row {
-					if f.crossCnt[x] == 1 {
-						return [][2]graph.NodeID{{v, x}}, nil
+					if f.IsVirtual(x) && slices.IndexFunc(cur.Pred(x), func(u graph.NodeID) bool {
+						return u != v && fr.Assign[u] == fr.Assign[v]
+					}) < 0 {
+						return [][2]graph.NodeID{{v, x}}, nil // its last crossing edge
 					}
 				}
 			} else if cross && !f.IsVirtual(w) {
@@ -340,13 +349,16 @@ func drawBatch(r *rand.Rand, fr *Fragmentation, kind int) (dels, ins [][2]graph.
 	return dels, ins
 }
 
-// TestIndexMatchesRebuild holds the copy-on-write index against a fresh
-// build over ApplyBatchLocal streams: after every batch — or every run
-// of two or three, so that one patch replays a log gathered over several
-// — each fragment's Index equals buildIndex on a clone, field for field,
-// and every index taken before the batches is exactly as it was.
+// TestIndexMatchesRebuild holds the folded index against an independent
+// reference over ApplyBatchLocal streams: after every batch — or every
+// run of two or three, so that one fold replays a log gathered over
+// several — each fragment's Index equals, field for field, the index a
+// fresh Build of the current graph gives it, and every index taken before
+// the batches is exactly as it was. The streams must patch indexes in
+// place, refill watchers, and renumber the virtual nodes after births
+// and deaths.
 func TestIndexMatchesRebuild(t *testing.T) {
-	patched, watchersPatched := 0, 0
+	patched, watchersPatched, renumbered := 0, 0, 0
 	for seed := int64(0); seed < 12; seed++ {
 		fr := randomFragmentation(t, seed)
 		r := rand.New(rand.NewSource(seed))
@@ -364,29 +376,37 @@ func TestIndexMatchesRebuild(t *testing.T) {
 				applyBatch(t, fr, dels, ins)
 				kinds = append(kinds, batchKinds[kind])
 			}
+			fresh, err := Build(fr.CurrentGraph(), fr.Assign, len(fr.Frags))
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i, f := range fr.Frags {
 				what := fmt.Sprintf("seed %d step %d (%v) frag %d", seed, step, kinds, f.ID)
 				ix, old := f.Index(), before[i]
-				if d := indexDiff(ix, CloneFragment(f).buildIndex()); d != "" {
+				if d := indexDiff(ix, fresh.Frags[i].Index()); d != "" {
 					t.Fatalf("%s: %s", what, d)
 				}
-				checkIndex(t, f)
+				checkIndex(t, fr, f)
 				if fmt.Sprint(*old) != snaps[i] {
 					t.Fatalf("%s: the index taken before the batch changed", what)
 				}
-				// A patch shares the numbering; a build allocates its own.
-				if ix != old && len(ix.Vis) > 0 && &ix.Vis[0] == &old.Vis[0] {
+				switch {
+				case ix == old || len(ix.Vis) == 0:
+				case &ix.Vis[0] == &old.Vis[0]: // a patch shares the numbering
 					patched++
 					if &ix.watchStart[0] != &old.watchStart[0] {
 						watchersPatched++
 					}
+				case !slices.Equal(ix.Vis[ix.NL:], old.Vis[old.NL:]):
+					renumbered++
 				}
 			}
 		}
 	}
-	t.Logf("%d patched indexes, %d with their watchers refilled", patched, watchersPatched)
-	if patched < 500 || watchersPatched < 50 {
-		t.Fatalf("the patch path ran %d times, refilling watchers %d times: the streams no longer exercise it", patched, watchersPatched)
+	t.Logf("%d patched indexes, %d with their watchers refilled, %d renumbered", patched, watchersPatched, renumbered)
+	if patched < 500 || watchersPatched < 50 || renumbered < 100 {
+		t.Fatalf("the patch path ran %d times, refilling watchers %d times, renumbering %d times: the streams no longer exercise it",
+			patched, watchersPatched, renumbered)
 	}
 
 	// A patch that deletes a label's last successor edge drops its OutDeg
@@ -411,7 +431,11 @@ func TestIndexMatchesRebuild(t *testing.T) {
 		if &ix.Vis[0] != &old.Vis[0] {
 			t.Fatal("an edge-only batch rebuilt the index")
 		}
-		if d := indexDiff(ix, CloneFragment(f).buildIndex()); d != "" {
+		fresh, err := Build(fr.CurrentGraph(), fr.Assign, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := indexDiff(ix, fresh.Frags[0].Index()); d != "" {
 			t.Fatalf("after %v: %s", batch, d)
 		}
 		if (ix.OutDeg[g.Label(bb)] != nil) != (len(batch.ins) > 0) {
@@ -513,15 +537,15 @@ func TestIndexFind(t *testing.T) {
 }
 
 // TestIndexMutationLog: an index stops being current at the first
-// mutation logged against it, a fragment with no cached index logs
-// nothing, and a log that outgrows the fragment's locals drops the cache.
+// mutation logged against it, an edit sees the edits logged before it,
+// and a log that reaches maxEdits is folded at once.
 func TestIndexMutationLog(t *testing.T) {
 	fr := randomFragmentation(t, 5)
 	f := fr.Frags[0]
 	var v, w graph.NodeID
 	found := false
 	for _, x := range f.Local {
-		for _, y := range f.Succ[x] {
+		for _, y := range succOf(f, x) {
 			if f.IsLocal(y) && !found {
 				v, w, found = x, y, true
 			}
@@ -537,7 +561,7 @@ func TestIndexMutationLog(t *testing.T) {
 		do   func() error
 	}{
 		{"DeleteEdge", func() error { _, err := f.DeleteEdge(v, w); return err }},
-		{"InsertEdge", func() error { _, err := f.InsertEdge(v, w, f.Labels[w]); return err }},
+		{"InsertEdge", func() error { _, err := f.InsertEdge(v, w, fr.G.Label(w)); return err }},
 		{"AddWatcher", func() error { f.AddWatcher(x, site); return nil }},
 		{"RemoveWatcher", func() error { f.RemoveWatcher(x, site); return nil }},
 	}
@@ -546,12 +570,6 @@ func TestIndexMutationLog(t *testing.T) {
 		if err := mutators[k].do(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	for k := range mutators {
-		mutate(k)
-	}
-	if f.idx != nil || len(f.idxSrc) > 0 || f.idxWatch {
-		t.Fatal("a fragment without a cached index logged its mutations")
 	}
 	for k, m := range mutators {
 		ix := f.Index()
@@ -563,20 +581,29 @@ func TestIndexMutationLog(t *testing.T) {
 			t.Fatalf("%s: Index did not move on to a current index", m.name)
 		}
 	}
-	// Delete and re-insert (v, w) alternately: len(Local) edits are
-	// logged, one more drops the cache.
-	f.Index()
-	for i := range f.Local {
+	// The second deletion of (v, w) reads the first from the log.
+	ix := f.Index()
+	mutate(0)
+	if _, err := f.DeleteEdge(v, w); err == nil {
+		t.Fatal("an edge deleted in the log was deleted again")
+	}
+	mutate(1)
+	if _, err := f.InsertEdge(v, w, fr.G.Label(w)); err == nil {
+		t.Fatal("an edge inserted in the log was inserted again")
+	}
+	// Delete and re-insert (v, w) alternately: maxEdits−1 edits stay in
+	// the log, one more folds it.
+	for i := 2; i < maxEdits-1; i++ {
 		mutate(i % 2)
 	}
-	if f.idx == nil || len(f.idxSrc) != len(f.Local) {
-		t.Fatalf("%d edits on %d locals: cache dropped early (log %d)", len(f.Local), len(f.Local), len(f.idxSrc))
+	if f.idx != ix || len(f.edits) != maxEdits-1 {
+		t.Fatalf("%d edits: the log was folded early (log %d)", maxEdits-1, len(f.edits))
 	}
-	mutate(len(f.Local) % 2)
-	if f.idx != nil || len(f.idxSrc) > 0 {
-		t.Fatal("a log past len(Local) kept the cache")
+	mutate(1)
+	if f.idx == ix || len(f.edits) != 0 || !f.IndexCurrent(f.idx) {
+		t.Fatalf("a log of %d edits was not folded (log %d)", maxEdits, len(f.edits))
 	}
-	checkIndex(t, f)
+	checkIndex(t, fr, f)
 }
 
 // numPrepared reports how many prepared states the index holds.
@@ -588,10 +615,10 @@ func (ix *Index) numPrepared() int {
 
 // TestPreparedDiesWithItsIndex: state filed on an index stays with that
 // index. After a batch, a fragment it touched has a new index — patched
-// or rebuilt — with an empty memo, while the old index still holds what
+// in place or renumbered — with an empty memo, while the old index still holds what
 // was filed on it; a fragment it left alone keeps index and memo.
 func TestPreparedDiesWithItsIndex(t *testing.T) {
-	kept, patched, rebuilt := 0, 0, 0
+	kept, patched, renumbered := 0, 0, 0
 	for seed := int64(0); seed < 6; seed++ {
 		fr := randomFragmentation(t, seed)
 		r := rand.New(rand.NewSource(seed))
@@ -618,14 +645,14 @@ func TestPreparedDiesWithItsIndex(t *testing.T) {
 				case len(ix.Vis) > 0 && &ix.Vis[0] == &before[i].Vis[0]:
 					patched++
 				default:
-					rebuilt++
+					renumbered++
 				}
 			}
 		}
 	}
-	t.Logf("%d indexes kept, %d patched, %d rebuilt", kept, patched, rebuilt)
-	if kept == 0 || patched == 0 || rebuilt == 0 {
-		t.Fatal("the streams no longer keep, patch and rebuild indexes")
+	t.Logf("%d indexes kept, %d patched, %d renumbered", kept, patched, renumbered)
+	if kept == 0 || patched == 0 || renumbered == 0 {
+		t.Fatal("the streams no longer keep, patch and renumber indexes")
 	}
 }
 

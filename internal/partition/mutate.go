@@ -9,52 +9,72 @@ package partition
 // InNodes, InWatchers): every invariant Validate checks is preserved
 // batch by batch.
 //
-// Node sets and labels are fixed; only edges change. The caller (the
+// Node sets and labels are fixed; only edges change. An edge edit is
+// logged against the fragment's index, which holds its adjacency, and
+// the next Index call folds the log in (see patch); an edit reads the
+// index plus the log, so it sees the edits before it. The caller (the
 // deployment's update session) is responsible for serializing mutations
 // against in-flight queries.
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dgs/internal/graph"
 )
+
+// edgeEdit is one logged edge edit: (v, w) was inserted (add; w is
+// labelled l) or deleted.
+type edgeEdit struct {
+	v, w graph.NodeID
+	l    graph.Label
+	add  bool
+}
+
+// maxEdits bounds the edit log: an edit scans it, so a longer one is
+// folded into the index at once.
+const maxEdits = 1024
+
+// hasEdge reports whether the fragment has the edge (v, w), v local: the
+// last logged edit of it says, else the index. The caller holds idxMu.
+func (f *Fragment) hasEdge(v, w graph.NodeID) bool {
+	for i := len(f.edits) - 1; i >= 0; i-- {
+		if e := f.edits[i]; e.v == v && e.w == w {
+			return e.add
+		}
+	}
+	li, _ := f.idx.Find(v)
+	_, found := slices.BinarySearchFunc(f.idx.Succ[li], w, f.idx.byID)
+	return found
+}
+
+// crossCount counts the fragment's crossing edges into w, a node it does
+// not own: the index's Pred row of w, plus the logged edits. The caller
+// holds idxMu.
+func (f *Fragment) crossCount(w graph.NodeID) int {
+	n := 0
+	if wi, ok := f.idx.Find(w); ok {
+		n = len(f.idx.Pred[wi])
+	}
+	for _, e := range f.edits {
+		if e.w == w {
+			if e.add {
+				n++
+			} else {
+				n--
+			}
+		}
+	}
+	return n
+}
 
 // DeleteEdge removes the edge (v, w) from the fragment; v must be local
 // and the edge present. It reports whether w thereby stopped being one
 // of the fragment's virtual nodes, in which case the caller must send a
 // RemoveWatcher notification to w's owner.
 func (f *Fragment) DeleteEdge(v, w graph.NodeID) (droppedVirtual bool, err error) {
-	if !f.IsLocal(v) {
-		return false, fmt.Errorf("partition: fragment %d asked to delete (%d,%d) but %d is not local", f.ID, v, w, v)
-	}
-	row := f.Succ[v]
-	i := sort.Search(len(row), func(i int) bool { return row[i] >= w })
-	if i >= len(row) || row[i] != w {
-		return false, fmt.Errorf("partition: fragment %d has no edge (%d,%d)", f.ID, v, w)
-	}
-	// Copy-on-write: rows may still alias the Build-time CSR arrays.
-	nrow := make([]graph.NodeID, 0, len(row)-1)
-	nrow = append(nrow, row[:i]...)
-	nrow = append(nrow, row[i+1:]...)
-	if len(nrow) == 0 {
-		delete(f.Succ, v)
-	} else {
-		f.Succ[v] = nrow
-	}
-	f.numEdges--
-	if !f.IsLocal(w) {
-		f.numCrossing--
-		f.crossCnt[w]--
-		if f.crossCnt[w] == 0 {
-			delete(f.crossCnt, w)
-			delete(f.Labels, w)
-			f.Virtual = removeSorted(f.Virtual, w)
-			droppedVirtual = true
-		}
-	}
-	f.touchRow(v, droppedVirtual)
-	return droppedVirtual, nil
+	return f.edit(edgeEdit{v: v, w: w})
 }
 
 // InsertEdge adds the edge (v, w); v must be local and the edge absent.
@@ -63,31 +83,49 @@ func (f *Fragment) DeleteEdge(v, w graph.NodeID) (droppedVirtual bool, err error
 // an AddWatcher notification to w's owner, which the owner directory
 // names.
 func (f *Fragment) InsertEdge(v, w graph.NodeID, wLabel graph.Label) (addedVirtual bool, err error) {
-	if !f.IsLocal(v) {
-		return false, fmt.Errorf("partition: fragment %d asked to insert (%d,%d) but %d is not local", f.ID, v, w, v)
+	return f.edit(edgeEdit{v: v, w: w, l: wLabel, add: true})
+}
+
+// edit logs e unless the fragment refuses it, and reports whether e.w
+// thereby entered or left Virtual. A full log is folded into the index.
+func (f *Fragment) edit(e edgeEdit) (virtualChanged bool, err error) {
+	op, d := "delete", -1
+	if e.add {
+		op, d = "insert", 1
 	}
-	row := f.Succ[v]
-	i := sort.Search(len(row), func(i int) bool { return row[i] >= w })
-	if i < len(row) && row[i] == w {
-		return false, fmt.Errorf("partition: fragment %d already has edge (%d,%d)", f.ID, v, w)
+	if !f.IsLocal(e.v) {
+		return false, fmt.Errorf("partition: fragment %d asked to %s (%d,%d) but %d is not local", f.ID, op, e.v, e.w, e.v)
 	}
-	nrow := make([]graph.NodeID, 0, len(row)+1)
-	nrow = append(nrow, row[:i]...)
-	nrow = append(nrow, w)
-	nrow = append(nrow, row[i:]...)
-	f.Succ[v] = nrow
-	f.numEdges++
-	if !f.IsLocal(w) {
-		f.numCrossing++
-		f.crossCnt[w]++
-		if f.crossCnt[w] == 1 {
-			f.Labels[w] = wLabel
-			f.Virtual = insertSorted(f.Virtual, w)
-			addedVirtual = true
+	f.idxMu.Lock()
+	defer f.idxMu.Unlock()
+	switch has := f.hasEdge(e.v, e.w); {
+	case has && e.add:
+		return false, fmt.Errorf("partition: fragment %d already has edge (%d,%d)", f.ID, e.v, e.w)
+	case !has && !e.add:
+		return false, fmt.Errorf("partition: fragment %d has no edge (%d,%d)", f.ID, e.v, e.w)
+	}
+	f.edits = append(f.edits, e)
+	f.numEdges += d
+	if !f.IsLocal(e.w) {
+		f.numCrossing += d
+		switch n := f.crossCount(e.w); {
+		case e.add && n == 1:
+			f.Virtual, virtualChanged = insertSorted(f.Virtual, e.w), true
+		case !e.add && n == 0:
+			f.Virtual, virtualChanged = removeSorted(f.Virtual, e.w), true
 		}
 	}
-	f.touchRow(v, addedVirtual)
-	return addedVirtual, nil
+	if len(f.edits) >= maxEdits {
+		f.fold()
+	}
+	return virtualChanged, nil
+}
+
+// touchWatchers logs that the in-node watchers changed.
+func (f *Fragment) touchWatchers() {
+	f.idxMu.Lock()
+	defer f.idxMu.Unlock()
+	f.idxWatch = true
 }
 
 // AddWatcher records that fragment id now holds local node v as virtual.

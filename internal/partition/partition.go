@@ -27,10 +27,12 @@ import (
 	"dgs/internal/graph"
 )
 
-// Fragment is one site's share of the graph. Node IDs are global; each
-// fragment stores local adjacency restricted to its local nodes, including
-// crossing edges to virtual nodes. A site must only touch its Fragment —
-// the runtime never hands it the whole graph.
+// Fragment is one site's share of the graph. Node IDs are global. The
+// fragment lists its nodes and its in-node annotations; its adjacency —
+// local→local and local→virtual (crossing) edges — and the labels of
+// every node it can see live in its topology index (Index), the one
+// place that holds them. A site must only touch its Fragment — the
+// runtime never hands it the whole graph.
 type Fragment struct {
 	ID int
 
@@ -45,34 +47,20 @@ type Fragment struct {
 	// edge; these are exactly the nodes other sites hold as virtual.
 	InNodes []graph.NodeID
 
-	// Succ maps a local node (global ID) to its out-neighbors (global
-	// IDs), covering local→local and local→virtual (crossing) edges.
-	Succ map[graph.NodeID][]graph.NodeID
-
-	// Labels of every node the fragment can see (local + virtual).
-	Labels map[graph.NodeID]graph.Label
-
 	// InWatchers[v] lists the fragment IDs that hold in-node v as a
 	// virtual node — i.e. the sites to notify when v's status changes.
 	// This is the annotation A_d(Sj, Si) of the local dependency graph.
 	InWatchers map[graph.NodeID][]int
 
-	// crossCnt[w] counts this fragment's crossing edges into virtual node
-	// w; it decides when w enters/leaves Virtual under live updates.
-	crossCnt map[graph.NodeID]int
-
 	numEdges    int
 	numCrossing int
 
-	// idx caches the dense topology index (see Index). While one is
-	// cached, the mutating methods log what they change against it, for
-	// the next Index call to patch: the local sources whose Succ rows
-	// changed (idxSrc, duplicates allowed, at most len(Local) long) and
-	// whether the in-node watchers did (idxWatch). A change to the
-	// virtual set, or a longer log, drops the cache instead.
+	// idx is the topology index as of the last fold; edits logs the edge
+	// edits made since, oldest first, and idxWatch whether the in-node
+	// watchers changed since. Index folds both in (see patch).
 	idxMu    sync.Mutex
 	idx      *Index
-	idxSrc   []graph.NodeID
+	edits    []edgeEdit
 	idxWatch bool
 }
 
@@ -196,13 +184,7 @@ func buildWorkers(g *graph.Graph, assign []int32, n, workers int) (*Fragmentatio
 	fr := &Fragmentation{G: g, Assign: assign}
 	fr.Frags = make([]*Fragment, n)
 	for i := 0; i < n; i++ {
-		fr.Frags[i] = &Fragment{
-			ID:         i,
-			Succ:       make(map[graph.NodeID][]graph.NodeID),
-			Labels:     make(map[graph.NodeID]graph.Label),
-			InWatchers: make(map[graph.NodeID][]int),
-			crossCnt:   make(map[graph.NodeID]int),
-		}
+		fr.Frags[i] = &Fragment{ID: i, InWatchers: make(map[graph.NodeID][]int)}
 	}
 	// Local node lists, in ascending ID order (so already sorted).
 	for v := 0; v < g.NumNodes(); v++ {
@@ -220,37 +202,32 @@ func buildWorkers(g *graph.Graph, assign []int32, n, workers int) (*Fragmentatio
 		workers = 1 // pool overhead dominates on small graphs
 	}
 
-	// Phase 1 — per-fragment, in parallel: adjacency, labels, crossing
-	// counters and the Virtual set; emit (virtual node, holder) pairs
-	// for phase 2. Workers only write their own fragment and slot.
+	// Phase 1 — per-fragment, in parallel: edge totals and the Virtual
+	// set; emit (virtual node, holder) pairs for phase 2. Workers only
+	// write their own fragment and slot.
 	emitted := make([][]watchPair, n)
 	runFragments(n, workers, func(fi int) {
 		f := fr.Frags[fi]
-		var out []watchPair
+		var cross []graph.NodeID
 		for _, src := range f.Local {
-			f.Labels[src] = g.Label(src)
 			succ := g.Succ(src)
-			if len(succ) == 0 {
-				continue
-			}
-			f.Succ[src] = succ // CSR slice is immutable; safe to share
 			f.numEdges += len(succ)
 			for _, w := range succ {
-				fj := int(assign[w])
-				if fj == fi {
-					continue
-				}
-				// (src, w) is a crossing edge: w is virtual in Fi, in-node in Fj.
-				f.numCrossing++
-				f.crossCnt[w]++
-				if f.crossCnt[w] == 1 {
-					f.Virtual = append(f.Virtual, w)
-					f.Labels[w] = g.Label(w)
-					out = append(out, watchPair{w, int32(fi)})
+				if int(assign[w]) != fi {
+					// (src, w) is a crossing edge: w is virtual in Fi, in-node in Fj.
+					cross = append(cross, w)
 				}
 			}
 		}
-		sort.Slice(f.Virtual, func(i, j int) bool { return f.Virtual[i] < f.Virtual[j] })
+		f.numCrossing = len(cross)
+		slices.Sort(cross)
+		if cross = slices.Compact(cross); len(cross) > 0 {
+			f.Virtual = slices.Clone(cross)
+		}
+		out := make([]watchPair, len(f.Virtual))
+		for i, w := range f.Virtual {
+			out[i] = watchPair{w, int32(fi)}
+		}
 		emitted[fi] = out
 	})
 
@@ -265,7 +242,8 @@ func buildWorkers(g *graph.Graph, assign []int32, n, workers int) (*Fragmentatio
 	}
 
 	// Phase 3 — per-owner, in parallel: sort each bucket to derive the
-	// sorted InNodes set and per-node watcher lists.
+	// sorted InNodes set and per-node watcher lists, then index the
+	// fragment.
 	vfPer := make([]int, n)
 	runFragments(n, workers, func(fj int) {
 		f := fr.Frags[fj]
@@ -283,6 +261,11 @@ func buildWorkers(g *graph.Graph, assign []int32, n, workers int) (*Fragmentatio
 			f.InWatchers[p.w] = append(f.InWatchers[p.w], int(p.holder))
 		}
 		vfPer[fj] = len(f.InNodes)
+		labels := make([]graph.Label, 0, len(f.Local)+len(f.Virtual))
+		for _, v := range slices.Concat(f.Local, f.Virtual) {
+			labels = append(labels, g.Label(v))
+		}
+		f.idx, _ = buildIndex(f, labels, func(i int) ([]graph.NodeID, error) { return g.Succ(f.Local[i]), nil })
 	})
 
 	// In-node sets are disjoint across fragments (each node has one
@@ -371,15 +354,7 @@ func (fr *Fragmentation) Validate() error {
 	// hold v as virtual, and in-nodes are exactly the watched nodes.
 	for _, f := range fr.Frags {
 		for _, v := range f.Virtual {
-			owner := fr.Frags[fr.Assign[v]]
-			found := false
-			for _, w := range owner.InWatchers[v] {
-				if w == f.ID {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if !slices.Contains(fr.Frags[fr.Assign[v]].InWatchers[v], f.ID) {
 				return fmt.Errorf("fragment %d holds %d as virtual but is not a watcher at its owner", f.ID, v)
 			}
 		}
@@ -398,18 +373,21 @@ func (fr *Fragmentation) Validate() error {
 		}
 	}
 	// Edge coverage: every edge of the current graph appears in exactly
-	// its source's fragment.
+	// its source's fragment, whose index agrees with its node lists and
+	// counts its crossing edges into each virtual node in that node's
+	// Pred row.
 	total := 0
 	for _, f := range fr.Frags {
+		ix := f.Index()
+		if int(ix.NL) != len(f.Local) || !slices.Equal(ix.Vis[ix.NL:], f.Virtual) {
+			return fmt.Errorf("fragment %d's index sees %d locals and virtuals %v, the fragment %d and %v", f.ID, ix.NL, ix.Vis[ix.NL:], len(f.Local), f.Virtual)
+		}
 		crossing := 0
 		crossPer := make(map[graph.NodeID]int)
-		for v, succ := range f.Succ {
-			if !f.IsLocal(v) {
-				return fmt.Errorf("fragment %d stores adjacency of foreign node %d", f.ID, v)
-			}
-			total += len(succ)
-			for _, w := range succ {
-				if fr.Assign[w] != int32(f.ID) {
+		for _, row := range ix.Succ {
+			total += len(row)
+			for _, wi := range row {
+				if w := ix.Vis[wi]; fr.Assign[w] != int32(f.ID) {
 					crossing++
 					crossPer[w]++
 				}
@@ -418,16 +396,13 @@ func (fr *Fragmentation) Validate() error {
 		if crossing != f.numCrossing {
 			return fmt.Errorf("fragment %d numCrossing %d != recount %d", f.ID, f.numCrossing, crossing)
 		}
-		if len(crossPer) != len(f.crossCnt) {
-			return fmt.Errorf("fragment %d crossCnt tracks %d nodes, recount %d", f.ID, len(f.crossCnt), len(crossPer))
-		}
-		for w, n := range crossPer {
-			if f.crossCnt[w] != n {
-				return fmt.Errorf("fragment %d crossCnt[%d]=%d, recount %d", f.ID, w, f.crossCnt[w], n)
-			}
-		}
 		if len(f.Virtual) != len(crossPer) {
 			return fmt.Errorf("fragment %d holds %d virtual nodes, crossing edges reach %d", f.ID, len(f.Virtual), len(crossPer))
+		}
+		for j, w := range f.Virtual {
+			if n := len(ix.Pred[int(ix.NL)+j]); n != crossPer[w] {
+				return fmt.Errorf("fragment %d counts %d crossing edges into %d, recount %d", f.ID, n, w, crossPer[w])
+			}
 		}
 	}
 	if total != fr.CurrentNumEdges() {

@@ -78,11 +78,23 @@ func TestDecodeFragSetRefusesOutsideDeployment(t *testing.T) {
 	if _, why := decodeFragSet(ok); why != "" {
 		t.Fatalf("well-formed fragment refused: %s", why)
 	}
-	frag := func(mangle func(f *partition.Fragment)) func(d *deployBody) {
+	// frag0 ships fragment 0 of an n-fragment fragmentation of another
+	// graph of "a" nodes: well-formed on its own, but naming sites or
+	// nodes that the two-site, four-node deployment does not have.
+	frag0 := func(nodes int, edges [][2]graph.NodeID, assign []int32, n int) func(d *deployBody) {
 		return func(d *deployBody) {
-			f := partition.CloneFragment(fr.Frags[0])
-			mangle(f)
-			d.frags = partition.AppendFragment(nil, f)
+			b := graph.NewBuilder()
+			for i := 0; i < nodes; i++ {
+				b.AddNode("a")
+			}
+			for _, e := range edges {
+				b.AddEdge(e[0], e[1])
+			}
+			big, err := partition.Build(b.MustBuild(), assign, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.frags = partition.AppendFragment(nil, big.Frags[0])
 		}
 	}
 	enc := func(fs ...*partition.Fragment) (b []byte) {
@@ -92,11 +104,10 @@ func TestDecodeFragSetRefusesOutsideDeployment(t *testing.T) {
 		return b
 	}
 	for name, mangle := range map[string]func(d *deployBody){
-		"watcher": frag(func(f *partition.Fragment) { f.InWatchers[1] = []int{5} }),
-		"directory": frag(func(f *partition.Fragment) {
-			f.Succ[0] = []graph.NodeID{2, 9}
-			f.Virtual = []graph.NodeID{2, 9}
-		}),
+		// Site 5 holds node 1 as virtual.
+		"watcher": frag0(5, [][2]graph.NodeID{{0, 2}, {2, 1}, {4, 1}}, []int32{0, 0, 1, 1, 5}, 6),
+		// Node 9 is virtual at site 0.
+		"directory":         frag0(10, [][2]graph.NodeID{{0, 2}, {0, 9}, {2, 1}}, []int32{0, 0, 1, 1, 1, 1, 1, 1, 1, 1}, 2),
 		"directory entry":   func(d *deployBody) { d.assign = []int32{0, 0, 5, 1} },
 		"coordinator entry": func(d *deployBody) { d.assign = []int32{0, 0, -1, 1} },
 		"no sites":          func(d *deployBody) { d.total, d.hosted, d.assign, d.frags = 0, nil, nil, nil },

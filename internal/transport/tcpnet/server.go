@@ -166,8 +166,9 @@ func decodeFragSet(dep deployBody) (map[int]*partition.Fragment, string) {
 		return nil, fmt.Sprintf("%d trailing bytes after fragments", len(rest))
 	}
 	for id, f := range frags {
-		for v, l := range f.Labels {
-			if int(l) >= len(dep.labels) {
+		ix := f.Index()
+		for i, v := range ix.Vis {
+			if l := ix.Labels[i]; int(l) >= len(dep.labels) {
 				return nil, fmt.Sprintf("fragment %d carries label id %d outside the %d-entry dictionary", id, l, len(dep.labels))
 			}
 			if int(v) >= len(dep.assign) {

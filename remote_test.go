@@ -9,7 +9,9 @@ package dgs
 
 import (
 	"context"
+	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -170,6 +172,133 @@ func TestRemoteApplyWatch(t *testing.T) {
 	}
 	if oracle := Simulate(q, afterIns); !Simulate(q, dep.Partition().CurrentGraph()).Equal(oracle) {
 		t.Fatal("oracle sanity")
+	}
+}
+
+// TestRemoteApplyConcurrentWithQueries is the serving shape over TCP:
+// four goroutines query a two-daemon deployment while deletion and
+// insertion batches, some of them giving birth to virtual nodes, are
+// applied. A standing query tracks Simulate after every batch, and every
+// answer equals Simulate on the graph at the version it reports.
+func TestRemoteApplyConcurrentWithQueries(t *testing.T) {
+	dict := NewDict()
+	g := GenSynthetic(dict, 300, 1200, 31)
+	var catalog []*Pattern
+	for i := 0; i < 4; i++ {
+		catalog = append(catalog, GenCyclicPatternOver(dict, 3+i%2, 4+i%3, 4, int64(40+i)))
+	}
+	part, err := PartitionWith(g, "ldg", 6, WithPartitionSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep, err := Deploy(part, WithRemoteSites(startSiteServers(t, 2)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.Close()
+	ctx := context.Background()
+	w, err := dep.Watch(ctx, catalog[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+
+	type answer struct {
+		q   int
+		res *Result
+	}
+	var (
+		mu      sync.Mutex
+		answers []answer
+		wg      sync.WaitGroup
+	)
+	done := make(chan struct{})
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				res, err := dep.Query(ctx, catalog[i%len(catalog)])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				answers = append(answers, answer{i % len(catalog), res})
+				mu.Unlock()
+			}
+		}(c)
+	}
+
+	// graphs[v] is the graph at version v.
+	graphs := map[uint64]*Graph{0: g}
+	fr := dep.Partition().fr
+	r := rand.New(rand.NewSource(5))
+	births, deaths := 0, 0
+	for batch := 0; batch < 8; batch++ {
+		cur := dep.Partition().CurrentGraph()
+		var ops []EdgeOp
+		for len(ops) < 12 {
+			v, x := NodeID(r.Intn(cur.NumNodes())), NodeID(r.Intn(cur.NumNodes()))
+			switch {
+			case batch%2 == 0 && len(cur.Succ(v)) > 0: // delete one of v's edges
+				x = cur.Succ(v)[r.Intn(len(cur.Succ(v)))]
+				if !slices.Contains(ops, DeleteOp(v, x)) {
+					ops = append(ops, DeleteOp(v, x))
+				}
+			case batch%2 == 1 && v != x && !slices.Contains(cur.Succ(v), x) && !slices.Contains(ops, InsertOp(v, x)):
+				ops = append(ops, InsertOp(v, x))
+			}
+		}
+		before := make([][]NodeID, len(fr.Frags))
+		for i, f := range fr.Frags {
+			before[i] = slices.Clone(f.Virtual)
+		}
+		if _, err := dep.Apply(ctx, ops); err != nil {
+			t.Fatal(err)
+		}
+		for i, f := range fr.Frags {
+			births += len(slices.DeleteFunc(slices.Clone(f.Virtual), func(v NodeID) bool { return slices.Contains(before[i], v) }))
+			deaths += len(slices.DeleteFunc(before[i], func(v NodeID) bool { return slices.Contains(f.Virtual, v) }))
+		}
+		cur = dep.Partition().CurrentGraph()
+		graphs[dep.Version()] = cur
+		if !w.Current().Equal(Simulate(catalog[0], cur)) {
+			t.Fatalf("batch %d: the standing query diverges from Simulate", batch)
+		}
+	}
+	close(done)
+	wg.Wait()
+	if births == 0 || deaths == 0 {
+		t.Fatalf("the batches gave birth to %d virtual nodes and retired %d", births, deaths)
+	}
+	mid := 0
+	for _, a := range answers {
+		cur, ok := graphs[a.res.Version]
+		if !ok {
+			t.Fatalf("an answer reports version %d, which no batch made", a.res.Version)
+		}
+		if !a.res.Match.Equal(Simulate(catalog[a.q], cur)) {
+			t.Fatalf("pattern %d at version %d diverges from Simulate", a.q, a.res.Version)
+		}
+		if a.res.Version > 0 && a.res.Version < 8 {
+			mid++
+		}
+	}
+	t.Logf("%d answers, %d between the first and the last batch; %d virtual births, %d deaths", len(answers), mid, births, deaths)
+	for i, q := range catalog {
+		res, err := dep.Query(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Version != 8 || !res.Match.Equal(Simulate(q, dep.Partition().CurrentGraph())) {
+			t.Fatalf("pattern %d after the batches: version %d, or diverges from Simulate", i, res.Version)
+		}
 	}
 }
 

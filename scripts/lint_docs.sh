@@ -196,9 +196,11 @@ fi
 # the fragment's second owner directory, the gateway's plan copy, the
 # separate loss-notification extension, and the shipped evaluation
 # orders with their check, decoder and OPEN field, the centralized dual
-# and incremental side doors, and the second and third per-fragment
-# sites that dGPMd and dGPMt once kept beside dGPM's.
-if stale=$(grep -nE 'Partition(Random|Blocks|TargetRatio|Tree|Chain)|dgpm\.NewEngine\b|Fragment\.Owner|PlanBody|LossNotifier|Plan\.Fits|decodeSpecPlan|SessionSpec\.Plan|seed order|SimulateDual|NewIncremental|DualHHK|dagSite|treeSite' $prose); then
+# and incremental side doors, the second and third per-fragment sites
+# that dGPMd and dGPMt once kept beside dGPM's, and the fragment's map
+# form of its adjacency, labels and crossing counts, which its index
+# replaced.
+if stale=$(grep -nE 'Partition(Random|Blocks|TargetRatio|Tree|Chain)|dgpm\.NewEngine\b|Fragment\.Owner|PlanBody|LossNotifier|Plan\.Fits|decodeSpecPlan|SessionSpec\.Plan|seed order|SimulateDual|NewIncremental|DualHHK|dagSite|treeSite|Fragment\.Succ|Fragment\.Labels|crossCnt' $prose); then
   echo "the documents name a deleted identifier:"
   echo "$stale" | sed 's/^/  /'
   fail=1
