@@ -50,35 +50,22 @@ type dmesSite struct {
 	ix   *partition.Index
 	lis  []int32 // index in ix of each local node, in Local order
 
-	nq    int
-	state map[graph.NodeID]bitset // local vertices' candidate sets
-	known map[graph.NodeID]bitset // last-known vectors of virtual nodes
+	nq  int
+	vec []bitset // by index in ix: local vertices' candidate sets, virtual nodes' last-known vectors
 
 	inbox []*wire.Vectors // vectors buffered for the next superstep
 }
 
 func newDmesSite(q *pattern.Pattern, frag *partition.Fragment) *dmesSite {
 	ix := frag.Index()
-	s := &dmesSite{q: q, frag: frag, ix: ix, lis: localIndices(frag, ix), nq: q.NumNodes()}
-	s.state = make(map[graph.NodeID]bitset, len(frag.Local))
-	for i, v := range frag.Local {
-		bs := newBitset(s.nq)
+	s := &dmesSite{q: q, frag: frag, ix: ix, lis: localIndices(frag, ix), nq: q.NumNodes(), vec: make([]bitset, len(ix.Vis))}
+	for vi, l := range ix.Labels {
+		s.vec[vi] = newBitset(s.nq)
 		for u := 0; u < s.nq; u++ {
-			if q.Label(pattern.QNode(u)) == ix.Labels[s.lis[i]] {
-				bs.set(u)
+			if q.Label(pattern.QNode(u)) == l {
+				s.vec[vi].set(u)
 			}
 		}
-		s.state[v] = bs
-	}
-	s.known = make(map[graph.NodeID]bitset, len(frag.Virtual))
-	for j, v := range frag.Virtual {
-		bs := newBitset(s.nq)
-		for u := 0; u < s.nq; u++ {
-			if q.Label(pattern.QNode(u)) == ix.Labels[int(ix.NL)+j] {
-				bs.set(u)
-			}
-		}
-		s.known[v] = bs
 	}
 	return s
 }
@@ -93,8 +80,8 @@ func (s *dmesSite) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
 			s.superstep(ctx, m.Arg)
 		case opReport:
 			var pairs []wire.VarRef
-			for _, v := range s.frag.Local {
-				bs := s.state[v]
+			for i, v := range s.frag.Local {
+				bs := s.vec[s.lis[i]]
 				for u := 0; u < s.nq; u++ {
 					if bs.get(u) {
 						pairs = append(pairs, wire.VarRef{U: uint16(u), V: uint32(v)})
@@ -106,21 +93,12 @@ func (s *dmesSite) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
 	}
 }
 
-// vecOf reads the current vector of any fragment-visible node.
-func (s *dmesSite) vecOf(v graph.NodeID) bitset {
-	if bs, ok := s.state[v]; ok {
-		return bs
-	}
-	return s.known[v]
-}
-
 func (s *dmesSite) superstep(ctx *cluster.Ctx, step uint32) {
 	// (1) ingest buffered vectors for virtual nodes.
 	for _, m := range s.inbox {
 		for i, nv := range m.Nodes {
-			v := graph.NodeID(nv)
-			if _, ok := s.known[v]; ok {
-				s.known[v] = bitset(m.Bitsets[i]).clone()
+			if vi, ok := s.ix.Find(graph.NodeID(nv)); ok && vi >= s.ix.NL {
+				s.vec[vi] = bitset(m.Bitsets[i]).clone()
 			}
 		}
 	}
@@ -128,9 +106,9 @@ func (s *dmesSite) superstep(ctx *cluster.Ctx, step uint32) {
 
 	// (2) vertex-centric recompute of every local vertex — deliberately
 	// from scratch, per the unoptimized vertex program of [14].
-	changed := make(map[graph.NodeID]bool)
-	for i, v := range s.frag.Local {
-		bs := s.state[v]
+	changed := false
+	for _, li := range s.lis {
+		bs := s.vec[li]
 		next := bs.clone()
 		for u := 0; u < s.nq; u++ {
 			if !bs.get(u) {
@@ -139,8 +117,8 @@ func (s *dmesSite) superstep(ctx *cluster.Ctx, step uint32) {
 			ok := true
 			for _, uc := range s.q.Succ(pattern.QNode(u)) {
 				found := false
-				for _, wi := range s.ix.Succ[s.lis[i]] {
-					if s.vecOf(s.ix.Vis[wi]).get(int(uc)) {
+				for _, wi := range s.ix.Succ[li] {
+					if s.vec[wi].get(int(uc)) {
 						found = true
 						break
 					}
@@ -155,8 +133,8 @@ func (s *dmesSite) superstep(ctx *cluster.Ctx, step uint32) {
 			}
 		}
 		if !next.equal(bs) {
-			s.state[v] = next
-			changed[v] = true
+			s.vec[li] = next
+			changed = true
 		}
 	}
 
@@ -167,17 +145,17 @@ func (s *dmesSite) superstep(ctx *cluster.Ctx, step uint32) {
 	// cross-site in-neighbors each superstep whether or not it changed
 	// (no combiner), which is why dMes ships orders of magnitude more
 	// than dGPM's once-per-variable falsifications.
-	for _, v := range s.frag.InNodes {
+	for k, v := range s.frag.InNodes {
 		for _, w := range s.frag.InWatchers[v] {
 			ctx.Send(w, &wire.Vectors{
 				NumQ:    uint16(s.nq),
 				Nodes:   []uint32{uint32(v)},
-				Bitsets: [][]byte{s.state[v].clone()},
+				Bitsets: [][]byte{s.vec[s.ix.In[k]].clone()},
 			})
 		}
 	}
 	// (4) vote.
-	ctx.Send(cluster.Coordinator, &wire.Control{Op: opVote, Arg: step, Flag: len(changed) > 0 || step == 0})
+	ctx.Send(cluster.Coordinator, &wire.Control{Op: opVote, Arg: step, Flag: changed || step == 0})
 }
 
 // dmesCoord runs the superstep barrier and collects final matches.

@@ -36,15 +36,12 @@ func appendU16(dst []byte, x uint16) []byte { return wire.AppendUint16(dst, x) }
 // AppendFragment appends f's wire encoding to dst.
 func AppendFragment(dst []byte, f *Fragment) []byte {
 	ix := f.Index()
-	lis := make([]int32, len(f.Local))
-	for i, v := range f.Local {
-		lis[i], _ = ix.Find(v)
-	}
 	dst = appendU32(dst, uint32(f.ID))
 	dst = appendU32(dst, uint32(len(f.Local)))
-	for i, v := range f.Local {
+	for _, v := range f.Local {
+		li, _ := ix.Find(v)
 		dst = appendU32(dst, v)
-		dst = appendU16(dst, ix.Labels[lis[i]])
+		dst = appendU16(dst, ix.Labels[li])
 	}
 	dst = appendU32(dst, uint32(len(f.Virtual)))
 	for j, v := range f.Virtual {
@@ -60,7 +57,8 @@ func AppendFragment(dst []byte, f *Fragment) []byte {
 			dst = appendU32(dst, uint32(w))
 		}
 	}
-	for _, li := range lis {
+	for _, v := range f.Local {
+		li, _ := ix.Find(v)
 		succ := ix.Succ[li]
 		dst = appendU32(dst, uint32(len(succ)))
 		for _, wi := range succ {

@@ -64,9 +64,10 @@ type Index struct {
 	IsIn []bool
 	In   []int32
 	// Succ[li] and Pred[vi] are the dense adjacency rows (indices into
-	// Vis); Succ covers local sources only. Each table's rows share one
-	// backing array; Succ rows ascend by node ID, Pred rows by index, and
-	// a virtual node's Pred row is the fragment's crossing edges into it.
+	// Vis); Succ covers local sources only. A build lays each table's
+	// rows in one backing array. Succ rows ascend by node ID, Pred rows
+	// by index, and a virtual node's Pred row is the fragment's crossing
+	// edges into it.
 	Succ [][]int32
 	Pred [][]int32
 	// Labels[i] is the label of Vis[i].
@@ -417,32 +418,15 @@ func fillWatchers(f *Fragment, ix *Index) {
 }
 
 // editedRow appends to dst the successors of local li in o, by node ID,
-// with es applied: the net edits of its source (see patch), ascending by
-// target.
+// with es — edits of its source, in log order — applied.
 func (o *Index) editedRow(dst []graph.NodeID, li int32, es []edgeEdit) []graph.NodeID {
-	old, i := o.Succ[li], 0
-	for _, e := range es {
-		for ; i < len(old) && o.Vis[old[i]] < e.w; i++ {
-			dst = append(dst, o.Vis[old[i]])
-		}
-		if i < len(old) && o.Vis[old[i]] == e.w {
-			i++
-		}
-		if e.add {
-			dst = append(dst, e.w)
-		}
+	for _, wi := range o.Succ[li] {
+		dst = append(dst, o.Vis[wi])
 	}
-	for ; i < len(old); i++ {
-		dst = append(dst, o.Vis[old[i]])
+	for _, e := range es {
+		dst = editSorted(dst, e.w, e.add)
 	}
 	return dst
-}
-
-// predEdit is one change to a Pred row: local source li gained (add) or
-// lost an edge into visible node wi.
-type predEdit struct {
-	wi, li int32
-	add    bool
 }
 
 // patch derives the index of f's current state from o, the index of an
@@ -455,91 +439,60 @@ type predEdit struct {
 // index is built again from o's rows and labels and the edits. o is left
 // untouched, and the result's prepared state starts empty.
 func (o *Index) patch(f *Fragment, edits []edgeEdit, watchers bool) *Index {
-	// The net edits, grouped by source and ascending by target: the last
-	// edit of an edge says whether it is there now.
-	net := slices.Clone(edits)
-	slices.SortStableFunc(net, func(a, b edgeEdit) int {
-		return cmp.Or(cmp.Compare(a.v, b.v), cmp.Compare(a.w, b.w))
-	})
-	k := 0
-	for i, e := range net {
-		if i+1 == len(net) || net[i+1].v != e.v || net[i+1].w != e.w {
-			net[k] = e
-			k++
-		}
-	}
-	net = net[:k]
+	// The edits grouped by source, in log order within one.
+	bySrc := slices.Clone(edits)
+	slices.SortStableFunc(bySrc, func(a, b edgeEdit) int { return cmp.Compare(a.v, b.v) })
 	if !slices.Equal(o.Vis[o.NL:], f.Virtual) {
-		return o.rebuild(f, net, edits)
+		return o.rebuild(f, bySrc, edits)
 	}
 	ix := *o
 	ix.prepared = new(preparedMemo)
 	if watchers {
 		fillWatchers(f, &ix)
 	}
-	if len(net) == 0 {
+	if len(edits) == 0 {
 		return &ix
 	}
 
-	// Succ: a fresh row per edited source. A net edit that changes the
-	// row is a Pred edit.
+	// A fresh Succ row per edited source, and the edits applied in log
+	// order to their targets' Pred rows, each copied on its first edit.
 	ix.Succ = slices.Clone(o.Succ)
+	ix.Pred = slices.Clone(o.Pred)
+	copied := make(map[int32]bool)
 	var lis []int32
-	var preds []predEdit
 	var ids []graph.NodeID
-	for len(net) > 0 {
+	for len(bySrc) > 0 {
 		end := 1
-		for end < len(net) && net[end].v == net[0].v {
+		for end < len(bySrc) && bySrc[end].v == bySrc[0].v {
 			end++
 		}
-		li, _ := o.Find(net[0].v)
+		li, _ := o.Find(bySrc[0].v)
 		lis = append(lis, li)
-		for _, e := range net[:end] {
-			if _, had := slices.BinarySearchFunc(o.Succ[li], e.w, o.byID); had != e.add {
-				wi, _ := o.Find(e.w)
-				preds = append(preds, predEdit{wi, li, e.add})
-			}
-		}
-		ids = o.editedRow(ids[:0], li, net[:end])
+		ids = o.editedRow(ids[:0], li, bySrc[:end])
 		row := make([]int32, len(ids))
 		for k, w := range ids {
 			row[k], _ = o.Find(w)
 		}
 		ix.Succ[li] = clipRow(row)
-		net = net[end:]
+		for _, e := range bySrc[:end] {
+			wi, _ := o.Find(e.w)
+			pred := ix.Pred[wi]
+			if !copied[wi] {
+				pred, copied[wi] = slices.Clone(pred), true
+			}
+			ix.Pred[wi] = clipRow(editSorted(pred, li, e.add))
+		}
+		bySrc = bySrc[end:]
 	}
 	ix.OutDeg = o.patchOutDeg(ix.Succ, lis)
-
-	// Pred: each edited row is copied on its first edit and stays
-	// ascending.
-	if len(preds) > 0 {
-		ix.Pred = slices.Clone(o.Pred)
-	}
-	slices.SortFunc(preds, func(a, b predEdit) int { return cmp.Compare(a.wi, b.wi) })
-	for k, e := range preds {
-		row := ix.Pred[e.wi]
-		if k == 0 || preds[k-1].wi != e.wi {
-			row = slices.Clone(row)
-		}
-		i, _ := slices.BinarySearch(row, e.li)
-		if e.add {
-			row = slices.Insert(row, i, e.li)
-		} else {
-			row = slices.Delete(row, i, i+1)
-		}
-		ix.Pred[e.wi] = clipRow(row)
-	}
 	return &ix
 }
 
-// byID compares the node at index wi with node w, to search a Succ row
-// by node ID.
-func (ix *Index) byID(wi int32, w graph.NodeID) int { return cmp.Compare(ix.Vis[wi], w) }
-
 // rebuild builds the index of f's current state afresh from o and the
-// log — net, the net edits (see patch), and edits, whose insertions carry
-// the labels of newborn virtual nodes — numbering the virtual nodes anew.
-func (o *Index) rebuild(f *Fragment, net, edits []edgeEdit) *Index {
+// log — bySrc, the edits grouped by source (see patch), and edits, whose
+// insertions carry the labels of newborn virtual nodes — numbering the
+// virtual nodes anew.
+func (o *Index) rebuild(f *Fragment, bySrc, edits []edgeEdit) *Index {
 	labels := make([]graph.Label, 0, len(f.Local)+len(f.Virtual))
 	for _, v := range slices.Concat(f.Local, f.Virtual) {
 		if vi, ok := o.Find(v); ok {
@@ -551,12 +504,12 @@ func (o *Index) rebuild(f *Fragment, net, edits []edgeEdit) *Index {
 	var ids []graph.NodeID
 	ix, _ := buildIndex(f, labels, func(i int) ([]graph.NodeID, error) {
 		end := 0
-		for end < len(net) && net[end].v == f.Local[i] {
+		for end < len(bySrc) && bySrc[end].v == f.Local[i] {
 			end++
 		}
 		li, _ := o.Find(f.Local[i])
-		ids = o.editedRow(ids[:0], li, net[:end])
-		net = net[end:]
+		ids = o.editedRow(ids[:0], li, bySrc[:end])
+		bySrc = bySrc[end:]
 		return ids, nil
 	})
 	return ix

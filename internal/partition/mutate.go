@@ -17,6 +17,7 @@ package partition
 // against in-flight queries.
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -44,8 +45,9 @@ func (f *Fragment) hasEdge(v, w graph.NodeID) bool {
 			return e.add
 		}
 	}
-	li, _ := f.idx.Find(v)
-	_, found := slices.BinarySearchFunc(f.idx.Succ[li], w, f.idx.byID)
+	ix := f.idx
+	li, _ := ix.Find(v)
+	_, found := slices.BinarySearchFunc(ix.Succ[li], w, func(wi int32, w graph.NodeID) int { return cmp.Compare(ix.Vis[wi], w) })
 	return found
 }
 
@@ -108,11 +110,9 @@ func (f *Fragment) edit(e edgeEdit) (virtualChanged bool, err error) {
 	f.numEdges += d
 	if !f.IsLocal(e.w) {
 		f.numCrossing += d
-		switch n := f.crossCount(e.w); {
-		case e.add && n == 1:
-			f.Virtual, virtualChanged = insertSorted(f.Virtual, e.w), true
-		case !e.add && n == 0:
-			f.Virtual, virtualChanged = removeSorted(f.Virtual, e.w), true
+		// w is virtual from its first crossing edge to its last.
+		if n := f.crossCount(e.w); e.add && n == 1 || !e.add && n == 0 {
+			f.Virtual, virtualChanged = editSorted(f.Virtual, e.w, e.add), true
 		}
 	}
 	if len(f.edits) >= maxEdits {
@@ -132,7 +132,7 @@ func (f *Fragment) touchWatchers() {
 // It reports whether v thereby became an in-node; a node that is not
 // local is ignored. Watcher lists are kept sorted, so membership and
 // insertion are binary searches — this sits on the Apply hot path
-// alongside insertSorted/removeSorted.
+// alongside editSorted.
 func (f *Fragment) AddWatcher(v graph.NodeID, id int) (becameIn bool) {
 	if !f.IsLocal(v) {
 		return false
@@ -148,7 +148,7 @@ func (f *Fragment) AddWatcher(v graph.NodeID, id int) (becameIn bool) {
 	ws[i] = id
 	f.InWatchers[v] = ws
 	if len(ws) == 1 {
-		f.InNodes = insertSorted(f.InNodes, v)
+		f.InNodes = editSorted(f.InNodes, v, true)
 		return true
 	}
 	return false
@@ -174,7 +174,7 @@ func (f *Fragment) RemoveWatcher(v graph.NodeID, id int) (droppedIn bool) {
 		return false
 	}
 	delete(f.InWatchers, v)
-	f.InNodes = removeSorted(f.InNodes, v)
+	f.InNodes = editSorted(f.InNodes, v, false)
 	return true
 }
 
@@ -220,21 +220,14 @@ func (fr *Fragmentation) RecountBoundary() {
 	fr.vf, fr.ef = vf, ef
 }
 
-func insertSorted(s []graph.NodeID, v graph.NodeID) []graph.NodeID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	if i < len(s) && s[i] == v {
-		return s
+// editSorted inserts x into the ascending s (add), or deletes it.
+func editSorted[T cmp.Ordered](s []T, x T, add bool) []T {
+	i, found := slices.BinarySearch(s, x)
+	switch {
+	case add && !found:
+		return slices.Insert(s, i, x)
+	case !add && found:
+		return slices.Delete(s, i, i+1)
 	}
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
 	return s
-}
-
-func removeSorted(s []graph.NodeID, v graph.NodeID) []graph.NodeID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	if i >= len(s) || s[i] != v {
-		return s
-	}
-	return append(s[:i], s[i+1:]...)
 }

@@ -185,42 +185,3 @@ func BenchmarkRefineIncrementalVsRescan(b *testing.B) {
 		})
 	}
 }
-
-// ratioOf recomputes metric's ratio by a full edge scan.
-func ratioOf(g *graph.Graph, assign []int32, metric Metric) float64 {
-	if metric == ByVf {
-		return vfRatioOf(g, assign)
-	}
-	return efRatioOf(g, assign)
-}
-
-// efRatioOf recomputes |Ef|/|E| by a full edge scan: the O(|E|)
-// reference the incremental counters are held against.
-func efRatioOf(g *graph.Graph, assign []int32) float64 {
-	if g.NumEdges() == 0 {
-		return 0
-	}
-	cross := 0
-	g.Edges(func(v, w graph.NodeID) bool {
-		if assign[v] != assign[w] {
-			cross++
-		}
-		return true
-	})
-	return float64(cross) / float64(g.NumEdges())
-}
-
-// vfRatioOf recomputes |Vf|/|V| by a full edge scan (see efRatioOf).
-func vfRatioOf(g *graph.Graph, assign []int32) float64 {
-	if g.NumNodes() == 0 {
-		return 0
-	}
-	virt := make(map[graph.NodeID]bool)
-	g.Edges(func(v, w graph.NodeID) bool {
-		if assign[v] != assign[w] {
-			virt[w] = true
-		}
-		return true
-	})
-	return float64(len(virt)) / float64(g.NumNodes())
-}

@@ -106,6 +106,13 @@ func TargetRatio(g *graph.Graph, n int, metric Metric, target float64, rng *rand
 	return Build(g, assign, n)
 }
 
+func ratioOf(g *graph.Graph, assign []int32, metric Metric) float64 {
+	if metric == ByVf {
+		return vfRatioOf(g, assign)
+	}
+	return efRatioOf(g, assign)
+}
+
 // raiseRatio relocates randomly chosen nodes to random other fragments
 // until the boundary ratio reaches target. Each relocation of a node with
 // neighbors can only create crossing edges, so the ratio climbs to the
@@ -126,6 +133,38 @@ func raiseRatio(cs *cutState, n int, metric Metric, target float64, rng *rand.Ra
 		}
 		cs.move(v, f)
 	}
+}
+
+// efRatioOf recomputes |Ef|/|E| by a full edge scan — the O(|E|)
+// reference implementation, used to seed cutState indirectly and to
+// cross-check the incremental counters in tests.
+func efRatioOf(g *graph.Graph, assign []int32) float64 {
+	if g.NumEdges() == 0 {
+		return 0
+	}
+	cross := 0
+	g.Edges(func(v, w graph.NodeID) bool {
+		if assign[v] != assign[w] {
+			cross++
+		}
+		return true
+	})
+	return float64(cross) / float64(g.NumEdges())
+}
+
+// vfRatioOf recomputes |Vf|/|V| by a full edge scan (see efRatioOf).
+func vfRatioOf(g *graph.Graph, assign []int32) float64 {
+	if g.NumNodes() == 0 {
+		return 0
+	}
+	virt := make(map[graph.NodeID]bool)
+	g.Edges(func(v, w graph.NodeID) bool {
+		if assign[v] != assign[w] {
+			virt[w] = true
+		}
+		return true
+	})
+	return float64(len(virt)) / float64(g.NumNodes())
 }
 
 // Chain fragments the Fig-2 graph family: node v goes to fragment
