@@ -435,9 +435,11 @@ func (o *Index) editedRow(dst []graph.NodeID, li int32, es []edgeEdit) []graph.N
 // fresh Build of the current graph gives the fragment. While the virtual
 // set is o's, the numbering and its Find table, labels, label ranges and
 // Virt lists carry over, and the result shares every row it does not
-// change with o; otherwise the virtual nodes are numbered afresh, and the
-// index is built again from o's rows and labels and the edits. o is left
-// untouched, and the result's prepared state starts empty.
+// change with o, and a virtual node born and retired since o, which has
+// no row there, is passed over, its edits cancelling out; otherwise the
+// virtual nodes are numbered afresh, and the index is built again from
+// o's rows and labels and the edits. o is left untouched, and the
+// result's prepared state starts empty.
 func (o *Index) patch(f *Fragment, edits []edgeEdit, watchers bool) *Index {
 	// The edits grouped by source, in log order within one.
 	bySrc := slices.Clone(edits)
@@ -475,7 +477,10 @@ func (o *Index) patch(f *Fragment, edits []edgeEdit, watchers bool) *Index {
 		}
 		ix.Succ[li] = clipRow(row)
 		for _, e := range bySrc[:end] {
-			wi, _ := o.Find(e.w)
+			wi, ok := o.Find(e.w)
+			if !ok { // born and retired since o: its edits cancel out
+				continue
+			}
 			pred := ix.Pred[wi]
 			if !copied[wi] {
 				pred, copied[wi] = slices.Clone(pred), true

@@ -262,10 +262,20 @@ func indexDiff(got, want *Index) string {
 	return ""
 }
 
-// applyBatch applies one update batch as a driver replays it —
-// ApplyBatchLocal on the fragments, the overlay alongside — and checks
-// the §2.2 invariants.
+// applyBatch applies one update batch as replayBatch does and checks
+// the §2.2 invariants, which folds every fragment's log.
 func applyBatch(t *testing.T, fr *Fragmentation, dels, ins [][2]graph.NodeID) {
+	t.Helper()
+	replayBatch(t, fr, dels, ins)
+	if err := fr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// replayBatch applies one update batch as a driver replays it —
+// ApplyBatchLocal on the fragments, the overlay alongside — and leaves
+// the fragments' logs unfolded.
+func replayBatch(t *testing.T, fr *Fragmentation, dels, ins [][2]graph.NodeID) {
 	t.Helper()
 	if err := ApplyBatchLocal(fr, dels, ins); err != nil {
 		t.Fatal(err)
@@ -280,9 +290,6 @@ func applyBatch(t *testing.T, fr *Fragmentation, dels, ins [][2]graph.NodeID) {
 		if err := ov.InsertEdge(e[0], e[1]); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := fr.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -355,10 +362,10 @@ func drawBatch(r *rand.Rand, fr *Fragmentation, kind int) (dels, ins [][2]graph.
 // several — each fragment's Index equals, field for field, the index a
 // fresh Build of the current graph gives it, and every index taken before
 // the batches is exactly as it was. The streams must patch indexes in
-// place, refill watchers, and renumber the virtual nodes after births
-// and deaths.
+// place, refill watchers, renumber the virtual nodes after births and
+// deaths, and fold logs in which a virtual node was born and retired.
 func TestIndexMatchesRebuild(t *testing.T) {
-	patched, watchersPatched, renumbered := 0, 0, 0
+	patched, watchersPatched, renumbered, transient := 0, 0, 0, 0
 	for seed := int64(0); seed < 12; seed++ {
 		fr := randomFragmentation(t, seed)
 		r := rand.New(rand.NewSource(seed))
@@ -370,11 +377,28 @@ func TestIndexMatchesRebuild(t *testing.T) {
 				snaps[i] = fmt.Sprint(*before[i])
 			}
 			var kinds []string
+			born := make([][]graph.NodeID, len(fr.Frags)) // virtuals the run gave birth to
+			var newborn [][2]graph.NodeID                 // the last batch's birth, if it was one
 			for b := 0; b < 1+step%3; b++ {
 				kind := (step + b) % len(batchKinds)
 				dels, ins := drawBatch(r, fr, kind)
-				applyBatch(t, fr, dels, ins)
-				kinds = append(kinds, batchKinds[kind])
+				name := batchKinds[kind]
+				if newborn != nil { // retire it again before the fold
+					dels, ins, name = newborn, nil, "retire the newborn"
+				}
+				replayBatch(t, fr, dels, ins)
+				kinds = append(kinds, name)
+				newborn = nil
+				if kind == 3 && len(ins) == 1 {
+					newborn = ins
+				}
+				for i, f := range fr.Frags {
+					for _, w := range f.Virtual {
+						if _, ok := before[i].Find(w); !ok && !slices.Contains(born[i], w) {
+							born[i] = append(born[i], w)
+						}
+					}
+				}
 			}
 			fresh, err := Build(fr.CurrentGraph(), fr.Assign, len(fr.Frags))
 			if err != nil {
@@ -397,16 +421,22 @@ func TestIndexMatchesRebuild(t *testing.T) {
 					if &ix.watchStart[0] != &old.watchStart[0] {
 						watchersPatched++
 					}
+					if len(born[i]) > 0 { // born and retired inside the log
+						transient++
+					}
 				case !slices.Equal(ix.Vis[ix.NL:], old.Vis[old.NL:]):
 					renumbered++
 				}
 			}
+			if err := fr.Validate(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	t.Logf("%d patched indexes, %d with their watchers refilled, %d renumbered", patched, watchersPatched, renumbered)
-	if patched < 500 || watchersPatched < 50 || renumbered < 100 {
-		t.Fatalf("the patch path ran %d times, refilling watchers %d times, renumbering %d times: the streams no longer exercise it",
-			patched, watchersPatched, renumbered)
+	t.Logf("%d patched indexes, %d with their watchers refilled, %d renumbered, %d across a virtual's birth and death", patched, watchersPatched, renumbered, transient)
+	if patched < 500 || watchersPatched < 50 || renumbered < 100 || transient < 20 {
+		t.Fatalf("the patch path ran %d times, refilling watchers %d times, renumbering %d times, across a birth and death %d times: the streams no longer exercise it",
+			patched, watchersPatched, renumbered, transient)
 	}
 
 	// A patch that deletes a label's last successor edge drops its OutDeg
@@ -441,6 +471,35 @@ func TestIndexMatchesRebuild(t *testing.T) {
 		if (ix.OutDeg[g.Label(bb)] != nil) != (len(batch.ins) > 0) {
 			t.Fatalf("after %v: OutDeg row of B = %v", batch, ix.OutDeg[g.Label(bb)])
 		}
+	}
+
+	// A virtual node born and retired between two folds has no row in
+	// the old index, and its edits cancel out: they must not land on
+	// another node's Pred row — here Vis[0]'s, which v already precedes.
+	b = graph.NewBuilder()
+	x, v, w := b.AddNode("A"), b.AddNode("A"), b.AddNode("B")
+	b.AddEdge(v, x)
+	g = b.MustBuild()
+	if fr, err = FromAssign(g, []int32{0, 0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	f = fr.Frags[0]
+	old := f.Index()
+	if old.Vis[0] != x {
+		t.Fatalf("Vis = %v, want %d first", old.Vis, x)
+	}
+	replayBatch(t, fr, nil, [][2]graph.NodeID{{v, w}})
+	replayBatch(t, fr, [][2]graph.NodeID{{v, w}}, nil)
+	ix := f.Index()
+	if &ix.Vis[0] != &old.Vis[0] {
+		t.Fatal("a fold that leaves the virtual set as it was renumbered the index")
+	}
+	fresh, err := Build(fr.CurrentGraph(), fr.Assign, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := indexDiff(ix, fresh.Frags[0].Index()); d != "" {
+		t.Fatalf("after a virtual's birth and death: %s", d)
 	}
 }
 
@@ -538,7 +597,7 @@ func TestIndexFind(t *testing.T) {
 
 // TestIndexMutationLog: an index stops being current at the first
 // mutation logged against it, an edit sees the edits logged before it,
-// and a log that reaches maxEdits is folded at once.
+// and a full log is folded at once.
 func TestIndexMutationLog(t *testing.T) {
 	fr := randomFragmentation(t, 5)
 	f := fr.Frags[0]
@@ -591,17 +650,20 @@ func TestIndexMutationLog(t *testing.T) {
 	if _, err := f.InsertEdge(v, w, fr.G.Label(w)); err == nil {
 		t.Fatal("an edge inserted in the log was inserted again")
 	}
-	// Delete and re-insert (v, w) alternately: maxEdits−1 edits stay in
-	// the log, one more folds it.
-	for i := 2; i < maxEdits-1; i++ {
-		mutate(i % 2)
+	// Delete and re-insert (v, w) alternately: the log grows until it is
+	// full, and is folded at the edit that fills it.
+	for len(f.edits) > 0 {
+		n := len(f.edits) + 1
+		mutate(1 - n%2)
+		if full := n*n >= 256*f.numEdges; full != (len(f.edits) == 0) {
+			t.Fatalf("a log of %d edits on %d edges: full %v, folded %v", n, f.numEdges, full, len(f.edits) == 0)
+		}
 	}
-	if f.idx != ix || len(f.edits) != maxEdits-1 {
-		t.Fatalf("%d edits: the log was folded early (log %d)", maxEdits-1, len(f.edits))
+	if f.idx == ix || !f.IndexCurrent(f.idx) {
+		t.Fatal("the full log did not fold into a current index")
 	}
-	mutate(1)
-	if f.idx == ix || len(f.edits) != 0 || !f.IndexCurrent(f.idx) {
-		t.Fatalf("a log of %d edits was not folded (log %d)", maxEdits, len(f.edits))
+	if !f.hasEdge(v, w) { // the fold came on a deletion
+		mutate(1)
 	}
 	checkIndex(t, fr, f)
 }
