@@ -198,13 +198,33 @@ func aliveRefs(vis []graph.NodeID, alive [][]bool) []wire.VarRef {
 	return out
 }
 
+// aliveRows is e's alive state as one dense row per query node over its
+// numbering, every (u, vi) read through aliveAt.
+func aliveRows(e *Engine) [][]bool {
+	rows := make([][]bool, e.q.NumNodes())
+	for u := range rows {
+		rows[u] = make([]bool, len(e.vis))
+		for vi := range rows[u] {
+			rows[u][vi] = e.aliveAt(pattern.QNode(u), int32(vi))
+		}
+	}
+	return rows
+}
+
+// counterOf is the counter of alive local variable X(u, vis[li]) on
+// query edge ei, u the edge's parent.
+func counterOf(e *Engine, ei int, li int32) int32 {
+	u := e.qedges[ei].parent
+	return e.cnt(ei)[e.slot(u, li-e.lo[u])]
+}
+
 // checkBuild holds one build against the scan build: kill set, Drain
 // order, local matches and benefit tallies.
 func checkBuild(t *testing.T, what string, q *pattern.Pattern, frag *partition.Fragment) {
 	t.Helper()
 	want := scanBuild(q, frag)
 	e := NewEnginePlanned(q, frag, nil)
-	if !reflect.DeepEqual(aliveRefs(e.vis, e.alive), aliveRefs(want.vis, want.alive)) {
+	if !reflect.DeepEqual(aliveRefs(e.vis, aliveRows(e)), aliveRefs(want.vis, want.alive)) {
 		t.Fatalf("%s: kill set differs from the scan build", what)
 	}
 	if got := e.LocalMatches(); !reflect.DeepEqual(got, want.localMatches()) {
@@ -225,20 +245,19 @@ func checkBuild(t *testing.T, what string, q *pattern.Pattern, frag *partition.F
 // positive.
 func checkCounters(t *testing.T, what string, e *Engine) {
 	t.Helper()
-	for u, row := range e.alive {
+	for u := range pattern.QNode(e.q.NumNodes()) {
 		for li := e.lo[u]; li < e.hi[u]; li++ {
-			if !row[li] {
+			if !e.aliveAt(u, li) {
 				continue
 			}
-			p := li - e.lo[u]
 			for _, ei := range e.eOut[u] {
 				n := int32(0)
 				for _, wi := range e.succ[li] {
-					if e.alive[e.qedges[ei].child][wi] {
+					if e.aliveAt(e.qedges[ei].child, wi) {
 						n++
 					}
 				}
-				if got := e.cnt[ei][p]; got != n || n == 0 {
+				if got := counterOf(e, int(ei), li); got != n || n == 0 {
 					t.Fatalf("%s: alive X(%d,%d) edge %d: counter %d, %d alive successors", what, u, e.vis[li], ei, got, n)
 				}
 			}
@@ -360,7 +379,7 @@ func TestSaturatedHubCountsExactly(t *testing.T) {
 		t.Fatalf("hub's OutDeg cell = %d, want saturated", got)
 	}
 	e := NewEnginePlanned(q, frag, nil)
-	if got := e.cnt[0][h-e.lo[0]]; got != fan {
+	if got := counterOf(e, 0, h); got != fan {
 		t.Fatalf("hub's counter = %d, want %d", got, fan)
 	}
 	for i := 1; i <= fan; i++ {

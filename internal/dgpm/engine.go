@@ -26,24 +26,28 @@
 // Hot state is flat arrays sized by candidates, not by the fragment's
 // product with the pattern. Fragment-visible nodes are indexed 0..nVis-1
 // in the fragment index's label-major numbering (locals grouped by label,
-// then virtuals); alive flags are one dense byte row per query node over
-// that numbering. The local candidates of query node u are one range
-// [lo[u], hi[u]), and the successor counters of a query edge (u,u') exist
-// only for them, addressed by li − lo[u]. Pred rows are ascending, so
-// propagation walks only the [lo[u], hi[u]) block of a row. An inbound
-// reference resolves through the index's open-addressed node table, so
-// maps appear only on the cold path of pushed equations.
+// then virtuals). The local candidates of query node u are one range
+// [lo[u], hi[u]), and u's alive state is one bitset over that range
+// followed by the virtual range [nl, nVis); every bitset lives in one
+// flat word slice per engine. The successor counters of a query edge
+// (u,u') exist only for u's local candidates, at a slot derived from the
+// position li − lo[u] (slot). Pred rows are ascending, so propagation
+// walks only the [lo[u], hi[u]) block of a row. An inbound reference
+// resolves through the index's open-addressed node table, so maps appear
+// only on the cold path of pushed equations.
 //
 // Counter invariant: the counter of an ALIVE local variable X(u,v) on
 // edge (u,u') is exactly the number of v's alive successors for u', and
 // is positive. A dead variable's counters are stale — propagation skips
 // dead predecessors, and never reaches label-inconsistent ones, before
 // touching a counter — and nothing reads them: every counter read is
-// behind an alive test.
+// behind an alive test. An engine restored from a snapshot has counters
+// for the snapshot's alive variables only (prepared.go).
 package dgpm
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"dgs/internal/graph"
@@ -117,16 +121,28 @@ type Engine struct {
 	// fragment version, and does not keep that index alive.
 	ix *partition.Index
 
-	// alive[u][vi] — dense variable state for visible nodes.
-	alive [][]bool
 	// The local candidates of u are the label range [lo[u], hi[u]);
 	// labels[vi] is vi's label.
 	lo, hi []int32
 	labels []graph.Label
-	// cnt[e=(u,u')][li−lo[u]] — alive-successor counter of X(u, vis[li]),
-	// one cell per local candidate of u; exact while that variable is
-	// alive.
-	cnt [][]int32
+	// alive holds one bitset per query node, u's in the words
+	// alive[off[u]:off[u+1]]: bit p < hi[u]−lo[u] is X(u, vis[lo[u]+p]),
+	// bit hi[u]−lo[u]+k is X(u, vis[nl+k]). A virtual node of another
+	// label has a bit that is never set.
+	alive []uint64
+	off   []int32
+	// cells holds the alive-successor counters, edge ei=(u,u')'s in
+	// cells[cntOff[ei]:cntOff[ei+1]]: the counter of X(u, vis[li]) is at
+	// slot(u, li−lo[u]) there, exact while that variable is alive.
+	cells  []int32
+	cntOff []int32
+	// snapBits and rank are, for an engine restored from a snapshot, the
+	// snapshot's alive bits (shared, read-only) and their per-word prefix
+	// popcounts: a restored engine has counters only for the snapshot's
+	// alive local candidates, in position order. Both are nil for a
+	// build, whose slot is the position itself.
+	snapBits []uint64
+	rank     []int32
 	// wasAlive is ApplyEdgeDeletions' per-query-edge scratch.
 	wasAlive []bool
 
@@ -139,8 +155,11 @@ type Engine struct {
 	// isIn[li] marks local in-nodes.
 	isIn []bool
 
-	// kill queue: packed (u, vi) pairs pending propagation.
+	// kill queue: packed (u, vi) pairs pending propagation, lent from
+	// queuePool (qbox) to each path that kills (lend) and returned when
+	// propagate has emptied it.
 	queue []visVar
+	qbox  *[]visVar
 	// extQueue: pending ext kills.
 	extQueue []varKey
 
@@ -242,42 +261,47 @@ func build(q *pattern.Pattern, frag *partition.Fragment, ix *partition.Index) *E
 	// Alive state is label consistency; the benefit function's tallies
 	// (alive, non-constant variables on in-nodes and virtual nodes) are
 	// the index's per-label counts.
-	e.alive = make([][]bool, nq)
+	nl := ix.NL
 	e.lo, e.hi = make([]int32, nq), make([]int32, nq)
-	rows := make([]bool, nq*nvis)
-	for u := 0; u < nq; u++ {
-		row := rows[u*nvis : (u+1)*nvis : (u+1)*nvis]
+	e.off = make([]int32, nq+1)
+	for u := range nq {
+		lo, hi := ix.Locals(q.Label(pattern.QNode(u)))
+		e.lo[u], e.hi[u] = lo, hi
+		e.off[u+1] = e.off[u] + (hi-lo+int32(nvis)-nl+63)>>6
+	}
+	e.alive = make([]uint64, e.off[nq])
+	for u := range nq {
 		ql := q.Label(pattern.QNode(u))
-		lo, hi := ix.Locals(ql)
-		for i := lo; i < hi; i++ {
-			row[i] = true
+		row, n := e.row(pattern.QNode(u)), e.hi[u]-e.lo[u]
+		for k := range n >> 6 {
+			row[k] = ^uint64(0)
+		}
+		if n&63 != 0 {
+			row[n>>6] = 1<<(n&63) - 1
 		}
 		virt := ix.Virt[ql]
-		for _, i := range virt {
-			row[i] = true
+		for _, vi := range virt {
+			b := n + vi - nl
+			row[b>>6] |= 1 << (b & 63)
 		}
-		e.alive[u] = row
-		e.lo[u], e.hi[u] = lo, hi
 		if !e.constTrue[u] {
 			e.unevalIn += ix.InOf[ql]
 			e.unevalVirt += len(virt)
 		}
 	}
 
-	// Counters: cnt[e=(u,u')][li−lo[u]] = #successors of local candidate
-	// li labelled label(u'), which are its alive successors for u'.
-	ncells := int32(0)
-	for _, qe := range e.qedges {
-		ncells += e.hi[qe.parent] - e.lo[qe.parent]
+	// Counters: the cell of local candidate li on edge e=(u,u') is the
+	// number of li's successors labelled label(u'), which are its alive
+	// successors for u'. A build has a cell for every local candidate,
+	// at its position li − lo[u].
+	e.cntOff = make([]int32, len(e.qedges)+1)
+	for ei, qe := range e.qedges {
+		e.cntOff[ei+1] = e.cntOff[ei] + e.hi[qe.parent] - e.lo[qe.parent]
 	}
-	cells := make([]int32, ncells)
-	e.cnt = make([][]int32, len(e.qedges))
+	e.cells = make([]int32, e.cntOff[len(e.qedges)])
 	for ei, qe := range e.qedges {
 		lo, hi := e.lo[qe.parent], e.hi[qe.parent]
-		n := hi - lo
-		row := cells[:n:n]
-		cells = cells[n:]
-		e.cnt[ei] = row
+		row := e.cnt(ei)
 		cl := q.Label(qe.child)
 		deg := ix.OutDeg[cl]
 		if deg == nil {
@@ -305,16 +329,12 @@ func build(q *pattern.Pattern, frag *partition.Fragment, ix *partition.Index) *E
 	// candidate's first exhausted counter, so it checks first the rows of
 	// the children with the fewest candidates on this fragment (locals
 	// plus virtuals, ties in declaration order): the counters likeliest
-	// to be zero. The seed phase's kill queue grows to the fragment's
-	// share of the falsified relation and is empty again when propagate
-	// returns, so it is borrowed from a pool for the build; later
-	// incremental kills grow a small one of the engine's own.
+	// to be zero.
+	e.lend()
 	type seedRow struct {
 		cnt   []int32
 		cands int32 // the child's candidates on this fragment
 	}
-	qp := queuePool.Get().(*[]visVar)
-	e.queue = (*qp)[:0]
 	for u := range nq {
 		if e.constTrue[u] {
 			continue
@@ -323,7 +343,7 @@ func build(q *pattern.Pattern, frag *partition.Fragment, ix *partition.Index) *E
 		rows := buf[:0] // u's counter rows, fewest child candidates first
 		for _, ei := range e.eOut[u] {
 			uc := e.qedges[ei].child
-			r := seedRow{e.cnt[ei], e.hi[uc] - e.lo[uc] + int32(len(ix.Virt[q.Label(uc)]))}
+			r := seedRow{e.cnt(int(ei)), e.hi[uc] - e.lo[uc] + int32(len(ix.Virt[q.Label(uc)]))}
 			j := len(rows)
 			rows = append(rows, r)
 			for ; j > 0 && rows[j-1].cands > r.cands; j-- {
@@ -331,25 +351,80 @@ func build(q *pattern.Pattern, frag *partition.Fragment, ix *partition.Index) *E
 			}
 			rows[j] = r
 		}
-		lo := e.lo[u]
+		lo, arow := e.lo[u], e.row(pattern.QNode(u))
 		for p := range e.hi[u] - lo {
 			for _, row := range rows {
 				if row.cnt[p] == 0 {
-					e.killVis(pattern.QNode(u), lo+p)
+					arow[p>>6] &^= 1 << (p & 63)
+					e.killed(pattern.QNode(u), lo+p)
 					break
 				}
 			}
 		}
 	}
 	e.propagate()
-	*qp, e.queue = e.queue[:0], nil
-	queuePool.Put(qp)
 	e.Evals++
 	return e
 }
 
-// queuePool recycles the seed phase's kill queue across engine builds.
+// queuePool recycles kill queues across engines. Every path that kills
+// borrows one (lend) and the propagate that empties it gives it back, so
+// pooled queues absorb both a build's seed phase, which grows one to the
+// fragment's share of the falsified relation, and every incremental
+// evaluation after it, built engine or restored.
 var queuePool = sync.Pool{New: func() any { return new([]visVar) }}
+
+// row returns u's alive words.
+func (e *Engine) row(u pattern.QNode) []uint64 {
+	return e.alive[e.off[u]:e.off[u+1]]
+}
+
+// bit returns the position of X(u, vis[vi]) in u's alive bits; ok is
+// false for a local node outside u's candidate range, whose variable
+// does not exist.
+func (e *Engine) bit(u pattern.QNode, vi int32) (b int32, ok bool) {
+	lo, n := e.lo[u], e.hi[u]-e.lo[u]
+	if vi >= e.nl {
+		return n + vi - e.nl, true
+	}
+	return vi - lo, uint32(vi-lo) < uint32(n)
+}
+
+// aliveAt reports whether visible variable X(u, vis[vi]) is alive: the
+// one reader of the alive bits outside the walks over a candidate range
+// (the seed scan, propagate and the dependence analysis), which test the
+// bits on the node's row directly.
+func (e *Engine) aliveAt(u pattern.QNode, vi int32) bool {
+	b, ok := e.bit(u, vi)
+	return ok && e.alive[e.off[u]+b>>6]&(1<<(b&63)) != 0
+}
+
+// cnt returns edge ei's counter cells.
+func (e *Engine) cnt(ei int) []int32 {
+	return e.cells[e.cntOff[ei]:e.cntOff[ei+1]]
+}
+
+// slot is where, in each counter row of u's out-edges, the counter of
+// alive local variable X(u, vis[lo[u]+p]) lives: p itself in a build; in
+// a restored engine, the variable's rank among the snapshot's alive
+// candidates of u, which include every variable alive since.
+func (e *Engine) slot(u pattern.QNode, p int32) int32 {
+	if e.rank == nil {
+		return p
+	}
+	k := e.off[u] + p>>6
+	return e.rank[k] + int32(bits.OnesCount64(e.snapBits[k]&(1<<(p&63)-1)))
+}
+
+// localWord returns word k of row with the bits past the n local
+// candidates cleared.
+func localWord(row []uint64, n, k int32) uint64 {
+	w := row[k]
+	if rest := n - k<<6; rest < 64 {
+		w &= 1<<rest - 1
+	}
+	return w
+}
 
 // borrow points the engine's numbering and adjacency at ix, read-only:
 // the first edge deletion copies succ/pred.
@@ -378,7 +453,7 @@ func (e *Engine) isAlive(k varKey) bool {
 		return false
 	}
 	if vi, ok := e.vt.Find(k.v()); ok {
-		return e.alive[k.u()][vi]
+		return e.aliveAt(k.u(), vi)
 	}
 	if x, ok := e.ext[k]; ok {
 		return x.alive
@@ -394,18 +469,28 @@ func (e *Engine) isConst(k varKey) bool {
 	}
 	if vi, ok := e.vt.Find(k.v()); ok {
 		// Initial alive == label consistency; leaves are never killed.
-		return e.alive[k.u()][vi]
+		return e.aliveAt(k.u(), vi)
 	}
 	return false
 }
 
-// killVis falsifies a visible variable. Local in-node deaths are recorded
-// for shipping.
+// killVis falsifies a visible variable, if it is alive.
 func (e *Engine) killVis(u pattern.QNode, vi int32) {
-	if !e.alive[u][vi] {
+	b, ok := e.bit(u, vi)
+	if !ok {
 		return
 	}
-	e.alive[u][vi] = false
+	w, m := &e.alive[e.off[u]+b>>6], uint64(1)<<(b&63)
+	if *w&m != 0 {
+		*w &^= m
+		e.killed(u, vi)
+	}
+}
+
+// killed records the death of X(u, vis[vi]), whose bit was just
+// cleared, and queues it for propagation. Local in-node deaths are
+// recorded for shipping.
+func (e *Engine) killed(u pattern.QNode, vi int32) {
 	e.mut++
 	if vi < e.nl {
 		if e.isIn[vi] {
@@ -418,6 +503,15 @@ func (e *Engine) killVis(u pattern.QNode, vi int32) {
 		e.unevalVirt--
 	}
 	e.queue = append(e.queue, visVar{u, vi})
+}
+
+// lend gives the engine a pooled kill queue, unless it holds one, for a
+// path that kills and then propagates: propagate returns it once empty.
+func (e *Engine) lend() {
+	if e.qbox == nil {
+		e.qbox = queuePool.Get().(*[]visVar)
+		e.queue = (*e.qbox)[:0]
+	}
 }
 
 func (e *Engine) killExt(k varKey) {
@@ -441,6 +535,7 @@ func (e *Engine) killExt(k varKey) {
 // one none at all) and the group counters of watching equations. Pred
 // rows are ascending, so the predecessors labelled label(u) are the
 // [lo[u], hi[u]) block of a row: the walk skips to it and stops after it.
+// The emptied kill queue goes back to its pool.
 func (e *Engine) propagate() {
 	for len(e.queue) > 0 || len(e.extQueue) > 0 {
 		if n := len(e.queue); n > 0 {
@@ -450,8 +545,8 @@ func (e *Engine) propagate() {
 			for _, ei := range e.eIn[kv.u] {
 				up := e.qedges[ei].parent
 				lo, hi := e.lo[up], e.hi[up]
-				cnt := e.cnt[ei]
-				arow := e.alive[up]
+				cnt := e.cnt(int(ei))
+				arow := e.row(up)
 				for _, lp := range e.pred[kv.vi] {
 					if lp < lo {
 						continue
@@ -459,13 +554,15 @@ func (e *Engine) propagate() {
 					if lp >= hi {
 						break
 					}
-					if !arow[lp] {
+					p := lp - lo
+					w, m := &arow[p>>6], uint64(1)<<(p&63)
+					if *w&m == 0 {
 						continue
 					}
-					p := lp - lo
-					cnt[p]--
-					if cnt[p] == 0 {
-						e.killVis(up, lp)
+					c := &cnt[e.slot(up, p)]
+					if *c--; *c == 0 {
+						*w &^= m
+						e.killed(up, lp)
 					}
 				}
 			}
@@ -478,6 +575,11 @@ func (e *Engine) propagate() {
 		k := e.extQueue[n-1]
 		e.extQueue = e.extQueue[:n-1]
 		e.fireWatchers(k)
+	}
+	if e.qbox != nil {
+		*e.qbox = e.queue[:0]
+		queuePool.Put(e.qbox)
+		e.qbox, e.queue = nil, nil
 	}
 }
 
@@ -506,15 +608,14 @@ func (e *Engine) fireWatchers(k varKey) {
 // falsifications are idempotent — and so are references to a query node
 // the pattern does not have.
 func (e *Engine) ApplyFalsifications(pairs []wire.VarRef) {
+	e.lend()
 	for _, r := range pairs {
 		k := refKey(r)
 		if !e.inQuery(k) {
 			continue
 		}
 		if vi, ok := e.vt.Find(k.v()); ok {
-			if e.alive[k.u()][vi] {
-				e.killVis(k.u(), vi)
-			}
+			e.killVis(k.u(), vi)
 			continue
 		}
 		e.killExt(k)
@@ -559,20 +660,20 @@ func (e *Engine) ApplyEdgeDeletions(dels [][2]graph.NodeID) {
 		}
 		unlink(&e.pred[wi], li)
 		e.mut++
+		e.lend()
 		// v loses witness w for every query edge whose child w matches.
 		// Snapshot w's liveness first: a kill fired mid-loop (w can be v
 		// itself via a self-loop) would otherwise lose this edge's
 		// decrement for the remaining query edges.
 		for ei := range e.qedges {
-			e.wasAlive[ei] = e.alive[e.qedges[ei].child][wi]
+			e.wasAlive[ei] = e.aliveAt(e.qedges[ei].child, wi)
 		}
 		for ei, qe := range e.qedges {
-			if !e.wasAlive[ei] || !e.alive[qe.parent][li] {
+			if !e.wasAlive[ei] || !e.aliveAt(qe.parent, li) {
 				continue
 			}
-			p := li - e.lo[qe.parent]
-			e.cnt[ei][p]--
-			if e.cnt[ei][p] == 0 {
+			c := &e.cnt(ei)[e.slot(qe.parent, li-e.lo[qe.parent])]
+			if *c--; *c == 0 {
 				e.killVis(qe.parent, li)
 			}
 		}
@@ -652,64 +753,36 @@ func (e *Engine) AliveLocalVar(u pattern.QNode, v graph.NodeID) bool {
 	if !ok || vi >= e.nl {
 		panic(fmt.Sprintf("dgpm: node %d is not local to fragment %d", v, e.frag.ID))
 	}
-	return e.alive[u][vi]
+	return e.aliveAt(u, vi)
 }
 
 // LocalMatches lists all alive local variables — the site's partial
 // answer Q(Fi) shipped to the coordinator in phase 3 — query node by
-// query node, each node's ascending in the label-major numbering. A
-// non-leaf node of an engine from a snapshot is read at the positions the
-// snapshot lists alive, the only ones that can still be; every other
-// node's range is scanned.
+// query node, each node's ascending in the label-major numbering: the set
+// bits of each node's local candidates, in order.
 func (e *Engine) LocalMatches() []wire.VarRef {
+	nq := pattern.QNode(len(e.lo))
 	n := 0
-	for u, row := range e.alive {
-		lo := e.lo[u]
-		if ps, ok := e.snapAlive(u); ok {
-			for _, p := range ps {
-				if row[lo+p] {
-					n++
-				}
-			}
-			continue
-		}
-		for _, alive := range row[lo:e.hi[u]] {
-			if alive {
-				n++
-			}
+	for u := range nq {
+		row, cands := e.row(u), e.hi[u]-e.lo[u]
+		for k := int32(0); k<<6 < cands; k++ {
+			n += bits.OnesCount64(localWord(row, cands, k))
 		}
 	}
 	if n == 0 {
 		return nil
 	}
 	out := make([]wire.VarRef, 0, n)
-	for u, row := range e.alive {
-		lo := e.lo[u]
-		if ps, ok := e.snapAlive(u); ok {
-			for _, p := range ps {
-				if li := lo + p; row[li] {
-					out = append(out, wire.VarRef{U: uint16(u), V: uint32(e.vis[li])})
-				}
-			}
-			continue
-		}
-		for li := lo; li < e.hi[u]; li++ {
-			if row[li] {
+	for u := range nq {
+		row, lo, cands := e.row(u), e.lo[u], e.hi[u]-e.lo[u]
+		for k := int32(0); k<<6 < cands; k++ {
+			for w := localWord(row, cands, k); w != 0; w &= w - 1 {
+				li := lo + k<<6 + int32(bits.TrailingZeros64(w))
 				out = append(out, wire.VarRef{U: uint16(u), V: uint32(e.vis[li])})
 			}
 		}
 	}
 	return out
-}
-
-// snapAlive returns the positions li − lo[u] of u's local candidates
-// alive in e's snapshot, ascending, and whether there is such a list: an
-// engine from a snapshot, and u not a leaf.
-func (e *Engine) snapAlive(u int) ([]int32, bool) {
-	if e.snap == nil || e.constTrue[u] {
-		return nil, false
-	}
-	return e.snap.alive[u], true
 }
 
 // DeadLocalVars lists the falsified non-constant variables of a local
@@ -723,7 +796,7 @@ func (e *Engine) DeadLocalVars(v graph.NodeID) []wire.VarRef {
 	var out []wire.VarRef
 	lbl := e.labels[vi]
 	for u := 0; u < e.q.NumNodes(); u++ {
-		if e.q.Label(pattern.QNode(u)) == lbl && !e.alive[u][vi] {
+		if e.q.Label(pattern.QNode(u)) == lbl && !e.aliveAt(pattern.QNode(u), vi) {
 			out = append(out, wire.VarRef{U: uint16(u), V: uint32(v)})
 		}
 	}

@@ -86,7 +86,7 @@ func (e *Engine) assumptionDependent() *depSet {
 			continue
 		}
 		for vi := e.nl; vi < nvis; vi++ {
-			if !e.alive[u][vi] {
+			if !e.aliveAt(pattern.QNode(u), vi) {
 				continue
 			}
 			if x, ok := e.ext[key(pattern.QNode(u), e.vis[vi])]; ok && x.hasEq {
@@ -114,7 +114,7 @@ func (e *Engine) assumptionDependent() *depSet {
 					continue
 				}
 				lo, hi := e.lo[up], e.hi[up]
-				arow := e.alive[up]
+				arow := e.row(up)
 				for _, lp := range e.pred[vi] {
 					if lp < lo {
 						continue
@@ -122,7 +122,7 @@ func (e *Engine) assumptionDependent() *depSet {
 					if lp >= hi {
 						break
 					}
-					if arow[lp] {
+					if p := lp - lo; arow[p>>6]&(1<<(p&63)) != 0 {
 						markVis(up, lp)
 					}
 				}
@@ -207,8 +207,8 @@ func (e *Engine) certainPushBytes(budget int) int {
 	floor := 0
 	for _, li := range e.ix.In {
 		perVar := minEquationBytes * len(e.ix.Watchers(li))
-		for u := range e.alive {
-			if e.alive[u][li] && e.seesAssumption(pattern.QNode(u), li) {
+		for u := range pattern.QNode(len(e.lo)) {
+			if e.aliveAt(u, li) && e.seesAssumption(u, li) {
 				if floor += perVar; floor > budget {
 					return floor
 				}
@@ -226,9 +226,8 @@ func (e *Engine) seesAssumption(u pattern.QNode, li int32) bool {
 		if e.constTrue[uc] {
 			continue
 		}
-		arow := e.alive[uc]
 		for _, wi := range e.succ[li] {
-			if wi < e.nl || !arow[wi] {
+			if wi < e.nl || !e.aliveAt(uc, wi) {
 				continue
 			}
 			if x, ok := e.ext[key(uc, e.vis[wi])]; !ok || !x.hasEq {
@@ -354,9 +353,8 @@ func (e *Engine) groupsOf(k varKey) (groups [][]varKey, isLeaf bool) {
 				continue
 			}
 			var g []varKey
-			arow := e.alive[uc]
 			for _, wi := range e.succ[vi] {
-				if arow[wi] {
+				if e.aliveAt(uc, wi) {
 					g = append(g, key(uc, e.vis[wi]))
 				}
 			}
@@ -414,6 +412,7 @@ func (e *Engine) InstallEquations(eqs []wire.Equation) {
 		installed[k] = true
 	}
 	// Phase 2: wire groups.
+	e.lend()
 	for _, eq := range eqs {
 		k := refKey(eq.Target)
 		if !installed[k] {

@@ -7,23 +7,24 @@ package dgpm
 // files a compact snapshot of its post-fixpoint state on that
 // index, and every later session with the same key on the same index
 // restores the engine from it instead of re-running the seed scan and
-// propagate. The snapshot keeps only what is non-zero and read: the
-// alive local candidates with their counters (a dead variable's counters
-// are never read), the seed kill list in order, and the benefit tallies.
-// Virtual candidates need no record — the fixpoint never kills one — and
-// the query-only parts (edge lists, candidate ranges) are shared
-// read-only. A mutation moves the fragment to a new index with an
-// empty memo, so state is never restored onto a fragment version it was
-// not built on.
+// propagate. The snapshot keeps the engine's alive bits — a bit per
+// candidate, so kilobytes where the fragment is megabytes — with their
+// per-word ranks, the counters of the alive local candidates only (a
+// dead variable's counters are never read, and no variable revives),
+// the seed kill list in order, and the benefit tallies. The query-only
+// parts (edge lists, candidate ranges, word offsets) are shared
+// read-only. A restore clones the bits and the counters and nothing
+// else of the fixpoint, and finds an alive variable's counter by its
+// rank in the snapshot's bits (Engine.slot). A mutation moves the
+// fragment to a new index with an empty memo, so state is never restored
+// onto a fragment version it was not built on.
 //
 // §4.2's push test reads only that state, so the session that files a
 // snapshot files its push verdict with it, and a restored session under
-// the same budget sends the filed plans instead of testing again. The
-// alive lists bound the answer: no path revives a local variable, so an
-// engine from a snapshot reports its local matches (LocalMatches) by
-// checking only the positions the snapshot lists.
+// the same budget sends the filed plans instead of testing again.
 
 import (
+	"math/bits"
 	"slices"
 	"sync/atomic"
 
@@ -90,22 +91,25 @@ func (e *Engine) pushVerdict(budget int) []pushPlan {
 }
 
 // snapshot is an engine's state as its build left it, minus what the
-// index or a zeroed row already says. It is shared by every engine
-// restored from it and never changed.
+// index already says. It is shared by every engine restored from it and
+// never changed.
 type snapshot struct {
 	// The query-only state, shared read-only with the restored engines.
 	qedges    []qEdge
 	eOut, eIn [][]int32
 	constTrue []bool
 	lo, hi    []int32
-	ncells    int
+	off       []int32
 
-	// alive[u] lists the positions li − lo[u] of u's alive local
-	// candidates, ascending; leaves have none listed, as all of their
-	// candidates stay alive. cnt[ei] holds the counters of those of the
-	// edge's parent, in the same order.
-	alive [][]int32
-	cnt   [][]int32
+	// alive is the engine's alive bits after the fixpoint. rank[k] counts
+	// the alive local candidates in the words of the same query node's
+	// row before word k. cells holds, edge ei's in
+	// cells[cntOff[ei]:cntOff[ei+1]], the counters of the edge parent's
+	// alive local candidates, ascending by position.
+	alive  []uint64
+	rank   []int32
+	cells  []int32
+	cntOff []int32
 
 	out                  []visVar // the seed kills of in-node variables, in order
 	unevalIn, unevalVirt int
@@ -119,51 +123,46 @@ type snapshot struct {
 // snapshot records e, which must be as build returned it.
 func (e *Engine) snapshot() *snapshot {
 	s := &snapshot{
-		qedges: e.qedges, eOut: e.eOut, eIn: e.eIn, constTrue: e.constTrue, lo: e.lo, hi: e.hi,
-		alive: make([][]int32, len(e.alive)), cnt: make([][]int32, len(e.qedges)),
+		qedges: e.qedges, eOut: e.eOut, eIn: e.eIn, constTrue: e.constTrue, lo: e.lo, hi: e.hi, off: e.off,
+		alive: slices.Clone(e.alive), rank: make([]int32, len(e.alive)), cntOff: make([]int32, len(e.qedges)+1),
 		out: slices.Clone(e.out), unevalIn: e.unevalIn, unevalVirt: e.unevalVirt, mut: e.mut,
 	}
-	for _, row := range e.cnt {
-		s.ncells += len(row)
-	}
-	for u, row := range e.alive {
-		if e.constTrue[u] {
-			continue
+	alive := make([]int32, len(e.lo)) // alive local candidates per query node
+	for u := range pattern.QNode(len(e.lo)) {
+		row, n := e.row(u), e.hi[u]-e.lo[u]
+		for k := int32(0); k<<6 < n; k++ {
+			s.rank[e.off[u]+k] = alive[u]
+			alive[u] += int32(bits.OnesCount64(localWord(row, n, k)))
 		}
-		cands := row[e.lo[u]:e.hi[u]]
-		n := 0
-		for _, ok := range cands {
-			if ok {
-				n++
-			}
-		}
-		ps := make([]int32, 0, n)
-		for p, ok := range cands {
-			if ok {
-				ps = append(ps, int32(p))
-			}
-		}
-		s.alive[u] = ps
 	}
 	for ei, qe := range e.qedges {
-		ps := s.alive[qe.parent]
-		cnt := make([]int32, len(ps))
-		for j, p := range ps {
-			cnt[j] = e.cnt[ei][p]
+		s.cntOff[ei+1] = s.cntOff[ei] + alive[qe.parent]
+	}
+	s.cells = make([]int32, s.cntOff[len(e.qedges)])
+	for ei, qe := range e.qedges {
+		u, cnt, j := qe.parent, e.cnt(ei), s.cntOff[ei]
+		row, n := e.row(u), e.hi[u]-e.lo[u]
+		for k := int32(0); k<<6 < n; k++ {
+			for w := localWord(row, n, k); w != 0; w &= w - 1 {
+				s.cells[j] = cnt[k<<6+int32(bits.TrailingZeros64(w))]
+				j++
+			}
 		}
-		s.cnt[ei] = cnt
 	}
 	return s
 }
 
 // restore rebuilds the engine s was taken from, on ix (the index it is
-// filed on) and for q (the pattern it was built for): fresh zeroed rows
-// with the alive flags and counters written back.
+// filed on) and for q (the pattern it was built for): a copy of the
+// snapshot's alive bits and counters, the only state its session can
+// change, beside everything else shared.
 func (s *snapshot) restore(q *pattern.Pattern, frag *partition.Fragment, ix *partition.Index) *Engine {
 	engineRestores.Add(1)
 	e := &Engine{
 		q: q, frag: frag,
-		qedges: s.qedges, eOut: s.eOut, eIn: s.eIn, constTrue: s.constTrue, lo: s.lo, hi: s.hi,
+		qedges: s.qedges, eOut: s.eOut, eIn: s.eIn, constTrue: s.constTrue, lo: s.lo, hi: s.hi, off: s.off,
+		alive: slices.Clone(s.alive), cells: slices.Clone(s.cells), cntOff: s.cntOff,
+		snapBits: s.alive, rank: s.rank,
 		ext:      make(map[varKey]*extVar),
 		eqWatch:  make(map[varKey][]eqWatcher),
 		out:      slices.Clone(s.out),
@@ -172,35 +171,5 @@ func (s *snapshot) restore(q *pattern.Pattern, frag *partition.Fragment, ix *par
 		Evals: 1,
 	}
 	e.borrow(ix)
-	nq, nvis := len(s.constTrue), len(ix.Vis)
-	e.alive = make([][]bool, nq)
-	rows := make([]bool, nq*nvis)
-	for u := range nq {
-		row := rows[u*nvis : (u+1)*nvis : (u+1)*nvis]
-		lo := s.lo[u]
-		if s.constTrue[u] {
-			for i := lo; i < s.hi[u]; i++ {
-				row[i] = true
-			}
-		}
-		for _, p := range s.alive[u] {
-			row[lo+p] = true
-		}
-		for _, i := range ix.Virt[q.Label(pattern.QNode(u))] {
-			row[i] = true
-		}
-		e.alive[u] = row
-	}
-	cells := make([]int32, s.ncells)
-	e.cnt = make([][]int32, len(s.qedges))
-	for ei, qe := range s.qedges {
-		n := s.hi[qe.parent] - s.lo[qe.parent]
-		row := cells[:n:n]
-		cells = cells[n:]
-		for j, p := range s.alive[qe.parent] {
-			row[p] = s.cnt[ei][j]
-		}
-		e.cnt[ei] = row
-	}
 	return e
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -36,19 +37,22 @@ func restored(t *testing.T, q *pattern.Pattern, frag *partition.Fragment, key st
 }
 
 // sameEngine holds got against want, a fresh build driven through the
-// same stream: alive rows, the counters of alive variables, benefit
-// tallies, local matches, evaluation count and Drain order. Both engines
-// are drained.
+// same stream: the aliveness of every (u, vi), the counter of every
+// alive variable, benefit tallies, local matches, evaluation count and
+// Drain order. Both engines are drained.
 func sameEngine(t *testing.T, what string, got, want *Engine) {
 	t.Helper()
-	if !reflect.DeepEqual(got.alive, want.alive) {
+	if !reflect.DeepEqual(aliveRows(got), aliveRows(want)) {
 		t.Fatalf("%s: alive rows differ from a fresh build", what)
 	}
 	for ei, qe := range want.qedges {
 		u := qe.parent
 		for li := want.lo[u]; li < want.hi[u]; li++ {
-			if p := li - want.lo[u]; want.alive[u][li] && got.cnt[ei][p] != want.cnt[ei][p] {
-				t.Fatalf("%s: X(%d,%d) edge %d: counter %d, fresh build %d", what, u, want.vis[li], ei, got.cnt[ei][p], want.cnt[ei][p])
+			if !want.aliveAt(u, li) {
+				continue
+			}
+			if g, w := counterOf(got, ei, li), counterOf(want, ei, li); g != w {
+				t.Fatalf("%s: X(%d,%d) edge %d: counter %d, fresh build %d", what, u, want.vis[li], ei, g, w)
 			}
 		}
 	}
@@ -294,6 +298,49 @@ func TestConcurrentRestoresShareNoWrites(t *testing.T) {
 		}
 	}
 	wg.Wait()
+}
+
+// A restore copies what its session can change — one alive bit per
+// candidate and the counters the snapshot filed — and nothing sized by
+// the fragment: a prepare hit allocates at most
+// Σ_u ⌈(hi−lo+nvirt)/64⌉·8 B of alive words, 4 B per filed counter, 8 B
+// per filed seed kill (Drain hands the list to a caller that may write
+// it, so each engine owns a copy) and restoreOverhead for the engine
+// itself. The bound is read off the world's own sizes; no time is taken.
+func TestRestoreAllocatesCandidatesNotFragment(t *testing.T) {
+	// restoreOverhead covers the Engine struct and its two empty maps.
+	const restoreOverhead = 1024
+	const restores = 64
+	fr, qs := localEight(t, 6_000, 30_000)
+	for i, q := range qs {
+		key := keyOf(q)
+		for _, frag := range fr.Frags {
+			ix := frag.Index()
+			prepare(q, frag, key, DefaultConfig())
+			s := ix.Prepared(key).(*snapshot)
+			// Best of three passes: the process's other goroutines
+			// allocate too, and can only add to a pass.
+			perRestore := func() int {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for range restores {
+					engineSink = prepare(q, frag, key, DefaultConfig())
+				}
+				runtime.ReadMemStats(&after)
+				return int(after.TotalAlloc-before.TotalAlloc) / restores
+			}
+			bound := 4*len(s.cells) + 8*len(s.out) + restoreOverhead
+			nvirt := len(ix.Vis) - int(ix.NL)
+			for u := range q.NumNodes() {
+				lo, hi := ix.Locals(q.Label(pattern.QNode(u)))
+				bound += (int(hi-lo) + nvirt + 63) / 64 * 8
+			}
+			if got := min(perRestore(), perRestore(), perRestore()); got > bound {
+				t.Fatalf("catalog %d frag %d: a restore allocated %d B, bound %d B (%d visible nodes, %d filed counters)",
+					i, frag.ID, got, bound, len(ix.Vis), len(s.cells))
+			}
+		}
+	}
 }
 
 // dGPMNOpt rebuilds its engine from scratch on every falsification it

@@ -69,14 +69,14 @@ func TestQuickUnevaluatedCountersConsistent(t *testing.T) {
 				continue
 			}
 			for u := 0; u < q.NumNodes(); u++ {
-				if e.alive[u][li] && !e.constTrue[u] {
+				if e.aliveAt(pattern.QNode(u), li) && !e.constTrue[u] {
 					inV++
 				}
 			}
 		}
 		for vi := e.nl; vi < int32(len(e.vis)); vi++ {
 			for u := 0; u < q.NumNodes(); u++ {
-				if e.alive[u][vi] && !e.constTrue[u] {
+				if e.aliveAt(pattern.QNode(u), vi) && !e.constTrue[u] {
 					virtV++
 				}
 			}

@@ -197,10 +197,12 @@ fi
 # separate loss-notification extension, and the shipped evaluation
 # orders with their check, decoder and OPEN field, the centralized dual
 # and incremental side doors, the second and third per-fragment sites
-# that dGPMd and dGPMt once kept beside dGPM's, and the fragment's map
+# that dGPMd and dGPMt once kept beside dGPM's, the fragment's map
 # form of its adjacency, labels and crossing counts, which its index
-# replaced.
-if stale=$(grep -nE 'Partition(Random|Blocks|TargetRatio|Tree|Chain)|dgpm\.NewEngine\b|Fragment\.Owner|PlanBody|LossNotifier|Plan\.Fits|decodeSpecPlan|SessionSpec\.Plan|seed order|SimulateDual|NewIncremental|DualHHK|dagSite|treeSite|Fragment\.Succ|Fragment\.Labels|crossCnt' $prose); then
+# replaced, and the engine's byte-per-variable alive rows with the
+# snapshot-only LocalMatches path over filed positions, which the alive
+# bitsets replaced.
+if stale=$(grep -nE 'Partition(Random|Blocks|TargetRatio|Tree|Chain)|dgpm\.NewEngine\b|Fragment\.Owner|PlanBody|LossNotifier|Plan\.Fits|decodeSpecPlan|SessionSpec\.Plan|seed order|SimulateDual|NewIncremental|DualHHK|dagSite|treeSite|Fragment\.Succ|Fragment\.Labels|crossCnt|snapAlive|dense byte row' $prose); then
   echo "the documents name a deleted identifier:"
   echo "$stale" | sed 's/^/  /'
   fail=1
