@@ -10,7 +10,7 @@ FUZZTIME ?= 10s
 # benchmark/ is its own module that go build ./... does not see. The
 # inner-loop benchmarks run once each so that they cannot rot.
 tier1: vet dgsvet build race bench-check
-	$(GO) test -run '^$$' -bench 'SiteHostStorm|EngineBuild|EnginePrepared|EngineInbound|WarmSession|IndexBuild|IndexPatch|FragmentHeap' -benchtime=1x ./internal/cluster ./internal/dgpm .
+	$(GO) test -run '^$$' -bench 'SiteHostStorm|RemoteStorm|EngineBuild|EnginePrepared|EngineInbound|WarmSession|IndexBuild|IndexPatch|FragmentHeap' -benchtime=1x ./internal/cluster ./internal/dgpm .
 
 # vet also fails on unformatted code: gofmt -l over every tracked .go
 # file outside testdata/ (analyzer fixtures such as wirecompletebad are
@@ -146,6 +146,7 @@ help:
 	@echo "  bench-check      build + vet + test + dgsvet the benchmark/ module against this tree"
 	@echo "  bench-smoke      the benchmark's five workloads at 1/20 scale, answers checked against the oracle"
 	@echo "                   (executor inner loop, no daemons, seconds: go test -run '^$$' -bench SiteHostStorm ./internal/cluster)"
+	@echo "                   (the message path over two loopback daemons at msgstorm-64-tcp's shape, seconds: go test -run '^$$' -bench RemoteStorm .)"
 	@echo "                   (engine build inner loop at local-8's shape, seconds: go test -run '^$$' -bench EngineBuild ./internal/dgpm)"
 	@echo "                   (the same engines restored from prepared state, seconds: go test -run '^$$' -bench EnginePrepared ./internal/dgpm)"
 	@echo "                   (restored engines absorbing falsification streams, seconds: go test -run '^$$' -bench EngineInbound ./internal/dgpm)"

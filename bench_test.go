@@ -1,7 +1,8 @@
 // Benchmarks with no recorded twin elsewhere: the centralized HHK
 // kernel, dGPMt's two-round tree protocol, the Theorem 1 chain gadget,
-// what a resident Deployment amortizes, and warm dGPMd against warm dGPM
-// on the same DAG patterns. The paper's Fig. 6 DS
+// what a resident Deployment amortizes, warm dGPMd against warm dGPM
+// on the same DAG patterns, and dMes's message storm over two loopback
+// daemons. The paper's Fig. 6 DS
 // orderings are count-based tests in internal/bench (DESIGN.md §6), and
 // incremental-vs-recompute maintenance is the benchmark/ module's
 // maintain-8 workload; they are not repeated here. ns/op is in-process
@@ -14,8 +15,12 @@
 package dgs
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -199,4 +204,80 @@ func BenchmarkWarmSessionDAG(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed())/float64(time.Millisecond)/float64(b.N), "ms/query")
 		})
 	}
+}
+
+// BenchmarkRemoteStorm is `msgstorm-64-tcp`'s shape in-tree: dMes on a
+// GenWeb graph of 15k nodes and 75k edges, `ldg` over 64 sites, queried
+// round-robin over the benchmark's catalog (seed 1) through two tcpnet
+// daemons served in this process on loopback. Every message a daemon's
+// site sends crosses the driver hub, so the ms/query and allocs/query it
+// reports are the message path's: the site executor, the daemons' and
+// the driver's frame writers and readers, and the hub's routing. It also
+// reports cpu_ms/query (the process's user and system CPU, driver and
+// daemons together, where /proc/self/stat can be read), frames/query
+// (the frames the driver wrote and read, Deployment.WireFrames) and
+// msgs/frame (Stats.DataMsgs, the vectors, over those frames).
+func BenchmarkRemoteStorm(b *testing.B) {
+	ctx := context.Background()
+	dict := NewDict()
+	g := GenWeb(dict, 15_000, 75_000, 1)
+	part, err := PartitionWith(g, "ldg", 64, WithPartitionSeed(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	dep, err := Deploy(part, WithRemoteSites(startSiteServers(b, 2)...))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { dep.Close() })
+	qs := make([]*Pattern, 8)
+	for i := range qs {
+		qs[i] = GenCyclicPatternOver(dict, 4+i%2, 6+i%3, 4, 301+int64(i))
+	}
+	if _, err := dep.Query(ctx, qs[0], WithAlgorithm(AlgoDMes)); err != nil {
+		b.Fatal(err)
+	}
+	sent0, recv0 := dep.WireFrames()
+	cpu0, cpuOK := processCPU()
+	var msgs int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := dep.Query(ctx, qs[i%len(qs)], WithAlgorithm(AlgoDMes))
+		if err != nil {
+			b.Fatal(err)
+		}
+		msgs += res.Stats.DataMsgs
+	}
+	b.StopTimer()
+	if cpu, ok := processCPU(); ok && cpuOK {
+		b.ReportMetric(float64(cpu-cpu0)/float64(time.Millisecond)/float64(b.N), "cpu_ms/query")
+	}
+	sent, recv := dep.WireFrames()
+	frames := float64(sent - sent0 + recv - recv0)
+	b.ReportMetric(float64(b.Elapsed())/float64(time.Millisecond)/float64(b.N), "ms/query")
+	b.ReportMetric(frames/float64(b.N), "frames/query")
+	b.ReportMetric(float64(msgs)/frames, "msgs/frame")
+}
+
+// processCPU reads this process's user plus system CPU time from
+// /proc/self/stat (fields 14 and 15, in USER_HZ = 100 ticks a second);
+// ok is false where there is no such file.
+func processCPU() (cpu time.Duration, ok bool) {
+	b, err := os.ReadFile("/proc/self/stat")
+	if err != nil {
+		return 0, false
+	}
+	// The command name (field 2) may hold spaces; fields count from its
+	// closing parenthesis, which is followed by field 3.
+	f := strings.Fields(string(b[bytes.LastIndexByte(b, ')')+1:]))
+	if len(f) < 13 {
+		return 0, false
+	}
+	utime, err1 := strconv.ParseInt(f[11], 10, 64)
+	stime, err2 := strconv.ParseInt(f[12], 10, 64)
+	if err1 != nil || err2 != nil {
+		return 0, false
+	}
+	return time.Duration(utime+stime) * (time.Second / 100), true
 }

@@ -1,15 +1,19 @@
 package baseline
 
 import (
+	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"dgs/internal/cluster"
 	"dgs/internal/dgpm"
 	"dgs/internal/graph"
 	"dgs/internal/partition"
 	"dgs/internal/pattern"
 	"dgs/internal/simulation"
+	"dgs/internal/wire"
 )
 
 func randomCase(r *rand.Rand) (*pattern.Pattern, *graph.Graph, *partition.Fragmentation) {
@@ -209,5 +213,61 @@ func TestMatchSingleFragment(t *testing.T) {
 	got, _ := run(AlgoMatch, q, fr)
 	if !want.Equal(got) {
 		t.Fatal("single-fragment Match wrong")
+	}
+}
+
+// dMes ingests, at superstep k, the vector a peer shipped at superstep
+// k−1, even when the peer's superstep-k vector is already queued: a
+// vector delivered ahead of opSuper 1 waits one superstep. Site 0 holds
+// an A node whose only successor is site 1's B node; site 1's vectors
+// are injected by hand (B kept, then B falsified) before opSuper 1.
+func TestDMesEarlyVectorWaitsOneSuperstep(t *testing.T) {
+	d := graph.NewDict()
+	q := pattern.MustParse(d, "node A A\nnode B B\nedge A B")
+	b := graph.NewBuilderDict(d)
+	b.AddNode("A")
+	b.AddNode("B")
+	b.AddEdge(0, 1)
+	fr, err := partition.Build(b.MustBuild(), []int32{0, 1}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cluster.NewLocal(fr, cluster.Network{})
+	defer c.Shutdown()
+	site := newDmesSite(q, fr.Frags[0])
+	var votes []bool // site 0's change flags, by superstep
+	coord := cluster.HandlerFunc(func(_ *cluster.Ctx, from int, p wire.Payload) {
+		if m, ok := p.(*wire.Control); ok && m.Op == opVote && from == 0 {
+			votes = append(votes, m.Flag)
+		}
+	})
+	idle := cluster.HandlerFunc(func(*cluster.Ctx, int, wire.Payload) {})
+	sess := c.NewSession([]cluster.Handler{site, idle}, coord)
+	defer sess.Close()
+	step := func(p wire.Payload) {
+		t.Helper()
+		sess.Inject(0, p)
+		if err := sess.WaitQuiesce(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vector := func(bits byte) *wire.Vectors {
+		return &wire.Vectors{NumQ: 2, Nodes: []uint32{1}, Bitsets: [][]byte{{bits}}}
+	}
+	matchesA := func() bool { return site.vec[site.lis[0]].get(0) }
+
+	step(&wire.Control{Op: opSuper, Arg: 0})
+	step(vector(1 << 1)) // shipped at superstep 0: B holds
+	step(vector(0))      // shipped at superstep 1, ahead of this site's opSuper 1
+	step(&wire.Control{Op: opSuper, Arg: 1})
+	if !matchesA() {
+		t.Fatal("superstep 1 ingested the vector shipped at superstep 1")
+	}
+	step(&wire.Control{Op: opSuper, Arg: 2})
+	if matchesA() {
+		t.Fatal("superstep 2 did not ingest the vector that waited")
+	}
+	if want := []bool{true, false, true}; !reflect.DeepEqual(votes, want) {
+		t.Fatalf("site 0 voted %v over supersteps 0..2, want %v", votes, want)
 	}
 }

@@ -2,8 +2,8 @@ package baseline
 
 // dMes — the message-based vertex-centric algorithm simulating the Pregel
 // model [14, 26], as described in §6: upon receiving Q, each site acts as
-// a worker and, per superstep, (1) ingests the candidate vectors received
-// for its virtual nodes, (2) re-evaluates all its local vertices, and
+// a worker and, per superstep, (1) ingests the candidate vectors its
+// peers shipped for its virtual nodes in the previous superstep, (2) re-evaluates all its local vertices, and
 // (3) ships the candidate vectors of changed boundary vertices to the
 // sites that hold them as virtual nodes, then votes. The coordinator runs
 // the barrier: a new superstep starts while any site reported a change.
@@ -53,12 +53,23 @@ type dmesSite struct {
 	nq  int
 	vec []bitset // by index in ix: local vertices' candidate sets, virtual nodes' last-known vectors
 
-	inbox []*wire.Vectors // vectors buffered for the next superstep
+	// inbox holds the vectors received and not yet ingested, in arrival
+	// order; took[vi-NL] is the last superstep that ingested one into
+	// virtual node vi.
+	inbox []pendingVec
+	took  []uint32
+}
+
+// pendingVec is a received candidate vector for virtual node vi.
+type pendingVec struct {
+	vi   int32
+	bits []byte
 }
 
 func newDmesSite(q *pattern.Pattern, frag *partition.Fragment) *dmesSite {
 	ix := frag.Index()
-	s := &dmesSite{q: q, frag: frag, ix: ix, lis: localIndices(frag, ix), nq: q.NumNodes(), vec: make([]bitset, len(ix.Vis))}
+	s := &dmesSite{q: q, frag: frag, ix: ix, lis: localIndices(frag, ix), nq: q.NumNodes(), vec: make([]bitset, len(ix.Vis)),
+		took: make([]uint32, len(ix.Vis)-int(ix.NL))}
 	for vi, l := range ix.Labels {
 		s.vec[vi] = newBitset(s.nq)
 		for u := 0; u < s.nq; u++ {
@@ -73,7 +84,11 @@ func newDmesSite(q *pattern.Pattern, frag *partition.Fragment) *dmesSite {
 func (s *dmesSite) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
 	switch m := p.(type) {
 	case *wire.Vectors:
-		s.inbox = append(s.inbox, m)
+		for i, nv := range m.Nodes {
+			if vi, ok := s.ix.Find(graph.NodeID(nv)); ok && vi >= s.ix.NL {
+				s.inbox = append(s.inbox, pendingVec{vi: vi, bits: m.Bitsets[i]})
+			}
+		}
 	case *wire.Control:
 		switch m.Op {
 		case opSuper:
@@ -94,15 +109,26 @@ func (s *dmesSite) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
 }
 
 func (s *dmesSite) superstep(ctx *cluster.Ctx, step uint32) {
-	// (1) ingest buffered vectors for virtual nodes.
-	for _, m := range s.inbox {
-		for i, nv := range m.Nodes {
-			if vi, ok := s.ix.Find(graph.NodeID(nv)); ok && vi >= s.ix.NL {
-				s.vec[vi] = bitset(m.Bitsets[i]).clone()
+	// (1) ingest buffered vectors for virtual nodes: at superstep k ≥ 1,
+	// the one each owner shipped at superstep k−1. Vectors carry no
+	// superstep, but a virtual node receives exactly one per superstep
+	// from its owner, FIFO, so that is its oldest pending vector. A peer
+	// that started superstep k ahead of this site may already have sent
+	// its next one; it stays in the inbox for superstep k+1. Superstep 0
+	// ingests nothing: whatever arrived was shipped at superstep 0.
+	if step > 0 {
+		rest := s.inbox[:0]
+		for _, pv := range s.inbox {
+			if t := &s.took[pv.vi-s.ix.NL]; *t != step {
+				*t = step
+				s.vec[pv.vi] = bitset(pv.bits).clone()
+				continue
 			}
+			rest = append(rest, pv)
 		}
+		clear(s.inbox[len(rest):])
+		s.inbox = rest
 	}
-	s.inbox = nil
 
 	// (2) vertex-centric recompute of every local vertex — deliberately
 	// from scratch, per the unoptimized vertex program of [14].

@@ -151,20 +151,22 @@ type envelope struct {
 // (Drain), so under load one wakeup and one lock round-trip cover a run
 // of entries, while an idle consumer still sees each entry at once.
 type Queue[T any] struct {
-	mu     sync.Mutex
-	cond   sync.Cond
-	queue  []T
-	closed bool
+	mu       sync.Mutex
+	cond     sync.Cond
+	queue    []T
+	closed   bool
+	maxSpare int
 }
 
-// maxSpare caps the buffer a drained queue recycles, in entries: a
-// burst's backing array is dropped instead of staying pinned to an idle
-// consumer.
-const maxSpare = 4096
+// mailboxSpare is the spare cap of a site's or the coordinator's
+// mailbox, in entries: one of many per process, so a burst's backing
+// array is dropped instead of staying pinned to an idle consumer.
+const mailboxSpare = 4096
 
-// NewQueue returns an empty, open queue.
-func NewQueue[T any]() *Queue[T] {
-	q := &Queue[T]{}
+// NewQueue returns an empty, open queue whose consumer recycles a
+// drained buffer of at most maxSpare entries (Drain).
+func NewQueue[T any](maxSpare int) *Queue[T] {
+	q := &Queue[T]{maxSpare: maxSpare}
 	q.cond.L = &q.mu
 	return q
 }
@@ -179,13 +181,37 @@ func (q *Queue[T]) Put(e T) {
 	q.cond.Signal()
 }
 
+// PutAll appends a run of entries under one lock hold and wakes the
+// consumer once: fill appends the run to the queue's tail and returns
+// it. fill runs under the queue's lock, so it must do nothing but
+// append. After Close the run is dropped and fill is not called.
+func (q *Queue[T]) PutAll(fill func(tail []T) []T) {
+	q.mu.Lock()
+	if !q.closed {
+		q.queue = fill(q.queue)
+	}
+	q.mu.Unlock()
+	q.cond.Signal()
+}
+
+// putRun queues msgs on box as one run of session qid's envelopes.
+func putRun(box *Queue[envelope], qid uint64, msgs []wire.BatchMsg) {
+	box.PutAll(func(q []envelope) []envelope {
+		for _, m := range msgs {
+			q = append(q, envelope{qid: qid, from: int(m.From), data: m.Data})
+		}
+		return q
+	})
+}
+
 // Drain blocks for the next chunk and returns the entire queue in FIFO
 // order; ok=false after Close and drain. spare is the caller's previous
 // chunk, fully consumed: it is cleared — releasing what it references —
-// and becomes the next queue, so a steady flow allocates nothing.
+// and becomes the next queue, so a steady flow allocates nothing. A
+// spare above the queue's cap is dropped instead.
 func (q *Queue[T]) Drain(spare []T) (chunk []T, ok bool) {
 	clear(spare)
-	if cap(spare) > maxSpare {
+	if cap(spare) > q.maxSpare {
 		spare = nil
 	}
 	q.mu.Lock()
@@ -270,7 +296,7 @@ func NewWithTransport(tr Transport) *Cluster {
 		n:        tr.NumSites(),
 		tr:       tr,
 		sessions: make(map[uint64]*Session),
-		coordBox: NewQueue[envelope](),
+		coordBox: NewQueue[envelope](mailboxSpare),
 	}
 	c.wg.Add(1)
 	go c.coordLoop()
@@ -343,7 +369,7 @@ func (c *Cluster) newSession(kind SessionKind, coord Handler) (*Session, bool) {
 	s.coordCtx = &Ctx{
 		self: Coordinator,
 		n:    c.n,
-		send: func(to int, p wire.Payload) { s.send(Coordinator, to, p) },
+		out:  &s.coordOut,
 		// Rounds the coordinator handler records during a Recv are
 		// scratch-buffered so the trace attributes them (and the Recv's
 		// busy time) to the coordinator's current round — the exact
@@ -464,6 +490,13 @@ func (c *Cluster) coordRun(run []envelope) {
 		bytes += len(env.data)
 	}
 	el := time.Since(start)
+	// The run's output is routed as one run, before the run retires.
+	if len(s.coordOut) > 0 {
+		if !s.dropped.Load() {
+			s.route(s.coordOut)
+		}
+		s.coordOut = resetOutbox(s.coordOut)
+	}
 	s.statMu.Lock()
 	s.busy[c.n] += el
 	s.statMu.Unlock()
@@ -473,18 +506,29 @@ func (c *Cluster) coordRun(run []envelope) {
 	s.doneN(len(run))
 }
 
+// resetOutbox empties a routed outbox for the next run, releasing the
+// payloads it references; a burst's buffer is dropped rather than kept.
+func resetOutbox(out []wire.BatchMsg) []wire.BatchMsg {
+	if cap(out) > mailboxSpare {
+		return nil
+	}
+	clear(out)
+	return out[:0]
+}
+
 // --- Events (transport upcalls) ---
 
-// SiteSent implements Events: account a site-originated message and
-// route it — to the coordinator actor or back out through the transport.
-func (c *Cluster) SiteSent(qid uint64, from, to int, data []byte) {
+// SiteSent implements Events: account a run of site-originated
+// messages and route it — to the coordinator actor or back out through
+// the transport — with one session lookup.
+func (c *Cluster) SiteSent(qid uint64, msgs []wire.BatchMsg) {
 	c.mu.RLock()
 	s := c.sessions[qid]
 	c.mu.RUnlock()
 	if s == nil || s.dropped.Load() {
-		return // abandoned session: suppress, exactly like Session.send
+		return // abandoned session: suppress, exactly like Inject
 	}
-	s.route(from, to, data)
+	s.route(msgs)
 }
 
 // Retired implements Events. cum is the site's cumulative count of the
@@ -632,63 +676,86 @@ type Session struct {
 	// traceRec records the driver-side (coordinator) spans of a traced
 	// session; nil means tracing off. Set once in OpenSession before any
 	// message flows. coordRounds is the coordinator actor's per-Recv
-	// rounds scratch, touched only by coordLoop.
+	// rounds scratch and coordOut the outbox of its run in progress, both
+	// touched only by coordLoop.
 	traceRec    *obs.SpanRecorder
 	coordRounds int64
+	coordOut    []wire.BatchMsg
+
+	// injected is the outbox Inject and Broadcast route the driver's own
+	// sends from, under injectMu.
+	injectMu sync.Mutex
+	injected []wire.BatchMsg
 }
 
-// send encodes, accounts, and routes a driver-originated message.
-func (s *Session) send(from, to int, p wire.Payload) {
-	if s.dropped.Load() {
-		return
-	}
-	s.route(from, to, wire.Encode(p))
-}
-
-// route accounts one encoded message and hands it to the coordinator
-// actor or the transport. Shared by driver sends and site upcalls.
-func (s *Session) route(from, to int, data []byte) {
-	if to != Coordinator && (to < 0 || to >= s.c.n) {
-		panic(fmt.Sprintf("cluster: invalid site id %d", to))
-	}
-	k := wire.Kind(data[0])
-	s.statMu.Lock()
-	switch {
-	case k == wire.KindMatches:
-		s.stats.ResultBytes += int64(len(data))
-		s.stats.ResultMsgs++
-	case k.IsData():
-		s.stats.DataBytes += int64(len(data))
-		s.stats.DataMsgs++
-		if k == wire.KindPush {
-			s.stats.PushBytes += int64(len(data))
-			s.stats.PushMsgs++
+// route accounts a run of encoded messages and hands it on in order:
+// coordinator-bound messages to the coordinator actor, the rest to the
+// transport. The run is tallied locally and added under one stats hold,
+// and counted in flight with one add, before any of it is delivered.
+// The split keeps the run's order: a site-bound message reaches the
+// transport before a later coordinator-bound one is delivered — dMes's
+// barrier relies on a site's vectors being routed before its vote.
+// Shared by driver sends, coordinator runs and site upcalls; msgs is
+// only read.
+func (s *Session) route(msgs []wire.BatchMsg) {
+	var data, ctrl, result, push, dataN, ctrlN, resultN, pushN int64
+	for _, m := range msgs {
+		if m.To != Coordinator && (m.To < 0 || int(m.To) >= s.c.n) {
+			panic(fmt.Sprintf("cluster: invalid site id %d", m.To))
 		}
-	default:
-		s.stats.ControlBytes += int64(len(data))
-		s.stats.ControlMsgs++
+		n := int64(len(m.Data))
+		switch k := wire.Kind(m.Data[0]); {
+		case k == wire.KindMatches:
+			result += n
+			resultN++
+		case k.IsData():
+			data += n
+			dataN++
+			if k == wire.KindPush {
+				push += n
+				pushN++
+			}
+		default:
+			ctrl += n
+			ctrlN++
+		}
 	}
-	if to != Coordinator {
-		s.outstanding[to]++
+	s.statMu.Lock()
+	s.stats.DataBytes += data
+	s.stats.ControlBytes += ctrl
+	s.stats.ResultBytes += result
+	s.stats.DataMsgs += dataN
+	s.stats.ControlMsgs += ctrlN
+	s.stats.ResultMsgs += resultN
+	s.stats.PushBytes += push
+	s.stats.PushMsgs += pushN
+	for _, m := range msgs {
+		if m.To != Coordinator {
+			s.outstanding[m.To]++
+		}
 	}
 	s.statMu.Unlock()
-	// Driver-originated sends are the coordinator's outbound spans;
-	// site-originated sends were already attributed at their site.
-	if s.traceRec != nil && from == Coordinator {
-		s.traceRec.RecordOut(obs.CoordinatorSite, len(data))
+	if s.traceRec != nil {
+		for _, m := range msgs {
+			if m.From == Coordinator {
+				s.traceRec.RecordOut(obs.CoordinatorSite, len(m.Data))
+			}
+		}
 	}
-	s.inflight.Add(1)
-	if to == Coordinator {
-		s.c.deliver(s.qid, from, data)
-		return
+	s.inflight.Add(int64(len(msgs)))
+	for i := 0; i < len(msgs); {
+		coord := msgs[i].To == Coordinator
+		j := i + 1
+		for j < len(msgs) && (msgs[j].To == Coordinator) == coord {
+			j++
+		}
+		if coord {
+			putRun(s.c.coordBox, s.qid, msgs[i:j])
+		} else {
+			s.c.tr.Send(s.qid, msgs[i:j])
+		}
+		i = j
 	}
-	s.c.tr.Send(s.qid, from, to, data)
-}
-
-// deliver enqueues a coordinator-addressed message whose accounting
-// already happened.
-func (c *Cluster) deliver(qid uint64, from int, data []byte) {
-	c.coordBox.Put(envelope{qid: qid, from: from, data: data})
 }
 
 // doneN retires n in-flight messages at once (a drained run) and
@@ -706,13 +773,24 @@ func (s *Session) doneN(n int) {
 
 // Inject sends p to site id on behalf of the driver (appears to come from
 // the coordinator).
-func (s *Session) Inject(id int, p wire.Payload) { s.send(Coordinator, id, p) }
+func (s *Session) Inject(id int, p wire.Payload) { s.inject(wire.Encode(p), id, id+1) }
 
-// Broadcast injects p to every worker site.
-func (s *Session) Broadcast(p wire.Payload) {
-	for i := 0; i < s.c.n; i++ {
-		s.send(Coordinator, i, p)
+// Broadcast injects p to every worker site: encoded once, the n
+// messages share the read-only bytes and are routed as one run.
+func (s *Session) Broadcast(p wire.Payload) { s.inject(wire.Encode(p), 0, s.c.n) }
+
+// inject routes data from the coordinator to sites lo..hi-1 as one run.
+func (s *Session) inject(data []byte, lo, hi int) {
+	if s.dropped.Load() {
+		return
 	}
+	s.injectMu.Lock()
+	defer s.injectMu.Unlock()
+	for to := lo; to < hi; to++ {
+		s.injected = append(s.injected, wire.BatchMsg{From: Coordinator, To: int32(to), Data: data})
+	}
+	s.route(s.injected)
+	s.injected = resetOutbox(s.injected)
 }
 
 // WaitQuiesce blocks until every one of the session's messages has been
@@ -848,11 +926,16 @@ func (s *Session) Close() {
 }
 
 // Ctx is the per-site sending API passed to handlers. All traffic stays
-// within the handler's session.
+// within the handler's session. A send encodes the payload and appends
+// it to the outbox of the run in progress, which the executor routes as
+// one run when the run ends: handlers send only from Recv and EndRun.
 type Ctx struct {
-	self      int
-	n         int
-	send      func(to int, p wire.Payload)
+	self int
+	n    int
+	out  *[]wire.BatchMsg
+	// trace, when non-nil, attributes each send to the sending site's
+	// current round (the coordinator's sends are attributed at routing).
+	trace     *obs.SpanRecorder
 	addRounds func(n int64)
 }
 
@@ -863,13 +946,27 @@ func (x *Ctx) Self() int { return x.self }
 func (x *Ctx) NumSites() int { return x.n }
 
 // Send delivers p to site `to` (use Coordinator for Sc).
-func (x *Ctx) Send(to int, p wire.Payload) { x.send(to, p) }
-
-// Broadcast sends p to every worker site (coordinator use).
-func (x *Ctx) Broadcast(p wire.Payload) {
-	for i := 0; i < x.n; i++ {
-		x.send(i, p)
+func (x *Ctx) Send(to int, p wire.Payload) {
+	if to != Coordinator && (to < 0 || to >= x.n) {
+		panic(fmt.Sprintf("cluster: invalid site id %d", to))
 	}
+	x.put(to, wire.Encode(p))
+}
+
+// Broadcast sends p to every worker site (coordinator use): encoded
+// once, the n messages share the read-only bytes.
+func (x *Ctx) Broadcast(p wire.Payload) {
+	data := wire.Encode(p)
+	for i := 0; i < x.n; i++ {
+		x.put(i, data)
+	}
+}
+
+func (x *Ctx) put(to int, data []byte) {
+	if x.trace != nil {
+		x.trace.RecordOut(x.self, len(data))
+	}
+	*x.out = append(*x.out, wire.BatchMsg{From: int32(x.self), To: int32(to), Data: data})
 }
 
 // AddRounds records algorithm-defined communication rounds.

@@ -6,10 +6,12 @@ package cluster
 // shard of sites. Each hosted site is a serial actor — an unbounded
 // mailbox drained, a whole queue at a time, by one goroutine — so a
 // handler never races itself, while different sites run concurrently.
-// The host knows nothing about sockets or statistics; it reports every
-// outbound message and every retired run to its SiteSink, and the
-// backend decides whether that means a function call (in-process) or a
-// wire frame (TCP).
+// The host knows nothing about sockets or statistics. A run leaves its
+// site as one handoff: the handler's sends collect in the site's per-run
+// outbox, and when the run ends the host makes one SiteSink.EndRun call
+// carrying the run's output and its retirement, so the output precedes
+// the retirement by construction. The backend decides whether that
+// means function calls (in-process) or wire frames (TCP).
 
 import (
 	"context"
@@ -26,16 +28,16 @@ import (
 // SiteSink receives a SiteHost's outbound effects. Implementations must
 // be safe for concurrent use (each site goroutine calls in).
 type SiteSink interface {
-	// ForwardSend routes a message a hosted site's handler emitted. to
-	// may be Coordinator, a site on this host, or a site elsewhere —
-	// routing is the sink's problem.
-	ForwardSend(qid uint64, from, to int, data []byte)
-	// Retire reports that the site finished processing a run of
-	// delivered messages of one session, with the handler's busy time and
-	// recorded rounds over the run; cum is the site's cumulative count of
-	// the session's retired messages, the run included. Every ForwardSend
-	// the run caused precedes it.
-	Retire(qid uint64, site int, busy time.Duration, rounds int64, cum uint64)
+	// EndRun reports that a hosted site finished a run of delivered
+	// messages of one session. sends are the messages its handler emitted
+	// during the run, in order, each from the site; a destination may be
+	// Coordinator, a site on this host, or a site elsewhere — routing is
+	// the sink's problem, and it must route every send ahead of the
+	// retirement. busy and rounds are the handler's time and recorded
+	// rounds over the run, and cum is the site's cumulative count of the
+	// session's retired messages, the run included. The sink takes over
+	// the sends' Data but must not retain the slice past the call.
+	EndRun(qid uint64, site int, sends []wire.BatchMsg, busy time.Duration, rounds int64, cum uint64)
 	// Fatal reports an unrecoverable protocol error (an undecodable
 	// message reached a site). The in-process sink panics — exactly the
 	// old behavior — while a daemon reports it to the driver and resets.
@@ -45,7 +47,10 @@ type SiteSink interface {
 type siteState struct {
 	id     int // global site ID
 	box    *Queue[envelope]
-	rounds int64 // scratch: rounds recorded by the Recv in progress
+	rounds int64 // scratch: rounds recorded by the run in progress
+	// out is the outbox of the run in progress: the handler's sends, in
+	// order, handed to the sink when the run ends.
+	out []wire.BatchMsg
 }
 
 type hostSession struct {
@@ -61,7 +66,7 @@ type siteSession struct {
 	h   Handler
 	ctx *Ctx
 	// retired is the site's cumulative count of the session's retired
-	// messages — what Retire reports. Only the site's goroutine touches it.
+	// messages — what EndRun reports. Only the site's goroutine touches it.
 	retired uint64
 }
 
@@ -101,7 +106,7 @@ func NewSiteHost(total int, ids []int, frags map[int]*partition.Fragment, assign
 		traces:   make(map[uint64]*obs.SpanRecorder),
 	}
 	for _, id := range ids {
-		st := &siteState{id: id, box: NewQueue[envelope]()}
+		st := &siteState{id: id, box: NewQueue[envelope](mailboxSpare)}
 		h.sites[id] = st
 		h.wg.Add(1)
 		go h.siteLoop(st)
@@ -137,7 +142,7 @@ func (h *SiteHost) AddSites(ids []int, frags map[int]*partition.Fragment) {
 		if _, ok := h.sites[id]; ok || h.closed {
 			continue
 		}
-		st := &siteState{id: id, box: NewQueue[envelope]()}
+		st := &siteState{id: id, box: NewQueue[envelope](mailboxSpare)}
 		h.sites[id] = st
 		h.wg.Add(1)
 		go h.siteLoop(st)
@@ -207,7 +212,7 @@ func (h *SiteHost) install(qid uint64, handlers map[int]Handler, traceID uint64)
 		if !ok {
 			return fmt.Errorf("cluster: handler for site %d which is not hosted here", id)
 		}
-		hs.sites[id] = &siteSession{h: hd, ctx: h.siteCtx(qid, st, hs.trace)}
+		hs.sites[id] = &siteSession{h: hd, ctx: h.siteCtx(st, hs.trace)}
 	}
 	if h.closed {
 		// Shut-down host: accept the registration as a no-op; queued
@@ -223,23 +228,18 @@ func (h *SiteHost) install(qid uint64, handlers map[int]Handler, traceID uint64)
 	return nil
 }
 
-// siteCtx builds the per-(session, site) handler context. The rounds
-// accumulator lives in siteState and is read back by the site loop after
-// each run — safe because one goroutine owns the site. For traced
-// sessions the context also attributes each send to the site's current
-// round: sends happen inside Recv on the site's own goroutine, so the
-// round index is stable for the duration.
-func (h *SiteHost) siteCtx(qid uint64, st *siteState, trace *obs.SpanRecorder) *Ctx {
+// siteCtx builds the per-(session, site) handler context. Its sends
+// append to the site's per-run outbox and its rounds to the site's
+// accumulator, both read back by the site loop after each run — safe
+// because one goroutine owns the site, and handlers send only from Recv
+// and EndRun. For traced sessions the context also attributes each send
+// to the site's current round, which is stable for the run.
+func (h *SiteHost) siteCtx(st *siteState, trace *obs.SpanRecorder) *Ctx {
 	return &Ctx{
-		self: st.id,
-		n:    h.total,
-		send: func(to int, p wire.Payload) {
-			data := wire.Encode(p)
-			if trace != nil {
-				trace.RecordOut(st.id, len(data))
-			}
-			h.sink.ForwardSend(qid, st.id, to, data)
-		},
+		self:      st.id,
+		n:         h.total,
+		out:       &st.out,
+		trace:     trace,
 		addRounds: func(n int64) { st.rounds += n },
 	}
 }
@@ -275,16 +275,28 @@ func (h *SiteHost) TakeTrace(qid uint64) (spans []obs.SiteTrace, traced bool) {
 	return rec.Snapshot(), true
 }
 
-// Enqueue delivers one encoded payload to hosted site `to`.
-func (h *SiteHost) Enqueue(qid uint64, from, to int, data []byte) {
+// Enqueue delivers a run of session qid's encoded messages to their
+// hosted destination sites, in order: one read lock for the run, and one
+// mailbox PutAll per run of consecutive same-destination messages. The
+// mailboxes take over the messages' Data; msgs itself is only read.
+func (h *SiteHost) Enqueue(qid uint64, msgs []wire.BatchMsg) {
 	h.mu.RLock()
-	st, ok := h.sites[to]
-	h.mu.RUnlock()
-	if !ok {
-		h.sink.Fatal(fmt.Errorf("cluster: message for site %d which is not hosted here", to))
-		return
+	for i := 0; i < len(msgs); {
+		to := msgs[i].To
+		j := i + 1
+		for j < len(msgs) && msgs[j].To == to {
+			j++
+		}
+		st, ok := h.sites[int(to)]
+		if !ok {
+			h.mu.RUnlock()
+			h.sink.Fatal(fmt.Errorf("cluster: message for site %d which is not hosted here", to))
+			return
+		}
+		putRun(st.box, qid, msgs[i:j])
+		i = j
 	}
-	st.box.Put(envelope{qid: qid, from: from, data: data})
+	h.mu.RUnlock()
 }
 
 // siteLoop is a hosted site's executor: the mailbox's whole queue per
@@ -295,12 +307,12 @@ func (h *SiteHost) siteLoop(st *siteState) {
 }
 
 // run delivers one drained run of session envelopes to the site's
-// handler, in order, then retires the run as a whole: one session
-// lookup, one busy-time measurement (decoding included), one Retire
-// carrying the site's cumulative count. Everything the handler emitted — during a Recv or from its RunEnder
-// hook — reached the sink before the retirement does. A session closed
-// mid-run gets nothing more: the rest of the run is dropped unretired,
-// like a run that finds no session.
+// handler, in order, then hands the run to the sink as a whole: one
+// session lookup, one busy-time measurement (decoding included), and one
+// EndRun carrying everything the handler emitted — during a Recv or
+// from its RunEnder hook — and the site's cumulative count. A session
+// closed mid-run gets nothing more: the rest of the run is dropped with
+// the run's output, unretired, like a run that finds no session.
 func (h *SiteHost) run(st *siteState, run []envelope) {
 	qid := run[0].qid
 	h.mu.RLock()
@@ -311,6 +323,7 @@ func (h *SiteHost) run(st *siteState, run []envelope) {
 		// released the session's in-flight accounting when it closed.
 		return
 	}
+	defer func() { st.out = resetOutbox(st.out) }()
 	ss := hs.sites[st.id]
 	st.rounds = 0
 	bytes := 0
@@ -337,7 +350,7 @@ func (h *SiteHost) run(st *siteState, run []envelope) {
 		hs.trace.RecordIn(st.id, len(run), bytes, busy, st.rounds)
 	}
 	ss.retired += uint64(len(run))
-	h.sink.Retire(qid, st.id, busy, st.rounds, ss.retired)
+	h.sink.EndRun(qid, st.id, st.out, busy, st.rounds, ss.retired)
 }
 
 // Shutdown stops every site goroutine and waits for them. Idempotent.
@@ -400,11 +413,11 @@ func NewInProc(n int, fr *partition.Fragmentation) *InProc {
 // type so InProc's public method set stays the Transport interface.
 type inprocSink InProc
 
-func (s *inprocSink) ForwardSend(qid uint64, from, to int, data []byte) {
-	s.ev.SiteSent(qid, from, to, data)
-}
-
-func (s *inprocSink) Retire(qid uint64, site int, busy time.Duration, rounds int64, cum uint64) {
+// EndRun routes the run's output through the cluster, then retires it.
+func (s *inprocSink) EndRun(qid uint64, site int, sends []wire.BatchMsg, busy time.Duration, rounds int64, cum uint64) {
+	if len(sends) > 0 {
+		s.ev.SiteSent(qid, sends)
+	}
 	s.ev.Retired(qid, site, busy, rounds, cum)
 }
 
@@ -453,8 +466,8 @@ func (t *InProc) Trace(ctx context.Context, qid uint64) ([]obs.SiteTrace, bool, 
 }
 
 // Send implements Transport.
-func (t *InProc) Send(qid uint64, from, to int, data []byte) {
-	t.host.Enqueue(qid, from, to, data)
+func (t *InProc) Send(qid uint64, msgs []wire.BatchMsg) {
+	t.host.Enqueue(qid, msgs)
 }
 
 // Shutdown implements Transport.

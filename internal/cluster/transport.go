@@ -12,6 +12,11 @@ package cluster
 //     dgsd daemon processes and every message crosses a real socket as a
 //     length-prefixed wire frame.
 //
+// Traffic crosses the seam in runs: Transport.Send and Events.SiteSent
+// each take a run of one session's encoded messages and keep its order,
+// so a backend locks, accounts and queues once per run, not once per
+// message.
+//
 // Because site handlers must be constructible in a process that has never
 // seen the driver's objects, sessions are opened from a SessionSpec — an
 // algorithm name resolved against the site-factory registry plus the
@@ -28,6 +33,7 @@ import (
 
 	"dgs/internal/obs"
 	"dgs/internal/partition"
+	"dgs/internal/wire"
 )
 
 // SessionSpec describes a session so that any site — local or remote —
@@ -61,9 +67,12 @@ type Transport interface {
 	Open(qid uint64, kind SessionKind, spec SessionSpec) error
 	// Close discards session qid's handlers and any queued traffic.
 	Close(qid uint64)
-	// Send delivers one encoded payload to worker site `to` on behalf of
-	// session qid. from may be Coordinator or another site ID.
-	Send(qid uint64, from, to int, data []byte)
+	// Send delivers a run of session qid's encoded messages to their
+	// worker sites, keeping the run's order per destination. Every To is
+	// a worker site; a From may be Coordinator or a site ID. The
+	// transport takes over the messages' Data (read-only: a broadcast
+	// shares one encoding) but must not retain msgs past the call.
+	Send(qid uint64, msgs []wire.BatchMsg)
 	// Shutdown tears the backend down, releasing site resources and —
 	// for networked backends — closing connections gracefully.
 	Shutdown()
@@ -128,11 +137,12 @@ type Tracer interface {
 // Events is the upcall sink a Transport drives; the Cluster implements
 // it. Calls may come from any transport goroutine.
 type Events interface {
-	// SiteSent records that a site-originated message entered the
-	// network, taking over accounting and routing: the cluster counts it
-	// in-flight and either delivers it to the coordinator or hands it
-	// back to the transport for the destination site.
-	SiteSent(qid uint64, from, to int, data []byte)
+	// SiteSent records that a run of site-originated messages entered
+	// the network, taking over accounting and routing: the cluster counts
+	// the run in flight and, in order, delivers each message to the
+	// coordinator or hands it back to the transport for its destination
+	// site. msgs is only read during the call.
+	SiteSent(qid uint64, msgs []wire.BatchMsg)
 	// Retired reports that session qid's messages finished processing at
 	// a site, together with the handlers' summed busy time and any
 	// communication rounds they recorded. cum is the site's cumulative

@@ -164,8 +164,11 @@ type Engine struct {
 	extQueue []varKey
 
 	// out accumulates in-node variables falsified since the last Drain,
-	// by local index, so the site routes them without a lookup.
-	out []visVar
+	// by local index, so the site routes them without a lookup. On a
+	// restored engine it starts as the snapshot's filed seed kills
+	// (outFiled), read-only and capped so that a kill appends to a copy.
+	out      []visVar
+	outFiled bool
 
 	// unevalIn / unevalVirt track |Fi.I'| and |Fi.O'| of the benefit
 	// function incrementally (decremented on kills).
@@ -734,10 +737,16 @@ func (e *Engine) Drain() []wire.VarRef {
 }
 
 // drain is Drain in the engine's own numbering. The returned slice is the
-// engine's buffer: it is valid until the engine next changes.
+// engine's buffer, valid until the engine next changes, and read-only: it
+// may be a snapshot's filed list, which every restore of the snapshot
+// shares, and then the engine starts a fresh buffer.
 func (e *Engine) drain() []visVar {
 	out := e.out
-	e.out = out[:0]
+	if e.outFiled {
+		e.out, e.outFiled = nil, false
+	} else {
+		e.out = out[:0]
+	}
 	return out
 }
 

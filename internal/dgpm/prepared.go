@@ -165,7 +165,8 @@ func (s *snapshot) restore(q *pattern.Pattern, frag *partition.Fragment, ix *par
 		snapBits: s.alive, rank: s.rank,
 		ext:      make(map[varKey]*extVar),
 		eqWatch:  make(map[varKey][]eqWatcher),
-		out:      slices.Clone(s.out),
+		out:      s.out[:len(s.out):len(s.out)],
+		outFiled: true,
 		unevalIn: s.unevalIn, unevalVirt: s.unevalVirt, mut: s.mut,
 		snap:  s,
 		Evals: 1,

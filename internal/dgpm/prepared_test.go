@@ -303,10 +303,9 @@ func TestConcurrentRestoresShareNoWrites(t *testing.T) {
 // A restore copies what its session can change — one alive bit per
 // candidate and the counters the snapshot filed — and nothing sized by
 // the fragment: a prepare hit allocates at most
-// Σ_u ⌈(hi−lo+nvirt)/64⌉·8 B of alive words, 4 B per filed counter, 8 B
-// per filed seed kill (Drain hands the list to a caller that may write
-// it, so each engine owns a copy) and restoreOverhead for the engine
-// itself. The bound is read off the world's own sizes; no time is taken.
+// Σ_u ⌈(hi−lo+nvirt)/64⌉·8 B of alive words, 4 B per filed counter and
+// restoreOverhead for the engine itself. The filed seed kills are not
+// copied: drain hands them out read-only. The bound is read off the world's own sizes; no time is taken.
 func TestRestoreAllocatesCandidatesNotFragment(t *testing.T) {
 	// restoreOverhead covers the Engine struct and its two empty maps.
 	const restoreOverhead = 1024
@@ -329,7 +328,7 @@ func TestRestoreAllocatesCandidatesNotFragment(t *testing.T) {
 				runtime.ReadMemStats(&after)
 				return int(after.TotalAlloc-before.TotalAlloc) / restores
 			}
-			bound := 4*len(s.cells) + 8*len(s.out) + restoreOverhead
+			bound := 4*len(s.cells) + restoreOverhead
 			nvirt := len(ix.Vis) - int(ix.NL)
 			for u := range q.NumNodes() {
 				lo, hi := ix.Locals(q.Label(pattern.QNode(u)))

@@ -90,6 +90,8 @@ type site struct {
 	// falsifications already reported, so rebuilds do not resend.
 	extFalse []wire.VarRef
 	reported map[wire.VarRef]bool
+	// fresh is flushTracked's scratch: the drained kills not yet reported.
+	fresh []visVar
 
 	// waves is dGPMd's rank-wave state; nil on the other algorithms'
 	// sites.
@@ -295,15 +297,15 @@ func (s *site) flush(ctx *cluster.Ctx) {
 // scratch variant: a rebuild re-derives earlier falsifications, which must
 // not be shipped again.
 func (s *site) flushTracked(ctx *cluster.Ctx) {
-	kills := s.eng.drain()
-	fresh := kills[:0]
-	for _, x := range kills {
+	// The drained list is read-only (Engine.drain): filter into scratch.
+	s.fresh = s.fresh[:0]
+	for _, x := range s.eng.drain() {
 		if r := s.eng.ref(x); !s.reported[r] {
 			s.reported[r] = true
-			fresh = append(fresh, x)
+			s.fresh = append(s.fresh, x)
 		}
 	}
-	s.route(ctx, fresh)
+	s.route(ctx, s.fresh)
 }
 
 // route sends each falsified in-node variable to the sites holding the

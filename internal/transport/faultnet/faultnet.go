@@ -30,11 +30,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
 	"dgs/internal/cluster"
 	"dgs/internal/partition"
+	"dgs/internal/wire"
 )
 
 // Options configure the injected faults. The zero value injects
@@ -131,13 +133,32 @@ func (t *Net) OpenHandlers(qid uint64, sites []cluster.Handler) error {
 }
 
 // Send implements cluster.Transport: messages to a dead site are
-// dropped, others are forwarded after the seeded delay jitter.
-func (t *Net) Send(qid uint64, from, to int, data []byte) {
-	if t.dead(to) {
-		return
+// dropped, others are forwarded in order, the run after one seeded delay
+// jitter per message.
+func (t *Net) Send(qid uint64, msgs []wire.BatchMsg) {
+	live := filterRun(msgs, func(m wire.BatchMsg) bool { return !t.dead(int(m.To)) })
+	for range live {
+		t.jitter()
 	}
-	t.jitter()
-	t.inner.Send(qid, from, to, data)
+	if len(live) > 0 {
+		t.inner.Send(qid, live)
+	}
+}
+
+// filterRun returns msgs itself when keep holds for every message, and a
+// fresh slice of the kept ones, in order, otherwise.
+func filterRun(msgs []wire.BatchMsg, keep func(wire.BatchMsg) bool) []wire.BatchMsg {
+	i := slices.IndexFunc(msgs, func(m wire.BatchMsg) bool { return !keep(m) })
+	if i < 0 {
+		return msgs
+	}
+	out := slices.Clone(msgs[:i])
+	for _, m := range msgs[i+1:] {
+		if keep(m) {
+			out = append(out, m)
+		}
+	}
+	return out
 }
 
 // Shutdown implements cluster.Transport.
@@ -308,19 +329,20 @@ type filteredEvents Net
 
 func (f *filteredEvents) net() *Net { return (*Net)(f) }
 
-func (f *filteredEvents) SiteSent(qid uint64, from, to int, data []byte) {
+func (f *filteredEvents) SiteSent(qid uint64, msgs []wire.BatchMsg) {
 	// Only the sender's death suppresses here: a message TO a dead site
 	// must still be routed and counted in flight — it is dropped at
 	// Send, after accounting — so the session visibly hangs instead of
 	// quiescing with work missing, exactly like a real silent peer.
 	t := f.net()
-	if t.dead(from) {
+	msgs = filterRun(msgs, func(m wire.BatchMsg) bool { return !t.dead(int(m.From)) })
+	if len(msgs) == 0 {
 		return
 	}
 	t.mu.Lock()
 	ev := t.ev
 	t.mu.Unlock()
-	ev.SiteSent(qid, from, to, data)
+	ev.SiteSent(qid, msgs)
 }
 
 func (f *filteredEvents) Retired(qid uint64, site int, busy time.Duration, rounds int64, cum uint64) {

@@ -149,9 +149,12 @@ func TestAckNRoundTrip(t *testing.T) {
 func readChunkFrames(t *testing.T, entries []outEntry) (types []byte, bodies [][]byte, metered int) {
 	t.Helper()
 	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	meter := func(qid uint64, n int) { metered += n }
-	if err := writeChunk(bw, entries, meter); err != nil {
+	w := &chunkWriter{bw: bufio.NewWriter(&buf), meter: func(frames []frameSize) {
+		for _, f := range frames {
+			metered += f.n
+		}
+	}}
+	if err := w.writeChunk(entries); err != nil {
 		t.Fatal(err)
 	}
 	if metered != buf.Len() {
@@ -218,6 +221,76 @@ func TestWriteChunkCoalescing(t *testing.T) {
 		if got, err := decodeAckN(bodies[i]); err != nil || got != want {
 			t.Fatalf("frame %d: ACKN = %+v (%v), want %+v", i, got, err, want)
 		}
+	}
+}
+
+// The writer puts frames straight into its buffer: a flush of a mixed
+// chunk — three sessions, message runs and retirement runs, a control
+// frame — allocates nothing, meters every frame in one call, and writes
+// exactly the bytes of wire.AppendFrame over each frame's body codec, a
+// MSGB body being the qid and the wire.Batch encoding of its run.
+func TestWriteChunkAllocatesNothing(t *testing.T) {
+	msg := func(qid uint64, from int32, to int64, n int) outEntry {
+		data := bytes.Repeat([]byte{byte(n)}, n)
+		data[0] = byte(wire.KindControl)
+		return outEntry{kind: entryMsg, qid: qid, from: from, to: to, data: data}
+	}
+	ack := func(qid uint64, site int32, cum, busy, rounds int64) outEntry {
+		return outEntry{kind: entryAck, qid: qid, from: site, to: cum, busyNs: busy, rounds: rounds}
+	}
+	entries := []outEntry{
+		msg(1, 0, 3, 2), msg(1, 0, -1, 40), msg(1, 2, 1, 7),
+		ack(1, 0, 3, 100, 1), ack(1, 0, 5, 50, 0),
+		msg(2, 1, 0, 300),
+		ack(2, 1, 9, 7, 2),
+		msg(3, -1, 2, 1), msg(3, 3, 2, 5000),
+		ack(3, 3, 1, 1, 1),
+		{kind: entryFrame, data: wire.AppendFrame(nil, framePong, encodePingPong(4))},
+	}
+	batch := func(qid uint64, run ...outEntry) []byte {
+		b := &wire.Batch{}
+		for _, e := range run {
+			b.Msgs = append(b.Msgs, wire.BatchMsg{From: e.from, To: int32(e.to), Data: e.data})
+		}
+		return wire.AppendFrame(nil, frameMsgB, append(appendU64(nil, qid), wire.Encode(b)...))
+	}
+	ackN := func(a ackNBody) []byte { return wire.AppendFrame(nil, frameAckN, encodeAckN(a)) }
+	want := bytes.Join([][]byte{
+		batch(1, entries[0:3]...),
+		ackN(ackNBody{qid: 1, site: 0, count: 5, busyNs: 150, rounds: 1}),
+		batch(2, entries[5]),
+		ackN(ackNBody{qid: 2, site: 1, count: 9, busyNs: 7, rounds: 2}),
+		batch(3, entries[7:9]...),
+		ackN(ackNBody{qid: 3, site: 3, count: 1, busyNs: 1, rounds: 1}),
+		entries[10].data,
+	}, nil)
+
+	var sink bytes.Buffer
+	sink.Grow(len(want))
+	metered, calls := 0, 0
+	// A buffer smaller than the chunk exercises the mid-chunk flushes.
+	w := &chunkWriter{bw: bufio.NewWriterSize(&sink, 1024), meter: func(frames []frameSize) {
+		calls++
+		for _, f := range frames {
+			metered += f.n
+		}
+	}}
+	if err := w.writeChunk(entries); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sink.Bytes(), want) {
+		t.Fatalf("writer bytes differ from the frame codecs':\n got %x\nwant %x", sink.Bytes(), want)
+	}
+	if calls != 1 || metered != len(want) {
+		t.Fatalf("meter called %d times for %d bytes, want once for %d", calls, metered, len(want))
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		sink.Reset()
+		if err := w.writeChunk(entries); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("writeChunk allocates %.1f times per chunk, want 0", allocs)
 	}
 }
 

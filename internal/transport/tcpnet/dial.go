@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -252,7 +253,7 @@ func (t *Net) newConn(addr string, nc net.Conn) *conn {
 		addr:   addr,
 		c:      nc,
 		br:     bufio.NewReaderSize(nc, 1<<16),
-		out:    cluster.NewQueue[outEntry](),
+		out:    cluster.NewQueue[outEntry](connSpare),
 		stopHB: make(chan struct{}),
 	}
 }
@@ -400,17 +401,20 @@ func (t *Net) startConn(cn *conn) bool {
 	return true
 }
 
-// addWire meters frame bytes onto a session. Only sessions with a live
-// meter (created at Open, removed at Close) accumulate: frames that
-// straggle in after a Close would otherwise resurrect the deleted entry
-// and leak it forever on a long-lived deployment. Unattributable bytes
-// count as deployment traffic instead, so nothing goes unmeasured.
-func (t *Net) addWire(qid uint64, n int) {
+// addWire meters frames' bytes onto their sessions, under one lock
+// hold. Only sessions with a live meter (created at Open, removed at
+// Close) accumulate: frames that straggle in after a Close would
+// otherwise resurrect the deleted entry and leak it forever on a
+// long-lived deployment. Unattributable bytes count as deployment
+// traffic instead, so nothing goes unmeasured.
+func (t *Net) addWire(frames ...frameSize) {
 	t.mu.Lock()
-	if _, live := t.perQID[qid]; qid != 0 && live {
-		t.perQID[qid] += int64(n)
-	} else {
-		t.deployBytes += int64(n)
+	for _, f := range frames {
+		if _, live := t.perQID[f.qid]; f.qid != 0 && live {
+			t.perQID[f.qid] += int64(f.n)
+		} else {
+			t.deployBytes += int64(f.n)
+		}
 	}
 	t.mu.Unlock()
 }
@@ -472,17 +476,30 @@ func (t *Net) Close(qid uint64) {
 	}
 }
 
-// Send implements cluster.Transport. The message is queued as a typed
-// entry: the destination connection's writer merges consecutive
-// same-session messages into one MSGB frame at flush time. A dead
-// connection's outbox swallows the entry — the session it belonged to
-// already failed with the site loss.
-func (t *Net) Send(qid uint64, from, to int, data []byte) {
+// Send implements cluster.Transport. The run's messages are queued as
+// typed entries, with one PutAll per owner connection: the connection's
+// writer merges consecutive same-session messages into one MSGB frame at
+// flush time. A destination has one owner, so each destination's
+// messages keep the run's order. A dead connection's outbox swallows the
+// entries — the session they belonged to already failed with the site
+// loss.
+func (t *Net) Send(qid uint64, msgs []wire.BatchMsg) {
 	rt := t.rt.Load()
-	cn := rt.conns[rt.owner[to]]
-	cn.out.Put(outEntry{kind: entryMsg, qid: qid, from: int32(from), to: int64(to), data: data})
+	for ci, cn := range rt.conns {
+		if !slices.ContainsFunc(msgs, func(m wire.BatchMsg) bool { return rt.owner[m.To] == ci }) {
+			continue
+		}
+		cn.out.PutAll(func(q []outEntry) []outEntry {
+			for _, m := range msgs {
+				if rt.owner[m.To] == ci {
+					q = append(q, outEntry{kind: entryMsg, qid: qid, from: m.From, to: int64(m.To), data: m.Data})
+				}
+			}
+			return q
+		})
+	}
 	if t.msgsOut != nil {
-		t.msgsOut.Inc()
+		t.msgsOut.Add(int64(len(msgs)))
 	}
 }
 
@@ -858,9 +875,9 @@ func (t *Net) Recover(ctx context.Context, fr *partition.Fragmentation, full boo
 func (cn *conn) writer() {
 	t := cn.t
 	defer t.wg.Done()
-	meter := func(qid uint64, n int) {
-		t.addWire(qid, n)
-		t.framesOut.Add(1)
+	meter := func(frames []frameSize) {
+		t.addWire(frames...)
+		t.framesOut.Add(int64(len(frames)))
 	}
 	if err := writeLoop(cn.c, cn.out, meter); err != nil {
 		t.loseConn(cn, fmt.Errorf("write: %w", err))
@@ -952,27 +969,27 @@ func (cn *conn) readLoop() {
 				t.fail(fmt.Errorf("tcpnet: %s sent bad MSGB: %w", cn.addr, err))
 				return
 			}
-			t.addWire(qid, wire.FrameOverhead+len(body))
-			// Sub-message Data aliases the frame body (zero-copy decode);
-			// the body is a fresh per-ReadFrame allocation that is never
-			// reused, so handing the slices to the router is safe.
+			t.addWire(frameSize{qid, wire.FrameOverhead + len(body)})
+			// Range-check remote input here, the whole frame before any of
+			// it is routed: a corrupt or skewed daemon must fail the
+			// deployment, not panic the driver's router.
 			for _, m := range batch.Msgs {
-				// Range-check remote input here: a corrupt or skewed daemon
-				// must fail the deployment, not panic the driver's router.
-				from, to := int(m.From), int(m.To)
-				if !t.siteRangeOK(from, to) {
+				if from, to := int(m.From), int(m.To); !t.siteRangeOK(from, to) {
 					t.fail(fmt.Errorf("tcpnet: %s sent MSGB with out-of-range site (%d→%d of %d)", cn.addr, from, to, t.n))
 					return
 				}
-				t.ev.SiteSent(qid, from, to, m.Data)
 			}
+			// Sub-message Data aliases the frame body (zero-copy decode);
+			// the body is a fresh per-ReadFrame allocation that is never
+			// reused, so handing the slices to the router is safe.
+			t.ev.SiteSent(qid, batch.Msgs)
 		case frameAckN:
 			a, err := decodeAckN(body)
 			if err != nil {
 				t.fail(fmt.Errorf("tcpnet: %s sent bad ACKN: %w", cn.addr, err))
 				return
 			}
-			t.addWire(a.qid, wire.FrameOverhead+len(body))
+			t.addWire(frameSize{a.qid, wire.FrameOverhead + len(body)})
 			t.ev.Retired(a.qid, a.site, time.Duration(a.busyNs), a.rounds, a.count)
 		case framePong:
 			if _, err := decodePingPong(body); err != nil {
@@ -993,7 +1010,7 @@ func (cn *conn) readLoop() {
 			// TRACE chases the CLOSE, so the session's meter is already
 			// gone; addWire books the bytes as deployment traffic, keeping
 			// a session's WireBytes identical traced or not.
-			t.addWire(qid, wire.FrameOverhead+len(body))
+			t.addWire(frameSize{qid, wire.FrameOverhead + len(body)})
 			if w, ok := t.traceWaitFor(qid); ok {
 				w.deliver(spans)
 			}

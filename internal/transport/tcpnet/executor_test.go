@@ -28,7 +28,7 @@ func TestOutboxSteadyStateAllocatesNothing(t *testing.T) {
 	if sz := unsafe.Sizeof(outEntry{}); sz > 64 {
 		t.Errorf("outEntry grew to %d bytes; it is sized to a 64-byte cache line", sz)
 	}
-	o := cluster.NewQueue[outEntry]()
+	o := cluster.NewQueue[outEntry](connSpare)
 	payload := []byte{byte(wire.KindControl)}
 	var chunk []outEntry
 	cycle := func() {
@@ -137,14 +137,16 @@ func TestRunRetiredByOneAckNBehindItsOutput(t *testing.T) {
 
 	const qid = 5
 	send(frameOpen, encodeOpen(openBody{qid: qid, spec: cluster.SessionSpec{Algo: algoGated}}))
-	park := []outEntry{{kind: entryMsg, from: cluster.Coordinator, to: 0, data: wire.Encode(&wire.Control{Op: 1})}}
-	send(frameMsgB, appendMsgBatch(nil, qid, park))
-	<-gatedEntered
-	run := make([]outEntry, n)
-	for i := range run {
-		run[i] = outEntry{kind: entryMsg, from: cluster.Coordinator, to: 0, data: wire.Encode(&wire.Control{})}
+	msgB := func(msgs ...wire.BatchMsg) []byte {
+		return append(appendU64(nil, qid), wire.Encode(&wire.Batch{Msgs: msgs})...)
 	}
-	send(frameMsgB, appendMsgBatch(nil, qid, run))
+	send(frameMsgB, msgB(wire.BatchMsg{From: cluster.Coordinator, To: 0, Data: wire.Encode(&wire.Control{Op: 1})}))
+	<-gatedEntered
+	run := make([]wire.BatchMsg, n)
+	for i := range run {
+		run[i] = wire.BatchMsg{From: cluster.Coordinator, To: 0, Data: wire.Encode(&wire.Control{})}
+	}
+	send(frameMsgB, msgB(run...))
 	// The daemon reads frames in order: its PONG proves the run is queued.
 	send(framePing, encodePingPong(1))
 	expect(framePong)

@@ -102,20 +102,22 @@ func ListenAndServe(addr string, s *Server) error {
 	return s.Serve(lis)
 }
 
-// daemonSink adapts SiteHost upcalls onto the connection: handler sends
-// become MSGB frames to the driver (hub routing), a retired run becomes
-// one ACKN carrying the site's cumulative count, and protocol corruption
-// becomes a deployment ERR.
+// daemonSink adapts SiteHost upcalls onto the connection: a site's run
+// leaves as its output messages — MSGB frames to the driver (hub
+// routing) — followed by one ACKN carrying the site's cumulative count,
+// queued with one PutAll, so the output precedes the retirement by
+// construction; protocol corruption becomes a deployment ERR.
 type daemonSink struct {
 	out *cluster.Queue[outEntry]
 }
 
-func (k *daemonSink) ForwardSend(qid uint64, from, to int, data []byte) {
-	k.out.Put(outEntry{kind: entryMsg, qid: qid, from: int32(from), to: int64(to), data: data})
-}
-
-func (k *daemonSink) Retire(qid uint64, site int, busy time.Duration, rounds int64, cum uint64) {
-	k.out.Put(outEntry{kind: entryAck, qid: qid, from: int32(site), to: int64(cum), busyNs: int64(busy), rounds: rounds})
+func (k *daemonSink) EndRun(qid uint64, site int, sends []wire.BatchMsg, busy time.Duration, rounds int64, cum uint64) {
+	k.out.PutAll(func(q []outEntry) []outEntry {
+		for _, m := range sends {
+			q = append(q, outEntry{kind: entryMsg, qid: qid, from: m.From, to: int64(m.To), data: m.Data})
+		}
+		return append(q, outEntry{kind: entryAck, qid: qid, from: int32(site), to: int64(cum), busyNs: int64(busy), rounds: rounds})
+	})
 }
 
 func (k *daemonSink) Fatal(err error) {
@@ -241,11 +243,11 @@ func (s *Server) handle(c net.Conn) {
 		return
 	}
 
-	out := cluster.NewQueue[outEntry]()
+	out := cluster.NewQueue[outEntry](connSpare)
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		meter := func(uint64, int) { atomic.AddInt64(&s.counters.framesOut, 1) }
+		meter := func(frames []frameSize) { atomic.AddInt64(&s.counters.framesOut, int64(len(frames))) }
 		if err := writeLoop(c, out, meter); err != nil {
 			// Sever the connection: a driver waiting on our ACKNs would
 			// otherwise never learn its frames stopped flowing (it has no
@@ -301,10 +303,8 @@ func (s *Server) handle(c net.Conn) {
 			}
 			// Sub-message Data aliases the frame buffer, which is not
 			// reused, so enqueueing the slices directly is safe — the
-			// zero-copy unpack of a coalesced frame.
-			for _, m := range batch.Msgs {
-				host.Enqueue(qid, int(m.From), int(m.To), m.Data)
-			}
+			// zero-copy unpack of a coalesced frame, handed over whole.
+			host.Enqueue(qid, batch.Msgs)
 		case frameClose:
 			qid, err := wire.NewByteReader(body).U64()
 			if err == nil {

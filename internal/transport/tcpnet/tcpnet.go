@@ -223,8 +223,12 @@ type ackNBody struct {
 	rounds int64
 }
 
-func encodeAckN(a ackNBody) []byte {
-	dst := make([]byte, 0, 36)
+// ackNLen is the ACKN body's fixed length.
+const ackNLen = 8 + 4 + 8 + 8 + 8
+
+func encodeAckN(a ackNBody) []byte { return appendAckN(make([]byte, 0, ackNLen), a) }
+
+func appendAckN(dst []byte, a ackNBody) []byte {
 	dst = appendU64(dst, a.qid)
 	dst = appendI32(dst, a.site)
 	dst = appendU64(dst, a.count)
@@ -262,21 +266,9 @@ func decodeAckN(b []byte) (ackNBody, error) {
 }
 
 // MSGB frame body: u64 qid, then one wire.Batch payload carrying a run
-// of one or more messages. appendMsgBatch encodes straight from a queued
-// run; decodeMsgB goes through wire.Decode so the batch codec (and its
-// fuzz coverage) is the single source of truth.
-func appendMsgBatch(dst []byte, qid uint64, run []outEntry) []byte {
-	dst = appendU64(dst, qid)
-	dst = append(dst, byte(wire.KindBatch))
-	dst = appendU32(dst, uint32(len(run)))
-	for i := range run {
-		dst = appendI32(dst, int(run[i].from))
-		dst = appendI32(dst, int(run[i].to))
-		dst = appendBlob(dst, run[i].data)
-	}
-	return dst
-}
-
+// of one or more messages. The writer encodes it straight from a queued
+// run (chunkWriter.writeMsgB); decodeMsgB goes through wire.Decode so
+// the batch codec (and its fuzz coverage) is the single source of truth.
 func decodeMsgB(b []byte) (uint64, *wire.Batch, error) {
 	r := wire.NewByteReader(b)
 	qid, err := r.U64()
@@ -490,10 +482,25 @@ type outEntry struct {
 	rounds int64
 }
 
+// connSpare is a connection queue's spare cap, in entries (2 MiB of
+// them): a connection carries every message of its daemon's sites, so a
+// superstep's burst reaches tens of thousands of entries, and a queue
+// that dropped such a buffer would regrow it, by doubling, on every
+// burst. A process has one or a few connections, so the pinned buffers
+// stay small beside the bursts themselves.
+const connSpare = 1 << 15
+
 // batchByteCap bounds one MSGB frame's coalesced payload bytes: a run
 // larger than this splits into several batches, keeping frames well
 // under wire.MaxFrame and bounding the receiver's per-frame work.
 const batchByteCap = 1 << 24
+
+// frameSize is one written frame's session and length in bytes, header
+// included: what a writer's meter observes.
+type frameSize struct {
+	qid uint64
+	n   int
+}
 
 // writeLoop is the one writer of a connection end, driver or daemon: it
 // drains the connection's queue a whole chunk per wakeup — which is
@@ -502,8 +509,8 @@ const batchByteCap = 1 << 24
 // a lone message with no added latency — and writes each chunk under a
 // fresh write deadline. It returns nil once the queue is closed and
 // drained, or the first write error; the caller owns the error policy.
-func writeLoop(c net.Conn, q *cluster.Queue[outEntry], meter func(qid uint64, n int)) error {
-	bw := bufio.NewWriterSize(c, 1<<16)
+func writeLoop(c net.Conn, q *cluster.Queue[outEntry], meter func(frames []frameSize)) error {
+	w := &chunkWriter{bw: bufio.NewWriterSize(c, 1<<16), meter: meter}
 	var entries []outEntry
 	for {
 		var ok bool
@@ -511,10 +518,18 @@ func writeLoop(c net.Conn, q *cluster.Queue[outEntry], meter func(qid uint64, n 
 			return nil
 		}
 		c.SetWriteDeadline(time.Now().Add(writeTimeout))
-		if err := writeChunk(bw, entries, meter); err != nil {
+		if err := w.writeChunk(entries); err != nil {
 			return err
 		}
 	}
+}
+
+// chunkWriter writes a connection end's drained chunks onto bw. frames
+// is its scratch list of the chunk's frame sizes, reused chunk to chunk.
+type chunkWriter struct {
+	bw     *bufio.Writer
+	meter  func(frames []frameSize) // nil ok
+	frames []frameSize
 }
 
 // writeChunk encodes one drained chunk onto bw and flushes once, so an
@@ -527,28 +542,23 @@ func writeLoop(c net.Conn, q *cluster.Queue[outEntry], meter func(qid uint64, n 
 // handler-output messages stay ahead of the retirement of the run that
 // produced them — is exactly preserved.
 //
-// meter (nil ok) observes each frame's (qid, length) only after the
+// Frames are written straight into bw: the coalescing pass knows a
+// MSGB's length before its first byte, so headers go into bw's free
+// space and payloads are copied once, from the entry into bw, and a
+// chunk allocates nothing. The bytes are those of wire.AppendFrame over
+// the frame's body codec (a MSGB body is the qid and a wire.Batch
+// encoding).
+//
+// meter (nil ok) observes the chunk's frames in one call, only after the
 // flush succeeds: metered bytes never drift ahead of what actually hit
 // the socket.
-func writeChunk(bw *bufio.Writer, entries []outEntry, meter func(qid uint64, n int)) error {
-	type frameMeter struct {
-		qid uint64
-		n   int
-	}
-	var pending []frameMeter
-	emit := func(qid uint64, frame []byte) error {
-		if _, err := bw.Write(frame); err != nil {
-			return err
-		}
-		if meter != nil {
-			pending = append(pending, frameMeter{qid, len(frame)})
-		}
-		return nil
-	}
+func (w *chunkWriter) writeChunk(entries []outEntry) error {
+	w.frames = w.frames[:0]
 	for i := 0; i < len(entries); {
 		e := entries[i]
 		j := i + 1
-		frame := e.data
+		n := len(e.data)
+		var err error
 		switch e.kind {
 		case entryMsg:
 			sz := 12 + len(e.data)
@@ -560,7 +570,7 @@ func writeChunk(bw *bufio.Writer, entries []outEntry, meter func(qid uint64, n i
 				sz = nsz
 				j++
 			}
-			frame = wire.AppendFrame(nil, frameMsgB, appendMsgBatch(nil, e.qid, entries[i:j]))
+			n, err = w.writeMsgB(e.qid, entries[i:j], sz)
 		case entryAck:
 			a := ackNBody{qid: e.qid, site: int(e.from), count: uint64(e.to), busyNs: e.busyNs, rounds: e.rounds}
 			for ; j < len(entries) && entries[j].kind == entryAck && entries[j].qid == e.qid && entries[j].from == e.from; j++ {
@@ -568,22 +578,88 @@ func writeChunk(bw *bufio.Writer, entries []outEntry, meter func(qid uint64, n i
 				a.busyNs += entries[j].busyNs
 				a.rounds += entries[j].rounds
 			}
-			frame = wire.AppendFrame(nil, frameAckN, encodeAckN(a))
+			n, err = w.writeAckN(a)
+		default:
+			_, err = w.bw.Write(e.data)
 		}
-		if err := emit(e.qid, frame); err != nil {
+		if err != nil {
 			return err
+		}
+		if w.meter != nil {
+			w.frames = append(w.frames, frameSize{e.qid, n})
 		}
 		i = j
 	}
-	if err := bw.Flush(); err != nil {
+	if err := w.bw.Flush(); err != nil {
 		return err
 	}
-	if meter != nil {
-		for _, m := range pending {
-			meter(m.qid, m.n)
-		}
+	if w.meter != nil && len(w.frames) > 0 {
+		w.meter(w.frames)
 	}
 	return nil
+}
+
+// header returns bw's free space, flushed to hold at least n bytes, for
+// a frame header to be appended into and written back: the
+// bufio.Writer.AvailableBuffer idiom, which copies nothing extra and
+// allocates nothing.
+func (w *chunkWriter) header(n int) ([]byte, error) {
+	if w.bw.Available() < n {
+		if err := w.bw.Flush(); err != nil {
+			return nil, err
+		}
+	}
+	return w.bw.AvailableBuffer(), nil
+}
+
+// writeMsgB writes run as one MSGB frame of session qid; sz is the run's
+// sub-message bytes, 12 header bytes and the payload each. It returns
+// the frame's length.
+func (w *chunkWriter) writeMsgB(qid uint64, run []outEntry, sz int) (int, error) {
+	body := 8 + 1 + 4 + sz // qid, the batch kind byte, the count, the run
+	if body+1 > wire.MaxFrame {
+		panic(fmt.Sprintf("tcpnet: MSGB body %d exceeds MaxFrame", body))
+	}
+	b, err := w.header(wire.FrameOverhead + 13)
+	if err != nil {
+		return 0, err
+	}
+	b = appendU32(b, uint32(body+1))
+	b = append(b, frameMsgB)
+	b = appendU64(b, qid)
+	b = append(b, byte(wire.KindBatch))
+	b = appendU32(b, uint32(len(run)))
+	if _, err := w.bw.Write(b); err != nil {
+		return 0, err
+	}
+	for i := range run {
+		if b, err = w.header(12); err != nil {
+			return 0, err
+		}
+		b = appendI32(b, int(run[i].from))
+		b = appendI32(b, int(run[i].to))
+		b = appendU32(b, uint32(len(run[i].data)))
+		if _, err := w.bw.Write(b); err != nil {
+			return 0, err
+		}
+		if _, err := w.bw.Write(run[i].data); err != nil {
+			return 0, err
+		}
+	}
+	return wire.FrameOverhead + body, nil
+}
+
+// writeAckN writes a as one ACKN frame and returns the frame's length.
+func (w *chunkWriter) writeAckN(a ackNBody) (int, error) {
+	b, err := w.header(wire.FrameOverhead + ackNLen)
+	if err != nil {
+		return 0, err
+	}
+	b = appendU32(b, 1+ackNLen)
+	b = append(b, frameAckN)
+	b = appendAckN(b, a)
+	_, err = w.bw.Write(b)
+	return wire.FrameOverhead + ackNLen, err
 }
 
 // HostedRange computes the contiguous block of site IDs daemon j of k

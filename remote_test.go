@@ -22,7 +22,7 @@ import (
 // startSiteServers starts k dgsd-equivalent site servers on loopback
 // listeners and returns their addresses. Each serves any number of
 // sequential deployments until the test ends.
-func startSiteServers(t *testing.T, k int) []string {
+func startSiteServers(t testing.TB, k int) []string {
 	t.Helper()
 	addrs := make([]string, k)
 	for i := range addrs {

@@ -201,8 +201,9 @@ fi
 # form of its adjacency, labels and crossing counts, which its index
 # replaced, and the engine's byte-per-variable alive rows with the
 # snapshot-only LocalMatches path over filed positions, which the alive
-# bitsets replaced.
-if stale=$(grep -nE 'Partition(Random|Blocks|TargetRatio|Tree|Chain)|dgpm\.NewEngine\b|Fragment\.Owner|PlanBody|LossNotifier|Plan\.Fits|decodeSpecPlan|SessionSpec\.Plan|seed order|SimulateDual|NewIncremental|DualHHK|dagSite|treeSite|Fragment\.Succ|Fragment\.Labels|crossCnt|snapAlive|dense byte row' $prose); then
+# bitsets replaced, and a site's per-message sink upcalls, which the one
+# SiteSink.EndRun handoff per run replaced.
+if stale=$(grep -nE 'Partition(Random|Blocks|TargetRatio|Tree|Chain)|dgpm\.NewEngine\b|Fragment\.Owner|PlanBody|LossNotifier|Plan\.Fits|decodeSpecPlan|SessionSpec\.Plan|seed order|SimulateDual|NewIncremental|DualHHK|dagSite|treeSite|Fragment\.Succ|Fragment\.Labels|crossCnt|snapAlive|dense byte row|ForwardSend|SiteSink\.Retire\b' $prose); then
   echo "the documents name a deleted identifier:"
   echo "$stale" | sed 's/^/  /'
   fail=1
