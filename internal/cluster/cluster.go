@@ -681,12 +681,12 @@ type Session struct {
 	traceRec    *obs.SpanRecorder
 	coordRounds int64
 	coordOut    []wire.BatchMsg
-
-	// injected is the outbox Inject and Broadcast route the driver's own
-	// sends from, under injectMu.
-	injectMu sync.Mutex
-	injected []wire.BatchMsg
 }
+
+// injectPool lends Inject and Broadcast the buffer they build a run of
+// the driver's own sends in: a run handed to the transport escapes, so a
+// per-call slice would allocate, and drivers may inject concurrently.
+var injectPool sync.Pool
 
 // route accounts a run of encoded messages and hands it on in order:
 // coordinator-bound messages to the coordinator actor, the rest to the
@@ -784,13 +784,17 @@ func (s *Session) inject(data []byte, lo, hi int) {
 	if s.dropped.Load() {
 		return
 	}
-	s.injectMu.Lock()
-	defer s.injectMu.Unlock()
-	for to := lo; to < hi; to++ {
-		s.injected = append(s.injected, wire.BatchMsg{From: Coordinator, To: int32(to), Data: data})
+	bp, _ := injectPool.Get().(*[]wire.BatchMsg)
+	if bp == nil {
+		bp = new([]wire.BatchMsg)
 	}
-	s.route(s.injected)
-	s.injected = resetOutbox(s.injected)
+	run := *bp
+	for to := lo; to < hi; to++ {
+		run = append(run, wire.BatchMsg{From: Coordinator, To: int32(to), Data: data})
+	}
+	s.route(run)
+	*bp = resetOutbox(run)
+	injectPool.Put(bp)
 }
 
 // WaitQuiesce blocks until every one of the session's messages has been

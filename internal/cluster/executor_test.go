@@ -368,10 +368,10 @@ func BenchmarkSiteHostStorm(b *testing.B) {
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/msg")
 }
 
-// The driver's sends share one session outbox: Injects and Broadcasts
+// The driver's sends borrow pooled run buffers: Injects and Broadcasts
 // from several goroutines at once each reach their sites exactly once
 // and are counted once.
-func TestConcurrentInjectsShareOneOutbox(t *testing.T) {
+func TestConcurrentInjectsDeliveredOnce(t *testing.T) {
 	const n, senders, each = 4, 4, 50
 	c := New(n)
 	defer c.Shutdown()
